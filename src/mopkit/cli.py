@@ -64,11 +64,20 @@ COMMANDS = ("mop", "typeI", "kernel", "density", "sample", "verify",
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config {path} must be a JSON object")
+    return cfg
+
+
+def _is_int(v, low):
+    """True when ``v`` is a whole number (int or integral float) >= ``low``."""
+    whole = isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+    return whole and v >= low
 
 
 def _spec_from_entry(entry, where, diags):
@@ -161,7 +170,7 @@ def validate_config(cfg) -> Diagnostics:
 
     nv = cfg.get("multi_index")
     if nv is not None:
-        if (not isinstance(nv, list)) or any(int(v) != v or v < 0 for v in nv):
+        if (not isinstance(nv, list)) or not all(_is_int(v, 0) for v in nv):
             diags.error("multi_index must be a list of nonnegative integers")
         elif len(nv) != p:
             diags.error(f"multi_index has {len(nv)} parts, system has {p}")
@@ -184,7 +193,7 @@ def validate_config(cfg) -> Diagnostics:
             diags.error("schedule.ray must be positive and sum to 1")
         if len(ray) != p:
             diags.error(f"schedule.ray has {len(ray)} parts, system has {p}")
-        if (not totals) or any(int(t) != t or t < 1 for t in totals):
+        if (not totals) or not all(_is_int(t, 1) for t in totals):
             diags.error("schedule.totals must be positive integers")
         elif max(totals) > mop.MAX_TOTAL_DEGREE:
             diags.error(f"schedule totals exceed the cap {mop.MAX_TOTAL_DEGREE}")
@@ -193,7 +202,7 @@ def validate_config(cfg) -> Diagnostics:
 
     for key, low in (("seed", 0), ("grid", 2)):
         v = cfg.get(key)
-        if v is not None and (int(v) != v or v < low):
+        if v is not None and not _is_int(v, low):
             diags.error(f"{key} must be an integer >= {low}")
     return diags
 
@@ -361,10 +370,8 @@ def cmd_kernel(cfg, out, man, quiet):
     man.step("biorthogonalize")
     m = int(cfg.get("grid", 100))
     xs = _grid_points(cfg, ws, m)
-    rows = []
-    for x in xs:
-        vals = ensemble.kernel_eval(K, np.full(m, x), xs)
-        rows.extend((x, y, v) for y, v in zip(xs, vals))
+    rows = ((x, y, v) for x in xs
+            for y, v in zip(xs, ensemble.kernel_eval(K, np.full(m, x), xs)))
     path = Path(out) / "kernel.csv"
     _write_csv(path, ["x", "y", "K"], rows, [f"n = {nvec.n}"])
     man.output(path)

@@ -315,7 +315,7 @@ def cauchy_vandermonde_det(X, Y, n1: int) -> float:
         mono = mono * xl
     for j in range(Y.size):
         m[n1 + j] = 1.0 / (xl - linalg.LD(Y[j]))
-    return linalg.det(m)
+    return float(linalg.det(m))
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +428,7 @@ def _mp_kernel_for(M: HankelBlockMatrix, ws, nvec, cond):
     cached = getattr(M, "_mp_kernel", None)
     if cached is not None:
         return cached
-    dps = 30 + max(0, int(np.ceil(np.log10(max(cond, 1.0)))))
-    kernel = highprec.MPKernel(ws, nvec, dps)
+    kernel = highprec.MPKernel(ws, nvec, highprec.working_dps(cond))
     object.__setattr__(M, "_mp_kernel", kernel)
     return kernel
 
@@ -440,35 +439,26 @@ def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
     phi coefficients come from the inverse of the permuted-L factor, psi
     from the inverse transpose of U, so the Gram matrix phi M psi^T is the
     identity.  Past condition ~1e7 the factors are computed in mpmath
-    (when the weights support structural re-evaluation).
+    (when the weights support structural re-evaluation); the Gram check
+    applies on both paths.
     """
     from . import highprec
 
     nvec = as_multi_index(nvec)
-    n = nvec.n
     cond = linalg.cond1(M.matrix)
-    if (np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF
-            and highprec.supports_weight_system(ws)):
-        try:
+    mpk = phi = psi = None
+    try:
+        if (np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF
+                and highprec.supports_weight_system(ws)):
             mpk = _mp_kernel_for(M, ws, nvec, cond)
-        except NumericError as exc:
-            raise NonNormalIndexError(str(exc)) from exc
-        return Kernel(ws, nvec, None, None, mpk.gram_defect, mp=mpk)
-    lu, piv, _ = linalg.lu_factor(M.matrix)
-    low = np.tril(lu, -1) + np.eye(n, dtype=linalg.LD)
-    if np.any(np.diagonal(lu) == 0):
-        raise NonNormalIndexError("singular moment matrix: cannot biorthogonalize")
-    upper = np.triu(lu)
-    linv = linalg.solve(low, np.eye(n, dtype=linalg.LD))
-    invpiv = np.empty(n, dtype=int)
-    invpiv[piv] = np.arange(n)
-    phi = linv[:, invpiv]  # (L^-1 P): columns permuted
-    psi = linalg.solve(upper, np.eye(n, dtype=linalg.LD)).T
-    gram = phi @ M.matrix.astype(linalg.LD) @ psi.T
-    defect = float(np.max(np.abs(gram - np.eye(n))))
+            defect = mpk.gram_defect
+        else:
+            phi, psi, defect = linalg.biorthogonal_pair(M.matrix)
+    except NumericError as exc:
+        raise NonNormalIndexError(f"singular moment matrix: {exc}") from exc
     if defect > 1e-9:
         raise NumericError(f"biorthogonalization defect {defect:.2e} exceeds 1e-9")
-    return Kernel(ws, nvec, phi, psi, defect)
+    return Kernel(ws, nvec, phi, psi, defect, mp=mpk)
 
 
 def kernel_eval(K: Kernel, x, y):
@@ -496,15 +486,14 @@ def kernel_eval_bordered(M: HankelBlockMatrix, ws: WeightSystem, nvec, x, y) -> 
     if (np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF
             and highprec.supports_weight_system(ws)):
         return _mp_kernel_for(M, ws, nvec, cond).eval_bordered(x, y)
-    lu, _, parity = linalg.lu_factor(M.matrix)
-    detm = linalg.lu_det(lu, parity)
+    detm = float(linalg.det(M.matrix))
     if detm == 0.0:
         raise NonNormalIndexError("zero determinant in bordered kernel")
     b = np.zeros((n + 1, n + 1), dtype=linalg.LD)
     b[:n, :n] = M.matrix
     b[:n, n] = f_matrix(n, np.asarray([x]), dtype=linalg.LD)[:, 0]
     b[n, :n] = g_matrix(ws, nvec, np.asarray([y]), dtype=linalg.LD)[:, 0]
-    return -linalg.det(b) / detm
+    return -float(linalg.det(b)) / detm
 
 
 def mean_density(K: Kernel, x):
@@ -512,19 +501,12 @@ def mean_density(K: Kernel, x):
     return kernel_eval(K, x, x) / K.n
 
 
-def _segment_exponents(ws: WeightSystem, lo, hi):
-    """Endpoint exponents applying to a support segment [lo, hi]."""
-    ea = min((w.endpoint_exponents[0] for w in ws.weights if w.support.a == lo), default=0.0)
-    eb = min((w.endpoint_exponents[1] for w in ws.weights if w.support.b == hi), default=0.0)
-    return min(ea, 0.0), min(eb, 0.0)
-
-
 def kernel_trace(K: Kernel, *, tol=1e-10) -> float:
     """integral K(x, x) dx over the union of supports (equals n)."""
     total = 0.0
     for lo, hi in K.ws.support_segments():
-        exps = _segment_exponents(K.ws, lo, hi)
-        total += quad_with_substitution(lambda t: kernel_eval(K, t, t), lo, hi, exps, tol=tol)
+        total += quad_with_substitution(lambda t: kernel_eval(K, t, t), lo, hi,
+                                        K.ws.segment_exponents(lo, hi), tol=tol)
     return total
 
 

@@ -12,7 +12,9 @@ Q and the kernel K are O(1)-bounded, it is only the intermediate
 coefficients that need the headroom.
 
 Weights are re-evaluated structurally (family parameters, scale factors,
-Markov-ratio generators), not by reusing the float closures.
+Markov-ratio generators), not by reusing the float closures.  The moment
+systems are numpy object arrays of mpf, solved and factored by the same LU
+(``linalg``) that serves the longdouble and exact rungs.
 """
 
 from __future__ import annotations
@@ -21,13 +23,19 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
+from . import linalg
 from .exceptions import NumericError, ValidationError
-from .linalg import solve_pivoting
 
 #: condition estimate beyond which type I solves switch to mpmath; the
 #: float64 moment tables floor the residuals at ~cond * 2e-15, so the
 #: switch happens well before the 1e-9 target is at risk
 CONDITION_CUTOFF = 3e4
+
+
+def working_dps(cond) -> int:
+    """mpmath working precision for a system with condition estimate ``cond``:
+    30 digits beyond the ones the conditioning consumes."""
+    return 30 + max(0, int(np.ceil(np.log10(max(cond, 1.0)))))
 
 
 def weight_evaluator(w):
@@ -104,6 +112,12 @@ def moment_rows(ws, k_max: int):
     return rows
 
 
+def _block_hankel(rows, nvec):
+    """n x n object array of mpf: row r holds the moments r..r+n_j-1 of each weight."""
+    return np.array([[rows[j][r + l] for j, nj in enumerate(nvec.parts) for l in range(nj)]
+                     for r in range(nvec.n)], dtype=object)
+
+
 def type1_coefficients(ws, nvec, dps: int):
     """Type I coefficient blocks solved in mpmath at ``dps`` digits.
 
@@ -112,17 +126,10 @@ def type1_coefficients(ws, nvec, dps: int):
     """
     n = nvec.n
     with mp.workdps(dps):
-        rows = moment_rows(ws, 2 * n - 2)
-        system = []
-        for k in range(n):
-            row = []
-            for j, nj in enumerate(nvec.parts):
-                row.extend(rows[j][k + l] for l in range(nj))
-            system.append(row)
-        rhs = [mpmath.mpf(0)] * n
-        rhs[n - 1] = mpmath.mpf(1)
+        system = _block_hankel(moment_rows(ws, 2 * n - 2), nvec)
+        rhs = np.array([mpmath.mpf(0)] * (n - 1) + [mpmath.mpf(1)], dtype=object)
         try:
-            sol = solve_pivoting(system, rhs, mpmath.mpf(0))
+            sol = linalg.solve(system, rhs)
         except NumericError as exc:
             raise NumericError("singular type I system in high precision") from exc
         out = []
@@ -131,57 +138,6 @@ def type1_coefficients(ws, nvec, dps: int):
             out.append([+v for v in sol[start : start + nj]])
             start += nj
         return out
-
-
-def _lu_pair(m):
-    """phi = (P L)^-1 and psi = U^-T from an mp LU with partial pivoting."""
-    n = len(m)
-    a = [row[:] for row in m]
-    piv = list(range(n))
-    for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(a[r][k]))
-        if a[p][k] == 0:
-            raise NumericError("singular moment matrix in mp kernel")
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            piv[k], piv[p] = piv[p], piv[k]
-        for r in range(k + 1, n):
-            a[r][k] = a[r][k] / a[k][k]
-            for c in range(k + 1, n):
-                a[r][c] -= a[r][k] * a[k][c]
-    linv = _unit_lower_inverse(a, n)
-    uinv = _upper_inverse(a, n)
-    invpiv = [0] * n
-    for i, pv in enumerate(piv):
-        invpiv[pv] = i
-    phi = [[linv[r][invpiv[c]] for c in range(n)] for r in range(n)]
-    psi = [[uinv[c][r] for c in range(n)] for r in range(n)]  # transpose
-    return phi, psi
-
-
-def _unit_lower_inverse(a, n):
-    zero, one = mpmath.mpf(0), mpmath.mpf(1)
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        for i in range(col + 1, n):
-            s = zero
-            for k in range(col, i):
-                s += a[i][k] * inv[k][col]
-            inv[i][col] = -s
-    return inv
-
-
-def _upper_inverse(a, n):
-    zero = mpmath.mpf(0)
-    inv = [[zero] * n for _ in range(n)]
-    for col in range(n - 1, -1, -1):
-        inv[col][col] = 1 / a[col][col]
-        for i in range(col - 1, -1, -1):
-            s = zero
-            for k in range(i + 1, col + 1):
-                s += a[i][k] * inv[k][col]
-            inv[i][col] = -s / a[i][i]
-    return inv
 
 
 class MPKernel:
@@ -199,23 +155,9 @@ class MPKernel:
         self.ws = ws
         self.nvec = nvec
         self.dps = dps
-        n = nvec.n
         with mp.workdps(dps):
-            rows = moment_rows(ws, n - 1 + max(nvec.parts) - 1)
-            m = [[rows[j][r + l] for j, nj in enumerate(nvec.parts)
-                  for l in range(nj)] for r in range(n)]
-            self._m = m
-            self.phi, self.psi = _lu_pair(m)
-            # algebraic Gram defect
-            defect = mpmath.mpf(0)
-            for i in range(n):
-                for j in range(n):
-                    s = mpmath.mpf(0)
-                    for r in range(n):
-                        for c in range(n):
-                            s += self.phi[i][r] * m[r][c] * self.psi[j][c]
-                    defect = max(defect, abs(s - (1 if i == j else 0)))
-            self.gram_defect = float(defect)
+            self._m = _block_hankel(moment_rows(ws, nvec.n - 1 + max(nvec.parts) - 1), nvec)
+            self.phi, self.psi, self.gram_defect = linalg.biorthogonal_pair(self._m)
             self._weight_fns = [weight_evaluator(w) for w in ws.weights]
 
     def _g_vector(self, y):
@@ -264,33 +206,12 @@ class MPKernel:
         """Bordered-determinant value -det[[M, f], [g, 0]] / det M, as float."""
         n = self.nvec.n
         with mp.workdps(self.dps):
-            f = self._f_vector(x)
-            g = self._g_vector(y)
-            big = [row[:] + [f[r]] for r, row in enumerate(self._m)]
-            big.append(g + [mpmath.mpf(0)])
-            det_big = _det_mp(big)
-            det_m = _det_mp([row[:] for row in self._m])
-            return float(-det_big / det_m)
-
-
-def _det_mp(a):
-    n = len(a)
-    sign = 1
-    for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(a[r][k]))
-        if a[p][k] == 0:
-            return mpmath.mpf(0)
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        for r in range(k + 1, n):
-            factor = a[r][k] / a[k][k]
-            for c in range(k, n):
-                a[r][c] -= factor * a[k][c]
-    det = mpmath.mpf(sign)
-    for k in range(n):
-        det *= a[k][k]
-    return det
+            big = np.empty((n + 1, n + 1), dtype=object)
+            big[:n, :n] = self._m
+            big[:n, n] = self._f_vector(x)
+            big[n, :n] = self._g_vector(y)
+            big[n, n] = mpmath.mpf(0)
+            return float(-linalg.det(big) / linalg.det(self._m))
 
 
 def linear_form_values(ws, hp_coeffs, xs, dps: int):

@@ -1,15 +1,24 @@
-"""Small dense linear algebra in extended and exact precision.
+"""Small dense linear algebra: one LU elimination for three entry types.
 
-LAPACK only accepts float32/float64, so the 80-bit ``numpy.longdouble`` path
-(used to tame Hankel conditioning at moderate n) and the exact
-``fractions.Fraction`` path (used for large-n zero studies with rational
-moments) are implemented directly.  Matrices here are at most ~30 x 30, so
-plain row-loop elimination is more than fast enough.
+LAPACK only accepts float32/float64, so the elimination is implemented
+directly, and the same code serves every precision rung of the moment
+solves:
+
+* numeric input is promoted to 80-bit ``numpy.longdouble`` (tames Hankel
+  conditioning at moderate n);
+* object arrays of ``fractions.Fraction`` stay exact (large-n zero studies
+  with rational moments);
+* object arrays of ``mpmath.mpf`` compute at the current ``mp`` precision
+  (ill-conditioned type I systems and kernels).
+
+Object entries keep their type through every operation, so identities and
+unit diagonals are built from the entries themselves, never from integers
+(``int / int`` would turn an exact solve into a float one).  Matrices here
+are at most ~30 x 30, so plain row-loop elimination is more than fast
+enough.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -18,13 +27,25 @@ from .exceptions import NumericError
 LD = np.longdouble
 
 
+def _entries(a):
+    """Copy of ``a``: object arrays keep their entries, the rest become longdouble."""
+    a = np.asarray(a)
+    return np.array(a, dtype=object if a.dtype == object else LD, copy=True)
+
+
+def _identity(lu):
+    """Identity matrix in the entry type of ``lu``."""
+    one = lu[0, 0] ** 0
+    return np.where(np.eye(lu.shape[0], dtype=bool), one, one - one)
+
+
 def lu_factor(a):
-    """LU with partial pivoting in longdouble.
+    """LU with partial pivoting, in the entry type of ``a`` (see module doc).
 
     Returns (lu, piv, parity): compact LU, pivot rows, and the permutation
     sign (+1/-1).
     """
-    lu = np.array(a, dtype=LD, copy=True)
+    lu = _entries(a)
     n = lu.shape[0]
     if lu.shape != (n, n):
         raise NumericError("lu_factor expects a square matrix")
@@ -45,27 +66,14 @@ def lu_factor(a):
 
 
 def lu_det(lu, parity):
-    return float(parity * np.prod(np.diagonal(lu)))
-
-
-def lu_slogdet(lu, parity):
-    """(sign, log|det|) from a longdouble LU."""
-    d = np.diagonal(lu)
-    sign = parity
-    logabs = LD(0.0)
-    for v in d:
-        if v == 0:
-            return 0, -np.inf
-        if v < 0:
-            sign = -sign
-        logabs += np.log(np.abs(v))
-    return sign, float(logabs)
+    """Determinant from a compact LU, in the entry type."""
+    return parity * np.prod(np.diagonal(lu))
 
 
 def lu_solve(lu, piv, b):
     """Solve A x = b (b may be a vector or a matrix of columns)."""
     n = lu.shape[0]
-    x = np.array(b, dtype=LD, copy=True)
+    x = _entries(b)
     one_d = x.ndim == 1
     if one_d:
         x = x[:, None]
@@ -92,7 +100,23 @@ def det(a):
 
 def inverse(a):
     lu, piv, _ = lu_factor(a)
-    return lu_solve(lu, piv, np.eye(a.shape[0], dtype=LD))
+    return lu_solve(lu, piv, _identity(lu))
+
+
+def biorthogonal_pair(a):
+    """phi = L^-1 P and psi = U^-T from one factorization P A = L U.
+
+    Then phi A psi^T = I: the pair is the coefficient form of a
+    biorthogonal system.  Returns (phi, psi, defect), where ``defect`` is
+    max |phi A psi^T - I| as a float.  Each triangle is inverted by
+    substitution alone, without pivoting again.
+    """
+    lu, piv, _ = lu_factor(a)
+    eye = _identity(lu)
+    phi = lu_solve(np.tril(lu, -1) + eye, piv, eye)
+    psi = lu_solve(np.triu(lu), np.arange(len(lu)), eye).T
+    defect = float(np.max(np.abs(phi @ _entries(a) @ psi.T - eye)))
+    return phi, psi, defect
 
 
 def cond1(a):
@@ -107,38 +131,6 @@ def cond1(a):
     return float(norm * inorm)
 
 
-def solve_pivoting(a, b, zero):
-    """Gaussian elimination with partial pivoting over any exact-ish field.
-
-    ``a`` is a list of row lists, ``b`` the right-hand side; elements need
-    +, -, *, /, abs, and comparison with ``zero``.  Works for Fraction and
-    for mpmath.mpf alike.
-    """
-    n = len(a)
-    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(m[r][k]))
-        if m[p][k] == zero:
-            raise NumericError("singular system in exact solve")
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-        for r in range(k + 1, n):
-            if m[r][k] == zero:
-                continue
-            factor = m[r][k] / m[k][k]
-            row_r, row_k = m[r], m[k]
-            for c in range(k, n + 1):
-                row_r[c] -= factor * row_k[c]
-    x = [zero] * n
-    for k in range(n - 1, -1, -1):
-        acc = m[k][n]
-        row = m[k]
-        for c in range(k + 1, n):
-            acc -= row[c] * x[c]
-        x[k] = acc / row[k]
-    return x
-
-
 def solve_fractions(a, b):
-    """Exact solve of A x = b over the rationals."""
-    return solve_pivoting(a, b, Fraction(0))
+    """Exact solve of A x = b over the rationals (entries are Fractions)."""
+    return solve(np.array(a, dtype=object), np.array(b, dtype=object))

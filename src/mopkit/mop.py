@@ -235,7 +235,7 @@ def normality_determinant(M: HankelBlockMatrix) -> DetReport:
     """det of the moment matrix (LU, 80-bit) with a condition estimate."""
     a = M.matrix
     lu, _, parity = linalg.lu_factor(a)
-    return DetReport(linalg.lu_det(lu, parity), linalg.cond1(a))
+    return DetReport(float(linalg.lu_det(lu, parity)), linalg.cond1(a))
 
 
 def _check_normal(mt, nvec):
@@ -379,7 +379,7 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
 
     want_hp = method == "mp" or (method == "auto" and cond > highprec.CONDITION_CUTOFF)
     if want_hp and highprec.supports_weight_system(mt.system):
-        dps = 30 + max(0, int(np.ceil(np.log10(max(cond, 1.0)))))
+        dps = highprec.working_dps(cond)
         blocks = highprec.type1_coefficients(mt.system, nvec, dps)
         polys = tuple(
             Polynomial([float(v) for v in blk]) if blk else Polynomial([0.0])
@@ -413,8 +413,9 @@ def poly_roots(P: Polynomial, dedupe_tol: float = 0.0) -> np.ndarray:
 
     Eigenvalues with relative imaginary part below 1e-8 are projected onto
     the real axis; clusters closer than ``dedupe_tol`` are merged to their
-    mean.  A root whose polished residual stays large raises
-    :class:`NumericError`.
+    mean.  An eigenvalue off the real axis, or a root whose polished
+    residual stays large, raises :class:`NumericError`, so without merging
+    exactly ``deg`` roots come back.
     """
     if P.degree < 1:
         raise ValidationError("root finding needs degree >= 1")
@@ -425,7 +426,11 @@ def poly_roots(P: Polynomial, dedupe_tol: float = 0.0) -> np.ndarray:
     comp[:, -1] = -monic[:-1]
     eig = np.linalg.eigvals(comp)
     keep = np.abs(eig.imag) <= 1e-8 * np.maximum(1.0, np.abs(eig))
-    roots = np.sort(eig[keep].real)
+    if not np.all(keep):
+        raise NumericError(
+            f"{deg - int(keep.sum())} of {deg} companion eigenvalues are not real"
+        )
+    roots = np.sort(eig.real)
 
     dp = P.derivative()
     for _ in range(3):  # Newton polish in extended precision

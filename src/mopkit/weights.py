@@ -71,6 +71,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown weight family {self.family!r}")
+        if not np.all(np.isfinite((self.alpha, self.beta, *self.coeffs))):
+            raise ValidationError("weight family parameters must be finite")
         if self.family == "jacobi" and (self.alpha <= -1.0 or self.beta <= -1.0):
             raise ValidationError("jacobi exponents must exceed -1 for integrability")
 
@@ -614,8 +616,8 @@ def moment_table(ws: WeightSystem, k_max: int, tol: float = 1e-12) -> MomentTabl
     scaled = np.empty((ws.p, k_max + 1))
     exact = []
     for i, w in enumerate(ws.weights):
+        raw[i] = moments(ws, i + 1, k_max, tol)
         for k in range(k_max + 1):
-            raw[i, k] = weight_quad((lambda x, k=k: x ** k), w, tol=tol)
             scaled[i, k] = weight_quad(
                 (lambda x, k=k: ((x - c) / s) ** k), w, tol=tol
             )

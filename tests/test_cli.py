@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mopkit import cli
 
@@ -61,6 +62,20 @@ class TestValidate:
 
     def test_unreadable_file(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "missing.json")]) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "mop"])
+    @pytest.mark.parametrize("cfg", [
+        dict(LEGENDRE, multi_index=["a"]),
+        dict(LEGENDRE, seed="x"),
+        [LEGENDRE],
+        dict(LEGENDRE, weights=[{"family": "jacobi", "interval": [-1.0, 1.0],
+                                 "params": {"alpha": float("nan"), "beta": 0.0}}]),
+    ], ids=["multi_index_str", "seed_str", "top_level_list", "nan_jacobi"])
+    def test_malformed_config_exit_1(self, tmp_path, capsys, command, cfg):
+        code = cli.main([command, write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert "invalid input" in capsys.readouterr().err
 
 
 class TestRunCommands:

@@ -3,7 +3,7 @@ import pytest
 
 import mopkit as mk
 from helpers import bordered_type2_coeffs, gram_schmidt_monic
-from mopkit.exceptions import NonNormalIndexError, ValidationError
+from mopkit.exceptions import NonNormalIndexError, NumericError, ValidationError
 from mopkit.mop import MAX_TOTAL_DEGREE, MultiIndex
 
 INV_SQRT3 = 0.5773502691896258
@@ -215,6 +215,13 @@ class TestPolyRoots:
         P = mk.Polynomial([1.0, -2.0, 1.0])
         roots = mk.poly_roots(P, dedupe_tol=1e-6)
         assert roots.size == 1 and roots[0] == pytest.approx(1.0, abs=1e-7)
+
+    def test_non_real_eigenvalues_raise(self, nikishin_mt):
+        # the float rung loses Nikishin (7,7): 2 of its 14 companion
+        # eigenvalues leave the real axis, which must not pass silently
+        P = mk.type2_mop(nikishin_mt, (7, 7), method="float")
+        with pytest.raises(NumericError, match="2 of 14"):
+            mk.poly_roots(P)
 
     def test_angelesco_root_counts(self, angelesco_mt):
         for nv in [(2, 1), (3, 3), (5, 4), (6, 6)]:
