@@ -80,7 +80,19 @@ def _is_int(v, low):
     return whole and v >= low
 
 
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_z(v):
+    """A z point: a real number or an [re, im] pair."""
+    return _is_real(v) or (isinstance(v, list) and len(v) == 2 and all(map(_is_real, v)))
+
+
 def _spec_from_entry(entry, where, diags):
+    if not isinstance(entry, dict) or not isinstance(entry.get("params", {}), dict):
+        diags.error(f"{where}: a weight and its params must be objects")
+        return None
     fam = entry.get("family")
     iv = entry.get("interval")
     params = entry.get("params", {})
@@ -90,11 +102,11 @@ def _spec_from_entry(entry, where, diags):
     if (not isinstance(iv, (list, tuple))) or len(iv) != 2:
         diags.error(f"{where}: interval must be [a, b]")
         return None
-    a, b = float(iv[0]), float(iv[1])
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        diags.error(f"{where}: empty or non-finite interval [{a}, {b}]")
-        return None
     try:
+        a, b = float(iv[0]), float(iv[1])
+        if not (np.isfinite(a) and np.isfinite(b) and a < b):
+            diags.error(f"{where}: empty or non-finite interval [{a}, {b}]")
+            return None
         if fam == "constant":
             return weights.WeightSpec.constant(a, b)
         if fam == "jacobi":
@@ -103,7 +115,9 @@ def _spec_from_entry(entry, where, diags):
         return weights.WeightSpec.exp_poly(a, b, params.get("coeffs", ()))
     except MopkitError as exc:
         diags.error(f"{where}: {exc}")
-        return None
+    except (TypeError, ValueError):
+        diags.error(f"{where}: interval ends and params must be numbers")
+    return None
 
 
 class Diagnostics:
@@ -187,21 +201,31 @@ def validate_config(cfg) -> Diagnostics:
                     )
     sched = cfg.get("schedule")
     if sched is not None:
+        sched = sched if isinstance(sched, dict) else {}
         ray = sched.get("ray", [])
         totals = sched.get("totals", [])
-        if (not ray) or any(r <= 0 for r in ray) or abs(sum(ray) - 1.0) > 1e-9:
+        if not (isinstance(ray, list) and ray and all(_is_real(r) and r > 0 for r in ray)
+                and abs(sum(ray) - 1.0) <= 1e-9):
             diags.error("schedule.ray must be positive and sum to 1")
-        if len(ray) != p:
+        elif len(ray) != p:
             diags.error(f"schedule.ray has {len(ray)} parts, system has {p}")
-        if (not totals) or not all(_is_int(t, 1) for t in totals):
+        if not (isinstance(totals, list) and totals and all(_is_int(t, 1) for t in totals)):
             diags.error("schedule.totals must be positive integers")
         elif max(totals) > mop.MAX_TOTAL_DEGREE:
             diags.error(f"schedule totals exceed the cap {mop.MAX_TOTAL_DEGREE}")
     if cfg.get("multi_index") is None and sched is None:
         diags.warn("no multi_index or schedule: only validate/equilibrium can run")
 
-    for key, low in (("seed", 0), ("grid", 2)):
-        v = cfg.get(key)
+    zs = cfg.get("z_points", [])
+    if not (isinstance(zs, list) and all(map(_is_z, zs))):
+        diags.error("z_points must be a list of numbers and [re, im] pairs")
+    eq = cfg.get("equilibrium", {})
+    if not isinstance(eq, dict):
+        diags.error("equilibrium must be an object")
+        eq = {}
+    for key, v, low in (("seed", cfg.get("seed"), 0), ("grid", cfg.get("grid"), 2),
+                        ("equilibrium.grid", eq.get("grid"), 2),
+                        ("equilibrium.max_iter", eq.get("max_iter"), 1)):
         if v is not None and not _is_int(v, low):
             diags.error(f"{key} must be an integer >= {low}")
     return diags

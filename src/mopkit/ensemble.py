@@ -46,17 +46,19 @@ def basis_g(ws: WeightSystem, nvec, k: int, x):
 
 
 def f_matrix(n: int, xs, dtype=float):
-    """Rows f_1..f_n evaluated at the points xs: shape (n, len(xs))."""
+    """Rows f_1..f_n evaluated at the points xs: shape (n, len(xs)); with
+    ``dtype=object``, xs are mpf and every entry keeps that type."""
     xs = np.asarray(xs, dtype=dtype)
     out = np.empty((n, xs.size), dtype=dtype)
-    out[0] = 1.0
+    out[0] = xs ** 0 if dtype is object else 1.0  # ones in the entry type
     for j in range(1, n):
         out[j] = out[j - 1] * xs
     return out
 
 
 def g_matrix(ws: WeightSystem, nvec, xs, dtype=float):
-    """Rows g_1..g_n evaluated at the points xs: shape (n, len(xs))."""
+    """Rows g_1..g_n evaluated at the points xs: shape (n, len(xs)); with
+    ``dtype=object``, xs are mpf and the weights use their mpf evaluators."""
     nvec = as_multi_index(nvec)
     xs = np.asarray(xs, dtype=dtype)
     out = np.empty((nvec.n, xs.size), dtype=dtype)
@@ -64,8 +66,15 @@ def g_matrix(ws: WeightSystem, nvec, xs, dtype=float):
     for j, nj in enumerate(nvec.parts):
         if nj == 0:
             continue
-        wvals = ws.weights[j].values(np.asarray(xs, dtype=float)).astype(dtype)
-        mono = np.ones_like(xs, dtype=dtype)
+        w = ws.weights[j]
+        if dtype is object:  # mpf values, zeros and ones
+            fn = w.mp_evaluator()
+            wvals = np.array([fn(x) if w.support.a <= x <= w.support.b else x * 0
+                              for x in xs], dtype=object)
+            mono = xs ** 0
+        else:
+            wvals = w.values(np.asarray(xs, dtype=float)).astype(dtype)
+            mono = np.ones_like(xs)
         for _ in range(nj):
             out[row] = mono * wvals
             mono = mono * xs
@@ -397,6 +406,8 @@ def marginalization_check(ws: WeightSystem, nvec, *, n_configs: int = 25,
 #: the biorthogonal coefficient pairs blow up with the conditioning, so the
 #: 80-bit path loses the 1e-10 path-agreement tolerance past this point
 KERNEL_CONDITION_CUTOFF = 1e7
+#: largest accepted max |phi M psi^T - I| of a biorthogonal pair
+GRAM_TOL = 1e-9
 
 
 @dataclass
@@ -423,12 +434,17 @@ class Kernel:
 
 
 def _mp_kernel_for(M: HankelBlockMatrix, ws, nvec, cond):
+    """The mpmath kernel cached on M.  The float64 ``cond`` saturates far
+    below the true conditioning, so a kernel that misses the Gram check is
+    rebuilt once at the precision its own mpmath condition number asks for."""
     from . import highprec
 
     cached = getattr(M, "_mp_kernel", None)
     if cached is not None:
         return cached
     kernel = highprec.MPKernel(ws, nvec, highprec.working_dps(cond))
+    if kernel.gram_defect > GRAM_TOL:
+        kernel = highprec.MPKernel(ws, nvec, highprec.working_dps(kernel.condition()))
     object.__setattr__(M, "_mp_kernel", kernel)
     return kernel
 
@@ -438,26 +454,22 @@ def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
 
     phi coefficients come from the inverse of the permuted-L factor, psi
     from the inverse transpose of U, so the Gram matrix phi M psi^T is the
-    identity.  Past condition ~1e7 the factors are computed in mpmath
-    (when the weights support structural re-evaluation); the Gram check
-    applies on both paths.
+    identity.  Past condition ~1e7 the factors are computed in mpmath; the
+    Gram check applies on both paths.
     """
-    from . import highprec
-
     nvec = as_multi_index(nvec)
     cond = linalg.cond1(M.matrix)
     mpk = phi = psi = None
     try:
-        if (np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF
-                and highprec.supports_weight_system(ws)):
+        if np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF:
             mpk = _mp_kernel_for(M, ws, nvec, cond)
             defect = mpk.gram_defect
         else:
             phi, psi, defect = linalg.biorthogonal_pair(M.matrix)
     except NumericError as exc:
         raise NonNormalIndexError(f"singular moment matrix: {exc}") from exc
-    if defect > 1e-9:
-        raise NumericError(f"biorthogonalization defect {defect:.2e} exceeds 1e-9")
+    if defect > GRAM_TOL:
+        raise NumericError(f"biorthogonalization defect {defect:.2e} exceeds {GRAM_TOL:g}")
     return Kernel(ws, nvec, phi, psi, defect, mp=mpk)
 
 
@@ -478,13 +490,10 @@ def kernel_eval(K: Kernel, x, y):
 
 def kernel_eval_bordered(M: HankelBlockMatrix, ws: WeightSystem, nvec, x, y) -> float:
     """K(x, y) as the bordered determinant -det[[M, f(x)], [g(y), 0]] / det M."""
-    from . import highprec
-
     nvec = as_multi_index(nvec)
     n = nvec.n
     cond = linalg.cond1(M.matrix)
-    if (np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF
-            and highprec.supports_weight_system(ws)):
+    if np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF:
         return _mp_kernel_for(M, ws, nvec, cond).eval_bordered(x, y)
     detm = float(linalg.det(M.matrix))
     if detm == 0.0:

@@ -1,4 +1,4 @@
-"""High-precision fallbacks for ill-conditioned moment systems.
+"""mpmath rung for ill-conditioned moment systems.
 
 Type I coefficient vectors (and the biorthogonal kernel pairs) of
 Nikishin-like systems grow geometrically with the degree: the weight blocks
@@ -11,10 +11,13 @@ condition number.  Results round back to ordinary floats: the linear form
 Q and the kernel K are O(1)-bounded, it is only the intermediate
 coefficients that need the headroom.
 
-Weights are re-evaluated structurally (family parameters, scale factors,
-Markov-ratio generators), not by reusing the float closures.  The moment
-systems are numpy object arrays of mpf, solved and factored by the same LU
-(``linalg``) that serves the longdouble and exact rungs.
+The module owns what is specific to that rung: the working-precision rule,
+the moment rows in mpf (exact rationals converted, everything else by
+tanh-sinh quadrature of ``Weight.mp_evaluator``), and evaluation in
+fixed-size chunks of points.  Everything else is shared with the float
+rungs: the block Hankel matrix is ``mop._hankel_from``, the g-basis is
+``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the
+systems are factored by the one LU in ``linalg``.
 """
 
 from __future__ import annotations
@@ -24,12 +27,17 @@ import numpy as np
 from mpmath import mp
 
 from . import linalg
-from .exceptions import NumericError, ValidationError
+from .ensemble import f_matrix, g_matrix
+from .exceptions import NumericError
+from .mop import _hankel_from
 
 #: condition estimate beyond which type I solves switch to mpmath; the
 #: float64 moment tables floor the residuals at ~cond * 2e-15, so the
 #: switch happens well before the 1e-9 target is at risk
 CONDITION_CUTOFF = 3e4
+
+#: points per shared F/G block in evaluation; bounds the mpf temporaries
+CHUNK = 64
 
 
 def working_dps(cond) -> int:
@@ -38,84 +46,29 @@ def working_dps(cond) -> int:
     return 30 + max(0, int(np.ceil(np.log10(max(cond, 1.0)))))
 
 
-def weight_evaluator(w):
-    """mpf-valued evaluator of a weight on its support, or None.
-
-    Handles the parametric families directly and Markov-ratio products
-    recursively; constant generators use the closed-form log ratio, other
-    generators an inner tanh-sinh quadrature.
-    """
-    if w.ratio is not None:
-        base = weight_evaluator(w.base)
-        ratio = _ratio_evaluator(w.ratio)
-        if base is None or ratio is None:
-            return None
-        return lambda x: base(x) * ratio(x)
-    spec = w.spec
-    if spec is None:
-        return None
-    s = mpmath.mpf(w.scale)
-    a, b = mpmath.mpf(spec.interval.a), mpmath.mpf(spec.interval.b)
-    if spec.family == "constant":
-        return lambda x: s
-    if spec.family == "jacobi":
-        al, be = mpmath.mpf(spec.alpha), mpmath.mpf(spec.beta)
-        return lambda x: s * (b - x) ** al * (x - a) ** be
-    if spec.family == "exp_poly":
-        cs = [mpmath.mpf(c) for c in spec.coeffs]
-        return lambda x: s * mpmath.e ** (-mpmath.polyval(cs[::-1], x))
-    return None
-
-
-def _ratio_evaluator(ratio):
-    v = ratio.v
-    sign = mpmath.mpf(ratio.sign)
-    c, d = mpmath.mpf(v.support.a), mpmath.mpf(v.support.b)
-    if v.spec is not None and v.spec.family == "constant" and v.ratio is None:
-        s = mpmath.mpf(v.scale)
-        # integral of s/(x - y) over [c, d]
-        return lambda x: sign * s * (mpmath.log(abs(x - c)) - mpmath.log(abs(x - d)))
-    inner = weight_evaluator(v)
-    if inner is None:
-        return None
-    return lambda x: sign * mpmath.quad(lambda y: inner(y) / (x - y), [c, d])
-
-
-def supports_weight_system(ws) -> bool:
-    return all(weight_evaluator(w) is not None for w in ws.weights)
+def _mpf(xs):
+    """Object array of mpf holding the floats ``xs``."""
+    return np.array([mpmath.mpf(float(x)) for x in xs], dtype=object)
 
 
 def moment_rows(ws, k_max: int):
     """Monomial moments of every weight as mpf, at the current precision.
 
     Exact rational moments are converted directly; everything else goes
-    through tanh-sinh quadrature of the structural evaluator.
+    through tanh-sinh quadrature of the weight's mpf evaluator.  Returns a
+    p x (k_max + 1) object array.
     """
     rows = []
     for w in ws.weights:
         if w.exact_moment(0) is not None:
-            row = []
-            for k in range(k_max + 1):
-                f = w.exact_moment(k)
-                row.append(mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator))
-            rows.append(row)
-            continue
-        fn = weight_evaluator(w)
-        if fn is None:
-            raise ValidationError(
-                f"no high-precision evaluator for weight {w.label!r}"
-            )
-        a, b = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)
-        row = [mpmath.quad(lambda x, k=k: x ** k * fn(x), [a, b])
-               for k in range(k_max + 1)]
-        rows.append(row)
-    return rows
-
-
-def _block_hankel(rows, nvec):
-    """n x n object array of mpf: row r holds the moments r..r+n_j-1 of each weight."""
-    return np.array([[rows[j][r + l] for j, nj in enumerate(nvec.parts) for l in range(nj)]
-                     for r in range(nvec.n)], dtype=object)
+            fracs = [w.exact_moment(k) for k in range(k_max + 1)]
+            rows.append([mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator) for f in fracs])
+        else:
+            fn = w.mp_evaluator()
+            a, b = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)
+            rows.append([mpmath.quad(lambda x, k=k: x ** k * fn(x), [a, b])
+                         for k in range(k_max + 1)])
+    return np.array(rows, dtype=object)
 
 
 def type1_coefficients(ws, nvec, dps: int):
@@ -126,7 +79,7 @@ def type1_coefficients(ws, nvec, dps: int):
     """
     n = nvec.n
     with mp.workdps(dps):
-        system = _block_hankel(moment_rows(ws, 2 * n - 2), nvec)
+        system = _hankel_from(moment_rows(ws, 2 * n - 2), nvec, n)
         rhs = np.array([mpmath.mpf(0)] * (n - 1) + [mpmath.mpf(1)], dtype=object)
         try:
             sol = linalg.solve(system, rhs)
@@ -156,50 +109,31 @@ class MPKernel:
         self.nvec = nvec
         self.dps = dps
         with mp.workdps(dps):
-            self._m = _block_hankel(moment_rows(ws, nvec.n - 1 + max(nvec.parts) - 1), nvec)
+            self._m = _hankel_from(moment_rows(ws, nvec.n - 1 + max(nvec.parts) - 1),
+                                   nvec, nvec.n)
             self.phi, self.psi, self.gram_defect = linalg.biorthogonal_pair(self._m)
-            self._weight_fns = [weight_evaluator(w) for w in ws.weights]
 
-    def _g_vector(self, y):
-        out = []
-        ym = mpmath.mpf(float(y))
-        for j, nj in enumerate(self.nvec.parts):
-            if nj == 0:
-                continue
-            w = self.ws.weights[j]
-            if w.support.a <= y <= w.support.b:
-                wv = self._weight_fns[j](ym)
-            else:
-                wv = mpmath.mpf(0)
-            mono = mpmath.mpf(1)
-            for _ in range(nj):
-                out.append(mono * wv)
-                mono *= ym
-        return out
-
-    def _f_vector(self, x):
-        xm = mpmath.mpf(float(x))
-        out = [mpmath.mpf(1)]
-        for _ in range(self.nvec.n - 1):
-            out.append(out[-1] * xm)
-        return out
+    def condition(self):
+        """1-norm condition number of the moment matrix, computed in mpmath:
+        phi M psi^T = I makes psi^T phi its inverse."""
+        with mp.workdps(self.dps):
+            norms = [np.abs(a).sum(axis=0).max() for a in (self._m, self.psi.T @ self.phi)]
+            return float(norms[0] * norms[1])
 
     def eval(self, xs, ys):
         """Biorthogonal-sum values sum_j phi_j(x) psi_j(y), as floats."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        n = self.nvec.n
+        flat, ys = xs.ravel(), np.atleast_1d(np.asarray(ys, dtype=float)).ravel()
+        out = np.empty(xs.size)
         with mp.workdps(self.dps):
-            out = np.empty(xs.size)
-            for i, (x, y) in enumerate(zip(xs.ravel(), ys.ravel())):
-                f = self._f_vector(x)
-                g = self._g_vector(y)
-                total = mpmath.mpf(0)
-                for j in range(n):
-                    pf = mpmath.fdot(self.phi[j], f)
-                    pg = mpmath.fdot(self.psi[j], g)
-                    total += pf * pg
-                out[i] = float(total)
+            for lo in range(0, xs.size, CHUNK):
+                F = f_matrix(self.nvec.n, _mpf(flat[lo : lo + CHUNK]), dtype=object)
+                G = g_matrix(self.ws, self.nvec, _mpf(ys[lo : lo + CHUNK]), dtype=object)
+                for i in range(F.shape[1]):
+                    total = mpmath.mpf(0)
+                    for pj, sj in zip(self.phi, self.psi):
+                        total += mpmath.fdot(pj, F[:, i]) * mpmath.fdot(sj, G[:, i])
+                    out[lo + i] = float(total)
         return out.reshape(xs.shape)
 
     def eval_bordered(self, x, y):
@@ -208,8 +142,8 @@ class MPKernel:
         with mp.workdps(self.dps):
             big = np.empty((n + 1, n + 1), dtype=object)
             big[:n, :n] = self._m
-            big[:n, n] = self._f_vector(x)
-            big[n, :n] = self._g_vector(y)
+            big[:n, n] = f_matrix(n, _mpf([x]), dtype=object)[:, 0]
+            big[n, :n] = g_matrix(self.ws, self.nvec, _mpf([y]), dtype=object)[:, 0]
             big[n, n] = mpmath.mpf(0)
             return float(-linalg.det(big) / linalg.det(self._m))
 
@@ -221,20 +155,11 @@ def linear_form_values(ws, hp_coeffs, xs, dps: int):
     in mp arithmetic before the downcast, so the returned values carry full
     double accuracy even when the coefficients span 16+ orders.
     """
+    parts = tuple(len(c) for c in hp_coeffs)
+    coeffs = [c for blk in hp_coeffs for c in blk]
+    out = []
     with mp.workdps(dps):
-        evaluators = [weight_evaluator(w) for w in ws.weights]
-        out = []
-        for x in xs:
-            xm = mpmath.mpf(float(x))
-            total = mpmath.mpf(0)
-            for coeffs, w, fn in zip(hp_coeffs, ws.weights, evaluators):
-                if not coeffs:
-                    continue
-                if not (w.support.a <= x <= w.support.b):
-                    continue
-                acc = mpmath.mpf(0)
-                for c in reversed(coeffs):
-                    acc = acc * xm + c
-                total += acc * fn(xm)
-            out.append(float(total))
+        for lo in range(0, len(xs), CHUNK):
+            G = g_matrix(ws, parts, _mpf(xs[lo : lo + CHUNK]), dtype=object)
+            out.extend(float(mpmath.fdot(coeffs, G[:, i])) for i in range(G.shape[1]))
     return out

@@ -210,12 +210,11 @@ def _require_order(mt: MomentTable, order: int):
 
 
 def _hankel_from(table_rows, nvec, n_rows):
-    n = nvec.n
-    m = np.zeros((n_rows, n))
-    for j, start, stop in nvec.blocks():
-        for l in range(stop - start):
-            m[:, start + l] = table_rows[j][l : l + n_rows]
-    return m
+    """n_rows x n block Hankel matrix: column l of block j holds the moments
+    l .. l + n_rows - 1 of weight j.  Entries keep the type of the moment
+    rows (float, Fraction or mpf), so one assembly serves every rung."""
+    return np.stack([np.asarray(table_rows[j][l : l + n_rows])
+                     for j, nj in enumerate(nvec.parts) for l in range(nj)], axis=1)
 
 
 def block_hankel(mt: MomentTable, nvec) -> HankelBlockMatrix:
@@ -281,17 +280,16 @@ def _exact_available(mt: MomentTable, nvec: MultiIndex):
     return all(mt.exact[j] is not None for j, _, _ in nvec.blocks())
 
 
+def _type2_system(rows, nvec):
+    """Type II conditions sum_i a_i c^(j)_{k+i} = -c^(j)_{k+n}, k < n_j: the
+    transposed (n + 1)-row block Hankel matrix, split into system and rhs."""
+    aug = _hankel_from(rows, nvec, nvec.n + 1).T
+    return aug[:, :-1], -aug[:, -1]
+
+
 def _type2_exact(mt: MomentTable, nvec: MultiIndex):
     """Solve the type II system in exact rational arithmetic."""
-    n = nvec.n
-    rows = []
-    rhs = []
-    for j, _, _ in nvec.blocks():
-        cj = mt.exact[j]
-        for k in range(nvec.parts[j]):
-            rows.append([cj[k + i] for i in range(n)])
-            rhs.append(-cj[k + n])
-    sol = linalg.solve_fractions(rows, rhs)
+    sol = linalg.solve_fractions(*_type2_system(mt.exact, nvec))
     return np.array([float(v) for v in sol] + [1.0])
 
 
@@ -311,15 +309,7 @@ def type2_mop(mt: MomentTable, nvec, method: str = "auto") -> Polynomial:
     _require_order(mt, n + max(nvec.parts) - 1)
 
     c, s = mt.center, mt.half_width
-    system = np.zeros((n, n), dtype=linalg.LD)
-    rhs = np.zeros(n, dtype=linalg.LD)
-    r = 0
-    for j, _, _ in nvec.blocks():
-        for k in range(nvec.parts[j]):
-            # condition row: sum_i a_i chat^{(j)}_{k+i} = -chat^{(j)}_{k+n}
-            system[r, :] = mt.scaled[j][k : k + n].astype(linalg.LD)
-            rhs[r] = linalg.LD(-mt.scaled[j][k + n])
-            r += 1
+    system, rhs = _type2_system(mt.scaled, nvec)
     cond = linalg.cond1(system)
     ill = cond > CONDITION_WARN
 
@@ -351,11 +341,10 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
 
     Solves the n x n moment system whose first n-1 rows are the vanishing
     power conditions and whose last row is the normalization.  When the
-    condition estimate passes ~1e9 (typical for Nikishin systems, whose
-    weight blocks are nearly dependent) and the weights admit structural
-    re-evaluation, ``"auto"`` re-solves in mpmath with a working precision
-    matched to the conditioning; ``"mp"`` forces that path, ``"float"``
-    forbids it.
+    condition estimate passes ``highprec.CONDITION_CUTOFF`` (typical for
+    Nikishin systems, whose weight blocks are nearly dependent), ``"auto"``
+    re-solves in mpmath with a working precision matched to the
+    conditioning; ``"mp"`` forces that path, ``"float"`` forbids it.
     """
     nvec = as_multi_index(nvec)
     n = nvec.n
@@ -377,8 +366,7 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
 
     from . import highprec
 
-    want_hp = method == "mp" or (method == "auto" and cond > highprec.CONDITION_CUTOFF)
-    if want_hp and highprec.supports_weight_system(mt.system):
+    if method == "mp" or (method == "auto" and cond > highprec.CONDITION_CUTOFF):
         dps = highprec.working_dps(cond)
         blocks = highprec.type1_coefficients(mt.system, nvec, dps)
         polys = tuple(
@@ -388,8 +376,6 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
         return TypeISystem(polys, mt.system, nvec, 0.0, cond, ill,
                            hp_coeffs=tuple(tuple(blk) for blk in blocks),
                            hp_dps=dps)
-    if method == "mp":
-        raise ValidationError("weights do not support high-precision re-evaluation")
 
     sol = linalg.solve(system, rhs)
     residual = float(np.max(np.abs(system @ sol - rhs)))

@@ -10,10 +10,16 @@ Nikishin systems derive their higher weights as Markov (Stieltjes)
 transforms of generator weights living on a chain of intervals with
 alternating gaps; the transform sign is chosen from the interval order so
 that every ratio w_j / w_1 is positive on the common support.
+
+Weights are data (family spec, scale, optional Markov ratio); the float
+values, the exact rational moments and the mpmath evaluator are all read
+off that one description.  mpmath is imported only when an mpf evaluator
+is asked for.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,154 +98,140 @@ class WeightSpec:
 class Weight:
     """Nonnegative weight on a finite interval, zero off its support.
 
-    ``endpoint_exponents`` records the powers of (x - a) and (b - x) carried
-    by the weight so quadrature can regularize integrable singularities.
+    A weight is plain data: a family ``spec``, a positive ``scale`` and, for
+    Nikishin weights, an optional Markov ``ratio`` multiplying the family
+    weight.  Support, endpoint exponents (the powers of (x - a) and (b - x)
+    that quadrature regularizes), float values, exact rational moments and
+    the mpmath evaluator are all derived from those fields, so every
+    precision rung reads one description.
     """
 
-    def __init__(self, support, raw, raw_log, endpoint_exponents=(0.0, 0.0),
-                 spec=None, exact_fn=None, label="weight", scale=1.0,
-                 base=None, ratio=None):
-        self.support = support
-        self._raw = raw
-        self._raw_log = raw_log
-        self.endpoint_exponents = endpoint_exponents
+    def __init__(self, spec: WeightSpec, scale: float = 1.0, ratio=None):
         self.spec = spec
-        self._exact_fn = exact_fn
-        self.label = label
-        # structure for exact / high-precision re-evaluation
         self.scale = scale
-        self.base = base
         self.ratio = ratio
+
+    @property
+    def support(self):
+        return self.spec.interval
+
+    @property
+    def endpoint_exponents(self):
+        s = self.spec
+        return (s.beta, s.alpha) if s.family == "jacobi" else (0.0, 0.0)
+
+    @property
+    def label(self):
+        s = self.spec
+        return (f"jacobi({s.alpha},{s.beta})" if s.family == "jacobi" else s.family) \
+            + "*scaled" * (self.scale != 1.0) + "*markov" * (self.ratio is not None)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_spec(spec: WeightSpec, scale: float = 1.0) -> "Weight":
-        iv = spec.interval
-        a, b = iv.a, iv.b
-        if spec.family == "constant":
-            raw = lambda x: np.full_like(np.asarray(x, dtype=float), scale)
-            raw_log = lambda x: np.full_like(np.asarray(x, dtype=float), math.log(scale))
-            exact = _constant_exact(a, b, scale)
-            return Weight(iv, raw, raw_log, (0.0, 0.0), spec, exact, "constant",
-                          scale=scale)
-        if spec.family == "jacobi":
-            al, be = spec.alpha, spec.beta
-
-            def raw(x):
-                with np.errstate(divide="ignore"):
-                    return scale * np.power(b - x, al) * np.power(x - a, be)
-
-            def raw_log(x):
-                with np.errstate(divide="ignore"):
-                    return math.log(scale) + al * np.log(b - x) + be * np.log(x - a)
-
-            exact = _jacobi_exact(a, b, al, be, scale)
-            return Weight(iv, raw, raw_log, (be, al), spec, exact,
-                          f"jacobi({al},{be})", scale=scale)
-        if spec.family == "exp_poly":
-            cs = np.asarray(spec.coeffs, dtype=float)
-
-            def raw_log(x):
-                return math.log(scale) - np.polynomial.polynomial.polyval(x, cs)
-
-            raw = lambda x: np.exp(raw_log(x))
-            return Weight(iv, raw, raw_log, (0.0, 0.0), spec, None, "exp_poly",
-                          scale=scale)
-        raise ValidationError(f"unknown family {spec.family!r}")
-
-    @staticmethod
-    def product(base: "Weight", ratio) -> "Weight":
-        """Weight of the form base(x) * ratio(x) with ratio > 0 on the support."""
-
-        def raw(x):
-            return base._raw(x) * ratio(x)
-
-        def raw_log(x):
-            return base._raw_log(x) + np.log(ratio(x))
-
-        return Weight(base.support, raw, raw_log, base.endpoint_exponents,
-                      base.spec, None, base.label + "*markov",
-                      scale=base.scale, base=base, ratio=ratio)
+        return Weight(spec, scale)
 
     def scaled(self, c: float) -> "Weight":
         if c <= 0:
             raise ValidationError("scale factor must be positive")
-        if self.ratio is not None:
-            return Weight.product(self.base.scaled(c), self.ratio)
-        raw = lambda x: c * self._raw(x)
-        raw_log = lambda x: math.log(c) + self._raw_log(x)
-        exact = None
-        if self._exact_fn is not None:
-            base_fn = self._exact_fn
-            exact = lambda k: base_fn(k) * Fraction(c)
-        return Weight(self.support, raw, raw_log, self.endpoint_exponents,
-                      self.spec, exact, self.label + "*scaled", scale=self.scale * c)
+        return Weight(self.spec, self.scale * c, self.ratio)
 
     # -- evaluation --------------------------------------------------------
 
+    def _raw(self, x):
+        s = self.spec
+        if s.family == "constant":
+            out = np.full_like(np.asarray(x, dtype=float), self.scale)
+        elif s.family == "jacobi":
+            with np.errstate(divide="ignore"):
+                out = (self.scale * np.power(s.interval.b - x, s.alpha)
+                       * np.power(x - s.interval.a, s.beta))
+        else:
+            out = np.exp(self._family_log(x))
+        return out if self.ratio is None else out * self.ratio(x)
+
+    def _family_log(self, x):
+        s = self.spec
+        if s.family == "constant":
+            return np.full_like(np.asarray(x, dtype=float), math.log(self.scale))
+        if s.family == "jacobi":
+            with np.errstate(divide="ignore"):
+                return (math.log(self.scale) + s.alpha * np.log(s.interval.b - x)
+                        + s.beta * np.log(x - s.interval.a))
+        return math.log(self.scale) - np.polynomial.polynomial.polyval(x, s.coeffs)
+
+    def _raw_log(self, x):
+        out = self._family_log(x)
+        return out if self.ratio is None else out + np.log(self.ratio(x))
+
+    def _on_support(self, x, fill, raw):
+        x = np.asarray(x, dtype=float)
+        xv, iv = np.atleast_1d(x), self.spec.interval
+        m = (xv >= iv.a) & (xv <= iv.b)
+        if m.all():
+            out = raw(xv)
+        else:
+            out = np.full_like(xv, fill)
+            out[m] = raw(xv[m])
+        return float(out[0]) if x.ndim == 0 else out
+
     def values(self, x):
         """Weight values; zero outside the support."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        out = np.zeros_like(xv)
-        m = (xv >= self.support.a) & (xv <= self.support.b)
-        if m.any():
-            out[m] = self._raw(xv[m])
-        return float(out[0]) if scalar else out
+        return self._on_support(x, 0.0, self._raw)
 
     def log_values(self, x):
         """log of the weight; -inf outside the support."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        out = np.full_like(xv, -np.inf)
-        m = (xv >= self.support.a) & (xv <= self.support.b)
-        if m.any():
-            out[m] = self._raw_log(xv[m])
-        return float(out[0]) if scalar else out
+        return self._on_support(x, -np.inf, self._raw_log)
+
+    def mp_evaluator(self):
+        """mpf-valued evaluator on the support at the current mpmath precision
+        (constants are converted once, here: call it inside ``mp.workdps``)."""
+        import mpmath
+
+        s, (be, al) = mpmath.mpf(self.scale), self.endpoint_exponents
+        a, b = mpmath.mpf(self.support.a), mpmath.mpf(self.support.b)
+        if self.spec.family == "constant":
+            fn = lambda x: s
+        elif self.spec.family == "jacobi":
+            al, be = mpmath.mpf(al), mpmath.mpf(be)
+            fn = lambda x: s * (b - x) ** al * (x - a) ** be
+        else:
+            cs = [mpmath.mpf(c) for c in self.spec.coeffs][::-1]
+            fn = lambda x: s * mpmath.e ** (-mpmath.polyval(cs, x))
+        if self.ratio is None:
+            return fn
+        ratio = self.ratio.mp_evaluator()
+        return lambda x: fn(x) * ratio(x)
+
+    @functools.cached_property
+    def _exact_poly(self):
+        """(b - x)^alpha (x - a)^beta as {power: Fraction} when the moments are
+        rational (no Markov ratio, small nonnegative integer exponents), else None."""
+        be, al = self.endpoint_exponents
+        if self.ratio is not None or self.spec.family == "exp_poly" \
+                or not (float(al).is_integer() and float(be).is_integer()):
+            return None
+        ia, ib = int(al), int(be)
+        if ia < 0 or ib < 0 or ia + ib > 40:
+            return None
+        fa, fb = Fraction(self.support.a), Fraction(self.support.b)
+        return _poly_mul(_poly_pow({0: fb, 1: Fraction(-1)}, ia),
+                         _poly_pow({0: -fa, 1: Fraction(1)}, ib))
 
     def exact_moment(self, k: int):
         """Exact rational moment integral x^k w(x) dx, or None."""
-        if self._exact_fn is None:
+        if self._exact_poly is None:
             return None
-        return self._exact_fn(k)
+        fa, fb = Fraction(self.support.a), Fraction(self.support.b)
+        total = Fraction(0)
+        for d, c in self._exact_poly.items():
+            m = k + d
+            total += c * (fb ** (m + 1) - fa ** (m + 1)) / (m + 1)
+        return Fraction(self.scale) * total
 
     def __repr__(self):
         return f"Weight({self.label} on [{self.support.a}, {self.support.b}])"
-
-
-def _constant_exact(a, b, scale):
-    fa, fb, fs = Fraction(a), Fraction(b), Fraction(scale)
-
-    def exact(k):
-        return fs * (fb ** (k + 1) - fa ** (k + 1)) / (k + 1)
-
-    return exact
-
-
-def _jacobi_exact(a, b, alpha, beta, scale):
-    # Exact path only for small nonnegative integer exponents; the weight is
-    # then a polynomial with rational coefficients.
-    if not (float(alpha).is_integer() and float(beta).is_integer()):
-        return None
-    ia, ib = int(alpha), int(beta)
-    if ia < 0 or ib < 0 or ia + ib > 40:
-        return None
-    fa, fb, fs = Fraction(a), Fraction(b), Fraction(scale)
-    # (b - x)^ia (x - a)^ib expanded in powers of x
-    coeffs = _poly_pow({0: fb, 1: Fraction(-1)}, ia)
-    coeffs = _poly_mul(coeffs, _poly_pow({0: -fa, 1: Fraction(1)}, ib))
-
-    def exact(k):
-        total = Fraction(0)
-        for d, c in coeffs.items():
-            m = k + d
-            total += c * (fb ** (m + 1) - fa ** (m + 1)) / (m + 1)
-        return fs * total
-
-    return exact
 
 
 def _poly_mul(p, q):
@@ -431,6 +423,21 @@ class MarkovRatio:
             out[i : i + step] = (self.coeffs / (chunk[:, None] - self.nodes)).sum(axis=1)
         return out.reshape(np.atleast_1d(x).shape) if x.ndim else float(out[0])
 
+    def mp_evaluator(self):
+        """mpf-valued transform at the current mpmath precision: closed form
+        for a constant generator, tanh-sinh quadrature of the generator's own
+        evaluator otherwise."""
+        import mpmath
+
+        v, sign = self.v, mpmath.mpf(self.sign)
+        c, d = mpmath.mpf(v.support.a), mpmath.mpf(v.support.b)
+        if v.spec.family == "constant" and v.ratio is None:
+            s = mpmath.mpf(v.scale)
+            # integral of s/(x - y) over [c, d]
+            return lambda x: sign * s * (mpmath.log(abs(x - c)) - mpmath.log(abs(x - d)))
+        inner = v.mp_evaluator()
+        return lambda x: sign * mpmath.quad(lambda y: inner(y) / (x - y), [c, d])
+
 
 # ---------------------------------------------------------------------------
 # Weight systems
@@ -543,7 +550,7 @@ def build_nikishin(w1_spec: WeightSpec, generator_specs) -> WeightSystem:
     sign = 1 if g2.b <= g1.a else -1  # plus when Gamma_2 lies to the left
     weights = [w1]
     for v in v_weights:
-        weights.append(Weight.product(w1, MarkovRatio(v, g1, sign)))
+        weights.append(Weight(w1.spec, w1.scale, MarkovRatio(v, g1, sign)))
     intervals = (g1,) + tuple(s.interval for s in gens)
     return WeightSystem("nikishin", tuple(weights), intervals, generators=v_weights)
 

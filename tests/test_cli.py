@@ -63,14 +63,27 @@ class TestValidate:
     def test_unreadable_file(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "missing.json")]) == 1
 
-    @pytest.mark.parametrize("command", ["validate", "mop"])
+    @pytest.mark.parametrize("command", ["validate", "mop", "verify", "equilibrium"])
     @pytest.mark.parametrize("cfg", [
         dict(LEGENDRE, multi_index=["a"]),
         dict(LEGENDRE, seed="x"),
         [LEGENDRE],
         dict(LEGENDRE, weights=[{"family": "jacobi", "interval": [-1.0, 1.0],
                                  "params": {"alpha": float("nan"), "beta": 0.0}}]),
-    ], ids=["multi_index_str", "seed_str", "top_level_list", "nan_jacobi"])
+        dict(LEGENDRE, weights=[{"family": "constant", "interval": ["a", 1.0]}]),
+        dict(LEGENDRE, schedule={"ray": ["a"], "totals": [2]}),
+        dict(LEGENDRE, weights=[{"family": "jacobi", "interval": [-1.0, 1.0],
+                                 "params": {"alpha": "x", "beta": 0.0}}]),
+        dict(LEGENDRE, weights=[{"family": "exp_poly", "interval": [-1.0, 1.0],
+                                 "params": {"coeffs": ["a"]}}]),
+        dict(LEGENDRE, weights=[{"family": "constant", "interval": [-1.0, 1.0],
+                                 "params": [1]}]),
+        dict(LEGENDRE, weights=[1]),
+        dict(LEGENDRE, z_points=["a"]),
+        dict(LEGENDRE, equilibrium={"grid": "a"}),
+    ], ids=["multi_index_str", "seed_str", "top_level_list", "nan_jacobi", "interval_str",
+            "ray_str", "jacobi_alpha_str", "exp_poly_coeff_str", "params_list",
+            "weight_not_object", "z_point_str", "equilibrium_grid_str"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, command, cfg):
         code = cli.main([command, write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o"), "--quiet"])

@@ -129,3 +129,16 @@ class TestMeanDensity:
         K = _kernel(angelesco_mt, angelesco_ws, (3, 3))
         xs = np.linspace(-1.0, 1.0, 401)
         assert np.all(mk.mean_density(K, xs) > -1e-12)
+
+
+def test_mp_kernel_precision_from_own_condition(nikishin_ws):
+    # the float64 condition estimate of the (9,9) moment matrix saturates far
+    # below its true value; the Gram check sends the kernel to a rebuild at
+    # the precision its mpmath condition number asks for
+    nvec = (9, 9)
+    M = mk.block_hankel(mk.moment_table(nikishin_ws, 26), nvec)
+    K = mk.biorthogonalize(M, nikishin_ws, nvec)
+    assert K.mp is not None and K.gram_defect <= 1e-9
+    x, y = 1.3, 1.7
+    assert mk.kernel_eval_bordered(M, nikishin_ws, nvec, x, y) == \
+        pytest.approx(mk.kernel_eval(K, x, y), rel=1e-10)

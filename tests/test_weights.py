@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,3 +203,44 @@ def test_exact_jacobi_integer_moments():
 def test_support_segments(angelesco_ws, nikishin_ws):
     assert angelesco_ws.support_segments() == [(-1.0, 0.0), (0.0, 1.0)]
     assert nikishin_ws.support_segments() == [(1.0, 2.0)]
+
+
+EVALUATOR_CASES = {
+    "constant": lambda: Weight.from_spec(mk.WeightSpec.constant(1.0, 2.0)),
+    "jacobi": lambda: Weight.from_spec(mk.WeightSpec.jacobi(1.0, 2.0, 0.5, -0.5)),
+    "exp_poly": lambda: Weight.from_spec(mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 1.0, 0.5])),
+    "nikishin_constant": lambda: mk.build_nikishin(
+        mk.WeightSpec.constant(1.0, 2.0), [mk.WeightSpec.constant(-1.0, 0.0)]).weights[1],
+    "nikishin_jacobi": lambda: mk.build_nikishin(
+        mk.WeightSpec.constant(1.0, 2.0),
+        [mk.WeightSpec.jacobi(-1.0, 0.0, 0.5, 0.0)]).weights[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATOR_CASES))
+def test_mp_evaluator_matches_float_values(name):
+    import mpmath
+
+    from mopkit.ensemble import g_matrix
+
+    w = EVALUATOR_CASES[name]()
+    xs = np.asarray([1.05, 1.3, 1.5, 1.77, 1.95])
+    with mpmath.mp.workdps(30):
+        fn = w.mp_evaluator()
+        got = np.asarray([float(fn(mpmath.mpf(x))) for x in xs])
+        ws = mk.WeightSystem.general([w])
+        points = np.asarray([mpmath.mpf(x) for x in np.append(xs, 2.5)], dtype=object)
+        g_mp = g_matrix(ws, (3,), points, dtype=object)
+    assert np.allclose(got, w.values(xs), rtol=1e-13, atol=0.0)
+    g_float = g_matrix(ws, (3,), np.append(xs, 2.5))
+    assert all(isinstance(v, mpmath.mpf) for v in g_mp.ravel())
+    assert np.allclose(g_mp.astype(float), g_float, rtol=1e-13, atol=0.0)
+    assert np.all(g_mp[:, -1] == 0)  # off the support
+
+
+def test_import_leaves_mpmath_unloaded():
+    # mpmath is imported only by the high-precision rung, not at start-up
+    src = Path(mk.__file__).resolve().parent.parent
+    code = "import sys, mopkit; assert 'mpmath' not in sys.modules, 'mpmath imported'"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
