@@ -81,7 +81,9 @@ def _is_int(v, low):
 
 
 def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """True for a JSON number that converts to float (no bool, no huge int)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and not abs(v) > sys.float_info.max
 
 
 def _is_z(v):
@@ -115,7 +117,7 @@ def _spec_from_entry(entry, where, diags):
         return weights.WeightSpec.exp_poly(a, b, params.get("coeffs", ()))
     except MopkitError as exc:
         diags.error(f"{where}: {exc}")
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         diags.error(f"{where}: interval ends and params must be numbers")
     return None
 
@@ -219,15 +221,35 @@ def validate_config(cfg) -> Diagnostics:
     zs = cfg.get("z_points", [])
     if not (isinstance(zs, list) and all(map(_is_z, zs))):
         diags.error("z_points must be a list of numbers and [re, im] pairs")
-    eq = cfg.get("equilibrium", {})
-    if not isinstance(eq, dict):
-        diags.error("equilibrium must be an object")
-        eq = {}
+    blocks = {}
+    for key in ("equilibrium", "sampler", "verify"):
+        blocks[key] = cfg.get(key, {})
+        if not isinstance(blocks[key], dict):
+            diags.error(f"{key} must be an object")
+            blocks[key] = {}
+    eq, sc, vc = blocks.values()
     for key, v, low in (("seed", cfg.get("seed"), 0), ("grid", cfg.get("grid"), 2),
                         ("equilibrium.grid", eq.get("grid"), 2),
-                        ("equilibrium.max_iter", eq.get("max_iter"), 1)):
+                        ("equilibrium.max_iter", eq.get("max_iter"), 1),
+                        ("verify.samples", vc.get("samples"), 1),
+                        ("verify.sign_trials", vc.get("sign_trials"), 1),
+                        *((f"sampler.{k}", sc.get(k), 1)
+                          for k in ("samples", "chains", "burn_in", "thinning"))):
         if v is not None and not _is_int(v, low):
             diags.error(f"{key} must be an integer >= {low}")
+    step, multiple = sc.get("step_scale"), vc.get("stderr_multiple")
+    if step is not None and not (_is_real(step) and step > 0):
+        diags.error("sampler.step_scale must be a positive number")
+    if multiple is not None and not _is_real(multiple):
+        diags.error("verify.stderr_multiple must be a number")
+    ray, fields = eq.get("ray"), eq.get("fields")
+    if ray is not None and not (isinstance(ray, list) and all(map(_is_real, ray))):
+        diags.error("equilibrium.ray must be a list of numbers")
+    if fields is not None and not (
+            isinstance(fields, list) and len(fields) == p
+            and all(f is None or (isinstance(f, list) and f and all(map(_is_real, f)))
+                    for f in fields)):
+        diags.error(f"equilibrium.fields must hold {p} null or coefficient lists")
     return diags
 
 
@@ -640,7 +662,10 @@ def run(command, config_path, *, out=None, seed=None, grid=None, samples=None,
                 for line in diags.lines():
                     print(line, file=sys.stderr)
                 raise ValidationError("config failed validation")
-        out_dir = Path(out if out is not None else cfg.get("output_dir", "out"))
+        out_dir = out if out is not None else cfg.get("output_dir", "out")
+        if not isinstance(out_dir, (str, Path)):
+            raise ValidationError("output_dir must be a string")
+        out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         man = Manifest(cfg, command, out_dir)
         handler = {

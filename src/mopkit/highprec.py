@@ -12,10 +12,11 @@ Q and the kernel K are O(1)-bounded, it is only the intermediate
 coefficients that need the headroom.
 
 The module owns what is specific to that rung: the working-precision rule,
-the moment rows in mpf (exact rationals converted, everything else by
-tanh-sinh quadrature of ``Weight.mp_evaluator``), and evaluation in
-fixed-size chunks of points.  Everything else is shared with the float
-rungs: the block Hankel matrix is ``mop._hankel_from``, the g-basis is
+the moment rows in mpf (exact rationals converted, everything else by one
+tanh-sinh pass per weight over ``Weight.mp_evaluator``, with
+``mpmath.quad``'s per-k stopping rule), and evaluation in fixed-size chunks
+of points.  Everything else is shared with the float rungs: the block
+Hankel matrix is ``mop._hankel_from``, the g-basis is
 ``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the
 systems are factored by the one LU in ``linalg``.
 """
@@ -51,12 +52,39 @@ def _mpf(xs):
     return np.array([mpmath.mpf(float(x)) for x in xs], dtype=object)
 
 
+def _power_moments(fn, a, b, k_max: int):
+    """Integrals of x^k fn(x) over [a, b] for k <= k_max, each bit-identical to
+    ``mpmath.quad(lambda x: x ** k * fn(x), [a, b])``: one pass over quad's
+    tanh-sinh levels evaluates ``fn`` once per node for every open k, and
+    each k stops at the level where quad's error estimate stops it."""
+    rule, prec, eps = mp._tanh_sinh, mp.prec, mp.eps / 8
+    m = rule.guess_degree(prec)
+    results = [[] for _ in range(k_max + 1)]
+    open_ks = list(range(k_max + 1))
+    with mp.extraprec(20):
+        for degree in range(1, m + 1):
+            h = mpmath.mpf(2) ** (-degree)
+            values = [(x, w, fn(x)) for x, w in rule.get_nodes(a, b, degree, prec)]
+            for k in open_ks:
+                S = results[k][-1] / (h * 2) if results[k] else mp.zero
+                S += mp.fdot((w, x ** k * fx) for x, w, fx in values)
+                results[k].append(h * S)
+            if degree > 1:
+                open_ks = [k for k in open_ks
+                           if rule.estimate_error(results[k], prec, eps) > eps]
+            if not open_ks:
+                break
+        sums = [mp.zero + r[-1] for r in results]
+    return [+v for v in sums]
+
+
 def moment_rows(ws, k_max: int):
     """Monomial moments of every weight as mpf, at the current precision.
 
-    Exact rational moments are converted directly; everything else goes
-    through tanh-sinh quadrature of the weight's mpf evaluator.  Returns a
-    p x (k_max + 1) object array.
+    Exact rational moments are converted directly; everything else takes
+    one tanh-sinh pass per weight over its mpf evaluator, with quad's
+    per-k stopping rule, so every moment equals its own ``mpmath.quad``.
+    Returns a p x (k_max + 1) object array.
     """
     rows = []
     for w in ws.weights:
@@ -64,10 +92,8 @@ def moment_rows(ws, k_max: int):
             fracs = [w.exact_moment(k) for k in range(k_max + 1)]
             rows.append([mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator) for f in fracs])
         else:
-            fn = w.mp_evaluator()
-            a, b = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)
-            rows.append([mpmath.quad(lambda x, k=k: x ** k * fn(x), [a, b])
-                         for k in range(k_max + 1)])
+            rows.append(_power_moments(w.mp_evaluator(), mpmath.mpf(w.support.a),
+                                       mpmath.mpf(w.support.b), k_max))
     return np.array(rows, dtype=object)
 
 

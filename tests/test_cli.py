@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mopkit import cli
 
@@ -20,6 +22,27 @@ LEGENDRE = {
     "weights": [{"family": "constant", "interval": [-1.0, 1.0]}],
     "multi_index": [2],
     "seed": 7,
+}
+
+#: configs that every command must reject with exit 1, by test id
+MALFORMED = {
+    "multi_index_str": dict(LEGENDRE, multi_index=["a"]),
+    "seed_str": dict(LEGENDRE, seed="x"),
+    "top_level_list": [LEGENDRE],
+    "nan_jacobi": dict(LEGENDRE, weights=[{"family": "jacobi", "interval": [-1.0, 1.0],
+                                           "params": {"alpha": float("nan"), "beta": 0.0}}]),
+    "interval_str": dict(LEGENDRE, weights=[{"family": "constant", "interval": ["a", 1.0]}]),
+    "ray_str": dict(LEGENDRE, schedule={"ray": ["a"], "totals": [2]}),
+    "jacobi_alpha_str": dict(LEGENDRE, weights=[{"family": "jacobi", "interval": [-1.0, 1.0],
+                                                 "params": {"alpha": "x", "beta": 0.0}}]),
+    "exp_poly_coeff_str": dict(LEGENDRE, weights=[{"family": "exp_poly",
+                                                   "interval": [-1.0, 1.0],
+                                                   "params": {"coeffs": ["a"]}}]),
+    "params_list": dict(LEGENDRE, weights=[{"family": "constant", "interval": [-1.0, 1.0],
+                                            "params": [1]}]),
+    "weight_not_object": dict(LEGENDRE, weights=[1]),
+    "z_point_str": dict(LEGENDRE, z_points=["a"]),
+    "equilibrium_grid_str": dict(LEGENDRE, equilibrium={"grid": "a"}),
 }
 
 ANGELESCO = {
@@ -63,27 +86,20 @@ class TestValidate:
     def test_unreadable_file(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "missing.json")]) == 1
 
-    @pytest.mark.parametrize("command", ["validate", "mop", "verify", "equilibrium"])
-    @pytest.mark.parametrize("cfg", [
-        dict(LEGENDRE, multi_index=["a"]),
-        dict(LEGENDRE, seed="x"),
-        [LEGENDRE],
-        dict(LEGENDRE, weights=[{"family": "jacobi", "interval": [-1.0, 1.0],
-                                 "params": {"alpha": float("nan"), "beta": 0.0}}]),
-        dict(LEGENDRE, weights=[{"family": "constant", "interval": ["a", 1.0]}]),
-        dict(LEGENDRE, schedule={"ray": ["a"], "totals": [2]}),
-        dict(LEGENDRE, weights=[{"family": "jacobi", "interval": [-1.0, 1.0],
-                                 "params": {"alpha": "x", "beta": 0.0}}]),
-        dict(LEGENDRE, weights=[{"family": "exp_poly", "interval": [-1.0, 1.0],
-                                 "params": {"coeffs": ["a"]}}]),
-        dict(LEGENDRE, weights=[{"family": "constant", "interval": [-1.0, 1.0],
-                                 "params": [1]}]),
-        dict(LEGENDRE, weights=[1]),
-        dict(LEGENDRE, z_points=["a"]),
-        dict(LEGENDRE, equilibrium={"grid": "a"}),
-    ], ids=["multi_index_str", "seed_str", "top_level_list", "nan_jacobi", "interval_str",
-            "ray_str", "jacobi_alpha_str", "exp_poly_coeff_str", "params_list",
-            "weight_not_object", "z_point_str", "equilibrium_grid_str"])
+    @pytest.mark.parametrize("cfg,command", [
+        pytest.param(cfg, command, id=f"{name}-{command}")
+        for name, cfg in MALFORMED.items()
+        for command in ("equilibrium", "mop", "validate", "verify")
+    ] + [
+        pytest.param(dict(LEGENDRE, sampler={"samples": "a"}), "sample",
+                     id="sampler_samples_str-sample"),
+        pytest.param(dict(LEGENDRE, verify={"sign_trials": "a"}), "verify",
+                     id="verify_sign_trials_str-verify"),
+        pytest.param(dict(LEGENDRE, equilibrium={"ray": ["a"]}), "equilibrium",
+                     id="equilibrium_ray_str-equilibrium"),
+        pytest.param(dict(LEGENDRE, equilibrium={"fields": "a"}), "equilibrium",
+                     id="equilibrium_fields_str-equilibrium"),
+    ])
     def test_malformed_config_exit_1(self, tmp_path, capsys, command, cfg):
         code = cli.main([command, write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o"), "--quiet"])
@@ -212,3 +228,44 @@ def test_shipped_configs_are_valid(tmp_path):
                  "arcsine.json", "angelesco_compare.json"):
         assert cli.main(["validate", str(CONFIGS / name),
                          "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
+def _leaves(obj, path=()):
+    """Key paths to every scalar in a JSON value."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path]
+    return [leaf for k, v in items for leaf in _leaves(v, path + (k,))]
+
+
+SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+
+JSON_VALUES = st.one_of(
+    st.text(max_size=4), st.just(float("nan")), st.floats(), st.booleans(), st.none(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300)
+@given(name=st.sampled_from(sorted(SHIPPED)), data=st.data())
+def test_validate_fuzzed_config_exit_code(fuzz_dir, name, data):
+    # one leaf of a shipped config replaced by an arbitrary JSON value
+    cfg = json.loads(json.dumps(SHIPPED[name]))
+    *head, last = data.draw(st.sampled_from(_leaves(cfg)))
+    parent = cfg
+    for key in head:
+        parent = parent[key]
+    parent[last] = data.draw(JSON_VALUES)
+    code = cli.main(["validate", write_config(fuzz_dir, cfg), "--out", str(fuzz_dir / "o"),
+                     "--quiet"])
+    assert code in (0, 1, 2, 3)
