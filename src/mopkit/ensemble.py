@@ -23,8 +23,8 @@ from .exceptions import (
     ValidationError,
 )
 from .mop import HankelBlockMatrix, MultiIndex, TypeISystem, as_multi_index
-from .quadrature import gauss_legendre, quad_with_substitution
-from .weights import WeightSystem, fixed_segment_nodes
+from .quadrature import fixed_segment_nodes, gauss_legendre, quad_with_substitution
+from .weights import WeightSystem
 
 
 # ---------------------------------------------------------------------------

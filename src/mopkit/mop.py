@@ -18,7 +18,8 @@ import numpy as np
 
 from . import linalg
 from .exceptions import NonNormalIndexError, NumericError, ValidationError
-from .weights import MomentTable, WeightSystem, fixed_segment_nodes, weight_quad
+from .quadrature import fixed_segment_nodes
+from .weights import MomentTable, WeightSystem, weight_quad
 
 MAX_TOTAL_DEGREE = 30
 SINGULAR_PIVOT_RTOL = 1e-17

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import ConstructionError, DomainError, NumericError, ValidationError
-from .quadrature import gauss_legendre, quad_with_substitution
+from .quadrature import _nonsmooth, dyadic_breakpoints, graded_nodes, quad_with_substitution
 
 FAMILIES = ("constant", "jacobi", "exp_poly")
 
@@ -278,78 +278,6 @@ def stieltjes_transform(v: Weight, x: float, sign="plus", *, tol=1e-12) -> float
     return s * quad_with_substitution(f, a, b, v.endpoint_exponents, tol=tol)
 
 
-def _nonsmooth(e):
-    """Fixed-panel rules need the substitution for any non-integer power:
-    negative powers are singular, fractional positive ones are kinks."""
-    return e < 0.0 or float(e) != int(e)
-
-
-def _substitution_pieces(lo, hi, ea, eb):
-    """Split [lo, hi] into pieces with at most one regularized endpoint."""
-    if _nonsmooth(ea) and _nonsmooth(eb):
-        mid = 0.5 * (lo + hi)
-        return [(lo, mid, "left", ea), (mid, hi, "right", eb)]
-    if _nonsmooth(ea):
-        return [(lo, hi, "left", ea)]
-    if _nonsmooth(eb):
-        return [(lo, hi, "right", eb)]
-    return [(lo, hi, None, 0.0)]
-
-
-def _piece_maps(lo, hi, side, exponent):
-    """(x_of_u, jac_of_u) on [0, 1] after iterated sqrt substitutions."""
-    if side is None:
-        return (lambda u: lo + (hi - lo) * u, lambda u: np.full_like(u, hi - lo))
-    width = hi - lo
-    if side == "left":
-        x_of = lambda t: lo + width * t * t
-    else:
-        x_of = lambda t: hi - width * t * t
-    jac_of = lambda t: 2.0 * width * t
-    e = 2.0 * exponent + 1.0
-    while e < 0.0:
-        ix, ij = x_of, jac_of
-        x_of = lambda u, ix=ix: ix(u * u)
-        jac_of = lambda u, ij=ij: ij(u * u) * 2.0 * u
-        e = 2.0 * e + 1.0
-    return x_of, jac_of
-
-
-def _dyadic_breakpoints(levels, toward_one):
-    """Panel breakpoints on [0, 1] refined dyadically toward one end."""
-    pts = [0.0] + [1.0 - 0.5 ** k for k in range(1, levels + 1)] + [1.0]
-    pts = np.unique(np.asarray(pts))
-    if not toward_one:
-        pts = np.sort(1.0 - pts)
-    return pts
-
-
-def fixed_segment_nodes(lo, hi, exponents=(0.0, 0.0), *, levels=10, order=32):
-    """Fixed quadrature nodes and weights on [lo, hi] for analytic integrands.
-
-    Endpoint power singularities are removed by the square-root
-    substitution; panels are graded dyadically toward both ends.  Useful
-    when many integrals share one smooth integrand family and adaptivity
-    would just repeat work.  Returns (nodes, weights) with the substitution
-    jacobians folded into the weights.
-    """
-    ea, eb = exponents
-    pieces = _substitution_pieces(lo, hi, ea, eb)
-    glx, glw = gauss_legendre(order)
-    xs = []
-    ws = []
-    for plo, phi, side, exponent in pieces:
-        x_of, jac_of = _piece_maps(plo, phi, side, exponent)
-        bps = np.unique(np.concatenate([_dyadic_breakpoints(levels, True),
-                                        _dyadic_breakpoints(levels, False)]))
-        for u0, u1 in zip(bps[:-1], bps[1:]):
-            h = 0.5 * (u1 - u0)
-            u = 0.5 * (u0 + u1) + h * glx
-            xs.append(x_of(u))
-            ws.append(h * glw * jac_of(u))
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 class MarkovRatio:
     """Markov transform x -> sgn * integral v(y)/(x - y) dy on fixed panels.
 
@@ -372,30 +300,17 @@ class MarkovRatio:
                 "generator support and evaluation interval must be separated"
             )
         eval_right = eval_interval.a >= sup.b  # target sits to the right of supp(v)
-        nodes = []
-        coeffs = []
-        glx, glw = gauss_legendre(self.ORDER)
-        ea, eb = v.endpoint_exponents
-        for lo, hi, side, exponent in _substitution_pieces(sup.a, sup.b, ea, eb):
+
+        def breakpoints(lo, hi, side):
+            # grade toward the pole: the near x-end is the image of u=1 unless
+            # the right-side substitution maps u=1 to lo
             piece_gap = gap + (sup.b - hi if eval_right else lo - sup.a)
             levels = int(np.clip(np.ceil(np.log2(max((hi - lo) / piece_gap, 1.0))), 0, 48)) + 10
-            x_of, jac_of = _piece_maps(lo, hi, side, exponent)
-            # the pole side maps to u=1 iff the near x-endpoint is the image of u=1
-            if side is None:
-                toward_one = eval_right
-            elif side == "left":
-                toward_one = eval_right  # u=1 -> x=hi
-            else:
-                toward_one = not eval_right  # u=1 -> x=lo
-            bps = _dyadic_breakpoints(levels, toward_one)
-            for u0, u1 in zip(bps[:-1], bps[1:]):
-                h = 0.5 * (u1 - u0)
-                u = 0.5 * (u0 + u1) + h * glx
-                x = x_of(u)
-                nodes.append(x)
-                coeffs.append(h * glw * jac_of(u) * v.values(x) * self.sign)
-        self.nodes = np.concatenate(nodes)
-        self.coeffs = np.concatenate(coeffs)
+            return dyadic_breakpoints(levels, eval_right != (side == "right"))
+
+        self.nodes, wq = graded_nodes(sup.a, sup.b, v.endpoint_exponents, breakpoints,
+                                      self.ORDER)
+        self.coeffs = wq * v.values(self.nodes) * self.sign
         self._verify(inner_tol)
 
     def _verify(self, inner_tol):
@@ -496,11 +411,12 @@ class WeightSystem:
         return segs
 
     def segment_exponents(self, lo, hi):
-        """Weight endpoint exponents that apply on the segment [lo, hi]."""
-        ea = min((w.endpoint_exponents[0] for w in self.weights if w.support.a == lo),
-                 default=0.0)
-        eb = min((w.endpoint_exponents[1] for w in self.weights if w.support.b == hi),
-                 default=0.0)
+        """Endpoint exponents that apply on the segment [lo, hi]: per end, the
+        smallest non-smooth power among the weights ending there, else 0."""
+        ea = min((w.endpoint_exponents[0] for w in self.weights
+                  if w.support.a == lo and _nonsmooth(w.endpoint_exponents[0])), default=0.0)
+        eb = min((w.endpoint_exponents[1] for w in self.weights
+                  if w.support.b == hi and _nonsmooth(w.endpoint_exponents[1])), default=0.0)
         return ea, eb
 
     def support_hull(self):

@@ -165,6 +165,16 @@ class TestTypeI:
         assert ts.hp_coeffs is not None
         assert np.abs(mk.type1_condition_residuals(ts)).max() < 1e-9
 
+    def test_condition_residuals_keep_kink_of_shared_segment(self):
+        # a sqrt-kinked weight sharing [-1, 1] with a smooth one: the check's
+        # fixed rule must still substitute at both ends
+        wa = mk.Weight.from_spec(mk.WeightSpec.jacobi(-1.0, 1.0, 0.5, 0.5))
+        wb = mk.Weight.from_spec(mk.WeightSpec.constant(-1.0, 1.0))
+        ws = mk.WeightSystem.general([wa, wb])
+        assert ws.segment_exponents(-1.0, 1.0) == (0.5, 0.5)
+        ts = mk.type1_mop(mk.moment_table(ws, 8), (2, 2))
+        assert np.abs(mk.type1_condition_residuals(ts)).max() <= 1e-12
+
 
 class TestBeyondConstantWeights:
     def test_jacobi_angelesco_pipeline(self):

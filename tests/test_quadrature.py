@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+import mopkit as mk
 from mopkit.exceptions import QuadratureError
 from mopkit.quadrature import (
     adaptive_quad,
+    fixed_segment_nodes,
     quad_segments,
     quad_with_substitution,
 )
-from mopkit.weights import fixed_segment_nodes
 
 
 def test_polynomial_exact():
@@ -73,3 +74,12 @@ def test_fixed_segment_nodes_singular():
     xs, wq = fixed_segment_nodes(-1.0, 1.0, exponents=(-0.5, -0.5))
     val = np.sum(wq / np.sqrt((1.0 - xs) * (1.0 + xs)))
     assert val == pytest.approx(np.pi, abs=1e-10)
+
+
+def test_nikishin_generator_with_fractional_endpoint_power():
+    # the 0.3 power at x=0 is a kink: the adaptive oracle that verifies the
+    # Markov panels must substitute there too
+    ws = mk.build_nikishin(mk.WeightSpec.constant(-2.0, -1.0),
+                           [mk.WeightSpec.jacobi(0.0, 1.0, -0.5, 0.3)])
+    xs = np.linspace(-1.999, -1.001, 11)
+    assert np.all(ws.weights[1].values(xs) > 0.0)

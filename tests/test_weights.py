@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mopkit as mk
-from mopkit.exceptions import ConstructionError, DomainError, ValidationError
+from mopkit.exceptions import ConstructionError, DomainError, QuadratureError, ValidationError
 from mopkit.weights import MarkovRatio, Weight
 
 LN2 = 0.6931471805599453
@@ -161,6 +161,49 @@ class TestMoments:
         row = mk.moments(ws, 1, 4)
         row_scaled = mk.moments(ws_scaled, 1, 4)
         assert np.allclose(row_scaled, c * row, atol=1e-12 * max(1.0, c))
+
+
+def _beta_moments(a, b, alpha, beta, k_max):
+    """integral x^k (b-x)^alpha (x-a)^beta over [a, b] from Beta functions
+    (x = a + (b - a) t, binomial in t), at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        A, L = mpmath.mpf(a), mpmath.mpf(b) - a
+        scale = L ** (mpmath.mpf(alpha) + beta + 1)
+        return np.asarray([float(scale * mpmath.fsum(
+            mpmath.binomial(k, i) * A ** (k - i) * L ** i * mpmath.beta(beta + i + 1, alpha + 1)
+            for i in range(k + 1))) for k in range(k_max + 1)])
+
+
+@pytest.mark.parametrize("a, b, alpha, beta, rtol", [
+    (-1.0, 0.0, 0.5, 0.5, 1e-14),
+    (0.0, 1.0, 0.5, 0.5, 1e-14),
+    (0.0, 1.0, 0.3, 1.7, 1e-14),
+    (1.0, 2.0, 0.5, -0.5, 1e-12),
+])
+def test_jacobi_moments_match_beta_functions(a, b, alpha, beta, rtol):
+    ws = mk.WeightSystem.general([Weight.from_spec(mk.WeightSpec.jacobi(a, b, alpha, beta))])
+    got = mk.moments(ws, 1, 22)
+    ref = _beta_moments(a, b, alpha, beta, 22)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= rtol
+
+
+@pytest.mark.parametrize("alpha, beta", [(-0.8, 0.0), (0.0, -0.8)])
+def test_infinite_moments_raise(alpha, beta):
+    # (b - x) or (x - a) recomputed from a rounded node reads 0 at a nonzero
+    # endpoint; the integrand overflows there and must not be returned
+    ws = mk.WeightSystem.general([Weight.from_spec(mk.WeightSpec.jacobi(-1.0, 1.0, alpha, beta))])
+    with pytest.raises(QuadratureError):
+        mk.moments(ws, 1, 2)
+
+
+@pytest.mark.parametrize("k_max", [10, 22])
+def test_nikishin_jacobi_base_moment_table_finite(k_max):
+    ws = mk.build_nikishin(mk.WeightSpec.jacobi(1.0, 2.0, 0.5, -0.5),
+                           [mk.WeightSpec.constant(-1.0, 0.0)])
+    mt = mk.moment_table(ws, k_max)
+    assert np.all(np.isfinite(mt.raw)) and np.all(np.isfinite(mt.scaled))
 
 
 def test_moment_table_fields(angelesco_ws):
