@@ -142,6 +142,14 @@ class Diagnostics:
                [f"warning: {m}" for m in self.warnings]
 
 
+def _check_ray(diags, key, ray, p):
+    if not (isinstance(ray, list) and ray and all(_is_real(r) and r > 0 for r in ray)
+            and abs(sum(ray) - 1.0) <= 1e-9):
+        diags.error(f"{key} must be positive and sum to 1")
+    elif len(ray) != p:
+        diags.error(f"{key} has {len(ray)} parts, system has {p}")
+
+
 def validate_config(cfg) -> Diagnostics:
     """Schema and semantic checks; never runs any computation."""
     diags = Diagnostics()
@@ -206,11 +214,7 @@ def validate_config(cfg) -> Diagnostics:
         sched = sched if isinstance(sched, dict) else {}
         ray = sched.get("ray", [])
         totals = sched.get("totals", [])
-        if not (isinstance(ray, list) and ray and all(_is_real(r) and r > 0 for r in ray)
-                and abs(sum(ray) - 1.0) <= 1e-9):
-            diags.error("schedule.ray must be positive and sum to 1")
-        elif len(ray) != p:
-            diags.error(f"schedule.ray has {len(ray)} parts, system has {p}")
+        _check_ray(diags, "schedule.ray", ray, p)
         if not (isinstance(totals, list) and totals and all(_is_int(t, 1) for t in totals)):
             diags.error("schedule.totals must be positive integers")
         elif max(totals) > mop.MAX_TOTAL_DEGREE:
@@ -243,8 +247,8 @@ def validate_config(cfg) -> Diagnostics:
     if multiple is not None and not _is_real(multiple):
         diags.error("verify.stderr_multiple must be a number")
     ray, fields = eq.get("ray"), eq.get("fields")
-    if ray is not None and not (isinstance(ray, list) and all(map(_is_real, ray))):
-        diags.error("equilibrium.ray must be a list of numbers")
+    if ray is not None:
+        _check_ray(diags, "equilibrium.ray", ray, p)
     if fields is not None and not (
             isinstance(fields, list) and len(fields) == p
             and all(f is None or (isinstance(f, list) and f and all(map(_is_real, f)))
@@ -269,19 +273,24 @@ def build_system(cfg) -> weights.WeightSystem:
 # artifact writing
 # ---------------------------------------------------------------------------
 
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _cells(col):
+    """One column as CSV cells: str of integers, repr of floats; text passes through."""
+    if isinstance(col, list) and col and isinstance(col[0], str):
+        return col
+    col = np.asarray(col)
+    if col.dtype.kind in "iu":
+        return map(str, col.tolist())
+    return map(repr, col.astype(float, copy=False).tolist())
 
 
-def _write_csv(path, header, rows, comments=()):
+def _write_csv(path, header, blocks, comments=()):
+    """Write blocks of equal-length columns, one formatted string per block."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for cols in blocks:
+            fh.write("".join([",".join(row) + "\n" for row in zip(*map(_cells, cols))]))
 
 
 def _jsonable(obj):
@@ -416,10 +425,11 @@ def cmd_kernel(cfg, out, man, quiet):
     man.step("biorthogonalize")
     m = int(cfg.get("grid", 100))
     xs = _grid_points(cfg, ws, m)
-    rows = ((x, y, v) for x in xs
-            for y, v in zip(xs, ensemble.kernel_eval(K, np.full(m, x), xs)))
+    text = list(map(repr, xs.tolist()))  # the grid, formatted once for all m blocks
+    blocks = (([text[i]] * m, text, ensemble.kernel_eval(K, np.full(m, x), xs))
+              for i, x in enumerate(xs))
     path = Path(out) / "kernel.csv"
-    _write_csv(path, ["x", "y", "K"], rows, [f"n = {nvec.n}"])
+    _write_csv(path, ["x", "y", "K"], blocks, [f"n = {nvec.n}"])
     man.output(path)
     if not quiet:
         print(f"kernel grid {m}x{m} written")
@@ -436,7 +446,7 @@ def cmd_density(cfg, out, man, quiet):
     xs = _grid_points(cfg, ws, m)
     dens = ensemble.mean_density(K, xs)
     path = Path(out) / "density.csv"
-    _write_csv(path, ["x", "density"], zip(xs, dens), [f"n = {nvec.n}"])
+    _write_csv(path, ["x", "density"], [(xs, dens)], [f"n = {nvec.n}"])
     man.output(path)
     if not quiet:
         print(f"mean density on {m} points written")
@@ -468,7 +478,8 @@ def cmd_sample(cfg, out, man, quiet):
         header += [f"y_{i + 1}" for i in range(batch.extended.shape[1])]
         data = np.hstack([batch.configurations, batch.extended])
     path = Path(out) / "samples.csv"
-    _write_csv(path, header, data,
+    blocks = (data[i:i + 8192].T for i in range(0, len(data), 8192))  # bounded text per block
+    _write_csv(path, header, blocks,
                [f"seed: {seed}", f"acceptance: {batch.acceptance_rate!r}",
                 f"ess: {batch.ess!r}"])
     man.output(path)
@@ -577,7 +588,7 @@ def cmd_equilibrium(cfg, out, man, quiet):
         cdf = np.cumsum(mu.masses)
         path = Path(out) / f"equilibrium_{j + 1}.csv"
         _write_csv(path, ["x", "mass", "density", "cdf"],
-                   zip(mu.grid, mu.masses, mu.masses / h, cdf),
+                   [(mu.grid, mu.masses, mu.masses / h, cdf)],
                    [f"component: {j + 1}", f"total_mass: {mu.total_mass!r}"])
         man.output(path)
     path = Path(out) / "equilibrium.json"
@@ -618,7 +629,7 @@ def cmd_compare(cfg, out, man, quiet):
             rows.append((n, j + 1, d))
         man.step(f"n={n}")
     path = Path(out) / "compare.csv"
-    _write_csv(path, ["n", "component", "kolmogorov_distance"], rows,
+    _write_csv(path, ["n", "component", "kolmogorov_distance"], [zip(*rows)],
                [f"ray: {ray}"])
     man.output(path)
     if not quiet:

@@ -269,3 +269,58 @@ def test_validate_fuzzed_config_exit_code(fuzz_dir, name, data):
     code = cli.main(["validate", write_config(fuzz_dir, cfg), "--out", str(fuzz_dir / "o"),
                      "--quiet"])
     assert code in (0, 1, 2, 3)
+
+
+NIKISHIN_CFG = json.loads((CONFIGS / "nikishin.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["validate", "equilibrium"])
+@pytest.mark.parametrize("ray", [[-0.5, 1.5], [0.5, 0.5, 0.0]], ids=["negative", "extra_part"])
+def test_equilibrium_ray_rejected(tmp_path, capsys, command, ray):
+    cfg = dict(NIKISHIN_CFG, equilibrium={"ray": ray})
+    code = cli.main([command, write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "equilibrium.ray" in captured.out + captured.err
+
+
+def test_unsettled_equilibrium_exit_2(tmp_path, capsys):
+    cfg = dict(LEGENDRE, weights=[{"family": "constant", "interval": [-2.0, 2.0]}],
+               equilibrium={"grid": 200, "max_iter": 1, "fields": [[0, 0, 8.0]]})
+    code = cli.main(["equilibrium", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "Traceback" not in err
+
+
+def test_write_csv_matches_per_cell_reference(tmp_path):
+    def cell(v):
+        return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+
+    ints = np.array([0, -3, 2 ** 53 + 1], dtype=np.int64)
+    floats = [-0.0, 5e-324, 1e300]
+    scalars = [np.float64(0.1), np.float64(-2.5e-7), np.float64(1.0 / 3.0)]
+    blocks = [(ints, floats, scalars),
+              ([np.int64(7), 8, 9], np.array([1e16, -1e-5, 123456789.125]), [1.5, 2.0, -0.0]),
+              (np.array([4], dtype=np.int32), [np.float64(5e-324)], np.array([-1e300]))]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["a", "b", "c"], blocks, ["note"])
+    ref = "# note\na,b,c\n" + "".join(",".join(map(cell, row)) + "\n"
+                                     for cols in blocks for row in zip(*cols))
+    assert path.read_bytes() == ref.encode()
+
+
+def test_kernel_writes_grid_squared_rows(tmp_path):
+    m = 7
+    code = cli.main(["kernel", write_config(tmp_path, LEGENDRE), "--out", str(tmp_path / "k"),
+                     "--grid", str(m), "--quiet"])
+    assert code == 0
+    rows = [ln.split(",") for ln in
+            (tmp_path / "k" / "kernel.csv").read_text().splitlines()[2:]]
+    assert len(rows) == m * m
+    grid = [repr(x) for x in np.linspace(-1.0, 1.0, m).tolist()]
+    assert [r[0] for r in rows] == [x for x in grid for _ in range(m)]
+    assert [r[1] for r in rows] == grid * m
+    assert all(np.isfinite(float(r[2])) for r in rows)

@@ -15,7 +15,7 @@ from mopkit.equilibrium import (
     minimize_equilibrium,
     zero_counting_measure,
 )
-from mopkit.exceptions import SingularEnergyError, ValidationError
+from mopkit.exceptions import NumericError, SingularEnergyError, ValidationError
 
 MINUS_LN6 = -1.791759469228055
 
@@ -223,3 +223,112 @@ class TestKolmogorov:
         nu = DiscreteMeasure(np.asarray([0.0]), np.asarray([0.5]))
         with pytest.raises(ValidationError):
             kolmogorov_distance(mu, nu)
+
+
+def _kkt_problems():
+    iv = mk.Interval
+    return {
+        "nikishin_p2": lambda: EquilibriumProblem.nikishin(
+            [iv(1.0, 2.0), iv(-1.0, 0.0)], [0.5, 0.5], grid=500),
+        "nikishin_p3": lambda: EquilibriumProblem.nikishin(
+            [iv(3.0, 4.0), iv(1.0, 2.0), iv(-1.0, 0.0)], [0.4, 0.3, 0.3], grid=300),
+        "semicircle": lambda: EquilibriumProblem(
+            (iv(-2.0, 2.0),), (1.0,), np.eye(1), ([0.0, 0.0, 1.0],), (1200,)),
+        "pushed_angelesco": lambda: EquilibriumProblem.angelesco(
+            [iv(-3.0, 0.0), iv(0.0, 1.0)], [0.5, 0.5], grid=600),
+        "skewed_ray": lambda: EquilibriumProblem.angelesco(
+            [iv(-1.0, 0.0), iv(0.0, 1.0)], [0.8, 0.2], grid=600),
+        "angelesco_fields": lambda: EquilibriumProblem.angelesco(
+            [iv(-1.0, 0.0), iv(0.0, 1.0)], [0.5, 0.5], grid=400,
+            fields=[[0.0, 1.0], [0.0, 0.0, 3.0]]),
+    }
+
+
+def independent_kkt(measures, prob):
+    """KKT residual of a solution from potentials rebuilt pairwise in the test:
+    how far the effective potential dips below each component's level."""
+    worst = 0.0
+    for j, mu in enumerate(measures):
+        t = np.zeros(mu.grid.size)
+        for k, nu in enumerate(measures):
+            if prob.matrix[j, k] != 0.0:
+                d = np.abs(mu.grid[:, None] - nu.grid[None, :])
+                if j == k:
+                    d = np.maximum(d, 0.5 * mu.spacing)
+                t -= 2.0 * prob.matrix[j, k] * (np.log(d) @ nu.masses)
+        if prob.fields[j] is not None:
+            t += np.polynomial.polynomial.polyval(mu.grid, prob.fields[j])
+        charged = mu.masses > 1e-12 * mu.total_mass / mu.grid.size
+        level = np.sum(t[charged] * mu.masses[charged]) / mu.masses[charged].sum()
+        worst = max(worst, float(np.max(level - t)))
+    return worst
+
+
+class TestExactSolve:
+    def test_arcsine_kkt(self, arcsine_equilibrium):
+        measures, report = arcsine_equilibrium
+        prob = EquilibriumProblem.angelesco([mk.Interval(-1.0, 1.0)], [1.0], grid=2000)
+        assert report.kkt_residual <= 1e-12
+        assert independent_kkt(measures, prob) <= 1e-12
+        assert report.energy == pytest.approx(
+            energy_functional(measures, prob.matrix), rel=1e-12)
+
+    def test_symmetric_angelesco_mirrors(self, angelesco_equilibrium):
+        measures, report = angelesco_equilibrium
+        m1, m2 = measures
+        assert report.kkt_residual <= 1e-12
+        assert np.abs(m1.masses[::-1] - m2.masses).max() <= 1e-12
+        assert report.energy == pytest.approx(
+            energy_functional(measures, interaction_matrix("angelesco", 2)), rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(_kkt_problems()))
+    def test_kkt_and_energy(self, name):
+        prob = _kkt_problems()[name]()
+        measures, report = minimize_equilibrium(prob)
+        assert report.converged
+        assert report.kkt_residual <= 1e-12
+        assert independent_kkt(measures, prob) <= 1e-12
+        for mu, mass in zip(measures, prob.masses):
+            assert mu.total_mass == pytest.approx(mass, rel=1e-12)
+        assert report.energy == pytest.approx(
+            energy_functional(measures, prob.matrix, prob.fields), rel=1e-12)
+        hist = np.asarray(report.energy_history)
+        assert hist.size == 2 and hist[1] <= hist[0]
+
+    def test_unsettled_active_set_raises(self):
+        prob = _kkt_problems()["semicircle"]()
+        with pytest.raises(NumericError, match="KKT residual"):
+            minimize_equilibrium(prob, max_iter=1)
+
+    def test_coincident_cross_grids_raise(self):
+        prob = EquilibriumProblem.angelesco(
+            [mk.Interval(-1.0, 1.0), mk.Interval(-1.0, 1.0)], [0.5, 0.5], grid=20)
+        with pytest.raises(SingularEnergyError):
+            minimize_equilibrium(prob)
+
+    @pytest.mark.parametrize("ray", [[-0.5, 1.5], [0.5, 0.5, 0.0], [1.0], [0.5, float("nan")]])
+    @pytest.mark.parametrize("kind", ["angelesco", "nikishin"])
+    def test_ray_needs_p_positive_parts(self, kind, ray):
+        ivs = [mk.Interval(1.0, 2.0), mk.Interval(-1.0, 0.0)]
+        with pytest.raises(ValidationError):
+            getattr(EquilibriumProblem, kind)(ivs, ray, grid=50)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["angelesco", "nikishin"]),
+           r=st.floats(min_value=0.1, max_value=0.9),
+           coeffs=st.lists(st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                                    min_size=3, max_size=3), min_size=2, max_size=2),
+           grid=st.integers(min_value=100, max_value=200))
+    def test_random_problems_reach_kkt_or_raise(self, kind, r, coeffs, grid):
+        ivs = ([mk.Interval(-1.0, 0.0), mk.Interval(0.0, 1.0)] if kind == "angelesco"
+               else [mk.Interval(1.0, 2.0), mk.Interval(-1.0, 0.0)])
+        prob = getattr(EquilibriumProblem, kind)(ivs, [r, 1.0 - r], grid=grid,
+                                                 fields=coeffs)
+        try:
+            measures, report = minimize_equilibrium(prob)
+        except NumericError:
+            return
+        assert report.converged and report.kkt_residual <= 1e-10
+        assert independent_kkt(measures, prob) <= 1e-10
+        for mu, mass in zip(measures, prob.masses):
+            assert mu.total_mass == pytest.approx(mass, rel=1e-12)
