@@ -562,7 +562,7 @@ def cmd_verify(cfg, out, man, quiet):
 
 def _equilibrium_problem(cfg, ws):
     ecfg = cfg.get("equilibrium", {})
-    grid = int(cfg.get("grid", ecfg.get("grid", 1000)))
+    grid = int(ecfg.get("grid", 1000))  # the top-level grid is the kernel's
     ray = ecfg.get("ray")
     if ray is None:
         sched = cfg.get("schedule")

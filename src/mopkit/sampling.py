@@ -3,7 +3,10 @@
 Random-walk Metropolis over configurations, vectorized across many
 independent chains.  Log densities are evaluated incrementally per
 coordinate with sign-free log-absolute terms, which survives the hundreds of
-orders of magnitude spanned by squared Vandermonde factors.
+orders of magnitude spanned by squared Vandermonde factors.  On the factored
+and extended Nikishin targets a move caches the current log weights, evaluates
+the weight at the proposal only (not at all for a constant weight: 0 inside
+its support, -inf outside) and sums the Vandermonde change in one matvec.
 
 Three targets are supported:
 
@@ -41,8 +44,12 @@ class SamplerConfig:
         for name in ("samples", "chains", "burn_in", "thinning"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive")
-        if self.step_scale <= 0:
-            raise ValidationError("step_scale must be positive")
+        # a NaN, infinite or zero step freezes the chain at its start
+        if not (np.isfinite(self.step_scale) and self.step_scale > 0):
+            raise ValidationError("step_scale must be finite and positive")
+        if self.step_sizes is not None and not all(
+                np.isfinite(s) and s != 0 for s in self.step_sizes):
+            raise ValidationError("step_sizes must be finite and nonzero")
 
 
 @dataclass
@@ -51,6 +58,7 @@ class SampleBatch:
 
     ``configurations`` holds the ensemble points (N, n); for extended
     Nikishin runs ``extended`` holds the auxiliary block (N, n_2).
+    ``step_sizes`` are the per-coordinate proposal scales frozen after burn-in.
     """
 
     configurations: np.ndarray
@@ -59,6 +67,7 @@ class SampleBatch:
     ess: float
     seed: int
     kind: str
+    step_sizes: tuple | None = None
 
 
 class _Target:
@@ -134,20 +143,27 @@ class _Target:
                     logp += self.mult[i, k] * np.log(d)
         return logp
 
-    def delta_log(self, state, idx, prop):
-        """Change in log density when coordinate idx moves to prop (per chain)."""
+    def log_weights(self, state):
+        """Per-coordinate log weights (C, ncoord): the cache ``move`` reads."""
+        return np.stack([w.log_values(state[:, i])
+                         for i, w in enumerate(self.coord_weight)], axis=1)
+
+    def move(self, state, logw, idx, prop):
+        """Change in log density when coordinate idx moves to prop (per chain),
+        given the log weights ``logw`` of ``state``, and the log weights at prop
+        (None for a constant weight).  -inf rejects, and so does NaN (out of
+        support plus coincidence across the Nikishin gap): u < NaN is false."""
         w = self.coord_weight[idx]
-        dlog = w.log_values(prop) - w.log_values(state[:, idx])
-        mrow = self.mult[idx].copy()
-        d_new = np.abs(prop[:, None] - state)
-        d_old = np.abs(state[:, idx][:, None] - state)
-        d_new[:, idx] = 1.0
-        d_old[:, idx] = 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = mrow[None, :] * (np.log(d_new) - np.log(d_old))
-        # plain sum: -inf rejects, and NaN (out-of-support plus coincidence
-        # across the Nikishin gap) also rejects since u < NaN is false
-        return dlog + contrib.sum(axis=1)
+        if w.ratio is None and w.spec.family == "constant":
+            lw = None
+            iv = w.support
+            dlog = np.where((iv.a <= prop) & (prop <= iv.b), 0.0, -np.inf)
+        else:
+            lw = w.log_values(prop)
+            dlog = lw - logw[:, idx]
+        dv = np.log(np.abs(prop[:, None] - state)) - np.log(np.abs(state[:, idx, None] - state))
+        dv[:, idx] = 0.0
+        return dlog + dv @ self.mult[idx], lw
 
 
 def _ess_estimate(series):
@@ -169,13 +185,37 @@ def _ess_estimate(series):
     return float(np.clip(total / tau, 1.0, total))
 
 
+def _sweep(target, state, cache, sigma, rng, accepts):
+    """One Metropolis pass over the coordinates, updating ``state``, ``cache``
+    and the per-coordinate accept counts in place.  ``cache`` is the log
+    weights (C, ncoord), or the log density (C,) on the general target."""
+    C = state.shape[0]
+    general = target.kind == "general"
+    for idx in range(target.ncoord):
+        prop = state[:, idx] + sigma[idx] * rng.standard_normal(C)
+        if general:
+            cand = state.copy()
+            cand[:, idx] = prop
+            new = target.log_density(cand)
+            dlog = new - cache
+        else:
+            dlog, new = target.move(state, cache, idx, prop)
+        ok = np.log(rng.random(C)) < dlog
+        np.copyto(state[:, idx], prop, where=ok)
+        if new is not None:
+            np.copyto(cache if general else cache[:, idx], new, where=ok)
+        accepts[idx] += np.count_nonzero(ok)
+
+
 def sample_mcmc(ws: WeightSystem, nvec, cfg: SamplerConfig) -> SampleBatch:
     """Metropolis sample of the MOP ensemble density.
 
     Per-coordinate Gaussian proposals with scales 0.1 x interval length,
     retuned during burn-in toward 25-40% acceptance and frozen afterwards.
     Angelesco targets keep the block assignment fixed; Nikishin p=2 samples
-    the extended (X, Y) space and returns the Y block separately.
+    the extended (X, Y) space and returns the Y block separately.  Their moves
+    read cached log weights (``_Target.move``); the full log density serves
+    the general target, the starting state and a probe of the kept draws.
     """
     nvec = as_multi_index(nvec)
     target = _Target(ws, nvec)
@@ -212,46 +252,25 @@ def sample_mcmc(ws: WeightSystem, nvec, cfg: SamplerConfig) -> SampleBatch:
     else:
         sigma = np.asarray([cfg.step_scale * iv.length for iv in target.intervals])
 
-    use_general = target.kind == "general"
-
-    def sweep(adapt_count):
-        nonlocal state, logp
-        for idx in range(nc):
-            prop = state[:, idx] + sigma[idx] * rng.standard_normal(C)
-            if use_general:
-                cand = state.copy()
-                cand[:, idx] = prop
-                lp_new = target.log_density(cand)
-                dlog = lp_new - logp
-            else:
-                dlog = target.delta_log(state, idx, prop)
-            u = np.log(rng.random(C))
-            ok = u < dlog
-            state[ok, idx] = prop[ok]
-            if use_general:
-                logp = np.where(ok, lp_new, logp)
-            if adapt_count is not None:
-                adapt_count[0][idx] += ok.sum()
-                adapt_count[1][idx] += C
-
-    # burn-in with periodic step retuning
-    counters = [np.zeros(nc), np.zeros(nc)]
-    for sweep_i in range(cfg.burn_in):
-        sweep(counters)
-        if (sweep_i + 1) % 250 == 0:
-            rate = counters[0] / np.maximum(counters[1], 1)
-            sigma = np.where(rate > 0.40, sigma * 1.35, sigma)
-            sigma = np.where(rate < 0.25, sigma * 0.70, sigma)
-            counters = [np.zeros(nc), np.zeros(nc)]
-
+    cache = logp if target.kind == "general" else target.log_weights(state)
+    accepts = np.zeros(nc, dtype=np.int64)
     kept_per_chain = -(-cfg.samples // C)  # ceil
     kept = np.empty((kept_per_chain, C, nc))
-    counters = [np.zeros(nc), np.zeros(nc)]
-    for k in range(kept_per_chain):
-        for _ in range(cfg.thinning):
-            sweep(counters)
-        kept[k] = state
-    rate = float(counters[0].sum() / counters[1].sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # burn-in with periodic step retuning
+        for sweep_i in range(cfg.burn_in):
+            _sweep(target, state, cache, sigma, rng, accepts)
+            if (sweep_i + 1) % 250 == 0:
+                rate = accepts / (250 * C)
+                sigma = np.where(rate > 0.40, sigma * 1.35, sigma)
+                sigma = np.where(rate < 0.25, sigma * 0.70, sigma)
+                accepts[:] = 0
+        accepts[:] = 0
+        for k in range(kept_per_chain):
+            for _ in range(cfg.thinning):
+                _sweep(target, state, cache, sigma, rng, accepts)
+            kept[k] = state
+    rate = float(accepts.sum() / (nc * C * cfg.thinning * kept_per_chain))
 
     stat = kept[:, :, : target.n].sum(axis=2)
     ess = _ess_estimate(stat)
@@ -264,4 +283,5 @@ def sample_mcmc(ws: WeightSystem, nvec, cfg: SamplerConfig) -> SampleBatch:
     if not np.all(np.isfinite(target.log_density(probe))):
         raise NumericError("sampler produced a zero-density configuration")
 
-    return SampleBatch(configs, extended, rate, ess, cfg.seed, target.kind)
+    return SampleBatch(configs, extended, rate, ess, cfg.seed, target.kind,
+                       tuple(sigma.tolist()))

@@ -324,3 +324,13 @@ def test_kernel_writes_grid_squared_rows(tmp_path):
     assert [r[0] for r in rows] == [x for x in grid for _ in range(m)]
     assert [r[1] for r in rows] == grid * m
     assert all(np.isfinite(float(r[2])) for r in rows)
+
+
+def test_equilibrium_grid_ignores_top_level_grid(tmp_path):
+    cfg = dict(LEGENDRE, grid=50, equilibrium={"grid": 300})
+    for flags, sub in (([], "a"), (["--grid", "20"], "b")):
+        code = cli.main(["equilibrium", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / sub), "--quiet", *flags])
+        assert code == 0
+        rec = json.loads((tmp_path / sub / "equilibrium.json").read_text())
+        assert rec["grid"] == [300]

@@ -4,6 +4,7 @@ import pytest
 import mopkit as mk
 from mopkit.exceptions import DomainError, ValidationError
 from mopkit.sampling import SamplerConfig, sample_mcmc
+from mopkit.sampling import _sweep, _Target
 
 
 def small_cfg(seed, samples=20000):
@@ -126,3 +127,84 @@ class TestMCEstimators:
         batch = mk.SampleBatch(np.empty((0, 2)), None, 0.0, 1.0, 0, "factored")
         with pytest.raises(ValidationError):
             mk.mc_char_poly(batch, 1.0)
+
+
+@pytest.mark.parametrize("knobs", [
+    {"step_scale": float("nan")},
+    {"step_scale": float("inf")},
+    {"step_sizes": (0.0, 0.0)},
+    {"step_sizes": (0.1, float("nan"))},
+])
+def test_config_rejects_steps_that_freeze_the_chain(knobs):
+    with pytest.raises(ValidationError):
+        SamplerConfig(**knobs)
+
+
+J, E = mk.WeightSpec.jacobi, mk.WeightSpec.exp_poly
+
+#: incremental-move targets: name -> (weight system builder, multi-index)
+MOVE_TARGETS = {
+    "jacobi_exp_poly_angelesco": (
+        lambda: mk.build_angelesco([J(-1.0, 0.0, 0.5, 0.5), E(0.0, 1.0, (0.3, 1.0))]), (2, 2)),
+    "exp_poly_p1": (lambda: mk.build_angelesco([E(-1.0, 1.0, (0.2, 0.8))]), (3,)),
+    "nikishin_extended": (
+        lambda: mk.build_nikishin(mk.WeightSpec.constant(1.0, 2.0),
+                                  [mk.WeightSpec.constant(-1.0, 0.0)]), (2, 2)),
+}
+
+
+def _move_target(name, chains, seed):
+    build, nvec = MOVE_TARGETS[name]
+    target = _Target(build(), nvec)
+    rng = np.random.default_rng(seed)
+    state = np.column_stack([iv.a + iv.length * rng.random(chains)
+                             for iv in target.intervals])
+    return target, state, rng
+
+
+@pytest.mark.parametrize("name", sorted(MOVE_TARGETS))
+def test_move_matches_full_log_density(name):
+    chains = 400
+    target, state, rng = _move_target(name, chains, seed=17)
+    assert target.kind in ("factored", "nikishin")
+    logw = target.log_weights(state)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = target.log_density(state)
+        assert np.all(np.isfinite(base))
+        for idx in range(target.ncoord):
+            iv = target.intervals[idx]
+            prop = state[:, idx] + 0.6 * iv.length * rng.standard_normal(chains)
+            dlog, _ = target.move(state, logw, idx, prop)
+            cand = state.copy()
+            cand[:, idx] = prop
+            ref = target.log_density(cand) - base
+            fin = np.isfinite(ref)
+            assert 0 < fin.sum() < chains  # some proposals leave the support
+            np.testing.assert_array_equal(np.isfinite(dlog), fin)
+            np.testing.assert_allclose(dlog[fin], ref[fin], rtol=0, atol=1e-10)
+            # the rest is -inf or NaN on both sides: either one rejects
+            assert not np.any(dlog == np.inf) and not np.any(ref == np.inf)
+
+
+@pytest.mark.parametrize("name", sorted(MOVE_TARGETS))
+def test_cached_log_weights_follow_the_state(name):
+    target, state, rng = _move_target(name, 64, seed=5)
+    cache = target.log_weights(state)
+    accepts = np.zeros(target.ncoord, dtype=np.int64)
+    sigma = np.array([0.3 * iv.length for iv in target.intervals])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(30):
+            _sweep(target, state, cache, sigma, rng, accepts)
+        assert np.all(np.isfinite(target.log_density(state)))
+    assert accepts.min() > 0
+    np.testing.assert_array_equal(cache, target.log_weights(state))
+
+
+def test_batch_records_step_sizes(angelesco_ws, nikishin_ws):
+    cfg = SamplerConfig(samples=640, chains=64, burn_in=200, thinning=2,
+                        step_sizes=(0.05, 0.1, 0.2, 0.3), seed=1)
+    batch = sample_mcmc(angelesco_ws, (2, 2), cfg)
+    assert batch.step_sizes == cfg.step_sizes  # no retuning before sweep 250
+    tuned = sample_mcmc(nikishin_ws, (2, 1), small_cfg(5, samples=640))
+    assert len(tuned.step_sizes) == 3 + 1  # X block plus the Y block
+    assert all(s > 0 for s in tuned.step_sizes)
