@@ -4,9 +4,9 @@ Random-walk Metropolis over configurations, vectorized across many
 independent chains.  Log densities are evaluated incrementally per
 coordinate with sign-free log-absolute terms, which survives the hundreds of
 orders of magnitude spanned by squared Vandermonde factors.  On the factored
-and extended Nikishin targets a move caches the current log weights, evaluates
-the weight at the proposal only (not at all for a constant weight: 0 inside
-its support, -inf outside) and sums the Vandermonde change in one matvec.
+and extended Nikishin targets a move tests a constant weight's support instead
+of evaluating it (0 inside, -inf outside) and sums the Vandermonde change in
+one matvec with the coupling row.
 
 Three targets are supported:
 
@@ -143,27 +143,19 @@ class _Target:
                     logp += self.mult[i, k] * np.log(d)
         return logp
 
-    def log_weights(self, state):
-        """Per-coordinate log weights (C, ncoord): the cache ``move`` reads."""
-        return np.stack([w.log_values(state[:, i])
-                         for i, w in enumerate(self.coord_weight)], axis=1)
-
-    def move(self, state, logw, idx, prop):
-        """Change in log density when coordinate idx moves to prop (per chain),
-        given the log weights ``logw`` of ``state``, and the log weights at prop
-        (None for a constant weight).  -inf rejects, and so does NaN (out of
-        support plus coincidence across the Nikishin gap): u < NaN is false."""
+    def move(self, state, idx, prop):
+        """Change in log density when coordinate idx moves to prop (per chain).
+        -inf rejects, and so does NaN (out of support plus coincidence across
+        the Nikishin gap): u < NaN is false."""
         w = self.coord_weight[idx]
         if w.ratio is None and w.spec.family == "constant":
-            lw = None
             iv = w.support
             dlog = np.where((iv.a <= prop) & (prop <= iv.b), 0.0, -np.inf)
         else:
-            lw = w.log_values(prop)
-            dlog = lw - logw[:, idx]
+            dlog = w.log_values(prop) - w.log_values(state[:, idx])
         dv = np.log(np.abs(prop[:, None] - state)) - np.log(np.abs(state[:, idx, None] - state))
         dv[:, idx] = 0.0
-        return dlog + dv @ self.mult[idx], lw
+        return dlog + dv @ self.mult[idx]
 
 
 def _ess_estimate(series):
@@ -185,10 +177,10 @@ def _ess_estimate(series):
     return float(np.clip(total / tau, 1.0, total))
 
 
-def _sweep(target, state, cache, sigma, rng, accepts):
-    """One Metropolis pass over the coordinates, updating ``state``, ``cache``
-    and the per-coordinate accept counts in place.  ``cache`` is the log
-    weights (C, ncoord), or the log density (C,) on the general target."""
+def _sweep(target, state, logp, sigma, rng, accepts):
+    """One Metropolis pass over the coordinates, updating ``state`` and the
+    per-coordinate accept counts in place, and on the general target its log
+    density ``logp``."""
     C = state.shape[0]
     general = target.kind == "general"
     for idx in range(target.ncoord):
@@ -197,13 +189,13 @@ def _sweep(target, state, cache, sigma, rng, accepts):
             cand = state.copy()
             cand[:, idx] = prop
             new = target.log_density(cand)
-            dlog = new - cache
+            dlog = new - logp
         else:
-            dlog, new = target.move(state, cache, idx, prop)
+            dlog = target.move(state, idx, prop)
         ok = np.log(rng.random(C)) < dlog
         np.copyto(state[:, idx], prop, where=ok)
-        if new is not None:
-            np.copyto(cache if general else cache[:, idx], new, where=ok)
+        if general:
+            np.copyto(logp, new, where=ok)
         accepts[idx] += np.count_nonzero(ok)
 
 
@@ -214,8 +206,9 @@ def sample_mcmc(ws: WeightSystem, nvec, cfg: SamplerConfig) -> SampleBatch:
     retuned during burn-in toward 25-40% acceptance and frozen afterwards.
     Angelesco targets keep the block assignment fixed; Nikishin p=2 samples
     the extended (X, Y) space and returns the Y block separately.  Their moves
-    read cached log weights (``_Target.move``); the full log density serves
-    the general target, the starting state and a probe of the kept draws.
+    update the log density incrementally (``_Target.move``); the full log
+    density serves the general target, the starting state and a probe of the
+    kept draws.
     """
     nvec = as_multi_index(nvec)
     target = _Target(ws, nvec)
@@ -252,14 +245,13 @@ def sample_mcmc(ws: WeightSystem, nvec, cfg: SamplerConfig) -> SampleBatch:
     else:
         sigma = np.asarray([cfg.step_scale * iv.length for iv in target.intervals])
 
-    cache = logp if target.kind == "general" else target.log_weights(state)
     accepts = np.zeros(nc, dtype=np.int64)
     kept_per_chain = -(-cfg.samples // C)  # ceil
     kept = np.empty((kept_per_chain, C, nc))
     with np.errstate(divide="ignore", invalid="ignore"):
         # burn-in with periodic step retuning
         for sweep_i in range(cfg.burn_in):
-            _sweep(target, state, cache, sigma, rng, accepts)
+            _sweep(target, state, logp, sigma, rng, accepts)
             if (sweep_i + 1) % 250 == 0:
                 rate = accepts / (250 * C)
                 sigma = np.where(rate > 0.40, sigma * 1.35, sigma)
@@ -268,7 +260,7 @@ def sample_mcmc(ws: WeightSystem, nvec, cfg: SamplerConfig) -> SampleBatch:
         accepts[:] = 0
         for k in range(kept_per_chain):
             for _ in range(cfg.thinning):
-                _sweep(target, state, cache, sigma, rng, accepts)
+                _sweep(target, state, logp, sigma, rng, accepts)
             kept[k] = state
     rate = float(accepts.sum() / (nc * C * cfg.thinning * kept_per_chain))
 

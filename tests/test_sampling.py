@@ -4,7 +4,7 @@ import pytest
 import mopkit as mk
 from mopkit.exceptions import DomainError, ValidationError
 from mopkit.sampling import SamplerConfig, sample_mcmc
-from mopkit.sampling import _sweep, _Target
+from mopkit.sampling import _Target
 
 
 def small_cfg(seed, samples=20000):
@@ -167,14 +167,13 @@ def test_move_matches_full_log_density(name):
     chains = 400
     target, state, rng = _move_target(name, chains, seed=17)
     assert target.kind in ("factored", "nikishin")
-    logw = target.log_weights(state)
     with np.errstate(divide="ignore", invalid="ignore"):
         base = target.log_density(state)
         assert np.all(np.isfinite(base))
         for idx in range(target.ncoord):
             iv = target.intervals[idx]
             prop = state[:, idx] + 0.6 * iv.length * rng.standard_normal(chains)
-            dlog, _ = target.move(state, logw, idx, prop)
+            dlog = target.move(state, idx, prop)
             cand = state.copy()
             cand[:, idx] = prop
             ref = target.log_density(cand) - base
@@ -184,20 +183,6 @@ def test_move_matches_full_log_density(name):
             np.testing.assert_allclose(dlog[fin], ref[fin], rtol=0, atol=1e-10)
             # the rest is -inf or NaN on both sides: either one rejects
             assert not np.any(dlog == np.inf) and not np.any(ref == np.inf)
-
-
-@pytest.mark.parametrize("name", sorted(MOVE_TARGETS))
-def test_cached_log_weights_follow_the_state(name):
-    target, state, rng = _move_target(name, 64, seed=5)
-    cache = target.log_weights(state)
-    accepts = np.zeros(target.ncoord, dtype=np.int64)
-    sigma = np.array([0.3 * iv.length for iv in target.intervals])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(30):
-            _sweep(target, state, cache, sigma, rng, accepts)
-        assert np.all(np.isfinite(target.log_density(state)))
-    assert accepts.min() > 0
-    np.testing.assert_array_equal(cache, target.log_weights(state))
 
 
 def test_batch_records_step_sizes(angelesco_ws, nikishin_ws):
