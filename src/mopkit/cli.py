@@ -326,8 +326,11 @@ class Manifest:
         }
         self.out_dir = out_dir
 
-    def step(self, name, status="ok"):
-        self.data["steps"].append({"name": name, "status": status})
+    def step(self, name, status="ok", detail=None):
+        entry = {"name": name, "status": status}
+        if detail is not None:
+            entry["detail"] = detail
+        self.data["steps"].append(entry)
 
     def output(self, path):
         self.data["outputs"].append(str(Path(path).name))
@@ -374,7 +377,7 @@ def cmd_mop(cfg, out, man, quiet):
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
     res = mop.orthogonality_residuals(P, ws, nvec)
     rmax = float(max((np.abs(r).max() for r in res if r.size), default=0.0))
-    man.step("solve")
+    man.step("solve", detail={"method": P.method, "condition_estimate": P.condition_estimate})
     rec = _poly_record(P, nvec, det, rmax)
     rec["roots"] = [float(r) for r in mop.poly_roots(P)]
     rec["residuals"] = [[float(v) for v in r] for r in res]
@@ -394,7 +397,8 @@ def cmd_typeI(cfg, out, man, quiet):
     ts = mop.type1_mop(mt, nvec)
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
     res = mop.type1_condition_residuals(ts)
-    man.step("solve")
+    man.step("solve", detail={"rung": "float" if ts.hp_coeffs is None else "mp",
+                              "hp_dps": ts.hp_dps, "condition_estimate": ts.condition_estimate})
     rec = {
         "multi_index": list(nvec.parts),
         "components": [[float(c) for c in a.coeffs] for a in ts.polys],

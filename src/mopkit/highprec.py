@@ -12,16 +12,19 @@ Q and the kernel K are O(1)-bounded, it is only the intermediate
 coefficients that need the headroom.
 
 The module owns what is specific to that rung: the working-precision rule,
-the moment rows in mpf (exact rationals converted, everything else by one
-tanh-sinh pass per weight over ``Weight.mp_evaluator``, with
-``mpmath.quad``'s per-k stopping rule), and evaluation in fixed-size chunks
-of points.  Everything else is shared with the float rungs: the block
-Hankel matrix is ``mop._hankel_from``, the g-basis is
-``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the
-systems are factored by the one LU in ``linalg``.
+the moment rows in mpf (exact rationals converted, Beta-function closed
+forms for pure Jacobi weights, everything else by one tanh-sinh pass per
+weight over ``Weight.mp_evaluator``, with ``mpmath.quad``'s per-k stopping
+rule), and evaluation in fixed-size chunks of points.  Everything else is
+shared with the float rungs: the block Hankel matrix is
+``mop._hankel_from``, the g-basis is ``ensemble.f_matrix``/``g_matrix`` on
+object arrays of mpf, and the systems are factored by the one LU in
+``linalg``.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 import numpy as np
@@ -53,10 +56,12 @@ def _mpf(xs):
 
 
 def _power_moments(fn, a, b, k_max: int):
-    """Integrals of x^k fn(x) over [a, b] for k <= k_max, each bit-identical to
+    """Integrals of x^k fn(x) over [a, b] for k <= k_max on the nodes of
     ``mpmath.quad(lambda x: x ** k * fn(x), [a, b])``: one pass over quad's
-    tanh-sinh levels evaluates ``fn`` once per node for every open k, and
-    each k stops at the level where quad's error estimate stops it."""
+    tanh-sinh levels evaluates ``fn`` once per node, each level advances one
+    column w_i fn(x_i) x_i^k by a product per node and power (rounded, like
+    quad's terms, at 20 guard bits), and each k stops at the level where
+    quad's error estimate stops it."""
     rule, prec, eps = mp._tanh_sinh, mp.prec, mp.eps / 8
     m = rule.guess_degree(prec)
     results = [[] for _ in range(k_max + 1)]
@@ -64,11 +69,15 @@ def _power_moments(fn, a, b, k_max: int):
     with mp.extraprec(20):
         for degree in range(1, m + 1):
             h = mpmath.mpf(2) ** (-degree)
-            values = [(x, w, fn(x)) for x, w in rule.get_nodes(a, b, degree, prec)]
-            for k in open_ks:
-                S = results[k][-1] / (h * 2) if results[k] else mp.zero
-                S += mp.fdot((w, x ** k * fx) for x, w, fx in values)
-                results[k].append(h * S)
+            nodes = rule.get_nodes(a, b, degree, prec)
+            xs = [x for x, _ in nodes]
+            col = [w * fn(x) for x, w in nodes]
+            for k in range(open_ks[-1] + 1):
+                if k > 0:
+                    col = [c * x for c, x in zip(col, xs)]
+                if k in open_ks:
+                    S = results[k][-1] / (h * 2) if results[k] else mp.zero
+                    results[k].append(h * (S + mp.fsum(col)))
             if degree > 1:
                 open_ks = [k for k in open_ks
                            if rule.estimate_error(results[k], prec, eps) > eps]
@@ -78,12 +87,38 @@ def _power_moments(fn, a, b, k_max: int):
     return [+v for v in sums]
 
 
+def _jacobi_moments(w, k_max: int):
+    """Moments of s (b - x)^alpha (x - a)^beta on [a, b] in closed form.
+
+    With x = a + (b - a) t, m_k = s (b - a)^(alpha + beta + 1)
+    sum_i C(k, i) a^(k - i) (b - a)^i B(beta + i + 1, alpha + 1); one
+    ``mpmath.beta`` starts the ratio recurrence for the others.  The
+    binomial sum cancels when a < 0, so it runs with
+    k log2((|a| + b - a) / max(|a|, |b|)) + 20 guard bits.
+    """
+    lo, hi = w.support.a, w.support.b
+    guard = 20 + math.ceil(k_max * math.log2((abs(lo) + hi - lo) / max(abs(lo), abs(hi))))
+    with mp.extraprec(guard):
+        al, be = mpmath.mpf(w.spec.alpha), mpmath.mpf(w.spec.beta)
+        a, length = mpmath.mpf(lo), mpmath.mpf(hi) - mpmath.mpf(lo)
+        terms = [mpmath.beta(be + 1, al + 1)]  # (b - a)^i B(beta + i + 1, alpha + 1)
+        for i in range(k_max):
+            terms.append(terms[-1] * length * (be + i + 1) / (al + be + i + 2))
+        a_pow = [a ** j for j in range(k_max + 1)]
+        scale = mpmath.mpf(w.scale) * length ** (al + be + 1)
+        row = [scale * mp.fdot((math.comb(k, i) * a_pow[k - i], terms[i])
+                               for i in range(k + 1))
+               for k in range(k_max + 1)]
+    return [+v for v in row]
+
+
 def moment_rows(ws, k_max: int):
     """Monomial moments of every weight as mpf, at the current precision.
 
-    Exact rational moments are converted directly; everything else takes
-    one tanh-sinh pass per weight over its mpf evaluator, with quad's
-    per-k stopping rule, so every moment equals its own ``mpmath.quad``.
+    Exact rational moments are converted directly.  A pure Jacobi weight
+    (no Markov ratio) gets its Beta-function closed form.  Every other
+    weight takes one tanh-sinh pass over its mpf evaluator, with quad's
+    per-k stopping rule, so each moment matches its own ``mpmath.quad``.
     Returns a p x (k_max + 1) object array.
     """
     rows = []
@@ -91,6 +126,8 @@ def moment_rows(ws, k_max: int):
         if w.exact_moment(0) is not None:
             fracs = [w.exact_moment(k) for k in range(k_max + 1)]
             rows.append([mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator) for f in fracs])
+        elif w.spec.family == "jacobi" and w.ratio is None:
+            rows.append(_jacobi_moments(w, k_max))
         else:
             rows.append(_power_moments(w.mp_evaluator(), mpmath.mpf(w.support.a),
                                        mpmath.mpf(w.support.b), k_max))

@@ -128,6 +128,22 @@ class TestRunCommands:
         rec = json.loads((tmp_path / "o" / "typeI.json").read_text())
         assert np.allclose(rec["components"], [[-1.0], [1.0]], atol=1e-10)
 
+    @pytest.mark.parametrize("config,multi_index,rung", [
+        ("nikishin.json", [4, 4], "mp"), ("legendre.json", None, "float")])
+    def test_typeI_manifest_records_rung(self, tmp_path, config, multi_index, rung):
+        cfg = json.loads((CONFIGS / config).read_text())
+        if multi_index is not None:
+            cfg["multi_index"] = multi_index
+        code = cli.main(["typeI", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        detail = {s["name"]: s for s in manifest["steps"]}["solve"]["detail"]
+        assert detail["rung"] == rung
+        assert detail["condition_estimate"] > 0
+        if rung == "mp":
+            assert detail["hp_dps"] >= 30
+
     def test_density_and_kernel(self, tmp_path):
         code = cli.main(["density", write_config(tmp_path, LEGENDRE),
                          "--out", str(tmp_path / "d"), "--grid", "64", "--quiet"])

@@ -1,4 +1,5 @@
-"""mpmath moment rows: one tanh-sinh pass per weight, bit-identical to quad."""
+"""mpmath moment rows: Beta-function closed forms for pure Jacobi weights,
+and one tanh-sinh pass per weight, bit-identical to quad, for the rest."""
 
 import mpmath
 import pytest
@@ -20,6 +21,9 @@ CASES = {
     "nikishin_exp_poly": (lambda: mk.build_nikishin(
         mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 1.0]),
         [mk.WeightSpec.exp_poly(-1.0, 0.0, [0.0, 0.5])]).weights[1], 2, (15, 20)),
+    "nikishin_jacobi": (lambda: mk.build_nikishin(
+        mk.WeightSpec.jacobi(1.0, 2.0, 0.5, 0.5), [mk.WeightSpec.constant(-1.0, 0.0)]).weights[1],
+        22, (36, 48)),
 }
 
 
@@ -54,3 +58,46 @@ def test_evaluator_called_once_per_node(monkeypatch):
     with mpmath.mp.workdps(30):
         highprec.moment_rows(mk.WeightSystem.general([w]), 10)
     assert seen and len(seen) == len(set(seen))
+
+
+def _jacobi_reference(a, b, al, be, k, dps):
+    """(integral of x^k w, integral of |x|^k w) for w = (b-x)^al (x-a)^be,
+    by mpmath.quad in t = (x - a) / (b - a) at dps + 20 digits.  [0, 1] is
+    split at 1/2 and each half substituted so that its singular factor,
+    t^be at 0 or (1-t)^al at 1, becomes a smooth integrand."""
+    with mpmath.mp.workdps(dps + 20):
+        A, L = mpmath.mpf(a), mpmath.mpf(b) - mpmath.mpf(a)
+        al, be = mpmath.mpf(al), mpmath.mpf(be)
+
+        def integral(f):
+            total = 0
+            for x_at, far, near in ((lambda u: A + L * u, al, be),
+                                    (lambda u: A + L - L * u, be, al)):
+                # u = s^p turns u^near du into p ds
+                p = 1 / (near + 1)
+                total += p * mpmath.quad(lambda s: f(x_at(s ** p)) * (1 - s ** p) ** far,
+                                         [0, mpmath.mpf(0.5) ** (1 / p)])
+            return L ** (al + be + 1) * total
+
+        value = integral(lambda x: x ** k)
+        with mpmath.mp.workdps(15):
+            size = integral(lambda x: abs(x) ** k)
+        return value, size
+
+
+@pytest.mark.parametrize("a,b,al,be,k_max,ks", [
+    (1.0, 2.0, 0.5, -0.5, 12, (0, 1, 2, 5, 11, 12)),
+    (1.0, 2.0, -0.5, -0.5, 12, (0, 1, 2, 5, 11, 12)),
+    (-2.0, -1.0, 0.5, -0.5, 12, (0, 1, 2, 5, 11, 12)),
+    (-1.0, 1.0, -0.6, 0.0, 12, (0, 1, 2, 5, 11, 12)),
+    (-1.0, 0.0, 0.5, 0.5, 12, (0, 1, 2, 5, 11, 12)),
+    (-1.0, 1.0, -0.6, 0.0, 58, (57, 58)),  # binomial cancellation: guard bits
+])
+def test_jacobi_moment_rows_match_shifted_quad(a, b, al, be, k_max, ks):
+    dps = 36
+    w = Weight.from_spec(mk.WeightSpec.jacobi(a, b, al, be))
+    with mpmath.mp.workdps(dps):
+        row = highprec.moment_rows(mk.WeightSystem.general([w]), k_max)[0]
+    for k in ks:
+        value, size = _jacobi_reference(a, b, al, be, k, dps)
+        assert abs(row[k] - value) <= mpmath.mpf(10) ** (2 - dps) * size, k
