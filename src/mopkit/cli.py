@@ -398,7 +398,8 @@ def cmd_typeI(cfg, out, man, quiet):
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
     res = mop.type1_condition_residuals(ts)
     man.step("solve", detail={"rung": "float" if ts.hp_coeffs is None else "mp",
-                              "hp_dps": ts.hp_dps, "condition_estimate": ts.condition_estimate})
+                              "hp_dps": ts.hp_dps, "rows_dps": ts.hp_rows_dps,
+                              "condition_estimate": ts.condition_estimate})
     rec = {
         "multi_index": list(nvec.parts),
         "components": [[float(c) for c in a.coeffs] for a in ts.polys],

@@ -15,7 +15,11 @@ The module owns what is specific to that rung: the working-precision rule,
 the moment rows in mpf (exact rationals converted, Beta-function closed
 forms for pure Jacobi weights, everything else by one tanh-sinh pass per
 weight over ``Weight.mp_evaluator``, with ``mpmath.quad``'s per-k stopping
-rule), and evaluation in fixed-size chunks of points.  Everything else is
+rule), and evaluation in fixed-size chunks of points.  Type I solves take
+their rows from the moment table: ``table_rows`` computes them to the
+table's ``k_max`` once per precision rung (the working dps rounded up to a
+multiple of ``RUNG_DIGITS``) and keeps them on the table, so a degree sweep
+over one table pays for its moments once per rung.  Everything else is
 shared with the float rungs: the block Hankel matrix is
 ``mop._hankel_from``, the g-basis is ``ensemble.f_matrix``/``g_matrix`` on
 object arrays of mpf, and the systems are factored by the one LU in
@@ -42,6 +46,10 @@ CONDITION_CUTOFF = 3e4
 
 #: points per shared F/G block in evaluation; bounds the mpf temporaries
 CHUNK = 64
+
+#: type I moment rows are computed at multiples of this many digits, so
+#: that solves at nearby working precisions share one pass
+RUNG_DIGITS = 16
 
 
 def working_dps(cond) -> int:
@@ -134,15 +142,30 @@ def moment_rows(ws, k_max: int):
     return np.array(rows, dtype=object)
 
 
-def type1_coefficients(ws, nvec, dps: int):
+def table_rows(mt, dps: int):
+    """The rung for ``dps`` (the smallest multiple of ``RUNG_DIGITS`` not
+    below it) and the moment rows of ``mt``'s weights to ``mt.k_max`` at
+    that precision, computed on first use and kept in ``mt.mp_rows``."""
+    rung = -(-dps // RUNG_DIGITS) * RUNG_DIGITS
+    if rung not in mt.mp_rows:
+        with mp.workdps(rung):
+            mt.mp_rows[rung] = moment_rows(mt.system, mt.k_max)
+    return rung, mt.mp_rows[rung]
+
+
+def type1_coefficients(mt, nvec, dps: int):
     """Type I coefficient blocks solved in mpmath at ``dps`` digits.
 
-    Returns a list with one coefficient list per weight (empty for
-    n_j = 0); entries are mpf carrying the full working precision.
+    The moment rows come from ``table_rows(mt, dps)``, held at the rung at
+    or above ``dps``; every operation of the solve rounds to ``dps``.
+    Returns the rung and a list with one coefficient list per weight
+    (empty for n_j = 0); entries are mpf carrying the full working
+    precision.
     """
     n = nvec.n
+    rung, rows = table_rows(mt, dps)
     with mp.workdps(dps):
-        system = _hankel_from(moment_rows(ws, 2 * n - 2), nvec, n)
+        system = _hankel_from(rows[:, : 2 * n - 1], nvec, n)
         rhs = np.array([mpmath.mpf(0)] * (n - 1) + [mpmath.mpf(1)], dtype=object)
         try:
             sol = linalg.solve(system, rhs)
@@ -153,7 +176,7 @@ def type1_coefficients(ws, nvec, dps: int):
         for nj in nvec.parts:
             out.append([+v for v in sol[start : start + nj]])
             start += nj
-        return out
+        return rung, out
 
 
 class MPKernel:

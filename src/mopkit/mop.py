@@ -148,6 +148,8 @@ class TypeISystem:
     retains the full-precision coefficient blocks; ``q_values`` then
     evaluates the linear form through them, since the float polynomials
     alone cannot survive the cancellation between the A_j terms.
+    ``hp_dps`` is the solve's working precision and ``hp_rows_dps`` the
+    rung its moment rows were computed at (both 0 on the float rung).
     """
 
     polys: tuple
@@ -158,6 +160,7 @@ class TypeISystem:
     ill_conditioned: bool
     hp_coeffs: tuple = None
     hp_dps: int = 0
+    hp_rows_dps: int = 0
 
     def q_values(self, x):
         """Linear form Q(x) = sum_j A_j(x) w_j(x)."""
@@ -369,14 +372,14 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
 
     if method == "mp" or (method == "auto" and cond > highprec.CONDITION_CUTOFF):
         dps = highprec.working_dps(cond)
-        blocks = highprec.type1_coefficients(mt.system, nvec, dps)
+        rows_dps, blocks = highprec.type1_coefficients(mt, nvec, dps)
         polys = tuple(
             Polynomial([float(v) for v in blk]) if blk else Polynomial([0.0])
             for blk in blocks
         )
         return TypeISystem(polys, mt.system, nvec, 0.0, cond, ill,
                            hp_coeffs=tuple(tuple(blk) for blk in blocks),
-                           hp_dps=dps)
+                           hp_dps=dps, hp_rows_dps=rows_dps)
 
     sol = linalg.solve(system, rhs)
     residual = float(np.max(np.abs(system @ sol - rhs)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -198,7 +198,7 @@ class Weight:
             fn = lambda x: s * (b - x) ** al * (x - a) ** be
         else:
             cs = [mpmath.mpf(c) for c in self.spec.coeffs][::-1]
-            fn = lambda x: s * mpmath.e ** (-mpmath.polyval(cs, x))
+            fn = lambda x: s * mpmath.exp(-mpmath.polyval(cs, x))
         if self.ratio is None:
             return fn
         ratio = self.ratio.mp_evaluator()
@@ -494,6 +494,8 @@ class MomentTable:
     supports.  The rescaled entries are computed by direct quadrature (never
     by binomial transform, which cancels catastrophically).  ``exact`` holds
     per-weight tuples of Fractions when the family admits exact moments.
+    ``mp_rows`` maps a precision rung to the table's mpf moment rows up to
+    ``k_max``; ``highprec.table_rows`` fills it, one pass per rung.
     """
 
     system: WeightSystem
@@ -502,6 +504,7 @@ class MomentTable:
     hull: Interval
     tol: float
     exact: tuple
+    mp_rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def k_max(self):

@@ -36,6 +36,9 @@ def nikishin_ws():
                              [mk.WeightSpec.constant(-1.0, 0.0)])
 
 
+# The session-scoped tables below keep the mpmath moment rows that type I
+# solves compute on them (``MomentTable.mp_rows``), so those rows carry
+# across tests.
 @pytest.fixture(scope="session")
 def legendre_mt(legendre_ws):
     return mk.moment_table(legendre_ws, 22)

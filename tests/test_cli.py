@@ -144,6 +144,23 @@ class TestRunCommands:
         if rung == "mp":
             assert detail["hp_dps"] >= 30
 
+    @pytest.mark.parametrize("config,multi_index", [
+        ("nikishin.json", [4, 4]), ("legendre.json", None)])
+    def test_typeI_manifest_records_rows_dps(self, tmp_path, config, multi_index):
+        cfg = json.loads((CONFIGS / config).read_text())
+        if multi_index is not None:
+            cfg["multi_index"] = multi_index
+        code = cli.main(["typeI", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        detail = {s["name"]: s for s in manifest["steps"]}["solve"]["detail"]
+        if multi_index is None:
+            assert detail["rows_dps"] == 0
+        else:
+            assert detail["rows_dps"] >= detail["hp_dps"] >= 30
+            assert detail["rows_dps"] % 16 == 0
+
     def test_density_and_kernel(self, tmp_path):
         code = cli.main(["density", write_config(tmp_path, LEGENDRE),
                          "--out", str(tmp_path / "d"), "--grid", "64", "--quiet"])

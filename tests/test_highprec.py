@@ -1,7 +1,11 @@
 """mpmath moment rows: Beta-function closed forms for pure Jacobi weights,
-and one tanh-sinh pass per weight, bit-identical to quad, for the rest."""
+one tanh-sinh pass per weight, bit-identical to quad, for the rest, and
+one pass per moment table and precision rung for type I solves."""
+
+import dataclasses
 
 import mpmath
+import numpy as np
 import pytest
 
 import mopkit as mk
@@ -101,3 +105,63 @@ def test_jacobi_moment_rows_match_shifted_quad(a, b, al, be, k_max, ks):
     for k in ks:
         value, size = _jacobi_reference(a, b, al, be, k, dps)
         assert abs(row[k] - value) <= mpmath.mpf(10) ** (2 - dps) * size, k
+
+
+def _exp_nikishin():
+    return mk.build_nikishin(mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 0.3, 1.0]),
+                             [mk.WeightSpec.constant(-1.0, 0.0)])
+
+
+#: (1,1) and (2,1) solve at dps 32 and 34, the rest at 37-45: rungs 32 and 48
+SWEEP = ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4))
+
+
+@pytest.fixture
+def row_calls(monkeypatch):
+    calls = []
+    plain = highprec.moment_rows
+
+    def counted(ws, k_max):
+        calls.append((mpmath.mp.dps, k_max))
+        return plain(ws, k_max)
+
+    monkeypatch.setattr(highprec, "moment_rows", counted)
+    return calls
+
+
+def test_type1_sweep_computes_rows_once_per_rung(row_calls):
+    ws = _exp_nikishin()
+    mt = mk.moment_table(ws, 14)
+    systems = [mk.type1_mop(mt, nvec, method="mp") for nvec in SWEEP]
+    rungs = sorted({ts.hp_rows_dps for ts in systems})
+    assert rungs == [32, 48]
+    assert sorted(row_calls) == [(32, 14), (48, 14)]
+    for ts in systems:
+        assert ts.hp_rows_dps >= ts.hp_dps and ts.hp_rows_dps % highprec.RUNG_DIGITS == 0
+    mk.type1_mop(mk.moment_table(ws, 14), (2, 2), method="mp")  # a new table recomputes
+    assert len(row_calls) == 3
+
+
+def test_table_rows_match_moment_rows_bit_for_bit():
+    ws = _exp_nikishin()
+    mt = mk.moment_table(ws, 14)
+    for dps, rung in ((30, 32), (33, 48), (48, 48)):
+        got_rung, rows = highprec.table_rows(mt, dps)
+        assert got_rung == rung
+        with mpmath.mp.workdps(rung):
+            ref = highprec.moment_rows(ws, mt.k_max)
+        assert [v._mpf_ for v in rows.ravel()] == [v._mpf_ for v in ref.ravel()]
+    assert sorted(mt.mp_rows) == [32, 48]
+    assert dataclasses.replace(mt).mp_rows == {}  # a copied table starts empty
+
+
+def test_type1_sweep_matches_150_digit_solve():
+    ws = _exp_nikishin()
+    mt, ref_mt = mk.moment_table(ws, 14), mk.moment_table(ws, 14)
+    xs = np.linspace(1.0, 2.0, 52)[1:-1]
+    for parts in SWEEP[2:]:
+        ts = mk.type1_mop(mt, parts)
+        assert ts.hp_coeffs is not None
+        _, blocks = highprec.type1_coefficients(ref_mt, mk.MultiIndex(parts), 150)
+        ref = np.array(highprec.linear_form_values(ws, blocks, xs, 150))
+        assert np.max(np.abs(ts.q_values(xs) - ref)) <= 1e-12 * np.max(np.abs(ref)), parts

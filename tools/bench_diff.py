@@ -1,0 +1,86 @@
+"""Per-metric deltas between BENCH_*.json files.
+
+A BENCH file holds the final JSON line of each perfbench workload, untraced
+and traced, on a parent commit and on a change:
+``{"parent": {"src_lines": ..., "workloads": {W: {"seed": ..., "untraced":
+{...}, "traced": {...}}}}, "change": {...}}``.
+
+    python3 tools/bench_diff.py BENCH_10.json             # parent -> change
+    python3 tools/bench_diff.py BENCH_9.json BENCH_10.json  # change -> change
+    python3 tools/bench_diff.py BENCH_10.json --workload zeros \\
+        --metric wall_s --metric highprec.moment_rows_s
+
+With one file, each row compares the file's parent side with its change
+side; with two, the first file's change side with the second's.  Rows are
+``workload mode metric old new delta ratio``; ``mode`` is ``untraced`` or
+``traced``.  ``src_lines`` comes first, and each workload and mode starts
+with its ``correct`` and ``failed`` fields.
+Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+MODES = ("untraced", "traced")
+
+
+def sides(paths):
+    """(label, old side, new side) for one or two BENCH files."""
+    docs = []
+    for path in paths:
+        with open(path) as fh:
+            docs.append(json.load(fh))
+    if len(docs) == 1:
+        return f"{paths[0]}: parent -> change", docs[0]["parent"], docs[0]["change"]
+    return f"{paths[0]} change -> {paths[1]} change", docs[0]["change"], docs[1]["change"]
+
+
+def _fmt(value):
+    if value is None or isinstance(value, bool):
+        return "-" if value is None else str(value)
+    return f"{value:.6g}"
+
+
+def rows(old, new, workloads=None, metrics=None):
+    """(workload, mode, name, old, new): ``correct`` and ``failed``, then
+    every metric present on either side."""
+    for w in new["workloads"]:
+        if workloads and w not in workloads:
+            continue
+        for mode in MODES:
+            a = old.get("workloads", {}).get(w, {}).get(mode, {})
+            b = new["workloads"][w].get(mode, {})
+            for f in ("correct", "failed"):
+                yield w, mode, f, a.get(f), b.get(f)
+            am, bm = a.get("metrics", {}), b.get("metrics", {})
+            for m in list(am) + [m for m in bm if m not in am]:
+                if not metrics or m in metrics:
+                    yield w, mode, m, am.get(m, {}).get("value"), bm.get(m, {}).get("value")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("files", nargs="+", help="one BENCH file, or two to compare")
+    ap.add_argument("--workload", action="append", help="only this workload (repeatable)")
+    ap.add_argument("--metric", action="append", help="only this metric (repeatable)")
+    args = ap.parse_args(argv)
+    if len(args.files) > 2:
+        ap.error("give one or two BENCH files")
+    label, old, new = sides(args.files)
+    print(label)
+    print(f"src_lines {_fmt(old.get('src_lines'))} -> {_fmt(new.get('src_lines'))}")
+    for w, mode, m, a, b in rows(old, new, args.workload, args.metric):
+        delta = ratio = "-"
+        if not (a is None or b is None or isinstance(a, bool) or isinstance(b, bool)):
+            delta = f"{b - a:+.4g}"
+            if a != 0:
+                ratio = f"{b / a:.3f}x"
+        print(f"{w:9} {mode:9} {m:24} {_fmt(a):>12} {_fmt(b):>12} {delta:>11} {ratio:>8}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
