@@ -49,6 +49,7 @@ from .exceptions import (
     MopkitError,
     NonNormalIndexError,
     NumericError,
+    PrecisionExhausted,
     QuadratureError,
     SingularEnergyError,
     ValidationError,

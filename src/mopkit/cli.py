@@ -377,7 +377,8 @@ def cmd_mop(cfg, out, man, quiet):
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
     res = mop.orthogonality_residuals(P, ws, nvec)
     rmax = float(max((np.abs(r).max() for r in res if r.size), default=0.0))
-    man.step("solve", detail={"method": P.method, "condition_estimate": P.condition_estimate})
+    man.step("solve", detail={"rung": P.method, "hp_dps": P.hp_dps,
+                              "condition_estimate": P.condition_estimate})
     rec = _poly_record(P, nvec, det, rmax)
     rec["roots"] = [float(r) for r in mop.poly_roots(P)]
     rec["residuals"] = [[float(v) for v in r] for r in res]

@@ -20,6 +20,7 @@ from .exceptions import (
     DomainError,
     NonNormalIndexError,
     NumericError,
+    PrecisionExhausted,
     ValidationError,
 )
 from .mop import HankelBlockMatrix, MultiIndex, TypeISystem, as_multi_index
@@ -101,18 +102,6 @@ def delta_cross(X, Y) -> float:
     if X.size == 0 or Y.size == 0:
         return 1.0
     return float(np.prod(X[:, None] - Y[None, :]))
-
-
-def log_abs_vandermonde(X):
-    """(log|Delta(X)|, sign); -inf log for coincident points."""
-    X = np.asarray(X, dtype=float)
-    if X.size < 2:
-        return 0.0, 1
-    diffs = np.concatenate([X[k] - X[:k] for k in range(1, X.size)])
-    if np.any(diffs == 0.0):
-        return -np.inf, 0
-    sign = -1 if (np.sum(diffs < 0) % 2) else 1
-    return float(np.sum(np.log(np.abs(diffs)))), sign
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +423,20 @@ class Kernel:
 
 
 def _mp_kernel_for(M: HankelBlockMatrix, ws, nvec, cond):
-    """The mpmath kernel cached on M.  The float64 ``cond`` saturates far
-    below the true conditioning, so a kernel that misses the Gram check is
-    rebuilt once at the precision its own mpmath condition number asks for."""
+    """The mpmath kernel cached on M, from the checked ladder of
+    ``highprec.escalate``: each attempt reports its own mpmath condition
+    number, since the float64 ``cond`` saturates far below the true one."""
     from . import highprec
 
     cached = getattr(M, "_mp_kernel", None)
     if cached is not None:
         return cached
-    kernel = highprec.MPKernel(ws, nvec, highprec.working_dps(cond))
-    if kernel.gram_defect > GRAM_TOL:
-        kernel = highprec.MPKernel(ws, nvec, highprec.working_dps(kernel.condition()))
+
+    def attempt(dps):
+        kernel = highprec.MPKernel(ws, nvec, dps)
+        return kernel, kernel.condition()
+
+    _, kernel = highprec.escalate(attempt, cond)
     object.__setattr__(M, "_mp_kernel", kernel)
     return kernel
 
@@ -455,7 +447,7 @@ def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
     phi coefficients come from the inverse of the permuted-L factor, psi
     from the inverse transpose of U, so the Gram matrix phi M psi^T is the
     identity.  Past condition ~1e7 the factors are computed in mpmath; the
-    Gram check applies on both paths.
+    Gram check applies on both paths, after the ladder's own check.
     """
     nvec = as_multi_index(nvec)
     cond = linalg.cond1(M.matrix)
@@ -466,6 +458,8 @@ def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
             defect = mpk.gram_defect
         else:
             phi, psi, defect = linalg.biorthogonal_pair(M.matrix)
+    except PrecisionExhausted:
+        raise
     except NumericError as exc:
         raise NonNormalIndexError(f"singular moment matrix: {exc}") from exc
     if defect > GRAM_TOL:

@@ -37,6 +37,10 @@ class NonNormalIndexError(NumericError):
     """The moment determinant vanishes: the multi-index is not normal."""
 
 
+class PrecisionExhausted(NumericError):
+    """The top precision rung could not keep enough digits of an answer."""
+
+
 class SingularEnergyError(NumericError):
     """Coincident charges with no separation floor give infinite energy."""
 

@@ -1,29 +1,27 @@
 """mpmath rung for ill-conditioned moment systems.
 
-Type I coefficient vectors (and the biorthogonal kernel pairs) of
-Nikishin-like systems grow geometrically with the degree: the weight blocks
-become nearly linearly dependent at the rate of best rational approximation
-of the Markov ratio.  Once the coefficients dwarf the targets, no
-fixed-precision pipeline survives the cancellation between the huge terms,
-so this module re-derives the moments and solves the defining systems in
-mpmath arithmetic, with working precision chosen from the observed
-condition number.  Results round back to ordinary floats: the linear form
-Q and the kernel K are O(1)-bounded, it is only the intermediate
-coefficients that need the headroom.
+Hankel moment systems lose digits geometrically with the degree, and the
+type I coefficients (and the biorthogonal kernel pairs) of Nikishin-like
+systems grow at the rate of best rational approximation of the Markov
+ratio.  Past the float rung's reach this module solves the defining systems
+in mpmath.  Results round back to floats: the monic type II polynomial, the
+linear form Q and the kernel K are O(1)-bounded, it is only the
+intermediate coefficients that need the headroom.
 
-The module owns what is specific to that rung: the working-precision rule,
-the moment rows in mpf (exact rationals converted, Beta-function closed
-forms for pure Jacobi weights, everything else by one tanh-sinh pass per
-weight over ``Weight.mp_evaluator``, with ``mpmath.quad``'s per-k stopping
-rule), and evaluation in fixed-size chunks of points.  Type I solves take
-their rows from the moment table: ``table_rows`` computes them to the
-table's ``k_max`` once per precision rung (the working dps rounded up to a
-multiple of ``RUNG_DIGITS``) and keeps them on the table, so a degree sweep
-over one table pays for its moments once per rung.  Everything else is
-shared with the float rungs: the block Hankel matrix is
-``mop._hankel_from``, the g-basis is ``ensemble.f_matrix``/``g_matrix`` on
-object arrays of mpf, and the systems are factored by the one LU in
-``linalg``.
+One checked ladder, ``escalate``, serves type II, type I and the kernel:
+each attempt reports an a-posteriori condition bound, and its answer counts
+only when ``SURVIVING_DIGITS`` digits survive it.  The module also owns the
+moment rows in mpf (closed forms for constant and pure Jacobi weights, one
+tanh-sinh pass per weight over ``Weight.mp_evaluator`` with
+``mpmath.quad``'s per-k stopping rule for the rest) and evaluation in
+fixed-size chunks of points.  Solves take their rows from the moment table:
+``table_rows`` computes them to the table's ``k_max`` once per precision
+rung (the working dps rounded up to a multiple of ``RUNG_DIGITS``) and
+keeps them on the table, so a degree sweep pays for its moments once per
+rung.  Everything else is shared with the float rung: the block Hankel
+matrices are ``mop._hankel_from`` and ``mop._type2_system``, the g-basis
+is ``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the
+systems are factored by the one LU in ``linalg``.
 """
 
 from __future__ import annotations
@@ -36,13 +34,17 @@ from mpmath import mp
 
 from . import linalg
 from .ensemble import f_matrix, g_matrix
-from .exceptions import NumericError
-from .mop import _hankel_from
+from .exceptions import NumericError, PrecisionExhausted
+from .mop import _hankel_from, _type2_system
 
-#: condition estimate beyond which type I solves switch to mpmath; the
-#: float64 moment tables floor the residuals at ~cond * 2e-15, so the
-#: switch happens well before the 1e-9 target is at risk
+#: condition estimate beyond which type II and type I solves switch to
+#: mpmath; the float64 moment tables floor the residuals at ~cond * 2e-15,
+#: so the switch happens well before the 1e-9 target is at risk
 CONDITION_CUTOFF = 3e4
+
+#: an mpmath answer counts when log10(bound) + SURVIVING_DIGITS <= dps for
+#: its a-posteriori condition bound
+SURVIVING_DIGITS = 20
 
 #: points per shared F/G block in evaluation; bounds the mpf temporaries
 CHUNK = 64
@@ -56,6 +58,27 @@ def working_dps(cond) -> int:
     """mpmath working precision for a system with condition estimate ``cond``:
     30 digits beyond the ones the conditioning consumes."""
     return 30 + max(0, int(np.ceil(np.log10(max(cond, 1.0)))))
+
+
+def escalate(attempt, cond):
+    """The checked precision ladder of type II, type I and the kernel.
+
+    ``attempt(dps)`` returns an answer and its a-posteriori condition bound.
+    The first attempt runs at ``working_dps(cond)``, for the float estimate
+    ``cond``; if fewer than ``SURVIVING_DIGITS`` digits survive its bound,
+    one retry runs at ``working_dps(bound)``.  Returns (dps, answer) of the
+    attempt that counted, and raises :class:`PrecisionExhausted` when the
+    retry falls short too.
+    """
+    dps = working_dps(cond)
+    for retry in (False, True):
+        answer, bound = attempt(dps)
+        if math.log10(max(bound, 1.0)) + SURVIVING_DIGITS <= dps:
+            return dps, answer
+        if retry or not math.isfinite(bound):
+            raise PrecisionExhausted(f"condition bound {bound:.3e} leaves fewer than "
+                                     f"{SURVIVING_DIGITS} of {dps} digits")
+        dps = working_dps(bound)
 
 
 def _mpf(xs):
@@ -123,17 +146,17 @@ def _jacobi_moments(w, k_max: int):
 def moment_rows(ws, k_max: int):
     """Monomial moments of every weight as mpf, at the current precision.
 
-    Exact rational moments are converted directly.  A pure Jacobi weight
-    (no Markov ratio) gets its Beta-function closed form.  Every other
-    weight takes one tanh-sinh pass over its mpf evaluator, with quad's
-    per-k stopping rule, so each moment matches its own ``mpmath.quad``.
+    A constant weight s on [a, b] gets s (b^(k+1) - a^(k+1)) / (k + 1), a
+    pure Jacobi weight (no Markov ratio) its Beta-function closed form.
+    Every other weight takes one tanh-sinh pass over its mpf evaluator, with
+    quad's per-k stopping rule, so each moment matches its own ``mpmath.quad``.
     Returns a p x (k_max + 1) object array.
     """
     rows = []
     for w in ws.weights:
-        if w.exact_moment(0) is not None:
-            fracs = [w.exact_moment(k) for k in range(k_max + 1)]
-            rows.append([mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator) for f in fracs])
+        if w.spec.family == "constant" and w.ratio is None:
+            s, a, b = (mpmath.mpf(v) for v in (w.scale, w.support.a, w.support.b))
+            rows.append([s * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k in range(k_max + 1)])
         elif w.spec.family == "jacobi" and w.ratio is None:
             rows.append(_jacobi_moments(w, k_max))
         else:
@@ -153,30 +176,50 @@ def table_rows(mt, dps: int):
     return rung, mt.mp_rows[rung]
 
 
-def type1_coefficients(mt, nvec, dps: int):
-    """Type I coefficient blocks solved in mpmath at ``dps`` digits.
+def rung_solve(mt, assemble, dps: int):
+    """One attempt at solving ``assemble(rows)`` = (A, b) on the mpmath rung.
 
-    The moment rows come from ``table_rows(mt, dps)``, held at the rung at
-    or above ``dps``; every operation of the solve rounds to ``dps``.
-    Returns the rung and a list with one coefficient list per weight
-    (empty for n_j = 0); entries are mpf carrying the full working
-    precision.
+    The rows come from ``table_rows(mt, dps)``; the solve rounds to ``dps``.
+    The bound is |A|_1 max(|x|_1 / |b|_1, |A^-1 z|_1 / |z|_1) for a fixed
+    probe z = (1, -1, 1, ...) solved in the same LU: a monic type II
+    solution stays O(1) however ill-conditioned A is.  |A|_1 comes from the
+    float64 assembly of ``mt.raw``; only its order of magnitude matters.
+    Returns ((rung, x), bound).
     """
-    n = nvec.n
     rung, rows = table_rows(mt, dps)
+    a_norm = float(np.abs(assemble(mt.raw)[0]).sum(axis=0).max())
     with mp.workdps(dps):
-        system = _hankel_from(rows[:, : 2 * n - 1], nvec, n)
-        rhs = np.array([mpmath.mpf(0)] * (n - 1) + [mpmath.mpf(1)], dtype=object)
+        a, b = assemble(rows)
+        rhs = np.stack([b, [mpmath.mpf((-1) ** i) for i in range(len(b))]], axis=1)
         try:
-            sol = linalg.solve(system, rhs)
+            sol = linalg.solve(a, rhs)
         except NumericError as exc:
-            raise NumericError("singular type I system in high precision") from exc
-        out = []
-        start = 0
-        for nj in nvec.parts:
-            out.append([+v for v in sol[start : start + nj]])
-            start += nj
-        return rung, out
+            raise NumericError("singular moment system in high precision") from exc
+        growth = max(np.abs(x).sum() / np.abs(r).sum() for x, r in zip(sol.T, rhs.T) if any(r))
+    return (rung, list(sol[:, 0])), a_norm * float(growth)
+
+
+def type2_attempt(mt, nvec, dps: int):
+    """Monic type II coefficients (floats, ascending) solved on the mpmath rung
+    at ``dps`` digits, with the condition bound of ``rung_solve``."""
+    (_, sol), bound = rung_solve(mt, lambda rows: _type2_system(rows, nvec), dps)
+    return np.array([float(v) for v in sol] + [1.0]), bound
+
+
+def type1_attempt(mt, nvec, dps: int):
+    """Type I coefficient blocks solved on the mpmath rung at ``dps`` digits,
+    M a = e_n: ((rung, blocks), bound), with the bound of ``rung_solve``.
+    Each block is a list of mpf (empty for n_j = 0)."""
+    e_n = np.array([mpmath.mpf(k == nvec.n - 1) for k in range(nvec.n)], dtype=object)
+    (rung, sol), bound = rung_solve(mt, lambda rows: (_hankel_from(rows, nvec, nvec.n), e_n),
+                                    dps)
+    ends = np.cumsum(nvec.parts)
+    return (rung, [sol[e - nj : e] for nj, e in zip(nvec.parts, ends)]), bound
+
+
+def type1_coefficients(mt, nvec, dps: int):
+    """(rung, blocks) of ``type1_attempt``, without the bound."""
+    return type1_attempt(mt, nvec, dps)[0]
 
 
 class MPKernel:

@@ -6,10 +6,9 @@ solves:
 
 * numeric input is promoted to 80-bit ``numpy.longdouble`` (tames Hankel
   conditioning at moderate n);
-* object arrays of ``fractions.Fraction`` stay exact (large-n zero studies
-  with rational moments);
 * object arrays of ``mpmath.mpf`` compute at the current ``mp`` precision
-  (ill-conditioned type I systems and kernels).
+  (the checked mpmath ladder of type II, type I and the kernel);
+* object arrays of ``fractions.Fraction`` stay exact (exact references).
 
 Object entries keep their type through every operation, so identities and
 unit diagonals are built from the entries themselves, never from integers
@@ -132,5 +131,6 @@ def cond1(a):
 
 
 def solve_fractions(a, b):
-    """Exact solve of A x = b over the rationals (entries are Fractions)."""
+    """Exact solve of A x = b over the rationals (entries are Fractions).
+    The library no longer calls it; ``perfbench/tracing.py`` still times it."""
     return solve(np.array(a, dtype=object), np.array(b, dtype=object))

@@ -2,12 +2,13 @@
 
 Type II polynomials are computed by solving the transposed moment system,
 type I tuples by solving the moment system itself; both are mathematically
-identical to the determinantal formulas but far better conditioned.  All
-solves run on hull-rescaled moments (the convex hull of the supports is
-mapped to [-1, 1]) in 80-bit arithmetic.  For weights whose moments are
-exact rationals, large multi-indices can instead be solved exactly, which
-keeps zero locations meaningful well past the point where floating point
-gives up on Hankel matrices.
+identical to the determinantal formulas but far better conditioned.  Solves
+run on hull-rescaled moments (the convex hull of the supports is mapped to
+[-1, 1]) in 80-bit arithmetic.  Past ``highprec.CONDITION_CUTOFF`` both
+kinds climb the one checked mpmath ladder, ``highprec.escalate``, which
+keeps zero locations and linear forms meaningful well past the point where
+floating point gives up on Hankel matrices, or raises
+:class:`PrecisionExhausted`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .weights import MomentTable, WeightSystem, weight_quad
 MAX_TOTAL_DEGREE = 30
 SINGULAR_PIVOT_RTOL = 1e-17
 CONDITION_WARN = 1e12
-EXACT_DEGREE_CUTOFF = 12  # beyond this, prefer exact solves when available
+METHODS = ("auto", "float", "mp")
 
 
 @dataclass(frozen=True)
@@ -97,11 +98,13 @@ class Polynomial:
 
     Evaluation runs in 80-bit Horner form, which matters for high-degree
     monic polynomials whose values on [-1, 1] are far below their
-    coefficient scale.
+    coefficient scale.  A solved polynomial records its rung in ``method``
+    (``"float"`` or ``"mp"``) and the working precision in ``hp_dps`` (0 on
+    the float rung).
     """
 
     def __init__(self, coeffs, condition_estimate=None, ill_conditioned=False,
-                 method=None):
+                 method=None, hp_dps=0):
         hi = np.atleast_1d(np.asarray(coeffs)).astype(linalg.LD)
         # trim trailing zeros but keep the zero polynomial as [0.0]
         nz = np.nonzero(hi)[0]
@@ -111,6 +114,7 @@ class Polynomial:
         self.condition_estimate = condition_estimate
         self.ill_conditioned = ill_conditioned
         self.method = method
+        self.hp_dps = hp_dps
 
     @property
     def degree(self):
@@ -216,7 +220,7 @@ def _require_order(mt: MomentTable, order: int):
 def _hankel_from(table_rows, nvec, n_rows):
     """n_rows x n block Hankel matrix: column l of block j holds the moments
     l .. l + n_rows - 1 of weight j.  Entries keep the type of the moment
-    rows (float, Fraction or mpf), so one assembly serves every rung."""
+    rows (float or mpf), so one assembly serves every rung."""
     return np.stack([np.asarray(table_rows[j][l : l + n_rows])
                      for j, nj in enumerate(nvec.parts) for l in range(nj)], axis=1)
 
@@ -280,10 +284,6 @@ def _affine_unscale(coeffs_t, c, s, power_scale):
     return acc[: n + 1] * linalg.LD(power_scale)
 
 
-def _exact_available(mt: MomentTable, nvec: MultiIndex):
-    return all(mt.exact[j] is not None for j, _, _ in nvec.blocks())
-
-
 def _type2_system(rows, nvec):
     """Type II conditions sum_i a_i c^(j)_{k+i} = -c^(j)_{k+n}, k < n_j: the
     transposed (n + 1)-row block Hankel matrix, split into system and rhs."""
@@ -291,47 +291,50 @@ def _type2_system(rows, nvec):
     return aug[:, :-1], -aug[:, -1]
 
 
-def _type2_exact(mt: MomentTable, nvec: MultiIndex):
-    """Solve the type II system in exact rational arithmetic."""
-    sol = linalg.solve_fractions(*_type2_system(mt.exact, nvec))
-    return np.array([float(v) for v in sol] + [1.0])
+def _checked_index(mt: MomentTable, nvec, method, what, order):
+    """Validate a solve request and check normality; ``order(nvec)`` is the
+    highest moment order the solve reads."""
+    nvec = as_multi_index(nvec)
+    if nvec.n < 1:
+        raise ValidationError(f"{what} needs |n| >= 1")
+    if nvec.n > MAX_TOTAL_DEGREE:
+        raise ValidationError(f"|n|={nvec.n} exceeds the supported cap {MAX_TOTAL_DEGREE}")
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}")
+    _require_order(mt, order(nvec))
+    _check_normal(mt, nvec)
+    return nvec
+
+
+def _on_mp_rung(method, cond):
+    from . import highprec
+
+    return method == "mp" or (method == "auto" and cond > highprec.CONDITION_CUTOFF)
 
 
 def type2_mop(mt: MomentTable, nvec, method: str = "auto") -> Polynomial:
     """Monic type II multiple orthogonal polynomial of degree |n|.
 
-    ``method`` is ``"float"`` (hull-rescaled 80-bit solve), ``"exact"``
-    (rational arithmetic; requires exact moments), or ``"auto"`` which
-    switches to exact for large degrees when available.
+    ``method`` is ``"float"`` (hull-rescaled 80-bit solve), ``"mp"`` (the
+    checked mpmath ladder of ``highprec.escalate`` on raw moments), or
+    ``"auto"``, which takes the ladder when the condition estimate passes
+    ``highprec.CONDITION_CUTOFF``.
     """
-    nvec = as_multi_index(nvec)
+    nvec = _checked_index(mt, nvec, method, "type II MOP",
+                          lambda v: v.n + max(v.parts) - 1)
     n = nvec.n
-    if n < 1:
-        raise ValidationError("type II MOP needs |n| >= 1")
-    if n > MAX_TOTAL_DEGREE:
-        raise ValidationError(f"|n|={n} exceeds the supported cap {MAX_TOTAL_DEGREE}")
-    _require_order(mt, n + max(nvec.parts) - 1)
-
     c, s = mt.center, mt.half_width
     system, rhs = _type2_system(mt.scaled, nvec)
     cond = linalg.cond1(system)
     ill = cond > CONDITION_WARN
 
-    use_exact = method == "exact" or (method == "auto" and n > EXACT_DEGREE_CUTOFF
-                                      and _exact_available(mt, nvec))
-    if method == "exact" and not _exact_available(mt, nvec):
-        raise ValidationError("exact moments unavailable for this weight system")
-    if use_exact:
-        try:
-            coeffs = _type2_exact(mt, nvec)
-        except NumericError as exc:
-            raise NonNormalIndexError(
-                f"multi-index {nvec.parts} is not normal (exact determinant is 0)"
-            ) from exc
-        return Polynomial(coeffs, condition_estimate=cond, ill_conditioned=ill,
-                          method="exact")
+    if _on_mp_rung(method, cond):
+        from . import highprec
 
-    _check_normal(mt, nvec)
+        dps, coeffs = highprec.escalate(lambda d: highprec.type2_attempt(mt, nvec, d), cond)
+        return Polynomial(coeffs, condition_estimate=cond, ill_conditioned=ill,
+                          method="mp", hp_dps=dps)
+
     a_t = linalg.solve(system, rhs)
     coeffs_t = np.concatenate([a_t, np.asarray([1.0], dtype=linalg.LD)])
     coeffs = _affine_unscale(coeffs_t, c, s, s ** n)
@@ -347,20 +350,11 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
     power conditions and whose last row is the normalization.  When the
     condition estimate passes ``highprec.CONDITION_CUTOFF`` (typical for
     Nikishin systems, whose weight blocks are nearly dependent), ``"auto"``
-    re-solves in mpmath with a working precision matched to the
-    conditioning; ``"mp"`` forces that path, ``"float"`` forbids it.
+    re-solves on the checked mpmath ladder of ``highprec.escalate``;
+    ``"mp"`` forces that path, ``"float"`` forbids it.
     """
-    nvec = as_multi_index(nvec)
+    nvec = _checked_index(mt, nvec, method, "type I MOP", lambda v: 2 * v.n - 2)
     n = nvec.n
-    if n < 1:
-        raise ValidationError("type I MOP needs |n| >= 1")
-    if n > MAX_TOTAL_DEGREE:
-        raise ValidationError(f"|n|={n} exceeds the supported cap {MAX_TOTAL_DEGREE}")
-    if method not in ("auto", "float", "mp"):
-        raise ValidationError(f"unknown method {method!r}")
-    _require_order(mt, 2 * n - 2)
-    _check_normal(mt, nvec)
-
     c, s = mt.center, mt.half_width
     system = _hankel_from(mt.scaled, nvec, n).astype(linalg.LD)
     rhs = np.zeros(n, dtype=linalg.LD)
@@ -368,15 +362,12 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
     cond = linalg.cond1(system)
     ill = cond > CONDITION_WARN
 
-    from . import highprec
+    if _on_mp_rung(method, cond):
+        from . import highprec
 
-    if method == "mp" or (method == "auto" and cond > highprec.CONDITION_CUTOFF):
-        dps = highprec.working_dps(cond)
-        rows_dps, blocks = highprec.type1_coefficients(mt, nvec, dps)
-        polys = tuple(
-            Polynomial([float(v) for v in blk]) if blk else Polynomial([0.0])
-            for blk in blocks
-        )
+        dps, (rows_dps, blocks) = highprec.escalate(
+            lambda d: highprec.type1_attempt(mt, nvec, d), cond)
+        polys = tuple(Polynomial([float(v) for v in blk] or [0.0]) for blk in blocks)
         return TypeISystem(polys, mt.system, nvec, 0.0, cond, ill,
                            hp_coeffs=tuple(tuple(blk) for blk in blocks),
                            hp_dps=dps, hp_rows_dps=rows_dps)
@@ -384,18 +375,11 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
     sol = linalg.solve(system, rhs)
     residual = float(np.max(np.abs(system @ sol - rhs)))
 
-    polys = []
-    start = 0
     scale = linalg.LD(s) ** (n - 1)
-    for nj in nvec.parts:
-        if nj == 0:
-            polys.append(Polynomial([0.0]))
-        else:
-            coeffs_t = sol[start : start + nj]
-            coeffs = _affine_unscale(coeffs_t, c, s, 1.0) / scale
-            polys.append(Polynomial(coeffs))
-            start += nj
-    return TypeISystem(tuple(polys), mt.system, nvec, residual, cond, ill)
+    polys = tuple(Polynomial(_affine_unscale(sol[e - nj : e], c, s, 1.0) / scale)
+                  if nj else Polynomial([0.0])
+                  for nj, e in zip(nvec.parts, np.cumsum(nvec.parts)))
+    return TypeISystem(polys, mt.system, nvec, residual, cond, ill)
 
 
 def poly_roots(P: Polynomial, dedupe_tol: float = 0.0) -> np.ndarray:

@@ -194,11 +194,3 @@ def fixed_segment_nodes(lo, hi, exponents=(0.0, 0.0), *, levels=10, order=32):
                                     dyadic_breakpoints(levels, False)]))
     return graded_nodes(lo, hi, exponents, lambda *piece: bps, order)
 
-
-def quad_segments(f, segments, *, tol=1e-12):
-    """Integrate ``f`` over a list of disjoint (a, b) segments."""
-    segs = list(segments)
-    if not segs:
-        return 0.0
-    per = tol / len(segs)
-    return sum(adaptive_quad(f, a, b, tol=per) for a, b in segs)

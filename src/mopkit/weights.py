@@ -12,17 +12,14 @@ alternating gaps; the transform sign is chosen from the interval order so
 that every ratio w_j / w_1 is positive on the common support.
 
 Weights are data (family spec, scale, optional Markov ratio); the float
-values, the exact rational moments and the mpmath evaluator are all read
-off that one description.  mpmath is imported only when an mpf evaluator
+values and the mpmath evaluator are both read off that one description.  mpmath is imported only when an mpf evaluator
 is asked for.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -101,9 +98,9 @@ class Weight:
     A weight is plain data: a family ``spec``, a positive ``scale`` and, for
     Nikishin weights, an optional Markov ``ratio`` multiplying the family
     weight.  Support, endpoint exponents (the powers of (x - a) and (b - x)
-    that quadrature regularizes), float values, exact rational moments and
-    the mpmath evaluator are all derived from those fields, so every
-    precision rung reads one description.
+    that quadrature regularizes), float values and the mpmath evaluator are
+    all derived from those fields, so every precision rung reads one
+    description.
     """
 
     def __init__(self, spec: WeightSpec, scale: float = 1.0, ratio=None):
@@ -204,49 +201,8 @@ class Weight:
         ratio = self.ratio.mp_evaluator()
         return lambda x: fn(x) * ratio(x)
 
-    @functools.cached_property
-    def _exact_poly(self):
-        """(b - x)^alpha (x - a)^beta as {power: Fraction} when the moments are
-        rational (no Markov ratio, small nonnegative integer exponents), else None."""
-        be, al = self.endpoint_exponents
-        if self.ratio is not None or self.spec.family == "exp_poly" \
-                or not (float(al).is_integer() and float(be).is_integer()):
-            return None
-        ia, ib = int(al), int(be)
-        if ia < 0 or ib < 0 or ia + ib > 40:
-            return None
-        fa, fb = Fraction(self.support.a), Fraction(self.support.b)
-        return _poly_mul(_poly_pow({0: fb, 1: Fraction(-1)}, ia),
-                         _poly_pow({0: -fa, 1: Fraction(1)}, ib))
-
-    def exact_moment(self, k: int):
-        """Exact rational moment integral x^k w(x) dx, or None."""
-        if self._exact_poly is None:
-            return None
-        fa, fb = Fraction(self.support.a), Fraction(self.support.b)
-        total = Fraction(0)
-        for d, c in self._exact_poly.items():
-            m = k + d
-            total += c * (fb ** (m + 1) - fa ** (m + 1)) / (m + 1)
-        return Fraction(self.scale) * total
-
     def __repr__(self):
         return f"Weight({self.label} on [{self.support.a}, {self.support.b}])"
-
-
-def _poly_mul(p, q):
-    out = {}
-    for dp, cp in p.items():
-        for dq, cq in q.items():
-            out[dp + dq] = out.get(dp + dq, Fraction(0)) + cp * cq
-    return out
-
-
-def _poly_pow(p, n):
-    out = {0: Fraction(1)}
-    for _ in range(n):
-        out = _poly_mul(out, p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +448,7 @@ class MomentTable:
     ``raw[j, k]`` is integral x^k w_j dx; ``scaled[j, k]`` is the same with
     x replaced by (x - c)/s, where [c - s, c + s] is the convex hull of the
     supports.  The rescaled entries are computed by direct quadrature (never
-    by binomial transform, which cancels catastrophically).  ``exact`` holds
-    per-weight tuples of Fractions when the family admits exact moments.
-    ``mp_rows`` maps a precision rung to the table's mpf moment rows up to
+    by binomial transform, which cancels catastrophically).  ``mp_rows`` maps a precision rung to the table's mpf moment rows up to
     ``k_max``; ``highprec.table_rows`` fills it, one pass per rung.
     """
 
@@ -503,7 +457,6 @@ class MomentTable:
     scaled: np.ndarray
     hull: Interval
     tol: float
-    exact: tuple
     mp_rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -540,15 +493,10 @@ def moment_table(ws: WeightSystem, k_max: int, tol: float = 1e-12) -> MomentTabl
     c, s = hull.mid, 0.5 * hull.length
     raw = np.empty((ws.p, k_max + 1))
     scaled = np.empty((ws.p, k_max + 1))
-    exact = []
     for i, w in enumerate(ws.weights):
         raw[i] = moments(ws, i + 1, k_max, tol)
         for k in range(k_max + 1):
             scaled[i, k] = weight_quad(
                 (lambda x, k=k: ((x - c) / s) ** k), w, tol=tol
             )
-        if w.exact_moment(0) is not None:
-            exact.append(tuple(w.exact_moment(k) for k in range(k_max + 1)))
-        else:
-            exact.append(None)
-    return MomentTable(ws, raw, scaled, hull, tol, tuple(exact))
+    return MomentTable(ws, raw, scaled, hull, tol)

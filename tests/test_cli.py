@@ -304,7 +304,47 @@ def test_validate_fuzzed_config_exit_code(fuzz_dir, name, data):
     assert code in (0, 1, 2, 3)
 
 
+#: shipped configs with a multi-index, for the commands that solve at it
+SOLVED = sorted(name for name, cfg in SHIPPED.items() if "multi_index" in cfg)
+
+
+@settings(max_examples=300)
+@given(command=st.sampled_from(["mop", "typeI"]), name=st.sampled_from(SOLVED),
+       data=st.data())
+def test_solve_fuzzed_config_exit_code(fuzz_dir, command, name, data):
+    cfg = json.loads(json.dumps(SHIPPED[name]))
+    *head, last = data.draw(st.sampled_from(_leaves(cfg)))
+    parent = cfg
+    for key in head:
+        parent = parent[key]
+    parent[last] = data.draw(JSON_VALUES)
+    code = cli.main([command, write_config(fuzz_dir, cfg), "--out", str(fuzz_dir / "o"),
+                     "--quiet"])
+    assert code in (0, 1, 2, 3)
+
+
 NIKISHIN_CFG = json.loads((CONFIGS / "nikishin.json").read_text())
+
+
+@pytest.mark.parametrize("multi_index,rung", [([4, 4], "mp"), ([2, 1], "float")])
+def test_mop_manifest_records_rung(tmp_path, multi_index, rung):
+    cfg = dict(NIKISHIN_CFG, multi_index=multi_index)
+    code = cli.main(["mop", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+    assert code == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    detail = {s["name"]: s for s in manifest["steps"]}["solve"]["detail"]
+    assert detail["rung"] == rung
+    assert (detail["hp_dps"] >= 30) if rung == "mp" else (detail["hp_dps"] == 0)
+
+
+def test_precision_exhausted_exit_2(tmp_path, capsys):
+    cfg = dict(NIKISHIN_CFG, multi_index=[14, 14])
+    code = cli.main(["mop", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["validate", "equilibrium"])

@@ -3,6 +3,7 @@ one tanh-sinh pass per weight, bit-identical to quad, for the rest, and
 one pass per moment table and precision rung for type I solves."""
 
 import dataclasses
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -165,3 +166,68 @@ def test_type1_sweep_matches_150_digit_solve():
         _, blocks = highprec.type1_coefficients(ref_mt, mk.MultiIndex(parts), 150)
         ref = np.array(highprec.linear_form_values(ws, blocks, xs, 150))
         assert np.max(np.abs(ts.q_values(xs) - ref)) <= 1e-12 * np.max(np.abs(ref)), parts
+
+
+def _constant_nikishin():
+    return mk.build_nikishin(mk.WeightSpec.constant(1.0, 2.0), [mk.WeightSpec.constant(-1.0, 0.0)])
+
+
+def _q_error(ws, mt, parts, xs):
+    """max |Q - Q_150| / max |Q_150| against a 150-digit solve on a fresh table."""
+    ts = mk.type1_mop(mt, parts)
+    ref_mt = mk.moment_table(ws, mt.k_max)
+    _, blocks = highprec.type1_coefficients(ref_mt, mk.MultiIndex(parts), 150)
+    ref = np.array(highprec.linear_form_values(ws, blocks, xs, 150))
+    return np.max(np.abs(ts.q_values(xs) - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_nikishin_type2_roots_match_twice_the_dps(n):
+    # the reference goes through the same float coefficients and root finder,
+    # so it checks the solve, not the monomial representation of its answer
+    ws = _constant_nikishin()
+    mt = mk.moment_table(ws, 3 * n - 1)
+    P = mk.type2_mop(mt, (n, n))
+    roots = mk.poly_roots(P)
+    assert P.method == "mp" and roots.size == 2 * n
+    assert np.all((roots > 1.0) & (roots < 2.0))
+    coeffs, _ = highprec.type2_attempt(mt, mk.MultiIndex((n, n)), 2 * P.hp_dps)
+    assert np.max(np.abs(roots - mk.poly_roots(mk.Polynomial(coeffs)))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_nikishin_type1_retry_matches_150_digit_solve(n):
+    ws = _constant_nikishin()
+    xs = np.linspace(1.01, 1.99, 50)
+    assert _q_error(ws, mk.moment_table(ws, 2 * n * 2 - 2), (n, n), xs) <= 1e-9
+
+
+def test_shifted_angelesco_type1_matches_150_digit_solve():
+    ws = mk.build_angelesco([mk.WeightSpec.constant(9.0, 10.0), mk.WeightSpec.constant(10.0, 11.0)])
+    xs = np.concatenate([np.linspace(9.0, 10.0, 27)[1:-1], np.linspace(10.0, 11.0, 27)[1:-1]])
+    assert _q_error(ws, mk.moment_table(ws, 26), (7, 7), xs) <= 1e-12
+
+
+def _monic_legendre(n):
+    """Monic Legendre coefficients (ascending) from p_{k+1} = x p_k - k^2/(4k^2 - 1) p_{k-1}."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for k in range(1, n):
+        nxt = [Fraction(0)] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= Fraction(k * k, 4 * k * k - 1) * c
+        prev, cur = cur, nxt
+    return cur
+
+
+def test_legendre_type2_equals_rational_recurrence():
+    mt = mk.moment_table(mk.build_angelesco([mk.WeightSpec.constant(-1.0, 1.0)]), 59)
+    for n in range(14, 31):
+        P = mk.type2_mop(mt, (n,))
+        assert P.method == "mp"
+        assert P.coeffs.tolist() == [float(c) for c in _monic_legendre(n)], n
+
+
+def test_precision_exhausted():
+    mt = mk.moment_table(_constant_nikishin(), 41)
+    with pytest.raises(mk.PrecisionExhausted):
+        mk.type2_mop(mt, (14, 14))

@@ -117,13 +117,19 @@ class TestTypeII:
             mk.type2_mop(angelesco_mt, (16, 15))
 
     def test_exact_matches_float_midrange(self, angelesco_mt):
-        Pe = mk.type2_mop(angelesco_mt, (5, 5), method="exact")
+        Pe = mk.type2_mop(angelesco_mt, (5, 5), method="mp")
         Pf = mk.type2_mop(angelesco_mt, (5, 5), method="float")
         assert np.allclose(Pe.coeffs, Pf.coeffs, atol=1e-9)
+        assert (Pe.method, Pf.method, Pf.hp_dps) == ("mp", "float", 0) and Pe.hp_dps >= 30
 
     def test_exact_unavailable(self, nikishin_mt):
         with pytest.raises(ValidationError):
             mk.type2_mop(nikishin_mt, (2, 1), method="exact")
+
+    @pytest.mark.parametrize("solve", [mk.type2_mop, mk.type1_mop])
+    def test_unknown_method_rejected(self, angelesco_mt, solve):
+        with pytest.raises(ValidationError, match="bogus"):
+            solve(angelesco_mt, (2, 1), method="bogus")
 
     def test_weight_permutation_invariance(self):
         wa = mk.Weight.from_spec(mk.WeightSpec.jacobi(-1.0, 1.0, 0.5, 0.5))

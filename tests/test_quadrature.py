@@ -6,7 +6,6 @@ from mopkit.exceptions import QuadratureError
 from mopkit.quadrature import (
     adaptive_quad,
     fixed_segment_nodes,
-    quad_segments,
     quad_with_substitution,
 )
 
@@ -57,11 +56,6 @@ def test_budget_exhaustion_raises():
     with pytest.raises(QuadratureError) as err:
         adaptive_quad(noisy, 0.0, 1.0, tol=1e-14, max_panels=8)
     assert err.value.estimate is not None
-
-
-def test_quad_segments():
-    val = quad_segments(lambda x: np.ones_like(x), [(-1.0, 0.0), (0.5, 1.0)])
-    assert val == pytest.approx(1.5, abs=1e-13)
 
 
 def test_fixed_segment_nodes_plain():

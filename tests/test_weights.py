@@ -1,14 +1,17 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mopkit as mk
+from mopkit import highprec
 from mopkit.exceptions import ConstructionError, DomainError, QuadratureError, ValidationError
 from mopkit.weights import MarkovRatio, Weight
 
@@ -212,9 +215,6 @@ def test_moment_table_fields(angelesco_ws):
     assert mt.hull.a == -1.0 and mt.hull.b == 1.0
     # scaled moments on the hull coincide with raw ones here (hull is [-1,1])
     assert np.allclose(mt.scaled, mt.raw, atol=1e-12)
-    # constant weights admit exact rational moments
-    assert mt.exact[0] is not None
-    assert float(mt.exact[0][1]) == pytest.approx(mt.raw[0, 1], abs=1e-12)
 
 
 def test_exp_poly_weight():
@@ -238,9 +238,12 @@ def test_exp_poly_even_weight_mop():
 def test_exact_jacobi_integer_moments():
     w = Weight.from_spec(mk.WeightSpec.jacobi(0.0, 1.0, 1.0, 2.0))
     # (1-x) x^2 on [0,1]: moment k: 1/(k+3) - 1/(k+4)
-    for k in range(4):
-        assert float(w.exact_moment(k)) == pytest.approx(1.0 / (k + 3) - 1.0 / (k + 4),
-                                                         abs=1e-15)
+    with mpmath.mp.workdps(50):
+        row = highprec.moment_rows(mk.WeightSystem.general([w]), 3)[0]
+        for k in range(4):
+            exact = Fraction(1, k + 3) - Fraction(1, k + 4)
+            ref = mpmath.mpf(exact.numerator) / exact.denominator
+            assert abs(row[k] - ref) <= mpmath.mpf(10) ** -45
 
 
 def test_support_segments(angelesco_ws, nikishin_ws):
