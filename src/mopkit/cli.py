@@ -400,7 +400,8 @@ def cmd_typeI(cfg, out, man, quiet):
     res = mop.type1_condition_residuals(ts)
     man.step("solve", detail={"rung": "float" if ts.hp_coeffs is None else "mp",
                               "hp_dps": ts.hp_dps, "rows_dps": ts.hp_rows_dps,
-                              "condition_estimate": ts.condition_estimate})
+                              "condition_estimate": ts.condition_estimate,
+                              "evaluation": ts.proxy and ts.proxy.records})
     rec = {
         "multi_index": list(nvec.parts),
         "components": [[float(c) for c in a.coeffs] for a in ts.polys],
@@ -423,12 +424,19 @@ def _grid_points(cfg, ws, m):
     return np.linspace(hull.a, hull.b, m)
 
 
+def _biorthogonalized(man, K):
+    """The biorthogonalize step, with how the kernel values were computed."""
+    mpk = K.mp
+    man.step("biorthogonalize", detail={"rung": "mp" if mpk else "float",
+                                        "hp_dps": mpk.dps if mpk else 0,
+                                        "evaluation": mpk and mpk.proxy and mpk.proxy.records})
+
+
 def cmd_kernel(cfg, out, man, quiet):
     ws = build_system(cfg)
     nvec = _multi_index(cfg, ws)
     mt = _moment_table_for(ws, nvec, cfg)
     K = ensemble.biorthogonalize(mop.block_hankel(mt, nvec), ws, nvec)
-    man.step("biorthogonalize")
     m = int(cfg.get("grid", 100))
     xs = _grid_points(cfg, ws, m)
     text = list(map(repr, xs.tolist()))  # the grid, formatted once for all m blocks
@@ -436,6 +444,7 @@ def cmd_kernel(cfg, out, man, quiet):
               for i, x in enumerate(xs))
     path = Path(out) / "kernel.csv"
     _write_csv(path, ["x", "y", "K"], blocks, [f"n = {nvec.n}"])
+    _biorthogonalized(man, K)
     man.output(path)
     if not quiet:
         print(f"kernel grid {m}x{m} written")
@@ -447,10 +456,10 @@ def cmd_density(cfg, out, man, quiet):
     nvec = _multi_index(cfg, ws)
     mt = _moment_table_for(ws, nvec, cfg)
     K = ensemble.biorthogonalize(mop.block_hankel(mt, nvec), ws, nvec)
-    man.step("biorthogonalize")
     m = int(cfg.get("grid", 400))
     xs = _grid_points(cfg, ws, m)
     dens = ensemble.mean_density(K, xs)
+    _biorthogonalized(man, K)
     path = Path(out) / "density.csv"
     _write_csv(path, ["x", "density"], [(xs, dens)], [f"n = {nvec.n}"])
     man.output(path)

@@ -468,18 +468,19 @@ def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
 
 
 def kernel_eval(K: Kernel, x, y):
-    """K(x, y) by the biorthogonal sum; broadcasts over matching shapes."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    """K(x, y) by the biorthogonal sum, with x and y broadcast together; a
+    float when both are scalars."""
+    try:
+        xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    except ValueError as exc:
+        raise ValidationError(f"kernel points do not broadcast: {exc}") from exc
     if K.mp is not None:
         vals = K.mp.eval(xs.ravel(), ys.ravel())
     else:
         F = f_matrix(K.n, xs.ravel(), dtype=linalg.LD)
         G = g_matrix(K.ws, K.nvec, ys.ravel(), dtype=linalg.LD)
         vals = np.einsum("jm,jm->m", K.phi @ F, K.psi @ G).astype(float)
-    if np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0:
-        return float(vals[0])
-    return vals.reshape(xs.shape)
+    return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
 def kernel_eval_bordered(M: HankelBlockMatrix, ws: WeightSystem, nvec, x, y) -> float:

@@ -22,6 +22,11 @@ rung.  Everything else is shared with the float rung: the block Hankel
 matrices are ``mop._hankel_from`` and ``mop._type2_system``, the g-basis
 is ``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the
 systems are factored by the one LU in ``linalg``.
+
+Evaluation answers from a ``ChebyshevProxy``: the kernel and the linear
+form are sampled once per support segment in mpmath, at Chebyshev nodes,
+and then evaluated at every point in longdouble; the per-point mpmath path
+stays as the fallback and the oracle.
 """
 
 from __future__ import annotations
@@ -31,10 +36,12 @@ import math
 import mpmath
 import numpy as np
 from mpmath import mp
+from numpy.polynomial.chebyshev import chebvander
 
 from . import linalg
 from .ensemble import f_matrix, g_matrix
 from .exceptions import NumericError, PrecisionExhausted
+from .linalg import LD
 from .mop import _hankel_from, _type2_system
 
 #: condition estimate beyond which type II and type I solves switch to
@@ -46,12 +53,19 @@ CONDITION_CUTOFF = 3e4
 #: its a-posteriori condition bound
 SURVIVING_DIGITS = 20
 
-#: points per shared F/G block in evaluation; bounds the mpf temporaries
+#: points per block in evaluation; bounds the mpf and Vandermonde temporaries
 CHUNK = 64
 
 #: type I moment rows are computed at multiples of this many digits, so
 #: that solves at nearby working precisions share one pass
 RUNG_DIGITS = 16
+
+#: a Chebyshev proxy holds when its coefficients past two thirds of the
+#: grid are below this fraction of its largest coefficient or value
+PROXY_TAIL = 1e-14
+
+#: y-grids of a proxy; first-kind Chebyshev points nest under tripling
+PROXY_GRIDS = (16, 48, 144, 432)
 
 
 def working_dps(cond) -> int:
@@ -84,6 +98,90 @@ def escalate(attempt, cond):
 def _mpf(xs):
     """Object array of mpf holding the floats ``xs``."""
     return np.array([mpmath.mpf(float(x)) for x in xs], dtype=object)
+
+
+def _dot(P, Q):
+    """P @ Q for object arrays of mpf, one ``mpmath.fdot`` per entry."""
+    return np.array([[mpmath.fdot(p, q) for q in Q.T] for p in P], dtype=object)
+
+
+def _unit(x, lo, hi):
+    """Float points x mapped from [lo, hi] to [-1, 1], in longdouble."""
+    return (2 * np.asarray(x, dtype=LD) - lo - hi) / (hi - lo)
+
+
+def _cheb_fit(x, vals, lo, hi):
+    """Chebyshev coefficients on [lo, hi] (axis 0) interpolating ``vals`` at the
+    float first-kind points x, corrected once for the rounding of x."""
+    V = chebvander(_unit(x, lo, hi), x.size - 1)
+    D = np.full((x.size, 1), LD(2) / x.size)
+    D[0] /= 2
+    coeffs = D * (V.T @ vals)
+    return coeffs + D * (V.T @ (vals - V @ coeffs))
+
+
+def _cheb_nodes(n, lo, hi):
+    """The n first-kind Chebyshev points of [lo, hi]."""
+    return lo + (hi - lo) * (1 + np.cos(np.pi * (np.arange(n) + 0.5) / n)) / 2
+
+
+class ChebyshevProxy:
+    """Longdouble stand-in for f(x, y), which mpmath evaluates per point
+    (Trefethen, *Approximation Theory and Approximation Practice*, chs. 7-8).
+
+    Per support segment, ``sample(xs, ys)`` (f at ``dps`` digits on the grid
+    of ``rows`` Chebyshev points xs of the hull by float nodes ys) over the
+    end factor e_S of ``segment_exponents`` is interpolated on the nested
+    ``PROXY_GRIDS`` until its tail is below ``PROXY_TAIL``.  A tail that a
+    refinement shrinks less than tenfold, or that outlasts the grids, sends
+    the segment to ``direct(xs, ys)``.  ``records`` holds per segment the
+    nodes, the tail and, if so, "direct".
+    """
+
+    def __init__(self, ws, sample, direct, dps, rows=1):
+        hull = ws.support_hull()
+        self.direct, self.hull, self.segments, self.records = direct, (hull.a, hull.b), [], []
+        xn = _cheb_nodes(rows, *self.hull)
+        for lo, hi in ws.support_segments():
+            (ea, eb), tail = ws.segment_exponents(lo, hi), math.inf
+            ys, vals = np.empty(0), np.empty((rows, 0), dtype=LD)
+            for n in PROXY_GRIDS:  # a grid's every third node, from the second, is old
+                new = _cheb_nodes(n, lo, hi)[(np.arange(n) % 3 != 1) | (ys.size == 0)]
+                with mp.workdps(dps):
+                    fresh = sample(xn, new)
+                head = fresh.astype(float)  # longdouble as a float and its remainder
+                ys, vals = np.append(ys, new), np.hstack([vals, head + (fresh - head).astype(LD)])
+                g = ys.astype(LD)
+                scaled = vals / ((g - lo) ** ea * (hi - g) ** eb)
+                coeffs = _cheb_fit(ys, scaled.T, lo, hi).T
+                size = np.abs(coeffs).max(axis=0)
+                top, last = max(size.max(), np.abs(scaled).max()), tail
+                tail = float(size[2 * n // 3 :].max() / top) if top > 0 else 0.0
+                if tail <= PROXY_TAIL or not tail * 10 < last:  # a NaN tail stops too
+                    break
+            self.records.append({"segment": [lo, hi], "nodes": n, "tail": tail})
+            if not tail <= PROXY_TAIL:
+                self.records[-1]["direct"] = "tail does not decay"
+                continue
+            keep = 1 + int(np.flatnonzero(size > np.finfo(LD).eps * top).max(initial=0))
+            self.segments.append((lo, hi, ea, eb, _cheb_fit(xn, coeffs[:, :keep], *self.hull)))
+
+    def __call__(self, xs, ys):
+        """Values at the flat float arrays xs, ys: by the proxy for x in the
+        hull and y strictly inside a segment that holds, else by ``direct``."""
+        out, done = np.empty(ys.size), np.zeros(ys.size, dtype=bool)
+        inside = (self.hull[0] <= xs) & (xs <= self.hull[1])
+        for lo, hi, ea, eb, coeffs in self.segments:
+            idx = np.flatnonzero(inside & (lo < ys) & (ys < hi))
+            done[idx] = True
+            for b in (idx[i : i + CHUNK] for i in range(0, idx.size, CHUNK)):
+                y = ys[b].astype(LD)
+                vals = chebvander(_unit(xs[b], *self.hull), len(coeffs) - 1) @ coeffs
+                vals = (vals * chebvander(_unit(y, lo, hi), coeffs.shape[1] - 1)).sum(axis=1)
+                out[b] = vals * (y - lo) ** ea * (hi - y) ** eb
+        if not done.all():
+            out[~done] = self.direct(xs[~done], ys[~done])
+        return out
 
 
 def _power_moments(fn, a, b, k_max: int):
@@ -230,13 +328,15 @@ class MPKernel:
     coefficients), so past ~1e7 the 80-bit path cannot keep the kernel
     identities at their tolerances.  Values are computed at ``dps`` digits
     and returned as ordinary floats: the kernel itself is O(n)-bounded, it
-    is only the intermediate coefficients that need the headroom.
+    is only the intermediate coefficients that need the headroom.  ``eval``
+    answers from the ``ChebyshevProxy`` that its first call builds (kept in
+    ``proxy``); ``eval_direct`` computes each point in mpmath.
     """
 
     def __init__(self, ws, nvec, dps):
         self.ws = ws
         self.nvec = nvec
-        self.dps = dps
+        self.dps, self.proxy = dps, None
         with mp.workdps(dps):
             self._m = _hankel_from(moment_rows(ws, nvec.n - 1 + max(nvec.parts) - 1),
                                    nvec, nvec.n)
@@ -249,21 +349,31 @@ class MPKernel:
             norms = [np.abs(a).sum(axis=0).max() for a in (self._m, self.psi.T @ self.phi)]
             return float(norms[0] * norms[1])
 
-    def eval(self, xs, ys):
-        """Biorthogonal-sum values sum_j phi_j(x) psi_j(y), as floats."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        flat, ys = xs.ravel(), np.atleast_1d(np.asarray(ys, dtype=float)).ravel()
+    def _columns(self, xs, ys):
+        """((phi F)^T, psi G) at the floats xs and ys: K(x_i, y_k) is row i of
+        the first times column k of the second."""
+        F = f_matrix(self.nvec.n, _mpf(xs), dtype=object)
+        return _dot(self.phi, F).T, _dot(self.psi, g_matrix(self.ws, self.nvec, _mpf(ys),
+                                                            dtype=object))
+
+    def eval_direct(self, xs, ys):
+        """sum_j phi_j(x) psi_j(y) at the flat float arrays xs, ys, point by
+        point in mpmath, as floats."""
         out = np.empty(xs.size)
         with mp.workdps(self.dps):
             for lo in range(0, xs.size, CHUNK):
-                F = f_matrix(self.nvec.n, _mpf(flat[lo : lo + CHUNK]), dtype=object)
-                G = g_matrix(self.ws, self.nvec, _mpf(ys[lo : lo + CHUNK]), dtype=object)
-                for i in range(F.shape[1]):
-                    total = mpmath.mpf(0)
-                    for pj, sj in zip(self.phi, self.psi):
-                        total += mpmath.fdot(pj, F[:, i]) * mpmath.fdot(sj, G[:, i])
-                    out[lo + i] = float(total)
-        return out.reshape(xs.shape)
+                A, B = self._columns(xs[lo : lo + CHUNK], ys[lo : lo + CHUNK])
+                out[lo : lo + CHUNK] = [float(mpmath.fdot(a, b)) for a, b in zip(A, B.T)]
+        return out
+
+    def eval(self, xs, ys):
+        """K at the flat float arrays xs, ys, as floats, from a proxy built on
+        the first call; its n + 1 x-nodes are exact for the degree n - 1 of K
+        in x."""
+        if self.proxy is None:
+            self.proxy = ChebyshevProxy(self.ws, lambda xs, ys: _dot(*self._columns(xs, ys)),
+                                        self.eval_direct, self.dps, self.nvec.n + 1)
+        return self.proxy(xs, ys)
 
     def eval_bordered(self, x, y):
         """Bordered-determinant value -det[[M, f], [g, 0]] / det M, as float."""
@@ -275,6 +385,14 @@ class MPKernel:
             big[n, :n] = g_matrix(self.ws, self.nvec, _mpf([y]), dtype=object)[:, 0]
             big[n, n] = mpmath.mpf(0)
             return float(-linalg.det(big) / linalg.det(self._m))
+
+
+def linear_form_proxy(ws, hp_coeffs, dps: int):
+    """``ChebyshevProxy`` of Q = sum_j A_j w_j over ``linear_form_values``."""
+    parts = tuple(len(c) for c in hp_coeffs)
+    row = np.array([[c for blk in hp_coeffs for c in blk]], dtype=object)
+    return ChebyshevProxy(ws, lambda _, ys: _dot(row, g_matrix(ws, parts, _mpf(ys), dtype=object)),
+                          lambda _, ys: linear_form_values(ws, hp_coeffs, ys, dps), dps)
 
 
 def linear_form_values(ws, hp_coeffs, xs, dps: int):

@@ -13,7 +13,7 @@ floating point gives up on Hankel matrices, or raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,7 +153,8 @@ class TypeISystem:
     evaluates the linear form through them, since the float polynomials
     alone cannot survive the cancellation between the A_j terms.
     ``hp_dps`` is the solve's working precision and ``hp_rows_dps`` the
-    rung its moment rows were computed at (both 0 on the float rung).
+    rung its moment rows were computed at (both 0 on the float rung).  On the
+    mpmath rung the first ``q_values`` builds ``proxy``, a Chebyshev proxy of Q.
     """
 
     polys: tuple
@@ -165,6 +166,7 @@ class TypeISystem:
     hp_coeffs: tuple = None
     hp_dps: int = 0
     hp_rows_dps: int = 0
+    proxy: object = field(default=None, compare=False, repr=False)
 
     def q_values(self, x):
         """Linear form Q(x) = sum_j A_j(x) w_j(x)."""
@@ -173,10 +175,9 @@ class TypeISystem:
         if self.hp_coeffs is not None:
             from . import highprec
 
-            total = np.asarray(
-                highprec.linear_form_values(self.system, self.hp_coeffs, flat,
-                                            self.hp_dps)
-            )
+            if self.proxy is None:
+                self.proxy = highprec.linear_form_proxy(self.system, self.hp_coeffs, self.hp_dps)
+            total = self.proxy(flat.ravel(), flat.ravel()).reshape(flat.shape)
         else:
             total = np.zeros_like(flat)
             for a_j, w_j in zip(self.polys, self.system.weights):

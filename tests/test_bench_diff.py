@@ -1,4 +1,5 @@
-"""tools/bench_diff.py: per-metric deltas between and within BENCH files."""
+"""tools/bench_diff.py: per-metric deltas between and within BENCH files, and
+the paired medians that tools/bench_pairs.py records."""
 
 import json
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import bench_diff
+import bench_pairs
 
 
 def _side(wall, rows_s, lines):
@@ -45,3 +47,26 @@ def test_two_files_compare_change_sides(tmp_path, capsys):
     assert "src_lines 100 -> 90" in out
     assert [line.split() for line in out.splitlines() if "wall_s" in line] == [
         ["zeros", "untraced", "wall_s", "1", "2", "+1", "2.000x"]]
+
+
+def test_paired_prints_medians_quartiles_and_wins(tmp_path, capsys):
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower"}]}
+
+    def result(wall):
+        return {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": wall}}}
+
+    runs = {"parent": [result(v) for v in (2.0, 1.8, 2.2, 1.9, 2.1)],
+            "change": [result(v) for v in (1.6, 1.5, 1.9, 1.95, 1.7)]}
+    rec = bench_pairs.summarize(runs, [11, 12, 13, 14, 15], ["parent", "change"] * 2 + ["parent"],
+                                spec)
+    wall = rec["metrics"]["wall_s"]
+    assert wall["parent_median"] == 2.0 and wall["change_median"] == 1.7
+    assert wall["parent_quartiles"] == [1.9, 2.1] and wall["change_quartiles"] == [1.6, 1.9]
+    assert wall["wins"] == 4 and wall["pairs"] == 5
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"paired": {"ensemble": rec}}))
+    assert bench_diff.main([str(path), "--paired"]) == 0
+    [row] = [line.split() for line in capsys.readouterr().out.splitlines()
+             if line.startswith("ensemble")]
+    assert row == ["ensemble", "wall_s", "5", "2", "[1.9,", "2.1]", "1.7", "[1.6,", "1.9]",
+                   "0.850x", "4"]

@@ -338,6 +338,30 @@ def test_mop_manifest_records_rung(tmp_path, multi_index, rung):
     assert (detail["hp_dps"] >= 30) if rung == "mp" else (detail["hp_dps"] == 0)
 
 
+@pytest.mark.parametrize("command", ["kernel", "density"])
+def test_kernel_manifest_records_the_proxy(tmp_path, command):
+    cfg = dict(NIKISHIN_CFG, multi_index=[4, 4])
+    code = cli.main([command, write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--grid", "12", "--quiet"])
+    assert code == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    detail = {s["name"]: s for s in manifest["steps"]}["biorthogonalize"]["detail"]
+    assert detail["rung"] == "mp" and detail["hp_dps"] >= 30
+    [record] = detail["evaluation"]
+    assert record["segment"] == [1.0, 2.0] and "direct" not in record
+    assert record["nodes"] >= 16 and record["tail"] <= 1e-13
+
+
+def test_typeI_manifest_records_the_proxy(tmp_path):
+    cfg = dict(NIKISHIN_CFG, multi_index=[4, 4])
+    code = cli.main(["typeI", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+    assert code == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    [record] = {s["name"]: s for s in manifest["steps"]}["solve"]["detail"]["evaluation"]
+    assert record["tail"] <= 1e-13 and "direct" not in record
+
+
 def test_precision_exhausted_exit_2(tmp_path, capsys):
     cfg = dict(NIKISHIN_CFG, multi_index=[14, 14])
     code = cli.main(["mop", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),

@@ -231,3 +231,102 @@ def test_precision_exhausted():
     mt = mk.moment_table(_constant_nikishin(), 41)
     with pytest.raises(mk.PrecisionExhausted):
         mk.type2_mop(mt, (14, 14))
+
+
+def _kernel(ws, parts):
+    n = sum(parts)
+    return mk.biorthogonalize(mk.block_hankel(mk.moment_table(ws, 2 * n + max(parts)), parts),
+                              ws, parts)
+
+
+#: mpmath-rung kernels whose Chebyshev proxy must hold on every segment
+PROXY_KERNELS = {
+    "nikishin_4_4": (_constant_nikishin, (4, 4)),
+    "nikishin_8_8": (_constant_nikishin, (8, 8)),
+    "nikishin_jacobi_4_4": (lambda: mk.build_nikishin(mk.WeightSpec.jacobi(1.0, 2.0, 0.5, -0.5),
+                                                      [mk.WeightSpec.constant(-1.0, 0.0)]),
+                            (4, 4)),
+    "angelesco_8_8": (lambda: mk.build_angelesco([mk.WeightSpec.constant(-1.0, 0.0),
+                                                  mk.WeightSpec.constant(0.0, 1.0)]), (8, 8)),
+}
+
+
+def _random_points(ws, size, seed):
+    hull = ws.support_hull()
+    return np.random.default_rng(seed).uniform(hull.a, hull.b, (2, size))
+
+
+@pytest.mark.parametrize("name", sorted(PROXY_KERNELS))
+def test_kernel_proxy_matches_direct(name):
+    make, parts = PROXY_KERNELS[name]
+    ws = make()
+    K = _kernel(ws, parts)
+    assert K.mp is not None and K.mp.proxy is None  # built on the first evaluation
+    x, y = _random_points(ws, 1000, 12)
+    vals = mk.kernel_eval(K, x, y)
+    records = K.mp.proxy.records
+    assert len(records) == len(ws.support_segments())
+    assert all("direct" not in r and r["tail"] <= highprec.PROXY_TAIL for r in records)
+    direct = K.mp.eval_direct(x, y)
+    assert np.max(np.abs(vals - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_linear_form_proxy_matches_150_digit_solve():
+    ws = _constant_nikishin()
+    mt = mk.moment_table(ws, 30)
+    ts = mk.type1_mop(mt, (8, 8))
+    assert ts.hp_coeffs is not None and ts.proxy is None
+    xs = _random_points(ws, 1000, 13)[0]
+    q = ts.q_values(xs)
+    assert all("direct" not in r for r in ts.proxy.records)
+    _, blocks = highprec.type1_coefficients(mk.moment_table(ws, 30), mk.MultiIndex((8, 8)), 150)
+    ref = np.array(highprec.linear_form_values(ws, blocks, xs, 150))
+    assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_kernel_proxy_falls_back_when_the_tail_does_not_decay():
+    # K / e_S carries 1 / sqrt(1 - y^2) from the constant weight: no decay
+    ws = mk.WeightSystem.general([mk.Weight.from_spec(mk.WeightSpec.constant(-1.0, 1.0)),
+                                  mk.Weight.from_spec(mk.WeightSpec.jacobi(-1.0, 1.0, 0.5, 0.5))])
+    K = _kernel(ws, (6, 6))
+    assert K.mp is not None
+    x, y = _random_points(ws, 200, 14)
+    vals = mk.kernel_eval(K, x, y)
+    [record] = K.mp.proxy.records
+    assert record["direct"] and record["tail"] > highprec.PROXY_TAIL
+    assert vals.tobytes() == K.mp.eval_direct(x, y).tobytes()
+
+
+def test_points_off_the_proxy_go_direct():
+    K = _kernel(_constant_nikishin(), (4, 4))
+    x = np.array([1.5, 2.5, 1.5, 1.5, 0.5, 1.2])
+    y = np.array([1.5, 1.5, 1.0, 2.0, 1.7, 1.3])  # x off the hull [1, 2], y on an end
+    mk.kernel_eval(K, 1.5, 1.5)
+    proxy, seen = K.mp.proxy, []
+    direct = proxy.direct
+    proxy.direct = lambda xs, ys: seen.append((xs.tolist(), ys.tolist())) or direct(xs, ys)
+    vals = mk.kernel_eval(K, x, y)
+    assert seen == [([2.5, 1.5, 1.5, 0.5], [1.5, 1.0, 2.0, 1.7])]
+    assert vals[[1, 2, 3, 4]].tobytes() == K.mp.eval_direct(x[[1, 2, 3, 4]],
+                                                            y[[1, 2, 3, 4]]).tobytes()
+    assert np.allclose(vals[[0, 5]], K.mp.eval_direct(x[[0, 5]], y[[0, 5]]), rtol=1e-14)
+
+
+def test_nested_quadrature_runs_once_per_proxy_node(monkeypatch):
+    # an exp_poly generator puts one inner mpmath.quad into every value of w_2
+    ws = mk.build_nikishin(mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 1.0]),
+                           [mk.WeightSpec.exp_poly(-1.0, 0.0, [0.0, 0.5])])
+    mt = mk.moment_table(ws, 12)
+    ts = mk.type1_mop(mt, (3, 3), method="mp")
+    K = mk.biorthogonalize(mk.block_hankel(mt, (3, 3)), ws, (3, 3))
+    assert K.mp is not None
+    calls, plain = [], mpmath.quad
+    monkeypatch.setattr(mpmath, "quad", lambda *a, **k: calls.append(1) or plain(*a, **k))
+    x, y = _random_points(ws, 400, 15)
+    for evaluate, owner in ((lambda: mk.kernel_eval(K, x, y), K.mp),
+                            (lambda: ts.q_values(y), ts)):
+        calls.clear()
+        evaluate()
+        nodes = sum(r["nodes"] for r in owner.proxy.records)
+        assert all("direct" not in r for r in owner.proxy.records)
+        assert 0 < len(calls) <= nodes < x.size

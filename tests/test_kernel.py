@@ -142,3 +142,18 @@ def test_mp_kernel_precision_from_own_condition(nikishin_ws):
     x, y = 1.3, 1.7
     assert mk.kernel_eval_bordered(M, nikishin_ws, nvec, x, y) == \
         pytest.approx(mk.kernel_eval(K, x, y), rel=1e-10)
+
+
+@pytest.mark.parametrize("nvec,rung", [((2, 1), "float"), ((4, 4), "mp")])
+def test_kernel_eval_broadcasts_scalar_x(nikishin_ws, nikishin_mt, nvec, rung):
+    K = _kernel(nikishin_mt, nikishin_ws, nvec)
+    assert ("mp" if K.mp is not None else "float") == rung
+    ys = [1.3, 1.6, 1.9]
+    vals = mk.kernel_eval(K, 1.5, ys)
+    assert vals.shape == (3,)
+    assert np.allclose(vals, [mk.kernel_eval(K, 1.5, y) for y in ys], rtol=1e-15, atol=0)
+    assert np.allclose(mk.kernel_eval(K, [[1.2], [1.5]], ys),
+                       [[mk.kernel_eval(K, x, y) for y in ys] for x in (1.2, 1.5)],
+                       rtol=1e-15, atol=0)
+    with pytest.raises(mk.ValidationError):
+        mk.kernel_eval(K, [1.2, 1.5], ys)

@@ -15,6 +15,13 @@ side; with two, the first file's change side with the second's.  Rows are
 ``workload mode metric old new delta ratio``; ``mode`` is ``untraced`` or
 ``traced``.  ``src_lines`` comes first, and each workload and mode starts
 with its ``correct`` and ``failed`` fields.
+
+    python3 tools/bench_diff.py BENCH_12.json --paired
+
+prints the file's ``paired`` section instead (written by
+``tools/bench_pairs.py``): per workload and end-to-end metric, the number of
+pairs, the parent and change medians with their quartiles, the ratio of the
+medians and the pairs the change wins.
 Uses the standard library only.
 """
 
@@ -61,14 +68,42 @@ def rows(old, new, workloads=None, metrics=None):
                     yield w, mode, m, am.get(m, {}).get("value"), bm.get(m, {}).get("value")
 
 
+def paired_rows(doc, workloads=None, metrics=None):
+    """(workload, metric, record) for each entry of the ``paired`` section."""
+    for w, rec in doc.get("paired", {}).items():
+        if workloads and w not in workloads:
+            continue
+        for m, r in rec["metrics"].items():
+            if not metrics or m in metrics:
+                yield w, m, r
+
+
+def print_paired(doc, workloads=None, metrics=None):
+    print(f"{'workload':9} {'metric':12} {'pairs':>5} {'parent [q1, q3]':>32} "
+          f"{'change [q1, q3]':>32} {'ratio':>7} {'wins':>5}")
+    for w, m, r in paired_rows(doc, workloads, metrics):
+        cells = [f"{_fmt(r[f'{s}_median'])} [{_fmt(r[f'{s}_quartiles'][0])}, "
+                 f"{_fmt(r[f'{s}_quartiles'][1])}]" for s in ("parent", "change")]
+        ratio = (f"{r['change_median'] / r['parent_median']:.3f}x" if r["parent_median"]
+                 else "-")
+        print(f"{w:9} {m:12} {r['pairs']:>5} {cells[0]:>32} {cells[1]:>32} {ratio:>7} "
+              f"{r['wins']:>5}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("files", nargs="+", help="one BENCH file, or two to compare")
     ap.add_argument("--workload", action="append", help="only this workload (repeatable)")
     ap.add_argument("--metric", action="append", help="only this metric (repeatable)")
+    ap.add_argument("--paired", action="store_true",
+                    help="print the paired medians of one BENCH file")
     args = ap.parse_args(argv)
-    if len(args.files) > 2:
-        ap.error("give one or two BENCH files")
+    if len(args.files) > 2 or (args.paired and len(args.files) != 1):
+        ap.error("give one or two BENCH files, or one with --paired")
+    if args.paired:
+        with open(args.files[0]) as fh:
+            print_paired(json.load(fh), args.workload, args.metric)
+        return 0
     label, old, new = sides(args.files)
     print(label)
     print(f"src_lines {_fmt(old.get('src_lines'))} -> {_fmt(new.get('src_lines'))}")
