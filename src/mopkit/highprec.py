@@ -21,7 +21,8 @@ keeps them on the table, so a degree sweep pays for its moments once per
 rung.  Everything else is shared with the float rung: the block Hankel
 matrices are ``mop._hankel_from`` and ``mop._type2_system``, the g-basis
 is ``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the
-systems are factored by the one LU in ``linalg``.
+systems are factored by the one LU in ``linalg``.  That LU and the
+tanh-sinh columns run on raw ``_mpf_`` tuples, bit for bit as mpf would.
 
 Evaluation answers from a ``ChebyshevProxy``: the kernel and the linear
 form are sampled once per support segment in mpmath, at Chebyshev nodes,
@@ -36,6 +37,7 @@ import math
 import mpmath
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import mpf_mul, mpf_sum
 from numpy.polynomial.chebyshev import chebvander
 
 from . import linalg
@@ -190,23 +192,25 @@ def _power_moments(fn, a, b, k_max: int):
     tanh-sinh levels evaluates ``fn`` once per node, each level advances one
     column w_i fn(x_i) x_i^k by a product per node and power (rounded, like
     quad's terms, at 20 guard bits), and each k stops at the level where
-    quad's error estimate stops it."""
+    quad's error estimate stops it.  Columns are raw ``_mpf_`` tuples, and
+    ``mpf_mul``/``mpf_sum`` round them as mpf products and ``mp.fsum`` do."""
     rule, prec, eps = mp._tanh_sinh, mp.prec, mp.eps / 8
     m = rule.guess_degree(prec)
     results = [[] for _ in range(k_max + 1)]
     open_ks = list(range(k_max + 1))
     with mp.extraprec(20):
+        wprec, rnd = mp._prec_rounding
         for degree in range(1, m + 1):
             h = mpmath.mpf(2) ** (-degree)
             nodes = rule.get_nodes(a, b, degree, prec)
-            xs = [x for x, _ in nodes]
-            col = [w * fn(x) for x, w in nodes]
+            xs = [x._mpf_ for x, _ in nodes]
+            col = [(w * fn(x))._mpf_ for x, w in nodes]
             for k in range(open_ks[-1] + 1):
                 if k > 0:
-                    col = [c * x for c, x in zip(col, xs)]
+                    col = [mpf_mul(c, x, wprec, rnd) for c, x in zip(col, xs)]
                 if k in open_ks:
                     S = results[k][-1] / (h * 2) if results[k] else mp.zero
-                    results[k].append(h * (S + mp.fsum(col)))
+                    results[k].append(h * (S + mp.make_mpf(mpf_sum(col, wprec, rnd))))
             if degree > 1:
                 open_ks = [k for k in open_ks
                            if rule.estimate_error(results[k], prec, eps) > eps]

@@ -10,11 +10,13 @@ solves:
   (the checked mpmath ladder of type II, type I and the kernel);
 * object arrays of ``fractions.Fraction`` stay exact (exact references).
 
-Object entries keep their type through every operation, so identities and
-unit diagonals are built from the entries themselves, never from integers
-(``int / int`` would turn an exact solve into a float one).  Matrices here
-are at most ~30 x 30, so plain row-loop elimination is more than fast
-enough.
+The entry type selects the loop.  Longdouble and Fraction arrays run numpy
+loops whose entries keep their type, so identities are built from the
+entries, never from integers (``int / int`` would make an exact solve a
+float one).  mpf arrays run the same loops on rows of raw ``_mpf_`` tuples
+through ``mpmath.libmp``: same pivot order, same rounding per operation, so
+mpf arithmetic's results bit for bit, and untouched entries keep their own
+precision.
 """
 
 from __future__ import annotations
@@ -38,6 +40,68 @@ def _identity(lu):
     return np.where(np.eye(lu.shape[0], dtype=bool), one, one - one)
 
 
+def _raw(a, force=False):
+    """Rows of raw ``_mpf_`` tuples of ``a``, None if it holds no mpf (unless
+    ``force``); other entries (the int zeros of ``np.triu``) convert exactly."""
+    if not force and (a.dtype != object or not any(hasattr(e, "_mpf_") for e in a.flat)):
+        return None
+    from mpmath import mp
+
+    return [[mp.convert(e)._mpf_ for e in row] for row in a]
+
+
+def _libmp():
+    """mpf rows from raw rows, and v - m u, x / d and |x| on raw tuples, each
+    rounded at the working precision as mpf arithmetic rounds it."""
+    from mpmath import mp
+    from mpmath.libmp import mpf_abs, mpf_div, mpf_mul, mpf_sub
+
+    prec, rnd = mp._prec_rounding
+    return (lambda rows: np.array([[mp.make_mpf(v) for v in r] for r in rows], dtype=object),
+            lambda m, u, v: [mpf_sub(y, mpf_mul(m, w, prec, rnd), prec, rnd)
+                             for w, y in zip(u, v)],
+            lambda x, d: mpf_div(x, d, prec, rnd), lambda x: mpf_abs(x, prec, rnd))
+
+
+def _mpf_lu(rows):
+    """The numpy loop of ``lu_factor`` on rows of raw tuples, op for op."""
+    from mpmath.libmp import fzero, mpf_gt
+
+    mpf_rows, axpy, div, absolute = _libmp()
+    n, piv, parity = len(rows), list(range(len(rows))), 1
+    for k in range(n - 1):
+        p = k
+        for i in range(k + 1, n):  # the first maximal |entry|, as np.argmax picks it
+            if mpf_gt(absolute(rows[i][k]), absolute(rows[p][k])):
+                p = i
+        if p != k:
+            rows[k], rows[p], piv[k], piv[p], parity = rows[p], rows[k], piv[p], piv[k], -parity
+        pivot, top = rows[k][k], rows[k][k + 1 :]
+        if pivot == fzero:
+            continue
+        for r in rows[k + 1 :]:
+            r[k] = div(r[k], pivot)
+            r[k + 1 :] = axpy(r[k], top, r[k + 1 :])
+    return mpf_rows(rows), np.array(piv), parity
+
+
+def _mpf_substitute(lu, x):
+    """The numpy loops of ``lu_solve`` on rows of raw tuples, op for op."""
+    from mpmath.libmp import fzero
+
+    mpf_rows, axpy, div, _ = _libmp()
+    for k in range(len(lu)):
+        for i in range(k + 1, len(lu)):
+            x[i] = axpy(lu[i][k], x[k], x[i])
+    for k in range(len(lu) - 1, -1, -1):
+        if lu[k][k] == fzero:
+            raise NumericError("singular matrix in lu_solve")
+        x[k] = [div(v, lu[k][k]) for v in x[k]]
+        for i in range(k):
+            x[i] = axpy(lu[i][k], x[k], x[i])
+    return mpf_rows(x)
+
+
 def lu_factor(a):
     """LU with partial pivoting, in the entry type of ``a`` (see module doc).
 
@@ -48,6 +112,9 @@ def lu_factor(a):
     n = lu.shape[0]
     if lu.shape != (n, n):
         raise NumericError("lu_factor expects a square matrix")
+    rows = _raw(lu)
+    if rows is not None:
+        return _mpf_lu(rows)
     piv = np.arange(n)
     parity = 1
     for k in range(n - 1):
@@ -72,11 +139,15 @@ def lu_det(lu, parity):
 def lu_solve(lu, piv, b):
     """Solve A x = b (b may be a vector or a matrix of columns)."""
     n = lu.shape[0]
-    x = _entries(b)
+    rows = _raw(lu)
+    x = _entries(b) if rows is None else np.asarray(b, dtype=object)
     one_d = x.ndim == 1
     if one_d:
         x = x[:, None]
     x = x[piv]
+    if rows is not None:
+        x = _mpf_substitute(rows, _raw(x, force=True))
+        return x[:, 0] if one_d else x
     for k in range(n):  # forward, unit lower triangle
         x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
     for k in range(n - 1, -1, -1):  # backward

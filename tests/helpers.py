@@ -12,6 +12,7 @@ import numpy as np
 
 from mopkit import linalg
 from mopkit.ensemble import g_matrix
+from mopkit.exceptions import NumericError
 from mopkit.mop import as_multi_index, _hankel_from
 from mopkit.quadrature import gauss_legendre
 from mopkit.weights import weight_quad
@@ -144,3 +145,68 @@ def cell_boundary_cdf_error(measure, cdf_fn):
     bounds = measure.grid + 0.5 * h
     discrete = np.cumsum(measure.masses)
     return float(np.abs(discrete - cdf_fn(bounds)).max())
+
+
+# ---------------------------------------------------------------------------
+# Reference elimination: numpy loops on object arrays, one mpf operation per
+# entry.  ``mopkit.linalg`` must match it bit for bit on mpf input.
+# ---------------------------------------------------------------------------
+
+def ref_lu_factor(a):
+    """Compact LU with partial pivoting (first maximal |entry|): (lu, piv, parity)."""
+    lu = np.array(a, dtype=object, copy=True)
+    n = lu.shape[0]
+    piv, parity = np.arange(n), 1
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            piv[[k, p]] = piv[[p, k]]
+            parity = -parity
+        pivot = lu[k, k]
+        if pivot == 0:
+            continue
+        lu[k + 1 :, k] /= pivot
+        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    return lu, piv, parity
+
+
+def ref_lu_solve(lu, piv, b):
+    n = lu.shape[0]
+    x = np.array(b, dtype=object, copy=True)
+    one_d = x.ndim == 1
+    if one_d:
+        x = x[:, None]
+    x = x[piv]
+    for k in range(n):
+        x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
+    for k in range(n - 1, -1, -1):
+        if lu[k, k] == 0:
+            raise NumericError("singular matrix in lu_solve")
+        x[k] /= lu[k, k]
+        x[:k] -= np.outer(lu[:k, k], x[k])
+    return x[:, 0] if one_d else x
+
+
+def _ref_identity(lu):
+    one = lu[0, 0] ** 0
+    return np.where(np.eye(lu.shape[0], dtype=bool), one, one - one)
+
+
+def ref_det(a):
+    lu, _, parity = ref_lu_factor(a)
+    return parity * np.prod(np.diagonal(lu))
+
+
+def ref_inverse(a):
+    lu, piv, _ = ref_lu_factor(a)
+    return ref_lu_solve(lu, piv, _ref_identity(lu))
+
+
+def ref_biorthogonal_pair(a):
+    lu, piv, _ = ref_lu_factor(a)
+    eye = _ref_identity(lu)
+    phi = ref_lu_solve(np.tril(lu, -1) + eye, piv, eye)
+    psi = ref_lu_solve(np.triu(lu), np.arange(len(lu)), eye).T
+    defect = float(np.max(np.abs(phi @ np.array(a, dtype=object) @ psi.T - eye)))
+    return phi, psi, defect

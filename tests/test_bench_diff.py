@@ -69,4 +69,42 @@ def test_paired_prints_medians_quartiles_and_wins(tmp_path, capsys):
     [row] = [line.split() for line in capsys.readouterr().out.splitlines()
              if line.startswith("ensemble")]
     assert row == ["ensemble", "wall_s", "5", "2", "[1.9,", "2.1]", "1.7", "[1.6,", "1.9]",
-                   "0.850x", "4"]
+                   "0.850x", "4", "same"]
+
+
+def _record(parent, change, better="lower"):
+    """The paired record of one metric "m" from its parent and change runs."""
+    spec = {"end_to_end": [{"name": "m", "better": better}]}
+    runs = {s: [{"correct": True, "failed": 0, "metrics": {"m": {"value": v}}} for v in vals]
+            for s, vals in (("parent", parent), ("change", change))}
+    return bench_pairs.summarize(runs, list(range(len(parent))), ["parent"] * len(parent),
+                                 spec)["metrics"]["m"]
+
+
+def test_paired_verdicts(tmp_path, capsys):
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+    gain = _record(parent, [v - 0.1 for v in parent[:9]] + [1.2])
+    assert (gain["wins"], gain["pairs"]) == (9, 10)
+    assert bench_diff.verdict(gain, 0.25) == "gain"
+    # 5 of 5 wins are too few pairs, 8 of 10 too few wins, however large the drop
+    assert bench_diff.verdict(_record(parent[:5], [0.5] * 5), 0.25) == "same"
+    assert bench_diff.verdict(_record(parent, [0.5] * 8 + [1.5] * 2), 0.25) == "same"
+    # 9 wins but a drop inside the parent's quartiles is not a gain either
+    assert bench_diff.verdict(_record(parent, [v - 0.005 for v in parent[:9]] + [1.2]),
+                              0.25) == "same"
+    assert bench_diff.verdict(_record(parent, [1.3] * 10), 0.25) == "worse"
+    assert bench_diff.verdict(_record(parent, [1.2] * 10), 0.25) == "same"
+    wide = _record([0.6, 0.8, 1.0, 1.2, 1.4], [1.0] * 5)
+    assert bench_diff.verdict(wide, 0.25) == "unresolved"
+    # a metric where higher is better
+    assert bench_diff.verdict(_record(parent, [v + 0.1 for v in parent], "higher"),
+                              0.25) == "gain"
+    assert bench_diff.verdict(_record(parent, [0.7] * 10, "higher"), 0.25) == "worse"
+    # main takes the bound from BENCHMARK.json: 0.25 for wall_s
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"paired": {"zeros": {"metrics": {
+        "wall_s": _record(parent, [1.3] * 10), "setup_s": _record(parent, [1.2] * 10)}}}}))
+    assert bench_diff.main([str(path), "--paired"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("zeros")]
+    assert [(row[1], row[-1]) for row in rows] == [("wall_s", "worse"), ("setup_s", "same")]

@@ -1,4 +1,6 @@
-"""The one LU elimination on its three entry types: longdouble, Fraction, mpf."""
+"""The one LU elimination on its three entry types: longdouble, Fraction, mpf.
+
+On mpf input it must reproduce ``helpers``' numpy loop on mpf objects bit for bit."""
 
 from fractions import Fraction
 
@@ -6,8 +8,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from mopkit import linalg
+import helpers
+import mopkit as mk
+from mopkit import highprec, linalg
 from mopkit.exceptions import NumericError
+from mopkit.mop import _hankel_from, as_multi_index
 
 LD = np.longdouble
 DPS = 50
@@ -91,3 +96,85 @@ def test_biorthogonal_pair_gram_identity(rung):
     tol = 100 * linalg.cond1(m.astype(float)) * eps
     assert defect <= tol
     assert np.max(np.abs(gram - np.eye(n))) <= tol
+
+
+# -- the mpf path against the numpy loop on mpf objects, bit for bit ---------
+
+def _hankel(name, parts, rows_dps):
+    """Block Hankel moment matrix from ``highprec.moment_rows`` at ``rows_dps``."""
+    C = mk.WeightSpec.constant
+    ws = {"angelesco": lambda: mk.build_angelesco([C(-1.0, 0.0), C(0.0, 1.0)]),
+          "legendre": lambda: mk.build_angelesco([C(-1.0, 1.0)]),
+          "nikishin": lambda: mk.build_nikishin(C(1.0, 2.0), [C(-1.0, 0.0)])}[name]()
+    nvec = as_multi_index(parts)
+    with mpmath.mp.workdps(rows_dps):
+        rows = highprec.moment_rows(ws, nvec.n + max(nvec.parts))
+    return _hankel_from(rows, nvec, nvec.n)
+
+
+def _raw(x):
+    """``_mpf_`` of every entry (ints as they are), with the shape."""
+    return np.shape(x), [getattr(v, "_mpf_", v) for v in np.ravel(np.asarray(x, dtype=object))]
+
+
+def _same_as_reference(a):
+    """Every mpf entry point of ``linalg`` against ``helpers``, ``_mpf_`` for ``_mpf_``."""
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except NumericError:
+            return NumericError
+
+    lu, piv, parity = linalg.lu_factor(a)
+    ref_lu, ref_piv, ref_parity = helpers.ref_lu_factor(a)
+    assert _raw(lu) == _raw(ref_lu)
+    assert list(piv) == list(ref_piv) and parity == ref_parity
+    for b in (a[:, -1], a[::-1, :2], a.T):  # 1, 2 and n columns
+        x, ref_x = outcome(linalg.lu_solve, lu, piv, b), outcome(helpers.ref_lu_solve, lu, piv, b)
+        assert x is ref_x is NumericError or _raw(x) == _raw(ref_x)
+    assert _raw(linalg.det(a)) == _raw(helpers.ref_det(a))
+    inv, ref_inv = outcome(linalg.inverse, a), outcome(helpers.ref_inverse, a)
+    assert inv is ref_inv is NumericError or _raw(inv) == _raw(ref_inv)
+    pair = outcome(linalg.biorthogonal_pair, a)
+    ref_pair = outcome(helpers.ref_biorthogonal_pair, a)
+    if pair is ref_pair is NumericError:
+        return
+    assert [_raw(m) for m in pair[:2]] == [_raw(m) for m in ref_pair[:2]]
+    assert pair[2] == ref_pair[2]
+
+
+HANKELS = [("angelesco", (3, 3)), ("legendre", (30,)), ("nikishin", (8, 8))]
+
+
+@pytest.mark.parametrize("name,parts", HANKELS)
+@pytest.mark.parametrize("rows_dps,dps", [(20, 20), (50, 50), (110, 110), (64, 50)])
+def test_mpf_path_matches_object_loop_bit_for_bit(name, parts, rows_dps, dps):
+    a = _hankel(name, parts, rows_dps)
+    with mpmath.mp.workdps(dps):
+        _same_as_reference(a)
+
+
+def test_mpf_path_on_singular_triu_and_ties_matches_object_loop():
+    with mpmath.mp.workdps(DPS):
+        singular = np.vectorize(_to_mpf, otypes=[object])(np.array(SINGULAR, dtype=object))
+        _same_as_reference(singular)
+        upper = np.triu(_hankel("angelesco", (3, 3), DPS))
+        assert any(type(v) is int for v in upper.flat)
+        _same_as_reference(upper)
+        ties = np.array([[mpmath.mpf(v) for v in row]
+                         for row in ([1, 2, 3], [-1, 5, 1], [1, 1, 2])], dtype=object)
+        _same_as_reference(ties)
+
+
+def test_every_solve_factors_through_the_module_lu_factor(monkeypatch):
+    calls, mpf_calls = [], []
+    plain, plain_mpf = linalg.lu_factor, linalg._mpf_lu
+    monkeypatch.setattr(linalg, "lu_factor", lambda a: calls.append(1) or plain(a))
+    monkeypatch.setattr(linalg, "_mpf_lu", lambda rows: mpf_calls.append(1) or plain_mpf(rows))
+    with mpmath.mp.workdps(DPS):
+        a = _hankel("angelesco", (2, 2), DPS)
+        linalg.solve(a, a[:, 0])
+        linalg.det(a)
+        linalg.inverse(a)
+        linalg.biorthogonal_pair(a)
+    assert len(calls) == len(mpf_calls) == 4

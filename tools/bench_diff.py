@@ -21,7 +21,18 @@ with its ``correct`` and ``failed`` fields.
 prints the file's ``paired`` section instead (written by
 ``tools/bench_pairs.py``): per workload and end-to-end metric, the number of
 pairs, the parent and change medians with their quartiles, the ratio of the
-medians and the pairs the change wins.
+medians, the pairs the change wins and a verdict against the metric's
+relative ``bound`` in the repository's ``BENCHMARK.json``:
+
+* ``gain``: over at least 10 pairs, the change wins at least 9 of 10, and
+  its median is better than the parent's by more than the parent's
+  interquartile range;
+* ``worse``: the change median is worse than the parent's by more than the
+  bound, relative to the parent's median;
+* ``unresolved``: the parent's interquartile range exceeds the bound,
+  relative to its median, so the runs spread too widely to tell;
+* ``same``: none of these.
+
 Uses the standard library only.
 """
 
@@ -30,8 +41,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 MODES = ("untraced", "traced")
+SPEC = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def sides(paths):
@@ -78,16 +91,32 @@ def paired_rows(doc, workloads=None, metrics=None):
                 yield w, m, r
 
 
-def print_paired(doc, workloads=None, metrics=None):
+def verdict(rec, bound):
+    """``gain``, ``worse``, ``unresolved`` or ``same`` for one paired record
+    (see the module doc); ``-`` without a bound or with a zero parent median."""
+    sign = 1 if rec["better"] == "lower" else -1
+    old, new = rec["parent_median"], rec["change_median"]
+    iqr = rec["parent_quartiles"][1] - rec["parent_quartiles"][0]
+    if rec["pairs"] >= 10 and 10 * rec["wins"] >= 9 * rec["pairs"] and sign * (old - new) > iqr:
+        return "gain"
+    if bound is None or not old:
+        return "-"
+    if sign * (new - old) / abs(old) > bound:
+        return "worse"
+    return "unresolved" if iqr / abs(old) > bound else "same"
+
+
+def print_paired(doc, workloads=None, metrics=None, spec=None):
+    bounds = {m["name"]: m.get("bound") for m in (spec or {}).get("end_to_end", [])}
     print(f"{'workload':9} {'metric':12} {'pairs':>5} {'parent [q1, q3]':>32} "
-          f"{'change [q1, q3]':>32} {'ratio':>7} {'wins':>5}")
+          f"{'change [q1, q3]':>32} {'ratio':>7} {'wins':>5} {'verdict':>10}")
     for w, m, r in paired_rows(doc, workloads, metrics):
         cells = [f"{_fmt(r[f'{s}_median'])} [{_fmt(r[f'{s}_quartiles'][0])}, "
                  f"{_fmt(r[f'{s}_quartiles'][1])}]" for s in ("parent", "change")]
         ratio = (f"{r['change_median'] / r['parent_median']:.3f}x" if r["parent_median"]
                  else "-")
         print(f"{w:9} {m:12} {r['pairs']:>5} {cells[0]:>32} {cells[1]:>32} {ratio:>7} "
-              f"{r['wins']:>5}")
+              f"{r['wins']:>5} {verdict(r, bounds.get(m)):>10}")
 
 
 def main(argv=None):
@@ -101,8 +130,8 @@ def main(argv=None):
     if len(args.files) > 2 or (args.paired and len(args.files) != 1):
         ap.error("give one or two BENCH files, or one with --paired")
     if args.paired:
-        with open(args.files[0]) as fh:
-            print_paired(json.load(fh), args.workload, args.metric)
+        with open(args.files[0]) as fh, open(SPEC) as spec:
+            print_paired(json.load(fh), args.workload, args.metric, json.load(spec))
         return 0
     label, old, new = sides(args.files)
     print(label)
