@@ -37,6 +37,7 @@ with the same config and seed give byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -104,21 +105,25 @@ def _spec_from_entry(entry, where, diags):
     if (not isinstance(iv, (list, tuple))) or len(iv) != 2:
         diags.error(f"{where}: interval must be [a, b]")
         return None
+    if fam == "jacobi":
+        nums = [params.get("alpha", 0.0), params.get("beta", 0.0)]
+    else:
+        nums = params.get("coeffs", []) if fam == "exp_poly" else []
+    if not (isinstance(nums, list) and all(map(_is_real, [*iv, *nums]))):
+        diags.error(f"{where}: interval ends and params must be numbers")
+        return None
+    a, b = float(iv[0]), float(iv[1])
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        diags.error(f"{where}: empty or non-finite interval [{a}, {b}]")
+        return None
     try:
-        a, b = float(iv[0]), float(iv[1])
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            diags.error(f"{where}: empty or non-finite interval [{a}, {b}]")
-            return None
         if fam == "constant":
             return weights.WeightSpec.constant(a, b)
         if fam == "jacobi":
-            return weights.WeightSpec.jacobi(a, b, float(params.get("alpha", 0.0)),
-                                             float(params.get("beta", 0.0)))
-        return weights.WeightSpec.exp_poly(a, b, params.get("coeffs", ()))
+            return weights.WeightSpec.jacobi(a, b, float(nums[0]), float(nums[1]))
+        return weights.WeightSpec.exp_poly(a, b, nums)
     except MopkitError as exc:
         diags.error(f"{where}: {exc}")
-    except (TypeError, ValueError, OverflowError):
-        diags.error(f"{where}: interval ends and params must be numbers")
     return None
 
 
@@ -344,13 +349,12 @@ class Manifest:
 # commands
 # ---------------------------------------------------------------------------
 
-def _moment_table_for(ws, nvec, cfg):
+def _moment_table_for(ws, nvec):
     pad = max(nvec.parts)
-    return weights.moment_table(ws, nvec.n + max(pad, nvec.n - 1) + 1,
-                                cfg.get("moment_tol", 1e-12))
+    return weights.moment_table(ws, nvec.n + max(pad, nvec.n - 1) + 1)
 
 
-def _multi_index(cfg, ws):
+def _multi_index(cfg):
     nv = cfg.get("multi_index")
     if nv is None:
         raise ValidationError("this command needs a multi_index in the config")
@@ -370,8 +374,8 @@ def _poly_record(P, nvec, det, residual_max):
 
 def cmd_mop(cfg, out, man, quiet):
     ws = build_system(cfg)
-    nvec = _multi_index(cfg, ws)
-    mt = _moment_table_for(ws, nvec, cfg)
+    nvec = _multi_index(cfg)
+    mt = _moment_table_for(ws, nvec)
     man.step("moments")
     P = mop.type2_mop(mt, nvec)
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
@@ -392,8 +396,8 @@ def cmd_mop(cfg, out, man, quiet):
 
 def cmd_typeI(cfg, out, man, quiet):
     ws = build_system(cfg)
-    nvec = _multi_index(cfg, ws)
-    mt = _moment_table_for(ws, nvec, cfg)
+    nvec = _multi_index(cfg)
+    mt = _moment_table_for(ws, nvec)
     man.step("moments")
     ts = mop.type1_mop(mt, nvec)
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
@@ -419,7 +423,7 @@ def cmd_typeI(cfg, out, man, quiet):
     return 0
 
 
-def _grid_points(cfg, ws, m):
+def _grid_points(ws, m):
     hull = ws.support_hull()
     return np.linspace(hull.a, hull.b, m)
 
@@ -434,11 +438,11 @@ def _biorthogonalized(man, K):
 
 def cmd_kernel(cfg, out, man, quiet):
     ws = build_system(cfg)
-    nvec = _multi_index(cfg, ws)
-    mt = _moment_table_for(ws, nvec, cfg)
+    nvec = _multi_index(cfg)
+    mt = _moment_table_for(ws, nvec)
     K = ensemble.biorthogonalize(mop.block_hankel(mt, nvec), ws, nvec)
     m = int(cfg.get("grid", 100))
-    xs = _grid_points(cfg, ws, m)
+    xs = _grid_points(ws, m)
     text = list(map(repr, xs.tolist()))  # the grid, formatted once for all m blocks
     blocks = (([text[i]] * m, text, ensemble.kernel_eval(K, np.full(m, x), xs))
               for i, x in enumerate(xs))
@@ -453,11 +457,11 @@ def cmd_kernel(cfg, out, man, quiet):
 
 def cmd_density(cfg, out, man, quiet):
     ws = build_system(cfg)
-    nvec = _multi_index(cfg, ws)
-    mt = _moment_table_for(ws, nvec, cfg)
+    nvec = _multi_index(cfg)
+    mt = _moment_table_for(ws, nvec)
     K = ensemble.biorthogonalize(mop.block_hankel(mt, nvec), ws, nvec)
     m = int(cfg.get("grid", 400))
-    xs = _grid_points(cfg, ws, m)
+    xs = _grid_points(ws, m)
     dens = ensemble.mean_density(K, xs)
     _biorthogonalized(man, K)
     path = Path(out) / "density.csv"
@@ -469,20 +473,18 @@ def cmd_density(cfg, out, man, quiet):
 
 
 def _sampler_config(cfg, seed):
-    sc = dict(cfg.get("sampler", {}))
-    sc.setdefault("samples", 100_000)
-    sc.setdefault("chains", 128)
-    sc.setdefault("burn_in", 10_000)
-    sc.setdefault("thinning", 10)
-    sc.setdefault("step_scale", 0.1)
-    return sampling.SamplerConfig(samples=int(sc["samples"]), chains=int(sc["chains"]),
-                                  burn_in=int(sc["burn_in"]), thinning=int(sc["thinning"]),
-                                  step_scale=float(sc["step_scale"]), seed=seed)
+    """The config's sampler block over the ``SamplerConfig`` defaults."""
+    sc = cfg.get("sampler", {})
+    knobs = {k: int(sc[k]) for k in ("samples", "chains", "burn_in", "thinning")
+             if sc.get(k) is not None}
+    if sc.get("step_scale") is not None:
+        knobs["step_scale"] = float(sc["step_scale"])
+    return sampling.SamplerConfig(seed=seed, **knobs)
 
 
 def cmd_sample(cfg, out, man, quiet):
     ws = build_system(cfg)
-    nvec = _multi_index(cfg, ws)
+    nvec = _multi_index(cfg)
     seed = int(cfg.get("seed", 0))
     batch = sampling.sample_mcmc(ws, nvec, _sampler_config(cfg, seed))
     man.step("mcmc")
@@ -516,7 +518,7 @@ def _z_list(cfg):
 
 def cmd_verify(cfg, out, man, quiet):
     ws = build_system(cfg)
-    nvec = _multi_index(cfg, ws)
+    nvec = _multi_index(cfg)
     vcfg = cfg.get("verify", {})
     seed = int(cfg.get("seed", 0))
     multiple = float(vcfg.get("stderr_multiple", 3.0))
@@ -529,7 +531,7 @@ def cmd_verify(cfg, out, man, quiet):
                               "nonzero": rep.nonzero}})
     man.step("sign_constancy")
 
-    mt = _moment_table_for(ws, nvec, cfg)
+    mt = _moment_table_for(ws, nvec)
     K = ensemble.biorthogonalize(mop.block_hankel(mt, nvec), ws, nvec)
     trace = ensemble.kernel_trace(K)
     checks.append({"name": "kernel_trace", "passed": abs(trace - nvec.n) < 1e-8,
@@ -546,11 +548,8 @@ def cmd_verify(cfg, out, man, quiet):
                                   "sign": mrep.sign}})
         man.step("marginalization")
 
-    scfg = _sampler_config(cfg, seed)
-    scfg = sampling.SamplerConfig(samples=int(vcfg.get("samples", 20_000)),
-                                  chains=scfg.chains, burn_in=scfg.burn_in,
-                                  thinning=scfg.thinning, step_scale=scfg.step_scale,
-                                  seed=seed)
+    scfg = dataclasses.replace(_sampler_config(cfg, seed),
+                               samples=int(vcfg.get("samples", 20_000)))
     batch = sampling.sample_mcmc(ws, nvec, scfg)
     P = mop.type2_mop(mt, nvec)
     worst = 0.0
@@ -629,7 +628,7 @@ def cmd_compare(cfg, out, man, quiet):
         prob, max_iter=int(ecfg.get("max_iter", 4000)))
     man.step("equilibrium")
     kmax = 2 * max(totals) + 2
-    mt = weights.moment_table(ws, kmax, cfg.get("moment_tol", 1e-12))
+    mt = weights.moment_table(ws, kmax)
     man.step("moments")
     rows = []
     for n in totals:

@@ -1,11 +1,14 @@
 """Determinantal ensembles attached to a weight system.
 
 The joint density is proportional to det[f_j(x_k)] det[g_j(x_k)] with
-f_j = x^(j-1) and g-basis rows x^(i-1) w_j(x).  This module evaluates the
-generic density, its Angelesco-factored and Nikishin-extended forms, checks
-the constant-sign condition numerically, and builds the biorthogonalized
-correlation kernel together with Monte Carlo estimators of the expectation
-identities for the type I and type II polynomials.
+f_j = x^(j-1) and g-basis rows x^(i-1) w_j(x).  Each of its three forms
+(the generic determinant product, the Angelesco block factorization and
+the extended Nikishin (X, Y) density) is implemented once, as a batched log
+density of ``_Target``; the public density functions evaluate it at one
+configuration and the sampler in ``sampling`` walks it.  The module also
+checks the constant-sign condition numerically, and builds the
+biorthogonalized correlation kernel together with Monte Carlo estimators of
+the expectation identities for the type I and type II polynomials.
 """
 
 from __future__ import annotations
@@ -108,24 +111,16 @@ def delta_cross(X, Y) -> float:
 # Determinants and densities
 # ---------------------------------------------------------------------------
 
-def g_determinant(ws: WeightSystem, nvec, X) -> float:
-    """det[g_j(x_k)]; exactly zero when two points coincide."""
-    nvec = as_multi_index(nvec)
-    X = np.asarray(X, dtype=float)
-    if X.size != nvec.n:
-        raise ValidationError(f"need {nvec.n} points, got {X.size}")
-    if np.unique(X).size < X.size:
-        return 0.0
-    return float(np.linalg.det(g_matrix(ws, nvec, X).T))
+def g_stack(ws: WeightSystem, nvec, Xs, center=0.0, half_width=1.0):
+    """Stacked matrices [g_j(x_k)] for configurations Xs (T, n): shape
+    (T, n, n), g-basis rows by point columns.
 
-
-def _batched_g_stack(ws, nvec, Xs, center=0.0, half_width=1.0):
-    """Stacked matrices [g_j(x_k)] with hull-rescaled monomial rows.
-
-    Replacing x^i by ((x - c)/s)^i multiplies the determinant by a positive
-    constant, so signs are unchanged while the scale stays sane on shifted
-    intervals.
+    The monomial rows are taken in hull-rescaled form ((x - c)/s)^i, which
+    multiplies each determinant by a positive constant, so signs are kept
+    while the scale stays sane on shifted intervals; the defaults leave
+    them as x^i.
     """
+    nvec = as_multi_index(nvec)
     T, n = Xs.shape
     G = np.empty((T, n, n))
     Ts = (Xs - center) / half_width
@@ -142,12 +137,101 @@ def _batched_g_stack(ws, nvec, Xs, center=0.0, half_width=1.0):
     return G
 
 
-def _batched_g_dets(ws, nvec, Xs, center=0.0, half_width=1.0):
-    """Determinant signs/values for a stack of configurations (T, n)."""
-    G = _batched_g_stack(ws, nvec, Xs, center, half_width)
-    dets = np.linalg.det(G)
-    scale = np.prod(np.linalg.norm(G, axis=2), axis=1)
-    return G, dets, scale
+def g_determinant(ws: WeightSystem, nvec, X) -> float:
+    """det[g_j(x_k)]; exactly zero when two points coincide."""
+    nvec = as_multi_index(nvec)
+    X = np.asarray(X, dtype=float)
+    if X.size != nvec.n:
+        raise ValidationError(f"need {nvec.n} points, got {X.size}")
+    if np.unique(X).size < X.size:
+        return 0.0
+    return float(np.linalg.det(g_stack(ws, nvec, X[None])[0].T))
+
+
+def _log_det_form(ws, nvec, Xs):
+    """log |det f * det g| for a stack of configurations (C, n): det f as the
+    Vandermonde product, det g by batched slogdet in the (point, basis)
+    orientation of ``g_determinant``; -inf where either vanishes."""
+    lf = 0.0
+    with np.errstate(divide="ignore"):
+        for s in range(1, Xs.shape[1]):  # the pairs s apart
+            lf = lf + np.log(np.abs(Xs[:, s:] - Xs[:, :-s])).sum(axis=1)
+    sg, lg = np.linalg.slogdet(np.swapaxes(g_stack(ws, nvec, Xs), 1, 2))
+    return np.where(sg == 0, -np.inf, lg + lf)
+
+
+class _Target:
+    """One density form as a batched log density: coordinate layout plus
+    incremental log-density pieces.  Terms are log-absolute values, which
+    survive the hundreds of orders of magnitude of squared Vandermonde
+    factors; a move tests a constant weight's support instead of evaluating
+    it (0 inside, -inf outside) and sums the Vandermonde change in one
+    matvec with the coupling row."""
+
+    def __init__(self, ws: WeightSystem, nvec):
+        nvec = as_multi_index(nvec)
+        self.ws = ws
+        self.nvec = nvec
+        self.n = nvec.n
+        if ws.kind == "nikishin" and ws.p == 2:
+            self.kind = "nikishin"
+            n1, n2 = nvec.parts
+            if n1 < n2 - 1:
+                raise ValidationError("extended Nikishin sampling needs n_1 >= n_2 - 1")
+            self.n_ext = n2
+            self.ncoord = self.n + n2
+            self.intervals = [ws.intervals[0]] * self.n + [ws.intervals[1]] * n2
+            self.coord_weight = [ws.weights[0]] * self.n + [ws.generators[0]] * n2
+            part = np.asarray([0] * self.n + [1] * n2)
+            self.mult = np.where(part[:, None] == part[None, :], 2.0, -1.0)
+        elif ws.kind == "angelesco" or ws.p == 1:
+            self.kind = "factored"
+            self.n_ext = 0
+            self.ncoord = self.n
+            block = np.repeat(np.arange(len(nvec.parts)), nvec.parts)
+            self.intervals = [ws.intervals[j] for j in block]
+            self.coord_weight = [ws.weights[j] for j in block]
+            self.mult = np.where(block[:, None] == block[None, :], 2.0, 1.0)
+        else:
+            self.kind = "general"
+            self.n_ext = 0
+            self.ncoord = self.n
+            hull = ws.support_hull()
+            self.intervals = [hull] * self.n
+            self.coord_weight = [None] * self.n
+            self.mult = None
+        if self.mult is not None:
+            np.fill_diagonal(self.mult, 0.0)
+
+    # -- full log density (init checks and the general path) ---------------
+
+    def log_density(self, state):
+        """log of the unnormalized density for a stack of states (C, ncoord)."""
+        if self.kind == "general":
+            return _log_det_form(self.ws, self.nvec, state)
+        logp = np.zeros(state.shape[0])
+        for i in range(self.ncoord):
+            w = self.coord_weight[i]
+            logp += w.log_values(state[:, i])
+            for k in range(i + 1, self.ncoord):
+                d = np.abs(state[:, i] - state[:, k])
+                with np.errstate(divide="ignore"):
+                    logp += self.mult[i, k] * np.log(d)
+        return logp
+
+    def move(self, state, idx, prop):
+        """Change in log density when coordinate idx moves to prop (per chain).
+        -inf rejects, and so does NaN (out of support plus coincidence across
+        the Nikishin gap): u < NaN is false."""
+        w = self.coord_weight[idx]
+        if w.ratio is None and w.spec.family == "constant":
+            iv = w.support
+            dlog = np.where((iv.a <= prop) & (prop <= iv.b), 0.0, -np.inf)
+        else:
+            dlog = w.log_values(prop) - w.log_values(state[:, idx])
+        dv = np.log(np.abs(prop[:, None] - state)) - np.log(np.abs(state[:, idx, None] - state))
+        dv[:, idx] = 0.0
+        return dlog + dv @ self.mult[idx]
 
 
 @dataclass(frozen=True)
@@ -181,7 +265,9 @@ def sign_constancy_check(ws: WeightSystem, nvec, trials: int, seed: int = 0) -> 
     los = np.asarray([s[0] for s in segs])
     Xs = np.sort(los[pick] + u * lengths[pick], axis=1)
     hull = ws.support_hull()
-    G, dets, scale = _batched_g_dets(ws, nvec, Xs, hull.mid, 0.5 * hull.length)
+    G = g_stack(ws, nvec, Xs, hull.mid, 0.5 * hull.length)
+    dets = np.linalg.det(G)
+    scale = np.prod(np.linalg.norm(G, axis=2), axis=1)
     ambiguous = np.abs(dets) <= 1e-13 * scale
     for idx in np.nonzero(ambiguous)[0]:
         lu, _, parity = linalg.lu_factor(G[idx])
@@ -205,9 +291,9 @@ def joint_density(ws: WeightSystem, nvec, X, normalization: float | None = None)
     """
     nvec = as_multi_index(nvec)
     X = np.asarray(X, dtype=float)
-    detf = _vandermonde_product(X)
-    detg = g_determinant(ws, nvec, X)
-    value = abs(detf * detg)
+    if X.size != nvec.n:
+        raise ValidationError(f"need {nvec.n} points, got {X.size}")
+    value = float(np.exp(_log_det_form(ws, nvec, X[None])[0]))
     if normalization is None:
         return value
     if normalization == 0.0:
@@ -215,44 +301,22 @@ def joint_density(ws: WeightSystem, nvec, X, normalization: float | None = None)
     return value / abs(normalization)
 
 
-def _partition_points(ws, nvec, X):
-    """Assign points to intervals; None when block counts do not match."""
-    blocks = [[] for _ in range(ws.p)]
-    for x in np.asarray(X, dtype=float):
-        for j, iv in enumerate(ws.intervals):
-            if iv.contains(x):
-                blocks[j].append(x)
-                break
-        else:
-            return None
-    for j, nj in enumerate(nvec.parts):
-        if len(blocks[j]) != nj:
-            return None
-    return [np.sort(np.asarray(b)) for b in blocks]
-
-
 def angelesco_density(ws: WeightSystem, nvec, X) -> float:
     """Block-factored Angelesco density (unnormalized).
 
-    Zero unless exactly n_j points lie in Gamma_j.  Equals
-    ``joint_density(ws, nvec, X)`` pointwise: the cross factors are taken in
-    interval order (later block minus earlier block), which is the exact
-    factorization of the determinant product.
+    Zero unless exactly n_j points lie in Gamma_j: the sorted points fill
+    the blocks in interval order.  Equals ``joint_density(ws, nvec, X)``
+    pointwise: within a block the squared Vandermonde, across blocks the
+    cross differences, which is the exact factorization of the determinant
+    product.
     """
     nvec = as_multi_index(nvec)
     if ws.kind != "angelesco":
         raise ValidationError("angelesco_density needs an Angelesco system")
-    blocks = _partition_points(ws, nvec, X)
-    if blocks is None:
+    X = np.sort(np.asarray(X, dtype=float))
+    if X.size != nvec.n:
         return 0.0
-    value = 1.0
-    for j, pts in enumerate(blocks):
-        value *= _vandermonde_product(pts) ** 2
-        value *= float(np.prod(ws.weights[j].values(pts))) if pts.size else 1.0
-    for i in range(ws.p):
-        for j in range(i + 1, ws.p):
-            value *= delta_cross(blocks[j], blocks[i])
-    return value
+    return float(np.exp(_Target(ws, nvec).log_density(X[None])[0]))
 
 
 def nikishin_extended_density(ws: WeightSystem, nvec, X, Y) -> float:
@@ -278,18 +342,7 @@ def nikishin_extended_density(ws: WeightSystem, nvec, X, Y) -> float:
         raise ValidationError(f"need {nvec.n} x-points and {n2} y-points")
     if np.any(~((X >= g1.a) & (X <= g1.b))) or (Y.size and np.any(~((Y >= g2.a) & (Y <= g2.b)))):
         return 0.0
-    w1 = ws.weights[0]
-    v = ws.generators[0]
-    value = float(np.prod(w1.values(X)))
-    if Y.size:
-        value *= float(np.prod(v.values(Y)))
-    value *= _vandermonde_product(X) ** 2 * _vandermonde_product(Y) ** 2
-    if Y.size:
-        cross = delta_cross(X, Y)
-        if cross == 0.0:
-            return np.inf
-        value /= abs(cross)
-    return value
+    return float(np.exp(_Target(ws, nvec).log_density(np.concatenate([X, Y])[None])[0]))
 
 
 def cauchy_vandermonde_det(X, Y, n1: int) -> float:
@@ -526,9 +579,6 @@ class MCEstimate:
     stderr: float
     n: int
     ess: float
-
-    def deviation(self, target) -> float:
-        return abs(self.value - target)
 
 
 def _estimate(values, ess):

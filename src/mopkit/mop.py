@@ -207,9 +207,6 @@ class DetReport:
     det: float
     condition: float
 
-    def __float__(self):
-        return self.det
-
 
 def _require_order(mt: MomentTable, order: int):
     if mt.k_max < order:

@@ -1,19 +1,16 @@
 """Metropolis sampling of MOP ensembles.
 
 Random-walk Metropolis over configurations, vectorized across many
-independent chains.  Log densities are evaluated incrementally per
-coordinate with sign-free log-absolute terms, which survives the hundreds of
-orders of magnitude spanned by squared Vandermonde factors.  On the factored
-and extended Nikishin targets a move tests a constant weight's support instead
-of evaluating it (0 inside, -inf outside) and sums the Vandermonde change in
-one matvec with the coupling row.
-
-Three targets are supported:
+independent chains.  The target densities are those of ``ensemble._Target``,
+the one implementation of each ensemble density form:
 
 * factored block form for Angelesco systems (and the p = 1 OP case), with
   the block assignment of coordinates to intervals held fixed,
 * the extended (X, Y) density for Nikishin systems with two weights,
 * the generic |det f * det g| via batched slogdet for other systems.
+
+This module only walks them: on the first two a move takes the target's
+incremental log-density change, on the general one the full log density.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import f_matrix, g_matrix, sign_constancy_check
+from .ensemble import _Target, sign_constancy_check
 from .exceptions import NumericError, ValidationError
 from .mop import as_multi_index
 from .weights import WeightSystem
@@ -68,94 +65,6 @@ class SampleBatch:
     seed: int
     kind: str
     step_sizes: tuple | None = None
-
-
-class _Target:
-    """Coordinate layout plus incremental log-density pieces."""
-
-    def __init__(self, ws: WeightSystem, nvec):
-        nvec = as_multi_index(nvec)
-        self.ws = ws
-        self.nvec = nvec
-        self.n = nvec.n
-        if ws.kind == "nikishin" and ws.p == 2:
-            self.kind = "nikishin"
-            n1, n2 = nvec.parts
-            if n1 < n2 - 1:
-                raise ValidationError("extended Nikishin sampling needs n_1 >= n_2 - 1")
-            self.n_ext = n2
-            self.ncoord = self.n + n2
-            self.intervals = [ws.intervals[0]] * self.n + [ws.intervals[1]] * n2
-            self.coord_weight = [ws.weights[0]] * self.n + [ws.generators[0]] * n2
-            part = np.asarray([0] * self.n + [1] * n2)
-            self.mult = np.where(part[:, None] == part[None, :], 2.0, -1.0)
-        elif ws.kind == "angelesco" or ws.p == 1:
-            self.kind = "factored"
-            self.n_ext = 0
-            self.ncoord = self.n
-            self.intervals = []
-            self.coord_weight = []
-            block = np.empty(self.n, dtype=int)
-            pos = 0
-            for j, nj in enumerate(nvec.parts):
-                for _ in range(nj):
-                    self.intervals.append(ws.intervals[j])
-                    self.coord_weight.append(ws.weights[j])
-                    block[pos] = j
-                    pos += 1
-            self.mult = np.where(block[:, None] == block[None, :], 2.0, 1.0)
-        else:
-            self.kind = "general"
-            self.n_ext = 0
-            self.ncoord = self.n
-            hull = ws.support_hull()
-            self.intervals = [hull] * self.n
-            self.coord_weight = [None] * self.n
-            self.mult = None
-        if self.mult is not None:
-            np.fill_diagonal(self.mult, 0.0)
-
-    # -- full log density (init checks and the general path) ---------------
-
-    def log_density(self, state):
-        """log of the unnormalized density for a stack of states (C, ncoord)."""
-        C = state.shape[0]
-        if self.kind == "general":
-            X = state
-            G = np.transpose(
-                g_matrix(self.ws, self.nvec, X.ravel()).reshape(self.n, C, self.n),
-                (1, 0, 2),
-            )
-            sg, lg = np.linalg.slogdet(G)
-            F = np.transpose(
-                f_matrix(self.n, X.ravel()).reshape(self.n, C, self.n), (1, 0, 2)
-            )
-            sf, lf = np.linalg.slogdet(F)
-            out = np.where(sg * sf == 0, -np.inf, lg + lf)
-            return out
-        logp = np.zeros(C)
-        for i in range(self.ncoord):
-            w = self.coord_weight[i]
-            logp += w.log_values(state[:, i])
-            for k in range(i + 1, self.ncoord):
-                d = np.abs(state[:, i] - state[:, k])
-                with np.errstate(divide="ignore"):
-                    logp += self.mult[i, k] * np.log(d)
-        return logp
-
-    def move(self, state, idx, prop):
-        """Change in log density when coordinate idx moves to prop (per chain).
-        -inf rejects, and so does NaN (out of support plus coincidence across
-        the Nikishin gap): u < NaN is false."""
-        w = self.coord_weight[idx]
-        if w.ratio is None and w.spec.family == "constant":
-            iv = w.support
-            dlog = np.where((iv.a <= prop) & (prop <= iv.b), 0.0, -np.inf)
-        else:
-            dlog = w.log_values(prop) - w.log_values(state[:, idx])
-        dv = np.log(np.abs(prop[:, None] - state)) - np.log(np.abs(state[:, idx, None] - state))
-        dv[:, idx] = 0.0
-        return dlog + dv @ self.mult[idx]
 
 
 def _ess_estimate(series):

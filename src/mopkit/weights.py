@@ -57,9 +57,6 @@ class Interval:
         """Distance between the two intervals (0 when they overlap)."""
         return max(other.a - self.b, self.a - other.b, 0.0)
 
-    def as_tuple(self):
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -352,9 +349,6 @@ class WeightSystem:
     def general(weights):
         ws = tuple(weights)
         return WeightSystem("general", ws, tuple(w.support for w in ws))
-
-    def supports(self):
-        return tuple(w.support for w in self.weights)
 
     def support_segments(self):
         """The union of supports, split at every weight endpoint."""

@@ -108,3 +108,28 @@ def test_paired_verdicts(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()
             if line.startswith("zeros")]
     assert [(row[1], row[-1]) for row in rows] == [("wall_s", "worse"), ("setup_s", "same")]
+
+
+def test_pairs_record_src_lines_of_both_checkouts(tmp_path, monkeypatch, capsys):
+    for side, lines in (("parent", 5), ("change", 3)):
+        pkg = tmp_path / side / "src" / "mopkit"
+        pkg.mkdir(parents=True)
+        (pkg / "a.py").write_text("x = 1\n" * (lines - 1))
+        (pkg / "b.py").write_text("y = 2\n")
+        (pkg / "notes.txt").write_text("not counted\n")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+
+    def run_once(root, workload, seed, seconds):
+        return {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "zeros", "--pairs", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["parent"]["src_lines"], doc["change"]["src_lines"]) == (5, 3)
+    assert doc["paired"]["zeros"]["metrics"]["wall_s"]["pairs"] == 2
+    capsys.readouterr()
+    assert bench_diff.main([str(out)]) == 0
+    assert "src_lines 5 -> 3" in capsys.readouterr().out

@@ -38,6 +38,12 @@ MALFORMED = {
     "exp_poly_coeff_str": dict(LEGENDRE, weights=[{"family": "exp_poly",
                                                    "interval": [-1.0, 1.0],
                                                    "params": {"coeffs": ["a"]}}]),
+    "jacobi_params_bool_and_str": dict(LEGENDRE, weights=[{
+        "family": "jacobi", "interval": [-1.0, 1.0], "params": {"alpha": True, "beta": "0.5"}}]),
+    "exp_poly_coeffs_not_list": dict(LEGENDRE, weights=[{"family": "exp_poly",
+                                                         "interval": [-1.0, 1.0],
+                                                         "params": {"coeffs": "12"}}]),
+    "interval_bool": dict(LEGENDRE, weights=[{"family": "constant", "interval": [True, 2.0]}]),
     "params_list": dict(LEGENDRE, weights=[{"family": "constant", "interval": [-1.0, 1.0],
                                             "params": [1]}]),
     "weight_not_object": dict(LEGENDRE, weights=[1]),
@@ -82,6 +88,14 @@ class TestValidate:
                          "--out", str(tmp_path / "o")])
         assert code == 0  # warnings do not fail validation
         assert "AT condition" in capsys.readouterr().out
+
+    def test_weight_params_name_the_weight(self, tmp_path, capsys):
+        cfg = dict(NIKISHIN_CFG, generators=[{"family": "jacobi", "interval": [-1.0, 0.0],
+                                              "params": {"alpha": True, "beta": "0.5"}}])
+        code = cli.main(["mop", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "generators[0]: interval ends and params must be numbers" in \
+            capsys.readouterr().err
 
     def test_unreadable_file(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "missing.json")]) == 1
@@ -306,21 +320,52 @@ def test_validate_fuzzed_config_exit_code(fuzz_dir, name, data):
 
 #: shipped configs with a multi-index, for the commands that solve at it
 SOLVED = sorted(name for name, cfg in SHIPPED.items() if "multi_index" in cfg)
+#: (command, shipped config) pairs for every command but sample and verify
+FUZZED_RUNS = ([(cmd, name) for cmd in ("mop", "typeI", "kernel", "density")
+                for name in SOLVED]
+               + [("equilibrium", name) for name in sorted(SHIPPED)]
+               + [("compare", name) for name, cfg in sorted(SHIPPED.items())
+                  if "schedule" in cfg])
+
+
+def _cap_equilibrium_grid(cfg, cap=64):
+    """Keep a numeric equilibrium grid (1000 when absent) at most ``cap``."""
+    eq = cfg.setdefault("equilibrium", {})
+    if isinstance(eq, dict) and isinstance(eq.get("grid", cap + 1), (int, float)) \
+            and eq.get("grid", cap + 1) > cap:
+        eq["grid"] = cap
 
 
 @settings(max_examples=300)
-@given(command=st.sampled_from(["mop", "typeI"]), name=st.sampled_from(SOLVED),
-       data=st.data())
-def test_solve_fuzzed_config_exit_code(fuzz_dir, command, name, data):
+@given(run=st.sampled_from(FUZZED_RUNS), data=st.data())
+def test_solve_fuzzed_config_exit_code(fuzz_dir, run, data):
+    command, name = run
     cfg = json.loads(json.dumps(SHIPPED[name]))
     *head, last = data.draw(st.sampled_from(_leaves(cfg)))
     parent = cfg
     for key in head:
         parent = parent[key]
     parent[last] = data.draw(JSON_VALUES)
+    _cap_equilibrium_grid(cfg)
+    code = cli.main([command, write_config(fuzz_dir, cfg), "--out", str(fuzz_dir / "o"),
+                     "--quiet", "--grid", "16"])
+    assert code in (0, 1, 2, 3)
+
+
+#: top-level keys the CLI reads
+KNOWN_KEYS = {"kind", "weights", "generators", "multi_index", "schedule", "seed",
+              "output_dir", "grid", "sampler", "equilibrium", "z_points", "verify"}
+
+
+@settings(max_examples=60)
+@given(command=st.sampled_from(["validate", "mop"]),
+       key=st.just("moment_tol") | st.text(max_size=6).filter(lambda k: k not in KNOWN_KEYS),
+       value=JSON_VALUES)
+def test_unknown_top_level_key_is_ignored(fuzz_dir, command, key, value):
+    cfg = dict(LEGENDRE, **{key: value})
     code = cli.main([command, write_config(fuzz_dir, cfg), "--out", str(fuzz_dir / "o"),
                      "--quiet"])
-    assert code in (0, 1, 2, 3)
+    assert code == 0
 
 
 NIKISHIN_CFG = json.loads((CONFIGS / "nikishin.json").read_text())

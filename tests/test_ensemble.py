@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,26 @@ class TestNikishinExtended:
         with pytest.raises(DomainError):
             mk.nikishin_extended_density(nikishin_ws, (0, 2), [1.2, 1.5],
                                          [-0.7, -0.2])
+
+    @pytest.mark.parametrize("name,nvec", [("constant", (2, 1)), ("constant", (2, 2)),
+                                           ("exp_poly", (3, 2))])
+    def test_y_marginal_is_joint_density(self, nikishin_ws, name, nvec):
+        # integrating the extended density over Gamma_2^(n_2) gives n_2! times
+        # |det f det g| at X, with w_2 the Markov-transformed second weight
+        ws = nikishin_ws if name == "constant" else mk.build_nikishin(
+            mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 0.5]),
+            [mk.WeightSpec.exp_poly(-1.0, 0.0, [0.0, 1.0])])
+        n1, n2 = nvec
+        t, w = np.polynomial.legendre.leggauss(40)
+        ys, wy = -0.5 + 0.5 * t, 0.5 * w
+        grid = np.stack(np.meshgrid(*[ys] * n2, indexing="ij"), -1).reshape(-1, n2)
+        wgrid = np.prod(np.stack(np.meshgrid(*[wy] * n2, indexing="ij"), -1).reshape(-1, n2), 1)
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            X = np.sort(1.0 + rng.random(n1 + n2))
+            integral = sum(wk * mk.nikishin_extended_density(ws, nvec, X, Y)
+                           for Y, wk in zip(grid, wgrid)) / math.factorial(n2)
+            assert integral == pytest.approx(mk.joint_density(ws, nvec, X), rel=1e-7)
 
 
 class TestCauchyVandermonde:

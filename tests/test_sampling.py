@@ -3,8 +3,8 @@ import pytest
 
 import mopkit as mk
 from mopkit.exceptions import DomainError, ValidationError
+from mopkit.ensemble import _Target
 from mopkit.sampling import SamplerConfig, sample_mcmc
-from mopkit.sampling import _Target
 
 
 def small_cfg(seed, samples=20000):

@@ -67,7 +67,7 @@ def _fmt(value):
 def rows(old, new, workloads=None, metrics=None):
     """(workload, mode, name, old, new): ``correct`` and ``failed``, then
     every metric present on either side."""
-    for w in new["workloads"]:
+    for w in new.get("workloads", {}):
         if workloads and w not in workloads:
             continue
         for mode in MODES:

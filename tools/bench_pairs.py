@@ -12,7 +12,9 @@ section of the BENCH file (created when missing, other sections kept):
 "failed": {...}, "metrics": {M: {"better": ..., "parent": [...], "change":
 [...], "parent_median": ..., "parent_quartiles": [q1, q3], "change_median":
 ..., "change_quartiles": [q1, q3], "wins": k, "pairs": n}}}}}``.  ``wins``
-counts the pairs in which the change is better.
+counts the pairs in which the change is better.  The file's ``parent`` and
+``change`` sides get the ``src_lines`` of each checkout (the lines of
+``src/mopkit/*.py``), which ``tools/bench_diff.py`` prints first.
 ``tools/bench_diff.py --paired`` prints the section.  Uses the standard
 library only.
 """
@@ -58,6 +60,12 @@ def summarize(runs, seeds, first, spec):
             "metrics": metrics}
 
 
+def src_lines(root):
+    """Lines of ``src/mopkit/*.py`` in a checkout."""
+    return sum(len(p.read_text().splitlines())
+               for p in sorted((Path(root) / "src" / "mopkit").glob("*.py")))
+
+
 def run_once(root, workload, seed, seconds):
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -81,6 +89,8 @@ def main(argv=None):
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
+    for side in SIDES:
+        doc.setdefault(side, {})["src_lines"] = src_lines(roots[side])
     for workload in args.workload:
         runs = {s: [] for s in SIDES}
         seeds, first = [], []
