@@ -29,8 +29,9 @@ Config schema (JSON, one file per experiment)::
     }
 
 Weight-system keys (kind / weights / generators) follow the weight-system
-definition format; the rest parametrizes the individual commands.  CSV
-output is RFC-4180 style with '.' decimals and '#' comment lines; reruns
+definition format; the rest parametrizes the individual commands.  A null
+value counts as an absent key, and each size key has a cap (``SIZE_CAPS``).
+CSV output is RFC-4180 style with '.' decimals and '#' comment lines; reruns
 with the same config and seed give byte-identical CSV bodies.
 """
 
@@ -57,6 +58,13 @@ from .exceptions import (
 COMMANDS = ("mop", "typeI", "kernel", "density", "sample", "verify",
             "equilibrium", "compare", "validate")
 
+#: upper bounds of the size keys, each 10x or more the largest size that a
+#: shipped config, a test or the benchmark uses; a larger size is a typo
+#: that would ask numpy for more memory than a host has
+SIZE_CAPS = {"grid": 10_000, "equilibrium.grid": 20_000, "sampler.samples": 1_000_000,
+             "sampler.chains": 10_000, "sampler.burn_in": 100_000, "sampler.thinning": 100,
+             "verify.samples": 1_000_000, "verify.sign_trials": 100_000}
+
 
 # ---------------------------------------------------------------------------
 # config parsing and validation
@@ -64,8 +72,8 @@ COMMANDS = ("mop", "typeI", "kernel", "density", "sample", "verify",
 
 def _load_config(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh:  # a null reads as an absent key
+            cfg = json.load(fh, object_pairs_hook=lambda kv: {k: v for k, v in kv if v is not None})
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -246,6 +254,8 @@ def validate_config(cfg) -> Diagnostics:
                           for k in ("samples", "chains", "burn_in", "thinning"))):
         if v is not None and not _is_int(v, low):
             diags.error(f"{key} must be an integer >= {low}")
+        elif v is not None and v > SIZE_CAPS.get(key, v):
+            diags.error(f"{key} must be at most {SIZE_CAPS[key]}")
     step, multiple = sc.get("step_scale"), vc.get("stderr_multiple")
     if step is not None and not (_is_real(step) and step > 0):
         diags.error("sampler.step_scale must be a positive number")
@@ -405,7 +415,7 @@ def cmd_typeI(cfg, out, man, quiet):
     man.step("solve", detail={"rung": "float" if ts.hp_coeffs is None else "mp",
                               "hp_dps": ts.hp_dps, "rows_dps": ts.hp_rows_dps,
                               "condition_estimate": ts.condition_estimate,
-                              "evaluation": ts.proxy and ts.proxy.records})
+                              "evaluation": ts.mp and ts.mp.proxy and ts.mp.proxy.records})
     rec = {
         "multi_index": list(nvec.parts),
         "components": [[float(c) for c in a.coeffs] for a in ts.polys],

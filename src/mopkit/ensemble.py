@@ -456,15 +456,17 @@ GRAM_TOL = 1e-9
 class Kernel:
     """Biorthogonalized kernel K(x, y) = sum_j phi_j(x) psi_j(y).
 
-    ``phi`` holds coefficients over the f-basis (pure polynomials), ``psi``
-    over the g-basis (polynomial times weight); the Gram matrix of the pair
-    is the identity up to ``gram_defect``.  For badly conditioned moment
-    matrices the pair lives in mpmath precision (``mp`` is set) and
-    evaluation routes through it.
+    ``matrix`` is the moment matrix M in the entry type of the kernel's
+    rung: longdouble, or mpf on the mpmath rung, where ``mp`` is the
+    ``highprec.MPForm`` that evaluates K at ``mp.dps`` digits.  ``phi``
+    holds coefficients over the f-basis (pure polynomials) and ``psi`` over
+    the g-basis (polynomial times weight), in the same entry type; the Gram
+    matrix phi M psi^T of the pair is the identity up to ``gram_defect``.
     """
 
     ws: WeightSystem
     nvec: MultiIndex
+    matrix: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
     gram_defect: float
@@ -475,49 +477,36 @@ class Kernel:
         return self.nvec.n
 
 
-def _mp_kernel_for(M: HankelBlockMatrix, ws, nvec, cond):
-    """The mpmath kernel cached on M, from the checked ladder of
-    ``highprec.escalate``: each attempt reports its own mpmath condition
-    number, since the float64 ``cond`` saturates far below the true one."""
-    from . import highprec
-
-    cached = getattr(M, "_mp_kernel", None)
-    if cached is not None:
-        return cached
-
-    def attempt(dps):
-        kernel = highprec.MPKernel(ws, nvec, dps)
-        return kernel, kernel.condition()
-
-    _, kernel = highprec.escalate(attempt, cond)
-    object.__setattr__(M, "_mp_kernel", kernel)
-    return kernel
-
-
 def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
     """Split M = (f-side factor) (g-side factor) via LU and invert each side.
 
     phi coefficients come from the inverse of the permuted-L factor, psi
     from the inverse transpose of U, so the Gram matrix phi M psi^T is the
-    identity.  Past condition ~1e7 the factors are computed in mpmath; the
-    Gram check applies on both paths, after the ladder's own check.
+    identity.  Past condition ~1e7 the pair is computed on the checked
+    mpmath ladder of ``highprec.escalate``, each attempt reporting its own
+    mpmath condition number, since the float64 one saturates far below the
+    true one; the Gram check applies on both rungs, after the ladder's own.
     """
     nvec = as_multi_index(nvec)
     cond = linalg.cond1(M.matrix)
-    mpk = phi = psi = None
+    form = None
     try:
         if np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF:
-            mpk = _mp_kernel_for(M, ws, nvec, cond)
-            defect = mpk.gram_defect
+            from . import highprec
+
+            dps, (matrix, phi, psi, defect) = highprec.escalate(
+                lambda d: highprec.kernel_attempt(ws, nvec, d), cond)
+            form = highprec.MPForm(ws, nvec.parts, phi, psi, dps, nvec.n + 1)
         else:
-            phi, psi, defect = linalg.biorthogonal_pair(M.matrix)
+            matrix = M.matrix.astype(linalg.LD)
+            phi, psi, defect = linalg.biorthogonal_pair(matrix)
     except PrecisionExhausted:
         raise
     except NumericError as exc:
         raise NonNormalIndexError(f"singular moment matrix: {exc}") from exc
     if defect > GRAM_TOL:
         raise NumericError(f"biorthogonalization defect {defect:.2e} exceeds {GRAM_TOL:g}")
-    return Kernel(ws, nvec, phi, psi, defect, mp=mpk)
+    return Kernel(ws, nvec, matrix, phi, psi, defect, mp=form)
 
 
 def kernel_eval(K: Kernel, x, y):
@@ -536,21 +525,22 @@ def kernel_eval(K: Kernel, x, y):
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
-def kernel_eval_bordered(M: HankelBlockMatrix, ws: WeightSystem, nvec, x, y) -> float:
-    """K(x, y) as the bordered determinant -det[[M, f(x)], [g(y), 0]] / det M."""
-    nvec = as_multi_index(nvec)
-    n = nvec.n
-    cond = linalg.cond1(M.matrix)
-    if np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF:
-        return _mp_kernel_for(M, ws, nvec, cond).eval_bordered(x, y)
-    detm = float(linalg.det(M.matrix))
-    if detm == 0.0:
-        raise NonNormalIndexError("zero determinant in bordered kernel")
-    b = np.zeros((n + 1, n + 1), dtype=linalg.LD)
-    b[:n, :n] = M.matrix
-    b[:n, n] = f_matrix(n, np.asarray([x]), dtype=linalg.LD)[:, 0]
-    b[n, :n] = g_matrix(ws, nvec, np.asarray([y]), dtype=linalg.LD)[:, 0]
-    return -float(linalg.det(b)) / detm
+def kernel_eval_bordered(K: Kernel, x, y) -> float:
+    """K(x, y) as the bordered determinant -det[[M, f(x)], [g(y), 0]] / det M,
+    in the entry type and precision of K's rung."""
+    from . import highprec
+
+    n, rung_mp = K.n, K.mp is not None
+    dtype, point = (object, highprec._mpf) if rung_mp else (linalg.LD, np.asarray)
+    with highprec.mp.workdps(K.mp.dps if rung_mp else highprec.mp.dps):
+        big = np.zeros((n + 1, n + 1), dtype=dtype)
+        big[:n, :n] = K.matrix
+        big[:n, n] = f_matrix(n, point([x]), dtype=dtype)[:, 0]
+        big[n, :n] = g_matrix(K.ws, K.nvec, point([y]), dtype=dtype)[:, 0]
+        detm = linalg.det(K.matrix)
+        if detm == 0:
+            raise NonNormalIndexError("zero determinant in bordered kernel")
+        return float(-linalg.det(big) / detm)
 
 
 def mean_density(K: Kernel, x):

@@ -24,10 +24,11 @@ is ``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the
 systems are factored by the one LU in ``linalg``.  That LU and the
 tanh-sinh columns run on raw ``_mpf_`` tuples, bit for bit as mpf would.
 
-Evaluation answers from a ``ChebyshevProxy``: the kernel and the linear
-form are sampled once per support segment in mpmath, at Chebyshev nodes,
-and then evaluated at every point in longdouble; the per-point mpmath path
-stays as the fallback and the oracle.
+One ``MPForm``, f(x)^T A^T B g(y), evaluates the kernel and the linear form
+Q, which is the kernel's x^(n-1) coefficient.  It answers from a
+``ChebyshevProxy``: the form is sampled once per support segment in mpmath,
+at Chebyshev nodes, and then evaluated at every point in longdouble; the
+per-point mpmath path stays as the fallback and the oracle.
 """
 
 from __future__ import annotations
@@ -319,50 +320,44 @@ def type1_attempt(mt, nvec, dps: int):
     return (rung, [sol[e - nj : e] for nj, e in zip(nvec.parts, ends)]), bound
 
 
-def type1_coefficients(mt, nvec, dps: int):
-    """(rung, blocks) of ``type1_attempt``, without the bound."""
-    return type1_attempt(mt, nvec, dps)[0]
+def kernel_attempt(ws, nvec, dps: int):
+    """The kernel's biorthogonal pair on the mpmath rung at ``dps`` digits:
+    ((M, phi, psi, Gram defect), the 1-norm condition of M), both in mpmath.
+    The moment rows are its own pass, to the order M needs; phi M psi^T = I
+    makes psi^T phi the inverse of M."""
+    with mp.workdps(dps):
+        m = _hankel_from(moment_rows(ws, nvec.n - 1 + max(nvec.parts) - 1), nvec, nvec.n)
+        phi, psi, defect = linalg.biorthogonal_pair(m)
+        norms = [np.abs(a).sum(axis=0).max() for a in (m, psi.T @ phi)]
+    return (m, phi, psi, defect), float(norms[0] * norms[1])
 
 
-class MPKernel:
-    """Correlation kernel in mpmath arithmetic for ill-conditioned systems.
+class MPForm:
+    """The bilinear form f(x)^T A^T B g(y) in mpmath: the f-basis x^i has one
+    row per column of A, the g-basis is that of ``parts``.
 
-    The biorthogonal coefficient pairs explode at the rate of the moment
-    matrix conditioning (the same near-degeneracy that inflates type I
-    coefficients), so past ~1e7 the 80-bit path cannot keep the kernel
-    identities at their tolerances.  Values are computed at ``dps`` digits
-    and returned as ordinary floats: the kernel itself is O(n)-bounded, it
-    is only the intermediate coefficients that need the headroom.  ``eval``
-    answers from the ``ChebyshevProxy`` that its first call builds (kept in
-    ``proxy``); ``eval_direct`` computes each point in mpmath.
+    K is ``MPForm(ws, parts, phi, psi, dps, n + 1)``, and Q, its x^(n-1)
+    coefficient, is ``linear_form``.  Values are computed at ``dps`` digits
+    and returned as floats; only the coefficients need the headroom.
+    ``eval`` answers from the ``ChebyshevProxy`` that its first call builds
+    (kept in ``proxy``) on ``x_nodes`` Chebyshev x-nodes, which are exact
+    below that degree in x; ``eval_direct`` computes each point in mpmath.
     """
 
-    def __init__(self, ws, nvec, dps):
-        self.ws = ws
-        self.nvec = nvec
-        self.dps, self.proxy = dps, None
-        with mp.workdps(dps):
-            self._m = _hankel_from(moment_rows(ws, nvec.n - 1 + max(nvec.parts) - 1),
-                                   nvec, nvec.n)
-            self.phi, self.psi, self.gram_defect = linalg.biorthogonal_pair(self._m)
-
-    def condition(self):
-        """1-norm condition number of the moment matrix, computed in mpmath:
-        phi M psi^T = I makes psi^T phi its inverse."""
-        with mp.workdps(self.dps):
-            norms = [np.abs(a).sum(axis=0).max() for a in (self._m, self.psi.T @ self.phi)]
-            return float(norms[0] * norms[1])
+    def __init__(self, ws, parts, A, B, dps, x_nodes):
+        self.ws, self.parts, self.A, self.B = ws, parts, A, B
+        self.dps, self.x_nodes, self.proxy = dps, x_nodes, None
 
     def _columns(self, xs, ys):
-        """((phi F)^T, psi G) at the floats xs and ys: K(x_i, y_k) is row i of
-        the first times column k of the second."""
-        F = f_matrix(self.nvec.n, _mpf(xs), dtype=object)
-        return _dot(self.phi, F).T, _dot(self.psi, g_matrix(self.ws, self.nvec, _mpf(ys),
-                                                            dtype=object))
+        """((A F)^T, B G) at the floats xs and ys: the form at (x_i, y_k) is
+        row i of the first times column k of the second."""
+        F = f_matrix(self.A.shape[1], _mpf(xs), dtype=object)
+        return _dot(self.A, F).T, _dot(self.B, g_matrix(self.ws, self.parts, _mpf(ys),
+                                                       dtype=object))
 
     def eval_direct(self, xs, ys):
-        """sum_j phi_j(x) psi_j(y) at the flat float arrays xs, ys, point by
-        point in mpmath, as floats."""
+        """The form at the flat float arrays xs, ys, point by point in
+        mpmath, as floats."""
         out = np.empty(xs.size)
         with mp.workdps(self.dps):
             for lo in range(0, xs.size, CHUNK):
@@ -371,46 +366,19 @@ class MPKernel:
         return out
 
     def eval(self, xs, ys):
-        """K at the flat float arrays xs, ys, as floats, from a proxy built on
-        the first call; its n + 1 x-nodes are exact for the degree n - 1 of K
-        in x."""
+        """The form at the flat float arrays xs, ys, as floats, from a proxy
+        built on the first call."""
         if self.proxy is None:
             self.proxy = ChebyshevProxy(self.ws, lambda xs, ys: _dot(*self._columns(xs, ys)),
-                                        self.eval_direct, self.dps, self.nvec.n + 1)
+                                        self.eval_direct, self.dps, self.x_nodes)
         return self.proxy(xs, ys)
 
-    def eval_bordered(self, x, y):
-        """Bordered-determinant value -det[[M, f], [g, 0]] / det M, as float."""
-        n = self.nvec.n
-        with mp.workdps(self.dps):
-            big = np.empty((n + 1, n + 1), dtype=object)
-            big[:n, :n] = self._m
-            big[:n, n] = f_matrix(n, _mpf([x]), dtype=object)[:, 0]
-            big[n, :n] = g_matrix(self.ws, self.nvec, _mpf([y]), dtype=object)[:, 0]
-            big[n, n] = mpmath.mpf(0)
-            return float(-linalg.det(big) / linalg.det(self._m))
 
-
-def linear_form_proxy(ws, hp_coeffs, dps: int):
-    """``ChebyshevProxy`` of Q = sum_j A_j w_j over ``linear_form_values``."""
-    parts = tuple(len(c) for c in hp_coeffs)
-    row = np.array([[c for blk in hp_coeffs for c in blk]], dtype=object)
-    return ChebyshevProxy(ws, lambda _, ys: _dot(row, g_matrix(ws, parts, _mpf(ys), dtype=object)),
-                          lambda _, ys: linear_form_values(ws, hp_coeffs, ys, dps), dps)
-
-
-def linear_form_values(ws, hp_coeffs, xs, dps: int):
-    """Q(x) = sum_j A_j(x) w_j(x) via the high-precision coefficients.
-
-    ``xs`` are ordinary floats; returns floats.  The huge A_j terms cancel
-    in mp arithmetic before the downcast, so the returned values carry full
-    double accuracy even when the coefficients span 16+ orders.
-    """
-    parts = tuple(len(c) for c in hp_coeffs)
-    coeffs = [c for blk in hp_coeffs for c in blk]
-    out = []
-    with mp.workdps(dps):
-        for lo in range(0, len(xs), CHUNK):
-            G = g_matrix(ws, parts, _mpf(xs[lo : lo + CHUNK]), dtype=object)
-            out.extend(float(mpmath.fdot(coeffs, G[:, i])) for i in range(G.shape[1]))
-    return out
+def linear_form(ws, blocks, dps: int):
+    """Q = sum_j A_j w_j for the type I coefficient ``blocks`` (lists of
+    mpf) as an ``MPForm`` of degree 0 in x.  The huge A_j terms cancel in
+    mpmath before the downcast, so Q carries full double accuracy even when
+    the coefficients span 16+ orders."""
+    row = np.array([[c for blk in blocks for c in blk]], dtype=object)
+    return MPForm(ws, tuple(len(c) for c in blocks), np.array([[mpmath.mpf(1)]], dtype=object),
+                  row, dps, 1)

@@ -149,35 +149,30 @@ class TypeISystem:
     """Type I tuple (A^(1), ..., A^(p)) and its linear form Q.
 
     For ill-conditioned systems solved in high precision, ``hp_coeffs``
-    retains the full-precision coefficient blocks; ``q_values`` then
-    evaluates the linear form through them, since the float polynomials
-    alone cannot survive the cancellation between the A_j terms.
-    ``hp_dps`` is the solve's working precision and ``hp_rows_dps`` the
-    rung its moment rows were computed at (both 0 on the float rung).  On the
-    mpmath rung the first ``q_values`` builds ``proxy``, a Chebyshev proxy of Q.
+    retains the full-precision coefficient blocks and ``mp`` is the
+    ``highprec.MPForm`` of Q over them, which ``q_values`` evaluates, since
+    the float polynomials alone cannot survive the cancellation between the
+    A_j terms.  ``hp_dps`` is the solve's working precision and
+    ``hp_rows_dps`` the rung its moment rows were computed at (both 0 on the
+    float rung).
     """
 
     polys: tuple
     system: WeightSystem
     nvec: MultiIndex
-    solve_residual: float
     condition_estimate: float
     ill_conditioned: bool
     hp_coeffs: tuple = None
     hp_dps: int = 0
     hp_rows_dps: int = 0
-    proxy: object = field(default=None, compare=False, repr=False)
+    mp: object = field(default=None, compare=False, repr=False)
 
     def q_values(self, x):
         """Linear form Q(x) = sum_j A_j(x) w_j(x)."""
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x)
-        if self.hp_coeffs is not None:
-            from . import highprec
-
-            if self.proxy is None:
-                self.proxy = highprec.linear_form_proxy(self.system, self.hp_coeffs, self.hp_dps)
-            total = self.proxy(flat.ravel(), flat.ravel()).reshape(flat.shape)
+        if self.mp is not None:
+            total = self.mp.eval(flat.ravel(), flat.ravel()).reshape(flat.shape)
         else:
             total = np.zeros_like(flat)
             for a_j, w_j in zip(self.polys, self.system.weights):
@@ -366,18 +361,17 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
         dps, (rows_dps, blocks) = highprec.escalate(
             lambda d: highprec.type1_attempt(mt, nvec, d), cond)
         polys = tuple(Polynomial([float(v) for v in blk] or [0.0]) for blk in blocks)
-        return TypeISystem(polys, mt.system, nvec, 0.0, cond, ill,
-                           hp_coeffs=tuple(tuple(blk) for blk in blocks),
-                           hp_dps=dps, hp_rows_dps=rows_dps)
+        return TypeISystem(polys, mt.system, nvec, cond, ill,
+                           hp_coeffs=tuple(tuple(blk) for blk in blocks), hp_dps=dps,
+                           hp_rows_dps=rows_dps, mp=highprec.linear_form(mt.system, blocks, dps))
 
     sol = linalg.solve(system, rhs)
-    residual = float(np.max(np.abs(system @ sol - rhs)))
 
     scale = linalg.LD(s) ** (n - 1)
     polys = tuple(Polynomial(_affine_unscale(sol[e - nj : e], c, s, 1.0) / scale)
                   if nj else Polynomial([0.0])
                   for nj, e in zip(nvec.parts, np.cumsum(nvec.parts)))
-    return TypeISystem(polys, mt.system, nvec, residual, cond, ill)
+    return TypeISystem(polys, mt.system, nvec, cond, ill)
 
 
 def poly_roots(P: Polynomial, dedupe_tol: float = 0.0) -> np.ndarray:

@@ -1,14 +1,18 @@
 """tools/bench_diff.py: per-metric deltas between and within BENCH files, and
-the paired medians that tools/bench_pairs.py records."""
+the paired medians that tools/bench_pairs.py records; tools/cli_bodies.py:
+the comparison of two checkouts' CLI output bodies."""
 
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import bench_diff
 import bench_pairs
+import cli_bodies
 
 
 def _side(wall, rows_s, lines):
@@ -133,3 +137,43 @@ def test_pairs_record_src_lines_of_both_checkouts(tmp_path, monkeypatch, capsys)
     capsys.readouterr()
     assert bench_diff.main([str(out)]) == 0
     assert "src_lines 5 -> 3" in capsys.readouterr().out
+
+
+#: output files of two CLI jobs, as both checkouts would write them
+BODIES = {"legendre-mop": {"mop.json": "{}", "manifest.json": '{"wall_s": 1}'},
+          "legendre-kernel": {"kernel.csv": "x,y,K\n", "manifest.json": '{"wall_s": 2}'}}
+
+
+def _jobs(out, bodies=BODIES):
+    for job, files in bodies.items():
+        (out / job).mkdir(parents=True)
+        for name, text in files.items():
+            (out / job / name).write_text(text)
+    return {job: 0 for job in bodies}
+
+
+@pytest.mark.parametrize("edit,expected", [
+    (lambda d: None, []),
+    (lambda d: (d / "legendre-kernel" / "kernel.csv").write_text("x,y,K\n1,1,0\n"),
+     [("legendre-kernel", "kernel.csv differs")]),
+    (lambda d: (d / "legendre-mop" / "manifest.json").write_text('{"wall_s": 9}'), []),
+    (lambda d: (d / "legendre-mop" / "mop.json").unlink(),
+     [("legendre-mop", "mop.json only in the parent")]),
+])
+def test_cli_bodies_compare_every_file_but_the_manifest(tmp_path, edit, expected):
+    codes = [_jobs(tmp_path / side) for side in ("parent", "change")]
+    edit(tmp_path / "change")
+    assert cli_bodies.differences(tmp_path / "parent", tmp_path / "change", *codes) == expected
+
+
+def test_cli_bodies_exit_1_on_an_exit_code_difference(tmp_path, monkeypatch, capsys):
+    def run_round(root, out, seed):
+        codes = _jobs(out)
+        return codes if root.name == "parent" else dict(codes, **{"legendre-mop": 2})
+
+    monkeypatch.setattr(cli_bodies, "run_round", run_round)
+    args = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    assert cli_bodies.main(args) == 1
+    assert "legendre-mop: exit code 0 -> 2" in capsys.readouterr().out
+    monkeypatch.setattr(cli_bodies, "run_round", lambda root, out, seed: _jobs(out))
+    assert cli_bodies.main(args) == 0

@@ -320,20 +320,29 @@ def test_validate_fuzzed_config_exit_code(fuzz_dir, name, data):
 
 #: shipped configs with a multi-index, for the commands that solve at it
 SOLVED = sorted(name for name, cfg in SHIPPED.items() if "multi_index" in cfg)
-#: (command, shipped config) pairs for every command but sample and verify
-FUZZED_RUNS = ([(cmd, name) for cmd in ("mop", "typeI", "kernel", "density")
+#: (command, shipped config) pairs for every command
+FUZZED_RUNS = ([(cmd, name) for cmd in ("mop", "typeI", "kernel", "density", "sample", "verify")
                 for name in SOLVED]
                + [("equilibrium", name) for name in sorted(SHIPPED)]
                + [("compare", name) for name, cfg in sorted(SHIPPED.items())
                   if "schedule" in cfg])
 
+#: sizes that the solve fuzz lowers, to these bounds, to stay cheap
+SMALL_SIZES = {"equilibrium.grid": 64, "sampler.samples": 512, "sampler.chains": 16,
+               "sampler.burn_in": 50, "sampler.thinning": 2, "verify.samples": 512,
+               "verify.sign_trials": 100}
 
-def _cap_equilibrium_grid(cfg, cap=64):
-    """Keep a numeric equilibrium grid (1000 when absent) at most ``cap``."""
-    eq = cfg.setdefault("equilibrium", {})
-    if isinstance(eq, dict) and isinstance(eq.get("grid", cap + 1), (int, float)) \
-            and eq.get("grid", cap + 1) > cap:
-        eq["grid"] = cap
+
+def _shrink_sizes(cfg):
+    """Lower every numeric size above its ``SMALL_SIZES`` bound to that bound,
+    unless it passes the CLI's cap, which the fuzz must reach; an absent or
+    null size (the CLI's default) gets the bound too."""
+    for key, small in SMALL_SIZES.items():
+        block, name = key.split(".")
+        sub = cfg.setdefault(block, {})
+        v = sub.get(name) if isinstance(sub, dict) else small
+        if v is None or isinstance(v, (int, float)) and small < v <= cli.SIZE_CAPS[key]:
+            sub[name] = small
 
 
 @settings(max_examples=300)
@@ -346,10 +355,32 @@ def test_solve_fuzzed_config_exit_code(fuzz_dir, run, data):
     for key in head:
         parent = parent[key]
     parent[last] = data.draw(JSON_VALUES)
-    _cap_equilibrium_grid(cfg)
+    _shrink_sizes(cfg)
     code = cli.main([command, write_config(fuzz_dir, cfg), "--out", str(fuzz_dir / "o"),
                      "--quiet", "--grid", "16"])
     assert code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("command,extra,flags,key", [
+    ("equilibrium", {"equilibrium": {"grid": 1e300}}, [], "equilibrium.grid"),
+    ("sample", {"sampler": {"samples": 1e300}}, [], "sampler.samples"),
+    ("kernel", {}, ["--grid", "100000000000"], "grid"),
+])
+def test_oversized_sizes_are_rejected(tmp_path, capsys, command, extra, flags, key):
+    cfg = dict(SHIPPED["legendre.json"], **extra)
+    code = cli.main([command, write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     *flags])
+    assert code == 1
+    assert f"error: {key} must be at most {cli.SIZE_CAPS[key]}" in capsys.readouterr().err
+
+
+def test_null_reads_as_an_absent_key(tmp_path):
+    # a null size passed validation and then failed in int(None)
+    cfg = dict(LEGENDRE, seed=None, equilibrium={"grid": None, "ray": [1.0]})
+    loaded = cli._load_config(write_config(tmp_path, cfg))
+    assert "seed" not in loaded and loaded["equilibrium"] == {"ray": [1.0]}
+    assert cli.main(["equilibrium", write_config(tmp_path, dict(cfg, seed=1)), "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 0
 
 
 #: top-level keys the CLI reads

@@ -11,6 +11,8 @@ import pytest
 
 import mopkit as mk
 from mopkit import highprec
+from mopkit.ensemble import g_matrix
+from mopkit.linalg import LD
 from mopkit.weights import Weight
 
 #: weight, largest power k, working precisions; the exp_poly Nikishin ratio
@@ -156,6 +158,12 @@ def test_table_rows_match_moment_rows_bit_for_bit():
     assert dataclasses.replace(mt).mp_rows == {}  # a copied table starts empty
 
 
+def _q_150(ws, mt, parts, xs):
+    """Q at xs from a 150-digit type I solve on ``mt``, point by point."""
+    (_, blocks), _ = highprec.type1_attempt(mt, mk.MultiIndex(parts), 150)
+    return highprec.linear_form(ws, blocks, 150).eval_direct(xs, xs)
+
+
 def test_type1_sweep_matches_150_digit_solve():
     ws = _exp_nikishin()
     mt, ref_mt = mk.moment_table(ws, 14), mk.moment_table(ws, 14)
@@ -163,8 +171,7 @@ def test_type1_sweep_matches_150_digit_solve():
     for parts in SWEEP[2:]:
         ts = mk.type1_mop(mt, parts)
         assert ts.hp_coeffs is not None
-        _, blocks = highprec.type1_coefficients(ref_mt, mk.MultiIndex(parts), 150)
-        ref = np.array(highprec.linear_form_values(ws, blocks, xs, 150))
+        ref = _q_150(ws, ref_mt, parts, xs)
         assert np.max(np.abs(ts.q_values(xs) - ref)) <= 1e-12 * np.max(np.abs(ref)), parts
 
 
@@ -175,9 +182,7 @@ def _constant_nikishin():
 def _q_error(ws, mt, parts, xs):
     """max |Q - Q_150| / max |Q_150| against a 150-digit solve on a fresh table."""
     ts = mk.type1_mop(mt, parts)
-    ref_mt = mk.moment_table(ws, mt.k_max)
-    _, blocks = highprec.type1_coefficients(ref_mt, mk.MultiIndex(parts), 150)
-    ref = np.array(highprec.linear_form_values(ws, blocks, xs, 150))
+    ref = _q_150(ws, mk.moment_table(ws, mt.k_max), parts, xs)
     return np.max(np.abs(ts.q_values(xs) - ref)) / np.max(np.abs(ref))
 
 
@@ -275,13 +280,39 @@ def test_linear_form_proxy_matches_150_digit_solve():
     ws = _constant_nikishin()
     mt = mk.moment_table(ws, 30)
     ts = mk.type1_mop(mt, (8, 8))
-    assert ts.hp_coeffs is not None and ts.proxy is None
+    assert ts.hp_coeffs is not None and ts.mp.proxy is None
     xs = _random_points(ws, 1000, 13)[0]
     q = ts.q_values(xs)
-    assert all("direct" not in r for r in ts.proxy.records)
-    _, blocks = highprec.type1_coefficients(mk.moment_table(ws, 30), mk.MultiIndex((8, 8)), 150)
-    ref = np.array(highprec.linear_form_values(ws, blocks, xs, 150))
+    assert all("direct" not in r for r in ts.mp.proxy.records)
+    ref = _q_150(ws, mk.moment_table(ws, 30), (8, 8), xs)
     assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _angelesco():
+    return mk.build_angelesco([mk.WeightSpec.constant(-1.0, 0.0), mk.WeightSpec.constant(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("make,parts,rung,tol", [
+    (_angelesco, (2, 2), "float", 1e-10),
+    (_constant_nikishin, (2, 1), "float", 1e-10),
+    (_constant_nikishin, (4, 4), "mp", 1e-12),
+    (_exp_nikishin, (3, 3), "mp", 1e-12),
+    (_angelesco, (8, 8), "mp", 1e-12),
+])
+def test_linear_form_is_the_kernels_top_x_coefficient(make, parts, rung, tol):
+    # the integral of x^k Q is 0 for k < n - 1 and 1 for k = n - 1, so
+    # Q(y) = sum_j phi_j,n-1 psi_j(y)
+    ws, n = make(), sum(parts)
+    mt = mk.moment_table(ws, 2 * n + max(parts))
+    K = mk.biorthogonalize(mk.block_hankel(mt, parts), ws, parts)
+    assert ("mp" if K.mp is not None else "float") == rung
+    y = np.concatenate([np.linspace(lo, hi, 22)[1:-1] for lo, hi in ws.support_segments()])
+    if K.mp is None:
+        top = (K.phi[:, n - 1] @ K.psi) @ g_matrix(ws, parts, y, dtype=LD)
+    else:  # every mpf product at the kernel's precision
+        top = highprec.MPForm(ws, parts, K.phi[:, n - 1 : n], K.psi, K.mp.dps, 1).eval_direct(y, y)
+    q = mk.type1_mop(mt, parts).q_values(y)
+    assert np.max(np.abs(q - top.astype(float))) <= tol * np.max(np.abs(q))
 
 
 def test_kernel_proxy_falls_back_when_the_tail_does_not_decay():
@@ -324,7 +355,7 @@ def test_nested_quadrature_runs_once_per_proxy_node(monkeypatch):
     monkeypatch.setattr(mpmath, "quad", lambda *a, **k: calls.append(1) or plain(*a, **k))
     x, y = _random_points(ws, 400, 15)
     for evaluate, owner in ((lambda: mk.kernel_eval(K, x, y), K.mp),
-                            (lambda: ts.q_values(y), ts)):
+                            (lambda: ts.q_values(y), ts.mp)):
         calls.clear()
         evaluate()
         nodes = sum(r["nodes"] for r in owner.proxy.records)

@@ -56,9 +56,7 @@ class TestKernelEval:
         K = _kernel(legendre_mt, legendre_ws, (1,))
         for x, y in [(-0.5, 0.9), (0.0, 0.0), (0.3, -0.2)]:
             assert mk.kernel_eval(K, x, y) == pytest.approx(0.5, abs=1e-14)
-            M = mk.block_hankel(legendre_mt, (1,))
-            assert mk.kernel_eval_bordered(M, legendre_ws, (1,), x, y) == \
-                pytest.approx(0.5, abs=1e-14)
+            assert mk.kernel_eval_bordered(K, x, y) == pytest.approx(0.5, abs=1e-14)
 
     def test_trace_legendre(self, legendre_ws, legendre_mt):
         for n in range(1, 7):
@@ -68,12 +66,11 @@ class TestKernelEval:
     def test_bordered_matches_sum(self, nikishin_ws, nikishin_mt):
         nvec = (2, 2)
         K = _kernel(nikishin_mt, nikishin_ws, nvec)
-        M = mk.block_hankel(nikishin_mt, nvec)
         rng = np.random.default_rng(8)
         xs = 1.0 + rng.random(100)
         ys = 1.0 + rng.random(100)
         worst = max(
-            abs(mk.kernel_eval(K, x, y) - mk.kernel_eval_bordered(M, nikishin_ws, nvec, x, y))
+            abs(mk.kernel_eval(K, x, y) - mk.kernel_eval_bordered(K, x, y))
             for x, y in zip(xs, ys)
         )
         assert worst <= 1e-10
@@ -136,11 +133,10 @@ def test_mp_kernel_precision_from_own_condition(nikishin_ws):
     # below its true value; the Gram check sends the kernel to a rebuild at
     # the precision its mpmath condition number asks for
     nvec = (9, 9)
-    M = mk.block_hankel(mk.moment_table(nikishin_ws, 26), nvec)
-    K = mk.biorthogonalize(M, nikishin_ws, nvec)
+    K = _kernel(mk.moment_table(nikishin_ws, 26), nikishin_ws, nvec)
     assert K.mp is not None and K.gram_defect <= 1e-9
     x, y = 1.3, 1.7
-    assert mk.kernel_eval_bordered(M, nikishin_ws, nvec, x, y) == \
+    assert mk.kernel_eval_bordered(K, x, y) == \
         pytest.approx(mk.kernel_eval(K, x, y), rel=1e-10)
 
 
