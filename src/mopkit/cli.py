@@ -308,23 +308,10 @@ def _write_csv(path, header, blocks, comments=()):
             fh.write("".join([",".join(row) + "\n" for row in zip(*map(_cells, cols))]))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        # numpy scalars: np.float64 is a float; the rest become Python scalars
+        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda v: v.item())
         fh.write("\n")
 
 

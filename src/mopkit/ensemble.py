@@ -8,7 +8,8 @@ density of ``_Target``; the public density functions evaluate it at one
 configuration and the sampler in ``sampling`` walks it.  The module also
 checks the constant-sign condition numerically, and builds the
 biorthogonalized correlation kernel together with Monte Carlo estimators of
-the expectation identities for the type I and type II polynomials.
+the expectation identities for the type I and type II polynomials.  All of
+them take their g-matrices from ``g_matrix``.
 """
 
 from __future__ import annotations
@@ -60,11 +61,16 @@ def f_matrix(n: int, xs, dtype=float):
     return out
 
 
-def g_matrix(ws: WeightSystem, nvec, xs, dtype=float):
+def g_matrix(ws: WeightSystem, nvec, xs, dtype=float, center=0.0, half_width=1.0):
     """Rows g_1..g_n evaluated at the points xs: shape (n, len(xs)); with
-    ``dtype=object``, xs are mpf and the weights use their mpf evaluators."""
+    ``dtype=object``, xs are mpf and the weights use their mpf evaluators.
+    ``center`` and ``half_width`` give monomial rows ((x - c)/s)^i: each
+    det[g_j(x_k)] gains a positive factor, so signs are kept while the scale
+    stays sane on shifted intervals.  Stacks of configurations are one call
+    on all their points."""
     nvec = as_multi_index(nvec)
     xs = np.asarray(xs, dtype=dtype)
+    ts = xs if (center, half_width) == (0.0, 1.0) else (xs - center) / half_width
     out = np.empty((nvec.n, xs.size), dtype=dtype)
     row = 0
     for j, nj in enumerate(nvec.parts):
@@ -81,7 +87,7 @@ def g_matrix(ws: WeightSystem, nvec, xs, dtype=float):
             mono = np.ones_like(xs)
         for _ in range(nj):
             out[row] = mono * wvals
-            mono = mono * xs
+            mono = mono * ts
             row += 1
     return out
 
@@ -111,32 +117,6 @@ def delta_cross(X, Y) -> float:
 # Determinants and densities
 # ---------------------------------------------------------------------------
 
-def g_stack(ws: WeightSystem, nvec, Xs, center=0.0, half_width=1.0):
-    """Stacked matrices [g_j(x_k)] for configurations Xs (T, n): shape
-    (T, n, n), g-basis rows by point columns.
-
-    The monomial rows are taken in hull-rescaled form ((x - c)/s)^i, which
-    multiplies each determinant by a positive constant, so signs are kept
-    while the scale stays sane on shifted intervals; the defaults leave
-    them as x^i.
-    """
-    nvec = as_multi_index(nvec)
-    T, n = Xs.shape
-    G = np.empty((T, n, n))
-    Ts = (Xs - center) / half_width
-    row = 0
-    for j, nj in enumerate(nvec.parts):
-        if nj == 0:
-            continue
-        wv = ws.weights[j].values(Xs.ravel()).reshape(T, n)
-        mono = np.ones_like(Xs)
-        for _ in range(nj):
-            G[:, row, :] = mono * wv
-            mono = mono * Ts
-            row += 1
-    return G
-
-
 def g_determinant(ws: WeightSystem, nvec, X) -> float:
     """det[g_j(x_k)]; exactly zero when two points coincide."""
     nvec = as_multi_index(nvec)
@@ -145,7 +125,7 @@ def g_determinant(ws: WeightSystem, nvec, X) -> float:
         raise ValidationError(f"need {nvec.n} points, got {X.size}")
     if np.unique(X).size < X.size:
         return 0.0
-    return float(np.linalg.det(g_stack(ws, nvec, X[None])[0].T))
+    return float(np.linalg.det(g_matrix(ws, nvec, X).T))
 
 
 def _log_det_form(ws, nvec, Xs):
@@ -156,7 +136,8 @@ def _log_det_form(ws, nvec, Xs):
     with np.errstate(divide="ignore"):
         for s in range(1, Xs.shape[1]):  # the pairs s apart
             lf = lf + np.log(np.abs(Xs[:, s:] - Xs[:, :-s])).sum(axis=1)
-    sg, lg = np.linalg.slogdet(np.swapaxes(g_stack(ws, nvec, Xs), 1, 2))
+    G = g_matrix(ws, nvec, Xs.ravel()).reshape(-1, *Xs.shape)  # (basis, config, point)
+    sg, lg = np.linalg.slogdet(G.transpose(1, 2, 0))
     return np.where(sg == 0, -np.inf, lg + lf)
 
 
@@ -265,7 +246,8 @@ def sign_constancy_check(ws: WeightSystem, nvec, trials: int, seed: int = 0) -> 
     los = np.asarray([s[0] for s in segs])
     Xs = np.sort(los[pick] + u * lengths[pick], axis=1)
     hull = ws.support_hull()
-    G = g_stack(ws, nvec, Xs, hull.mid, 0.5 * hull.length)
+    G = g_matrix(ws, nvec, Xs.ravel(), center=hull.mid,
+                 half_width=0.5 * hull.length).reshape(-1, *Xs.shape).swapaxes(0, 1)
     dets = np.linalg.det(G)
     scale = np.prod(np.linalg.norm(G, axis=2), axis=1)
     ambiguous = np.abs(dets) <= 1e-13 * scale
@@ -482,13 +464,16 @@ def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
 
     phi coefficients come from the inverse of the permuted-L factor, psi
     from the inverse transpose of U, so the Gram matrix phi M psi^T is the
-    identity.  Past condition ~1e7 the pair is computed on the checked
-    mpmath ladder of ``highprec.escalate``, each attempt reporting its own
+    identity; one LU of M gives the pair and its condition estimate.  Past
+    condition ~1e7 the pair is computed on the checked mpmath ladder of
+    ``highprec.escalate``, each attempt reporting its own
     mpmath condition number, since the float64 one saturates far below the
     true one; the Gram check applies on both rungs, after the ladder's own.
     """
     nvec = as_multi_index(nvec)
-    cond = linalg.cond1(M.matrix)
+    matrix = M.matrix.astype(linalg.LD)
+    factors = linalg.lu_factor(matrix)
+    cond = linalg.cond1(matrix, factors)
     form = None
     try:
         if np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF:
@@ -498,8 +483,7 @@ def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
                 lambda d: highprec.kernel_attempt(ws, nvec, d), cond)
             form = highprec.MPForm(ws, nvec.parts, phi, psi, dps, nvec.n + 1)
         else:
-            matrix = M.matrix.astype(linalg.LD)
-            phi, psi, defect = linalg.biorthogonal_pair(matrix)
+            phi, psi, defect = linalg.biorthogonal_pair(matrix, factors)
     except PrecisionExhausted:
         raise
     except NumericError as exc:

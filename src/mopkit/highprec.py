@@ -327,7 +327,7 @@ def kernel_attempt(ws, nvec, dps: int):
     makes psi^T phi the inverse of M."""
     with mp.workdps(dps):
         m = _hankel_from(moment_rows(ws, nvec.n - 1 + max(nvec.parts) - 1), nvec, nvec.n)
-        phi, psi, defect = linalg.biorthogonal_pair(m)
+        phi, psi, defect = linalg.biorthogonal_pair(m, linalg.lu_factor(m))
         norms = [np.abs(a).sum(axis=0).max() for a in (m, psi.T @ phi)]
     return (m, phi, psi, defect), float(norms[0] * norms[1])
 

@@ -17,6 +17,10 @@ float one).  mpf arrays run the same loops on rows of raw ``_mpf_`` tuples
 through ``mpmath.libmp``: same pivot order, same rounding per operation, so
 mpf arithmetic's results bit for bit, and untouched entries keep their own
 precision.
+
+Callers factor each matrix once, through this module's ``lu_factor``, and
+hand its (lu, piv, parity) to ``lu_det``, ``lu_solve``, ``cond1`` and
+``biorthogonal_pair``.
 """
 
 from __future__ import annotations
@@ -168,20 +172,16 @@ def det(a):
     return lu_det(lu, parity)
 
 
-def inverse(a):
-    lu, piv, _ = lu_factor(a)
-    return lu_solve(lu, piv, _identity(lu))
-
-
-def biorthogonal_pair(a):
-    """phi = L^-1 P and psi = U^-T from one factorization P A = L U.
+def biorthogonal_pair(a, factors):
+    """phi = L^-1 P and psi = U^-T from the factorization P A = L U that
+    ``factors`` (``lu_factor(a)``) holds.
 
     Then phi A psi^T = I: the pair is the coefficient form of a
     biorthogonal system.  Returns (phi, psi, defect), where ``defect`` is
     max |phi A psi^T - I| as a float.  Each triangle is inverted by
     substitution alone, without pivoting again.
     """
-    lu, piv, _ = lu_factor(a)
+    lu, piv, _ = factors
     eye = _identity(lu)
     phi = lu_solve(np.tril(lu, -1) + eye, piv, eye)
     psi = lu_solve(np.triu(lu), np.arange(len(lu)), eye).T
@@ -189,11 +189,13 @@ def biorthogonal_pair(a):
     return phi, psi, defect
 
 
-def cond1(a):
-    """1-norm condition estimate via the explicit inverse (tiny matrices)."""
+def cond1(a, factors):
+    """1-norm condition estimate via the explicit inverse (tiny matrices),
+    from ``factors``, the ``lu_factor`` of ``a``; inf when singular."""
     a = np.asarray(a, dtype=LD)
+    lu, piv, _ = factors
     try:
-        inv = inverse(a)
+        inv = lu_solve(lu, piv, _identity(lu))
     except NumericError:
         return np.inf
     norm = np.abs(a).sum(axis=0).max()

@@ -30,7 +30,7 @@ METHODS = ("auto", "float", "mp")
 
 @dataclass(frozen=True)
 class MultiIndex:
-    """Multi-index (n_1, ..., n_p) with n = sum n_j and prefix sums N_j."""
+    """Multi-index (n_1, ..., n_p) with n = sum n_j."""
 
     parts: tuple
 
@@ -49,20 +49,6 @@ class MultiIndex:
     @property
     def p(self):
         return len(self.parts)
-
-    def prefix(self, j):
-        """N_j = n_1 + ... + n_j (N_0 = 0)."""
-        return sum(self.parts[:j])
-
-    def blocks(self):
-        """Nonempty column blocks as (weight_index, start, stop), 0-based."""
-        out = []
-        start = 0
-        for j, nj in enumerate(self.parts):
-            if nj > 0:
-                out.append((j, start, start + nj))
-            start += nj
-        return out
 
     def g_index(self, k):
         """Map the 1-based g-basis index k to (power, weight_index)."""
@@ -184,11 +170,10 @@ class TypeISystem:
 
 @dataclass(frozen=True)
 class HankelBlockMatrix:
-    """Dense moment matrix with recorded block column structure."""
+    """Dense moment matrix of a multi-index."""
 
     matrix: np.ndarray
     nvec: MultiIndex
-    col_blocks: tuple  # (weight_index, start, stop) per nonempty block
 
     @property
     def n(self):
@@ -228,18 +213,19 @@ def block_hankel(mt: MomentTable, nvec) -> HankelBlockMatrix:
         raise ValidationError(f"multi-index has {nvec.p} parts, system has {mt.p}")
     _require_order(mt, n - 1 + max(nvec.parts) - 1)
     m = _hankel_from(mt.raw, nvec, n)
-    return HankelBlockMatrix(m, nvec, tuple(nvec.blocks()))
+    return HankelBlockMatrix(m, nvec)
 
 
 def normality_determinant(M: HankelBlockMatrix) -> DetReport:
-    """det of the moment matrix (LU, 80-bit) with a condition estimate."""
-    a = M.matrix
-    lu, _, parity = linalg.lu_factor(a)
-    return DetReport(float(linalg.lu_det(lu, parity)), linalg.cond1(a))
+    """det of the moment matrix with a condition estimate, from one 80-bit LU."""
+    factors = linalg.lu_factor(M.matrix)
+    return DetReport(float(linalg.lu_det(factors[0], factors[2])),
+                     linalg.cond1(M.matrix, factors))
 
 
 def _check_normal(mt, nvec):
-    """Raise when the moment matrix is numerically singular.
+    """The hull-rescaled moment matrix and its ``lu_factor``; raises when
+    the matrix is numerically singular.
 
     Normal Hankel systems have determinants that decay exponentially with n,
     so a test against the product of row norms would reject almost every
@@ -251,14 +237,15 @@ def _check_normal(mt, nvec):
     """
     n = nvec.n
     scaled = _hankel_from(mt.scaled, nvec, n)
-    lu, _, _ = linalg.lu_factor(scaled)
+    factors = linalg.lu_factor(scaled)
     scale = float(np.abs(scaled).max())
-    pivots = np.abs(np.diagonal(lu)).astype(float)
+    pivots = np.abs(np.diagonal(factors[0])).astype(float)
     if scale == 0.0 or pivots.min() <= SINGULAR_PIVOT_RTOL * scale:
         raise NonNormalIndexError(
             f"multi-index {nvec.parts} is not normal "
             f"(pivot {pivots.min():.3e} vs scale {scale:.3e})"
         )
+    return scaled, factors
 
 
 def _affine_unscale(coeffs_t, c, s, power_scale):
@@ -286,7 +273,8 @@ def _type2_system(rows, nvec):
 
 def _checked_index(mt: MomentTable, nvec, method, what, order):
     """Validate a solve request and check normality; ``order(nvec)`` is the
-    highest moment order the solve reads."""
+    highest moment order the solve reads.  Returns the index and
+    ``_check_normal``'s matrix and factorization."""
     nvec = as_multi_index(nvec)
     if nvec.n < 1:
         raise ValidationError(f"{what} needs |n| >= 1")
@@ -295,8 +283,7 @@ def _checked_index(mt: MomentTable, nvec, method, what, order):
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}")
     _require_order(mt, order(nvec))
-    _check_normal(mt, nvec)
-    return nvec
+    return nvec, _check_normal(mt, nvec)
 
 
 def _on_mp_rung(method, cond):
@@ -313,12 +300,14 @@ def type2_mop(mt: MomentTable, nvec, method: str = "auto") -> Polynomial:
     ``"auto"``, which takes the ladder when the condition estimate passes
     ``highprec.CONDITION_CUTOFF``.
     """
-    nvec = _checked_index(mt, nvec, method, "type II MOP",
-                          lambda v: v.n + max(v.parts) - 1)
+    # normality is tested on M, not on the system M^T: its pivots differ
+    nvec, _ = _checked_index(mt, nvec, method, "type II MOP",
+                             lambda v: v.n + max(v.parts) - 1)
     n = nvec.n
     c, s = mt.center, mt.half_width
     system, rhs = _type2_system(mt.scaled, nvec)
-    cond = linalg.cond1(system)
+    factors = linalg.lu_factor(system)
+    cond = linalg.cond1(system, factors)
     ill = cond > CONDITION_WARN
 
     if _on_mp_rung(method, cond):
@@ -328,7 +317,7 @@ def type2_mop(mt: MomentTable, nvec, method: str = "auto") -> Polynomial:
         return Polynomial(coeffs, condition_estimate=cond, ill_conditioned=ill,
                           method="mp", hp_dps=dps)
 
-    a_t = linalg.solve(system, rhs)
+    a_t = linalg.lu_solve(*factors[:2], rhs)
     coeffs_t = np.concatenate([a_t, np.asarray([1.0], dtype=linalg.LD)])
     coeffs = _affine_unscale(coeffs_t, c, s, s ** n)
     coeffs[-1] = 1.0  # monic by construction; pin against rounding
@@ -346,13 +335,13 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
     re-solves on the checked mpmath ladder of ``highprec.escalate``;
     ``"mp"`` forces that path, ``"float"`` forbids it.
     """
-    nvec = _checked_index(mt, nvec, method, "type I MOP", lambda v: 2 * v.n - 2)
+    nvec, (system, factors) = _checked_index(mt, nvec, method, "type I MOP",
+                                             lambda v: 2 * v.n - 2)
     n = nvec.n
     c, s = mt.center, mt.half_width
-    system = _hankel_from(mt.scaled, nvec, n).astype(linalg.LD)
     rhs = np.zeros(n, dtype=linalg.LD)
     rhs[n - 1] = 1.0
-    cond = linalg.cond1(system)
+    cond = linalg.cond1(system, factors)
     ill = cond > CONDITION_WARN
 
     if _on_mp_rung(method, cond):
@@ -365,7 +354,7 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
                            hp_coeffs=tuple(tuple(blk) for blk in blocks), hp_dps=dps,
                            hp_rows_dps=rows_dps, mp=highprec.linear_form(mt.system, blocks, dps))
 
-    sol = linalg.solve(system, rhs)
+    sol = linalg.lu_solve(*factors[:2], rhs)
 
     scale = linalg.LD(s) ** (n - 1)
     polys = tuple(Polynomial(_affine_unscale(sol[e - nj : e], c, s, 1.0) / scale)
@@ -374,14 +363,13 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
     return TypeISystem(polys, mt.system, nvec, cond, ill)
 
 
-def poly_roots(P: Polynomial, dedupe_tol: float = 0.0) -> np.ndarray:
+def poly_roots(P: Polynomial) -> np.ndarray:
     """Real roots via companion-matrix eigenvalues, polished and sorted.
 
     Eigenvalues with relative imaginary part below 1e-8 are projected onto
-    the real axis; clusters closer than ``dedupe_tol`` are merged to their
-    mean.  An eigenvalue off the real axis, or a root whose polished
-    residual stays large, raises :class:`NumericError`, so without merging
-    exactly ``deg`` roots come back.
+    the real axis.  An eigenvalue off the real axis, or a root whose
+    polished residual stays large, raises :class:`NumericError`, so exactly
+    ``deg`` roots come back.
     """
     if P.degree < 1:
         raise ValidationError("root finding needs degree >= 1")
@@ -417,18 +405,6 @@ def poly_roots(P: Polynomial, dedupe_tol: float = 0.0) -> np.ndarray:
         raise NumericError(
             f"root refinement failed: residual {resid[bad].max():.3e} at {roots[bad]}"
         )
-
-    if dedupe_tol > 0.0 and roots.size:
-        merged = [roots[0]]
-        counts = [1]
-        for r in roots[1:]:
-            if r - merged[-1] <= dedupe_tol:
-                merged[-1] = (merged[-1] * counts[-1] + r) / (counts[-1] + 1)
-                counts[-1] += 1
-            else:
-                merged.append(r)
-                counts.append(1)
-        roots = np.asarray(merged)
     return roots
 
 

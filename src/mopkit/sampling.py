@@ -34,7 +34,6 @@ class SamplerConfig:
     burn_in: int = 10_000
     thinning: int = 10
     step_scale: float = 0.1
-    step_sizes: tuple | None = None  # per-coordinate override
     seed: int = 0
 
     def __post_init__(self):
@@ -44,9 +43,6 @@ class SamplerConfig:
         # a NaN, infinite or zero step freezes the chain at its start
         if not (np.isfinite(self.step_scale) and self.step_scale > 0):
             raise ValidationError("step_scale must be finite and positive")
-        if self.step_sizes is not None and not all(
-                np.isfinite(s) and s != 0 for s in self.step_sizes):
-            raise ValidationError("step_sizes must be finite and nonzero")
 
 
 @dataclass
@@ -147,12 +143,7 @@ def sample_mcmc(ws: WeightSystem, nvec, cfg: SamplerConfig) -> SampleBatch:
     else:
         raise NumericError("could not find a positive-density starting state")
 
-    if cfg.step_sizes is not None:
-        if len(cfg.step_sizes) != nc:
-            raise ValidationError(f"need {nc} step sizes")
-        sigma = np.asarray(cfg.step_sizes, dtype=float)
-    else:
-        sigma = np.asarray([cfg.step_scale * iv.length for iv in target.intervals])
+    sigma = np.asarray([cfg.step_scale * iv.length for iv in target.intervals])
 
     accepts = np.zeros(nc, dtype=np.int64)
     kept_per_chain = -(-cfg.samples // C)  # ceil

@@ -188,7 +188,7 @@ def ref_lu_solve(lu, piv, b):
     return x[:, 0] if one_d else x
 
 
-def _ref_identity(lu):
+def ref_identity(lu):
     one = lu[0, 0] ** 0
     return np.where(np.eye(lu.shape[0], dtype=bool), one, one - one)
 
@@ -198,14 +198,9 @@ def ref_det(a):
     return parity * np.prod(np.diagonal(lu))
 
 
-def ref_inverse(a):
-    lu, piv, _ = ref_lu_factor(a)
-    return ref_lu_solve(lu, piv, _ref_identity(lu))
-
-
 def ref_biorthogonal_pair(a):
     lu, piv, _ = ref_lu_factor(a)
-    eye = _ref_identity(lu)
+    eye = ref_identity(lu)
     phi = ref_lu_solve(np.tril(lu, -1) + eye, piv, eye)
     psi = ref_lu_solve(np.triu(lu), np.arange(len(lu)), eye).T
     defect = float(np.max(np.abs(phi @ np.array(a, dtype=object) @ psi.T - eye)))

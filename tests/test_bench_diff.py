@@ -1,6 +1,7 @@
 """tools/bench_diff.py: per-metric deltas between and within BENCH files, and
-the paired medians that tools/bench_pairs.py records; tools/cli_bodies.py:
-the comparison of two checkouts' CLI output bodies."""
+the paired medians that tools/bench_pairs.py records; tools/cli_bodies.py
+and tools/same_outputs.py: the comparisons of two checkouts' CLI output
+bodies and workload outputs."""
 
 import json
 import sys
@@ -13,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import bench_diff
 import bench_pairs
 import cli_bodies
+import same_outputs
 
 
 def _side(wall, rows_s, lines):
@@ -177,3 +179,26 @@ def test_cli_bodies_exit_1_on_an_exit_code_difference(tmp_path, monkeypatch, cap
     assert "legendre-mop: exit code 0 -> 2" in capsys.readouterr().out
     monkeypatch.setattr(cli_bodies, "run_round", lambda root, out, seed: _jobs(out))
     assert cli_bodies.main(args) == 0
+
+
+def test_same_outputs_compare_digests():
+    parent = {"zeros legendre (6,)": "a1", "zeros legendre (10,)": "b1",
+              "ensemble kernel angelesco (float)": "c1", "failed operations": "d1"}
+    assert same_outputs.differences(parent, dict(parent)) == []
+    change = dict(parent, **{"zeros legendre (6,)": "a2", "zeros nikishin (2, 2)": "e1"})
+    del change["failed operations"]
+    assert same_outputs.differences(parent, change) == [
+        ("failed operations", "only in the parent"),
+        ("zeros legendre (6,)", "differs"),
+        ("zeros nikishin (2, 2)", "only in the change"),
+    ]
+
+
+def test_same_outputs_exit_1_on_a_difference(tmp_path, monkeypatch, capsys):
+    args = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    monkeypatch.setattr(same_outputs, "snapshot", lambda root, seed: {"k": root.name, "s": "0"})
+    assert same_outputs.main(args) == 1
+    assert capsys.readouterr().out.splitlines() == ["k: differs", "1 of 2 outputs differ"]
+    monkeypatch.setattr(same_outputs, "snapshot", lambda root, seed: {"k": "0", "s": "0"})
+    assert same_outputs.main(args) == 0
+    assert "0 of 2 outputs differ" in capsys.readouterr().out

@@ -50,6 +50,12 @@ def angelesco_hankel(parts=(3, 3)):
                      for r in range(sum(parts))], dtype=object)
 
 
+def _cond(m):
+    """``linalg.cond1`` of ``m`` in floats."""
+    m = m.astype(float)
+    return linalg.cond1(m, linalg.lu_factor(m))
+
+
 SINGULAR = [[Fraction(v) for v in row] for row in ([0, 1, 2], [0, 3, 4], [0, 5, 7])]
 
 
@@ -70,7 +76,7 @@ def test_solve_block_hankel(rung):
         assert x.dtype == LD
     else:
         assert all(isinstance(v, mpmath.mpf) for v in x)
-    cond = linalg.cond1(exact_m.astype(float))
+    cond = _cond(exact_m)
     err = np.max(np.abs(x - entries(exact_x)))
     assert err <= 100 * cond * eps * np.max(np.abs(x))
 
@@ -87,13 +93,13 @@ def test_singular_det_and_solve(rung):
 def test_biorthogonal_pair_gram_identity(rung):
     name, entries, eps = rung
     m = entries(angelesco_hankel())
-    phi, psi, defect = linalg.biorthogonal_pair(m)
+    phi, psi, defect = linalg.biorthogonal_pair(m, linalg.lu_factor(m))
     gram = phi @ m @ psi.T
     n = m.shape[0]
     if name == "fraction":
         assert np.all(gram == np.eye(n, dtype=int)) and defect == 0.0
         return
-    tol = 100 * linalg.cond1(m.astype(float)) * eps
+    tol = 100 * _cond(m) * eps
     assert defect <= tol
     assert np.max(np.abs(gram - np.eye(n))) <= tol
 
@@ -129,13 +135,12 @@ def _same_as_reference(a):
     ref_lu, ref_piv, ref_parity = helpers.ref_lu_factor(a)
     assert _raw(lu) == _raw(ref_lu)
     assert list(piv) == list(ref_piv) and parity == ref_parity
-    for b in (a[:, -1], a[::-1, :2], a.T):  # 1, 2 and n columns
+    # 1, 2 and n columns, and the identity's: the explicit inverse
+    for b in (a[:, -1], a[::-1, :2], a.T, helpers.ref_identity(ref_lu)):
         x, ref_x = outcome(linalg.lu_solve, lu, piv, b), outcome(helpers.ref_lu_solve, lu, piv, b)
         assert x is ref_x is NumericError or _raw(x) == _raw(ref_x)
     assert _raw(linalg.det(a)) == _raw(helpers.ref_det(a))
-    inv, ref_inv = outcome(linalg.inverse, a), outcome(helpers.ref_inverse, a)
-    assert inv is ref_inv is NumericError or _raw(inv) == _raw(ref_inv)
-    pair = outcome(linalg.biorthogonal_pair, a)
+    pair = outcome(linalg.biorthogonal_pair, a, (lu, piv, parity))
     ref_pair = outcome(helpers.ref_biorthogonal_pair, a)
     if pair is ref_pair is NumericError:
         return
@@ -175,6 +180,23 @@ def test_every_solve_factors_through_the_module_lu_factor(monkeypatch):
         a = _hankel("angelesco", (2, 2), DPS)
         linalg.solve(a, a[:, 0])
         linalg.det(a)
-        linalg.inverse(a)
-        linalg.biorthogonal_pair(a)
-    assert len(calls) == len(mpf_calls) == 4
+        linalg.biorthogonal_pair(a, linalg.lu_factor(a))
+    assert len(calls) == len(mpf_calls) == 3
+
+
+# -- one factorization per float-rung matrix ---------------------------------
+
+@pytest.mark.parametrize("call,lus", [
+    (lambda mt, ws: mk.type1_mop(mt, (2, 2), method="float"), 1),
+    # the normality test pivots M, the solve M^T
+    (lambda mt, ws: mk.type2_mop(mt, (2, 2), method="float"), 2),
+    (lambda mt, ws: mk.normality_determinant(mk.block_hankel(mt, (2, 2))), 1),
+    (lambda mt, ws: mk.biorthogonalize(mk.block_hankel(mt, (2, 2)), ws, (2, 2)), 1),
+], ids=["type1_mop", "type2_mop", "normality_determinant", "biorthogonalize"])
+def test_float_rung_factors_each_matrix_once(monkeypatch, angelesco_mt, angelesco_ws,
+                                             call, lus):
+    calls, plain = [], linalg.lu_factor
+    monkeypatch.setattr(linalg, "lu_factor", lambda a: calls.append(1) or plain(a))
+    out = call(angelesco_mt, angelesco_ws)
+    assert getattr(out, "method", "float") == "float" and getattr(out, "mp", None) is None
+    assert len(calls) == lus
