@@ -1,8 +1,13 @@
 """Command-line entry point: configs in, CSV/JSON artifacts out.
 
 Commands: mop, typeI, kernel, density, sample, verify, equilibrium,
-compare, validate.  Exit codes: 0 success, 1 validation error, 2 numeric
-failure, 3 verification failure.
+compare, validate.  Exit codes: 0 success; 1 invalid input: a config that
+fails validation, cannot be read, is not UTF-8 JSON or nests too deeply,
+an output directory that cannot be made or written (say, because a file
+has its name), or an equilibrium problem on supports whose interiors
+overlap; 2 numeric failure; 3 verification failure, a non-finite Monte
+Carlo deviation included.  Each command writes its artifacts and a
+``manifest.json`` that lists them.
 
 Config schema (JSON, one file per experiment)::
 
@@ -55,9 +60,6 @@ from .exceptions import (
     VerificationFailure,
 )
 
-COMMANDS = ("mop", "typeI", "kernel", "density", "sample", "verify",
-            "equilibrium", "compare", "validate")
-
 #: upper bounds of the size keys, each 10x or more the largest size that a
 #: shipped config, a test or the benchmark uses; a larger size is a typo
 #: that would ask numpy for more memory than a host has
@@ -74,7 +76,7 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:  # a null reads as an absent key
             cfg = json.load(fh, object_pairs_hook=lambda kv: {k: v for k, v in kv if v is not None})
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
@@ -121,9 +123,6 @@ def _spec_from_entry(entry, where, diags):
         diags.error(f"{where}: interval ends and params must be numbers")
         return None
     a, b = float(iv[0]), float(iv[1])
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        diags.error(f"{where}: empty or non-finite interval [{a}, {b}]")
-        return None
     try:
         if fam == "constant":
             return weights.WeightSpec.constant(a, b)
@@ -136,9 +135,12 @@ def _spec_from_entry(entry, where, diags):
 
 
 class Diagnostics:
+    """Errors and warnings of a config, with its kind and the weight specs parsed from it."""
+
     def __init__(self):
         self.errors = []
         self.warnings = []
+        self.kind, self.specs, self.generators = None, (), ()
 
     def error(self, msg):
         self.errors.append(msg)
@@ -166,29 +168,27 @@ def _check_ray(diags, key, ray, p):
 def validate_config(cfg) -> Diagnostics:
     """Schema and semantic checks; never runs any computation."""
     diags = Diagnostics()
-    kind = cfg.get("kind")
+    kind = diags.kind = cfg.get("kind")
     if kind not in ("angelesco", "nikishin", "general"):
         diags.error(f"kind must be angelesco/nikishin/general, got {kind!r}")
         return diags
-    wlist = cfg.get("weights")
+    wlist, glist = cfg.get("weights"), cfg.get("generators", [])
     if not isinstance(wlist, list) or not wlist:
         diags.error("weights must be a non-empty list")
         return diags
-    specs = [_spec_from_entry(e, f"weights[{i}]", diags) for i, e in enumerate(wlist)]
-    gens = [_spec_from_entry(e, f"generators[{i}]", diags)
-            for i, e in enumerate(cfg.get("generators", []))]
+    if not isinstance(glist, list):
+        diags.error("generators must be a list")
+        return diags
+    specs = diags.specs = [_spec_from_entry(e, f"weights[{i}]", diags)
+                           for i, e in enumerate(wlist)]
+    gens = diags.generators = [_spec_from_entry(e, f"generators[{i}]", diags)
+                               for i, e in enumerate(glist)]
     if not diags.ok:
         return diags
 
     p = len(specs)
-    if kind == "angelesco":
-        ordered = sorted(specs, key=lambda s: s.interval.a)
-        for left, right in zip(ordered[:-1], ordered[1:]):
-            if left.interval.b > right.interval.a:
-                diags.error(
-                    f"angelesco intervals overlap: [{left.interval.a}, "
-                    f"{left.interval.b}] and [{right.interval.a}, {right.interval.b}]"
-                )
+    if kind == "angelesco" and (pair := weights.overlapping_pair([s.interval for s in specs])):
+        diags.error("angelesco intervals overlap: {} and {}".format(*pair))
     if kind == "nikishin":
         if len(specs) != 1:
             diags.error("nikishin config takes exactly one base weight")
@@ -197,10 +197,7 @@ def validate_config(cfg) -> Diagnostics:
         chain = [s.interval for s in specs[:1] + gens]
         for left, right in zip(chain[:-1], chain[1:]):
             if left.gap_to(right) <= 0.0:
-                diags.error(
-                    f"consecutive nikishin intervals intersect: "
-                    f"[{left.a}, {left.b}] and [{right.a}, {right.b}]"
-                )
+                diags.error(f"consecutive nikishin intervals intersect: {left} and {right}")
         p = 1 + len(gens)
     if kind != "nikishin" and cfg.get("generators"):
         diags.warn("generators are ignored for non-nikishin systems")
@@ -272,16 +269,13 @@ def validate_config(cfg) -> Diagnostics:
     return diags
 
 
-def build_system(cfg) -> weights.WeightSystem:
-    kind = cfg["kind"]
-    specs = [_spec_from_entry(e, "weights", Diagnostics()) for e in cfg["weights"]]
-    if kind == "angelesco":
-        return weights.build_angelesco(specs)
-    if kind == "nikishin":
-        gens = [_spec_from_entry(e, "generators", Diagnostics())
-                for e in cfg.get("generators", [])]
-        return weights.build_nikishin(specs[0], gens)
-    return weights.WeightSystem.general([weights.Weight.from_spec(s) for s in specs])
+def build_system(diags) -> weights.WeightSystem:
+    """The weight system of a valid config, from what ``validate_config`` parsed."""
+    if diags.kind == "angelesco":
+        return weights.build_angelesco(diags.specs)
+    if diags.kind == "nikishin":
+        return weights.build_nikishin(diags.specs[0], diags.generators)
+    return weights.WeightSystem.general([weights.Weight.from_spec(s) for s in diags.specs])
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +310,8 @@ def _write_json(path, obj):
 
 
 class Manifest:
+    """The run record: steps, and each artifact, which it writes into ``out_dir``."""
+
     def __init__(self, cfg, command, out_dir):
         blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
         self.data = {
@@ -328,28 +324,27 @@ class Manifest:
         }
         self.out_dir = out_dir
 
-    def step(self, name, status="ok", detail=None):
-        entry = {"name": name, "status": status}
+    def step(self, name, detail=None):
+        entry = {"name": name, "status": "ok"}
         if detail is not None:
             entry["detail"] = detail
         self.data["steps"].append(entry)
 
-    def output(self, path):
-        self.data["outputs"].append(str(Path(path).name))
+    def write(self, name, *content):
+        """Write the artifact ``name`` into ``out_dir``, as JSON or CSV by its suffix,
+        and list it under outputs; ``content`` is the JSON object, or the CSV
+        header, blocks and comments."""
+        (_write_json if name.endswith(".json") else _write_csv)(self.out_dir / name, *content)
+        self.data["outputs"].append(name)
 
     def finish(self):
         self.data["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        _write_json(Path(self.out_dir) / "manifest.json", self.data)
+        _write_json(self.out_dir / "manifest.json", self.data)
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-def _moment_table_for(ws, nvec):
-    pad = max(nvec.parts)
-    return weights.moment_table(ws, nvec.n + max(pad, nvec.n - 1) + 1)
-
 
 def _multi_index(cfg):
     nv = cfg.get("multi_index")
@@ -358,21 +353,14 @@ def _multi_index(cfg):
     return mop.as_multi_index(nv)
 
 
-def _poly_record(P, nvec, det, residual_max):
-    return {
-        "multi_index": list(nvec.parts),
-        "coeffs": [float(c) for c in P.coeffs],
-        "residual_max": residual_max,
-        "determinant": det.det,
-        "condition_estimate": P.condition_estimate,
-        "ill_conditioned": bool(P.ill_conditioned),
-    }
+def _solve_setup(cfg, diags):
+    """The system, the multi-index and a moment table deep enough to solve at it."""
+    ws, nvec = build_system(diags), _multi_index(cfg)
+    return ws, nvec, weights.moment_table(ws, nvec.n + max(max(nvec.parts), nvec.n - 1) + 1)
 
 
-def cmd_mop(cfg, out, man, quiet):
-    ws = build_system(cfg)
-    nvec = _multi_index(cfg)
-    mt = _moment_table_for(ws, nvec)
+def cmd_mop(cfg, diags, man, quiet):
+    ws, nvec, mt = _solve_setup(cfg, diags)
     man.step("moments")
     P = mop.type2_mop(mt, nvec)
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
@@ -380,21 +368,22 @@ def cmd_mop(cfg, out, man, quiet):
     rmax = float(max((np.abs(r).max() for r in res if r.size), default=0.0))
     man.step("solve", detail={"rung": P.method, "hp_dps": P.hp_dps,
                               "condition_estimate": P.condition_estimate})
-    rec = _poly_record(P, nvec, det, rmax)
-    rec["roots"] = [float(r) for r in mop.poly_roots(P)]
-    rec["residuals"] = [[float(v) for v in r] for r in res]
-    path = Path(out) / "mop.json"
-    _write_json(path, rec)
-    man.output(path)
+    man.write("mop.json", {
+        "multi_index": list(nvec.parts),
+        "coeffs": [float(c) for c in P.coeffs],
+        "residual_max": rmax,
+        "determinant": det.det,
+        "condition_estimate": P.condition_estimate,
+        "ill_conditioned": bool(P.ill_conditioned),
+        "roots": [float(r) for r in mop.poly_roots(P)],
+        "residuals": [[float(v) for v in r] for r in res],
+    })
     if not quiet:
         print(f"type II MOP degree {nvec.n}: max residual {rmax:.3e}")
-    return 0
 
 
-def cmd_typeI(cfg, out, man, quiet):
-    ws = build_system(cfg)
-    nvec = _multi_index(cfg)
-    mt = _moment_table_for(ws, nvec)
+def cmd_typeI(cfg, diags, man, quiet):
+    _, nvec, mt = _solve_setup(cfg, diags)
     man.step("moments")
     ts = mop.type1_mop(mt, nvec)
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
@@ -403,70 +392,56 @@ def cmd_typeI(cfg, out, man, quiet):
                               "hp_dps": ts.hp_dps, "rows_dps": ts.hp_rows_dps,
                               "condition_estimate": ts.condition_estimate,
                               "evaluation": ts.mp and ts.mp.proxy and ts.mp.proxy.records})
-    rec = {
+    rmax = float(np.abs(res).max())
+    man.write("typeI.json", {
         "multi_index": list(nvec.parts),
         "components": [[float(c) for c in a.coeffs] for a in ts.polys],
-        "residual_max": float(np.abs(res).max()),
+        "residual_max": rmax,
         "determinant": det.det,
         "condition_estimate": ts.condition_estimate,
         "ill_conditioned": bool(ts.ill_conditioned),
         "high_precision": ts.hp_coeffs is not None,
-    }
-    path = Path(out) / "typeI.json"
-    _write_json(path, rec)
-    man.output(path)
+    })
     if not quiet:
-        print(f"type I system: max residual {rec['residual_max']:.3e}")
-    return 0
+        print(f"type I system: max residual {rmax:.3e}")
 
 
-def _grid_points(ws, m):
+def _kernel_on_grid(cfg, diags, default_grid):
+    """The biorthogonalized kernel and the grid of ``cfg``'s ``grid`` points on the hull."""
+    ws, nvec, mt = _solve_setup(cfg, diags)
     hull = ws.support_hull()
-    return np.linspace(hull.a, hull.b, m)
+    return (ensemble.biorthogonalize(mop.block_hankel(mt, nvec), ws, nvec),
+            np.linspace(hull.a, hull.b, int(cfg.get("grid", default_grid))))
 
 
 def _biorthogonalized(man, K):
-    """The biorthogonalize step, with how the kernel values were computed."""
+    """The biorthogonalize step, with how the kernel values were computed; it
+    follows the evaluation, which builds an mpmath kernel's proxy."""
     mpk = K.mp
     man.step("biorthogonalize", detail={"rung": "mp" if mpk else "float",
                                         "hp_dps": mpk.dps if mpk else 0,
                                         "evaluation": mpk and mpk.proxy and mpk.proxy.records})
 
 
-def cmd_kernel(cfg, out, man, quiet):
-    ws = build_system(cfg)
-    nvec = _multi_index(cfg)
-    mt = _moment_table_for(ws, nvec)
-    K = ensemble.biorthogonalize(mop.block_hankel(mt, nvec), ws, nvec)
-    m = int(cfg.get("grid", 100))
-    xs = _grid_points(ws, m)
+def cmd_kernel(cfg, diags, man, quiet):
+    K, xs = _kernel_on_grid(cfg, diags, 100)
+    m = xs.size
     text = list(map(repr, xs.tolist()))  # the grid, formatted once for all m blocks
     blocks = (([text[i]] * m, text, ensemble.kernel_eval(K, np.full(m, x), xs))
               for i, x in enumerate(xs))
-    path = Path(out) / "kernel.csv"
-    _write_csv(path, ["x", "y", "K"], blocks, [f"n = {nvec.n}"])
+    man.write("kernel.csv", ["x", "y", "K"], blocks, [f"n = {K.n}"])
     _biorthogonalized(man, K)
-    man.output(path)
     if not quiet:
         print(f"kernel grid {m}x{m} written")
-    return 0
 
 
-def cmd_density(cfg, out, man, quiet):
-    ws = build_system(cfg)
-    nvec = _multi_index(cfg)
-    mt = _moment_table_for(ws, nvec)
-    K = ensemble.biorthogonalize(mop.block_hankel(mt, nvec), ws, nvec)
-    m = int(cfg.get("grid", 400))
-    xs = _grid_points(ws, m)
+def cmd_density(cfg, diags, man, quiet):
+    K, xs = _kernel_on_grid(cfg, diags, 400)
     dens = ensemble.mean_density(K, xs)
     _biorthogonalized(man, K)
-    path = Path(out) / "density.csv"
-    _write_csv(path, ["x", "density"], [(xs, dens)], [f"n = {nvec.n}"])
-    man.output(path)
+    man.write("density.csv", ["x", "density"], [(xs, dens)], [f"n = {K.n}"])
     if not quiet:
-        print(f"mean density on {m} points written")
-    return 0
+        print(f"mean density on {xs.size} points written")
 
 
 def _sampler_config(cfg, seed):
@@ -479,43 +454,31 @@ def _sampler_config(cfg, seed):
     return sampling.SamplerConfig(seed=seed, **knobs)
 
 
-def cmd_sample(cfg, out, man, quiet):
-    ws = build_system(cfg)
-    nvec = _multi_index(cfg)
+def cmd_sample(cfg, diags, man, quiet):
+    ws, nvec = build_system(diags), _multi_index(cfg)
     seed = int(cfg.get("seed", 0))
     batch = sampling.sample_mcmc(ws, nvec, _sampler_config(cfg, seed))
     man.step("mcmc")
-    n = nvec.n
-    header = [f"x_{i + 1}" for i in range(n)]
+    header = [f"x_{i + 1}" for i in range(nvec.n)]
     data = batch.configurations
     if batch.extended is not None:
         header += [f"y_{i + 1}" for i in range(batch.extended.shape[1])]
         data = np.hstack([batch.configurations, batch.extended])
-    path = Path(out) / "samples.csv"
     blocks = (data[i:i + 8192].T for i in range(0, len(data), 8192))  # bounded text per block
-    _write_csv(path, header, blocks,
-               [f"seed: {seed}", f"acceptance: {batch.acceptance_rate!r}",
-                f"ess: {batch.ess!r}"])
-    man.output(path)
+    man.write("samples.csv", header, blocks,
+              [f"seed: {seed}", f"acceptance: {batch.acceptance_rate!r}", f"ess: {batch.ess!r}"])
     if not quiet:
         print(f"{data.shape[0]} configurations written "
               f"(acceptance {batch.acceptance_rate:.2f})")
-    return 0
 
 
 def _z_list(cfg):
-    out = []
-    for z in cfg.get("z_points", [2.0, -2.0, 3.0, [0.0, 2.0], [1.0, 1.0]]):
-        if isinstance(z, (list, tuple)):
-            out.append(complex(z[0], z[1]))
-        else:
-            out.append(float(z))
-    return out
+    return [complex(*z) if isinstance(z, list) else float(z)
+            for z in cfg.get("z_points", [2.0, -2.0, 3.0, [0.0, 2.0], [1.0, 1.0]])]
 
 
-def cmd_verify(cfg, out, man, quiet):
-    ws = build_system(cfg)
-    nvec = _multi_index(cfg)
+def cmd_verify(cfg, diags, man, quiet):
+    ws, nvec, mt = _solve_setup(cfg, diags)
     vcfg = cfg.get("verify", {})
     seed = int(cfg.get("seed", 0))
     multiple = float(vcfg.get("stderr_multiple", 3.0))
@@ -528,7 +491,6 @@ def cmd_verify(cfg, out, man, quiet):
                               "nonzero": rep.nonzero}})
     man.step("sign_constancy")
 
-    mt = _moment_table_for(ws, nvec)
     K = ensemble.biorthogonalize(mop.block_hankel(mt, nvec), ws, nvec)
     trace = ensemble.kernel_trace(K)
     checks.append({"name": "kernel_trace", "passed": abs(trace - nvec.n) < 1e-8,
@@ -549,120 +511,101 @@ def cmd_verify(cfg, out, man, quiet):
                                samples=int(vcfg.get("samples", 20_000)))
     batch = sampling.sample_mcmc(ws, nvec, scfg)
     P = mop.type2_mop(mt, nvec)
-    worst = 0.0
+    devs = []
     for z in _z_list(cfg):
         est = ensemble.mc_char_poly(batch, z)
-        dev = abs(est.value - P(z)) / max(est.stderr, 1e-300)
-        worst = max(worst, dev)
+        devs.append(abs(est.value - P(z)) / max(est.stderr, 1e-300))
+    worst = float(np.max(devs, initial=0.0))  # unlike max(), keeps a NaN, which fails
     checks.append({"name": "mc_char_poly", "passed": worst <= multiple,
                    "detail": {"worst_dev_over_stderr": worst,
                               "allowed": multiple, "samples": scfg.samples}})
     man.step("monte_carlo")
 
     passed = all(c["passed"] for c in checks)
-    path = Path(out) / "verify.json"
-    _write_json(path, {"passed": passed, "checks": checks})
-    man.output(path)
+    man.write("verify.json", {"passed": passed, "checks": checks})
     if not quiet:
         for c in checks:
             print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}")
     if not passed:
         raise VerificationFailure("one or more verification checks failed")
-    return 0
 
 
-def _equilibrium_problem(cfg, ws):
+def _equilibrium(cfg, ws):
+    """The config's equilibrium problem of ``ws`` (Nikishin, else Angelesco), solved."""
     ecfg = cfg.get("equilibrium", {})
-    grid = int(ecfg.get("grid", 1000))  # the top-level grid is the kernel's
     ray = ecfg.get("ray")
     if ray is None:
         sched = cfg.get("schedule")
         ray = sched["ray"] if sched else [1.0 / ws.p] * ws.p
-    fields = ecfg.get("fields")
-    kind = "nikishin" if ws.kind == "nikishin" else "angelesco"
-    intervals = ws.intervals
-    if kind == "nikishin":
-        maker = equilibrium.EquilibriumProblem.nikishin
-    else:
-        maker = equilibrium.EquilibriumProblem.angelesco
-    return maker(intervals, ray, grid=grid, fields=fields), ecfg
+    make = getattr(equilibrium.EquilibriumProblem,
+                   "nikishin" if ws.kind == "nikishin" else "angelesco")
+    prob = make(ws.intervals, ray, grid=int(ecfg.get("grid", 1000)),  # not the kernel's grid
+                fields=ecfg.get("fields"))
+    return prob, *equilibrium.minimize_equilibrium(prob, max_iter=int(ecfg.get("max_iter", 4000)))
 
 
-def cmd_equilibrium(cfg, out, man, quiet):
-    ws = build_system(cfg)
-    prob, ecfg = _equilibrium_problem(cfg, ws)
-    measures, report = equilibrium.minimize_equilibrium(
-        prob, max_iter=int(ecfg.get("max_iter", 4000)))
+def cmd_equilibrium(cfg, diags, man, quiet):
+    prob, measures, report = _equilibrium(cfg, build_system(diags))
     man.step("minimize")
     for j, mu in enumerate(measures):
-        h = mu.spacing
-        cdf = np.cumsum(mu.masses)
-        path = Path(out) / f"equilibrium_{j + 1}.csv"
-        _write_csv(path, ["x", "mass", "density", "cdf"],
-                   [(mu.grid, mu.masses, mu.masses / h, cdf)],
-                   [f"component: {j + 1}", f"total_mass: {mu.total_mass!r}"])
-        man.output(path)
-    path = Path(out) / "equilibrium.json"
-    _write_json(path, {"energy": report.energy, "iterations": report.iterations,
-                       "kkt_residual": report.kkt_residual,
-                       "converged": report.converged,
-                       "grid": list(prob.grid_sizes)})
-    man.output(path)
+        man.write(f"equilibrium_{j + 1}.csv", ["x", "mass", "density", "cdf"],
+                  [(mu.grid, mu.masses, mu.masses / mu.spacing, np.cumsum(mu.masses))],
+                  [f"component: {j + 1}", f"total_mass: {mu.total_mass!r}"])
+    man.write("equilibrium.json", {"energy": report.energy, "iterations": report.iterations,
+                                   "kkt_residual": report.kkt_residual,
+                                   "converged": report.converged,
+                                   "grid": list(prob.grid_sizes)})
     if not quiet:
         print(f"energy {report.energy:.6f} after {report.iterations} iterations")
-    return 0
 
 
-def cmd_compare(cfg, out, man, quiet):
-    ws = build_system(cfg)
+def cmd_compare(cfg, diags, man, quiet):
+    ws = build_system(diags)
     sched = cfg.get("schedule")
     if not sched:
         raise ValidationError("compare needs a schedule with ray and totals")
     ray = sched["ray"]
     totals = [int(t) for t in sched["totals"]]
-    prob, ecfg = _equilibrium_problem(cfg, ws)
-    measures, _ = equilibrium.minimize_equilibrium(
-        prob, max_iter=int(ecfg.get("max_iter", 4000)))
+    _, measures, _ = _equilibrium(cfg, ws)
     man.step("equilibrium")
-    kmax = 2 * max(totals) + 2
-    mt = weights.moment_table(ws, kmax)
+    mt = weights.moment_table(ws, 2 * max(totals) + 2)
     man.step("moments")
+    # a Nikishin system's type II zeros all lie on Gamma_1, so only component 1 compares
+    components = 1 if ws.kind == "nikishin" else ws.p
     rows = []
     for n in totals:
         nvec = mop.MultiIndex.from_ray(ray, n)
-        P = mop.type2_mop(mt, nvec)
-        roots = mop.poly_roots(P)
+        roots = mop.poly_roots(mop.type2_mop(mt, nvec))
         counting = equilibrium.zero_counting_measure(roots, n, ws.intervals)
-        for j, (nu, mu) in enumerate(zip(counting, measures)):
+        for j, (nu, mu) in enumerate(zip(counting[:components], measures)):
             scaled = equilibrium.DiscreteMeasure(
                 mu.grid, mu.masses * (nu.total_mass / mu.total_mass))
-            d = equilibrium.kolmogorov_distance(nu, scaled)
-            rows.append((n, j + 1, d))
+            rows.append((n, j + 1, equilibrium.kolmogorov_distance(nu, scaled)))
         man.step(f"n={n}")
-    path = Path(out) / "compare.csv"
-    _write_csv(path, ["n", "component", "kolmogorov_distance"], [zip(*rows)],
-               [f"ray: {ray}"])
-    man.output(path)
+    man.write("compare.csv", ["n", "component", "kolmogorov_distance"], [zip(*rows)],
+              [f"ray: {ray}"])
     if not quiet:
         for n, j, d in rows:
             print(f"n={n} component {j}: distance {d:.4f}")
-    return 0
 
 
-def cmd_validate(cfg, out, man, quiet):
-    diags = validate_config(cfg)
+def cmd_validate(cfg, diags, man, quiet):
     for line in diags.lines():
         print(line)
     if not diags.ok:
         raise ValidationError(f"{len(diags.errors)} validation error(s)")
     if not quiet and not diags.lines():
         print("config is valid")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+COMMANDS = {"mop": cmd_mop, "typeI": cmd_typeI, "kernel": cmd_kernel, "density": cmd_density,
+            "sample": cmd_sample, "verify": cmd_verify, "equilibrium": cmd_equilibrium,
+            "compare": cmd_compare, "validate": cmd_validate}
+
 
 def run(command, config_path, *, out=None, seed=None, grid=None, samples=None,
         quiet=False) -> int:
@@ -676,38 +619,33 @@ def run(command, config_path, *, out=None, seed=None, grid=None, samples=None,
         if grid is not None:
             cfg["grid"] = int(grid)
         if samples is not None:
-            cfg.setdefault("sampler", {})["samples"] = int(samples)
-            cfg.setdefault("verify", {})["samples"] = int(samples)
-        if command != "validate":
-            diags = validate_config(cfg)
-            if not diags.ok:
-                for line in diags.lines():
-                    print(line, file=sys.stderr)
-                raise ValidationError("config failed validation")
+            for key in ("sampler", "verify"):
+                block = cfg.setdefault(key, {})
+                if isinstance(block, dict):  # a block of another type fails validation
+                    block["samples"] = int(samples)
+        diags = validate_config(cfg)
+        if command != "validate" and not diags.ok:
+            for line in diags.lines():
+                print(line, file=sys.stderr)
+            raise ValidationError("config failed validation")
         out_dir = out if out is not None else cfg.get("output_dir", "out")
-        if not isinstance(out_dir, (str, Path)):
-            raise ValidationError("output_dir must be a string")
+        if not isinstance(out_dir, (str, Path)) or "\0" in str(out_dir):
+            raise ValidationError("output_dir must be a string without NUL")
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         man = Manifest(cfg, command, out_dir)
-        handler = {
-            "mop": cmd_mop, "typeI": cmd_typeI, "kernel": cmd_kernel,
-            "density": cmd_density, "sample": cmd_sample, "verify": cmd_verify,
-            "equilibrium": cmd_equilibrium, "compare": cmd_compare,
-            "validate": cmd_validate,
-        }[command]
-        code = handler(cfg, out_dir, man, quiet)
+        COMMANDS[command](cfg, diags, man, quiet)
         man.finish()
-        return code
+        return 0
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
-        try:
-            man.finish()
-        except Exception:
-            pass
+        man.finish()  # verify.json is written before the failure is raised
         return 3
     except (ValidationError, ConstructionError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # _load_config maps its own; these are the output directory's
+        print(f"invalid input: cannot write output: {exc}", file=sys.stderr)
         return 1
     except MopkitError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

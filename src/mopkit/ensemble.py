@@ -316,8 +316,6 @@ def nikishin_extended_density(ws: WeightSystem, nvec, X, Y) -> float:
     if n1 < n2 - 1:
         raise DomainError(f"extended form needs n_1 >= n_2 - 1, got {nvec.parts}")
     g1, g2 = ws.intervals[0], ws.intervals[1]
-    if g1.gap_to(g2) <= 0.0:
-        raise DomainError("Nikishin intervals must be separated")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.size != nvec.n or Y.size != n2:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericError, SingularEnergyError, ValidationError
-from .weights import Interval
+from .weights import Interval, overlapping_pair
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,10 @@ class EquilibriumProblem:
 
     @staticmethod
     def angelesco(intervals, ray, grid=500, fields=None):
-        """Masses r_j on disjoint intervals with the full interaction matrix."""
+        """Masses r_j on intervals with disjoint interiors (touching ends are
+        allowed), with the full interaction matrix."""
+        if pair := overlapping_pair(intervals):
+            raise ValidationError("Angelesco intervals overlap: {} and {}".format(*pair))
         return _ray_problem("angelesco", intervals, ray, grid, fields)
 
     @staticmethod

@@ -40,7 +40,7 @@ class Interval:
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
             raise ConstructionError("interval endpoints must be finite")
         if not self.a < self.b:
-            raise ConstructionError(f"empty interval [{self.a}, {self.b}]")
+            raise ConstructionError(f"empty interval {self}")
 
     @property
     def length(self):
@@ -56,6 +56,17 @@ class Interval:
     def gap_to(self, other):
         """Distance between the two intervals (0 when they overlap)."""
         return max(other.a - self.b, self.a - other.b, 0.0)
+
+    def __str__(self):
+        return f"[{self.a}, {self.b}]"
+
+
+def overlapping_pair(intervals):
+    """The first two intervals, in increasing order, whose interiors overlap
+    (touching ends do not), or None."""
+    ivs = sorted(intervals, key=lambda iv: iv.a)
+    return next(((left, right) for left, right in zip(ivs[:-1], ivs[1:]) if left.b > right.a),
+                None)
 
 
 @dataclass(frozen=True)
@@ -325,14 +336,8 @@ class WeightSystem:
             raise ValidationError(f"unknown system kind {self.kind!r}")
         if len(self.weights) < 1:
             raise ValidationError("a weight system needs at least one weight")
-        if self.kind == "angelesco":
-            ivs = self.intervals
-            for left, right in zip(ivs[:-1], ivs[1:]):
-                if left.b > right.a:
-                    raise ConstructionError(
-                        f"Angelesco intervals overlap: [{left.a}, {left.b}] and "
-                        f"[{right.a}, {right.b}]"
-                    )
+        if self.kind == "angelesco" and (pair := overlapping_pair(self.intervals)):
+            raise ConstructionError("Angelesco intervals overlap: {} and {}".format(*pair))
         if self.kind == "nikishin":
             ivs = self.intervals
             for left, right in zip(ivs[:-1], ivs[1:]):
@@ -381,14 +386,6 @@ def build_angelesco(specs) -> WeightSystem:
     disjoint (touching endpoints are allowed).
     """
     specs = sorted(specs, key=lambda s: s.interval.a)
-    if not specs:
-        raise ValidationError("need at least one weight")
-    for left, right in zip(specs[:-1], specs[1:]):
-        if left.interval.b > right.interval.a:
-            raise ConstructionError(
-                f"supports overlap: [{left.interval.a}, {left.interval.b}] and "
-                f"[{right.interval.a}, {right.interval.b}]"
-            )
     weights = tuple(Weight.from_spec(s) for s in specs)
     return WeightSystem("angelesco", weights, tuple(s.interval for s in specs))
 
@@ -404,10 +401,7 @@ def build_nikishin(w1_spec: WeightSpec, generator_specs) -> WeightSystem:
     gens = list(generator_specs)
     if not gens:
         raise ValidationError("a Nikishin system needs at least one generator")
-    g1 = w1_spec.interval
-    g2 = gens[0].interval
-    if g1.gap_to(g2) <= 0.0:
-        raise ConstructionError("Gamma_1 and Gamma_2 must be disjoint")
+    g1, g2 = w1_spec.interval, gens[0].interval  # MarkovRatio checks that they are apart
     w1 = Weight.from_spec(w1_spec)
     if len(gens) == 1:
         v_weights = (Weight.from_spec(gens[0]),)

@@ -154,13 +154,17 @@ def _jobs(out, bodies=BODIES):
     return {job: 0 for job in bodies}
 
 
+#: every output file is compared; manifest.json as JSON without started and finished
 @pytest.mark.parametrize("edit,expected", [
     (lambda d: None, []),
     (lambda d: (d / "legendre-kernel" / "kernel.csv").write_text("x,y,K\n1,1,0\n"),
      [("legendre-kernel", "kernel.csv differs")]),
-    (lambda d: (d / "legendre-mop" / "manifest.json").write_text('{"wall_s": 9}'), []),
+    (lambda d: (d / "legendre-mop" / "manifest.json").write_text(
+        '{"wall_s": 1, "started": "t0", "finished": "t1"}'), []),
     (lambda d: (d / "legendre-mop" / "mop.json").unlink(),
      [("legendre-mop", "mop.json only in the parent")]),
+    (lambda d: (d / "legendre-kernel" / "manifest.json").write_text('{"wall_s": 9}'),
+     [("legendre-kernel", "manifest.json differs")]),
 ])
 def test_cli_bodies_compare_every_file_but_the_manifest(tmp_path, edit, expected):
     codes = [_jobs(tmp_path / side) for side in ("parent", "change")]

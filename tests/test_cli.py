@@ -49,6 +49,7 @@ MALFORMED = {
     "weight_not_object": dict(LEGENDRE, weights=[1]),
     "z_point_str": dict(LEGENDRE, z_points=["a"]),
     "equilibrium_grid_str": dict(LEGENDRE, equilibrium={"grid": "a"}),
+    "generators_not_list": dict(LEGENDRE, generators=5),
 }
 
 ANGELESCO = {
@@ -374,6 +375,15 @@ def test_oversized_sizes_are_rejected(tmp_path, capsys, command, extra, flags, k
     assert f"error: {key} must be at most {cli.SIZE_CAPS[key]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block", ["sampler", "verify"])
+def test_samples_flag_on_a_block_that_is_not_an_object(tmp_path, capsys, block):
+    cfg = dict(LEGENDRE, **{block: 5})
+    code = cli.main(["sample", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--samples", "100"])
+    assert code == 1
+    assert f"error: {block} must be an object" in capsys.readouterr().err
+
+
 def test_null_reads_as_an_absent_key(tmp_path):
     # a null size passed validation and then failed in int(None)
     cfg = dict(LEGENDRE, seed=None, equilibrium={"grid": None, "ray": [1.0]})
@@ -507,3 +517,78 @@ def test_equilibrium_grid_ignores_top_level_grid(tmp_path):
         assert code == 0
         rec = json.loads((tmp_path / sub / "equilibrium.json").read_text())
         assert rec["grid"] == [300]
+
+
+#: the shipped config that each command's manifest test runs on
+MANIFEST_RUNS = [("mop", "legendre.json"), ("typeI", "nikishin.json"),
+                 ("kernel", "angelesco11.json"), ("density", "arcsine.json"),
+                 ("sample", "nikishin.json"), ("verify", "legendre.json"),
+                 ("equilibrium", "nikishin.json"), ("compare", "angelesco_compare.json"),
+                 ("validate", "legendre.json")]
+
+
+@pytest.mark.parametrize("command,name", MANIFEST_RUNS)
+def test_manifest_lists_exactly_the_written_files(tmp_path, command, name):
+    cfg = json.loads(json.dumps(SHIPPED[name]))
+    _shrink_sizes(cfg)
+    out = tmp_path / "o"
+    code = cli.main([command, write_config(tmp_path, cfg), "--out", str(out), "--quiet",
+                     "--grid", "16"])
+    assert code == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert sorted(outputs) == written and len(set(outputs)) == len(outputs)
+    assert (written == []) == (command == "validate")
+
+
+@pytest.mark.parametrize("config,block,message", [
+    (json.dumps(LEGENDRE).encode(), lambda out: out.write_text(""), "cannot write output"),
+    (json.dumps(LEGENDRE).encode(), lambda out: (out / "manifest.json").mkdir(parents=True),
+     "cannot write output"),
+    (json.dumps(dict(LEGENDRE, output_dir="o\0")).encode(), None, "output_dir"),
+    ('{"kind": "é"}'.encode("latin-1"), None, "cannot read config"),
+    (b'{"kind": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", None, "cannot read config"),
+], ids=["out_is_a_file", "manifest_is_a_directory", "nul_in_output_dir", "not_utf8",
+        "nested_too_deeply"])
+def test_unusable_files_exit_1(tmp_path, capsys, config, block, message):
+    (tmp_path / "cfg.json").write_bytes(config)
+    args = ["validate", str(tmp_path / "cfg.json")]
+    if block is not None:
+        block(tmp_path / "o")
+        args += ["--out", str(tmp_path / "o")]
+    assert cli.main(args) == 1
+    assert f"invalid input: {message}" in capsys.readouterr().err
+
+
+def test_verify_fails_on_a_non_finite_deviation(tmp_path):
+    # P(z) and the Monte Carlo estimate both overflow, and their difference is NaN
+    cfg = dict(LEGENDRE, multi_index=[3], z_points=[[1e308, 1e308]])
+    code = cli.main(["verify", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--samples", "2000", "--quiet"])
+    assert code == 3
+    rec = json.loads((tmp_path / "o" / "verify.json").read_text())
+    [check] = [c for c in rec["checks"] if c["name"] == "mc_char_poly"]
+    assert not rec["passed"] and not check["passed"]
+    assert not np.isfinite(check["detail"]["worst_dev_over_stderr"])
+
+
+@pytest.mark.parametrize("intervals", [[[-1.0, 0.5], [0.0, 1.0]], [[-1.0, 1.0], [-1.0, 1.0]]],
+                         ids=["overlapping", "identical"])
+def test_equilibrium_rejects_overlapping_supports(tmp_path, capsys, intervals):
+    cfg = {"kind": "general",
+           "weights": [{"family": "constant", "interval": iv} for iv in intervals]}
+    code = cli.main(["equilibrium", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+    assert code == 1
+    assert "invalid input: Angelesco intervals overlap" in capsys.readouterr().err
+
+
+def test_nikishin_compare_writes_component_1_only(tmp_path):
+    cfg = dict(NIKISHIN_CFG, schedule={"ray": [0.5, 0.5], "totals": [4, 8]},
+               equilibrium={"grid": 200})
+    code = cli.main(["compare", write_config(tmp_path, cfg), "--out", str(tmp_path / "c"),
+                     "--quiet"])
+    assert code == 0
+    rows = (tmp_path / "c" / "compare.csv").read_text().splitlines()[2:]
+    assert [r.split(",")[:2] for r in rows] == [["4", "1"], ["8", "1"]]
+    assert all(float(r.split(",")[2]) > 0.0 for r in rows)

@@ -301,10 +301,19 @@ class TestExactSolve:
             minimize_equilibrium(prob, max_iter=1)
 
     def test_coincident_cross_grids_raise(self):
-        prob = EquilibriumProblem.angelesco(
-            [mk.Interval(-1.0, 1.0), mk.Interval(-1.0, 1.0)], [0.5, 0.5], grid=20)
+        # the Angelesco constructor rejects this problem; the solver guards it too
+        iv = mk.Interval(-1.0, 1.0)
+        prob = EquilibriumProblem((iv, iv), (0.5, 0.5), interaction_matrix("angelesco", 2),
+                                  grid_sizes=(20, 20))
         with pytest.raises(SingularEnergyError):
             minimize_equilibrium(prob)
+
+    @pytest.mark.parametrize("ivs", [[(-1.0, 0.5), (0.0, 1.0)], [(-1.0, 1.0), (-1.0, 1.0)],
+                                     [(0.0, 1.0), (-2.0, -1.0), (-1.5, 0.5)]])
+    def test_angelesco_rejects_overlapping_interiors(self, ivs):
+        with pytest.raises(ValidationError, match="overlap"):
+            EquilibriumProblem.angelesco([mk.Interval(*iv) for iv in ivs],
+                                         [1.0 / len(ivs)] * len(ivs), grid=20)
 
     @pytest.mark.parametrize("ray", [[-0.5, 1.5], [0.5, 0.5, 0.0], [1.0], [0.5, float("nan")]])
     @pytest.mark.parametrize("kind", ["angelesco", "nikishin"])

@@ -6,14 +6,16 @@ Runs the measured round of ``perfbench/wl_cli.py`` (its ``ROUND``, with its
 ``FLAGS``) once in each checkout, one ``python -m mopkit.cli`` subprocess per
 command, on the checkout's own ``src`` and ``configs`` with single-threaded
 BLAS; ``sample`` runs at ``--seed S``.  Prints every command whose exit code
-differs, or whose output files other than ``manifest.json`` (which holds
-timings) differ in name or bytes, as the workload's own repetition check
-reads them, and exits 1 on any difference.
+differs, or whose output files differ in name or bytes, and exits 1 on any
+difference.  ``manifest.json`` is compared as JSON without its ``started``
+and ``finished`` timestamps; the other files are read as the workload's own
+repetition check reads them.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -46,6 +48,17 @@ def run_round(checkout: Path, out: Path, seed: int) -> dict:
     return codes
 
 
+def outputs(job: Path) -> dict:
+    """The output files of a job by name: their bytes, and for ``manifest.json``
+    its JSON object without the timestamps."""
+    out = _bodies(job)
+    manifest = job / "manifest.json"
+    if manifest.exists():
+        data = json.loads(manifest.read_text())
+        out[manifest.name] = {k: v for k, v in data.items() if k not in ("started", "finished")}
+    return out
+
+
 def differences(parent: Path, change: Path, parent_codes: dict, change_codes: dict) -> list:
     """(job, reason) for every job whose exit code or output bodies differ."""
     out = []
@@ -54,7 +67,7 @@ def differences(parent: Path, change: Path, parent_codes: dict, change_codes: di
         if a != b:
             out.append((job, f"exit code {a} -> {b}"))
             continue
-        pa, pb = _bodies(parent / job), _bodies(change / job)
+        pa, pb = outputs(parent / job), outputs(change / job)
         for name in sorted(set(pa) | set(pb)):
             if name not in pb or name not in pa:
                 out.append((job, f"{name} only in the {'parent' if name in pa else 'change'}"))
