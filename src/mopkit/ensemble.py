@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -82,9 +83,10 @@ def g_matrix(ws: WeightSystem, nvec, xs, dtype=float, center=0.0, half_width=1.0
             wvals = np.array([fn(x) if w.support.a <= x <= w.support.b else x * 0
                               for x in xs], dtype=object)
             mono = xs ** 0
-        else:
-            wvals = w.values(np.asarray(xs, dtype=float)).astype(dtype)
-            mono = np.ones_like(xs)
+        else:  # 1 * w is w: the block's first row, and ts * w its second
+            wvals = w.values(np.asarray(xs, dtype=float))
+            out[row] = wvals
+            mono, row, nj = ts, row + 1, nj - 1
         for _ in range(nj):
             out[row] = mono * wvals
             mono = mono * ts
@@ -142,12 +144,13 @@ def _log_det_form(ws, nvec, Xs):
 
 
 class _Target:
-    """One density form as a batched log density: coordinate layout plus
-    incremental log-density pieces.  Terms are log-absolute values, which
-    survive the hundreds of orders of magnitude of squared Vandermonde
-    factors; a move tests a constant weight's support instead of evaluating
-    it (0 inside, -inf outside) and sums the Vandermonde change in one
-    matvec with the coupling row."""
+    """One density form as a batched log density: coordinate layout, the
+    full log density and the accept test of one Metropolis move.  Terms are
+    log-absolute values, which survive the hundreds of orders of magnitude
+    of squared Vandermonde factors.  A move (``accept``) writes into the
+    buffers of ``work_arrays``, tests a constant weight's support instead of
+    evaluating it, and sums the Vandermonde change in one matvec with the
+    coupling row."""
 
     def __init__(self, ws: WeightSystem, nvec):
         nvec = as_multi_index(nvec)
@@ -183,6 +186,10 @@ class _Target:
             self.mult = None
         if self.mult is not None:
             np.fill_diagonal(self.mult, 0.0)
+        # per coordinate, the support of a constant weight (tested, not evaluated)
+        self.constant_support = [
+            w.support if w is not None and w.ratio is None and w.spec.family == "constant"
+            else None for w in self.coord_weight]
 
     # -- full log density (init checks and the general path) ---------------
 
@@ -200,19 +207,50 @@ class _Target:
                     logp += self.mult[i, k] * np.log(d)
         return logp
 
-    def move(self, state, idx, prop):
-        """Change in log density when coordinate idx moves to prop (per chain).
-        -inf rejects, and so does NaN (out of support plus coincidence across
-        the Nikishin gap): u < NaN is false."""
-        w = self.coord_weight[idx]
-        if w.ratio is None and w.spec.family == "constant":
-            iv = w.support
-            dlog = np.where((iv.a <= prop) & (prop <= iv.b), 0.0, -np.inf)
-        else:
-            dlog = w.log_values(prop) - w.log_values(state[:, idx])
-        dv = np.log(np.abs(prop[:, None] - state)) - np.log(np.abs(state[:, idx, None] - state))
-        dv[:, idx] = 0.0
-        return dlog + dv @ self.mult[idx]
+    # -- one Metropolis move -----------------------------------------------
+
+    def work_arrays(self, chains):
+        """The buffers of ``accept`` and of the sampler's proposal and log u,
+        for ``chains`` chains; allocated once per sampler run."""
+        C, nc = chains, self.ncoord
+        return SimpleNamespace(prop=np.empty(C), log_u=np.empty(C), change=np.empty(C),
+                               ok=np.empty(C, dtype=bool), inside=np.empty(C, dtype=bool),
+                               near=np.empty((C, nc)), far=np.empty((C, nc)),
+                               cand=np.empty((C, nc)))
+
+    def accept(self, state, idx, prop, log_u, logp, work):
+        """Accept mask (per chain, ``work.ok``) of moving coordinate idx to
+        prop: log u < the change in log density.  Every step writes into the
+        arrays of ``work``.  On the factored and Nikishin forms the change is
+        the matvec of the two log-distance rows' difference with the coupling
+        row, plus the change of the weight's log values; a constant weight's
+        support test is ANDed into the mask instead.  -inf and NaN changes
+        reject (u < NaN is false).  On the general form the change is the
+        candidate's full log density minus ``logp``, which takes the
+        candidate's value where the move is accepted."""
+        change, ok = work.change, work.ok
+        if self.kind == "general":
+            np.copyto(work.cand, state)
+            work.cand[:, idx] = prop
+            new = self.log_density(work.cand)
+            np.less(log_u, np.subtract(new, logp, out=change), out=ok)
+            np.copyto(logp, new, where=ok)
+            return ok
+        for row, col in ((work.near, prop[:, None]), (work.far, state[:, idx, None])):
+            np.subtract(col, state, out=row)
+            np.abs(row, out=row)
+            np.log(row, out=row)
+        np.subtract(work.near, work.far, out=work.near)
+        work.near[:, idx] = 0.0
+        np.matmul(work.near, self.mult[idx], out=change)
+        w, support = self.coord_weight[idx], self.constant_support[idx]
+        if support is None:
+            np.add(w.log_values(prop) - w.log_values(state[:, idx]), change, out=change)
+            return np.less(log_u, change, out=ok)
+        np.less(log_u, change, out=ok)
+        ok &= np.less_equal(support.a, prop, out=work.inside)
+        ok &= np.less_equal(prop, support.b, out=work.inside)
+        return ok
 
 
 @dataclass(frozen=True)
@@ -430,6 +468,9 @@ def marginalization_check(ws: WeightSystem, nvec, *, n_configs: int = 25,
 KERNEL_CONDITION_CUTOFF = 1e7
 #: largest accepted max |phi M psi^T - I| of a biorthogonal pair
 GRAM_TOL = 1e-9
+#: points per block of the float rung's kernel evaluation; bounds the
+#: longdouble f- and g-matrices and their products
+KERNEL_BLOCK = 8192
 
 
 @dataclass
@@ -438,7 +479,8 @@ class Kernel:
 
     ``matrix`` is the moment matrix M in the entry type of the kernel's
     rung: longdouble, or mpf on the mpmath rung, where ``mp`` is the
-    ``highprec.MPForm`` that evaluates K at ``mp.dps`` digits.  ``phi``
+    ``highprec.MPForm`` that evaluates K at ``mp.dps`` digits; ``factors``
+    is the ``linalg.lu_factor`` of M that the pair was computed from.  ``phi``
     holds coefficients over the f-basis (pure polynomials) and ``psi`` over
     the g-basis (polynomial times weight), in the same entry type; the Gram
     matrix phi M psi^T of the pair is the identity up to ``gram_defect``.
@@ -447,6 +489,7 @@ class Kernel:
     ws: WeightSystem
     nvec: MultiIndex
     matrix: np.ndarray
+    factors: tuple
     phi: np.ndarray
     psi: np.ndarray
     gram_defect: float
@@ -477,7 +520,7 @@ def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
         if np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF:
             from . import highprec
 
-            dps, (matrix, phi, psi, defect) = highprec.escalate(
+            dps, (matrix, factors, phi, psi, defect) = highprec.escalate(
                 lambda d: highprec.kernel_attempt(ws, nvec, d), cond)
             form = highprec.MPForm(ws, nvec.parts, phi, psi, dps, nvec.n + 1)
         else:
@@ -488,12 +531,15 @@ def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
         raise NonNormalIndexError(f"singular moment matrix: {exc}") from exc
     if defect > GRAM_TOL:
         raise NumericError(f"biorthogonalization defect {defect:.2e} exceeds {GRAM_TOL:g}")
-    return Kernel(ws, nvec, matrix, phi, psi, defect, mp=form)
+    return Kernel(ws, nvec, matrix, factors, phi, psi, defect, mp=form)
 
 
 def kernel_eval(K: Kernel, x, y):
     """K(x, y) by the biorthogonal sum, with x and y broadcast together; a
-    float when both are scalars."""
+    float when both are scalars.  The float rung sums (phi F) * (psi G) in
+    longdouble over blocks of ``KERNEL_BLOCK`` points; each value depends on
+    its own point only, so the blocks change no value by a bit.  The mpmath
+    rung answers from ``K.mp``."""
     try:
         xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     except ValueError as exc:
@@ -501,15 +547,19 @@ def kernel_eval(K: Kernel, x, y):
     if K.mp is not None:
         vals = K.mp.eval(xs.ravel(), ys.ravel())
     else:
-        F = f_matrix(K.n, xs.ravel(), dtype=linalg.LD)
-        G = g_matrix(K.ws, K.nvec, ys.ravel(), dtype=linalg.LD)
-        vals = np.einsum("jm,jm->m", K.phi @ F, K.psi @ G).astype(float)
+        xf, yf = xs.ravel(), ys.ravel()
+        vals = np.empty(xf.size)
+        for lo in range(0, xf.size, KERNEL_BLOCK):
+            F = f_matrix(K.n, xf[lo : lo + KERNEL_BLOCK], dtype=linalg.LD)
+            G = g_matrix(K.ws, K.nvec, yf[lo : lo + KERNEL_BLOCK], dtype=linalg.LD)
+            vals[lo : lo + KERNEL_BLOCK] = np.einsum("jm,jm->m", K.phi @ F, K.psi @ G)
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
 def kernel_eval_bordered(K: Kernel, x, y) -> float:
     """K(x, y) as the bordered determinant -det[[M, f(x)], [g(y), 0]] / det M,
-    in the entry type and precision of K's rung."""
+    in the entry type and precision of K's rung; det M comes from the LU
+    that K was built from."""
     from . import highprec
 
     n, rung_mp = K.n, K.mp is not None
@@ -519,7 +569,8 @@ def kernel_eval_bordered(K: Kernel, x, y) -> float:
         big[:n, :n] = K.matrix
         big[:n, n] = f_matrix(n, point([x]), dtype=dtype)[:, 0]
         big[n, :n] = g_matrix(K.ws, K.nvec, point([y]), dtype=dtype)[:, 0]
-        detm = linalg.det(K.matrix)
+        lu, _, parity = K.factors
+        detm = linalg.lu_det(lu, parity)
         if detm == 0:
             raise NonNormalIndexError("zero determinant in bordered kernel")
         return float(-linalg.det(big) / detm)

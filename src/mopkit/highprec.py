@@ -322,14 +322,16 @@ def type1_attempt(mt, nvec, dps: int):
 
 def kernel_attempt(ws, nvec, dps: int):
     """The kernel's biorthogonal pair on the mpmath rung at ``dps`` digits:
-    ((M, phi, psi, Gram defect), the 1-norm condition of M), both in mpmath.
+    ((M, LU of M, phi, psi, Gram defect), the 1-norm condition of M), both
+    in mpmath.
     The moment rows are its own pass, to the order M needs; phi M psi^T = I
     makes psi^T phi the inverse of M."""
     with mp.workdps(dps):
         m = _hankel_from(moment_rows(ws, nvec.n - 1 + max(nvec.parts) - 1), nvec, nvec.n)
-        phi, psi, defect = linalg.biorthogonal_pair(m, linalg.lu_factor(m))
-        norms = [np.abs(a).sum(axis=0).max() for a in (m, psi.T @ phi)]
-    return (m, phi, psi, defect), float(norms[0] * norms[1])
+        factors = linalg.lu_factor(m)
+        phi, psi, defect = linalg.biorthogonal_pair(m, factors)
+        norms = [np.abs(a).sum(axis=0).max() for a in (m, linalg.matmul(psi.T, phi))]
+    return (m, factors, phi, psi, defect), float(norms[0] * norms[1])
 
 
 class MPForm:

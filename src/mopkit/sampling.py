@@ -9,8 +9,14 @@ the one implementation of each ensemble density form:
 * the extended (X, Y) density for Nikishin systems with two weights,
 * the generic |det f * det g| via batched slogdet for other systems.
 
-This module only walks them: on the first two a move takes the target's
-incremental log-density change, on the general one the full log density.
+This module only walks them.  A move on one coordinate draws its proposal
+and log u, and ``_Target.accept`` answers with the accept mask: from the
+incremental log-density change on the first two forms, from the full log
+density on the general one.  The work arrays of the moves are allocated
+once per ``sample_mcmc`` call; on the first two forms every step of a move
+writes into them, so a move is a fixed, short list of numpy calls.  The
+random stream is drawn in one order (per coordinate ``standard_normal(C)``
+then ``random(C)``), so the same seed gives the same draws, bit for bit.
 """
 
 from __future__ import annotations
@@ -82,25 +88,21 @@ def _ess_estimate(series):
     return float(np.clip(total / tau, 1.0, total))
 
 
-def _sweep(target, state, logp, sigma, rng, accepts):
-    """One Metropolis pass over the coordinates, updating ``state`` and the
-    per-coordinate accept counts in place, and on the general target its log
-    density ``logp``."""
-    C = state.shape[0]
-    general = target.kind == "general"
+def _sweep(target, state, logp, sigma, rng, accepts, work):
+    """One Metropolis pass over the coordinates, updating ``state``, the
+    per-coordinate accept counts and, on the general target, its log density
+    ``logp`` in place.  Every step writes into the arrays of ``work``
+    (``_Target.work_arrays``); per coordinate the stream gives
+    ``standard_normal(C)`` for the proposal, then ``random(C)`` for log u."""
+    prop, log_u = work.prop, work.log_u
     for idx in range(target.ncoord):
-        prop = state[:, idx] + sigma[idx] * rng.standard_normal(C)
-        if general:
-            cand = state.copy()
-            cand[:, idx] = prop
-            new = target.log_density(cand)
-            dlog = new - logp
-        else:
-            dlog = target.move(state, idx, prop)
-        ok = np.log(rng.random(C)) < dlog
+        rng.standard_normal(out=prop)
+        np.multiply(sigma[idx], prop, out=prop)
+        np.add(state[:, idx], prop, out=prop)
+        rng.random(out=log_u)
+        np.log(log_u, out=log_u)
+        ok = target.accept(state, idx, prop, log_u, logp, work)
         np.copyto(state[:, idx], prop, where=ok)
-        if general:
-            np.copyto(logp, new, where=ok)
         accepts[idx] += np.count_nonzero(ok)
 
 
@@ -111,7 +113,7 @@ def sample_mcmc(ws: WeightSystem, nvec, cfg: SamplerConfig) -> SampleBatch:
     retuned during burn-in toward 25-40% acceptance and frozen afterwards.
     Angelesco targets keep the block assignment fixed; Nikishin p=2 samples
     the extended (X, Y) space and returns the Y block separately.  Their moves
-    update the log density incrementally (``_Target.move``); the full log
+    update the log density incrementally (``_Target.accept``); the full log
     density serves the general target, the starting state and a probe of the
     kept draws.
     """
@@ -146,12 +148,13 @@ def sample_mcmc(ws: WeightSystem, nvec, cfg: SamplerConfig) -> SampleBatch:
     sigma = np.asarray([cfg.step_scale * iv.length for iv in target.intervals])
 
     accepts = np.zeros(nc, dtype=np.int64)
+    work = target.work_arrays(C)
     kept_per_chain = -(-cfg.samples // C)  # ceil
     kept = np.empty((kept_per_chain, C, nc))
     with np.errstate(divide="ignore", invalid="ignore"):
         # burn-in with periodic step retuning
         for sweep_i in range(cfg.burn_in):
-            _sweep(target, state, logp, sigma, rng, accepts)
+            _sweep(target, state, logp, sigma, rng, accepts, work)
             if (sweep_i + 1) % 250 == 0:
                 rate = accepts / (250 * C)
                 sigma = np.where(rate > 0.40, sigma * 1.35, sigma)
@@ -160,7 +163,7 @@ def sample_mcmc(ws: WeightSystem, nvec, cfg: SamplerConfig) -> SampleBatch:
         accepts[:] = 0
         for k in range(kept_per_chain):
             for _ in range(cfg.thinning):
-                _sweep(target, state, logp, sigma, rng, accepts)
+                _sweep(target, state, logp, sigma, rng, accepts, work)
             kept[k] = state
     rate = float(accepts.sum() / (nc * C * cfg.thinning * kept_per_chain))
 

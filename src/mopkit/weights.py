@@ -147,7 +147,7 @@ class Weight:
     def _raw(self, x):
         s = self.spec
         if s.family == "constant":
-            out = np.full_like(np.asarray(x, dtype=float), self.scale)
+            out = np.full_like(x, self.scale)
         elif s.family == "jacobi":
             with np.errstate(divide="ignore"):
                 out = (self.scale * np.power(s.interval.b - x, s.alpha)
@@ -157,14 +157,22 @@ class Weight:
         return out if self.ratio is None else out * self.ratio(x)
 
     def _family_log(self, x):
+        """log of the family weight times the scale at the float array x.
+        exp_poly runs the Horner steps of ``np.polynomial.polynomial.polyval``
+        inline, op for op (``c[-1] + x*0``, then ``c[-i] + c0*x``), without
+        its argument handling."""
         s = self.spec
         if s.family == "constant":
-            return np.full_like(np.asarray(x, dtype=float), math.log(self.scale))
+            return np.full_like(x, math.log(self.scale))
         if s.family == "jacobi":
             with np.errstate(divide="ignore"):
                 return (math.log(self.scale) + s.alpha * np.log(s.interval.b - x)
                         + s.beta * np.log(x - s.interval.a))
-        return math.log(self.scale) - np.polynomial.polynomial.polyval(x, s.coeffs)
+        c = s.coeffs
+        c0 = c[-1] + x * 0
+        for i in range(2, len(c) + 1):
+            c0 = c[-i] + c0 * x
+        return math.log(self.scale) - c0
 
     def _raw_log(self, x):
         out = self._family_log(x)
@@ -172,14 +180,14 @@ class Weight:
 
     def _on_support(self, x, fill, raw):
         x = np.asarray(x, dtype=float)
-        xv, iv = np.atleast_1d(x), self.spec.interval
-        m = (xv >= iv.a) & (xv <= iv.b)
+        iv = self.spec.interval
+        m = (x >= iv.a) & (x <= iv.b)
         if m.all():
-            out = raw(xv)
+            out = raw(x)
         else:
-            out = np.full_like(xv, fill)
-            out[m] = raw(xv[m])
-        return float(out[0]) if x.ndim == 0 else out
+            out = np.full_like(x, fill)
+            out[m] = raw(x[m])
+        return float(out) if x.ndim == 0 else out
 
     def values(self, x):
         """Weight values; zero outside the support."""

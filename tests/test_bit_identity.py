@@ -1,0 +1,297 @@
+"""The buffered hot paths against their straightforward forms, bit for bit.
+
+The references below are the unbuffered Metropolis sweep (a fresh array per
+step, the constant weight's support as a 0/-inf term), the weight values
+through ``np.atleast_1d`` and ``np.polynomial.polynomial.polyval``, the
+g-matrix blocks started from a row of ones, the float kernel on all points
+at once, the bordered kernel that factors M again, and numpy's object
+matmul.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+import mopkit as mk
+from mopkit import ensemble, highprec, linalg, sampling
+from mopkit.mop import as_multi_index
+from mopkit.sampling import SamplerConfig, sample_mcmc
+
+C, J, E = mk.WeightSpec.constant, mk.WeightSpec.jacobi, mk.WeightSpec.exp_poly
+
+
+# -- the unbuffered sweep ------------------------------------------------------
+
+def ref_move(target, state, idx, prop):
+    """Change in log density when coordinate idx moves to prop (per chain)."""
+    w = target.coord_weight[idx]
+    if w.ratio is None and w.spec.family == "constant":
+        iv = w.support
+        dlog = np.where((iv.a <= prop) & (prop <= iv.b), 0.0, -np.inf)
+    else:
+        dlog = w.log_values(prop) - w.log_values(state[:, idx])
+    dv = np.log(np.abs(prop[:, None] - state)) - np.log(np.abs(state[:, idx, None] - state))
+    dv[:, idx] = 0.0
+    return dlog + dv @ target.mult[idx]
+
+
+def ref_sweep(target, state, logp, sigma, rng, accepts, work=None):
+    """One Metropolis pass with a fresh array per step; ``work`` is unused."""
+    C = state.shape[0]
+    general = target.kind == "general"
+    for idx in range(target.ncoord):
+        prop = state[:, idx] + sigma[idx] * rng.standard_normal(C)
+        if general:
+            cand = state.copy()
+            cand[:, idx] = prop
+            new = target.log_density(cand)
+            dlog = new - logp
+        else:
+            dlog = ref_move(target, state, idx, prop)
+        ok = np.log(rng.random(C)) < dlog
+        np.copyto(state[:, idx], prop, where=ok)
+        if general:
+            np.copyto(logp, new, where=ok)
+        accepts[idx] += np.count_nonzero(ok)
+
+
+#: name -> (weight system builder, multi-index, expected sampler kind)
+SAMPLER_TARGETS = {
+    "factored_constant": (lambda: mk.build_angelesco([C(-1.0, 0.0), C(0.0, 1.0)]), (2, 2),
+                          "factored"),
+    "factored_jacobi_exp_poly": (
+        lambda: mk.build_angelesco([J(-1.0, 0.0, 0.5, 0.5), E(0.0, 1.0, (0.3, 1.0))]), (2, 2),
+        "factored"),
+    "nikishin_extended": (lambda: mk.build_nikishin(C(1.0, 2.0), [C(-1.0, 0.0)]), (2, 2),
+                          "nikishin"),
+    "general_constant_exp_poly": (
+        lambda: mk.WeightSystem.general([mk.Weight.from_spec(C(-1.0, 1.0)),
+                                         mk.Weight.from_spec(E(-1.0, 1.0, (0.0, 1.0)))]),
+        (1, 1), "general"),
+}
+
+
+def _batch_bytes(batch):
+    ext = None if batch.extended is None else batch.extended.tobytes()
+    return (batch.configurations.shape, batch.configurations.tobytes(), ext,
+            batch.acceptance_rate.hex(), batch.ess.hex(), batch.seed, batch.kind,
+            tuple(s.hex() for s in batch.step_sizes))
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_TARGETS))
+def test_buffered_sweep_matches_unbuffered_sweep(name, monkeypatch):
+    build, nvec, kind = SAMPLER_TARGETS[name]
+    ws = build()
+    # 300 burn-in sweeps cross one step retuning
+    cfg = SamplerConfig(samples=1000, chains=48, burn_in=300, thinning=3, seed=29)
+    batch = sample_mcmc(ws, nvec, cfg)
+    monkeypatch.setattr(sampling, "_sweep", ref_sweep)
+    ref = sample_mcmc(ws, nvec, cfg)
+    assert batch.kind == kind
+    assert _batch_bytes(batch) == _batch_bytes(ref)
+
+
+# -- the weight evaluators -------------------------------------------------------
+
+def ref_family_log(w, x):
+    s = w.spec
+    if s.family == "constant":
+        return np.full_like(np.asarray(x, dtype=float), math.log(w.scale))
+    if s.family == "jacobi":
+        with np.errstate(divide="ignore"):
+            return (math.log(w.scale) + s.alpha * np.log(s.interval.b - x)
+                    + s.beta * np.log(x - s.interval.a))
+    return math.log(w.scale) - np.polynomial.polynomial.polyval(x, s.coeffs)
+
+
+def ref_raw(w, x):
+    s = w.spec
+    if s.family == "constant":
+        out = np.full_like(np.asarray(x, dtype=float), w.scale)
+    elif s.family == "jacobi":
+        with np.errstate(divide="ignore"):
+            out = (w.scale * np.power(s.interval.b - x, s.alpha)
+                   * np.power(x - s.interval.a, s.beta))
+    else:
+        out = np.exp(ref_family_log(w, x))
+    return out if w.ratio is None else out * w.ratio(x)
+
+
+def ref_raw_log(w, x):
+    out = ref_family_log(w, x)
+    return out if w.ratio is None else out + np.log(w.ratio(x))
+
+
+def ref_on_support(w, x, fill, raw):
+    x = np.asarray(x, dtype=float)
+    xv, iv = np.atleast_1d(x), w.spec.interval
+    m = (xv >= iv.a) & (xv <= iv.b)
+    if m.all():
+        out = raw(w, xv)
+    else:
+        out = np.full_like(xv, fill)
+        out[m] = raw(w, xv[m])
+    return float(out[0]) if x.ndim == 0 else out
+
+
+def _weights():
+    """name -> weight: every family, scaled ones, and Nikishin weights (a
+    family weight times a Markov ratio)."""
+    base = {"constant": C(-1.0, 2.0), "jacobi": J(-1.0, 2.0, 0.5, 0.5),
+            "jacobi_negative": J(-1.0, 2.0, -0.6, 1.7), "exp_poly_deg0": E(-1.0, 2.0, (0.3,)),
+            "exp_poly_deg1": E(-1.0, 2.0, (0.3, 1.0)),
+            "exp_poly_deg3": E(-1.0, 2.0, (0.2, -0.5, 0.7, 0.1))}
+    out = {name: mk.Weight.from_spec(s) for name, s in base.items()}
+    out.update({f"{name}_scaled": out[name].scaled(2.5)
+                for name in ("constant", "jacobi", "jacobi_negative")})
+    for gen_name, gen in (("constant", C(-3.0, -2.0)), ("jacobi", J(-3.0, -2.0, 1.5, 0.5))):
+        for name in ("jacobi", "exp_poly_deg1"):
+            out[f"{name}_markov_{gen_name}"] = mk.build_nikishin(base[name], [gen]).weights[1]
+    return out
+
+
+WEIGHTS = _weights()
+
+
+def _same(a, b):
+    if np.ndim(a) == 0:
+        return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_weight_values_match_the_reference_expressions(name):
+    w = WEIGHTS[name]
+    rng = np.random.default_rng(31)
+    inside = rng.uniform(-1.0, 2.0, 64)
+    ends = np.array([-1.0, 2.0, np.nextafter(-1.0, 0.0), np.nextafter(2.0, 0.0)])
+    off = np.array([-1.5, np.nextafter(-1.0, -2.0), 2.25])
+    inputs = [inside, np.concatenate([inside, ends]), np.concatenate([ends, off, inside]),
+              off, inside[:1], np.empty(0), inside.reshape(8, 8)]
+    inputs += [np.float64(v) for v in np.concatenate([inside[:4], ends, off])]
+    inputs += [float(inside[5]), np.asarray(inside[6]), [0.25, -1.0, 3.0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x in inputs:
+            assert _same(w.values(x), ref_on_support(w, x, 0.0, ref_raw))
+            assert _same(w.log_values(x), ref_on_support(w, x, -np.inf, ref_raw_log))
+
+
+# -- the g-matrix, the blocked float kernel and the bordered kernel -------------
+
+def ref_g_matrix(ws, nvec, xs, dtype=float, center=0.0, half_width=1.0):
+    """Float and longdouble g-matrix rows, each block from a row of ones."""
+    nvec = as_multi_index(nvec)
+    xs = np.asarray(xs, dtype=dtype)
+    ts = xs if (center, half_width) == (0.0, 1.0) else (xs - center) / half_width
+    out = np.empty((nvec.n, xs.size), dtype=dtype)
+    row = 0
+    for j, nj in enumerate(nvec.parts):
+        if nj == 0:
+            continue
+        wvals = ws.weights[j].values(np.asarray(xs, dtype=float)).astype(dtype)
+        mono = np.ones_like(xs)
+        for _ in range(nj):
+            out[row] = mono * wvals
+            mono = mono * ts
+            row += 1
+    return out
+
+
+def ref_kernel_eval(K, x, y):
+    """The float rung's K(x, y) on all points at once."""
+    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    F = ensemble.f_matrix(K.n, xs.ravel(), dtype=linalg.LD)
+    G = ref_g_matrix(K.ws, K.nvec, ys.ravel(), dtype=linalg.LD)
+    vals = np.einsum("jm,jm->m", K.phi @ F, K.psi @ G).astype(float)
+    return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
+
+
+def ref_kernel_eval_bordered(K, x, y):
+    """K(x, y) by the bordered determinant, factoring M again."""
+    n, rung_mp = K.n, K.mp is not None
+    dtype, point = (object, highprec._mpf) if rung_mp else (linalg.LD, np.asarray)
+    with highprec.mp.workdps(K.mp.dps if rung_mp else highprec.mp.dps):
+        big = np.zeros((n + 1, n + 1), dtype=dtype)
+        big[:n, :n] = K.matrix
+        big[:n, n] = ensemble.f_matrix(n, point([x]), dtype=dtype)[:, 0]
+        big[n, :n] = ensemble.g_matrix(K.ws, K.nvec, point([y]), dtype=dtype)[:, 0]
+        return float(-linalg.det(big) / linalg.det(K.matrix))
+
+
+def _same_entries(got, ref):
+    """Equal values, signs of zero and NaN places (longdouble ``tobytes``
+    also carries the padding bytes of each entry)."""
+    return (got.dtype == ref.dtype and got.shape == ref.shape
+            and np.array_equal(got, ref, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(ref)))
+
+
+def _kernel(ws, nvec):
+    mt = mk.moment_table(ws, 2 * sum(nvec))
+    return mk.biorthogonalize(mk.block_hankel(mt, nvec), ws, nvec)
+
+
+@pytest.mark.parametrize("dtype", [float, linalg.LD])
+@pytest.mark.parametrize("name", ["factored_jacobi_exp_poly", "nikishin_extended",
+                                  "general_constant_exp_poly"])
+def test_g_matrix_matches_rows_from_ones(name, dtype):
+    build, nvec, _ = SAMPLER_TARGETS[name]
+    ws = build()
+    hull = ws.support_hull()
+    xs = np.concatenate([np.random.default_rng(3).uniform(hull.a - 0.5, hull.b + 0.5, 300),
+                         [hull.a, hull.b]])
+    for shift in ({}, {"center": hull.mid, "half_width": 0.5 * hull.length}):
+        got, ref = (fn(ws, (1, 3) if len(nvec) == 2 else nvec, xs, dtype, **shift)
+                    for fn in (ensemble.g_matrix, ref_g_matrix))
+        assert _same_entries(got, ref)
+
+
+def test_blocked_float_kernel_matches_one_block(monkeypatch):
+    K = _kernel(mk.build_angelesco([J(-1.0, 0.0, 0.5, 0.5), E(0.0, 1.0, (0.3, 1.0))]), (2, 2))
+    assert K.mp is None
+    xy = np.random.default_rng(5).uniform(-1.25, 1.25, (2, 3 * ensemble.KERNEL_BLOCK + 17))
+    ref = ref_kernel_eval(K, xy[0], xy[1])
+    assert mk.kernel_eval(K, xy[0], xy[1]).tobytes() == ref.tobytes()
+    grid = xy[:, :60].reshape(2, 6, 10)
+    assert mk.kernel_eval(K, grid[0], grid[1]).tobytes() == ref[:60].reshape(6, 10).tobytes()
+    assert mk.kernel_eval(K, xy[0, 0], xy[1, 0]) == ref[0]
+    monkeypatch.setattr(ensemble, "KERNEL_BLOCK", 7)
+    assert mk.kernel_eval(K, xy[0, :100], xy[1, :100]).tobytes() == ref[:100].tobytes()
+
+
+@pytest.mark.parametrize("name,nvec,rung", [("factored_constant", (2, 2), "float"),
+                                            ("nikishin_extended", (3, 3), "mp")])
+def test_bordered_kernel_reuses_the_kernel_lu(name, nvec, rung, monkeypatch):
+    K = _kernel(SAMPLER_TARGETS[name][0](), nvec)
+    assert (K.mp is not None) == (rung == "mp")
+    hull = K.ws.support_hull()
+    pts = np.random.default_rng(7).uniform(hull.a, hull.b, (5, 2))
+    ref = [ref_kernel_eval_bordered(K, x, y) for x, y in pts]
+    factored = []
+    plain = linalg.lu_factor
+    monkeypatch.setattr(linalg, "lu_factor", lambda a: factored.append(len(a)) or plain(a))
+    assert [mk.kernel_eval_bordered(K, x, y) for x, y in pts] == ref
+    assert factored == [K.n + 1] * len(pts)  # the bordered matrix only
+
+
+def _mpf_matrix(rng, shape, ints=False):
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    out = np.array([mpmath.mpf(v) / 3 for v in vals.flat], dtype=object).reshape(shape)
+    if ints:
+        out[rng.random(shape) < 0.3] = 0
+    return out
+
+
+@pytest.mark.parametrize("dps", [20, 60])
+def test_matmul_matches_numpy_object_matmul(dps):
+    rng = np.random.default_rng(dps)
+    with mpmath.mp.workdps(dps):
+        for (m, k, n), ints in [((4, 4, 4), False), ((5, 3, 2), True), ((1, 7, 1), False)]:
+            a, b = _mpf_matrix(rng, (m, k), ints), _mpf_matrix(rng, (k, n))
+            got, ref = linalg.matmul(a, b), a @ b
+            assert got.shape == ref.shape
+            assert [v._mpf_ for v in got.flat] == [v._mpf_ for v in ref.flat]
+    a = rng.standard_normal((3, 3)).astype(linalg.LD)
+    assert _same_entries(linalg.matmul(a, a), a @ a)

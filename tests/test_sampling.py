@@ -165,22 +165,27 @@ def test_move_matches_full_log_density(name):
     chains = 400
     target, state, rng = _move_target(name, chains, seed=17)
     assert target.kind in ("factored", "nikishin")
+    work = target.work_arrays(chains)
     with np.errstate(divide="ignore", invalid="ignore"):
         base = target.log_density(state)
         assert np.all(np.isfinite(base))
         for idx in range(target.ncoord):
             iv = target.intervals[idx]
             prop = state[:, idx] + 0.6 * iv.length * rng.standard_normal(chains)
-            dlog = target.move(state, idx, prop)
             cand = state.copy()
             cand[:, idx] = prop
             ref = target.log_density(cand) - base
             fin = np.isfinite(ref)
             assert 0 < fin.sum() < chains  # some proposals leave the support
-            np.testing.assert_array_equal(np.isfinite(dlog), fin)
-            np.testing.assert_allclose(dlog[fin], ref[fin], rtol=0, atol=1e-10)
-            # the rest is -inf or NaN on both sides: either one rejects
-            assert not np.any(dlog == np.inf) and not np.any(ref == np.inf)
+            assert not np.any(ref == np.inf)
+            # uniform u, then log u just below and just above a finite change
+            # (the incremental change is within 1e-10 of the full one) and
+            # log u = -inf, 0 where the change is -inf or NaN: those reject
+            for log_u in (np.log(rng.random(chains)), np.where(fin, ref - 1e-10, -np.inf),
+                          np.where(fin, ref + 1e-10, 0.0)):
+                ok = target.accept(state, idx, prop, log_u, None, work)
+                np.testing.assert_array_equal(ok, log_u < ref)
+                assert not np.any(ok & ~fin)
 
 
 def test_batch_records_step_sizes(angelesco_ws, nikishin_ws):

@@ -5,9 +5,11 @@
 Runs, once in each checkout, on the checkout's own ``src`` and ``perfbench``
 with single-threaded BLAS: the warm-up round of ``perfbench/wl_zeros.py``,
 whose ``_signature`` holds the bytes of every type II polynomial, its roots
-and the type I polynomials, and the two kernels of
-``perfbench/wl_ensemble.py`` at the workload's evaluation points (values and
-trace).  Each output is reduced to a SHA-256 digest.  Prints every output
+and the type I polynomials, and the first round of
+``perfbench/wl_ensemble.py``: per target the sampler batch at that round's
+seeds (``configurations``, ``extended``, ``acceptance_rate``, ``ess`` and
+``step_sizes``), and the two kernels at the workload's evaluation points
+(values and trace).  Each output is reduced to a SHA-256 digest.  Prints every output
 whose digest differs or that only one side has, and exits 1 on any
 difference.  The companion of ``tools/cli_bodies.py``.
 """
@@ -34,13 +36,30 @@ def digests(checkout: Path, seed: int) -> dict:
     import wl_ensemble
     import wl_zeros
 
+    import mopkit
+
     sess = harness.Session()
     sess.start_round()
     zeros = wl_zeros.Zeros(seed)
     zeros.round(sess)
     out = {f"zeros {name} {parts}": _sha(sig)
            for (name, parts), sig in wl_zeros._signature(zeros.reference).items()}
-    for name, vals, trace, _, tag in wl_ensemble.Ensemble(seed).kernels(sess):
+    batches, sample = [], mopkit.sample_mcmc
+
+    def recorded(*args):  # a failed call leaves None in its target's place
+        batches.append(None)
+        batches[-1] = sample(*args)
+        return batches[-1]
+
+    mopkit.sample_mcmc = recorded
+    ensemble = wl_ensemble.Ensemble(seed)
+    ensemble.round(sess)
+    mopkit.sample_mcmc = sample
+    for name, b in zip(wl_ensemble.TARGETS, batches):
+        out[f"ensemble sampler {name}"] = _sha(b"failed" if b is None else (
+            b.configurations.tobytes() + (b"" if b.extended is None else b.extended.tobytes())
+            + repr((b.configurations.shape, b.acceptance_rate, b.ess, b.step_sizes)).encode()))
+    for name, vals, trace, _, tag in ensemble.reference or ():
         out[f"ensemble kernel {name} ({tag})"] = _sha(vals.tobytes() + repr(trace).encode())
     out["failed operations"] = _sha(sess.failures)
     return out
