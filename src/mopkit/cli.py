@@ -7,7 +7,8 @@ an output directory that cannot be made or written (say, because a file
 has its name), or an equilibrium problem on supports whose interiors
 overlap; 2 numeric failure; 3 verification failure, a non-finite Monte
 Carlo deviation included.  Each command writes its artifacts and a
-``manifest.json`` that lists them.
+``manifest.json`` that lists them.  Handlers import only what they run,
+so ``validate`` loads neither numpy nor mpmath.
 
 Config schema (JSON, one file per experiment)::
 
@@ -50,15 +51,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, ensemble, equilibrium, mop, sampling, weights
-from .exceptions import (
-    ConstructionError,
-    MopkitError,
-    ValidationError,
-    VerificationFailure,
-)
+from . import __version__
+from .exceptions import ConstructionError, MopkitError, ValidationError, VerificationFailure
+from .specs import FAMILIES, MAX_TOTAL_DEGREE, WeightSpec, overlapping_pair
 
 #: upper bounds of the size keys, each 10x or more the largest size that a
 #: shipped config, a test or the benchmark uses; a larger size is a typo
@@ -109,7 +104,7 @@ def _spec_from_entry(entry, where, diags):
     fam = entry.get("family")
     iv = entry.get("interval")
     params = entry.get("params", {})
-    if fam not in weights.FAMILIES:
+    if fam not in FAMILIES:
         diags.error(f"{where}: unknown family {fam!r}")
         return None
     if (not isinstance(iv, (list, tuple))) or len(iv) != 2:
@@ -125,10 +120,10 @@ def _spec_from_entry(entry, where, diags):
     a, b = float(iv[0]), float(iv[1])
     try:
         if fam == "constant":
-            return weights.WeightSpec.constant(a, b)
+            return WeightSpec.constant(a, b)
         if fam == "jacobi":
-            return weights.WeightSpec.jacobi(a, b, float(nums[0]), float(nums[1]))
-        return weights.WeightSpec.exp_poly(a, b, nums)
+            return WeightSpec.jacobi(a, b, float(nums[0]), float(nums[1]))
+        return WeightSpec.exp_poly(a, b, nums)
     except MopkitError as exc:
         diags.error(f"{where}: {exc}")
     return None
@@ -187,7 +182,7 @@ def validate_config(cfg) -> Diagnostics:
         return diags
 
     p = len(specs)
-    if kind == "angelesco" and (pair := weights.overlapping_pair([s.interval for s in specs])):
+    if kind == "angelesco" and (pair := overlapping_pair([s.interval for s in specs])):
         diags.error("angelesco intervals overlap: {} and {}".format(*pair))
     if kind == "nikishin":
         if len(specs) != 1:
@@ -210,8 +205,8 @@ def validate_config(cfg) -> Diagnostics:
             diags.error(f"multi_index has {len(nv)} parts, system has {p}")
         elif sum(nv) < 1:
             diags.error("multi_index must have |n| >= 1")
-        elif sum(nv) > mop.MAX_TOTAL_DEGREE:
-            diags.error(f"|n| > {mop.MAX_TOTAL_DEGREE} is not supported")
+        elif sum(nv) > MAX_TOTAL_DEGREE:
+            diags.error(f"|n| > {MAX_TOTAL_DEGREE} is not supported")
         elif kind == "nikishin":
             for j in range(len(nv) - 1):
                 if nv[j] < nv[j + 1] - 1:
@@ -227,8 +222,8 @@ def validate_config(cfg) -> Diagnostics:
         _check_ray(diags, "schedule.ray", ray, p)
         if not (isinstance(totals, list) and totals and all(_is_int(t, 1) for t in totals)):
             diags.error("schedule.totals must be positive integers")
-        elif max(totals) > mop.MAX_TOTAL_DEGREE:
-            diags.error(f"schedule totals exceed the cap {mop.MAX_TOTAL_DEGREE}")
+        elif max(totals) > MAX_TOTAL_DEGREE:
+            diags.error(f"schedule totals exceed the cap {MAX_TOTAL_DEGREE}")
     if cfg.get("multi_index") is None and sched is None:
         diags.warn("no multi_index or schedule: only validate/equilibrium can run")
 
@@ -271,6 +266,7 @@ def validate_config(cfg) -> Diagnostics:
 
 def build_system(diags) -> weights.WeightSystem:
     """The weight system of a valid config, from what ``validate_config`` parsed."""
+    from . import weights
     if diags.kind == "angelesco":
         return weights.build_angelesco(diags.specs)
     if diags.kind == "nikishin":
@@ -284,6 +280,7 @@ def build_system(diags) -> weights.WeightSystem:
 
 def _cells(col):
     """One column as CSV cells: str of integers, repr of floats; text passes through."""
+    import numpy as np
     if isinstance(col, list) and col and isinstance(col[0], str):
         return col
     col = np.asarray(col)
@@ -298,8 +295,8 @@ def _write_csv(path, header, blocks, comments=()):
         for c in comments:
             fh.write(f"# {c}\n")
         fh.write(",".join(header) + "\n")
-        for cols in blocks:
-            fh.write("".join([",".join(row) + "\n" for row in zip(*map(_cells, cols))]))
+        for cols in blocks:  # the closing "" ends the last row; an empty block writes ""
+            fh.write("\n".join([*map(",".join, zip(*map(_cells, cols))), ""]))
 
 
 def _write_json(path, obj):
@@ -347,6 +344,7 @@ class Manifest:
 # ---------------------------------------------------------------------------
 
 def _multi_index(cfg):
+    from . import mop
     nv = cfg.get("multi_index")
     if nv is None:
         raise ValidationError("this command needs a multi_index in the config")
@@ -355,17 +353,19 @@ def _multi_index(cfg):
 
 def _solve_setup(cfg, diags):
     """The system, the multi-index and a moment table deep enough to solve at it."""
+    from . import weights
     ws, nvec = build_system(diags), _multi_index(cfg)
     return ws, nvec, weights.moment_table(ws, nvec.n + max(max(nvec.parts), nvec.n - 1) + 1)
 
 
 def cmd_mop(cfg, diags, man, quiet):
+    from . import mop
     ws, nvec, mt = _solve_setup(cfg, diags)
     man.step("moments")
     P = mop.type2_mop(mt, nvec)
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
     res = mop.orthogonality_residuals(P, ws, nvec)
-    rmax = float(max((np.abs(r).max() for r in res if r.size), default=0.0))
+    rmax = float(max((abs(r).max() for r in res if r.size), default=0.0))
     man.step("solve", detail={"rung": P.method, "hp_dps": P.hp_dps,
                               "condition_estimate": P.condition_estimate})
     man.write("mop.json", {
@@ -383,6 +383,7 @@ def cmd_mop(cfg, diags, man, quiet):
 
 
 def cmd_typeI(cfg, diags, man, quiet):
+    from . import mop
     _, nvec, mt = _solve_setup(cfg, diags)
     man.step("moments")
     ts = mop.type1_mop(mt, nvec)
@@ -392,7 +393,7 @@ def cmd_typeI(cfg, diags, man, quiet):
                               "hp_dps": ts.hp_dps, "rows_dps": ts.hp_rows_dps,
                               "condition_estimate": ts.condition_estimate,
                               "evaluation": ts.mp and ts.mp.proxy and ts.mp.proxy.records})
-    rmax = float(np.abs(res).max())
+    rmax = float(abs(res).max())
     man.write("typeI.json", {
         "multi_index": list(nvec.parts),
         "components": [[float(c) for c in a.coeffs] for a in ts.polys],
@@ -408,6 +409,8 @@ def cmd_typeI(cfg, diags, man, quiet):
 
 def _kernel_on_grid(cfg, diags, default_grid):
     """The biorthogonalized kernel and the grid of ``cfg``'s ``grid`` points on the hull."""
+    import numpy as np
+    from . import ensemble, mop
     ws, nvec, mt = _solve_setup(cfg, diags)
     hull = ws.support_hull()
     return (ensemble.biorthogonalize(mop.block_hankel(mt, nvec), ws, nvec),
@@ -424,6 +427,8 @@ def _biorthogonalized(man, K):
 
 
 def cmd_kernel(cfg, diags, man, quiet):
+    import numpy as np
+    from . import ensemble
     K, xs = _kernel_on_grid(cfg, diags, 100)
     m = xs.size
     text = list(map(repr, xs.tolist()))  # the grid, formatted once for all m blocks
@@ -436,6 +441,7 @@ def cmd_kernel(cfg, diags, man, quiet):
 
 
 def cmd_density(cfg, diags, man, quiet):
+    from . import ensemble
     K, xs = _kernel_on_grid(cfg, diags, 400)
     dens = ensemble.mean_density(K, xs)
     _biorthogonalized(man, K)
@@ -446,6 +452,7 @@ def cmd_density(cfg, diags, man, quiet):
 
 def _sampler_config(cfg, seed):
     """The config's sampler block over the ``SamplerConfig`` defaults."""
+    from . import sampling
     sc = cfg.get("sampler", {})
     knobs = {k: int(sc[k]) for k in ("samples", "chains", "burn_in", "thinning")
              if sc.get(k) is not None}
@@ -455,6 +462,8 @@ def _sampler_config(cfg, seed):
 
 
 def cmd_sample(cfg, diags, man, quiet):
+    import numpy as np
+    from . import sampling
     ws, nvec = build_system(diags), _multi_index(cfg)
     seed = int(cfg.get("seed", 0))
     batch = sampling.sample_mcmc(ws, nvec, _sampler_config(cfg, seed))
@@ -478,6 +487,8 @@ def _z_list(cfg):
 
 
 def cmd_verify(cfg, diags, man, quiet):
+    import numpy as np
+    from . import ensemble, mop, sampling
     ws, nvec, mt = _solve_setup(cfg, diags)
     vcfg = cfg.get("verify", {})
     seed = int(cfg.get("seed", 0))
@@ -532,6 +543,7 @@ def cmd_verify(cfg, diags, man, quiet):
 
 def _equilibrium(cfg, ws):
     """The config's equilibrium problem of ``ws`` (Nikishin, else Angelesco), solved."""
+    from . import equilibrium
     ecfg = cfg.get("equilibrium", {})
     ray = ecfg.get("ray")
     if ray is None:
@@ -549,7 +561,7 @@ def cmd_equilibrium(cfg, diags, man, quiet):
     man.step("minimize")
     for j, mu in enumerate(measures):
         man.write(f"equilibrium_{j + 1}.csv", ["x", "mass", "density", "cdf"],
-                  [(mu.grid, mu.masses, mu.masses / mu.spacing, np.cumsum(mu.masses))],
+                  [(mu.grid, mu.masses, mu.masses / mu.spacing, mu.masses.cumsum())],
                   [f"component: {j + 1}", f"total_mass: {mu.total_mass!r}"])
     man.write("equilibrium.json", {"energy": report.energy, "iterations": report.iterations,
                                    "kkt_residual": report.kkt_residual,
@@ -560,6 +572,7 @@ def cmd_equilibrium(cfg, diags, man, quiet):
 
 
 def cmd_compare(cfg, diags, man, quiet):
+    from . import equilibrium, mop, weights
     ws = build_system(diags)
     sched = cfg.get("schedule")
     if not sched:

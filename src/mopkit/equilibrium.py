@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericError, SingularEnergyError, ValidationError
-from .weights import Interval, overlapping_pair
+from .specs import Interval, overlapping_pair
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,6 @@ from .exceptions import NumericError, PrecisionExhausted
 from .linalg import LD
 from .mop import _hankel_from, _type2_system
 
-#: condition estimate beyond which type II and type I solves switch to
-#: mpmath; the float64 moment tables floor the residuals at ~cond * 2e-15,
-#: so the switch happens well before the 1e-9 target is at risk
-CONDITION_CUTOFF = 3e4
-
 #: an mpmath answer counts when log10(bound) + SURVIVING_DIGITS <= dps for
 #: its a-posteriori condition bound
 SURVIVING_DIGITS = 20

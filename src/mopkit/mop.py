@@ -4,7 +4,7 @@ Type II polynomials are computed by solving the transposed moment system,
 type I tuples by solving the moment system itself; both are mathematically
 identical to the determinantal formulas but far better conditioned.  Solves
 run on hull-rescaled moments (the convex hull of the supports is mapped to
-[-1, 1]) in 80-bit arithmetic.  Past ``highprec.CONDITION_CUTOFF`` both
+[-1, 1]) in 80-bit arithmetic.  Past ``CONDITION_CUTOFF`` both
 kinds climb the one checked mpmath ladder, ``highprec.escalate``, which
 keeps zero locations and linear forms meaningful well past the point where
 floating point gives up on Hankel matrices, or raises
@@ -20,11 +20,15 @@ import numpy as np
 from . import linalg
 from .exceptions import NonNormalIndexError, NumericError, ValidationError
 from .quadrature import fixed_segment_nodes
+from .specs import MAX_TOTAL_DEGREE
 from .weights import MomentTable, WeightSystem, weight_quad
 
-MAX_TOTAL_DEGREE = 30
 SINGULAR_PIVOT_RTOL = 1e-17
 CONDITION_WARN = 1e12
+#: condition estimate beyond which type II and type I solves switch to
+#: mpmath; the float64 moment tables floor the residuals at ~cond * 2e-15,
+#: so the switch happens well before the 1e-9 target is at risk
+CONDITION_CUTOFF = 3e4
 METHODS = ("auto", "float", "mp")
 
 
@@ -287,9 +291,7 @@ def _checked_index(mt: MomentTable, nvec, method, what, order):
 
 
 def _on_mp_rung(method, cond):
-    from . import highprec
-
-    return method == "mp" or (method == "auto" and cond > highprec.CONDITION_CUTOFF)
+    return method == "mp" or (method == "auto" and cond > CONDITION_CUTOFF)
 
 
 def type2_mop(mt: MomentTable, nvec, method: str = "auto") -> Polynomial:
@@ -298,7 +300,7 @@ def type2_mop(mt: MomentTable, nvec, method: str = "auto") -> Polynomial:
     ``method`` is ``"float"`` (hull-rescaled 80-bit solve), ``"mp"`` (the
     checked mpmath ladder of ``highprec.escalate`` on raw moments), or
     ``"auto"``, which takes the ladder when the condition estimate passes
-    ``highprec.CONDITION_CUTOFF``.
+    ``CONDITION_CUTOFF``.
     """
     # normality is tested on M, not on the system M^T: its pivots differ
     nvec, _ = _checked_index(mt, nvec, method, "type II MOP",
@@ -330,7 +332,7 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
 
     Solves the n x n moment system whose first n-1 rows are the vanishing
     power conditions and whose last row is the normalization.  When the
-    condition estimate passes ``highprec.CONDITION_CUTOFF`` (typical for
+    condition estimate passes ``CONDITION_CUTOFF`` (typical for
     Nikishin systems, whose weight blocks are nearly dependent), ``"auto"``
     re-solves on the checked mpmath ladder of ``highprec.escalate``;
     ``"mp"`` forces that path, ``"float"`` forbids it.

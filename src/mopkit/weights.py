@@ -25,79 +25,7 @@ import numpy as np
 
 from .exceptions import ConstructionError, DomainError, NumericError, ValidationError
 from .quadrature import _nonsmooth, dyadic_breakpoints, graded_nodes, quad_with_substitution
-
-FAMILIES = ("constant", "jacobi", "exp_poly")
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Finite closed interval [a, b] with a < b."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise ConstructionError("interval endpoints must be finite")
-        if not self.a < self.b:
-            raise ConstructionError(f"empty interval {self}")
-
-    @property
-    def length(self):
-        return self.b - self.a
-
-    @property
-    def mid(self):
-        return 0.5 * (self.a + self.b)
-
-    def contains(self, x, tol=0.0):
-        return self.a - tol <= x <= self.b + tol
-
-    def gap_to(self, other):
-        """Distance between the two intervals (0 when they overlap)."""
-        return max(other.a - self.b, self.a - other.b, 0.0)
-
-    def __str__(self):
-        return f"[{self.a}, {self.b}]"
-
-
-def overlapping_pair(intervals):
-    """The first two intervals, in increasing order, whose interiors overlap
-    (touching ends do not), or None."""
-    ivs = sorted(intervals, key=lambda iv: iv.a)
-    return next(((left, right) for left, right in zip(ivs[:-1], ivs[1:]) if left.b > right.a),
-                None)
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Parametrized weight family attached to an interval."""
-
-    family: str
-    interval: Interval
-    alpha: float = 0.0
-    beta: float = 0.0
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown weight family {self.family!r}")
-        if not np.all(np.isfinite((self.alpha, self.beta, *self.coeffs))):
-            raise ValidationError("weight family parameters must be finite")
-        if self.family == "jacobi" and (self.alpha <= -1.0 or self.beta <= -1.0):
-            raise ValidationError("jacobi exponents must exceed -1 for integrability")
-
-    @staticmethod
-    def constant(a, b):
-        return WeightSpec("constant", Interval(a, b))
-
-    @staticmethod
-    def jacobi(a, b, alpha, beta):
-        return WeightSpec("jacobi", Interval(a, b), alpha=alpha, beta=beta)
-
-    @staticmethod
-    def exp_poly(a, b, coeffs):
-        return WeightSpec("exp_poly", Interval(a, b), coeffs=tuple(float(c) for c in coeffs))
+from .specs import FAMILIES, Interval, WeightSpec, overlapping_pair  # noqa: F401 (re-exported)
 
 
 class Weight:

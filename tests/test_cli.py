@@ -487,6 +487,7 @@ def test_write_csv_matches_per_cell_reference(tmp_path):
     scalars = [np.float64(0.1), np.float64(-2.5e-7), np.float64(1.0 / 3.0)]
     blocks = [(ints, floats, scalars),
               ([np.int64(7), 8, 9], np.array([1e16, -1e-5, 123456789.125]), [1.5, 2.0, -0.0]),
+              (np.array([], dtype=np.int64), [], np.array([])),  # writes nothing
               (np.array([4], dtype=np.int32), [np.float64(5e-324)], np.array([-1e300]))]
     path = tmp_path / "t.csv"
     cli._write_csv(path, ["a", "b", "c"], blocks, ["note"])

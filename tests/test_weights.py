@@ -28,6 +28,38 @@ def test_interval_validation():
     assert iv.length == 3.0 and iv.mid == 0.5
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: mk.Interval(0, 10 ** 400), ConstructionError, "interval endpoints must be finite"),
+    (lambda: mk.Interval(None, 1), ConstructionError, "interval endpoints must be finite"),
+    (lambda: mk.Interval(0, 1j), ConstructionError, "interval endpoints must be finite"),
+    (lambda: mk.Interval(0.0, float("nan")), ConstructionError,
+     "interval endpoints must be finite"),
+    (lambda: mk.WeightSpec.jacobi(0, 1, "a", 0), ValidationError,
+     "weight family parameters must be finite"),
+    (lambda: mk.WeightSpec.jacobi(0, 1, 0.5, 10 ** 400), ValidationError,
+     "weight family parameters must be finite"),
+    (lambda: mk.WeightSpec.exp_poly(0, 1, [10 ** 400]), ValidationError,
+     "weight family parameters must be finite"),
+    (lambda: mk.WeightSpec.exp_poly(0, 1, [1.0, None]), ValidationError,
+     "weight family parameters must be finite"),
+    (lambda: mk.WeightSpec.exp_poly(0, 10 ** 400, ["a"]), ConstructionError,
+     "interval endpoints must be finite"),  # the interval is checked first
+], ids=["huge_int_end", "none_end", "complex_end", "nan_end", "str_alpha", "huge_int_beta",
+        "huge_int_coeff", "none_coeff", "bad_interval_and_coeff"])
+def test_construction_rejects_non_finite_reals_with_typed_errors(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_construction_keeps_values_as_given():
+    iv = mk.Interval(0, 10 ** 300)
+    assert type(iv.a) is int and iv.b == 10 ** 300
+    spec = mk.WeightSpec.jacobi(0, 1, 1, np.float64(0.5))
+    assert type(spec.alpha) is int and type(spec.beta) is np.float64
+    assert mk.WeightSpec.exp_poly(0, 1, [1, np.int64(2)]).coeffs == (1.0, 2.0)
+    assert all(type(c) is float for c in mk.WeightSpec.exp_poly(0, 1, [1, np.int64(2)]).coeffs)
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         mk.WeightSpec.jacobi(-1, 1, -1.0, 0.0)
@@ -282,6 +314,15 @@ def test_mp_evaluator_matches_float_values(name):
     assert all(isinstance(v, mpmath.mpf) for v in g_mp.ravel())
     assert np.allclose(g_mp.astype(float), g_float, rtol=1e-13, atol=0.0)
     assert np.all(g_mp[:, -1] == 0)  # off the support
+
+
+def test_import_loads_no_numpy():
+    # the package resolves its names on first use, so a bare import loads no numeric code
+    src = Path(mk.__file__).resolve().parent.parent
+    code = ("import sys, mopkit; loaded = [m for m in ('numpy', 'mpmath', 'mopkit.weights') "
+            "if m in sys.modules]; assert not loaded, loaded")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_import_leaves_mpmath_unloaded():
