@@ -23,6 +23,9 @@ matrices are ``mop._hankel_from`` and ``mop._type2_system``, the g-basis
 is ``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the
 systems are factored by the one LU in ``linalg``.  That LU and the
 tanh-sinh columns run on raw ``_mpf_`` tuples, bit for bit as mpf would.
+One LU of the moment matrix M per index and dps serves type I, M x = e_n,
+and, by transposed substitution, type II, M^T a = -b; ``rung_solve`` keeps
+the last one on the table (``MomentTable.mp_lu``).
 
 One ``MPForm``, f(x)^T A^T B g(y), evaluates the kernel and the linear form
 Q, which is the kernel's x^(n-1) coefficient.  It answers from a
@@ -274,33 +277,45 @@ def table_rows(mt, dps: int):
     return rung, mt.mp_rows[rung]
 
 
-def rung_solve(mt, assemble, dps: int):
-    """One attempt at solving ``assemble(rows)`` = (A, b) on the mpmath rung.
+def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
+    """One attempt at M x = rhs(rows), or M^T x = rhs(rows) when
+    ``transpose``, on the mpmath rung, for the block Hankel moment matrix M
+    of ``nvec``.
 
     The rows come from ``table_rows(mt, dps)``; the solve rounds to ``dps``.
-    The bound is |A|_1 max(|x|_1 / |b|_1, |A^-1 z|_1 / |z|_1) for a fixed
-    probe z = (1, -1, 1, ...) solved in the same LU: a monic type II
-    solution stays O(1) however ill-conditioned A is.  |A|_1 comes from the
-    float64 assembly of ``mt.raw``; only its order of magnitude matters.
-    Returns ((rung, x), bound).
+    M is factored once per (parts, dps): the last LU is kept in
+    ``mt.mp_lu``, so type I (M) and type II (M^T, by transposed
+    substitution) at one index and precision share it.  The bound is
+    |A|_1 max(|x|_1 / |b|_1, |A^-1 z|_1 / |z|_1) for the system A actually
+    solved and a fixed probe z = (1, -1, 1, ...) solved in the same LU: a
+    monic type II solution stays O(1) however ill-conditioned A is.  |A|_1
+    comes from the float64 assembly of ``mt.raw``; only its order of
+    magnitude matters.  Returns ((rung, x), bound).
     """
     rung, rows = table_rows(mt, dps)
-    a_norm = float(np.abs(assemble(mt.raw)[0]).sum(axis=0).max())
+    m = _hankel_from(mt.raw, nvec, nvec.n)
+    a_norm = float(np.abs(m.T if transpose else m).sum(axis=0).max())
+    key = (nvec.parts, dps)
     with mp.workdps(dps):
-        a, b = assemble(rows)
-        rhs = np.stack([b, [mpmath.mpf((-1) ** i) for i in range(len(b))]], axis=1)
+        if key not in mt.mp_lu:
+            mt.mp_lu.clear()
+            mt.mp_lu[key] = linalg.lu_factor(_hankel_from(rows, nvec, nvec.n))
+        lu, piv, _ = mt.mp_lu[key]
+        b = rhs(rows)
+        cols = np.stack([b, [mpmath.mpf((-1) ** i) for i in range(len(b))]], axis=1)
         try:
-            sol = linalg.solve(a, rhs)
+            sol = linalg.lu_solve(lu, piv, cols, transpose)
         except NumericError as exc:
             raise NumericError("singular moment system in high precision") from exc
-        growth = max(np.abs(x).sum() / np.abs(r).sum() for x, r in zip(sol.T, rhs.T) if any(r))
+        growth = max(np.abs(x).sum() / np.abs(r).sum() for x, r in zip(sol.T, cols.T) if any(r))
     return (rung, list(sol[:, 0])), a_norm * float(growth)
 
 
 def type2_attempt(mt, nvec, dps: int):
     """Monic type II coefficients (floats, ascending) solved on the mpmath rung
-    at ``dps`` digits, with the condition bound of ``rung_solve``."""
-    (_, sol), bound = rung_solve(mt, lambda rows: _type2_system(rows, nvec), dps)
+    at ``dps`` digits, M^T a = -b, with the condition bound of ``rung_solve``."""
+    (_, sol), bound = rung_solve(mt, nvec, lambda rows: _type2_system(rows, nvec)[1], dps,
+                                 transpose=True)
     return np.array([float(v) for v in sol] + [1.0]), bound
 
 
@@ -309,8 +324,7 @@ def type1_attempt(mt, nvec, dps: int):
     M a = e_n: ((rung, blocks), bound), with the bound of ``rung_solve``.
     Each block is a list of mpf (empty for n_j = 0)."""
     e_n = np.array([mpmath.mpf(k == nvec.n - 1) for k in range(nvec.n)], dtype=object)
-    (rung, sol), bound = rung_solve(mt, lambda rows: (_hankel_from(rows, nvec, nvec.n), e_n),
-                                    dps)
+    (rung, sol), bound = rung_solve(mt, nvec, lambda rows: e_n, dps)
     ends = np.cumsum(nvec.parts)
     return (rung, [sol[e - nj : e] for nj, e in zip(nvec.parts, ends)]), bound
 

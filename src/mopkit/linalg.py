@@ -19,9 +19,10 @@ mpf arithmetic's results bit for bit, and untouched entries keep their own
 precision.
 
 Callers factor each matrix once, through this module's ``lu_factor``, and
-hand its (lu, piv, parity) to ``lu_det``, ``lu_solve``, ``cond1`` and
-``biorthogonal_pair``.  ``matmul`` multiplies mpf matrices on raw tuples
-too, in the order of numpy's object matmul.
+hand its (lu, piv, parity) to ``lu_det``, ``lu_solve`` (with A or,
+transposed, A^T), ``cond1`` and ``biorthogonal_pair``.  ``matmul``
+multiplies mpf matrices on raw tuples too, in the order of numpy's object
+matmul.
 """
 
 from __future__ import annotations
@@ -90,15 +91,27 @@ def _mpf_lu(rows):
     return mpf_rows(rows), np.array(piv), parity
 
 
-def _mpf_substitute(lu, x):
+def _mpf_substitute(lu, x, transpose=False):
     """The numpy loops of ``lu_solve`` on rows of raw tuples, op for op."""
     from mpmath.libmp import fzero
 
     mpf_rows, axpy, div, _ = _libmp()
-    for k in range(len(lu)):
-        for i in range(k + 1, len(lu)):
+    n = len(lu)
+    if transpose:
+        for k in range(n):
+            if lu[k][k] == fzero:
+                raise NumericError("singular matrix in lu_solve")
+            x[k] = [div(v, lu[k][k]) for v in x[k]]
+            for i in range(k + 1, n):
+                x[i] = axpy(lu[k][i], x[k], x[i])
+        for k in range(n - 1, 0, -1):
+            for i in range(k):
+                x[i] = axpy(lu[k][i], x[k], x[i])
+        return mpf_rows(x)
+    for k in range(n):
+        for i in range(k + 1, n):
             x[i] = axpy(lu[i][k], x[k], x[i])
-    for k in range(len(lu) - 1, -1, -1):
+    for k in range(n - 1, -1, -1):
         if lu[k][k] == fzero:
             raise NumericError("singular matrix in lu_solve")
         x[k] = [div(v, lu[k][k]) for v in x[k]]
@@ -141,25 +154,41 @@ def lu_det(lu, parity):
     return parity * np.prod(np.diagonal(lu))
 
 
-def lu_solve(lu, piv, b):
-    """Solve A x = b (b may be a vector or a matrix of columns)."""
+def lu_solve(lu, piv, b, transpose=False):
+    """Solve A x = b, or A^T x = b when ``transpose`` (b may be a vector or
+    a matrix of columns), from the factors of P A = L U.
+
+    A^T = U^T L^T P, so the transposed solve is U^T y = b forward, L^T z = y
+    backward and x[piv] = z: one factorization serves both systems.
+    """
     n = lu.shape[0]
     rows = _raw(lu)
     x = _entries(b) if rows is None else np.asarray(b, dtype=object)
     one_d = x.ndim == 1
     if one_d:
         x = x[:, None]
-    x = x[piv]
+    if not transpose:
+        x = x[piv]
     if rows is not None:
-        x = _mpf_substitute(rows, _raw(x, force=True))
-        return x[:, 0] if one_d else x
-    for k in range(n):  # forward, unit lower triangle
-        x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
-    for k in range(n - 1, -1, -1):  # backward
-        if lu[k, k] == 0:
-            raise NumericError("singular matrix in lu_solve")
-        x[k] /= lu[k, k]
-        x[:k] -= np.outer(lu[:k, k], x[k])
+        x = _mpf_substitute(rows, _raw(x, force=True), transpose)
+    elif transpose:
+        for k in range(n):  # forward, U^T
+            if lu[k, k] == 0:
+                raise NumericError("singular matrix in lu_solve")
+            x[k] /= lu[k, k]
+            x[k + 1 :] -= np.outer(lu[k, k + 1 :], x[k])
+        for k in range(n - 1, 0, -1):  # backward, unit L^T
+            x[:k] -= np.outer(lu[k, :k], x[k])
+    else:
+        for k in range(n):  # forward, unit lower triangle
+            x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
+        for k in range(n - 1, -1, -1):  # backward
+            if lu[k, k] == 0:
+                raise NumericError("singular matrix in lu_solve")
+            x[k] /= lu[k, k]
+            x[:k] -= np.outer(lu[:k, k], x[k])
+    if transpose:
+        x = x[np.argsort(piv)]
     return x[:, 0] if one_d else x
 
 

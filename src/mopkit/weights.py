@@ -372,8 +372,13 @@ class MomentTable:
     ``raw[j, k]`` is integral x^k w_j dx; ``scaled[j, k]`` is the same with
     x replaced by (x - c)/s, where [c - s, c + s] is the convex hull of the
     supports.  The rescaled entries are computed by direct quadrature (never
-    by binomial transform, which cancels catastrophically).  ``mp_rows`` maps a precision rung to the table's mpf moment rows up to
-    ``k_max``; ``highprec.table_rows`` fills it, one pass per rung.
+    by binomial transform, which cancels catastrophically).  ``mp_rows``
+    maps a precision rung to the table's mpf moment rows up to ``k_max``;
+    ``highprec.table_rows`` fills it, one pass per rung.  ``mp_lu`` holds
+    one entry, the last mpmath LU of a moment matrix M, keyed by (parts,
+    dps): ``highprec.rung_solve`` solves type I with it and, transposed,
+    type II, so one LU of M per index and dps serves both.  A copy of the
+    table (``dataclasses.replace``) starts with both empty.
     """
 
     system: WeightSystem
@@ -382,6 +387,7 @@ class MomentTable:
     hull: Interval
     tol: float
     mp_rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    mp_lu: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def k_max(self):

@@ -3,6 +3,8 @@ the paired medians that tools/bench_pairs.py records; tools/cli_bodies.py
 and tools/same_outputs.py: the comparisons of two checkouts' CLI output
 bodies and workload outputs."""
 
+import array
+import base64
 import json
 import sys
 from pathlib import Path
@@ -206,3 +208,17 @@ def test_same_outputs_exit_1_on_a_difference(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(same_outputs, "snapshot", lambda root, seed: {"k": "0", "s": "0"})
     assert same_outputs.main(args) == 0
     assert "0 of 2 outputs differ" in capsys.readouterr().out
+
+
+def test_same_outputs_print_the_deviation_of_differing_values():
+    def entry(digest, *vals):
+        return [digest, base64.b64encode(array.array("d", vals).tobytes()).decode()]
+
+    parent = {"zeros angelesco (5, 5)": entry("a1", 1.0, -4.0, 0.0),
+              "ensemble kernel nikishin (mp)": entry("b1", 0.5, 0.25)}
+    change = {"zeros angelesco (5, 5)": entry("a2", 1.0, -4.0, 2e-30),
+              "ensemble kernel nikishin (mp)": entry("b2", 0.5)}
+    assert same_outputs.differences(parent, change) == [
+        ("ensemble kernel nikishin (mp)", "differs, 2 values in the parent, 1 in the change"),
+        ("zeros angelesco (5, 5)", "differs, max |deviation| 2e-30 of max |value| 4"),
+    ]

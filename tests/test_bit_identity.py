@@ -4,8 +4,8 @@ The references below are the unbuffered Metropolis sweep (a fresh array per
 step, the constant weight's support as a 0/-inf term), the weight values
 through ``np.atleast_1d`` and ``np.polynomial.polynomial.polyval``, the
 g-matrix blocks started from a row of ones, the float kernel on all points
-at once, the bordered kernel that factors M again, and numpy's object
-matmul.
+at once, the bordered kernel that factors M again, numpy's object matmul,
+and the transposed LU solve as numpy loops on object arrays of mpf.
 """
 
 import math
@@ -16,7 +16,8 @@ import pytest
 
 import mopkit as mk
 from mopkit import ensemble, highprec, linalg, sampling
-from mopkit.mop import as_multi_index
+from mopkit.exceptions import NumericError
+from mopkit.mop import _hankel_from, as_multi_index
 from mopkit.sampling import SamplerConfig, sample_mcmc
 
 C, J, E = mk.WeightSpec.constant, mk.WeightSpec.jacobi, mk.WeightSpec.exp_poly
@@ -295,3 +296,49 @@ def test_matmul_matches_numpy_object_matmul(dps):
             assert [v._mpf_ for v in got.flat] == [v._mpf_ for v in ref.flat]
     a = rng.standard_normal((3, 3)).astype(linalg.LD)
     assert _same_entries(linalg.matmul(a, a), a @ a)
+
+
+def ref_lu_solve_transposed(lu, piv, b):
+    """A^T x = b from P A = L U: U^T y = b, L^T z = y, x[piv] = z, as numpy
+    loops on object arrays."""
+    n = lu.shape[0]
+    x = np.array(b, dtype=object, copy=True)
+    for k in range(n):
+        if lu[k, k] == 0:
+            raise NumericError("singular matrix in lu_solve")
+        x[k] /= lu[k, k]
+        x[k + 1 :] -= np.outer(lu[k, k + 1 :], x[k])
+    for k in range(n - 1, 0, -1):
+        x[:k] -= np.outer(lu[k, :k], x[k])
+    out = np.empty_like(x)
+    out[piv] = x
+    return out
+
+
+def _moment_matrix(ws, parts, rows_dps):
+    nvec = as_multi_index(parts)
+    with mpmath.mp.workdps(rows_dps):
+        rows = highprec.moment_rows(ws, nvec.n + max(nvec.parts))
+    return _hankel_from(rows, nvec, nvec.n)
+
+
+@pytest.mark.parametrize("rows_dps,dps", [(20, 20), (64, 50)])
+def test_transposed_solve_matches_numpy_object_loop(rows_dps, dps):
+    rng = np.random.default_rng(dps)
+    mats = [_moment_matrix(mk.build_angelesco([C(-1.0, 0.0), C(0.0, 1.0)]), (4, 4), rows_dps),
+            _moment_matrix(mk.build_nikishin(C(1.0, 2.0), [C(-1.0, 0.0)]), (6, 6), rows_dps),
+            _mpf_matrix(rng, (7, 7), ints=True)]
+    with mpmath.mp.workdps(dps):
+        for a in mats:
+            lu, piv, _ = linalg.lu_factor(a)
+            for b in (a[0], a[::-1, :3], _mpf_matrix(rng, (len(a), 2))):
+                got = linalg.lu_solve(lu, piv, b, transpose=True)
+                ref = ref_lu_solve_transposed(lu, piv, b.reshape(len(a), -1))
+                assert [v._mpf_ for v in got.flat] == [v._mpf_ for v in ref.flat]
+        singular = np.array([[mpmath.mpf(v) for v in row]
+                             for row in ([0, 1, 2], [0, 3, 4], [0, 5, 7])], dtype=object)
+        lu, piv, _ = linalg.lu_factor(singular)
+        with pytest.raises(NumericError):
+            linalg.lu_solve(lu, piv, singular[0], transpose=True)
+        with pytest.raises(NumericError):
+            ref_lu_solve_transposed(lu, piv, singular[:, :1])

@@ -1,6 +1,7 @@
 """mpmath moment rows: Beta-function closed forms for pure Jacobi weights,
 one tanh-sinh pass per weight, bit-identical to quad, for the rest, and
-one pass per moment table and precision rung for type I solves."""
+one pass per moment table and precision rung for type I solves; one LU of
+the moment matrix per index and precision for type I and type II."""
 
 import dataclasses
 from fractions import Fraction
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import mopkit as mk
-from mopkit import highprec
+from mopkit import highprec, linalg
 from mopkit.ensemble import g_matrix
 from mopkit.linalg import LD
+from mopkit.mop import _type2_system
 from mopkit.weights import Weight
 
 #: weight, largest power k, working precisions; the exp_poly Nikishin ratio
@@ -361,3 +363,73 @@ def test_nested_quadrature_runs_once_per_proxy_node(monkeypatch):
         nodes = sum(r["nodes"] for r in owner.proxy.records)
         assert all("direct" not in r for r in owner.proxy.records)
         assert 0 < len(calls) <= nodes < x.size
+
+
+# -- one LU of M per index and dps: type I solves M, type II M^T -------------
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    calls, plain = [], linalg._mpf_lu
+    monkeypatch.setattr(linalg, "_mpf_lu", lambda rows: calls.append(len(rows)) or plain(rows))
+    return calls
+
+
+def _kmax(parts):
+    n = sum(parts)
+    return max(n + max(parts) - 1, 2 * n - 2)
+
+
+@pytest.mark.parametrize("make,parts,lus", [(_angelesco, (7, 7), 1),
+                                            (_constant_nikishin, (3, 3), 2)])
+def test_type2_and_type1_agree_in_either_order(make, parts, lus, lu_calls):
+    ws, out = make(), []
+    for type2_first in (True, False):
+        mt = mk.moment_table(ws, _kmax(parts))
+        lu_calls.clear()
+        if type2_first:
+            P, ts = mk.type2_mop(mt, parts), mk.type1_mop(mt, parts)
+        else:
+            ts, P = mk.type1_mop(mt, parts), mk.type2_mop(mt, parts)
+        assert P.method == "mp" and ts.hp_coeffs is not None
+        out.append((P.coeffs.tobytes(), P.hp_dps, ts.hp_dps, ts.hp_rows_dps,
+                    [a.coeffs.tobytes() for a in ts.polys],
+                    [[v._mpf_ for v in blk] for blk in ts.hp_coeffs], len(lu_calls)))
+    assert out[0] == out[1]
+    # a pair at one dps factors M once; (3, 3) takes dps 41 for type II, 40 for type I
+    assert out[0][-1] == lus and (P.hp_dps == ts.hp_dps) == (lus == 1)
+
+
+def test_copied_table_starts_without_an_lu():
+    mt = mk.moment_table(_angelesco(), _kmax((5, 5)))
+    P = mk.type2_mop(mt, (4, 4), method="mp")
+    assert list(mt.mp_lu) == [((4, 4), P.hp_dps)]
+    assert dataclasses.replace(mt).mp_lu == {}
+    mk.type1_mop(mt, (5, 5), method="mp")  # one entry: the last factorization
+    assert [parts for parts, _ in mt.mp_lu] == [(5, 5)]
+
+
+def _legendre():
+    return mk.build_angelesco([mk.WeightSpec.constant(-1.0, 1.0)])
+
+
+SHARED = ([("legendre", _legendre, (n,)) for n in range(10, 31)]
+          + [("angelesco", _angelesco, (n, n)) for n in range(5, 16)]
+          + [("nikishin", _constant_nikishin, (n, n)) for n in range(2, 5)])
+
+
+@pytest.mark.parametrize("make,parts", [case[1:] for case in SHARED],
+                         ids=[f"{name}{parts}" for name, _, parts in SHARED])
+def test_shared_lu_type2_matches_twice_the_dps(make, parts, lu_calls):
+    # the ladder promises SURVIVING_DIGITS = 20 digits of |a|_1
+    mt, nvec = mk.moment_table(make(), _kmax(parts)), mk.MultiIndex(parts)
+    P = mk.type2_mop(mt, nvec, method="mp")
+    highprec.type1_attempt(mt, nvec, P.hp_dps)
+    (_, a), bound = highprec.rung_solve(mt, nvec, lambda rows: _type2_system(rows, nvec)[1],
+                                        P.hp_dps, transpose=True)
+    assert len(lu_calls) == 1  # type II, type I and type II again: one LU of M
+    assert [float(v) for v in a] == P.coeffs[:-1].tolist()
+    assert np.log10(bound) + highprec.SURVIVING_DIGITS <= P.hp_dps
+    with mpmath.mp.workdps(2 * P.hp_dps):
+        ref = linalg.solve(*_type2_system(highprec.table_rows(mt, 2 * P.hp_dps)[1], nvec))
+        err = max(abs(x - r) for x, r in zip(a, ref))
+        assert err <= 1e-20 * sum(abs(r) for r in ref), (parts, float(err))

@@ -104,6 +104,40 @@ def test_biorthogonal_pair_gram_identity(rung):
     assert np.max(np.abs(gram - np.eye(n))) <= tol
 
 
+# -- the transposed solve through the same factors ---------------------------
+
+def test_transposed_solve_is_exact_on_fractions():
+    a = angelesco_hankel()
+    lu, piv, _ = linalg.lu_factor(a)
+    b = np.array([Fraction(k - 2, k + 1) for k in range(len(a))], dtype=object)
+    for rhs in (b, np.stack([b, a[:, 0]], axis=1)):
+        x = linalg.lu_solve(lu, piv, rhs, transpose=True)
+        assert all(isinstance(v, Fraction) for v in x.flat)
+        assert np.all(a.T @ x == rhs)
+
+
+def test_transposed_solve_matches_numpy_on_longdouble():
+    rng = np.random.default_rng(20)
+    a = rng.standard_normal((8, 8)) + 8 * np.eye(8)
+    a[[0, 5]] = a[[5, 0]]  # a pivot row swap
+    b = rng.standard_normal((8, 3))
+    lu, piv, _ = linalg.lu_factor(a)
+    assert list(piv) != list(range(8))
+    x = linalg.lu_solve(lu, piv, b, transpose=True)
+    assert x.dtype == LD
+    ref = np.linalg.solve(a.T, b)
+    assert np.max(np.abs(x - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.array_equal(linalg.lu_solve(lu, piv, b[:, 0], transpose=True), x[:, 0])
+
+
+def test_transposed_solve_of_a_singular_matrix_raises(rung):
+    _, entries, _ = rung
+    a = entries(np.array(SINGULAR, dtype=object))
+    lu, piv, _ = linalg.lu_factor(a)
+    with pytest.raises(NumericError):
+        linalg.lu_solve(lu, piv, a[0], transpose=True)
+
+
 # -- the mpf path against the numpy loop on mpf objects, bit for bit ---------
 
 def _hankel(name, parts, rows_dps):

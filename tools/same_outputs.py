@@ -9,14 +9,19 @@ and the type I polynomials, and the first round of
 ``perfbench/wl_ensemble.py``: per target the sampler batch at that round's
 seeds (``configurations``, ``extended``, ``acceptance_rate``, ``ess`` and
 ``step_sizes``), and the two kernels at the workload's evaluation points
-(values and trace).  Each output is reduced to a SHA-256 digest.  Prints every output
-whose digest differs or that only one side has, and exits 1 on any
-difference.  The companion of ``tools/cli_bodies.py``.
+(values and trace).  Each output is reduced to a SHA-256 digest, and its
+numbers (coefficients, roots, configurations, kernel values) are kept as
+float64 next to it.  Prints every output whose digest differs or that only
+one side has, a differing output with its largest absolute deviation and its
+largest absolute value, and exits 1 on any difference.  The companion of
+``tools/cli_bodies.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import array
+import base64
 import hashlib
 import json
 import os
@@ -29,8 +34,18 @@ def _sha(data) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else repr(data).encode()).hexdigest()
 
 
+def _output(data, *arrays) -> list:
+    """[digest of ``data``, the numbers of ``arrays`` (None skipped) as base64 float64]."""
+    import numpy as np
+
+    vals = [np.ravel(np.asarray(a, dtype=float)) for a in arrays if a is not None]
+    flat = np.concatenate(vals) if vals else np.empty(0)
+    return [_sha(data), base64.b64encode(flat.tobytes()).decode()]
+
+
 def digests(checkout: Path, seed: int) -> dict:
-    """{output: digest} of this process's ``mopkit`` with ``checkout``'s perfbench."""
+    """{output: [digest, values]} of this process's ``mopkit`` with
+    ``checkout``'s perfbench (``_output``)."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import harness
     import wl_ensemble
@@ -42,8 +57,11 @@ def digests(checkout: Path, seed: int) -> dict:
     sess.start_round()
     zeros = wl_zeros.Zeros(seed)
     zeros.round(sess)
-    out = {f"zeros {name} {parts}": _sha(sig)
-           for (name, parts), sig in wl_zeros._signature(zeros.reference).items()}
+    out = {}
+    for (name, parts), sig in wl_zeros._signature(zeros.reference).items():
+        P, roots, ts = zeros.reference[name, parts]
+        out[f"zeros {name} {parts}"] = _output(sig, None if P is None else P.coeffs, roots,
+                                               *(() if ts is None else (a.coeffs for a in ts.polys)))
     batches, sample = [], mopkit.sample_mcmc
 
     def recorded(*args):  # a failed call leaves None in its target's place
@@ -56,11 +74,13 @@ def digests(checkout: Path, seed: int) -> dict:
     ensemble.round(sess)
     mopkit.sample_mcmc = sample
     for name, b in zip(wl_ensemble.TARGETS, batches):
-        out[f"ensemble sampler {name}"] = _sha(b"failed" if b is None else (
+        out[f"ensemble sampler {name}"] = _output(b"failed") if b is None else _output(
             b.configurations.tobytes() + (b"" if b.extended is None else b.extended.tobytes())
-            + repr((b.configurations.shape, b.acceptance_rate, b.ess, b.step_sizes)).encode()))
+            + repr((b.configurations.shape, b.acceptance_rate, b.ess, b.step_sizes)).encode(),
+            b.configurations, b.extended)
     for name, vals, trace, _, tag in ensemble.reference or ():
-        out[f"ensemble kernel {name} ({tag})"] = _sha(vals.tobytes() + repr(trace).encode())
+        out[f"ensemble kernel {name} ({tag})"] = _output(vals.tobytes() + repr(trace).encode(),
+                                                         vals, trace)
     out["failed operations"] = _sha(sess.failures)
     return out
 
@@ -75,14 +95,28 @@ def snapshot(checkout: Path, seed: int) -> dict:
     return json.loads(run.stdout)
 
 
+def _deviation(parent, change) -> str:
+    """How far two outputs' values ([digest, values] each) lie apart."""
+    p, c = (array.array("d", base64.b64decode(side[1])) for side in (parent, change))
+    if len(p) != len(c):
+        return f", {len(p)} values in the parent, {len(c)} in the change"
+    dev = max((abs(a - b) for a, b in zip(p, c)), default=0.0)
+    return f", max |deviation| {dev:.3g} of max |value| {max(map(abs, p + c), default=0.0):.3g}"
+
+
 def differences(parent: dict, change: dict) -> list:
-    """(output, reason) for every output whose digest differs or is on one side only."""
+    """(output, reason) for every output whose digest differs or is on one side only.
+
+    An output is a digest, or [digest, values] from ``digests``; a differing
+    one with values on both sides gets its largest deviation (``_deviation``)."""
     out = []
     for key in sorted(set(parent) | set(change)):
         if key not in parent or key not in change:
             out.append((key, f"only in the {'parent' if key in parent else 'change'}"))
         elif parent[key] != change[key]:
-            out.append((key, "differs"))
+            p, c = parent[key], change[key]
+            both = isinstance(p, list) and isinstance(c, list)
+            out.append((key, "differs" + (_deviation(p, c) if both else "")))
     return out
 
 
