@@ -19,13 +19,14 @@ fixed-size chunks of points.  Solves take their rows from the moment table:
 rung (the working dps rounded up to a multiple of ``RUNG_DIGITS``) and
 keeps them on the table, so a degree sweep pays for its moments once per
 rung.  Everything else is shared with the float rung: the block Hankel
-matrices are ``mop._hankel_from`` and ``mop._type2_system``, the g-basis
-is ``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the
+matrices are ``mop._hankel_from``, the g-basis is
+``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the
 systems are factored by the one LU in ``linalg``.  That LU and the
 tanh-sinh columns run on raw ``_mpf_`` tuples, bit for bit as mpf would.
-One LU of the moment matrix M per index and dps serves type I, M x = e_n,
-and, by transposed substitution, type II, M^T a = -b; ``rung_solve`` keeps
-the last one on the table (``MomentTable.mp_lu``).
+``rung_solve`` is the mpmath rung of ``mop._solve``, the one solve of type
+I, M x = e_n, and, by transposed substitution, type II, M^T a = -b: one LU
+of M per index and dps serves both kinds, and the last one is kept on the
+table (``MomentTable.mp_lu``).
 
 One ``MPForm``, f(x)^T A^T B g(y), evaluates the kernel and the linear form
 Q, which is the kernel's x^(n-1) coefficient.  It answers from a
@@ -48,7 +49,7 @@ from . import linalg
 from .ensemble import f_matrix, g_matrix
 from .exceptions import NumericError, PrecisionExhausted
 from .linalg import LD
-from .mop import _hankel_from, _type2_system
+from .mop import _hankel_from
 
 #: an mpmath answer counts when log10(bound) + SURVIVING_DIGITS <= dps for
 #: its a-posteriori condition bound
@@ -280,16 +281,17 @@ def table_rows(mt, dps: int):
 def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
     """One attempt at M x = rhs(rows), or M^T x = rhs(rows) when
     ``transpose``, on the mpmath rung, for the block Hankel moment matrix M
-    of ``nvec``.
+    of ``nvec``: the attempt that ``mop._solve`` hands ``escalate`` for
+    type I (M) and type II (M^T, by transposed substitution).
 
     The rows come from ``table_rows(mt, dps)``; the solve rounds to ``dps``.
     M is factored once per (parts, dps): the last LU is kept in
-    ``mt.mp_lu``, so type I (M) and type II (M^T, by transposed
-    substitution) at one index and precision share it.  The bound is
-    |A|_1 max(|x|_1 / |b|_1, |A^-1 z|_1 / |z|_1) for the system A actually
-    solved and a fixed probe z = (1, -1, 1, ...) solved in the same LU: a
-    monic type II solution stays O(1) however ill-conditioned A is.  |A|_1
-    comes from the float64 assembly of ``mt.raw``; only its order of
+    ``mt.mp_lu``, so both kinds at one index and precision share it; since
+    both start the ladder from the same cond1 of M, they take one dps.  The
+    bound is |A|_1 max(|x|_1 / |b|_1, |A^-1 z|_1 / |z|_1) for the system A
+    actually solved and a fixed probe z = (1, -1, 1, ...) solved in the same
+    LU: a monic type II solution stays O(1) however ill-conditioned A is.
+    |A|_1 comes from the float64 assembly of ``mt.raw``; only its order of
     magnitude matters.  Returns ((rung, x), bound).
     """
     rung, rows = table_rows(mt, dps)
@@ -309,24 +311,6 @@ def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
             raise NumericError("singular moment system in high precision") from exc
         growth = max(np.abs(x).sum() / np.abs(r).sum() for x, r in zip(sol.T, cols.T) if any(r))
     return (rung, list(sol[:, 0])), a_norm * float(growth)
-
-
-def type2_attempt(mt, nvec, dps: int):
-    """Monic type II coefficients (floats, ascending) solved on the mpmath rung
-    at ``dps`` digits, M^T a = -b, with the condition bound of ``rung_solve``."""
-    (_, sol), bound = rung_solve(mt, nvec, lambda rows: _type2_system(rows, nvec)[1], dps,
-                                 transpose=True)
-    return np.array([float(v) for v in sol] + [1.0]), bound
-
-
-def type1_attempt(mt, nvec, dps: int):
-    """Type I coefficient blocks solved on the mpmath rung at ``dps`` digits,
-    M a = e_n: ((rung, blocks), bound), with the bound of ``rung_solve``.
-    Each block is a list of mpf (empty for n_j = 0)."""
-    e_n = np.array([mpmath.mpf(k == nvec.n - 1) for k in range(nvec.n)], dtype=object)
-    (rung, sol), bound = rung_solve(mt, nvec, lambda rows: e_n, dps)
-    ends = np.cumsum(nvec.parts)
-    return (rung, [sol[e - nj : e] for nj, e in zip(nvec.parts, ends)]), bound
 
 
 def kernel_attempt(ws, nvec, dps: int):

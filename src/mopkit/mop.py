@@ -2,13 +2,14 @@
 
 Type II polynomials are computed by solving the transposed moment system,
 type I tuples by solving the moment system itself; both are mathematically
-identical to the determinantal formulas but far better conditioned.  Solves
-run on hull-rescaled moments (the convex hull of the supports is mapped to
-[-1, 1]) in 80-bit arithmetic.  Past ``CONDITION_CUTOFF`` both
-kinds climb the one checked mpmath ladder, ``highprec.escalate``, which
-keeps zero locations and linear forms meaningful well past the point where
-floating point gives up on Hankel matrices, or raises
-:class:`PrecisionExhausted`.
+identical to the determinantal formulas but far better conditioned.  One
+solve, ``_solve``, serves both kinds from one LU of the moment matrix M per
+index.  It runs on hull-rescaled moments (the convex hull of the supports
+is mapped to [-1, 1]) in 80-bit arithmetic.  Past ``CONDITION_CUTOFF`` of
+cond1(M) both kinds climb the one checked mpmath ladder,
+``highprec.escalate``, which keeps zero locations and linear forms
+meaningful well past the point where floating point gives up on Hankel
+matrices, or raises :class:`PrecisionExhausted`.
 """
 
 from __future__ import annotations
@@ -275,53 +276,55 @@ def _type2_system(rows, nvec):
     return aug[:, :-1], -aug[:, -1]
 
 
-def _checked_index(mt: MomentTable, nvec, method, what, order):
-    """Validate a solve request and check normality; ``order(nvec)`` is the
-    highest moment order the solve reads.  Returns the index and
-    ``_check_normal``'s matrix and factorization."""
-    nvec = as_multi_index(nvec)
+def _solve(mt: MomentTable, nvec, method, what, order, rhs, transpose=False):
+    """M x = rhs(rows), or M^T x = rhs(rows) when ``transpose``, for the
+    block Hankel moment matrix M of ``nvec``: the one solve of type II and
+    type I.
+
+    Checks the request (``order`` is the highest moment order the solve
+    reads) and the normality of M, and routes on cond1 of the hull-scaled
+    M: the float rung solves from ``_check_normal``'s LU with the hull-scaled
+    rows, the mpmath rung climbs ``highprec.escalate`` over
+    ``highprec.rung_solve`` on raw moments.  Returns (cond, dps, rows_dps,
+    x), dps and rows_dps 0 on the float rung.
+    """
     if nvec.n < 1:
         raise ValidationError(f"{what} needs |n| >= 1")
     if nvec.n > MAX_TOTAL_DEGREE:
         raise ValidationError(f"|n|={nvec.n} exceeds the supported cap {MAX_TOTAL_DEGREE}")
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}")
-    _require_order(mt, order(nvec))
-    return nvec, _check_normal(mt, nvec)
+    _require_order(mt, order)
+    system, factors = _check_normal(mt, nvec)
+    cond = linalg.cond1(system, factors)
+    if method == "mp" or (method == "auto" and cond > CONDITION_CUTOFF):
+        from . import highprec
 
-
-def _on_mp_rung(method, cond):
-    return method == "mp" or (method == "auto" and cond > CONDITION_CUTOFF)
+        dps, (rows_dps, x) = highprec.escalate(
+            lambda d: highprec.rung_solve(mt, nvec, rhs, d, transpose), cond)
+        return cond, dps, rows_dps, x
+    return cond, 0, 0, linalg.lu_solve(*factors[:2], rhs(mt.scaled), transpose)
 
 
 def type2_mop(mt: MomentTable, nvec, method: str = "auto") -> Polynomial:
     """Monic type II multiple orthogonal polynomial of degree |n|.
 
-    ``method`` is ``"float"`` (hull-rescaled 80-bit solve), ``"mp"`` (the
-    checked mpmath ladder of ``highprec.escalate`` on raw moments), or
-    ``"auto"``, which takes the ladder when the condition estimate passes
-    ``CONDITION_CUTOFF``.
+    Solves M^T a = -b from the LU of the moment matrix M that type I solves
+    with.  ``method`` is ``"float"`` (hull-rescaled 80-bit solve), ``"mp"``
+    (the checked mpmath ladder of ``highprec.escalate`` on raw moments), or
+    ``"auto"``, which takes the ladder when cond1 of the hull-scaled M
+    passes ``CONDITION_CUTOFF``.
     """
-    # normality is tested on M, not on the system M^T: its pivots differ
-    nvec, _ = _checked_index(mt, nvec, method, "type II MOP",
-                             lambda v: v.n + max(v.parts) - 1)
+    nvec = as_multi_index(nvec)
     n = nvec.n
-    c, s = mt.center, mt.half_width
-    system, rhs = _type2_system(mt.scaled, nvec)
-    factors = linalg.lu_factor(system)
-    cond = linalg.cond1(system, factors)
+    cond, dps, _, a = _solve(mt, nvec, method, "type II MOP", n + max(nvec.parts) - 1,
+                             lambda rows: _type2_system(rows, nvec)[1], transpose=True)
     ill = cond > CONDITION_WARN
-
-    if _on_mp_rung(method, cond):
-        from . import highprec
-
-        dps, coeffs = highprec.escalate(lambda d: highprec.type2_attempt(mt, nvec, d), cond)
-        return Polynomial(coeffs, condition_estimate=cond, ill_conditioned=ill,
-                          method="mp", hp_dps=dps)
-
-    a_t = linalg.lu_solve(*factors[:2], rhs)
-    coeffs_t = np.concatenate([a_t, np.asarray([1.0], dtype=linalg.LD)])
-    coeffs = _affine_unscale(coeffs_t, c, s, s ** n)
+    if dps:
+        return Polynomial([float(v) for v in a] + [1.0], condition_estimate=cond,
+                          ill_conditioned=ill, method="mp", hp_dps=dps)
+    c, s = mt.center, mt.half_width
+    coeffs = _affine_unscale(np.append(a, linalg.LD(1.0)), c, s, s ** n)
     coeffs[-1] = 1.0  # monic by construction; pin against rounding
     return Polynomial(coeffs, condition_estimate=cond, ill_conditioned=ill,
                       method="float")
@@ -330,38 +333,30 @@ def type2_mop(mt: MomentTable, nvec, method: str = "auto") -> Polynomial:
 def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
     """Type I polynomials A^(j) (degree n_j - 1) normalized by the n-1 moment.
 
-    Solves the n x n moment system whose first n-1 rows are the vanishing
-    power conditions and whose last row is the normalization.  When the
-    condition estimate passes ``CONDITION_CUTOFF`` (typical for
+    Solves the n x n moment system M a = e_n whose first n-1 rows are the
+    vanishing power conditions and whose last row is the normalization.
+    When the condition estimate passes ``CONDITION_CUTOFF`` (typical for
     Nikishin systems, whose weight blocks are nearly dependent), ``"auto"``
     re-solves on the checked mpmath ladder of ``highprec.escalate``;
     ``"mp"`` forces that path, ``"float"`` forbids it.
     """
-    nvec, (system, factors) = _checked_index(mt, nvec, method, "type I MOP",
-                                             lambda v: 2 * v.n - 2)
+    nvec = as_multi_index(nvec)
     n = nvec.n
-    c, s = mt.center, mt.half_width
-    rhs = np.zeros(n, dtype=linalg.LD)
-    rhs[n - 1] = 1.0
-    cond = linalg.cond1(system, factors)
+    cond, dps, rows_dps, sol = _solve(mt, nvec, method, "type I MOP", 2 * n - 2,
+                                      lambda rows: np.eye(1, n, n - 1, dtype=rows.dtype)[0])
     ill = cond > CONDITION_WARN
-
-    if _on_mp_rung(method, cond):
+    blocks = [sol[e - nj : e] for nj, e in zip(nvec.parts, np.cumsum(nvec.parts))]
+    if dps:
         from . import highprec
 
-        dps, (rows_dps, blocks) = highprec.escalate(
-            lambda d: highprec.type1_attempt(mt, nvec, d), cond)
         polys = tuple(Polynomial([float(v) for v in blk] or [0.0]) for blk in blocks)
         return TypeISystem(polys, mt.system, nvec, cond, ill,
                            hp_coeffs=tuple(tuple(blk) for blk in blocks), hp_dps=dps,
                            hp_rows_dps=rows_dps, mp=highprec.linear_form(mt.system, blocks, dps))
-
-    sol = linalg.lu_solve(*factors[:2], rhs)
-
+    c, s = mt.center, mt.half_width
     scale = linalg.LD(s) ** (n - 1)
-    polys = tuple(Polynomial(_affine_unscale(sol[e - nj : e], c, s, 1.0) / scale)
-                  if nj else Polynomial([0.0])
-                  for nj, e in zip(nvec.parts, np.cumsum(nvec.parts)))
+    polys = tuple(Polynomial(_affine_unscale(blk, c, s, 1.0) / scale) if len(blk)
+                  else Polynomial([0.0]) for blk in blocks)
     return TypeISystem(polys, mt.system, nvec, cond, ill)
 
 

@@ -377,7 +377,8 @@ class MomentTable:
     ``highprec.table_rows`` fills it, one pass per rung.  ``mp_lu`` holds
     one entry, the last mpmath LU of a moment matrix M, keyed by (parts,
     dps): ``highprec.rung_solve`` solves type I with it and, transposed,
-    type II, so one LU of M per index and dps serves both.  A copy of the
+    type II.  Both kinds start the ladder from the same cond1 of M, so they
+    take one dps and one LU of M per index serves both.  A copy of the
     table (``dataclasses.replace``) starts with both empty.
     """
 

@@ -564,8 +564,9 @@ def test_unusable_files_exit_1(tmp_path, capsys, config, block, message):
 def test_verify_fails_on_a_non_finite_deviation(tmp_path):
     # P(z) and the Monte Carlo estimate both overflow, and their difference is NaN
     cfg = dict(LEGENDRE, multi_index=[3], z_points=[[1e308, 1e308]])
-    code = cli.main(["verify", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
-                     "--samples", "2000", "--quiet"])
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["verify", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                         "--samples", "2000", "--quiet"])
     assert code == 3
     rec = json.loads((tmp_path / "o" / "verify.json").read_text())
     [check] = [c for c in rec["checks"] if c["name"] == "mc_char_poly"]

@@ -160,9 +160,24 @@ def test_table_rows_match_moment_rows_bit_for_bit():
     assert dataclasses.replace(mt).mp_rows == {}  # a copied table starts empty
 
 
+def _type1_at(mt, nvec, dps):
+    """Type I blocks (lists of mpf) of M x = e_n, one ``rung_solve`` at ``dps``."""
+    e_n = lambda rows: np.eye(1, nvec.n, nvec.n - 1, dtype=object)[0]
+    (_, sol), _ = highprec.rung_solve(mt, nvec, e_n, dps)
+    return [sol[e - nj : e] for nj, e in zip(nvec.parts, np.cumsum(nvec.parts))]
+
+
+def _type2_at(mt, nvec, dps):
+    """Type II coefficients (mpf, without the leading 1) of M^T a = -b and
+    their condition bound, one ``rung_solve`` at ``dps``."""
+    (_, a), bound = highprec.rung_solve(mt, nvec, lambda rows: _type2_system(rows, nvec)[1],
+                                        dps, transpose=True)
+    return a, bound
+
+
 def _q_150(ws, mt, parts, xs):
     """Q at xs from a 150-digit type I solve on ``mt``, point by point."""
-    (_, blocks), _ = highprec.type1_attempt(mt, mk.MultiIndex(parts), 150)
+    blocks = _type1_at(mt, mk.MultiIndex(parts), 150)
     return highprec.linear_form(ws, blocks, 150).eval_direct(xs, xs)
 
 
@@ -198,8 +213,9 @@ def test_nikishin_type2_roots_match_twice_the_dps(n):
     roots = mk.poly_roots(P)
     assert P.method == "mp" and roots.size == 2 * n
     assert np.all((roots > 1.0) & (roots < 2.0))
-    coeffs, _ = highprec.type2_attempt(mt, mk.MultiIndex((n, n)), 2 * P.hp_dps)
-    assert np.max(np.abs(roots - mk.poly_roots(mk.Polynomial(coeffs)))) <= 1e-10
+    a, _ = _type2_at(mt, mk.MultiIndex((n, n)), 2 * P.hp_dps)
+    ref = mk.poly_roots(mk.Polynomial([float(v) for v in a] + [1.0]))
+    assert np.max(np.abs(roots - ref)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])
@@ -379,9 +395,8 @@ def _kmax(parts):
     return max(n + max(parts) - 1, 2 * n - 2)
 
 
-@pytest.mark.parametrize("make,parts,lus", [(_angelesco, (7, 7), 1),
-                                            (_constant_nikishin, (3, 3), 2)])
-def test_type2_and_type1_agree_in_either_order(make, parts, lus, lu_calls):
+@pytest.mark.parametrize("make,parts", [(_angelesco, (7, 7)), (_constant_nikishin, (3, 3))])
+def test_type2_and_type1_agree_in_either_order(make, parts, lu_calls):
     ws, out = make(), []
     for type2_first in (True, False):
         mt = mk.moment_table(ws, _kmax(parts))
@@ -395,8 +410,8 @@ def test_type2_and_type1_agree_in_either_order(make, parts, lus, lu_calls):
                     [a.coeffs.tobytes() for a in ts.polys],
                     [[v._mpf_ for v in blk] for blk in ts.hp_coeffs], len(lu_calls)))
     assert out[0] == out[1]
-    # a pair at one dps factors M once; (3, 3) takes dps 41 for type II, 40 for type I
-    assert out[0][-1] == lus and (P.hp_dps == ts.hp_dps) == (lus == 1)
+    # both start the ladder from cond1 of M, take one dps and factor M once
+    assert out[0][-1] == 1 and P.hp_dps == ts.hp_dps
 
 
 def test_copied_table_starts_without_an_lu():
@@ -423,9 +438,8 @@ def test_shared_lu_type2_matches_twice_the_dps(make, parts, lu_calls):
     # the ladder promises SURVIVING_DIGITS = 20 digits of |a|_1
     mt, nvec = mk.moment_table(make(), _kmax(parts)), mk.MultiIndex(parts)
     P = mk.type2_mop(mt, nvec, method="mp")
-    highprec.type1_attempt(mt, nvec, P.hp_dps)
-    (_, a), bound = highprec.rung_solve(mt, nvec, lambda rows: _type2_system(rows, nvec)[1],
-                                        P.hp_dps, transpose=True)
+    _type1_at(mt, nvec, P.hp_dps)
+    a, bound = _type2_at(mt, nvec, P.hp_dps)
     assert len(lu_calls) == 1  # type II, type I and type II again: one LU of M
     assert [float(v) for v in a] == P.coeffs[:-1].tolist()
     assert np.log10(bound) + highprec.SURVIVING_DIGITS <= P.hp_dps

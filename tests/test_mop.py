@@ -3,8 +3,9 @@ import pytest
 
 import mopkit as mk
 from helpers import bordered_type2_coeffs, gram_schmidt_monic
+from mopkit import linalg, mop
 from mopkit.exceptions import NonNormalIndexError, NumericError, ValidationError
-from mopkit.mop import MAX_TOTAL_DEGREE, MultiIndex
+from mopkit.mop import MAX_TOTAL_DEGREE, MultiIndex, _type2_system
 
 INV_SQRT3 = 0.5773502691896258
 SQRT_3_5 = 0.7745966692414834
@@ -264,3 +265,42 @@ def test_polynomial_evaluation_complex():
 
 def test_cap_is_thirty():
     assert MAX_TOTAL_DEGREE == 30
+
+
+C, J, E = mk.WeightSpec.constant, mk.WeightSpec.jacobi, mk.WeightSpec.exp_poly
+
+RAY_SYSTEMS = {
+    "legendre": lambda: mk.build_angelesco([C(-1.0, 1.0)]),
+    "angelesco": lambda: mk.build_angelesco([C(-1.0, 0.0), C(0.0, 1.0)]),
+    "jacobi_angelesco": lambda: mk.build_angelesco([J(-1.0, 0.0, 0.5, 0.5),
+                                                    J(0.0, 1.0, 0.5, 0.5)]),
+    "exp_angelesco": lambda: mk.build_angelesco([E(-1.0, 0.0, [0.0, 0.3, 1.0]),
+                                                 E(0.0, 1.0, [0.0, -0.2, 0.8])]),
+    "nikishin": lambda: mk.build_nikishin(C(1.0, 2.0), [C(-1.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAY_SYSTEMS))
+def test_float_type2_is_the_transposed_solve_of_m(monkeypatch, name):
+    # type II solves M^T a = -b from the LU of M that type I solves with;
+    # the reference factors M^T itself
+    ws = RAY_SYSTEMS[name]()
+    mt = mk.moment_table(ws, 28)
+    scaled, plain = [], mop._affine_unscale
+    monkeypatch.setattr(mop, "_affine_unscale",
+                        lambda coeffs, *rest: scaled.append(coeffs) or plain(coeffs, *rest))
+    tested = 0
+    for n in range(1, 15 // ws.p + 1):
+        nvec = MultiIndex((n,) * ws.p)
+        cond = linalg.cond1(*mop._check_normal(mt, nvec))
+        if cond > mop.CONDITION_CUTOFF:
+            continue
+        scaled.clear()
+        P = mk.type2_mop(mt, nvec, method="float")
+        ref = linalg.solve(*_type2_system(mt.scaled, nvec))
+        err = np.max(np.abs(scaled[0][:-1] - ref))
+        assert err <= cond * np.finfo(linalg.LD).eps * np.max(np.abs(ref)), n
+        ts = mk.type1_mop(mt, nvec, method="float")
+        assert P.condition_estimate == ts.condition_estimate == cond
+        tested += 1
+    assert tested >= 1 and cond > mop.CONDITION_CUTOFF  # the ray leaves the float rung
