@@ -28,7 +28,7 @@ from .exceptions import (
     PrecisionExhausted,
     ValidationError,
 )
-from .mop import HankelBlockMatrix, MultiIndex, TypeISystem, as_multi_index
+from .mop import HankelBlockMatrix, MultiIndex, TypeISystem, _hankel_from, as_multi_index
 from .quadrature import fixed_segment_nodes, gauss_legendre, quad_with_substitution
 from .weights import WeightSystem
 
@@ -480,10 +480,11 @@ class Kernel:
     ``matrix`` is the moment matrix M in the entry type of the kernel's
     rung: longdouble, or mpf on the mpmath rung, where ``mp`` is the
     ``highprec.MPForm`` that evaluates K at ``mp.dps`` digits; ``factors``
-    is the ``linalg.lu_factor`` of M that the pair was computed from.  ``phi``
-    holds coefficients over the f-basis (pure polynomials) and ``psi`` over
-    the g-basis (polynomial times weight), in the same entry type; the Gram
-    matrix phi M psi^T of the pair is the identity up to ``gram_defect``.
+    is the ``linalg.lu_factor`` of M that the pair was computed from, on the
+    mpmath rung the moment table's ``mp_lu`` entry.  ``phi`` holds
+    coefficients over the f-basis (pure polynomials) and ``psi`` over the
+    g-basis (polynomial times weight); the Gram matrix phi M psi^T of the
+    pair is the identity up to ``gram_defect``.
     """
 
     ws: WeightSystem
@@ -501,15 +502,15 @@ class Kernel:
 
 
 def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
-    """Split M = (f-side factor) (g-side factor) via LU and invert each side.
+    """The biorthogonal pair of M, K(x, y) = f(x)^T M^-T g(y).
 
-    phi coefficients come from the inverse of the permuted-L factor, psi
-    from the inverse transpose of U, so the Gram matrix phi M psi^T is the
-    identity; one LU of M gives the pair and its condition estimate.  Past
-    condition ~1e7 the pair is computed on the checked mpmath ladder of
-    ``highprec.escalate``, each attempt reporting its own
-    mpmath condition number, since the float64 one saturates far below the
-    true one; the Gram check applies on both rungs, after the ladder's own.
+    On the float rung phi = L^-1 P and psi = U^-T come from one longdouble
+    LU of M, which also gives its condition estimate.  Past condition ~1e7
+    the pair is (I, M^-T), from M X = I solved on the checked mpmath ladder
+    of ``highprec.escalate`` over ``highprec.rung_solve``: on the rows of
+    M's moment table (``M.table``), with the table's LU of M, the one solve
+    of type I and type II.  Either way the Gram matrix phi M psi^T is the
+    identity; its check applies on both rungs, after the ladder's own.
     """
     nvec = as_multi_index(nvec)
     matrix = M.matrix.astype(linalg.LD)
@@ -520,8 +521,13 @@ def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
         if np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF:
             from . import highprec
 
-            dps, (matrix, factors, phi, psi, defect) = highprec.escalate(
-                lambda d: highprec.kernel_attempt(ws, nvec, d), cond)
+            phi = np.eye(nvec.n, dtype=object)
+            dps, (rung, X) = highprec.escalate(
+                lambda d: highprec.rung_solve(M.table, nvec, lambda rows: phi, d), cond)
+            matrix = _hankel_from(M.table.mp_rows[rung], nvec, nvec.n)
+            factors, psi = M.table.mp_lu[nvec.parts, dps], X.T
+            with highprec.mp.workdps(dps):
+                defect = float(np.max(np.abs(linalg.matmul(matrix, X) - phi)))
             form = highprec.MPForm(ws, nvec.parts, phi, psi, dps, nvec.n + 1)
         else:
             phi, psi, defect = linalg.biorthogonal_pair(matrix, factors)

@@ -23,10 +23,11 @@ matrices are ``mop._hankel_from``, the g-basis is
 ``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the
 systems are factored by the one LU in ``linalg``.  That LU and the
 tanh-sinh columns run on raw ``_mpf_`` tuples, bit for bit as mpf would.
-``rung_solve`` is the mpmath rung of ``mop._solve``, the one solve of type
-I, M x = e_n, and, by transposed substitution, type II, M^T a = -b: one LU
-of M per index and dps serves both kinds, and the last one is kept on the
-table (``MomentTable.mp_lu``).
+``rung_solve`` is the one mpmath solve: of type I, M x = e_n, of type II,
+by transposed substitution, M^T a = -b (both through ``mop._solve``), and
+of the kernel, M X = I with n right-hand sides, whose pair is (I, M^-T)
+(``ensemble.biorthogonalize``).  One LU of M per index and dps serves all
+three, and the last one is kept on the table (``MomentTable.mp_lu``).
 
 One ``MPForm``, f(x)^T A^T B g(y), evaluates the kernel and the linear form
 Q, which is the kernel's x^(n-1) coefficient.  It answers from a
@@ -281,18 +282,19 @@ def table_rows(mt, dps: int):
 def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
     """One attempt at M x = rhs(rows), or M^T x = rhs(rows) when
     ``transpose``, on the mpmath rung, for the block Hankel moment matrix M
-    of ``nvec``: the attempt that ``mop._solve`` hands ``escalate`` for
-    type I (M) and type II (M^T, by transposed substitution).
+    of ``nvec``: the attempt that ``escalate`` climbs for type I (M), type
+    II (M^T, by transposed substitution) and the kernel (M X = I).
 
     The rows come from ``table_rows(mt, dps)``; the solve rounds to ``dps``.
     M is factored once per (parts, dps): the last LU is kept in
-    ``mt.mp_lu``, so both kinds at one index and precision share it; since
-    both start the ladder from the same cond1 of M, they take one dps.  The
-    bound is |A|_1 max(|x|_1 / |b|_1, |A^-1 z|_1 / |z|_1) for the system A
-    actually solved and a fixed probe z = (1, -1, 1, ...) solved in the same
-    LU: a monic type II solution stays O(1) however ill-conditioned A is.
-    |A|_1 comes from the float64 assembly of ``mt.raw``; only its order of
-    magnitude matters.  Returns ((rung, x), bound).
+    ``mt.mp_lu``, so every solve at one index and precision shares it.  The
+    bound is |A|_1 max |x|_1 / |b|_1 over the columns b of ``rhs(rows)``
+    (one vector, or a matrix) and a fixed probe z = (1, -1, 1, ...) solved
+    in the same LU, for the system A actually solved: a monic type II
+    solution stays O(1) however ill-conditioned A is, and identity columns
+    give |A|_1 |A^-1|_1.  |A|_1 comes from the float64 assembly of
+    ``mt.raw``; only its order of magnitude matters.  Returns ((rung, x),
+    bound), x a list of mpf, or the matrix of solutions for a matrix rhs.
     """
     rung, rows = table_rows(mt, dps)
     m = _hankel_from(mt.raw, nvec, nvec.n)
@@ -304,27 +306,13 @@ def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
             mt.mp_lu[key] = linalg.lu_factor(_hankel_from(rows, nvec, nvec.n))
         lu, piv, _ = mt.mp_lu[key]
         b = rhs(rows)
-        cols = np.stack([b, [mpmath.mpf((-1) ** i) for i in range(len(b))]], axis=1)
+        cols = np.column_stack([b, [mpmath.mpf((-1) ** i) for i in range(len(b))]])
         try:
             sol = linalg.lu_solve(lu, piv, cols, transpose)
         except NumericError as exc:
             raise NumericError("singular moment system in high precision") from exc
         growth = max(np.abs(x).sum() / np.abs(r).sum() for x, r in zip(sol.T, cols.T) if any(r))
-    return (rung, list(sol[:, 0])), a_norm * float(growth)
-
-
-def kernel_attempt(ws, nvec, dps: int):
-    """The kernel's biorthogonal pair on the mpmath rung at ``dps`` digits:
-    ((M, LU of M, phi, psi, Gram defect), the 1-norm condition of M), both
-    in mpmath.
-    The moment rows are its own pass, to the order M needs; phi M psi^T = I
-    makes psi^T phi the inverse of M."""
-    with mp.workdps(dps):
-        m = _hankel_from(moment_rows(ws, nvec.n - 1 + max(nvec.parts) - 1), nvec, nvec.n)
-        factors = linalg.lu_factor(m)
-        phi, psi, defect = linalg.biorthogonal_pair(m, factors)
-        norms = [np.abs(a).sum(axis=0).max() for a in (m, linalg.matmul(psi.T, phi))]
-    return (m, factors, phi, psi, defect), float(norms[0] * norms[1])
+    return (rung, sol[:, :-1] if np.ndim(b) == 2 else list(sol[:, 0])), a_norm * float(growth)
 
 
 class MPForm:

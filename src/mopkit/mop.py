@@ -175,10 +175,12 @@ class TypeISystem:
 
 @dataclass(frozen=True)
 class HankelBlockMatrix:
-    """Dense moment matrix of a multi-index."""
+    """Dense moment matrix of a multi-index; ``table`` is the ``MomentTable``
+    it was assembled from, whose mpmath rows and LU the kernel shares."""
 
     matrix: np.ndarray
     nvec: MultiIndex
+    table: MomentTable = field(compare=False, repr=False)
 
     @property
     def n(self):
@@ -217,8 +219,7 @@ def block_hankel(mt: MomentTable, nvec) -> HankelBlockMatrix:
     if nvec.p != mt.p:
         raise ValidationError(f"multi-index has {nvec.p} parts, system has {mt.p}")
     _require_order(mt, n - 1 + max(nvec.parts) - 1)
-    m = _hankel_from(mt.raw, nvec, n)
-    return HankelBlockMatrix(m, nvec)
+    return HankelBlockMatrix(_hankel_from(mt.raw, nvec, n), nvec, mt)
 
 
 def normality_determinant(M: HankelBlockMatrix) -> DetReport:

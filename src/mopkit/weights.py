@@ -376,10 +376,11 @@ class MomentTable:
     maps a precision rung to the table's mpf moment rows up to ``k_max``;
     ``highprec.table_rows`` fills it, one pass per rung.  ``mp_lu`` holds
     one entry, the last mpmath LU of a moment matrix M, keyed by (parts,
-    dps): ``highprec.rung_solve`` solves type I with it and, transposed,
-    type II.  Both kinds start the ladder from the same cond1 of M, so they
-    take one dps and one LU of M per index serves both.  A copy of the
-    table (``dataclasses.replace``) starts with both empty.
+    dps): ``highprec.rung_solve`` solves type I, type II (transposed) and
+    the mpmath kernel's M X = I with it, so solves of one index at one dps
+    share it; type I and type II start the ladder from one cond1 of M and so
+    take one dps.  A copy of the table (``dataclasses.replace``) starts
+    with both empty.
     """
 
     system: WeightSystem

@@ -222,3 +222,21 @@ def test_same_outputs_print_the_deviation_of_differing_values():
         ("ensemble kernel nikishin (mp)", "differs, 2 values in the parent, 1 in the change"),
         ("zeros angelesco (5, 5)", "differs, max |deviation| 2e-30 of max |value| 4"),
     ]
+
+
+def test_same_outputs_record_each_field_apart():
+    from types import SimpleNamespace
+
+    def fields(dps):
+        ts = SimpleNamespace(hp_dps=dps, hp_rows_dps=48, condition_estimate=2.5e9)
+        return {**same_outputs._fields("zeros nikishin (3, 3) type I", ts,
+                                       ("hp_dps", "hp_rows_dps", "condition_estimate")),
+                **same_outputs._fields("ensemble kernel angelesco (float)", None, ("dps",))}
+
+    parent = fields(41)
+    assert sorted(parent) == ["zeros nikishin (3, 3) type I condition_estimate",
+                              "zeros nikishin (3, 3) type I hp_dps",
+                              "zeros nikishin (3, 3) type I hp_rows_dps"]
+    assert same_outputs.differences(parent, fields(40)) == [
+        ("zeros nikishin (3, 3) type I hp_dps", "differs, max |deviation| 1 of max |value| 41"),
+    ]

@@ -1,7 +1,7 @@
 """mpmath moment rows: Beta-function closed forms for pure Jacobi weights,
 one tanh-sinh pass per weight, bit-identical to quad, for the rest, and
-one pass per moment table and precision rung for type I solves; one LU of
-the moment matrix per index and precision for type I and type II."""
+one pass per moment table and precision rung for type I, type II and the
+kernel; one LU of the moment matrix per index and precision for all three."""
 
 import dataclasses
 from fractions import Fraction
@@ -14,7 +14,7 @@ import mopkit as mk
 from mopkit import highprec, linalg
 from mopkit.ensemble import g_matrix
 from mopkit.linalg import LD
-from mopkit.mop import _type2_system
+from mopkit.mop import _hankel_from, _type2_system
 from mopkit.weights import Weight
 
 #: weight, largest power k, working precisions; the exp_poly Nikishin ratio
@@ -447,3 +447,41 @@ def test_shared_lu_type2_matches_twice_the_dps(make, parts, lu_calls):
         ref = linalg.solve(*_type2_system(highprec.table_rows(mt, 2 * P.hp_dps)[1], nvec))
         err = max(abs(x - r) for x, r in zip(a, ref))
         assert err <= 1e-20 * sum(abs(r) for r in ref), (parts, float(err))
+
+
+def test_kernel_type1_type2_sweep_computes_rows_once_per_rung(row_calls):
+    # the kernel is the moment solve with the identity as right-hand side:
+    # it reads the table's rows and factors M into the table's LU cache
+    ws = _constant_nikishin()
+    mt = mk.moment_table(ws, 20)
+    for parts in ((3, 3), (4, 3), (4, 4), (5, 5)):
+        K = mk.biorthogonalize(mk.block_hankel(mt, parts), ws, parts)
+        if K.mp is not None:
+            assert K.factors is mt.mp_lu[parts, K.mp.dps]
+        mk.type1_mop(mt, parts)
+        mk.type2_mop(mt, parts)
+    assert K.mp is not None
+    assert sorted(row_calls) == [(48, 20), (64, 20)]
+
+
+def _kernel_150(ws, parts, x, y):
+    """K(x, y) = f(x)^T M^-T g(y) point by point, with M^-1 from moment rows
+    and a solve at 150 digits."""
+    nvec = mk.MultiIndex(parts)
+    with mpmath.mp.workdps(150):
+        rows = highprec.moment_rows(ws, nvec.n + max(parts) - 2)
+        lu, piv, _ = linalg.lu_factor(_hankel_from(rows, nvec, nvec.n))
+        inverse = linalg.lu_solve(lu, piv, np.eye(nvec.n, dtype=object))
+    eye = np.eye(nvec.n, dtype=object)
+    return highprec.MPForm(ws, parts, eye, inverse.T, 150, nvec.n + 1).eval_direct(x, y)
+
+
+@pytest.mark.parametrize("name", ["nikishin_4_4", "nikishin_8_8", "angelesco_8_8"])
+def test_mp_kernel_matches_150_digit_reference(name):
+    make, parts = PROXY_KERNELS[name]
+    ws = make()
+    K = _kernel(ws, parts)
+    assert K.mp is not None
+    x, y = _random_points(ws, 200, 14)
+    ref = _kernel_150(ws, parts, x, y)
+    assert np.max(np.abs(mk.kernel_eval(K, x, y) - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -11,7 +11,11 @@ seeds (``configurations``, ``extended``, ``acceptance_rate``, ``ess`` and
 ``step_sizes``), and the two kernels at the workload's evaluation points
 (values and trace).  Each output is reduced to a SHA-256 digest, and its
 numbers (coefficients, roots, configurations, kernel values) are kept as
-float64 next to it.  Prints every output whose digest differs or that only
+float64 next to it.  How each answer was computed is recorded field by
+field (``_fields``): per ``zeros`` index the ``hp_dps``, ``hp_rows_dps`` and
+``condition_estimate`` of type II and type I, per mpmath kernel its
+``dps``, each its own output, so a change of precision shows apart from a
+change of values.  Prints every output whose digest differs or that only
 one side has, a differing output with its largest absolute deviation and its
 largest absolute value, and exits 1 on any difference.  The companion of
 ``tools/cli_bodies.py``.
@@ -43,6 +47,13 @@ def _output(data, *arrays) -> list:
     return [_sha(data), base64.b64encode(flat.tobytes()).decode()]
 
 
+def _fields(label, obj, names) -> dict:
+    """{"<label> <name>": output} for each of ``names`` that ``obj`` has and
+    that is not None, one output per field."""
+    return {f"{label} {name}": _output(repr(v), v) for name in names
+            if (v := getattr(obj, name, None)) is not None}
+
+
 def digests(checkout: Path, seed: int) -> dict:
     """{output: [digest, values]} of this process's ``mopkit`` with
     ``checkout``'s perfbench (``_output``)."""
@@ -62,6 +73,9 @@ def digests(checkout: Path, seed: int) -> dict:
         P, roots, ts = zeros.reference[name, parts]
         out[f"zeros {name} {parts}"] = _output(sig, None if P is None else P.coeffs, roots,
                                                *(() if ts is None else (a.coeffs for a in ts.polys)))
+        for kind, obj in (("type II", P), ("type I", ts)):
+            out.update(_fields(f"zeros {name} {parts} {kind}", obj,
+                               ("hp_dps", "hp_rows_dps", "condition_estimate")))
     batches, sample = [], mopkit.sample_mcmc
 
     def recorded(*args):  # a failed call leaves None in its target's place
@@ -78,9 +92,10 @@ def digests(checkout: Path, seed: int) -> dict:
             b.configurations.tobytes() + (b"" if b.extended is None else b.extended.tobytes())
             + repr((b.configurations.shape, b.acceptance_rate, b.ess, b.step_sizes)).encode(),
             b.configurations, b.extended)
-    for name, vals, trace, _, tag in ensemble.reference or ():
+    for name, vals, trace, K, tag in ensemble.reference or ():
         out[f"ensemble kernel {name} ({tag})"] = _output(vals.tobytes() + repr(trace).encode(),
                                                          vals, trace)
+        out.update(_fields(f"ensemble kernel {name} ({tag})", K.mp, ("dps",)))
     out["failed operations"] = _sha(sess.failures)
     return out
 
