@@ -478,10 +478,10 @@ class Kernel:
     """Biorthogonalized kernel K(x, y) = sum_j phi_j(x) psi_j(y).
 
     ``matrix`` is the moment matrix M in the entry type of the kernel's
-    rung: longdouble, or mpf on the mpmath rung, where ``mp`` is the
-    ``highprec.MPForm`` that evaluates K at ``mp.dps`` digits; ``factors``
-    is the ``linalg.lu_factor`` of M that the pair was computed from, on the
-    mpmath rung the moment table's ``mp_lu`` entry.  ``phi`` holds
+    rung: longdouble, or mpf on the mpmath rung, where phi = I and ``mp``
+    is the ``highprec.MPForm`` of B = psi that evaluates K at ``mp.dps``
+    digits; ``factors`` is the ``linalg.lu_factor`` of M that the pair was
+    computed from, on the mpmath rung the moment table's ``mp_lu`` entry.  ``phi`` holds
     coefficients over the f-basis (pure polynomials) and ``psi`` over the
     g-basis (polynomial times weight); the Gram matrix phi M psi^T of the
     pair is the identity up to ``gram_defect``.
@@ -509,8 +509,10 @@ def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
     the pair is (I, M^-T), from M X = I solved on the checked mpmath ladder
     of ``highprec.escalate`` over ``highprec.rung_solve``: on the rows of
     M's moment table (``M.table``), with the table's LU of M, the one solve
-    of type I and type II.  Either way the Gram matrix phi M psi^T is the
-    identity; its check applies on both rungs, after the ladder's own.
+    of type I and type II; K is then the form f(x)^T psi g(y) of
+    ``highprec.MPForm``.  Either way the Gram matrix phi M psi^T is the
+    identity (on the mpmath rung M X, at the kernel's dps); its check
+    applies on both rungs, after the ladder's own.
     """
     nvec = as_multi_index(nvec)
     matrix = M.matrix.astype(linalg.LD)
@@ -527,8 +529,8 @@ def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
             matrix = _hankel_from(M.table.mp_rows[rung], nvec, nvec.n)
             factors, psi = M.table.mp_lu[nvec.parts, dps], X.T
             with highprec.mp.workdps(dps):
-                defect = float(np.max(np.abs(linalg.matmul(matrix, X) - phi)))
-            form = highprec.MPForm(ws, nvec.parts, phi, psi, dps, nvec.n + 1)
+                defect = float(np.max(np.abs(matrix @ X - phi)))
+            form = highprec.MPForm(ws, nvec.parts, psi, dps)
         else:
             phi, psi, defect = linalg.biorthogonal_pair(matrix, factors)
     except PrecisionExhausted:
@@ -656,9 +658,14 @@ def cauchy_transform_type1(ts: TypeISystem, z, *, levels=12, order=32):
     The linear form is evaluated as a whole (its A_j w_j terms cancel
     across j for ill-conditioned systems) on fixed graded panels; z must
     keep some distance from the supports for the fixed rule to resolve the
-    pole.
+    pole.  A non-finite z, or a real z on a support segment, raises
+    :class:`DomainError`.
     """
     ws = ts.system
+    zc = complex(z)
+    on_support = zc.imag == 0.0 and any(lo <= zc.real <= hi for lo, hi in ws.support_segments())
+    if on_support or not np.isfinite(zc):
+        raise DomainError(f"z={z} must be finite and off the supports")
     total = 0.0 + 0.0j if isinstance(z, complex) else 0.0
     for lo, hi in ws.support_segments():
         xs, wq = fixed_segment_nodes(lo, hi, ws.segment_exponents(lo, hi),

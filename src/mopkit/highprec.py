@@ -29,11 +29,12 @@ of the kernel, M X = I with n right-hand sides, whose pair is (I, M^-T)
 (``ensemble.biorthogonalize``).  One LU of M per index and dps serves all
 three, and the last one is kept on the table (``MomentTable.mp_lu``).
 
-One ``MPForm``, f(x)^T A^T B g(y), evaluates the kernel and the linear form
-Q, which is the kernel's x^(n-1) coefficient.  It answers from a
-``ChebyshevProxy``: the form is sampled once per support segment in mpmath,
-at Chebyshev nodes, and then evaluated at every point in longdouble; the
-per-point mpmath path stays as the fallback and the oracle.
+One ``MPForm``, f(x)^T B g(y), evaluates the kernel (B = M^-T) and the
+linear form Q, which is the kernel's x^(n-1) coefficient (B the type I
+solution as one row).  It answers from a ``ChebyshevProxy``: the form is
+sampled once per support segment in mpmath, at Chebyshev nodes, and then
+evaluated at every point in longdouble; the per-point mpmath path stays as
+the fallback and the oracle.
 """
 
 from __future__ import annotations
@@ -316,27 +317,26 @@ def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
 
 
 class MPForm:
-    """The bilinear form f(x)^T A^T B g(y) in mpmath: the f-basis x^i has one
-    row per column of A, the g-basis is that of ``parts``.
+    """The bilinear form f(x)^T B g(y) in mpmath: f is the ``len(B)``
+    monomials x^0 .. x^(len(B) - 1), g the basis of ``parts``.
 
-    K is ``MPForm(ws, parts, phi, psi, dps, n + 1)``, and Q, its x^(n-1)
-    coefficient, is ``linear_form``.  Values are computed at ``dps`` digits
-    and returned as floats; only the coefficients need the headroom.
-    ``eval`` answers from the ``ChebyshevProxy`` that its first call builds
-    (kept in ``proxy``) on ``x_nodes`` Chebyshev x-nodes, which are exact
-    below that degree in x; ``eval_direct`` computes each point in mpmath.
+    K is ``MPForm(ws, parts, M^-T, dps)`` and Q, its x^(n-1) coefficient, is
+    ``MPForm(ws, parts, [x], dps)`` for the type I solution x.  Values are
+    computed at ``dps`` digits and returned as floats; only the coefficients
+    need the headroom.  ``eval`` answers from the ``ChebyshevProxy`` that
+    its first call builds (kept in ``proxy``) on ``len(B)`` Chebyshev
+    x-nodes, exact for a form of degree ``len(B) - 1`` in x;
+    ``eval_direct`` computes each point in mpmath.
     """
 
-    def __init__(self, ws, parts, A, B, dps, x_nodes):
-        self.ws, self.parts, self.A, self.B = ws, parts, A, B
-        self.dps, self.x_nodes, self.proxy = dps, x_nodes, None
+    def __init__(self, ws, parts, B, dps):
+        self.ws, self.parts, self.B, self.dps, self.proxy = ws, parts, B, dps, None
 
     def _columns(self, xs, ys):
-        """((A F)^T, B G) at the floats xs and ys: the form at (x_i, y_k) is
-        row i of the first times column k of the second."""
-        F = f_matrix(self.A.shape[1], _mpf(xs), dtype=object)
-        return _dot(self.A, F).T, _dot(self.B, g_matrix(self.ws, self.parts, _mpf(ys),
-                                                       dtype=object))
+        """(F^T, B G) at the floats xs and ys: the form at (x_i, y_k) is row
+        i of the first times column k of the second."""
+        F = f_matrix(len(self.B), _mpf(xs), dtype=object)
+        return F.T, _dot(self.B, g_matrix(self.ws, self.parts, _mpf(ys), dtype=object))
 
     def eval_direct(self, xs, ys):
         """The form at the flat float arrays xs, ys, point by point in
@@ -344,8 +344,8 @@ class MPForm:
         out = np.empty(xs.size)
         with mp.workdps(self.dps):
             for lo in range(0, xs.size, CHUNK):
-                A, B = self._columns(xs[lo : lo + CHUNK], ys[lo : lo + CHUNK])
-                out[lo : lo + CHUNK] = [float(mpmath.fdot(a, b)) for a, b in zip(A, B.T)]
+                F, BG = self._columns(xs[lo : lo + CHUNK], ys[lo : lo + CHUNK])
+                out[lo : lo + CHUNK] = [float(mpmath.fdot(f, g)) for f, g in zip(F, BG.T)]
         return out
 
     def eval(self, xs, ys):
@@ -353,15 +353,5 @@ class MPForm:
         built on the first call."""
         if self.proxy is None:
             self.proxy = ChebyshevProxy(self.ws, lambda xs, ys: _dot(*self._columns(xs, ys)),
-                                        self.eval_direct, self.dps, self.x_nodes)
+                                        self.eval_direct, self.dps, len(self.B))
         return self.proxy(xs, ys)
-
-
-def linear_form(ws, blocks, dps: int):
-    """Q = sum_j A_j w_j for the type I coefficient ``blocks`` (lists of
-    mpf) as an ``MPForm`` of degree 0 in x.  The huge A_j terms cancel in
-    mpmath before the downcast, so Q carries full double accuracy even when
-    the coefficients span 16+ orders."""
-    row = np.array([[c for blk in blocks for c in blk]], dtype=object)
-    return MPForm(ws, tuple(len(c) for c in blocks), np.array([[mpmath.mpf(1)]], dtype=object),
-                  row, dps, 1)

@@ -20,9 +20,7 @@ precision.
 
 Callers factor each matrix once, through this module's ``lu_factor``, and
 hand its (lu, piv, parity) to ``lu_det``, ``lu_solve`` (with A or,
-transposed, A^T), ``cond1`` and ``biorthogonal_pair``.  ``matmul``
-multiplies mpf matrices on raw tuples too, in the order of numpy's object
-matmul.
+transposed, A^T), ``cond1`` and ``biorthogonal_pair``.
 """
 
 from __future__ import annotations
@@ -215,33 +213,8 @@ def biorthogonal_pair(a, factors):
     eye = _identity(lu)
     phi = lu_solve(np.tril(lu, -1) + eye, piv, eye)
     psi = lu_solve(np.triu(lu), np.arange(len(lu)), eye).T
-    defect = float(np.max(np.abs(matmul(matmul(phi, _entries(a)), psi.T) - eye)))
+    defect = float(np.max(np.abs(phi @ _entries(a) @ psi.T - eye)))
     return phi, psi, defect
-
-
-def matmul(a, b):
-    """a @ b; with mpf entries on raw ``_mpf_`` tuples, in the order of
-    numpy's object matmul: per entry the first product, then one add per
-    further term in k order, each rounded as mpf arithmetic rounds it."""
-    bt = np.asarray(b).T
-    rows, cols = _raw(a), _raw(bt)
-    if rows is None and cols is None:
-        return a @ b
-    from mpmath import mp
-    from mpmath.libmp import mpf_add, mpf_mul
-
-    rows, cols = rows or _raw(a, force=True), cols or _raw(bt, force=True)
-    prec, rnd = mp._prec_rounding
-    out = []
-    for r in rows:
-        line = []
-        for c in cols:
-            acc = mpf_mul(r[0], c[0], prec, rnd)
-            for k in range(1, len(r)):
-                acc = mpf_add(acc, mpf_mul(r[k], c[k], prec, rnd), prec, rnd)
-            line.append(acc)
-        out.append(line)
-    return _libmp()[0](out)
 
 
 def cond1(a, factors):

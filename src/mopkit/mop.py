@@ -91,12 +91,15 @@ class Polynomial:
     monic polynomials whose values on [-1, 1] are far below their
     coefficient scale.  A solved polynomial records its rung in ``method``
     (``"float"`` or ``"mp"``) and the working precision in ``hp_dps`` (0 on
-    the float rung).
+    the float rung).  A coefficient that does not fit in float64 (a solve's
+    unscaling can overflow it) raises :class:`NumericError`.
     """
 
     def __init__(self, coeffs, condition_estimate=None, ill_conditioned=False,
                  method=None, hp_dps=0):
         hi = np.atleast_1d(np.asarray(coeffs)).astype(linalg.LD)
+        if not np.all(np.abs(hi) <= np.finfo(float).max):
+            raise NumericError("polynomial coefficient does not fit in float64")
         # trim trailing zeros but keep the zero polynomial as [0.0]
         nz = np.nonzero(hi)[0]
         hi = hi[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=linalg.LD)
@@ -141,11 +144,12 @@ class TypeISystem:
 
     For ill-conditioned systems solved in high precision, ``hp_coeffs``
     retains the full-precision coefficient blocks and ``mp`` is the
-    ``highprec.MPForm`` of Q over them, which ``q_values`` evaluates, since
-    the float polynomials alone cannot survive the cancellation between the
-    A_j terms.  ``hp_dps`` is the solve's working precision and
-    ``hp_rows_dps`` the rung its moment rows were computed at (both 0 on the
-    float rung).
+    ``highprec.MPForm`` of Q over them, which ``q_values`` evaluates: the
+    huge A_j terms cancel in mpmath before the downcast, so Q carries full
+    double accuracy even when the coefficients span 16+ orders, which the
+    float polynomials alone cannot.  ``hp_dps`` is the solve's working
+    precision and ``hp_rows_dps`` the rung its moment rows were computed at
+    (both 0 on the float rung).
     """
 
     polys: tuple
@@ -351,9 +355,10 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
         from . import highprec
 
         polys = tuple(Polynomial([float(v) for v in blk] or [0.0]) for blk in blocks)
+        form = highprec.MPForm(mt.system, nvec.parts, np.array([sol], dtype=object), dps)
         return TypeISystem(polys, mt.system, nvec, cond, ill,
                            hp_coeffs=tuple(tuple(blk) for blk in blocks), hp_dps=dps,
-                           hp_rows_dps=rows_dps, mp=highprec.linear_form(mt.system, blocks, dps))
+                           hp_rows_dps=rows_dps, mp=form)
     c, s = mt.center, mt.half_width
     scale = linalg.LD(s) ** (n - 1)
     polys = tuple(Polynomial(_affine_unscale(blk, c, s, 1.0) / scale) if len(blk)

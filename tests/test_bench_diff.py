@@ -227,16 +227,34 @@ def test_same_outputs_print_the_deviation_of_differing_values():
 def test_same_outputs_record_each_field_apart():
     from types import SimpleNamespace
 
-    def fields(dps):
-        ts = SimpleNamespace(hp_dps=dps, hp_rows_dps=48, condition_estimate=2.5e9)
+    import mpmath
+    import numpy as np
+
+    third = mpmath.mpf(1) / 3
+    with mpmath.workdps(40):
+        finer = third + mpmath.mpf(2) ** -70  # the same float and repr, more bits
+
+    def fields(dps, c=third):
+        ts = SimpleNamespace(hp_dps=dps, hp_rows_dps=48, condition_estimate=2.5e9,
+                             hp_coeffs=((c, mpmath.mpf(2)), ()))
+        K = SimpleNamespace(psi=np.array([[c, c * 0], [c, c]], dtype=object))
         return {**same_outputs._fields("zeros nikishin (3, 3) type I", ts,
-                                       ("hp_dps", "hp_rows_dps", "condition_estimate")),
-                **same_outputs._fields("ensemble kernel angelesco (float)", None, ("dps",))}
+                                       ("hp_dps", "hp_rows_dps", "condition_estimate",
+                                        "hp_coeffs")),
+                **same_outputs._fields("ensemble kernel angelesco (float)", None, ("dps",)),
+                **same_outputs._fields("ensemble kernel nikishin (mp)", K, ("psi",))}
 
     parent = fields(41)
-    assert sorted(parent) == ["zeros nikishin (3, 3) type I condition_estimate",
+    assert sorted(parent) == ["ensemble kernel nikishin (mp) psi",
+                              "zeros nikishin (3, 3) type I condition_estimate",
+                              "zeros nikishin (3, 3) type I hp_coeffs",
                               "zeros nikishin (3, 3) type I hp_dps",
                               "zeros nikishin (3, 3) type I hp_rows_dps"]
     assert same_outputs.differences(parent, fields(40)) == [
         ("zeros nikishin (3, 3) type I hp_dps", "differs, max |deviation| 1 of max |value| 41"),
+    ]
+    assert repr(finer) == repr(third) and float(finer) == float(third)
+    assert same_outputs.differences(parent, fields(41, finer)) == [
+        ("ensemble kernel nikishin (mp) psi", "differs, max |deviation| 0 of max |value| 0.333"),
+        ("zeros nikishin (3, 3) type I hp_coeffs", "differs, max |deviation| 0 of max |value| 2"),
     ]

@@ -4,8 +4,9 @@ The references below are the unbuffered Metropolis sweep (a fresh array per
 step, the constant weight's support as a 0/-inf term), the weight values
 through ``np.atleast_1d`` and ``np.polynomial.polynomial.polyval``, the
 g-matrix blocks started from a row of ones, the float kernel on all points
-at once, the bordered kernel that factors M again, numpy's object matmul,
-and the transposed LU solve as numpy loops on object arrays of mpf.
+at once, the bordered kernel that factors M again, the mpmath form with an
+identity factor on its f-basis, and the transposed LU solve as numpy loops
+on object arrays of mpf.
 """
 
 import math
@@ -285,17 +286,37 @@ def _mpf_matrix(rng, shape, ints=False):
     return out
 
 
-@pytest.mark.parametrize("dps", [20, 60])
-def test_matmul_matches_numpy_object_matmul(dps):
-    rng = np.random.default_rng(dps)
-    with mpmath.mp.workdps(dps):
-        for (m, k, n), ints in [((4, 4, 4), False), ((5, 3, 2), True), ((1, 7, 1), False)]:
-            a, b = _mpf_matrix(rng, (m, k), ints), _mpf_matrix(rng, (k, n))
-            got, ref = linalg.matmul(a, b), a @ b
-            assert got.shape == ref.shape
-            assert [v._mpf_ for v in got.flat] == [v._mpf_ for v in ref.flat]
-    a = rng.standard_normal((3, 3)).astype(linalg.LD)
-    assert _same_entries(linalg.matmul(a, a), a @ a)
+def ref_form_direct(form, A, xs, ys):
+    """f(x)^T A^T B g(y) point by point in mpmath: F multiplied by A with
+    ``_dot``, then one ``fdot`` per point."""
+    out = np.empty(xs.size)
+    with mpmath.mp.workdps(form.dps):
+        for lo in range(0, xs.size, highprec.CHUNK):
+            x, y = (highprec._mpf(v[lo : lo + highprec.CHUNK]) for v in (xs, ys))
+            AF = highprec._dot(A, ensemble.f_matrix(A.shape[1], x, dtype=object))
+            BG = highprec._dot(form.B, ensemble.g_matrix(form.ws, form.parts, y, dtype=object))
+            out[lo : lo + highprec.CHUNK] = [float(mpmath.fdot(f, g))
+                                             for f, g in zip(AF.T, BG.T)]
+    return out
+
+
+@pytest.mark.parametrize("build,nvec,kind", [
+    (lambda: mk.build_nikishin(C(1.0, 2.0), [C(-1.0, 0.0)]), (4, 4), "kernel"),
+    (lambda: mk.build_angelesco([C(-1.0, 0.0), C(0.0, 1.0)]), (8, 8), "kernel"),
+    (lambda: mk.WeightSystem.general([mk.Weight.from_spec(C(-1.0, 1.0)),
+                                      mk.Weight.from_spec(J(-1.0, 1.0, 0.5, 0.5))]), (6, 6),
+     "kernel"),
+    (lambda: mk.build_nikishin(C(1.0, 2.0), [C(-1.0, 0.0)]), (4, 4), "type1"),
+])
+def test_mp_form_matches_the_form_with_an_identity_factor(build, nvec, kind):
+    ws = build()
+    form = (_kernel(ws, nvec) if kind == "kernel"
+            else mk.type1_mop(mk.moment_table(ws, 2 * sum(nvec)), nvec)).mp
+    assert form is not None
+    A = np.eye(len(form.B), dtype=object)  # n x n for K, 1 x 1 for Q
+    hull = ws.support_hull()
+    xs, ys = np.random.default_rng(11).uniform(hull.a - 0.25, hull.b + 0.25, (2, 150))
+    assert form.eval_direct(xs, ys).tobytes() == ref_form_direct(form, A, xs, ys).tobytes()
 
 
 def ref_lu_solve_transposed(lu, piv, b):

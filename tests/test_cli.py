@@ -468,6 +468,16 @@ def test_equilibrium_ray_rejected(tmp_path, capsys, command, ray):
     assert "equilibrium.ray" in captured.out + captured.err
 
 
+def test_coefficients_past_float64_exit_2(tmp_path, capsys):
+    # type I unscales by s^(n - 1) = 5e-301, past float64
+    cfg = dict(LEGENDRE, weights=[{"family": "constant", "interval": [0, 1e-300]}])
+    code = cli.main(["typeI", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "Traceback" not in err
+
+
 def test_unsettled_equilibrium_exit_2(tmp_path, capsys):
     cfg = dict(LEGENDRE, weights=[{"family": "constant", "interval": [-2.0, 2.0]}],
                equilibrium={"grid": 200, "max_iter": 1, "fields": [[0, 0, 8.0]]})

@@ -234,3 +234,12 @@ class TestCauchyBinet:
             d = mk.normality_determinant(mk.block_hankel(angelesco_mt, nv)).det
             est = tensor_cauchy_binet(angelesco_ws, nv)
             assert est == pytest.approx(d, rel=1e-7)
+
+
+def test_cauchy_transform_type1_rejects_z_on_the_supports(angelesco_ws, angelesco_mt):
+    ts = mk.type1_mop(angelesco_mt, (2, 2))
+    for z in (0.5, 0.0, 1.0, -1.0, float("nan")):
+        with pytest.raises(DomainError):
+            mk.cauchy_transform_type1(ts, z)
+    assert np.isfinite(mk.cauchy_transform_type1(ts, 2.0))
+    assert np.isfinite(mk.cauchy_transform_type1(ts, 1.0 + 1.0j))

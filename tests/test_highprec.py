@@ -178,7 +178,8 @@ def _type2_at(mt, nvec, dps):
 def _q_150(ws, mt, parts, xs):
     """Q at xs from a 150-digit type I solve on ``mt``, point by point."""
     blocks = _type1_at(mt, mk.MultiIndex(parts), 150)
-    return highprec.linear_form(ws, blocks, 150).eval_direct(xs, xs)
+    return highprec.MPForm(ws, parts, np.array([sum(blocks, [])], dtype=object),
+                           150).eval_direct(xs, xs)
 
 
 def test_type1_sweep_matches_150_digit_solve():
@@ -327,8 +328,8 @@ def test_linear_form_is_the_kernels_top_x_coefficient(make, parts, rung, tol):
     y = np.concatenate([np.linspace(lo, hi, 22)[1:-1] for lo, hi in ws.support_segments()])
     if K.mp is None:
         top = (K.phi[:, n - 1] @ K.psi) @ g_matrix(ws, parts, y, dtype=LD)
-    else:  # every mpf product at the kernel's precision
-        top = highprec.MPForm(ws, parts, K.phi[:, n - 1 : n], K.psi, K.mp.dps, 1).eval_direct(y, y)
+    else:  # phi = I, so Q is row n - 1 of psi, at the kernel's precision
+        top = highprec.MPForm(ws, parts, K.psi[n - 1 : n], K.mp.dps).eval_direct(y, y)
     q = mk.type1_mop(mt, parts).q_values(y)
     assert np.max(np.abs(q - top.astype(float))) <= tol * np.max(np.abs(q))
 
@@ -472,8 +473,7 @@ def _kernel_150(ws, parts, x, y):
         rows = highprec.moment_rows(ws, nvec.n + max(parts) - 2)
         lu, piv, _ = linalg.lu_factor(_hankel_from(rows, nvec, nvec.n))
         inverse = linalg.lu_solve(lu, piv, np.eye(nvec.n, dtype=object))
-    eye = np.eye(nvec.n, dtype=object)
-    return highprec.MPForm(ws, parts, eye, inverse.T, 150, nvec.n + 1).eval_direct(x, y)
+    return highprec.MPForm(ws, parts, inverse.T, 150).eval_direct(x, y)
 
 
 @pytest.mark.parametrize("name", ["nikishin_4_4", "nikishin_8_8", "angelesco_8_8"])

@@ -169,6 +169,13 @@ class TestTypeI:
         assert ts.hp_coeffs is not None
         assert np.abs(mk.type1_condition_residuals(ts)).max() < 1e-9
 
+    def test_coefficients_past_float64_raise(self):
+        # unscaling by s^(n - 1) = 5e-301 overflows float64, not longdouble
+        mt = mk.moment_table(mk.build_angelesco([mk.WeightSpec.constant(0.0, 1e-300)]), 4)
+        for method in ("float", "auto"):
+            with pytest.raises(NumericError, match="float64"):
+                mk.type1_mop(mt, (2,), method=method)
+
     def test_condition_residuals_keep_kink_of_shared_segment(self):
         # a sqrt-kinked weight sharing [-1, 1] with a smooth one: the check's
         # fixed rule must still substitute at both ends

@@ -13,12 +13,14 @@ seeds (``configurations``, ``extended``, ``acceptance_rate``, ``ess`` and
 numbers (coefficients, roots, configurations, kernel values) are kept as
 float64 next to it.  How each answer was computed is recorded field by
 field (``_fields``): per ``zeros`` index the ``hp_dps``, ``hp_rows_dps`` and
-``condition_estimate`` of type II and type I, per mpmath kernel its
-``dps``, each its own output, so a change of precision shows apart from a
-change of values.  Prints every output whose digest differs or that only
-one side has, a differing output with its largest absolute deviation and its
-largest absolute value, and exits 1 on any difference.  The companion of
-``tools/cli_bodies.py``.
+``condition_estimate`` of type II and type I and the type I ``hp_coeffs``,
+per mpmath kernel its ``dps`` and ``psi``, each its own output, so a change
+of precision or of an mpmath solve shows apart from a change of values.
+The digest of an mpf covers its ``_mpf_`` tuple, since a repr rounds it to
+the current precision; its value is kept as a float.  Prints every output
+whose digest differs or that only one side has, a differing output with its
+largest absolute deviation and its largest absolute value, and exits 1 on
+any difference.  The companion of ``tools/cli_bodies.py``.
 """
 
 from __future__ import annotations
@@ -47,10 +49,24 @@ def _output(data, *arrays) -> list:
     return [_sha(data), base64.b64encode(flat.tobytes()).decode()]
 
 
+def _nested(v) -> bool:
+    return isinstance(v, (tuple, list)) or getattr(v, "ndim", 0) > 0
+
+
+def _raw(v):
+    """``v`` with each mpf, also inside tuples and arrays, as its ``_mpf_`` tuple."""
+    return [_raw(e) for e in v] if _nested(v) else getattr(v, "_mpf_", v)
+
+
+def _flat(v) -> list:
+    """The scalars of ``v``, tuples and arrays flattened in order."""
+    return [x for e in v for x in _flat(e)] if _nested(v) else [v]
+
+
 def _fields(label, obj, names) -> dict:
     """{"<label> <name>": output} for each of ``names`` that ``obj`` has and
-    that is not None, one output per field."""
-    return {f"{label} {name}": _output(repr(v), v) for name in names
+    that is not None, one output per field; the digest is over ``_raw``."""
+    return {f"{label} {name}": _output(repr(_raw(v)), _flat(v)) for name in names
             if (v := getattr(obj, name, None)) is not None}
 
 
@@ -75,7 +91,7 @@ def digests(checkout: Path, seed: int) -> dict:
                                                *(() if ts is None else (a.coeffs for a in ts.polys)))
         for kind, obj in (("type II", P), ("type I", ts)):
             out.update(_fields(f"zeros {name} {parts} {kind}", obj,
-                               ("hp_dps", "hp_rows_dps", "condition_estimate")))
+                               ("hp_dps", "hp_rows_dps", "condition_estimate", "hp_coeffs")))
     batches, sample = [], mopkit.sample_mcmc
 
     def recorded(*args):  # a failed call leaves None in its target's place
@@ -96,6 +112,7 @@ def digests(checkout: Path, seed: int) -> dict:
         out[f"ensemble kernel {name} ({tag})"] = _output(vals.tobytes() + repr(trace).encode(),
                                                          vals, trace)
         out.update(_fields(f"ensemble kernel {name} ({tag})", K.mp, ("dps",)))
+        out.update(_fields(f"ensemble kernel {name} ({tag})", K.mp and K, ("psi",)))
     out["failed operations"] = _sha(sess.failures)
     return out
 
