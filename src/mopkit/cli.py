@@ -423,6 +423,8 @@ def _biorthogonalized(man, K):
     mpk = K.mp
     man.step("biorthogonalize", detail={"rung": "mp" if mpk else "float",
                                         "hp_dps": mpk.dps if mpk else 0,
+                                        "condition_estimate": K.condition_estimate,
+                                        "gram_defect": K.gram_defect,
                                         "evaluation": mpk and mpk.proxy and mpk.proxy.records})
 
 

@@ -463,37 +463,38 @@ def marginalization_check(ws: WeightSystem, nvec, *, n_configs: int = 25,
 # ---------------------------------------------------------------------------
 
 #: raw-matrix condition beyond which kernels switch to mpmath arithmetic;
-#: the biorthogonal coefficient pairs blow up with the conditioning, so the
+#: the kernel's coefficients psi = M^-T blow up with the conditioning, so the
 #: 80-bit path loses the 1e-10 path-agreement tolerance past this point
 KERNEL_CONDITION_CUTOFF = 1e7
-#: largest accepted max |phi M psi^T - I| of a biorthogonal pair
+#: largest accepted Gram defect max |M X - I| of the kernel's X = M^-1
 GRAM_TOL = 1e-9
 #: points per block of the float rung's kernel evaluation; bounds the
-#: longdouble f- and g-matrices and their products
+#: longdouble f- and g-matrices and their product
 KERNEL_BLOCK = 8192
 
 
 @dataclass
 class Kernel:
-    """Biorthogonalized kernel K(x, y) = sum_j phi_j(x) psi_j(y).
+    """Biorthogonalized kernel K(x, y) = f(x)^T psi g(y), psi = M^-T.
 
-    ``matrix`` is the moment matrix M in the entry type of the kernel's
-    rung: longdouble, or mpf on the mpmath rung, where phi = I and ``mp``
-    is the ``highprec.MPForm`` of B = psi that evaluates K at ``mp.dps``
-    digits; ``factors`` is the ``linalg.lu_factor`` of M that the pair was
-    computed from, on the mpmath rung the moment table's ``mp_lu`` entry.  ``phi`` holds
-    coefficients over the f-basis (pure polynomials) and ``psi`` over the
-    g-basis (polynomial times weight); the Gram matrix phi M psi^T of the
-    pair is the identity up to ``gram_defect``.
+    ``psi`` holds coefficients over the g-basis (polynomial times weight):
+    row j is the function biorthogonal to the monomial x^j, the same form on
+    both rungs.  ``matrix`` is the moment matrix M in the entry type of the
+    kernel's rung: longdouble, or mpf on the mpmath rung, where ``mp`` is
+    the ``highprec.MPForm`` of B = psi that evaluates K at ``mp.dps``
+    digits; ``factors`` is the ``linalg.lu_factor`` of M, on the mpmath rung
+    the moment table's ``mp_lu`` entry.  M psi^T is the identity up to
+    ``gram_defect``.  ``condition_estimate`` is the longdouble cond1 of M,
+    which picks the rung and where the mpmath ladder starts.
     """
 
     ws: WeightSystem
     nvec: MultiIndex
     matrix: np.ndarray
     factors: tuple
-    phi: np.ndarray
     psi: np.ndarray
     gram_defect: float
+    condition_estimate: float
     mp: object = None
 
     @property
@@ -504,50 +505,49 @@ class Kernel:
 def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
     """The biorthogonal pair of M, K(x, y) = f(x)^T M^-T g(y).
 
-    On the float rung phi = L^-1 P and psi = U^-T come from one longdouble
-    LU of M, which also gives its condition estimate.  Past condition ~1e7
-    the pair is (I, M^-T), from M X = I solved on the checked mpmath ladder
-    of ``highprec.escalate`` over ``highprec.rung_solve``: on the rows of
-    M's moment table (``M.table``), with the table's LU of M, the one solve
-    of type I and type II; K is then the form f(x)^T psi g(y) of
-    ``highprec.MPForm``.  Either way the Gram matrix phi M psi^T is the
-    identity (on the mpmath rung M X, at the kernel's dps); its check
-    applies on both rungs, after the ladder's own.
+    One longdouble LU of M and X = M^-1 solved from it on identity columns
+    give the condition estimate |M|_1 |X|_1 (``linalg.inverse_cond1``).  Up
+    to condition ~1e7 the kernel keeps psi = X^T.  Past it X is solved again
+    on the checked mpmath ladder of ``highprec.escalate`` over
+    ``highprec.rung_solve``: on the rows of M's moment table (``M.table``),
+    with the table's LU of M, the one solve of type I and type II; K is then
+    the form f(x)^T psi g(y) of ``highprec.MPForm``.  Either way the Gram
+    check max |M X - I| applies (on the mpmath rung at the kernel's dps,
+    after the ladder's own).
     """
     nvec = as_multi_index(nvec)
     matrix = M.matrix.astype(linalg.LD)
     factors = linalg.lu_factor(matrix)
-    cond = linalg.cond1(matrix, factors)
-    form = None
+    eye, form = np.eye(nvec.n, dtype=object), None
     try:
+        X, cond = linalg.inverse_cond1(matrix, factors)
         if np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF:
             from . import highprec
 
-            phi = np.eye(nvec.n, dtype=object)
             dps, (rung, X) = highprec.escalate(
-                lambda d: highprec.rung_solve(M.table, nvec, lambda rows: phi, d), cond)
+                lambda d: highprec.rung_solve(M.table, nvec, lambda rows: eye, d), cond)
             matrix = _hankel_from(M.table.mp_rows[rung], nvec, nvec.n)
-            factors, psi = M.table.mp_lu[nvec.parts, dps], X.T
+            factors = M.table.mp_lu[nvec.parts, dps]
             with highprec.mp.workdps(dps):
-                defect = float(np.max(np.abs(matrix @ X - phi)))
-            form = highprec.MPForm(ws, nvec.parts, psi, dps)
+                defect = float(np.max(np.abs(matrix @ X - eye)))
+            form = highprec.MPForm(ws, nvec.parts, X.T, dps)
         else:
-            phi, psi, defect = linalg.biorthogonal_pair(matrix, factors)
+            defect = float(np.max(np.abs(matrix @ X - eye)))
     except PrecisionExhausted:
         raise
     except NumericError as exc:
         raise NonNormalIndexError(f"singular moment matrix: {exc}") from exc
-    if defect > GRAM_TOL:
+    if not defect <= GRAM_TOL:
         raise NumericError(f"biorthogonalization defect {defect:.2e} exceeds {GRAM_TOL:g}")
-    return Kernel(ws, nvec, matrix, factors, phi, psi, defect, mp=form)
+    return Kernel(ws, nvec, matrix, factors, X.T, defect, cond, mp=form)
 
 
 def kernel_eval(K: Kernel, x, y):
-    """K(x, y) by the biorthogonal sum, with x and y broadcast together; a
-    float when both are scalars.  The float rung sums (phi F) * (psi G) in
-    longdouble over blocks of ``KERNEL_BLOCK`` points; each value depends on
-    its own point only, so the blocks change no value by a bit.  The mpmath
-    rung answers from ``K.mp``."""
+    """K(x, y) = f(x)^T psi g(y), with x and y broadcast together; a float
+    when both are scalars.  The float rung sums F * (psi G) in longdouble
+    over blocks of ``KERNEL_BLOCK`` points; each value depends on its own
+    point only, so the blocks change no value by a bit.  The mpmath rung
+    answers from ``K.mp``."""
     try:
         xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     except ValueError as exc:
@@ -560,7 +560,7 @@ def kernel_eval(K: Kernel, x, y):
         for lo in range(0, xf.size, KERNEL_BLOCK):
             F = f_matrix(K.n, xf[lo : lo + KERNEL_BLOCK], dtype=linalg.LD)
             G = g_matrix(K.ws, K.nvec, yf[lo : lo + KERNEL_BLOCK], dtype=linalg.LD)
-            vals[lo : lo + KERNEL_BLOCK] = np.einsum("jm,jm->m", K.phi @ F, K.psi @ G)
+            vals[lo : lo + KERNEL_BLOCK] = np.einsum("jm,jm->m", F, K.psi @ G)
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 

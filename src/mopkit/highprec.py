@@ -1,7 +1,7 @@
 """mpmath rung for ill-conditioned moment systems.
 
 Hankel moment systems lose digits geometrically with the degree, and the
-type I coefficients (and the biorthogonal kernel pairs) of Nikishin-like
+type I coefficients (and the kernel's coefficients M^-T) of Nikishin-like
 systems grow at the rate of best rational approximation of the Markov
 ratio.  Past the float rung's reach this module solves the defining systems
 in mpmath.  Results round back to floats: the monic type II polynomial, the
@@ -25,9 +25,10 @@ systems are factored by the one LU in ``linalg``.  That LU and the
 tanh-sinh columns run on raw ``_mpf_`` tuples, bit for bit as mpf would.
 ``rung_solve`` is the one mpmath solve: of type I, M x = e_n, of type II,
 by transposed substitution, M^T a = -b (both through ``mop._solve``), and
-of the kernel, M X = I with n right-hand sides, whose pair is (I, M^-T)
-(``ensemble.biorthogonalize``).  One LU of M per index and dps serves all
-three, and the last one is kept on the table (``MomentTable.mp_lu``).
+of the kernel, M X = I with n right-hand sides, whose psi = X^T is the
+float rung's form at more digits (``ensemble.biorthogonalize``).  One LU
+of M per index and dps serves all three, and the last one is kept on the
+table (``MomentTable.mp_lu``).
 
 One ``MPForm``, f(x)^T B g(y), evaluates the kernel (B = M^-T) and the
 linear form Q, which is the kernel's x^(n-1) coefficient (B the type I

@@ -20,7 +20,7 @@ precision.
 
 Callers factor each matrix once, through this module's ``lu_factor``, and
 hand its (lu, piv, parity) to ``lu_det``, ``lu_solve`` (with A or,
-transposed, A^T), ``cond1`` and ``biorthogonal_pair``.
+transposed, A^T), ``cond1`` and ``inverse_cond1``.
 """
 
 from __future__ import annotations
@@ -200,35 +200,23 @@ def det(a):
     return lu_det(lu, parity)
 
 
-def biorthogonal_pair(a, factors):
-    """phi = L^-1 P and psi = U^-T from the factorization P A = L U that
-    ``factors`` (``lu_factor(a)``) holds.
-
-    Then phi A psi^T = I: the pair is the coefficient form of a
-    biorthogonal system.  Returns (phi, psi, defect), where ``defect`` is
-    max |phi A psi^T - I| as a float.  Each triangle is inverted by
-    substitution alone, without pivoting again.
-    """
+def inverse_cond1(a, factors):
+    """(A^-1, |A|_1 |A^-1|_1): the explicit inverse (tiny matrices), solved
+    on identity columns from ``factors``, the ``lu_factor`` of ``a``, and
+    the 1-norm condition estimate it gives.  Raises :class:`NumericError`
+    when ``a`` is singular."""
     lu, piv, _ = factors
-    eye = _identity(lu)
-    phi = lu_solve(np.tril(lu, -1) + eye, piv, eye)
-    psi = lu_solve(np.triu(lu), np.arange(len(lu)), eye).T
-    defect = float(np.max(np.abs(phi @ _entries(a) @ psi.T - eye)))
-    return phi, psi, defect
+    inv = lu_solve(lu, piv, _identity(lu))
+    norm = np.abs(np.asarray(a, dtype=LD)).sum(axis=0).max()
+    return inv, float(norm * np.abs(inv).sum(axis=0).max())
 
 
 def cond1(a, factors):
-    """1-norm condition estimate via the explicit inverse (tiny matrices),
-    from ``factors``, the ``lu_factor`` of ``a``; inf when singular."""
-    a = np.asarray(a, dtype=LD)
-    lu, piv, _ = factors
+    """1-norm condition estimate of ``a`` (``inverse_cond1``); inf when singular."""
     try:
-        inv = lu_solve(lu, piv, _identity(lu))
+        return inverse_cond1(a, factors)[1]
     except NumericError:
         return np.inf
-    norm = np.abs(a).sum(axis=0).max()
-    inorm = np.abs(inv).sum(axis=0).max()
-    return float(norm * inorm)
 
 
 def solve_fractions(a, b):

@@ -409,13 +409,20 @@ class MomentTable:
 
 
 def moments(ws: WeightSystem, j: int, k_max: int, tol: float = 1e-12) -> np.ndarray:
-    """Raw moments c_k = integral x^k w_j dx for k = 0..k_max (j is 1-based)."""
+    """Raw moments c_k = integral x^k w_j dx for k = 0..k_max (j is 1-based).
+    Raises :class:`NumericError` naming w_j and k at the first float64
+    overflow, before numpy warns of it."""
     if not 1 <= j <= ws.p:
         raise ValidationError(f"weight index {j} out of range 1..{ws.p}")
     w = ws.weights[j - 1]
     row = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        row[k] = weight_quad((lambda x, k=k: x ** k), w, tol=tol)
+    with np.errstate(over="raise"):
+        for k in range(k_max + 1):
+            try:
+                row[k] = weight_quad((lambda x, k=k: x ** k), w, tol=tol)
+            except FloatingPointError:
+                raise NumericError(f"moment of order {k} of weight {j}, {w!r}, "
+                                   "does not fit in float64") from None
     return row
 
 
@@ -427,6 +434,7 @@ def moment_table(ws: WeightSystem, k_max: int, tol: float = 1e-12) -> MomentTabl
     scaled = np.empty((ws.p, k_max + 1))
     for i, w in enumerate(ws.weights):
         raw[i] = moments(ws, i + 1, k_max, tol)
+        # |(x - c)/s| <= 1 on the hull, so no scaled moment outgrows raw[i, 0]
         for k in range(k_max + 1):
             scaled[i, k] = weight_quad(
                 (lambda x, k=k: ((x - c) / s) ** k), w, tol=tol

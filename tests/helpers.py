@@ -196,12 +196,3 @@ def ref_identity(lu):
 def ref_det(a):
     lu, _, parity = ref_lu_factor(a)
     return parity * np.prod(np.diagonal(lu))
-
-
-def ref_biorthogonal_pair(a):
-    lu, piv, _ = ref_lu_factor(a)
-    eye = ref_identity(lu)
-    phi = ref_lu_solve(np.tril(lu, -1) + eye, piv, eye)
-    psi = ref_lu_solve(np.triu(lu), np.arange(len(lu)), eye).T
-    defect = float(np.max(np.abs(phi @ np.array(a, dtype=object) @ psi.T - eye)))
-    return phi, psi, defect

@@ -187,6 +187,26 @@ def test_cli_bodies_exit_1_on_an_exit_code_difference(tmp_path, monkeypatch, cap
     assert cli_bodies.main(args) == 0
 
 
+def test_cli_bodies_print_the_deviation_of_differing_cells(tmp_path, monkeypatch, capsys):
+    changed = {"legendre-kernel": {"kernel.csv": "# n = 2\nx,y,K\n0.5,0.5,1.25\n1.0,nan,-3.0\n",
+                                   "manifest.json": '{"wall_s": 2, "ok": true}'},
+               "legendre-mop": {"mop.json": '{"roots": [0.5, -0.5], "n": 2}',
+                                "manifest.json": '{"wall_s": 1, "ok": true}'}}
+    edited = {"legendre-kernel": {"kernel.csv": "# n = 2\nx,y,K\n0.5,0.5,1.25\n1.0,nan,-3.5\n",
+                                  "manifest.json": '{"wall_s": 2, "ok": false, "defect": 1}'},
+              "legendre-mop": {"mop.json": '{"roots": [0.5, -0.75], "n": 2}',
+                               "manifest.json": '{"wall_s": 1, "ok": true}'}}
+    monkeypatch.setattr(cli_bodies, "run_round", lambda root, out, seed: _jobs(
+        out, changed if root.name == "parent" else edited))
+    assert cli_bodies.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "legendre-kernel: kernel.csv differs, 1 numeric cells differ, "
+        "max |deviation| 0.5 of max |value| 3.5",
+        "legendre-kernel: manifest.json differs, 1 numeric cells in the parent, 2 in the change",
+        "legendre-mop: mop.json differs, 1 numeric cells differ, "
+        "max |deviation| 0.25 of max |value| 2"]
+
+
 def test_same_outputs_compare_digests():
     parent = {"zeros legendre (6,)": "a1", "zeros legendre (10,)": "b1",
               "ensemble kernel angelesco (float)": "c1", "failed operations": "d1"}

@@ -206,7 +206,7 @@ def ref_kernel_eval(K, x, y):
     xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     F = ensemble.f_matrix(K.n, xs.ravel(), dtype=linalg.LD)
     G = ref_g_matrix(K.ws, K.nvec, ys.ravel(), dtype=linalg.LD)
-    vals = np.einsum("jm,jm->m", K.phi @ F, K.psi @ G).astype(float)
+    vals = np.einsum("jm,jm->m", F, K.psi @ G).astype(float)
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 

@@ -438,6 +438,21 @@ def test_kernel_manifest_records_the_proxy(tmp_path, command):
     assert record["nodes"] >= 16 and record["tail"] <= 1e-13
 
 
+@pytest.mark.parametrize("multi_index,rung", [([4, 4], "mp"), ([2, 1], "float")])
+def test_kernel_manifest_records_condition_and_gram_defect(tmp_path, multi_index, rung):
+    from mopkit.ensemble import GRAM_TOL, KERNEL_CONDITION_CUTOFF
+
+    cfg = dict(NIKISHIN_CFG, multi_index=multi_index)
+    code = cli.main(["kernel", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--grid", "12", "--quiet"])
+    assert code == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    detail = {s["name"]: s for s in manifest["steps"]}["biorthogonalize"]["detail"]
+    assert detail["rung"] == rung
+    assert (detail["condition_estimate"] > KERNEL_CONDITION_CUTOFF) == (rung == "mp")
+    assert 0.0 <= detail["gram_defect"] <= GRAM_TOL
+
+
 def test_typeI_manifest_records_the_proxy(tmp_path):
     cfg = dict(NIKISHIN_CFG, multi_index=[4, 4])
     code = cli.main(["typeI", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
@@ -476,6 +491,17 @@ def test_coefficients_past_float64_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "numeric failure" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["mop", "typeI"])
+@pytest.mark.parametrize("interval", [[1e160, 2e160], [0, 1e300]])
+def test_moments_past_float64_exit_2(tmp_path, capsys, command, interval):
+    cfg = dict(LEGENDRE, weights=[{"family": "constant", "interval": interval}])
+    code = cli.main([command, write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "does not fit in float64" in err and "Traceback" not in err
 
 
 def test_unsettled_equilibrium_exit_2(tmp_path, capsys):

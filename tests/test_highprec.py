@@ -319,16 +319,16 @@ def _angelesco():
     (_angelesco, (8, 8), "mp", 1e-12),
 ])
 def test_linear_form_is_the_kernels_top_x_coefficient(make, parts, rung, tol):
-    # the integral of x^k Q is 0 for k < n - 1 and 1 for k = n - 1, so
-    # Q(y) = sum_j phi_j,n-1 psi_j(y)
+    # the integral of x^k Q is 0 for k < n - 1 and 1 for k = n - 1, so Q is
+    # row n - 1 of psi = M^-T, on either rung
     ws, n = make(), sum(parts)
     mt = mk.moment_table(ws, 2 * n + max(parts))
     K = mk.biorthogonalize(mk.block_hankel(mt, parts), ws, parts)
     assert ("mp" if K.mp is not None else "float") == rung
     y = np.concatenate([np.linspace(lo, hi, 22)[1:-1] for lo, hi in ws.support_segments()])
     if K.mp is None:
-        top = (K.phi[:, n - 1] @ K.psi) @ g_matrix(ws, parts, y, dtype=LD)
-    else:  # phi = I, so Q is row n - 1 of psi, at the kernel's precision
+        top = K.psi[n - 1] @ g_matrix(ws, parts, y, dtype=LD)
+    else:  # at the kernel's precision
         top = highprec.MPForm(ws, parts, K.psi[n - 1 : n], K.mp.dps).eval_direct(y, y)
     q = mk.type1_mop(mt, parts).q_values(y)
     assert np.max(np.abs(q - top.astype(float))) <= tol * np.max(np.abs(q))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import mopkit as mk
-from helpers import gram_schmidt_monic
 from mopkit.quadrature import adaptive_quad
 
 
@@ -13,16 +12,7 @@ def _kernel(mt, ws, nvec):
 class TestBiorthogonalize:
     def test_scalar_case(self, legendre_ws, legendre_mt):
         K = _kernel(legendre_mt, legendre_ws, (1,))
-        assert np.allclose(K.phi.astype(float), [[1.0]])
         assert np.allclose(K.psi.astype(float), [[0.5]])
-
-    def test_op_case_matches_gram_schmidt(self, legendre_ws, legendre_mt):
-        K = _kernel(legendre_mt, legendre_ws, (4,))
-        gs = gram_schmidt_monic(legendre_ws, 3)
-        phi = K.phi.astype(float)
-        for j in range(4):
-            assert np.allclose(phi[j, : j + 1], gs[j], atol=1e-10)
-            assert np.allclose(phi[j, j + 1 :], 0.0, atol=1e-10)
 
     def test_gram_identity_by_quadrature(self, angelesco_ws, angelesco_mt):
         nvec = mk.MultiIndex((2, 2))
@@ -34,9 +24,9 @@ class TestBiorthogonalize:
             for k in range(n):
                 def f(x, j=j, k=k):
                     from mopkit.ensemble import f_matrix, g_matrix
-                    phi = K.phi[j].astype(float) @ f_matrix(n, x)
+                    fj = f_matrix(n, x)[j]
                     psi = K.psi[k].astype(float) @ g_matrix(angelesco_ws, nvec, x)
-                    return phi * psi
+                    return fj * psi
                 gram[j, k] = sum(
                     adaptive_quad(f, lo, hi, tol=1e-12)
                     for lo, hi in angelesco_ws.support_segments()
@@ -49,6 +39,24 @@ class TestBiorthogonalize:
         mt = mk.moment_table(ws, 8)
         with pytest.raises(mk.NonNormalIndexError):
             mk.biorthogonalize(mk.block_hankel(mt, (1, 1)), ws, (1, 1))
+
+
+@pytest.fixture(scope="module")
+def constant_on_unit_interval():
+    ws = mk.build_angelesco([mk.WeightSpec.constant(-1.0, 1.0)])
+    return ws, mk.moment_table(ws, 20)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_legendre_kernel_matches_the_closed_form(constant_on_unit_interval, n):
+    # w = 1 on [-1, 1]: K_n(x, y) = sum_{k<n} (2k + 1)/2 P_k(x) P_k(y)
+    ws, mt = constant_on_unit_interval
+    K = _kernel(mt, ws, (n,))
+    x, y = np.random.default_rng(n).uniform(-1.0, 1.0, (2, 2000))
+    c = np.diag((2 * np.arange(n) + 1) / 2)
+    ref = np.sum(np.polynomial.legendre.legvander(x, n - 1) @ c
+                 * np.polynomial.legendre.legvander(y, n - 1), axis=1)
+    assert np.max(np.abs(mk.kernel_eval(K, x, y) - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 class TestKernelEval:

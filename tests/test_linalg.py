@@ -90,20 +90,6 @@ def test_singular_det_and_solve(rung):
         linalg.lu_solve(lu, piv, a[:, 0])
 
 
-def test_biorthogonal_pair_gram_identity(rung):
-    name, entries, eps = rung
-    m = entries(angelesco_hankel())
-    phi, psi, defect = linalg.biorthogonal_pair(m, linalg.lu_factor(m))
-    gram = phi @ m @ psi.T
-    n = m.shape[0]
-    if name == "fraction":
-        assert np.all(gram == np.eye(n, dtype=int)) and defect == 0.0
-        return
-    tol = 100 * _cond(m) * eps
-    assert defect <= tol
-    assert np.max(np.abs(gram - np.eye(n))) <= tol
-
-
 # -- the transposed solve through the same factors ---------------------------
 
 def test_transposed_solve_is_exact_on_fractions():
@@ -174,12 +160,6 @@ def _same_as_reference(a):
         x, ref_x = outcome(linalg.lu_solve, lu, piv, b), outcome(helpers.ref_lu_solve, lu, piv, b)
         assert x is ref_x is NumericError or _raw(x) == _raw(ref_x)
     assert _raw(linalg.det(a)) == _raw(helpers.ref_det(a))
-    pair = outcome(linalg.biorthogonal_pair, a, (lu, piv, parity))
-    ref_pair = outcome(helpers.ref_biorthogonal_pair, a)
-    if pair is ref_pair is NumericError:
-        return
-    assert [_raw(m) for m in pair[:2]] == [_raw(m) for m in ref_pair[:2]]
-    assert pair[2] == ref_pair[2]
 
 
 HANKELS = [("angelesco", (3, 3)), ("legendre", (30,)), ("nikishin", (8, 8))]
@@ -214,8 +194,7 @@ def test_every_solve_factors_through_the_module_lu_factor(monkeypatch):
         a = _hankel("angelesco", (2, 2), DPS)
         linalg.solve(a, a[:, 0])
         linalg.det(a)
-        linalg.biorthogonal_pair(a, linalg.lu_factor(a))
-    assert len(calls) == len(mpf_calls) == 3
+    assert len(calls) == len(mpf_calls) == 2
 
 
 # -- one factorization per float-rung matrix ---------------------------------
@@ -233,3 +212,14 @@ def test_float_rung_factors_each_matrix_once(monkeypatch, angelesco_mt, angelesc
     out = call(angelesco_mt, angelesco_ws)
     assert getattr(out, "method", "float") == "float" and getattr(out, "mp", None) is None
     assert len(calls) == lus
+
+
+def test_float_rung_kernel_solves_once_on_identity_columns(monkeypatch, angelesco_mt,
+                                                           angelesco_ws):
+    # X = M^-1 gives the condition estimate, psi = X^T and the Gram check
+    rhs, plain = [], linalg.lu_solve
+    monkeypatch.setattr(linalg, "lu_solve", lambda lu, piv, b, transpose=False:
+                        rhs.append(np.array(b, dtype=float)) or plain(lu, piv, b, transpose))
+    K = mk.biorthogonalize(mk.block_hankel(angelesco_mt, (2, 2)), angelesco_ws, (2, 2))
+    assert K.mp is None and len(rhs) == 1 and np.array_equal(rhs[0], np.eye(4))
+    assert K.condition_estimate == linalg.cond1(K.matrix, K.factors)

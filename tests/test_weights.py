@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 import mopkit as mk
 from mopkit import highprec
-from mopkit.exceptions import ConstructionError, DomainError, QuadratureError, ValidationError
+from mopkit.exceptions import (
+    ConstructionError,
+    DomainError,
+    NumericError,
+    QuadratureError,
+    ValidationError,
+)
 from mopkit.weights import MarkovRatio, Weight
 
 LN2 = 0.6931471805599453
@@ -231,6 +237,16 @@ def test_infinite_moments_raise(alpha, beta):
     ws = mk.WeightSystem.general([Weight.from_spec(mk.WeightSpec.jacobi(-1.0, 1.0, alpha, beta))])
     with pytest.raises(QuadratureError):
         mk.moments(ws, 1, 2)
+
+
+@pytest.mark.parametrize("interval", [(1e160, 2e160), (0.0, 1e300)])
+def test_moments_past_float64_raise_before_any_warning(interval):
+    # the first moment of w = 1 is (b^2 - a^2) / 2 > 1e308; tier-1 makes any
+    # overflow warning an error, so this passes only if none is printed
+    ws = mk.build_angelesco([mk.WeightSpec.constant(*interval)])
+    with pytest.raises(NumericError, match="moment of order 1 of weight 1, "
+                                           r"Weight\(constant on .*float64"):
+        mk.moment_table(ws, 4)
 
 
 @pytest.mark.parametrize("k_max", [10, 22])

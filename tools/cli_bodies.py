@@ -9,13 +9,17 @@ BLAS; ``sample`` runs at ``--seed S``.  Prints every command whose exit code
 differs, or whose output files differ in name or bytes, and exits 1 on any
 difference.  ``manifest.json`` is compared as JSON without its ``started``
 and ``finished`` timestamps; the other files are read as the workload's own
-repetition check reads them.
+repetition check reads them.  A differing CSV or JSON body is printed with
+the number of its numeric cells that differ, their largest absolute
+deviation and the largest absolute value on either side (``deviation``),
+as ``tools/same_outputs.py`` prints a differing output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +80,43 @@ def differences(parent: Path, change: Path, parent_codes: dict, change_codes: di
     return out
 
 
+def _numbers(v) -> list:
+    """The numbers of a JSON value in document order (booleans are not numbers)."""
+    if isinstance(v, dict):
+        return [x for e in v.values() for x in _numbers(e)]
+    if isinstance(v, list):
+        return [x for e in v for x in _numbers(e)]
+    return [float(v)] if isinstance(v, (int, float)) and not isinstance(v, bool) else []
+
+
+def _float(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def cells(name: str, body) -> list:
+    """The numeric cells of the output file ``name``: the comma-separated
+    fields of a CSV that read as floats, or else the numbers of a JSON body
+    (bytes, or the manifest's object)."""
+    if name.endswith(".csv"):
+        fields = (f for line in body.decode().splitlines() for f in line.split(","))
+        return [v for v in map(_float, fields) if v is not None]
+    return _numbers(json.loads(body) if isinstance(body, bytes) else body)
+
+
+def deviation(name: str, parent, change) -> str:
+    """How far two bodies of the output file ``name`` lie apart, cell by cell
+    (two NaNs are equal)."""
+    p, c = cells(name, parent), cells(name, change)
+    if len(p) != len(c):
+        return f", {len(p)} numeric cells in the parent, {len(c)} in the change"
+    devs = [abs(a - b) for a, b in zip(p, c) if a != b and not (math.isnan(a) and math.isnan(b))]
+    return (f", {len(devs)} numeric cells differ, max |deviation| {max(devs, default=0.0):.3g}"
+            f" of max |value| {max(map(abs, p + c), default=0.0):.3g}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -87,8 +128,11 @@ def main(argv=None) -> int:
         codes = [run_round(root.resolve(), out, args.seed)
                  for root, out in zip((args.parent, args.change), outs)]
         found = differences(*outs, *codes)
-    for job, reason in found:
-        print(f"{job}: {reason}")
+        for job, reason in found:
+            name = reason.removesuffix(" differs")
+            detail = "" if name == reason else deviation(
+                name, *(outputs(out / job)[name] for out in outs))
+            print(f"{job}: {reason}{detail}")
     print(f"{len({job for job, _ in found})} of {len(ROUND)} commands differ")
     return 1 if found else 0
 
