@@ -15,20 +15,15 @@ them take their g-matrices from ``g_matrix``.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import linalg
-from .exceptions import (
-    DomainError,
-    NonNormalIndexError,
-    NumericError,
-    PrecisionExhausted,
-    ValidationError,
-)
-from .mop import HankelBlockMatrix, MultiIndex, TypeISystem, _hankel_from, as_multi_index
+from .exceptions import DomainError, NonNormalIndexError, NumericError, ValidationError
+from .mop import HankelBlockMatrix, MultiIndex, TypeISystem, _hankel_from, _solve, as_multi_index
 from .quadrature import fixed_segment_nodes, gauss_legendre, quad_with_substitution
 from .weights import WeightSystem
 
@@ -51,14 +46,17 @@ def basis_g(ws: WeightSystem, nvec, k: int, x):
     return np.asarray(x, dtype=float) ** power * ws.weights[widx].values(x)
 
 
-def f_matrix(n: int, xs, dtype=float):
+def f_matrix(n: int, xs, dtype=float, center=0.0, half_width=1.0):
     """Rows f_1..f_n evaluated at the points xs: shape (n, len(xs)); with
-    ``dtype=object``, xs are mpf and every entry keeps that type."""
+    ``dtype=object``, xs are mpf and every entry keeps that type.
+    ``center`` and ``half_width`` give the rows ((x - c)/s)^(j-1), as in
+    ``g_matrix``."""
     xs = np.asarray(xs, dtype=dtype)
+    ts = xs if (center, half_width) == (0.0, 1.0) else (xs - center) / half_width
     out = np.empty((n, xs.size), dtype=dtype)
     out[0] = xs ** 0 if dtype is object else 1.0  # ones in the entry type
     for j in range(1, n):
-        out[j] = out[j - 1] * xs
+        out[j] = out[j - 1] * ts
     return out
 
 
@@ -283,9 +281,8 @@ def sign_constancy_check(ws: WeightSystem, nvec, trials: int, seed: int = 0) -> 
     u = rng.random((trials, n))
     los = np.asarray([s[0] for s in segs])
     Xs = np.sort(los[pick] + u * lengths[pick], axis=1)
-    hull = ws.support_hull()
-    G = g_matrix(ws, nvec, Xs.ravel(), center=hull.mid,
-                 half_width=0.5 * hull.length).reshape(-1, *Xs.shape).swapaxes(0, 1)
+    G = g_matrix(ws, nvec, Xs.ravel(), float, *ws.hull_coordinate())
+    G = G.reshape(-1, *Xs.shape).swapaxes(0, 1)
     dets = np.linalg.det(G)
     scale = np.prod(np.linalg.norm(G, axis=2), axis=1)
     ambiguous = np.abs(dets) <= 1e-13 * scale
@@ -462,9 +459,10 @@ def marginalization_check(ws: WeightSystem, nvec, *, n_configs: int = 25,
 # Correlation kernel
 # ---------------------------------------------------------------------------
 
-#: raw-matrix condition beyond which kernels switch to mpmath arithmetic;
-#: the kernel's coefficients psi = M^-T blow up with the conditioning, so the
-#: 80-bit path loses the 1e-10 path-agreement tolerance past this point
+#: hull-scaled condition cond1(M) beyond which kernels switch to mpmath
+#: arithmetic (``mop._solve``'s cutoff for the kernel); the kernel's
+#: coefficients psi = M^-T blow up with the conditioning, so the 80-bit path
+#: loses the 1e-10 path-agreement tolerance past this point
 KERNEL_CONDITION_CUTOFF = 1e7
 #: largest accepted Gram defect max |M X - I| of the kernel's X = M^-1
 GRAM_TOL = 1e-9
@@ -475,17 +473,19 @@ KERNEL_BLOCK = 8192
 
 @dataclass
 class Kernel:
-    """Biorthogonalized kernel K(x, y) = f(x)^T psi g(y), psi = M^-T.
+    """Biorthogonalized kernel K(x, y) = f(t_x)^T psi g(t_y), psi = M^-T.
 
-    ``psi`` holds coefficients over the g-basis (polynomial times weight):
-    row j is the function biorthogonal to the monomial x^j, the same form on
-    both rungs.  ``matrix`` is the moment matrix M in the entry type of the
-    kernel's rung: longdouble, or mpf on the mpmath rung, where ``mp`` is
-    the ``highprec.MPForm`` of B = psi that evaluates K at ``mp.dps``
+    Every part is in the hull coordinate t = (x - c)/s of
+    ``WeightSystem.hull_coordinate``: f(t) = (1, t, ..., t^(n-1)), g the
+    basis t^i w_j(x), M the hull-scaled moment matrix that type I and type
+    II solve.  Row j of ``psi`` (over that g-basis) is the function
+    biorthogonal to t^j, on both rungs.  ``matrix`` is M in the entry type
+    of the kernel's rung: longdouble, or mpf on the mpmath rung, where ``mp``
+    is the ``highprec.MPForm`` of B = psi that evaluates K at ``mp.dps``
     digits; ``factors`` is the ``linalg.lu_factor`` of M, on the mpmath rung
     the moment table's ``mp_lu`` entry.  M psi^T is the identity up to
-    ``gram_defect``.  ``condition_estimate`` is the longdouble cond1 of M,
-    which picks the rung and where the mpmath ladder starts.
+    ``gram_defect``; ``condition_estimate`` is cond1 of M, as type I and
+    type II of the index report it.
     """
 
     ws: WeightSystem
@@ -503,51 +503,42 @@ class Kernel:
 
 
 def biorthogonalize(M: HankelBlockMatrix, ws: WeightSystem, nvec) -> Kernel:
-    """The biorthogonal pair of M, K(x, y) = f(x)^T M^-T g(y).
+    """The biorthogonal pair of M, K(x, y) = f(t_x)^T M^-T g(t_y) in the hull
+    coordinate.
 
-    One longdouble LU of M and X = M^-1 solved from it on identity columns
-    give the condition estimate |M|_1 |X|_1 (``linalg.inverse_cond1``).  Up
-    to condition ~1e7 the kernel keeps psi = X^T.  Past it X is solved again
-    on the checked mpmath ladder of ``highprec.escalate`` over
-    ``highprec.rung_solve``: on the rows of M's moment table (``M.table``),
-    with the table's LU of M, the one solve of type I and type II; K is then
-    the form f(x)^T psi g(y) of ``highprec.MPForm``.  Either way the Gram
-    check max |M X - I| applies (on the mpmath rung at the kernel's dps,
-    after the ladder's own).
+    X = M^-1 is ``mop._solve`` on identity right-hand sides, the one moment
+    solve of type I and type II, with ``KERNEL_CONDITION_CUTOFF``: on the
+    float rung the inverse behind the condition estimate, past the cutoff
+    the checked mpmath ladder on the rows and the LU of M's moment table
+    (``M.table``), where K is the form f^T psi g of ``highprec.MPForm``.
+    Either way the Gram check max |M X - I| applies (on the mpmath rung at
+    the kernel's dps, after the ladder's own).
     """
     nvec = as_multi_index(nvec)
-    matrix = M.matrix.astype(linalg.LD)
-    factors = linalg.lu_factor(matrix)
-    eye, form = np.eye(nvec.n, dtype=object), None
-    try:
-        X, cond = linalg.inverse_cond1(matrix, factors)
-        if np.isfinite(cond) and cond > KERNEL_CONDITION_CUTOFF:
-            from . import highprec
+    mt, n = M.table, nvec.n
+    cond, dps, rows_dps, factors, X = _solve(mt, nvec, "auto", "kernel", n + max(nvec.parts) - 2,
+                                             lambda rows: np.eye(n, dtype=rows.dtype),
+                                             cutoff=KERNEL_CONDITION_CUTOFF)
+    rows, precision, form = mt.scaled.astype(linalg.LD), nullcontext(), None
+    if dps:
+        from . import highprec
 
-            dps, (rung, X) = highprec.escalate(
-                lambda d: highprec.rung_solve(M.table, nvec, lambda rows: eye, d), cond)
-            matrix = _hankel_from(M.table.mp_rows[rung], nvec, nvec.n)
-            factors = M.table.mp_lu[nvec.parts, dps]
-            with highprec.mp.workdps(dps):
-                defect = float(np.max(np.abs(matrix @ X - eye)))
-            form = highprec.MPForm(ws, nvec.parts, X.T, dps)
-        else:
-            defect = float(np.max(np.abs(matrix @ X - eye)))
-    except PrecisionExhausted:
-        raise
-    except NumericError as exc:
-        raise NonNormalIndexError(f"singular moment matrix: {exc}") from exc
+        rows, precision = mt.mp_rows[rows_dps], highprec.mp.workdps(dps)
+        form = highprec.MPForm(ws, nvec.parts, X.T, dps)
+    matrix = _hankel_from(rows, nvec, n)
+    with precision:
+        defect = float(np.max(np.abs(matrix @ X - np.eye(n, dtype=object))))
     if not defect <= GRAM_TOL:
         raise NumericError(f"biorthogonalization defect {defect:.2e} exceeds {GRAM_TOL:g}")
     return Kernel(ws, nvec, matrix, factors, X.T, defect, cond, mp=form)
 
 
 def kernel_eval(K: Kernel, x, y):
-    """K(x, y) = f(x)^T psi g(y), with x and y broadcast together; a float
-    when both are scalars.  The float rung sums F * (psi G) in longdouble
-    over blocks of ``KERNEL_BLOCK`` points; each value depends on its own
-    point only, so the blocks change no value by a bit.  The mpmath rung
-    answers from ``K.mp``."""
+    """K(x, y) = f(t_x)^T psi g(t_y), with x and y broadcast together; a
+    float when both are scalars.  The float rung sums F * (psi G) in
+    longdouble over blocks of ``KERNEL_BLOCK`` points; each value depends on
+    its own point only, so the blocks change no value by a bit.  The mpmath
+    rung answers from ``K.mp``."""
     try:
         xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     except ValueError as exc:
@@ -555,28 +546,31 @@ def kernel_eval(K: Kernel, x, y):
     if K.mp is not None:
         vals = K.mp.eval(xs.ravel(), ys.ravel())
     else:
-        xf, yf = xs.ravel(), ys.ravel()
+        xf, yf, at = xs.ravel(), ys.ravel(), K.ws.hull_coordinate()
         vals = np.empty(xf.size)
         for lo in range(0, xf.size, KERNEL_BLOCK):
-            F = f_matrix(K.n, xf[lo : lo + KERNEL_BLOCK], dtype=linalg.LD)
-            G = g_matrix(K.ws, K.nvec, yf[lo : lo + KERNEL_BLOCK], dtype=linalg.LD)
+            F = f_matrix(K.n, xf[lo : lo + KERNEL_BLOCK], linalg.LD, *at)
+            G = g_matrix(K.ws, K.nvec, yf[lo : lo + KERNEL_BLOCK], linalg.LD, *at)
             vals[lo : lo + KERNEL_BLOCK] = np.einsum("jm,jm->m", F, K.psi @ G)
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
 def kernel_eval_bordered(K: Kernel, x, y) -> float:
-    """K(x, y) as the bordered determinant -det[[M, f(x)], [g(y), 0]] / det M,
+    """K(x, y) as the bordered determinant -det[[M, f(t_x)], [g(t_y), 0]] / det M,
     in the entry type and precision of K's rung; det M comes from the LU
-    that K was built from."""
-    from . import highprec
+    that K was built from.  Only the mpmath rung imports ``highprec``."""
+    if K.mp is None:
+        dtype, point, precision = linalg.LD, np.asarray, nullcontext()
+    else:
+        from . import highprec
 
-    n, rung_mp = K.n, K.mp is not None
-    dtype, point = (object, highprec._mpf) if rung_mp else (linalg.LD, np.asarray)
-    with highprec.mp.workdps(K.mp.dps if rung_mp else highprec.mp.dps):
+        dtype, point, precision = object, highprec._mpf, highprec.mp.workdps(K.mp.dps)
+    n, at = K.n, K.ws.hull_coordinate()
+    with precision:
         big = np.zeros((n + 1, n + 1), dtype=dtype)
         big[:n, :n] = K.matrix
-        big[:n, n] = f_matrix(n, point([x]), dtype=dtype)[:, 0]
-        big[n, :n] = g_matrix(K.ws, K.nvec, point([y]), dtype=dtype)[:, 0]
+        big[:n, n] = f_matrix(n, point([x]), dtype, *at)[:, 0]
+        big[n, :n] = g_matrix(K.ws, K.nvec, point([y]), dtype, *at)[:, 0]
         lu, _, parity = K.factors
         detm = linalg.lu_det(lu, parity)
         if detm == 0:

@@ -4,38 +4,32 @@ Hankel moment systems lose digits geometrically with the degree, and the
 type I coefficients (and the kernel's coefficients M^-T) of Nikishin-like
 systems grow at the rate of best rational approximation of the Markov
 ratio.  Past the float rung's reach this module solves the defining systems
-in mpmath.  Results round back to floats: the monic type II polynomial, the
-linear form Q and the kernel K are O(1)-bounded, it is only the
-intermediate coefficients that need the headroom.
+in mpmath, in the same hull coordinate t = (x - c)/s as the float rung.
+Results round back to floats: the monic type II polynomial, the linear form
+Q and the kernel K are O(1)-bounded, it is only the intermediate
+coefficients that need the headroom.
 
-One checked ladder, ``escalate``, serves type II, type I and the kernel:
-each attempt reports an a-posteriori condition bound, and its answer counts
-only when ``SURVIVING_DIGITS`` digits survive it.  The module also owns the
-moment rows in mpf (closed forms for constant and pure Jacobi weights, one
-tanh-sinh pass per weight over ``Weight.mp_evaluator`` with
-``mpmath.quad``'s per-k stopping rule for the rest) and evaluation in
-fixed-size chunks of points.  Solves take their rows from the moment table:
-``table_rows`` computes them to the table's ``k_max`` once per precision
-rung (the working dps rounded up to a multiple of ``RUNG_DIGITS``) and
-keeps them on the table, so a degree sweep pays for its moments once per
-rung.  Everything else is shared with the float rung: the block Hankel
-matrices are ``mop._hankel_from``, the g-basis is
-``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the
-systems are factored by the one LU in ``linalg``.  That LU and the
-tanh-sinh columns run on raw ``_mpf_`` tuples, bit for bit as mpf would.
-``rung_solve`` is the one mpmath solve: of type I, M x = e_n, of type II,
-by transposed substitution, M^T a = -b (both through ``mop._solve``), and
-of the kernel, M X = I with n right-hand sides, whose psi = X^T is the
-float rung's form at more digits (``ensemble.biorthogonalize``).  One LU
-of M per index and dps serves all three, and the last one is kept on the
-table (``MomentTable.mp_lu``).
+One checked ladder, ``escalate``, climbs ``rung_solve``, the one mpmath
+solve of the hull-scaled moment matrix M, for ``mop._solve``: type I
+(M x = e_n), type II (M^T a = -b, by transposed substitution) and the
+kernel (M X = I).  Each attempt reports an a-posteriori condition bound,
+and its answer counts only when ``SURVIVING_DIGITS`` digits survive it.
+``moment_rows`` gives the rows in t as mpf (closed forms for constant and
+pure Jacobi weights, for the rest one tanh-sinh pass per weight with
+``mpmath.quad``'s per-k stopping rule); ``table_rows`` keeps them on the
+table, once per precision rung (the dps rounded up to a multiple of
+``RUNG_DIGITS``), and M is factored once per index and dps
+(``MomentTable.mp_lu``): type I, type II and the kernel of one index share
+one condition estimate, one dps and one LU.  The rest is shared with the
+float rung: ``mop._hankel_from``, ``ensemble.f_matrix``/``g_matrix`` on
+object arrays of mpf, and the one LU in ``linalg``, which runs, like the
+tanh-sinh columns, on raw ``_mpf_`` tuples, bit for bit as mpf would.
 
-One ``MPForm``, f(x)^T B g(y), evaluates the kernel (B = M^-T) and the
-linear form Q, which is the kernel's x^(n-1) coefficient (B the type I
-solution as one row).  It answers from a ``ChebyshevProxy``: the form is
-sampled once per support segment in mpmath, at Chebyshev nodes, and then
-evaluated at every point in longdouble; the per-point mpmath path stays as
-the fallback and the oracle.
+One ``MPForm``, f(t)^T B g(t), evaluates the kernel (B = M^-T) and the
+linear form Q, which is the kernel's x^(n-1) coefficient.  It answers from
+a ``ChebyshevProxy``: the form is sampled once per support segment in
+mpmath, at Chebyshev nodes, and then evaluated at every point in
+longdouble; the per-point mpmath path stays as the fallback and the oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ import math
 import mpmath
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import mpf_mul, mpf_sum
+from mpmath.libmp import mpf_mul, mpf_sub, mpf_sum
 from numpy.polynomial.chebyshev import chebvander
 
 from . import linalg
@@ -189,13 +183,14 @@ class ChebyshevProxy:
         return out
 
 
-def _power_moments(fn, a, b, k_max: int):
-    """Integrals of x^k fn(x) over [a, b] for k <= k_max on the nodes of
-    ``mpmath.quad(lambda x: x ** k * fn(x), [a, b])``: one pass over quad's
-    tanh-sinh levels evaluates ``fn`` once per node, each level advances one
-    column w_i fn(x_i) x_i^k by a product per node and power (rounded, like
-    quad's terms, at 20 guard bits), and each k stops at the level where
-    quad's error estimate stops it.  Columns are raw ``_mpf_`` tuples, and
+def _power_moments(fn, a, b, k_max: int, c, s):
+    """Integrals of t^k fn(x), t = (x - c)/s, over [a, b] for k <= k_max on
+    the nodes of ``mpmath.quad(lambda x: ((x - c) / s) ** k * fn(x), [a, b])``:
+    one pass over quad's tanh-sinh levels evaluates ``fn`` once per node,
+    each level advances one column w_i fn(x_i) (x_i - c)^k by a product per
+    node and power (rounded, like quad's terms, at 20 guard bits), whose sum
+    takes the factor s^-k, and each k stops at the level where quad's error
+    estimate stops it.  Columns are raw ``_mpf_`` tuples, and
     ``mpf_mul``/``mpf_sum`` round them as mpf products and ``mp.fsum`` do."""
     rule, prec, eps = mp._tanh_sinh, mp.prec, mp.eps / 8
     m = rule.guess_degree(prec)
@@ -203,17 +198,18 @@ def _power_moments(fn, a, b, k_max: int):
     open_ks = list(range(k_max + 1))
     with mp.extraprec(20):
         wprec, rnd = mp._prec_rounding
+        c, scale = mpmath.mpf(c)._mpf_, [mpmath.mpf(s) ** -k for k in range(k_max + 1)]
         for degree in range(1, m + 1):
             h = mpmath.mpf(2) ** (-degree)
             nodes = rule.get_nodes(a, b, degree, prec)
-            xs = [x._mpf_ for x, _ in nodes]
+            ts = [mpf_sub(x._mpf_, c, wprec, rnd) for x, _ in nodes]
             col = [(w * fn(x))._mpf_ for x, w in nodes]
             for k in range(open_ks[-1] + 1):
                 if k > 0:
-                    col = [mpf_mul(c, x, wprec, rnd) for c, x in zip(col, xs)]
+                    col = [mpf_mul(v, t, wprec, rnd) for v, t in zip(col, ts)]
                 if k in open_ks:
                     S = results[k][-1] / (h * 2) if results[k] else mp.zero
-                    results[k].append(h * (S + mp.make_mpf(mpf_sum(col, wprec, rnd))))
+                    results[k].append(h * (S + mp.make_mpf(mpf_sum(col, wprec, rnd)) * scale[k]))
             if degree > 1:
                 open_ks = [k for k in open_ks
                            if rule.estimate_error(results[k], prec, eps) > eps]
@@ -223,24 +219,26 @@ def _power_moments(fn, a, b, k_max: int):
     return [+v for v in sums]
 
 
-def _jacobi_moments(w, k_max: int):
-    """Moments of s (b - x)^alpha (x - a)^beta on [a, b] in closed form.
+def _jacobi_moments(w, k_max: int, c, s):
+    """Moments in t = (x - c)/s of r (b - x)^alpha (x - a)^beta on [a, b] in
+    closed form.
 
-    With x = a + (b - a) t, m_k = s (b - a)^(alpha + beta + 1)
-    sum_i C(k, i) a^(k - i) (b - a)^i B(beta + i + 1, alpha + 1); one
+    With x = a + (b - a) u, t = t_a + l u for t_a = (a - c)/s and
+    l = (b - a)/s, and m_k = r (b - a)^(alpha + beta + 1)
+    sum_i C(k, i) t_a^(k - i) l^i B(beta + i + 1, alpha + 1); one
     ``mpmath.beta`` starts the ratio recurrence for the others.  The
-    binomial sum cancels when a < 0, so it runs with
-    k log2((|a| + b - a) / max(|a|, |b|)) + 20 guard bits.
+    binomial sum cancels when t_a < 0, so it runs with
+    k log2((|t_a| + l) / max(|t_a|, |t_b|)) + 20 guard bits.
     """
-    lo, hi = w.support.a, w.support.b
-    guard = 20 + math.ceil(k_max * math.log2((abs(lo) + hi - lo) / max(abs(lo), abs(hi))))
+    ta, tb = (w.support.a - c) / s, (w.support.b - c) / s
+    guard = 20 + math.ceil(k_max * math.log2((abs(ta) + tb - ta) / max(abs(ta), abs(tb))))
     with mp.extraprec(guard):
         al, be = mpmath.mpf(w.spec.alpha), mpmath.mpf(w.spec.beta)
-        a, length = mpmath.mpf(lo), mpmath.mpf(hi) - mpmath.mpf(lo)
-        terms = [mpmath.beta(be + 1, al + 1)]  # (b - a)^i B(beta + i + 1, alpha + 1)
+        a, length = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b) - mpmath.mpf(w.support.a)
+        terms = [mpmath.beta(be + 1, al + 1)]  # l^i B(beta + i + 1, alpha + 1)
         for i in range(k_max):
-            terms.append(terms[-1] * length * (be + i + 1) / (al + be + i + 2))
-        a_pow = [a ** j for j in range(k_max + 1)]
+            terms.append(terms[-1] * (length / s) * (be + i + 1) / (al + be + i + 2))
+        a_pow = [((a - c) / s) ** j for j in range(k_max + 1)]
         scale = mpmath.mpf(w.scale) * length ** (al + be + 1)
         row = [scale * mp.fdot((math.comb(k, i) * a_pow[k - i], terms[i])
                                for i in range(k + 1))
@@ -249,24 +247,26 @@ def _jacobi_moments(w, k_max: int):
 
 
 def moment_rows(ws, k_max: int):
-    """Monomial moments of every weight as mpf, at the current precision.
+    """Moments integral t^k w_j dx of every weight in the hull coordinate
+    t = (x - c)/s, [c - s, c + s] the convex hull of ``ws``'s supports, as
+    mpf at the current precision: the rows of ``MomentTable.scaled``.
 
-    A constant weight s on [a, b] gets s (b^(k+1) - a^(k+1)) / (k + 1), a
-    pure Jacobi weight (no Markov ratio) its Beta-function closed form.
+    A constant weight r on [a, b] gets r s (t_b^(k+1) - t_a^(k+1)) / (k + 1),
+    a pure Jacobi weight (no Markov ratio) its Beta-function closed form.
     Every other weight takes one tanh-sinh pass over its mpf evaluator, with
     quad's per-k stopping rule, so each moment matches its own ``mpmath.quad``.
     Returns a p x (k_max + 1) object array.
     """
-    rows = []
+    (c, s), rows = ws.hull_coordinate(), []
     for w in ws.weights:
+        a, b = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)
         if w.spec.family == "constant" and w.ratio is None:
-            s, a, b = (mpmath.mpf(v) for v in (w.scale, w.support.a, w.support.b))
-            rows.append([s * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k in range(k_max + 1)])
+            r, ta, tb = mpmath.mpf(w.scale) * s, (a - c) / s, (b - c) / s
+            rows.append([r * (tb ** (k + 1) - ta ** (k + 1)) / (k + 1) for k in range(k_max + 1)])
         elif w.spec.family == "jacobi" and w.ratio is None:
-            rows.append(_jacobi_moments(w, k_max))
+            rows.append(_jacobi_moments(w, k_max, c, s))
         else:
-            rows.append(_power_moments(w.mp_evaluator(), mpmath.mpf(w.support.a),
-                                       mpmath.mpf(w.support.b), k_max))
+            rows.append(_power_moments(w.mp_evaluator(), a, b, k_max, c, s))
     return np.array(rows, dtype=object)
 
 
@@ -283,9 +283,9 @@ def table_rows(mt, dps: int):
 
 def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
     """One attempt at M x = rhs(rows), or M^T x = rhs(rows) when
-    ``transpose``, on the mpmath rung, for the block Hankel moment matrix M
-    of ``nvec``: the attempt that ``escalate`` climbs for type I (M), type
-    II (M^T, by transposed substitution) and the kernel (M X = I).
+    ``transpose``, on the mpmath rung, for the hull-scaled block Hankel
+    moment matrix M of ``nvec``: the attempt that ``escalate`` climbs for
+    ``mop._solve``.
 
     The rows come from ``table_rows(mt, dps)``; the solve rounds to ``dps``.
     M is factored once per (parts, dps): the last LU is kept in
@@ -295,11 +295,11 @@ def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
     in the same LU, for the system A actually solved: a monic type II
     solution stays O(1) however ill-conditioned A is, and identity columns
     give |A|_1 |A^-1|_1.  |A|_1 comes from the float64 assembly of
-    ``mt.raw``; only its order of magnitude matters.  Returns ((rung, x),
+    ``mt.scaled``; only its order of magnitude matters.  Returns ((rung, x),
     bound), x a list of mpf, or the matrix of solutions for a matrix rhs.
     """
     rung, rows = table_rows(mt, dps)
-    m = _hankel_from(mt.raw, nvec, nvec.n)
+    m = _hankel_from(mt.scaled, nvec, nvec.n)
     a_norm = float(np.abs(m.T if transpose else m).sum(axis=0).max())
     key = (nvec.parts, dps)
     with mp.workdps(dps):
@@ -318,11 +318,13 @@ def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
 
 
 class MPForm:
-    """The bilinear form f(x)^T B g(y) in mpmath: f is the ``len(B)``
-    monomials x^0 .. x^(len(B) - 1), g the basis of ``parts``.
+    """The bilinear form f(t_x)^T B g(t_y) in mpmath, in the hull coordinate
+    t = (x - c)/s of ``WeightSystem.hull_coordinate``: f is the ``len(B)``
+    monomials t^0 .. t^(len(B) - 1), g the basis t^i w_j(y) of ``parts``.
 
-    K is ``MPForm(ws, parts, M^-T, dps)`` and Q, its x^(n-1) coefficient, is
-    ``MPForm(ws, parts, [x], dps)`` for the type I solution x.  Values are
+    K is ``MPForm(ws, parts, M^-T, dps)`` for the hull-scaled moment matrix
+    M, and Q, its x^(n-1) coefficient, is ``MPForm(ws, parts, [s^-(n-1) a],
+    dps)`` for the type I solution a in t.  Values are
     computed at ``dps`` digits and returned as floats; only the coefficients
     need the headroom.  ``eval`` answers from the ``ChebyshevProxy`` that
     its first call builds (kept in ``proxy``) on ``len(B)`` Chebyshev
@@ -336,8 +338,9 @@ class MPForm:
     def _columns(self, xs, ys):
         """(F^T, B G) at the floats xs and ys: the form at (x_i, y_k) is row
         i of the first times column k of the second."""
-        F = f_matrix(len(self.B), _mpf(xs), dtype=object)
-        return F.T, _dot(self.B, g_matrix(self.ws, self.parts, _mpf(ys), dtype=object))
+        at = self.ws.hull_coordinate()
+        F = f_matrix(len(self.B), _mpf(xs), object, *at)
+        return F.T, _dot(self.B, g_matrix(self.ws, self.parts, _mpf(ys), object, *at))
 
     def eval_direct(self, xs, ys):
         """The form at the flat float arrays xs, ys, point by point in

@@ -1,12 +1,13 @@
 """Multiple orthogonal polynomials from block Hankel moment systems.
 
-Type II polynomials are computed by solving the transposed moment system,
-type I tuples by solving the moment system itself; both are mathematically
-identical to the determinantal formulas but far better conditioned.  One
-solve, ``_solve``, serves both kinds from one LU of the moment matrix M per
-index.  It runs on hull-rescaled moments (the convex hull of the supports
-is mapped to [-1, 1]) in 80-bit arithmetic.  Past ``CONDITION_CUTOFF`` of
-cond1(M) both kinds climb the one checked mpmath ladder,
+Type II polynomials solve the transposed moment system, type I tuples the
+moment system itself, and the kernel (``ensemble.biorthogonalize``) its
+inverse: mathematically the determinantal formulas, far better
+conditioned.  One solve, ``_solve``, serves all three from one LU of the
+moment matrix M per index, on every rung in the hull coordinate
+t = (x - c)/s that maps the convex hull of the supports to [-1, 1]; the
+polynomials map back to x through ``_affine_unscale``.  Past the caller's
+cutoff of cond1(M) the solve climbs the one checked mpmath ladder,
 ``highprec.escalate``, which keeps zero locations and linear forms
 meaningful well past the point where floating point gives up on Hankel
 matrices, or raises :class:`PrecisionExhausted`.
@@ -14,6 +15,7 @@ matrices, or raises :class:`PrecisionExhausted`.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,8 +145,8 @@ class TypeISystem:
     """Type I tuple (A^(1), ..., A^(p)) and its linear form Q.
 
     For ill-conditioned systems solved in high precision, ``hp_coeffs``
-    retains the full-precision coefficient blocks and ``mp`` is the
-    ``highprec.MPForm`` of Q over them, which ``q_values`` evaluates: the
+    retains the full-precision blocks (monomials in x) and ``mp`` is the
+    ``highprec.MPForm`` of Q in the hull coordinate, for ``q_values``: the
     huge A_j terms cancel in mpmath before the downcast, so Q carries full
     double accuracy even when the coefficients span 16+ orders, which the
     float polynomials alone cannot.  ``hp_dps`` is the solve's working
@@ -237,13 +239,12 @@ def _check_normal(mt, nvec):
     """The hull-rescaled moment matrix and its ``lu_factor``; raises when
     the matrix is numerically singular.
 
-    Normal Hankel systems have determinants that decay exponentially with n,
-    so a test against the product of row norms would reject almost every
-    moderate index.  Instead the hull-rescaled matrix (whose normality is
+    Normal Hankel determinants decay exponentially with n, so a test against
+    the product of row norms would reject almost every moderate index.
+    Instead any LU pivot of the hull-rescaled matrix (whose normality is
     equivalent: the rescaling is a triangular change of basis on both sides)
-    is LU-factored, and any pivot at the extended-precision roundoff floor
-    marks the index as non-normal; a bitwise-repeated column gives an exact
-    zero pivot and is always caught.
+    at the extended-precision roundoff floor marks the index as non-normal;
+    a bitwise-repeated column gives an exact zero pivot and is always caught.
     """
     n = nvec.n
     scaled = _hankel_from(mt.scaled, nvec, n)
@@ -258,20 +259,23 @@ def _check_normal(mt, nvec):
     return scaled, factors
 
 
-def _affine_unscale(coeffs_t, c, s, power_scale):
-    """Coefficients of power_scale * P((x - c)/s) from coefficients of P(t)."""
-    acc = np.zeros(1, dtype=linalg.LD)
-    cl, sl = linalg.LD(c), linalg.LD(s)
-    for a_k in np.asarray(coeffs_t, dtype=linalg.LD)[::-1]:
-        nxt = np.zeros(len(acc) + 1, dtype=linalg.LD)
-        nxt[1:] += acc / sl
-        nxt[:-1] -= acc * (cl / sl)
-        nxt[0] += a_k
-        acc = nxt
-    n = len(acc) - 1
-    while n > 0 and acc[n] == 0:
-        n -= 1
-    return acc[: n + 1] * linalg.LD(power_scale)
+def _affine_unscale(coeffs_t, mt, power, dps):
+    """Coefficients of s^power P((x - c)/s) from the coefficients of P(t), for
+    ``mt``'s hull [c - s, c + s]: in longdouble, or in mpf at ``dps`` digits
+    when ``dps``; on the hull [-1, 1], where t = x, the coefficients themselves."""
+    coeffs, (c, s) = np.asarray(coeffs_t), mt.system.hull_coordinate()
+    if (c, s) == (0.0, 1.0):
+        return coeffs
+    if dps:
+        from mpmath import mp, mpf
+    precision, one = (mp.workdps(dps), mpf(1)) if dps else (nullcontext(), linalg.LD(1))
+    with precision:
+        cl, sl = one * c, one * s
+        acc = np.zeros(0, dtype=coeffs.dtype)
+        for k in range(len(coeffs) - 1, -1, -1):  # Horner in x - c on a_k s^-k
+            prev, acc = acc, np.append(coeffs[k] / sl ** k, acc)
+            acc[:-1] -= prev * cl
+        return acc * sl ** power
 
 
 def _type2_system(rows, nvec):
@@ -281,17 +285,21 @@ def _type2_system(rows, nvec):
     return aug[:, :-1], -aug[:, -1]
 
 
-def _solve(mt: MomentTable, nvec, method, what, order, rhs, transpose=False):
+def _solve(mt: MomentTable, nvec, method, what, order, rhs, transpose=False,
+           cutoff=CONDITION_CUTOFF):
     """M x = rhs(rows), or M^T x = rhs(rows) when ``transpose``, for the
-    block Hankel moment matrix M of ``nvec``: the one solve of type II and
-    type I.
+    hull-scaled block Hankel moment matrix M of ``nvec``: the one moment
+    solve of type II (M^T), type I and the kernel (M X = I).
 
-    Checks the request (``order`` is the highest moment order the solve
-    reads) and the normality of M, and routes on cond1 of the hull-scaled
-    M: the float rung solves from ``_check_normal``'s LU with the hull-scaled
-    rows, the mpmath rung climbs ``highprec.escalate`` over
-    ``highprec.rung_solve`` on raw moments.  Returns (cond, dps, rows_dps,
-    x), dps and rows_dps 0 on the float rung.
+    Every rung works in the hull coordinate t = (x - c)/s.  Checks the
+    request (``order`` is the highest moment order the solve reads) and the
+    normality of M, and routes on cond1 of M, the caller's ``cutoff`` apart:
+    the float rung solves from ``_check_normal``'s LU with ``mt.scaled``
+    (an identity right-hand side, the kernel's, is the inverse that cond1
+    solved), the mpmath rung climbs ``highprec.escalate`` over
+    ``highprec.rung_solve`` on the table's mpf rows.  Returns (cond, dps,
+    rows_dps, factors, x): dps and rows_dps are 0 on the float rung, and
+    factors is the LU of M that x was solved with.
     """
     if nvec.n < 1:
         raise ValidationError(f"{what} needs |n| >= 1")
@@ -301,69 +309,64 @@ def _solve(mt: MomentTable, nvec, method, what, order, rhs, transpose=False):
         raise ValidationError(f"unknown method {method!r}")
     _require_order(mt, order)
     system, factors = _check_normal(mt, nvec)
-    cond = linalg.cond1(system, factors)
-    if method == "mp" or (method == "auto" and cond > CONDITION_CUTOFF):
+    inverse, cond = linalg.inverse_cond1(system, factors)
+    if method == "mp" or (method == "auto" and cond > cutoff):
         from . import highprec
 
         dps, (rows_dps, x) = highprec.escalate(
             lambda d: highprec.rung_solve(mt, nvec, rhs, d, transpose), cond)
-        return cond, dps, rows_dps, x
-    return cond, 0, 0, linalg.lu_solve(*factors[:2], rhs(mt.scaled), transpose)
+        return cond, dps, rows_dps, mt.mp_lu[nvec.parts, dps], x
+    b = rhs(mt.scaled)
+    x = inverse if np.ndim(b) == 2 else linalg.lu_solve(*factors[:2], b, transpose)
+    return cond, 0, 0, factors, x
 
 
 def type2_mop(mt: MomentTable, nvec, method: str = "auto") -> Polynomial:
     """Monic type II multiple orthogonal polynomial of degree |n|.
 
-    Solves M^T a = -b from the LU of the moment matrix M that type I solves
-    with.  ``method`` is ``"float"`` (hull-rescaled 80-bit solve), ``"mp"``
-    (the checked mpmath ladder of ``highprec.escalate`` on raw moments), or
-    ``"auto"``, which takes the ladder when cond1 of the hull-scaled M
-    passes ``CONDITION_CUTOFF``.
+    Solves M^T a = -b from the LU of the hull-scaled moment matrix M that
+    type I solves with, and maps the monic answer in t back to x with
+    ``_affine_unscale``.  ``method`` is ``"float"`` (80-bit solve), ``"mp"``
+    (the checked mpmath ladder of ``highprec.escalate``), or ``"auto"``,
+    which takes the ladder when cond1 of M passes ``CONDITION_CUTOFF``.
     """
     nvec = as_multi_index(nvec)
     n = nvec.n
-    cond, dps, _, a = _solve(mt, nvec, method, "type II MOP", n + max(nvec.parts) - 1,
-                             lambda rows: _type2_system(rows, nvec)[1], transpose=True)
-    ill = cond > CONDITION_WARN
-    if dps:
-        return Polynomial([float(v) for v in a] + [1.0], condition_estimate=cond,
-                          ill_conditioned=ill, method="mp", hp_dps=dps)
-    c, s = mt.center, mt.half_width
-    coeffs = _affine_unscale(np.append(a, linalg.LD(1.0)), c, s, s ** n)
-    coeffs[-1] = 1.0  # monic by construction; pin against rounding
-    return Polynomial(coeffs, condition_estimate=cond, ill_conditioned=ill,
-                      method="float")
+    cond, dps, _, _, a = _solve(mt, nvec, method, "type II MOP", n + max(nvec.parts) - 1,
+                                lambda rows: _type2_system(rows, nvec)[1], transpose=True)
+    coeffs = _affine_unscale(np.append(a, 1), mt, n, dps)
+    coeffs[-1] = 1  # monic by construction; pin against rounding
+    return Polynomial(coeffs, condition_estimate=cond, ill_conditioned=cond > CONDITION_WARN,
+                      method="mp" if dps else "float", hp_dps=dps)
 
 
 def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
     """Type I polynomials A^(j) (degree n_j - 1) normalized by the n-1 moment.
 
-    Solves the n x n moment system M a = e_n whose first n-1 rows are the
-    vanishing power conditions and whose last row is the normalization.
-    When the condition estimate passes ``CONDITION_CUTOFF`` (typical for
-    Nikishin systems, whose weight blocks are nearly dependent), ``"auto"``
-    re-solves on the checked mpmath ladder of ``highprec.escalate``;
-    ``"mp"`` forces that path, ``"float"`` forbids it.
+    Solves the n x n hull-scaled moment system M a = e_n whose first n-1
+    rows are the vanishing power conditions and whose last row is the
+    normalization; ``_affine_unscale`` maps the blocks back to x, times
+    s^-(n-1).  Past ``CONDITION_CUTOFF`` (typical for Nikishin systems, whose
+    weight blocks are nearly dependent) ``"auto"`` takes the checked mpmath
+    ladder of ``highprec.escalate``; ``"mp"`` forces it, ``"float"`` forbids it.
     """
     nvec = as_multi_index(nvec)
     n = nvec.n
-    cond, dps, rows_dps, sol = _solve(mt, nvec, method, "type I MOP", 2 * n - 2,
-                                      lambda rows: np.eye(1, n, n - 1, dtype=rows.dtype)[0])
-    ill = cond > CONDITION_WARN
-    blocks = [sol[e - nj : e] for nj, e in zip(nvec.parts, np.cumsum(nvec.parts))]
+    cond, dps, rows_dps, _, sol = _solve(mt, nvec, method, "type I MOP", 2 * n - 2,
+                                         lambda rows: np.eye(1, n, n - 1, dtype=rows.dtype)[0])
+    blocks = [_affine_unscale(sol[e - nj : e], mt, 1 - n, dps)
+              for nj, e in zip(nvec.parts, np.cumsum(nvec.parts))]
+    hp = {}
     if dps:
         from . import highprec
 
-        polys = tuple(Polynomial([float(v) for v in blk] or [0.0]) for blk in blocks)
-        form = highprec.MPForm(mt.system, nvec.parts, np.array([sol], dtype=object), dps)
-        return TypeISystem(polys, mt.system, nvec, cond, ill,
-                           hp_coeffs=tuple(tuple(blk) for blk in blocks), hp_dps=dps,
-                           hp_rows_dps=rows_dps, mp=form)
-    c, s = mt.center, mt.half_width
-    scale = linalg.LD(s) ** (n - 1)
-    polys = tuple(Polynomial(_affine_unscale(blk, c, s, 1.0) / scale) if len(blk)
-                  else Polynomial([0.0]) for blk in blocks)
-    return TypeISystem(polys, mt.system, nvec, cond, ill)
+        s = mt.system.hull_coordinate()[1]
+        with highprec.mp.workdps(dps):  # Q is s^-(n-1) times the form of sol in t
+            B = np.array([sol], dtype=object) * highprec.mp.mpf(s) ** (1 - n)
+        hp = dict(hp_coeffs=tuple(tuple(blk) for blk in blocks), hp_dps=dps,
+                  hp_rows_dps=rows_dps, mp=highprec.MPForm(mt.system, nvec.parts, B, dps))
+    return TypeISystem(tuple(Polynomial(blk) for blk in blocks), mt.system, nvec, cond,
+                       cond > CONDITION_WARN, **hp)
 
 
 def poly_roots(P: Polynomial) -> np.ndarray:

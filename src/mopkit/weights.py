@@ -314,6 +314,13 @@ class WeightSystem:
         segs = self.support_segments()
         return Interval(segs[0][0], segs[-1][1])
 
+    def hull_coordinate(self):
+        """(c, s) of the hull coordinate t = (x - c)/s, which maps the convex
+        hull [c - s, c + s] of the supports to [-1, 1]; the moment solves,
+        the kernel and the linear form all work in t."""
+        hull = self.support_hull()
+        return hull.mid, 0.5 * hull.length
+
 
 def build_angelesco(specs) -> WeightSystem:
     """Weight system on pairwise (interior-)disjoint intervals.
@@ -372,15 +379,14 @@ class MomentTable:
     ``raw[j, k]`` is integral x^k w_j dx; ``scaled[j, k]`` is the same with
     x replaced by (x - c)/s, where [c - s, c + s] is the convex hull of the
     supports.  The rescaled entries are computed by direct quadrature (never
-    by binomial transform, which cancels catastrophically).  ``mp_rows``
-    maps a precision rung to the table's mpf moment rows up to ``k_max``;
-    ``highprec.table_rows`` fills it, one pass per rung.  ``mp_lu`` holds
-    one entry, the last mpmath LU of a moment matrix M, keyed by (parts,
-    dps): ``highprec.rung_solve`` solves type I, type II (transposed) and
-    the mpmath kernel's M X = I with it, so solves of one index at one dps
-    share it; type I and type II start the ladder from one cond1 of M and so
-    take one dps.  A copy of the table (``dataclasses.replace``) starts
-    with both empty.
+    by binomial transform, which cancels catastrophically); every solve,
+    type I, type II and the kernel, on either rung, reads them.  ``mp_rows``
+    maps a precision rung to the table's mpf rows of ``scaled`` up to
+    ``k_max``; ``highprec.table_rows`` fills it, one pass per rung.
+    ``mp_lu`` holds one entry, the last mpmath LU of a moment matrix M, keyed
+    by (parts, dps), which the three solves of one index share: they start
+    the ladder from one cond1 of M and so take one dps.  A copy of the table
+    (``dataclasses.replace``) starts with both empty.
     """
 
     system: WeightSystem
@@ -399,13 +405,6 @@ class MomentTable:
     def p(self):
         return self.raw.shape[0]
 
-    @property
-    def center(self):
-        return self.hull.mid
-
-    @property
-    def half_width(self):
-        return 0.5 * self.hull.length
 
 
 def moments(ws: WeightSystem, j: int, k_max: int, tol: float = 1e-12) -> np.ndarray:
@@ -428,8 +427,7 @@ def moments(ws: WeightSystem, j: int, k_max: int, tol: float = 1e-12) -> np.ndar
 
 def moment_table(ws: WeightSystem, k_max: int, tol: float = 1e-12) -> MomentTable:
     """Raw and hull-rescaled moments of all weights up to order k_max."""
-    hull = ws.support_hull()
-    c, s = hull.mid, 0.5 * hull.length
+    c, s = ws.hull_coordinate()
     raw = np.empty((ws.p, k_max + 1))
     scaled = np.empty((ws.p, k_max + 1))
     for i, w in enumerate(ws.weights):
@@ -439,4 +437,4 @@ def moment_table(ws: WeightSystem, k_max: int, tol: float = 1e-12) -> MomentTabl
             scaled[i, k] = weight_quad(
                 (lambda x, k=k: ((x - c) / s) ** k), w, tol=tol
             )
-    return MomentTable(ws, raw, scaled, hull, tol)
+    return MomentTable(ws, raw, scaled, ws.support_hull(), tol)

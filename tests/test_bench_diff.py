@@ -278,3 +278,30 @@ def test_same_outputs_record_each_field_apart():
         ("ensemble kernel nikishin (mp) psi", "differs, max |deviation| 0 of max |value| 0.333"),
         ("zeros nikishin (3, 3) type I hp_coeffs", "differs, max |deviation| 0 of max |value| 2"),
     ]
+
+
+def test_same_outputs_record_each_kernels_rung_and_condition():
+    from types import SimpleNamespace
+
+    import mpmath
+    import numpy as np
+
+    def kernel(cond, dps=0):
+        psi = np.array([[mpmath.mpf(2), mpmath.mpf(-1)]], dtype=object)
+        return SimpleNamespace(condition_estimate=cond, psi=psi,
+                               mp=SimpleNamespace(dps=dps) if dps else None)
+
+    label = "ensemble kernel nikishin (mp)"
+    on_float, on_mp = (same_outputs._kernel_fields(label, K)
+                       for K in (kernel(4.5e5), kernel(2.5e14, dps=45)))
+    assert sorted(on_float) == [f"{label} condition_estimate", f"{label} rung"]
+    assert sorted(on_mp) == sorted([*on_float, f"{label} dps", f"{label} psi"])
+    # a kernel that changes rung shows as its own output
+    assert same_outputs.differences(on_float, on_mp) == [
+        (f"{label} condition_estimate", "differs, max |deviation| 2.5e+14 of max |value| 2.5e+14"),
+        (f"{label} dps", "only in the change"),
+        (f"{label} psi", "only in the change"),
+        (f"{label} rung", "differs"),
+    ]
+    again = same_outputs._kernel_fields(label, kernel(2.5e14, dps=45))
+    assert same_outputs.differences(on_mp, again) == []

@@ -202,23 +202,24 @@ def ref_g_matrix(ws, nvec, xs, dtype=float, center=0.0, half_width=1.0):
 
 
 def ref_kernel_eval(K, x, y):
-    """The float rung's K(x, y) on all points at once."""
+    """The float rung's K(x, y) on all points at once, in the hull coordinate."""
     xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    F = ensemble.f_matrix(K.n, xs.ravel(), dtype=linalg.LD)
-    G = ref_g_matrix(K.ws, K.nvec, ys.ravel(), dtype=linalg.LD)
+    at = K.ws.hull_coordinate()
+    F = ensemble.f_matrix(K.n, xs.ravel(), linalg.LD, *at)
+    G = ref_g_matrix(K.ws, K.nvec, ys.ravel(), linalg.LD, *at)
     vals = np.einsum("jm,jm->m", F, K.psi @ G).astype(float)
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
 def ref_kernel_eval_bordered(K, x, y):
-    """K(x, y) by the bordered determinant, factoring M again."""
-    n, rung_mp = K.n, K.mp is not None
+    """K(x, y) by the bordered determinant in the hull coordinate, factoring M again."""
+    n, rung_mp, at = K.n, K.mp is not None, K.ws.hull_coordinate()
     dtype, point = (object, highprec._mpf) if rung_mp else (linalg.LD, np.asarray)
     with highprec.mp.workdps(K.mp.dps if rung_mp else highprec.mp.dps):
         big = np.zeros((n + 1, n + 1), dtype=dtype)
         big[:n, :n] = K.matrix
-        big[:n, n] = ensemble.f_matrix(n, point([x]), dtype=dtype)[:, 0]
-        big[n, :n] = ensemble.g_matrix(K.ws, K.nvec, point([y]), dtype=dtype)[:, 0]
+        big[:n, n] = ensemble.f_matrix(n, point([x]), dtype, *at)[:, 0]
+        big[n, :n] = ensemble.g_matrix(K.ws, K.nvec, point([y]), dtype, *at)[:, 0]
         return float(-linalg.det(big) / linalg.det(K.matrix))
 
 
@@ -287,14 +288,14 @@ def _mpf_matrix(rng, shape, ints=False):
 
 
 def ref_form_direct(form, A, xs, ys):
-    """f(x)^T A^T B g(y) point by point in mpmath: F multiplied by A with
-    ``_dot``, then one ``fdot`` per point."""
-    out = np.empty(xs.size)
+    """f(t_x)^T A^T B g(t_y) point by point in mpmath, in the hull coordinate:
+    F multiplied by A with ``_dot``, then one ``fdot`` per point."""
+    out, at = np.empty(xs.size), form.ws.hull_coordinate()
     with mpmath.mp.workdps(form.dps):
         for lo in range(0, xs.size, highprec.CHUNK):
             x, y = (highprec._mpf(v[lo : lo + highprec.CHUNK]) for v in (xs, ys))
-            AF = highprec._dot(A, ensemble.f_matrix(A.shape[1], x, dtype=object))
-            BG = highprec._dot(form.B, ensemble.g_matrix(form.ws, form.parts, y, dtype=object))
+            AF = highprec._dot(A, ensemble.f_matrix(A.shape[1], x, object, *at))
+            BG = highprec._dot(form.B, ensemble.g_matrix(form.ws, form.parts, y, object, *at))
             out[lo : lo + highprec.CHUNK] = [float(mpmath.fdot(f, g))
                                              for f, g in zip(AF.T, BG.T)]
     return out

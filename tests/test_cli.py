@@ -464,7 +464,9 @@ def test_typeI_manifest_records_the_proxy(tmp_path):
 
 
 def test_precision_exhausted_exit_2(tmp_path, capsys):
-    cfg = dict(NIKISHIN_CFG, multi_index=[14, 14])
+    # generator [-2, -1]: condition bound ~1e65 at (14, 14), past the retry's 83 digits
+    cfg = dict(NIKISHIN_CFG, multi_index=[14, 14],
+               generators=[{"family": "constant", "interval": [-2.0, -1.0]}])
     code = cli.main(["mop", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
                      "--quiet"])
     assert code == 2

@@ -4,6 +4,7 @@ one pass per moment table and precision rung for type I, type II and the
 kernel; one LU of the moment matrix per index and precision for all three."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import mpmath
@@ -14,14 +15,13 @@ import mopkit as mk
 from mopkit import highprec, linalg
 from mopkit.ensemble import g_matrix
 from mopkit.linalg import LD
-from mopkit.mop import _hankel_from, _type2_system
+from mopkit.mop import _affine_unscale, _hankel_from, _type2_system
 from mopkit.weights import Weight
 
-#: weight, largest power k, working precisions; the exp_poly Nikishin ratio
-#: nests a quadrature in every value, so it runs at small k and dps
+#: weights that take the tanh-sinh pass: weight, largest power k, working
+#: precisions; the exp_poly Nikishin ratio nests a quadrature in every value,
+#: so it runs at small k and dps
 CASES = {
-    "jacobi_half_half": (lambda: Weight.from_spec(mk.WeightSpec.jacobi(0.0, 1.0, 0.5, 0.5)),
-                         12, (30, 45)),
     "exp_poly": (lambda: Weight.from_spec(mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 1.0, 0.5])),
                  12, (30, 45)),
     "nikishin_constant": (lambda: mk.build_nikishin(
@@ -39,13 +39,16 @@ CASES = {
 @pytest.mark.parametrize("name,dps", [(name, dps) for name, (_, _, pair) in sorted(CASES.items())
                                       for dps in pair])
 def test_moment_rows_match_quad_bit_for_bit(name, dps):
+    # one weight's hull is its support: t = (x - c)/s maps it to [-1, 1]
     make, k_max, _ = CASES[name]
     w = make()
+    c, s = w.support.mid, 0.5 * w.support.length
     with mpmath.mp.workdps(dps):
         row = highprec.moment_rows(mk.WeightSystem.general([w]), k_max)[0]
         fn = w.mp_evaluator()
         a, b = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)
-        ref = [mpmath.quad(lambda x, k=k: x ** k * fn(x), [a, b]) for k in range(k_max + 1)]
+        ref = [mpmath.quad(lambda x, k=k: ((x - c) / s) ** k * fn(x), [a, b])
+               for k in range(k_max + 1)]
     assert [v._mpf_ for v in row] == [v._mpf_ for v in ref]
 
 
@@ -70,8 +73,9 @@ def test_evaluator_called_once_per_node(monkeypatch):
 
 
 def _jacobi_reference(a, b, al, be, k, dps):
-    """(integral of x^k w, integral of |x|^k w) for w = (b-x)^al (x-a)^be,
-    by mpmath.quad in t = (x - a) / (b - a) at dps + 20 digits.  [0, 1] is
+    """(integral of t^k w, integral of |t|^k w) for w = (b-x)^al (x-a)^be and
+    the hull coordinate t = (2x - a - b) / (b - a) of its support, by
+    mpmath.quad in u = (x - a) / (b - a) at dps + 20 digits.  [0, 1] is
     split at 1/2 and each half substituted so that its singular factor,
     t^be at 0 or (1-t)^al at 1, becomes a smooth integrand."""
     with mpmath.mp.workdps(dps + 20):
@@ -88,9 +92,9 @@ def _jacobi_reference(a, b, al, be, k, dps):
                                          [0, mpmath.mpf(0.5) ** (1 / p)])
             return L ** (al + be + 1) * total
 
-        value = integral(lambda x: x ** k)
+        value = integral(lambda x: ((2 * x - A - A - L) / L) ** k)
         with mpmath.mp.workdps(15):
-            size = integral(lambda x: abs(x) ** k)
+            size = integral(lambda x: abs((2 * x - A - A - L) / L) ** k)
         return value, size
 
 
@@ -101,6 +105,7 @@ def _jacobi_reference(a, b, al, be, k, dps):
     (-1.0, 1.0, -0.6, 0.0, 12, (0, 1, 2, 5, 11, 12)),
     (-1.0, 0.0, 0.5, 0.5, 12, (0, 1, 2, 5, 11, 12)),
     (-1.0, 1.0, -0.6, 0.0, 58, (57, 58)),  # binomial cancellation: guard bits
+    (0.0, 1.0, 0.5, 0.5, 12, (0, 1, 2, 5, 11, 12)),  # odd moments vanish in t
 ])
 def test_jacobi_moment_rows_match_shifted_quad(a, b, al, be, k_max, ks):
     dps = 36
@@ -168,18 +173,21 @@ def _type1_at(mt, nvec, dps):
 
 
 def _type2_at(mt, nvec, dps):
-    """Type II coefficients (mpf, without the leading 1) of M^T a = -b and
-    their condition bound, one ``rung_solve`` at ``dps``."""
+    """Type II coefficients in t (mpf, without the leading 1) of M^T a = -b
+    and their condition bound, one ``rung_solve`` at ``dps``."""
     (_, a), bound = highprec.rung_solve(mt, nvec, lambda rows: _type2_system(rows, nvec)[1],
                                         dps, transpose=True)
     return a, bound
 
 
 def _q_150(ws, mt, parts, xs):
-    """Q at xs from a 150-digit type I solve on ``mt``, point by point."""
+    """Q at xs from a 150-digit type I solve on ``mt``, point by point:
+    s^-(n-1) times the form of the solution in the hull coordinate."""
     blocks = _type1_at(mt, mk.MultiIndex(parts), 150)
-    return highprec.MPForm(ws, parts, np.array([sum(blocks, [])], dtype=object),
-                           150).eval_direct(xs, xs)
+    with mpmath.mp.workdps(150):
+        s = ws.hull_coordinate()[1]
+        B = np.array([sum(blocks, [])], dtype=object) / mpmath.mpf(s) ** (sum(parts) - 1)
+    return highprec.MPForm(ws, parts, B, 150).eval_direct(xs, xs)
 
 
 def test_type1_sweep_matches_150_digit_solve():
@@ -215,7 +223,7 @@ def test_nikishin_type2_roots_match_twice_the_dps(n):
     assert P.method == "mp" and roots.size == 2 * n
     assert np.all((roots > 1.0) & (roots < 2.0))
     a, _ = _type2_at(mt, mk.MultiIndex((n, n)), 2 * P.hp_dps)
-    ref = mk.poly_roots(mk.Polynomial([float(v) for v in a] + [1.0]))
+    ref = mk.poly_roots(mk.Polynomial(_affine_unscale(np.append(a, 1), mt, 2 * n, 2 * P.hp_dps)))
     assert np.max(np.abs(roots - ref)) <= 1e-10
 
 
@@ -230,6 +238,29 @@ def test_shifted_angelesco_type1_matches_150_digit_solve():
     ws = mk.build_angelesco([mk.WeightSpec.constant(9.0, 10.0), mk.WeightSpec.constant(10.0, 11.0)])
     xs = np.concatenate([np.linspace(9.0, 10.0, 27)[1:-1], np.linspace(10.0, 11.0, 27)[1:-1]])
     assert _q_error(ws, mk.moment_table(ws, 26), (7, 7), xs) <= 1e-12
+
+
+def _shifted_angelesco():
+    return mk.build_angelesco([mk.WeightSpec.constant(9.0, 10.0),
+                               mk.WeightSpec.constant(10.0, 11.0)])
+
+
+def test_shifted_angelesco_solves_as_the_unshifted_one():
+    # hull [9, 11] against [-1, 1]: t = x - 10 and the same moment system in t
+    ws, ref_ws = _shifted_angelesco(), _angelesco()
+    for parts in ((14, 14), (15, 15)):
+        mt, ref_mt = mk.moment_table(ws, 3 * sum(parts)), mk.moment_table(ref_ws, 3 * sum(parts))
+        ts, ref_ts = mk.type1_mop(mt, parts), mk.type1_mop(ref_mt, parts)
+        assert ts.hp_dps == ref_ts.hp_dps
+        assert mk.type2_mop(mt, parts).hp_dps == mk.type2_mop(ref_mt, parts).hp_dps
+        x = np.concatenate([np.linspace(-1.0, 0.0, 27)[1:-1], np.linspace(0.0, 1.0, 27)[1:-1]])
+        q = ref_ts.q_values(x)
+        assert np.max(np.abs(ts.q_values(x + 10.0) - q)) <= 1e-12 * np.max(np.abs(q)), parts
+    K, ref_K = _kernel(ws, (8, 8)), _kernel(ref_ws, (8, 8))
+    x, y = _random_points(ref_ws, 300, 16)
+    vals = mk.kernel_eval(ref_K, x, y)
+    shifted = mk.kernel_eval(K, x + 10.0, y + 10.0)
+    assert np.max(np.abs(shifted - vals)) <= 1e-12 * np.max(np.abs(vals))
 
 
 def _monic_legendre(n):
@@ -252,7 +283,9 @@ def test_legendre_type2_equals_rational_recurrence():
 
 
 def test_precision_exhausted():
-    mt = mk.moment_table(_constant_nikishin(), 41)
+    # generator [-2, -1]: condition bound ~1e65 at (14, 14), past the retry's 83 digits
+    ws = mk.build_nikishin(mk.WeightSpec.constant(1.0, 2.0), [mk.WeightSpec.constant(-2.0, -1.0)])
+    mt = mk.moment_table(ws, 41)
     with pytest.raises(mk.PrecisionExhausted):
         mk.type2_mop(mt, (14, 14))
 
@@ -319,17 +352,21 @@ def _angelesco():
     (_angelesco, (8, 8), "mp", 1e-12),
 ])
 def test_linear_form_is_the_kernels_top_x_coefficient(make, parts, rung, tol):
-    # the integral of x^k Q is 0 for k < n - 1 and 1 for k = n - 1, so Q is
-    # row n - 1 of psi = M^-T, on either rung
+    # the integral of t^k Q is 0 for k < n - 1 and s^-(n-1) for k = n - 1, in
+    # the hull coordinate t = (x - c)/s, so Q is s^-(n-1) times row n - 1 of
+    # psi = M^-T applied to g(t), on either rung
     ws, n = make(), sum(parts)
     mt = mk.moment_table(ws, 2 * n + max(parts))
     K = mk.biorthogonalize(mk.block_hankel(mt, parts), ws, parts)
     assert ("mp" if K.mp is not None else "float") == rung
     y = np.concatenate([np.linspace(lo, hi, 22)[1:-1] for lo, hi in ws.support_segments()])
+    c, s = ws.hull_coordinate()
     if K.mp is None:
-        top = K.psi[n - 1] @ g_matrix(ws, parts, y, dtype=LD)
+        top = K.psi[n - 1] @ g_matrix(ws, parts, y, LD, c, s) / LD(s) ** (n - 1)
     else:  # at the kernel's precision
-        top = highprec.MPForm(ws, parts, K.psi[n - 1 : n], K.mp.dps).eval_direct(y, y)
+        with mpmath.mp.workdps(K.mp.dps):
+            row = K.psi[n - 1 : n] / mpmath.mpf(s) ** (n - 1)
+        top = highprec.MPForm(ws, parts, row, K.mp.dps).eval_direct(y, y)
     q = mk.type1_mop(mt, parts).q_values(y)
     assert np.max(np.abs(q - top.astype(float))) <= tol * np.max(np.abs(q))
 
@@ -396,23 +433,27 @@ def _kmax(parts):
     return max(n + max(parts) - 1, 2 * n - 2)
 
 
-@pytest.mark.parametrize("make,parts", [(_angelesco, (7, 7)), (_constant_nikishin, (3, 3))])
+@pytest.mark.parametrize("make,parts", [(_angelesco, (7, 7)), (_constant_nikishin, (4, 4))])
 def test_type2_and_type1_agree_in_either_order(make, parts, lu_calls):
+    # type II, type I and the kernel, in every order, are one solve of M
     ws, out = make(), []
-    for type2_first in (True, False):
+    for order in itertools.permutations(("type2", "type1", "kernel")):
         mt = mk.moment_table(ws, _kmax(parts))
         lu_calls.clear()
-        if type2_first:
-            P, ts = mk.type2_mop(mt, parts), mk.type1_mop(mt, parts)
-        else:
-            ts, P = mk.type1_mop(mt, parts), mk.type2_mop(mt, parts)
-        assert P.method == "mp" and ts.hp_coeffs is not None
-        out.append((P.coeffs.tobytes(), P.hp_dps, ts.hp_dps, ts.hp_rows_dps,
+        build = {"type2": lambda: mk.type2_mop(mt, parts),
+                 "type1": lambda: mk.type1_mop(mt, parts),
+                 "kernel": lambda: mk.biorthogonalize(mk.block_hankel(mt, parts), ws, parts)}
+        got = {name: build[name]() for name in order}
+        P, ts, K = got["type2"], got["type1"], got["kernel"]
+        assert P.method == "mp" and ts.hp_coeffs is not None and K.mp is not None
+        out.append((P.coeffs.tobytes(), ts.hp_rows_dps,
                     [a.coeffs.tobytes() for a in ts.polys],
-                    [[v._mpf_ for v in blk] for blk in ts.hp_coeffs], len(lu_calls)))
-    assert out[0] == out[1]
-    # both start the ladder from cond1 of M, take one dps and factor M once
-    assert out[0][-1] == 1 and P.hp_dps == ts.hp_dps
+                    [[v._mpf_ for v in blk] for blk in ts.hp_coeffs],
+                    [v._mpf_ for v in K.psi.flat], len(lu_calls)))
+        # one condition estimate, one dps, and M factored once
+        assert P.condition_estimate == ts.condition_estimate == K.condition_estimate
+        assert P.hp_dps == ts.hp_dps == K.mp.dps and len(lu_calls) == 1
+    assert all(o == out[0] for o in out)
 
 
 def test_copied_table_starts_without_an_lu():
@@ -442,7 +483,8 @@ def test_shared_lu_type2_matches_twice_the_dps(make, parts, lu_calls):
     _type1_at(mt, nvec, P.hp_dps)
     a, bound = _type2_at(mt, nvec, P.hp_dps)
     assert len(lu_calls) == 1  # type II, type I and type II again: one LU of M
-    assert [float(v) for v in a] == P.coeffs[:-1].tolist()
+    in_x = _affine_unscale(np.append(a, 1), mt, nvec.n, P.hp_dps)
+    assert [float(v) for v in in_x[:-1]] == P.coeffs[:-1].tolist()
     assert np.log10(bound) + highprec.SURVIVING_DIGITS <= P.hp_dps
     with mpmath.mp.workdps(2 * P.hp_dps):
         ref = linalg.solve(*_type2_system(highprec.table_rows(mt, 2 * P.hp_dps)[1], nvec))

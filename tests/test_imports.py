@@ -71,9 +71,23 @@ def loaded_after(tmp_path, command, config, modules):
     ("validate", "legendre", ("numpy", "mpmath", "mopkit.weights", "mopkit.mop")),
     ("mop", "legendre", ("mpmath", "mopkit.highprec")),
     ("typeI", "legendre", ("mpmath", "mopkit.highprec")),
+    ("kernel", "legendre", ("mpmath", "mopkit.highprec")),
+    ("density", "legendre", ("mpmath", "mopkit.highprec")),
+    ("verify", "legendre", ("mpmath", "mopkit.highprec")),
 ])
 def test_command_leaves_what_it_does_not_run_unloaded(tmp_path, command, config, unloaded):
     assert loaded_after(tmp_path, command, config, unloaded) == set()
+
+
+def test_float_kernel_bordered_value_leaves_mpmath_unloaded():
+    code = ("import sys; import mopkit as mk; C = mk.WeightSpec.constant; "
+            "ws = mk.build_angelesco([C(-1.0, 0.0), C(0.0, 1.0)]); "
+            "K = mk.biorthogonalize(mk.block_hankel(mk.moment_table(ws, 6), (2, 2)), ws, (2, 2)); "
+            "mk.kernel_eval_bordered(K, 0.3, -0.4); print(K.mp is None, 'mpmath' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.split() == ["True", "False"], run.stdout  # float rung, no mpmath
 
 
 def test_compare_on_the_mpmath_rung_loads_it(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -285,11 +286,13 @@ def test_exp_poly_even_weight_mop():
 
 def test_exact_jacobi_integer_moments():
     w = Weight.from_spec(mk.WeightSpec.jacobi(0.0, 1.0, 1.0, 2.0))
-    # (1-x) x^2 on [0,1]: moment k: 1/(k+3) - 1/(k+4)
+    # (1-x) x^2 on [0,1], in the hull coordinate t = 2x - 1: moment k is
+    # sum_i C(k, i) 2^i (-1)^(k-i) (1/(i+3) - 1/(i+4))
     with mpmath.mp.workdps(50):
         row = highprec.moment_rows(mk.WeightSystem.general([w]), 3)[0]
         for k in range(4):
-            exact = Fraction(1, k + 3) - Fraction(1, k + 4)
+            exact = sum(math.comb(k, i) * 2 ** i * (-1) ** (k - i)
+                        * (Fraction(1, i + 3) - Fraction(1, i + 4)) for i in range(k + 1))
             ref = mpmath.mpf(exact.numerator) / exact.denominator
             assert abs(row[k] - ref) <= mpmath.mpf(10) ** -45
 

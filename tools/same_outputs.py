@@ -14,8 +14,10 @@ numbers (coefficients, roots, configurations, kernel values) are kept as
 float64 next to it.  How each answer was computed is recorded field by
 field (``_fields``): per ``zeros`` index the ``hp_dps``, ``hp_rows_dps`` and
 ``condition_estimate`` of type II and type I and the type I ``hp_coeffs``,
-per mpmath kernel its ``dps`` and ``psi``, each its own output, so a change
-of precision or of an mpmath solve shows apart from a change of values.
+per kernel its ``rung`` and ``condition_estimate`` and on the mpmath rung
+its ``dps`` and ``psi`` (``_kernel_fields``), each its own output, so a
+change of rung, of precision or of an mpmath solve shows apart from a change
+of values.
 The digest of an mpf covers its ``_mpf_`` tuple, since a repr rounds it to
 the current precision; its value is kept as a float.  Prints every output
 whose digest differs or that only one side has, a differing output with its
@@ -34,6 +36,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 
 def _sha(data) -> str:
@@ -65,9 +68,20 @@ def _flat(v) -> list:
 
 def _fields(label, obj, names) -> dict:
     """{"<label> <name>": output} for each of ``names`` that ``obj`` has and
-    that is not None, one output per field; the digest is over ``_raw``."""
-    return {f"{label} {name}": _output(repr(_raw(v)), _flat(v)) for name in names
-            if (v := getattr(obj, name, None)) is not None}
+    that is not None, one output per field; the digest is over ``_raw``, and
+    a string field keeps no numbers."""
+    return {f"{label} {name}": _output(repr(_raw(v)), None if isinstance(v, str) else _flat(v))
+            for name in names if (v := getattr(obj, name, None)) is not None}
+
+
+def _kernel_fields(label, K) -> dict:
+    """``_fields`` of how the kernel ``K`` was computed: its rung ("float" or
+    "mp") and ``condition_estimate``, and on the mpmath rung its ``dps`` and
+    ``psi``."""
+    how = SimpleNamespace(rung="float" if K.mp is None else "mp",
+                          condition_estimate=K.condition_estimate)
+    return {**_fields(label, how, ("rung", "condition_estimate")),
+            **_fields(label, K.mp, ("dps",)), **_fields(label, K.mp and K, ("psi",))}
 
 
 def digests(checkout: Path, seed: int) -> dict:
@@ -111,8 +125,7 @@ def digests(checkout: Path, seed: int) -> dict:
     for name, vals, trace, K, tag in ensemble.reference or ():
         out[f"ensemble kernel {name} ({tag})"] = _output(vals.tobytes() + repr(trace).encode(),
                                                          vals, trace)
-        out.update(_fields(f"ensemble kernel {name} ({tag})", K.mp, ("dps",)))
-        out.update(_fields(f"ensemble kernel {name} ({tag})", K.mp and K, ("psi",)))
+        out.update(_kernel_fields(f"ensemble kernel {name} ({tag})", K))
     out["failed operations"] = _sha(sess.failures)
     return out
 
@@ -132,6 +145,8 @@ def _deviation(parent, change) -> str:
     p, c = (array.array("d", base64.b64decode(side[1])) for side in (parent, change))
     if len(p) != len(c):
         return f", {len(p)} values in the parent, {len(c)} in the change"
+    if not p:
+        return ""
     dev = max((abs(a - b) for a, b in zip(p, c)), default=0.0)
     return f", max |deviation| {dev:.3g} of max |value| {max(map(abs, p + c), default=0.0):.3g}"
 
