@@ -223,24 +223,29 @@ def _jacobi_moments(w, k_max: int, c, s):
     """Moments in t = (x - c)/s of r (b - x)^alpha (x - a)^beta on [a, b] in
     closed form.
 
-    With x = a + (b - a) u, t = t_a + l u for t_a = (a - c)/s and
-    l = (b - a)/s, and m_k = r (b - a)^(alpha + beta + 1)
-    sum_i C(k, i) t_a^(k - i) l^i B(beta + i + 1, alpha + 1); one
-    ``mpmath.beta`` starts the ratio recurrence for the others.  The
-    binomial sum cancels when t_a < 0, so it runs with
-    k log2((|t_a| + l) / max(|t_a|, |t_b|)) + 20 guard bits.
+    With x = (a + b)/2 + h v, h = (b - a)/2, t = t_m + l v for the weight's
+    centre t_m = (t_a + t_b)/2 and l = h/s, and m_k = r h^(alpha + beta + 1)
+    sum_i C(k, i) t_m^(k - i) l^i mu_i, mu_i = integral v^i (1 - v)^alpha
+    (1 + v)^beta over [-1, 1].  mu_0 = 2^(alpha + beta + 1) B(alpha + 1,
+    beta + 1) and (i + alpha + beta + 2) mu_(i+1) = i mu_(i-1) + (beta -
+    alpha) mu_i, so a symmetric weight (alpha = beta) centred on the hull has
+    exact zeros for its odd moments.  Every term is bounded by mu_0 times
+    max(|t_a|, |t_b|)^k = (|t_m| + l)^k, the bound of |t|^k on the support,
+    so the sum needs no guard bits for cancellation, only 20 + log2(k) for
+    the recurrence.
     """
-    ta, tb = (w.support.a - c) / s, (w.support.b - c) / s
-    guard = 20 + math.ceil(k_max * math.log2((abs(ta) + tb - ta) / max(abs(ta), abs(tb))))
+    guard = 20 + k_max.bit_length()
     with mp.extraprec(guard):
         al, be = mpmath.mpf(w.spec.alpha), mpmath.mpf(w.spec.beta)
-        a, length = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b) - mpmath.mpf(w.support.a)
-        terms = [mpmath.beta(be + 1, al + 1)]  # l^i B(beta + i + 1, alpha + 1)
+        a, b = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)
+        h, tm = (b - a) / 2, ((a + b) / 2 - c) / s
+        mu = [2 ** (al + be + 1) * mpmath.beta(al + 1, be + 1)]
         for i in range(k_max):
-            terms.append(terms[-1] * (length / s) * (be + i + 1) / (al + be + i + 2))
-        a_pow = [((a - c) / s) ** j for j in range(k_max + 1)]
-        scale = mpmath.mpf(w.scale) * length ** (al + be + 1)
-        row = [scale * mp.fdot((math.comb(k, i) * a_pow[k - i], terms[i])
+            mu.append(((mu[i - 1] * i if i else 0) + (be - al) * mu[i]) / (i + al + be + 2))
+        terms = [m * (h / s) ** i for i, m in enumerate(mu)]  # l^i mu_i
+        tm_pow = [tm ** j for j in range(k_max + 1)]
+        scale = mpmath.mpf(w.scale) * h ** (al + be + 1)
+        row = [scale * mp.fdot((math.comb(k, i) * tm_pow[k - i], terms[i])
                                for i in range(k + 1))
                for k in range(k_max + 1)]
     return [+v for v in row]

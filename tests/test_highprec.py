@@ -18,37 +18,58 @@ from mopkit.linalg import LD
 from mopkit.mop import _affine_unscale, _hankel_from, _type2_system
 from mopkit.weights import Weight
 
-#: weights that take the tanh-sinh pass: weight, largest power k, working
-#: precisions; the exp_poly Nikishin ratio nests a quadrature in every value,
-#: so it runs at small k and dps
+
+def _quad_in_x(w, k, c, s):
+    """quad of ((x - c)/s)^k w(x) over the support: the tanh-sinh pass's
+    integrand."""
+    fn = w.mp_evaluator()
+    a, b = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)
+    return mpmath.quad(lambda x: ((x - c) / s) ** k * fn(x), [a, b])
+
+
+def _quad_in_t_symmetric(w, k, c, s):
+    """quad over [-1, 1] of t^k r s^(2 alpha) ((1 - t)(1 + t))^alpha, times
+    dx/dt = s: a Jacobi weight with alpha = beta on the hull, written so that
+    its values at t and -t are one number, so quad's odd moments are exact
+    zeros, as the true moments are."""
+    al = mpmath.mpf(w.spec.alpha)
+    assert w.spec.beta == w.spec.alpha and (w.support.mid, 0.5 * w.support.length) == (c, s)
+    r = mpmath.mpf(w.scale) * mpmath.mpf(s) ** (2 * al)
+    return s * mpmath.quad(lambda t: t ** k * r * ((1 - t) * (1 + t)) ** al, [-1, 1])
+
+
+#: weight, largest power k, working precisions, quad reference; the pure
+#: Jacobi weight takes the Beta closed form, the rest the tanh-sinh pass.
+#: The exp_poly Nikishin ratio nests a quadrature in every value, so it runs
+#: at small k and dps
 CASES = {
+    "jacobi_half_half": (lambda: Weight.from_spec(mk.WeightSpec.jacobi(0.0, 1.0, 0.5, 0.5)),
+                         12, (30, 45), _quad_in_t_symmetric),
     "exp_poly": (lambda: Weight.from_spec(mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 1.0, 0.5])),
-                 12, (30, 45)),
+                 12, (30, 45), _quad_in_x),
     "nikishin_constant": (lambda: mk.build_nikishin(
         mk.WeightSpec.constant(1.0, 2.0), [mk.WeightSpec.constant(-1.0, 0.0)]).weights[1],
-        12, (30, 45)),
+        12, (30, 45), _quad_in_x),
     "nikishin_exp_poly": (lambda: mk.build_nikishin(
         mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 1.0]),
-        [mk.WeightSpec.exp_poly(-1.0, 0.0, [0.0, 0.5])]).weights[1], 2, (15, 20)),
+        [mk.WeightSpec.exp_poly(-1.0, 0.0, [0.0, 0.5])]).weights[1], 2, (15, 20),
+        _quad_in_x),
     "nikishin_jacobi": (lambda: mk.build_nikishin(
         mk.WeightSpec.jacobi(1.0, 2.0, 0.5, 0.5), [mk.WeightSpec.constant(-1.0, 0.0)]).weights[1],
-        22, (36, 48)),
+        22, (36, 48), _quad_in_x),
 }
 
 
-@pytest.mark.parametrize("name,dps", [(name, dps) for name, (_, _, pair) in sorted(CASES.items())
+@pytest.mark.parametrize("name,dps", [(name, dps) for name, (_, _, pair, _) in sorted(CASES.items())
                                       for dps in pair])
 def test_moment_rows_match_quad_bit_for_bit(name, dps):
     # one weight's hull is its support: t = (x - c)/s maps it to [-1, 1]
-    make, k_max, _ = CASES[name]
+    make, k_max, _, quad_ref = CASES[name]
     w = make()
     c, s = w.support.mid, 0.5 * w.support.length
     with mpmath.mp.workdps(dps):
         row = highprec.moment_rows(mk.WeightSystem.general([w]), k_max)[0]
-        fn = w.mp_evaluator()
-        a, b = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)
-        ref = [mpmath.quad(lambda x, k=k: ((x - c) / s) ** k * fn(x), [a, b])
-               for k in range(k_max + 1)]
+        ref = [quad_ref(w, k, c, s) for k in range(k_max + 1)]
     assert [v._mpf_ for v in row] == [v._mpf_ for v in ref]
 
 
