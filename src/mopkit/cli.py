@@ -358,10 +358,18 @@ def _solve_setup(cfg, diags):
     return ws, nvec, weights.moment_table(ws, nvec.n + max(max(nvec.parts), nvec.n - 1) + 1)
 
 
+def _moments_step(man, mt):
+    """The moments step, with each weight's quadrature work: the most panels
+    any of its rows accepted and its largest error estimate."""
+    man.step("moments", detail={"weights": [
+        {"panels_max": int(panels.max()), "error_max": float(errors.max())}
+        for panels, errors in zip(mt.panels, mt.errors)]})
+
+
 def cmd_mop(cfg, diags, man, quiet):
     from . import mop
     ws, nvec, mt = _solve_setup(cfg, diags)
-    man.step("moments")
+    _moments_step(man, mt)
     P = mop.type2_mop(mt, nvec)
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
     res = mop.orthogonality_residuals(P, ws, nvec)
@@ -385,7 +393,7 @@ def cmd_mop(cfg, diags, man, quiet):
 def cmd_typeI(cfg, diags, man, quiet):
     from . import mop
     _, nvec, mt = _solve_setup(cfg, diags)
-    man.step("moments")
+    _moments_step(man, mt)
     ts = mop.type1_mop(mt, nvec)
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
     res = mop.type1_condition_residuals(ts)
@@ -584,7 +592,7 @@ def cmd_compare(cfg, diags, man, quiet):
     _, measures, _ = _equilibrium(cfg, ws)
     man.step("equilibrium")
     mt = weights.moment_table(ws, 2 * max(totals) + 2)
-    man.step("moments")
+    _moments_step(man, mt)
     # a Nikishin system's type II zeros all lie on Gamma_1, so only component 1 compares
     components = 1 if ws.kind == "nikishin" else ws.p
     rows = []

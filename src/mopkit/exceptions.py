@@ -24,8 +24,11 @@ class NumericError(MopkitError):
 class QuadratureError(NumericError):
     """Adaptive quadrature did not converge within its budget.
 
-    Carries the best available estimate and the achieved error bound.
+    Carries the best available estimate and the achieved error bound; for an
+    integral of several rows, ``row`` is the index of the failing one.
     """
+
+    row = None
 
     def __init__(self, message, estimate=None, error_estimate=None):
         super().__init__(message)

@@ -418,17 +418,17 @@ def orthogonality_residuals(P: Polynomial, ws: WeightSystem, nvec, tol=1e-12):
     """Residuals r_{j,k} = integral P(x) x^k w_j dx for k < n_j.
 
     Quadrature is independent of any moment table: the integrand is formed
-    from the polynomial itself.  Returns one array per weight (empty when
-    n_j = 0).
+    from the polynomial itself, one adaptive pass per weight over its n_j
+    rows.  Returns one array per weight (empty when n_j = 0).
     """
     nvec = as_multi_index(nvec)
     out = []
-    for j, w in enumerate(ws.weights):
-        nj = nvec.parts[j]
-        row = np.empty(nj)
-        for k in range(nj):
-            row[k] = weight_quad(lambda x, k=k: P(x) * x ** k, w, tol=tol)
-        out.append(row)
+    for w, nj in zip(ws.weights, nvec.parts):
+        def rows(x, nj=nj):
+            px = P(x)
+            return np.array([px * x ** k for k in range(nj)])
+
+        out.append(weight_quad(rows, w, tol=tol).value if nj else np.empty(0))
     return out
 
 

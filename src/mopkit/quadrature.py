@@ -2,7 +2,10 @@
 
 Each panel is estimated with a 12-point and a 24-point rule; a panel is
 accepted when the two agree within its share of the global tolerance and is
-bisected otherwise.
+bisected otherwise.  An integrand may return K rows at once: every row keeps
+its own bisection tree, panel budget and order of accumulation, so each row
+is bit for bit its own scalar integral, while a panel that several rows
+share is evaluated once.  The moment tables take one such pass per weight.
 
 This module is the only one that knows the endpoint substitution.  An
 endpoint power (x - a)^e needs it when e is negative (a singularity) or not
@@ -16,6 +19,7 @@ it is iterated while that power is negative.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,55 +43,104 @@ def panel_nodes(a: float, b: float, m: int):
     return 0.5 * (a + b) + h * x, h * w
 
 
+class Rows(NamedTuple):
+    """The integrals of K rows: per row the value, the error estimate and
+    the number of accepted panels."""
+
+    value: np.ndarray
+    error: np.ndarray
+    panels: np.ndarray
+
+
 def adaptive_quad(f, a, b, *, tol=1e-12, max_panels=20000, max_depth=52):
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
-    ``f`` must accept a 1-D array of points and return values of the same
-    shape (real or complex).  A relative accuracy floor of a few ulps applies
-    for integrands whose magnitude makes the absolute target unattainable.
-    Raises :class:`QuadratureError` when the panel budget is exhausted before
-    the tolerance is met, or when the estimate or its error estimate is not
-    finite; the exception carries the best estimate.
+    ``f`` must accept a 1-D array of m points and return values of the same
+    shape (real or complex), or K rows of them, shape (K, m).  A relative
+    accuracy floor of a few ulps applies for integrands whose magnitude
+    makes the absolute target unattainable.  Raises :class:`QuadratureError`
+    when the panel budget is exhausted before the tolerance is met, or when
+    the estimate or its error estimate is not finite; the exception carries
+    the best estimate.
+
+    With rows, every row keeps its own bisection tree, panel budget, depth
+    cap, error sum and order of accumulation, so each row is bit for bit the
+    integral of that row alone; a panel that several rows share is evaluated
+    once.  The answer is then ``Rows`` of (value, error, panels) per row, and
+    a failure raises for the lowest failing row, named by the exception's
+    ``row``.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise QuadratureError("integration endpoints must be finite")
     if a == b:
-        return 0.0
+        zero = np.zeros(np.shape(f(np.empty(0)))[:-1])
+        return Rows(zero, zero, zero.astype(int)) if zero.ndim else 0.0
     total_width = b - a
-    stack = [(a, b, 0)]
-    value = 0.0
-    err_acc = 0.0
-    panels = 0
+    stack = [(a, b, 0, None)]  # None: every row
+    accepted = []  # (rows, hi, err) of the panels accepted at each node, in order
+    count = counts = None  # accepted panels, in all and, past the budget, per row
     while stack:
-        pa, pb, depth = stack.pop()
+        pa, pb, depth, live = stack.pop()
+        if live is not None and live[-1] >= cut:  # rows after a spent one cannot raise first
+            live = live[live < cut]
+            if not live.size:
+                continue
         xs_lo, ws_lo = panel_nodes(pa, pb, _LO)
         xs_hi, ws_hi = panel_nodes(pa, pb, _HI)
-        lo = np.sum(ws_lo * f(xs_lo))
-        hi = np.sum(ws_hi * f(xs_hi))
+        fl, fh = f(xs_lo), f(xs_hi)
+        if live is None:  # the first panel
+            rows, count = fl.ndim == 2, 0
+            live = np.arange(len(fl) if rows else 1)
+            n = cut = len(live)  # cut: the first row whose panel budget ran out
+        fl, fh = fl.reshape(-1, _LO), fh.reshape(-1, _HI)
+        if len(live) < len(fl):
+            fl, fh = fl[live], fh[live]
+        lo = (ws_lo * fl).sum(axis=1)
+        hi = (ws_hi * fh).sum(axis=1)
         err = abs(hi - lo)
         budget = tol * abs(pb - pa) / abs(total_width)
-        if err <= max(budget, 32.0 * _EPS * abs(hi)) or depth >= max_depth:
-            value = value + hi
-            err_acc += err
-            panels += 1
-            if panels > max_panels:
-                raise QuadratureError(
-                    "panel budget exhausted", estimate=value, error_estimate=err_acc
-                )
+        ok = err <= np.maximum(budget, 32.0 * _EPS * abs(hi))
+        if depth >= max_depth:
+            ok[:] = True
+        if not ok.all():
+            mid, rest = 0.5 * (pa + pb), live[~ok]
+            stack.append((pa, mid, depth + 1, rest))
+            stack.append((mid, pb, depth + 1, rest))
+            if not ok.any():
+                continue
+            live, hi, err = live[ok], hi[ok], err[ok]
+        accepted.append((live, hi, err))
+        count += len(live)
+        if count > max_panels:  # then some row may have run out of panels
+            if counts is None:
+                counts = np.bincount(np.concatenate([r for r, _, _ in accepted]), minlength=n)
+            else:
+                counts[live] += 1
+            spent = np.flatnonzero(counts > max_panels)
+            if spent.size:
+                cut = min(cut, int(spent[0]))
+    # each row's sums in its own order of acceptance
+    idx, his, errs = (np.concatenate(col) for col in zip(*accepted))
+    value, err_acc = np.zeros(n, dtype=his.dtype), np.zeros(n)
+    np.add.at(value, idx, his)
+    np.add.at(err_acc, idx, errs)
+    bad = ~(np.isfinite(value) & np.isfinite(err_acc)) \
+        | (err_acc > np.maximum(4.0 * tol, 1e-13 * abs(value)))
+    bad[cut:] = True
+    if bad.any():
+        r = int(np.argmax(bad))
+        v, e = value[r], err_acc[r]
+        if r == cut:
+            exc = QuadratureError("panel budget exhausted", estimate=v, error_estimate=e)
+        elif not (np.isfinite(v) and np.isfinite(e)):
+            exc = QuadratureError("integral or its error estimate is not finite",
+                                  estimate=v, error_estimate=e)
         else:
-            mid = 0.5 * (pa + pb)
-            stack.append((pa, mid, depth + 1))
-            stack.append((mid, pb, depth + 1))
-    if not (np.isfinite(value) and np.isfinite(err_acc)):
-        raise QuadratureError("integral or its error estimate is not finite",
-                              estimate=value, error_estimate=err_acc)
-    if err_acc > max(4.0 * tol, 1e-13 * abs(value)):
-        raise QuadratureError(
-            f"quadrature stalled at error estimate {err_acc:.3e}",
-            estimate=value,
-            error_estimate=err_acc,
-        )
-    return value
+            exc = QuadratureError(f"quadrature stalled at error estimate {e:.3e}",
+                                  estimate=v, error_estimate=e)
+        exc.row = r if rows else None
+        raise exc
+    return Rows(value, err_acc, np.bincount(idx, minlength=n)) if rows else value[0]
 
 
 def _nonsmooth(e):
@@ -139,17 +192,34 @@ def quad_with_substitution(f, a, b, exponents=(0.0, 0.0), *, tol=1e-12):
     integrand.  A power that is negative or not an integer triggers the
     square-root substitution on that side (split at the midpoint when both
     ends need it), iterated until the carried power is nonnegative; with
-    two integer powers ``f`` is integrated directly.
+    two integer powers ``f`` is integrated directly.  Rows of ``f`` pass
+    through as in ``adaptive_quad``: the pieces add from 0.0, piece by
+    piece, and a failure raises for the lowest row that fails on any piece,
+    with the error of its first failing piece.
     """
     pieces = _pieces(a, b, exponents)
     if pieces[0][2] is None:
         return adaptive_quad(f, a, b, tol=tol)
-    total = 0.0
+    parts, failure = [], None
     for lo, hi, side, e in pieces:
         x_of, jac_of = _piece_map(lo, hi, side, e)
-        total += adaptive_quad(lambda u, x_of=x_of, jac_of=jac_of: f(x_of(u)) * jac_of(u),
-                               0.0, 1.0, tol=tol / len(pieces))
-    return total
+        g = lambda u, x_of=x_of, jac_of=jac_of: f(x_of(u)) * jac_of(u)
+        if failure is not None:  # only the rows before the failing one can raise first
+            if failure.row == 0:
+                break
+            g = lambda u, g=g, r=failure.row: g(u)[:r]
+        try:
+            parts.append(adaptive_quad(g, 0.0, 1.0, tol=tol / len(pieces)))
+        except QuadratureError as exc:
+            if exc.row is None:
+                raise
+            failure = exc
+    if failure is not None:
+        raise failure
+    if isinstance(parts[0], Rows):
+        return Rows(sum((part.value for part in parts), 0.0),
+                    sum(part.error for part in parts), sum(part.panels for part in parts))
+    return sum(parts, 0.0)
 
 
 def graded_nodes(lo, hi, exponents, breakpoints, order):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConstructionError, DomainError, NumericError, ValidationError
-from .quadrature import _nonsmooth, dyadic_breakpoints, graded_nodes, quad_with_substitution
+from .quadrature import Rows, _nonsmooth, dyadic_breakpoints, graded_nodes, quad_with_substitution
 from .specs import FAMILIES, Interval, WeightSpec, overlapping_pair  # noqa: F401 (re-exported)
 
 
@@ -281,6 +281,10 @@ class WeightSystem:
                     raise ConstructionError(
                         "consecutive Nikishin intervals must be disjoint"
                     )
+        # the hull and its coordinate, once: the kernel reads them at every evaluation
+        segs = self.support_segments()
+        hull = Interval(segs[0][0], segs[-1][1])
+        object.__setattr__(self, "_hull", (hull, (hull.mid, 0.5 * hull.length)))
 
     @property
     def p(self):
@@ -311,15 +315,15 @@ class WeightSystem:
         return ea, eb
 
     def support_hull(self):
-        segs = self.support_segments()
-        return Interval(segs[0][0], segs[-1][1])
+        """The convex hull of the supports, computed when the system is built."""
+        return self._hull[0]
 
     def hull_coordinate(self):
         """(c, s) of the hull coordinate t = (x - c)/s, which maps the convex
         hull [c - s, c + s] of the supports to [-1, 1]; the moment solves,
-        the kernel and the linear form all work in t."""
-        hull = self.support_hull()
-        return hull.mid, 0.5 * hull.length
+        the kernel and the linear form all work in t.  Computed when the
+        system is built."""
+        return self._hull[1]
 
 
 def build_angelesco(specs) -> WeightSystem:
@@ -380,7 +384,10 @@ class MomentTable:
     x replaced by (x - c)/s, where [c - s, c + s] is the convex hull of the
     supports.  The rescaled entries are computed by direct quadrature (never
     by binomial transform, which cancels catastrophically); every solve,
-    type I, type II and the kernel, on either rung, reads them.  ``mp_rows``
+    type I, type II and the kernel, on either rung, reads them.  Each weight
+    takes one adaptive pass over its 2 (k_max + 1) rows, raw then scaled;
+    ``panels[j, 0 | 1, k]`` and ``errors[j, 0 | 1, k]`` keep each row's
+    accepted panels and error estimate.  ``mp_rows``
     maps a precision rung to the table's mpf rows of ``scaled`` up to
     ``k_max``; ``highprec.table_rows`` fills it, one pass per rung.
     ``mp_lu`` holds one entry, the last mpmath LU of a moment matrix M, keyed
@@ -394,6 +401,8 @@ class MomentTable:
     scaled: np.ndarray
     hull: Interval
     tol: float
+    panels: np.ndarray
+    errors: np.ndarray
     mp_rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     mp_lu: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -406,35 +415,56 @@ class MomentTable:
         return self.raw.shape[0]
 
 
+def powers(y, k_max):
+    """The rows y ** k for k = 0..k_max, each bit for bit as that expression:
+    numpy computes ``y ** k`` by a fast path for k = 0, 1 and 2 (``y ** 2``
+    is ``np.square``, which can differ from ``np.power`` by an ulp), and as
+    ``np.power(y, k)`` otherwise, which one broadcast call gives every row."""
+    out = y ** np.arange(k_max + 1.0)[:, None]
+    out[:3] = [y ** k for k in range(min(k_max + 1, 3))]
+    return out
+
+
+def _moment_pass(ws: WeightSystem, j: int, k_max: int, tol, bases) -> Rows:
+    """The rows base(x)^k w_j dx, base by base, k = 0..k_max, of w_j
+    (1-based) in one adaptive pass; each row is bit for bit its own
+    ``weight_quad``.  An overflow anywhere stops the pass; the rows are then
+    integrated one at a time, in order, and the first to overflow on its own
+    raises :class:`NumericError` naming w_j and k, before numpy warns of it."""
+    w = ws.weights[j - 1]
+    with np.errstate(over="raise"):
+        try:
+            return weight_quad(lambda x: np.concatenate([powers(base(x), k_max) for base in bases]),
+                               w, tol=tol)
+        except FloatingPointError:
+            pass
+        out = []
+        for base in bases:
+            for k in range(k_max + 1):
+                try:
+                    out.append(weight_quad(lambda x: base(x)[None] ** k, w, tol=tol))
+                except FloatingPointError:
+                    raise NumericError(f"moment of order {k} of weight {j}, {w!r}, "
+                                       "does not fit in float64") from None
+    return Rows(*map(np.concatenate, zip(*out)))
+
 
 def moments(ws: WeightSystem, j: int, k_max: int, tol: float = 1e-12) -> np.ndarray:
-    """Raw moments c_k = integral x^k w_j dx for k = 0..k_max (j is 1-based).
-    Raises :class:`NumericError` naming w_j and k at the first float64
-    overflow, before numpy warns of it."""
+    """Raw moments c_k = integral x^k w_j dx for k = 0..k_max (j is 1-based),
+    in one adaptive pass over w_j.  Raises :class:`NumericError` naming w_j
+    and k at the first float64 overflow, before numpy warns of it."""
     if not 1 <= j <= ws.p:
         raise ValidationError(f"weight index {j} out of range 1..{ws.p}")
-    w = ws.weights[j - 1]
-    row = np.empty(k_max + 1)
-    with np.errstate(over="raise"):
-        for k in range(k_max + 1):
-            try:
-                row[k] = weight_quad((lambda x, k=k: x ** k), w, tol=tol)
-            except FloatingPointError:
-                raise NumericError(f"moment of order {k} of weight {j}, {w!r}, "
-                                   "does not fit in float64") from None
-    return row
+    return _moment_pass(ws, j, k_max, tol, (lambda x: x,)).value
 
 
 def moment_table(ws: WeightSystem, k_max: int, tol: float = 1e-12) -> MomentTable:
-    """Raw and hull-rescaled moments of all weights up to order k_max."""
+    """Raw and hull-rescaled moments of all weights up to order k_max: one
+    adaptive pass per weight over its raw and scaled rows together."""
     c, s = ws.hull_coordinate()
-    raw = np.empty((ws.p, k_max + 1))
-    scaled = np.empty((ws.p, k_max + 1))
-    for i, w in enumerate(ws.weights):
-        raw[i] = moments(ws, i + 1, k_max, tol)
-        # |(x - c)/s| <= 1 on the hull, so no scaled moment outgrows raw[i, 0]
-        for k in range(k_max + 1):
-            scaled[i, k] = weight_quad(
-                (lambda x, k=k: ((x - c) / s) ** k), w, tol=tol
-            )
-    return MomentTable(ws, raw, scaled, ws.support_hull(), tol)
+    # |(x - c)/s| <= 1 on the hull, so no scaled moment outgrows raw[i, 0]
+    passes = [_moment_pass(ws, j, k_max, tol, (lambda x: x, lambda x: (x - c) / s))
+              for j in range(1, ws.p + 1)]
+    value, error, panels = (np.reshape(col, (ws.p, 2, -1)) for col in zip(*passes))
+    return MomentTable(ws, value[:, 0].copy(), value[:, 1].copy(), ws.support_hull(), tol,
+                       panels, error)

@@ -36,6 +36,23 @@ def bordered_type2_coeffs(mt, nvec):
     return coeffs
 
 
+def ref_moment_table(ws, k_max, tol=1e-12):
+    """(raw, scaled) moments by one ``weight_quad`` per weight and order:
+    the loop that the one-pass moment table replaced."""
+    c, s = ws.hull_coordinate()
+    raw = [[weight_quad(lambda x, k=k: x ** k, w, tol=tol) for k in range(k_max + 1)]
+           for w in ws.weights]
+    scaled = [[weight_quad(lambda x, k=k: ((x - c) / s) ** k, w, tol=tol)
+               for k in range(k_max + 1)] for w in ws.weights]
+    return np.array(raw), np.array(scaled)
+
+
+def ref_orthogonality_residuals(P, ws, nvec, tol=1e-12):
+    """integral P(x) x^k w_j dx, k < n_j, by one ``weight_quad`` per weight and k."""
+    return [np.array([weight_quad(lambda x, k=k: P(x) * x ** k, w, tol=tol) for k in range(nj)])
+            for w, nj in zip(ws.weights, as_multi_index(nvec).parts)]
+
+
 def gram_schmidt_monic(ws, n, tol=1e-13):
     """Monic orthogonal polynomials for a single weight by Gram-Schmidt.
 

@@ -17,8 +17,10 @@ import pytest
 
 import mopkit as mk
 from mopkit import ensemble, highprec, linalg, sampling
-from mopkit.exceptions import NumericError
+from mopkit.exceptions import NumericError, QuadratureError
 from mopkit.mop import _hankel_from, as_multi_index
+from mopkit.quadrature import adaptive_quad
+from mopkit.weights import powers
 from mopkit.sampling import SamplerConfig, sample_mcmc
 
 C, J, E = mk.WeightSpec.constant, mk.WeightSpec.jacobi, mk.WeightSpec.exp_poly
@@ -364,3 +366,92 @@ def test_transposed_solve_matches_numpy_object_loop(rows_dps, dps):
             linalg.lu_solve(lu, piv, singular[0], transpose=True)
         with pytest.raises(NumericError):
             ref_lu_solve_transposed(lu, piv, singular[:, :1])
+
+
+# -- one adaptive pass per weight ------------------------------------------------
+
+PASS_SYSTEMS = {
+    "constant": lambda: mk.build_angelesco([C(-1.0, 1.0)]),
+    "constant_shifted": lambda: mk.build_angelesco([C(9.0, 10.5)]),
+    "jacobi_half": lambda: mk.build_angelesco([J(-1.0, 1.0, -0.5, -0.5)]),
+    "jacobi_shifted": lambda: mk.build_angelesco([J(-1.0, 0.0, 0.3, 1.5),
+                                                  J(0.0, 2.0, 1.5, -0.5)]),
+    "jacobi_narrow": lambda: mk.build_angelesco([J(0.5, 1.0, 1.5, -0.5)]),
+    "exp_poly": lambda: mk.build_angelesco([E(-1.0, 0.0, [0.0, 0.7, 0.3]),
+                                            E(0.0, 1.0, [0.2, -0.4])]),
+    "exp_poly_shifted": lambda: mk.build_angelesco([E(4.0, 5.0, [0.1, 0.3, -0.05])]),
+    "markov_constant": lambda: mk.build_nikishin(C(-1.0, 1.0), [C(2.0, 3.0)]),
+    "markov_constant_shifted": lambda: mk.build_nikishin(J(1.0, 2.0, 0.5, -0.5), [C(-1.0, 0.0)]),
+    "markov_exp_poly": lambda: mk.build_nikishin(J(-1.0, 1.0, 0.3, 1.5),
+                                                 [E(-3.0, -2.0, [0.1, 0.4])]),
+    "markov_exp_poly_shifted": lambda: mk.build_nikishin(E(1.0, 2.0, [0.2, -0.5]),
+                                                         [E(-1.0, 0.0, [0.1, 0.4])]),
+}
+
+
+@pytest.mark.parametrize("k_max", [2, 13])
+@pytest.mark.parametrize("name", sorted(PASS_SYSTEMS))
+def test_moment_table_matches_one_quadrature_per_order(name, k_max):
+    from helpers import ref_moment_table
+
+    ws = PASS_SYSTEMS[name]()
+    mt = mk.moment_table(ws, k_max)
+    raw, scaled = ref_moment_table(ws, k_max)
+    assert mt.raw.tobytes() == raw.tobytes()
+    assert mt.scaled.tobytes() == scaled.tobytes()
+    assert all(mk.moments(ws, j, k_max).tobytes() == raw[j - 1].tobytes()
+               for j in range(1, ws.p + 1))
+    assert mt.panels.shape == mt.errors.shape == (ws.p, 2, k_max + 1)
+    assert mt.panels.min() >= 1 and np.all(mt.errors >= 0.0)
+
+
+def test_powers_match_each_rows_own_expression():
+    rng = np.random.default_rng(5)
+    for y in (rng.uniform(-3.0, 3.0, 24), rng.uniform(0.5, 2.0, 12) * 50.0):
+        for k_max in (0, 1, 2, 40):
+            got = powers(y, k_max)
+            assert got.tobytes() == np.array([y ** k for k in range(k_max + 1)]).tobytes()
+
+
+def _rows(fns):
+    return lambda x: np.array([fn(x) for fn in fns])
+
+
+def test_row_quadrature_matches_scalar_calls():
+    # the pole row bisects far deeper than its neighbours
+    fns = [np.cos, lambda x: 1.0 / (x + 1e-4), lambda x: x ** 5, lambda x: np.exp(-3.0 * x)]
+    rows = adaptive_quad(_rows(fns), 0.0, 1.0)
+    for fn, got in zip(fns, rows.value):
+        assert got.tobytes() == adaptive_quad(fn, 0.0, 1.0).tobytes()
+    assert rows.panels[1] > 10 * max(rows.panels[[0, 2, 3]])
+
+
+def test_complex_rows_keep_their_dtype_and_bits():
+    fns = [lambda x: 1.0 / (0.5 + 2.0j - x), lambda x: 1.0 / (0.1 + 0.01j - x)]
+    rows = adaptive_quad(_rows(fns), -1.0, 1.0)
+    assert rows.value.dtype == np.complex128
+    for fn, got in zip(fns, rows.value):
+        assert got.tobytes() == adaptive_quad(fn, -1.0, 1.0).tobytes()
+
+
+def test_the_lowest_failing_row_raises_its_own_error():
+    fns = [np.cos, lambda x: 1.0 / (x + 1e-4), lambda x: 1.0 / (x + 1e-6), np.sin]
+    with pytest.raises(QuadratureError) as err:
+        adaptive_quad(_rows(fns), 0.0, 1.0, max_panels=6)
+    assert err.value.row == 1
+    with pytest.raises(QuadratureError) as alone:
+        adaptive_quad(fns[1], 0.0, 1.0, max_panels=6)
+    assert (str(err.value), err.value.estimate, err.value.error_estimate) == \
+        (str(alone.value), alone.value.estimate, alone.value.error_estimate)
+    assert alone.value.row is None
+
+
+@pytest.mark.parametrize("name,nvec", [("jacobi_shifted", (3, 2)), ("markov_exp_poly", (2, 2)),
+                                       ("exp_poly", (0, 3))])
+def test_orthogonality_residuals_match_one_quadrature_per_order(name, nvec):
+    from helpers import ref_orthogonality_residuals
+
+    ws = PASS_SYSTEMS[name]()
+    P = mk.type2_mop(mk.moment_table(ws, 2 * sum(nvec)), nvec)
+    got, ref = mk.orthogonality_residuals(P, ws, nvec), ref_orthogonality_residuals(P, ws, nvec)
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in ref]

@@ -424,6 +424,19 @@ def test_mop_manifest_records_rung(tmp_path, multi_index, rung):
     assert (detail["hp_dps"] >= 30) if rung == "mp" else (detail["hp_dps"] == 0)
 
 
+@pytest.mark.parametrize("command", ["mop", "typeI"])
+def test_moments_step_records_the_quadrature_work(tmp_path, command):
+    cfg = dict(NIKISHIN_CFG, multi_index=[2, 1])
+    code = cli.main([command, write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+    assert code == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    detail = {s["name"]: s for s in manifest["steps"]}["moments"]["detail"]
+    assert len(detail["weights"]) == 2
+    for work in detail["weights"]:
+        assert work["panels_max"] >= 1 and 0.0 <= work["error_max"] < 1e-11
+
+
 @pytest.mark.parametrize("command", ["kernel", "density"])
 def test_kernel_manifest_records_the_proxy(tmp_path, command):
     cfg = dict(NIKISHIN_CFG, multi_index=[4, 4])

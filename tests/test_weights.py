@@ -302,6 +302,19 @@ def test_support_segments(angelesco_ws, nikishin_ws):
     assert nikishin_ws.support_segments() == [(1.0, 2.0)]
 
 
+def test_hull_is_computed_once_and_equals_a_fresh_computation(angelesco_ws, nikishin_ws):
+    general = mk.WeightSystem.general([Weight.from_spec(mk.WeightSpec.constant(2.0, 3.0)),
+                                       Weight.from_spec(mk.WeightSpec.jacobi(-1.5, 2.5, 0.5, 0.3))])
+    shifted = mk.build_angelesco([mk.WeightSpec.constant(9.0, 10.0),
+                                  mk.WeightSpec.constant(10.5, 12.0)])
+    for ws in (angelesco_ws, nikishin_ws, general, shifted):
+        segs = ws.support_segments()
+        hull = mk.Interval(segs[0][0], segs[-1][1])
+        assert ws.support_hull() == hull
+        assert ws.hull_coordinate() == (hull.mid, 0.5 * hull.length)
+        assert ws.hull_coordinate() is ws.hull_coordinate()
+
+
 EVALUATOR_CASES = {
     "constant": lambda: Weight.from_spec(mk.WeightSpec.constant(1.0, 2.0)),
     "jacobi": lambda: Weight.from_spec(mk.WeightSpec.jacobi(1.0, 2.0, 0.5, -0.5)),

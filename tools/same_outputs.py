@@ -5,7 +5,9 @@
 Runs, once in each checkout, on the checkout's own ``src`` and ``perfbench``
 with single-threaded BLAS: the warm-up round of ``perfbench/wl_zeros.py``,
 whose ``_signature`` holds the bytes of every type II polynomial, its roots
-and the type I polynomials, and the first round of
+and the type I polynomials, with each study's moment table (the ``raw`` and
+``scaled`` bytes) as an output of its own, so that a change of the moment
+engine shows apart from a change of the solves, and the first round of
 ``perfbench/wl_ensemble.py``: per target the sampler batch at that round's
 seeds (``configurations``, ``extended``, ``acceptance_rate``, ``ess`` and
 ``step_sizes``), and the two kernels at the workload's evaluation points
@@ -96,9 +98,20 @@ def digests(checkout: Path, seed: int) -> dict:
 
     sess = harness.Session()
     sess.start_round()
-    zeros = wl_zeros.Zeros(seed)
+    zeros, tables, table = wl_zeros.Zeros(seed), [], mopkit.moment_table
+
+    def recorded_table(*args):  # a failed call leaves None in its study's place
+        tables.append(None)
+        tables[-1] = table(*args)
+        return tables[-1]
+
+    mopkit.moment_table = recorded_table
     zeros.round(sess)
+    mopkit.moment_table = table
     out = {}
+    for (name, _), mt in zip(wl_zeros.STUDIES, tables):
+        out[f"zeros {name} moment table"] = _output(b"failed") if mt is None else _output(
+            mt.raw.tobytes() + mt.scaled.tobytes(), mt.raw, mt.scaled)
     for (name, parts), sig in wl_zeros._signature(zeros.reference).items():
         P, roots, ts = zeros.reference[name, parts]
         out[f"zeros {name} {parts}"] = _output(sig, None if P is None else P.coeffs, roots,
