@@ -24,7 +24,7 @@ from . import linalg
 from .exceptions import NonNormalIndexError, NumericError, ValidationError
 from .quadrature import fixed_segment_nodes
 from .specs import MAX_TOTAL_DEGREE
-from .weights import MomentTable, WeightSystem, weight_quad
+from .weights import MomentTable, WeightSystem, powers, weight_quad
 
 SINGULAR_PIVOT_RTOL = 1e-17
 CONDITION_WARN = 1e12
@@ -424,10 +424,7 @@ def orthogonality_residuals(P: Polynomial, ws: WeightSystem, nvec, tol=1e-12):
     nvec = as_multi_index(nvec)
     out = []
     for w, nj in zip(ws.weights, nvec.parts):
-        def rows(x, nj=nj):
-            px = P(x)
-            return np.array([px * x ** k for k in range(nj)])
-
+        rows = lambda x, nj=nj: P(x) * powers(x, nj - 1)
         out.append(weight_quad(rows, w, tol=tol).value if nj else np.empty(0))
     return out
 
