@@ -130,14 +130,11 @@ def adaptive_quad(f, a, b, *, tol=1e-12, max_panels=20000, max_depth=52):
     if bad.any():
         r = int(np.argmax(bad))
         v, e = value[r], err_acc[r]
-        if r == cut:
-            exc = QuadratureError("panel budget exhausted", estimate=v, error_estimate=e)
-        elif not (np.isfinite(v) and np.isfinite(e)):
-            exc = QuadratureError("integral or its error estimate is not finite",
-                                  estimate=v, error_estimate=e)
-        else:
-            exc = QuadratureError(f"quadrature stalled at error estimate {e:.3e}",
-                                  estimate=v, error_estimate=e)
+        exc = QuadratureError("panel budget exhausted" if r == cut
+                              else "integral or its error estimate is not finite"
+                              if not (np.isfinite(v) and np.isfinite(e))
+                              else f"quadrature stalled at error estimate {e:.3e}",
+                              estimate=v, error_estimate=e)
         exc.row = r if rows else None
         raise exc
     return Rows(value, err_acc, np.bincount(idx, minlength=n)) if rows else value[0]
