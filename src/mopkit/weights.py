@@ -367,7 +367,8 @@ def build_nikishin(w1_spec: WeightSpec, generator_specs) -> WeightSystem:
 # ---------------------------------------------------------------------------
 
 def weight_quad(fn, w: Weight, *, tol=1e-12):
-    """Integrate fn(x) * w(x) over the support of w (fn=None means fn=1)."""
+    """Integrate fn(x) * w(x) over the support of w (fn=None means fn=1);
+    fn may return rows, which pass through as in ``adaptive_quad``."""
     if fn is None:
         f = w.values
     else:
