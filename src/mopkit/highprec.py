@@ -22,8 +22,10 @@ table, once per precision rung (the dps rounded up to a multiple of
 (``MomentTable.mp_lu``): type I, type II and the kernel of one index share
 one condition estimate, one dps and one LU.  The rest is shared with the
 float rung: ``mop._hankel_from``, ``ensemble.f_matrix``/``g_matrix`` on
-object arrays of mpf, and the one LU in ``linalg``, which runs, like the
-tanh-sinh columns, on raw ``_mpf_`` tuples, bit for bit as mpf would.
+object arrays of mpf, and the one LU in ``linalg``, which runs on integer
+mantissas rounded half-even (libmp's path for a wide operand far above
+the product), bit for bit as mpf would.  The tanh-sinh columns run on raw
+``_mpf_`` tuples through ``mpmath.libmp``.
 
 One ``MPForm``, f(t)^T B g(t), evaluates the kernel (B = M^-T) and the
 linear form Q, which is the kernel's x^(n-1) coefficient.  It answers from

@@ -296,7 +296,8 @@ def _solve(mt: MomentTable, nvec, method, what, order, rhs, transpose=False,
     normality of M, and routes on cond1 of M, the caller's ``cutoff`` apart:
     the float rung solves from ``_check_normal``'s LU with ``mt.scaled``
     (an identity right-hand side, the kernel's, is the inverse that cond1
-    solved), the mpmath rung climbs ``highprec.escalate`` over
+    solved; ``mt.float_lu`` keeps LU, inverse and cond1 for the next solve
+    at the same index), the mpmath rung climbs ``highprec.escalate`` over
     ``highprec.rung_solve`` on the table's mpf rows.  Returns (cond, dps,
     rows_dps, factors, x): dps and rows_dps are 0 on the float rung, and
     factors is the LU of M that x was solved with.
@@ -308,8 +309,11 @@ def _solve(mt: MomentTable, nvec, method, what, order, rhs, transpose=False,
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}")
     _require_order(mt, order)
-    system, factors = _check_normal(mt, nvec)
-    inverse, cond = linalg.inverse_cond1(system, factors)
+    if nvec.parts not in mt.float_lu:
+        system, factors = _check_normal(mt, nvec)
+        mt.float_lu.clear()
+        mt.float_lu[nvec.parts] = factors, *linalg.inverse_cond1(system, factors)
+    factors, inverse, cond = mt.float_lu[nvec.parts]
     if method == "mp" or (method == "auto" and cond > cutoff):
         from . import highprec
 

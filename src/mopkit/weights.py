@@ -391,10 +391,13 @@ class MomentTable:
     accepted panels and error estimate.  ``mp_rows``
     maps a precision rung to the table's mpf rows of ``scaled`` up to
     ``k_max``; ``highprec.table_rows`` fills it, one pass per rung.
-    ``mp_lu`` holds one entry, the last mpmath LU of a moment matrix M, keyed
-    by (parts, dps), which the three solves of one index share: they start
-    the ladder from one cond1 of M and so take one dps.  A copy of the table
-    (``dataclasses.replace``) starts with both empty.
+    ``float_lu`` holds one entry, the float rung of the last moment matrix M
+    that ``mop._solve`` checked, keyed by parts: the 80-bit ``lu_factor`` of
+    M, its inverse and cond1 of M, so type II, type I and the kernel of one
+    index factor M once.  ``mp_lu`` holds one entry, the last mpmath LU of
+    M, keyed by (parts, dps), which the three solves of one index share:
+    they start the ladder from one cond1 of M and so take one dps.  A copy
+    of the table (``dataclasses.replace``) starts with all three empty.
     """
 
     system: WeightSystem
@@ -405,6 +408,7 @@ class MomentTable:
     panels: np.ndarray
     errors: np.ndarray
     mp_rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    float_lu: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     mp_lu: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property

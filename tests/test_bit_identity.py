@@ -14,6 +14,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mopkit as mk
 from mopkit import ensemble, highprec, linalg, sampling
@@ -455,3 +457,103 @@ def test_orthogonality_residuals_match_one_quadrature_per_order(name, nvec):
     P = mk.type2_mop(mk.moment_table(ws, 2 * sum(nvec)), nvec)
     got, ref = mk.orthogonality_residuals(P, ws, nvec), ref_orthogonality_residuals(P, ws, nvec)
     assert [r.tobytes() for r in got] == [r.tobytes() for r in ref]
+
+
+# -- the integer-mantissa kernel of the mpf LU and solves ----------------------
+
+def _mantissas(prec):
+    """Signed mantissas: zeros, ones, prec-bit and wider ones, runs of ones
+    and of zeros (exact ties after rounding), and trailing zero bits."""
+    width = st.sampled_from([1, 2, prec - 1, prec, prec + 1, prec + 2, 2 * prec, 3 * prec])
+    plain = width.flatmap(lambda w: st.integers(1 << (w - 1), (1 << w) - 1))
+    runs = st.tuples(st.integers(1, 2 * prec), st.integers(0, 2 * prec)).map(
+        lambda t: ((1 << t[0]) - 1) << t[1] | 1 << (t[0] + t[1] + 1))
+    ties = st.tuples(st.integers(0, 1 << 8), st.integers(1, 2 * prec)).map(
+        lambda t: (2 * t[0] + 1) << t[1] | 1 << (t[1] - 1))
+    mag = st.one_of(plain, plain, plain, runs, ties, st.just(0))
+    return st.tuples(mag, st.booleans(), st.integers(0, 8)).map(
+        lambda t: (-t[0] if t[1] else t[0]) << t[2])
+
+
+@st.composite
+def _fms_operands(draw):
+    prec = draw(st.sampled_from([8, 53, 113, 170, 236]))
+    exps = st.integers(-3 * prec - 300, 3 * prec + 300)
+    y, c, x = (draw(st.tuples(_mantissas(prec), exps)) for _ in range(3))
+    # y's exponent: free, near the rounded product's (ties in the difference),
+    # or more than 100 bits from it
+    pe = c[1] + x[1] + max((c[0] * x[0]).bit_length() - prec, 0)
+    near = st.integers(-6, 6)
+    gap = draw(st.one_of(st.none(), near, near, st.integers(101, 3 * prec + 200),
+                         st.integers(-3 * prec - 200, -101)))
+    return prec, y if gap is None else (y[0], pe + gap), c, x
+
+
+@settings(max_examples=600, deadline=None)
+@given(_fms_operands())
+def test_fms_kernel_rounds_as_libmp_mul_then_sub(args):
+    from mpmath.libmp import from_man_exp, mpf_mul, mpf_sub, round_nearest
+
+    prec, y, c, x = args
+    ref = mpf_sub(from_man_exp(*y), mpf_mul(from_man_exp(*c), from_man_exp(*x), prec,
+                                            round_nearest), prec, round_nearest)
+    assert from_man_exp(*linalg._fms(y, c, x, prec)) == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fms_operands())
+def test_div_kernel_rounds_as_libmp_div(args):
+    from mpmath.libmp import from_man_exp, mpf_div, round_nearest
+
+    prec, y, c, _ = args
+    if c[0]:
+        ref = mpf_div(from_man_exp(*y), from_man_exp(*c), prec, round_nearest)
+        assert from_man_exp(*linalg._div(y, c, prec)) == ref
+
+
+def test_fms_kernel_keeps_libmps_sticky_bit_for_a_wide_operand():
+    """A 216-bit y at 50 digits (170 bits) whose bits below the rounding
+    point read 0111...1, plus a product whose lowest bit lies 120 bits below
+    y's: the exact sum rounds up, libmp's mpf_add perturbs y by a sticky bit
+    and rounds down."""
+    from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_sub, normalize, round_nearest
+
+    with mpmath.mp.workdps(50):
+        prec = mpmath.mp.prec
+    y = ((1 << 215) | (1 << (215 - prec)) - 1, 0)
+    c, x = (1, 0), (-((1 << 150) + 1), -120)
+    sub = mpf_sub(from_man_exp(*y), mpf_mul(from_man_exp(*c), from_man_exp(*x), prec,
+                                            round_nearest), prec, round_nearest)
+    exact = mpf_add(from_man_exp(*y), from_man_exp(-x[0], x[1]))  # unrounded
+    assert sub != normalize(*exact[:3], exact[3], prec, round_nearest)
+    assert from_man_exp(*linalg._fms(y, c, x, prec)) == sub
+
+
+@pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
+@pytest.mark.parametrize("where", ["matrix", "rhs"])
+def test_inf_or_nan_entry_matches_the_object_loop(bad, where):
+    from helpers import ref_lu_factor, ref_lu_solve
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (NumericError, ZeroDivisionError) as exc:
+            return type(exc)
+
+    def raw(out):
+        return out if isinstance(out, type) else [getattr(v, "_mpf_", v) for v in
+                                                  np.ravel(np.asarray(out[0], dtype=object))]
+
+    with mpmath.mp.workdps(30):
+        a = _mpf_matrix(np.random.default_rng(5), (5, 5))
+        b = a[:, 0].copy()
+        if where == "matrix":
+            a[2, 1] = bad
+        else:
+            b[3] = bad
+        got, ref = outcome(linalg.lu_factor, a), outcome(ref_lu_factor, a)
+        assert raw(got) == raw(ref)
+        if not isinstance(ref, type):
+            got = outcome(linalg.lu_solve, ref[0], ref[1], b)
+            ref = outcome(ref_lu_solve, ref[0], ref[1], b)
+            assert raw((got,)) == raw((ref,))

@@ -2,6 +2,7 @@
 
 On mpf input it must reproduce ``helpers``' numpy loop on mpf objects bit for bit."""
 
+import dataclasses
 from fractions import Fraction
 
 import mpmath
@@ -209,9 +210,24 @@ def test_float_rung_factors_each_matrix_once(monkeypatch, angelesco_mt, angelesc
                                              call, lus):
     calls, plain = [], linalg.lu_factor
     monkeypatch.setattr(linalg, "lu_factor", lambda a: calls.append(1) or plain(a))
-    out = call(angelesco_mt, angelesco_ws)
+    out = call(dataclasses.replace(angelesco_mt), angelesco_ws)  # no float_lu entry yet
     assert getattr(out, "method", "float") == "float" and getattr(out, "mp", None) is None
     assert len(calls) == lus
+
+
+def test_float_rung_factors_one_index_once_for_all_three_solves(monkeypatch, angelesco_mt,
+                                                                angelesco_ws):
+    mt = dataclasses.replace(angelesco_mt)
+    calls, plain = [], linalg.lu_factor
+    monkeypatch.setattr(linalg, "lu_factor", lambda a: calls.append(1) or plain(a))
+    P, ts = mk.type2_mop(mt, (2, 2)), mk.type1_mop(mt, (2, 2))
+    K = mk.biorthogonalize(mk.block_hankel(mt, (2, 2)), angelesco_ws, (2, 2))
+    assert P.method == "float" and ts.mp is None and K.mp is None and len(calls) == 1
+    assert P.condition_estimate == ts.condition_estimate == K.condition_estimate
+    fresh = dataclasses.replace(angelesco_mt)
+    assert P.coeffs.tobytes() == mk.type2_mop(fresh, (2, 2)).coeffs.tobytes()
+    assert K.psi.tobytes() == mk.biorthogonalize(mk.block_hankel(dataclasses.replace(
+        angelesco_mt), (2, 2)), angelesco_ws, (2, 2)).psi.tobytes()
 
 
 def test_float_rung_kernel_solves_once_on_identity_columns(monkeypatch, angelesco_mt,
@@ -220,6 +236,7 @@ def test_float_rung_kernel_solves_once_on_identity_columns(monkeypatch, angelesc
     rhs, plain = [], linalg.lu_solve
     monkeypatch.setattr(linalg, "lu_solve", lambda lu, piv, b, transpose=False:
                         rhs.append(np.array(b, dtype=float)) or plain(lu, piv, b, transpose))
-    K = mk.biorthogonalize(mk.block_hankel(angelesco_mt, (2, 2)), angelesco_ws, (2, 2))
+    mt = dataclasses.replace(angelesco_mt)  # no float_lu entry yet
+    K = mk.biorthogonalize(mk.block_hankel(mt, (2, 2)), angelesco_ws, (2, 2))
     assert K.mp is None and len(rhs) == 1 and np.array_equal(rhs[0], np.eye(4))
     assert K.condition_estimate == linalg.cond1(K.matrix, K.factors)
