@@ -374,8 +374,11 @@ def cmd_mop(cfg, diags, man, quiet):
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
     res = mop.orthogonality_residuals(P, ws, nvec)
     rmax = float(max((abs(r).max() for r in res if r.size), default=0.0))
-    man.step("solve", detail={"rung": P.method, "hp_dps": P.hp_dps,
-                              "condition_estimate": P.condition_estimate})
+    detail = {"rung": P.method, "hp_dps": P.hp_dps, "condition_estimate": P.condition_estimate}
+    if P.hp_dps:
+        from . import highprec
+        detail["mp_rows"] = mt.mp_quad[highprec.rung_of(P.hp_dps)]
+    man.step("solve", detail=detail)
     man.write("mop.json", {
         "multi_index": list(nvec.parts),
         "coeffs": [float(c) for c in P.coeffs],
@@ -397,10 +400,13 @@ def cmd_typeI(cfg, diags, man, quiet):
     ts = mop.type1_mop(mt, nvec)
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
     res = mop.type1_condition_residuals(ts)
-    man.step("solve", detail={"rung": "float" if ts.hp_coeffs is None else "mp",
-                              "hp_dps": ts.hp_dps, "rows_dps": ts.hp_rows_dps,
-                              "condition_estimate": ts.condition_estimate,
-                              "evaluation": ts.mp and ts.mp.proxy and ts.mp.proxy.records})
+    detail = {"rung": "float" if ts.hp_coeffs is None else "mp",
+              "hp_dps": ts.hp_dps, "rows_dps": ts.hp_rows_dps,
+              "condition_estimate": ts.condition_estimate,
+              "evaluation": ts.mp and ts.mp.proxy and ts.mp.proxy.records}
+    if ts.hp_rows_dps:
+        detail["mp_rows"] = mt.mp_quad[ts.hp_rows_dps]
+    man.step("solve", detail=detail)
     rmax = float(abs(res).max())
     man.write("typeI.json", {
         "multi_index": list(nvec.parts),

@@ -15,16 +15,20 @@ solve of the hull-scaled moment matrix M, for ``mop._solve``: type I
 kernel (M X = I).  Each attempt reports an a-posteriori condition bound,
 and its answer counts only when ``SURVIVING_DIGITS`` digits survive it.
 ``moment_rows`` gives the rows in t as mpf (closed forms for constant and
-pure Jacobi weights, for the rest one tanh-sinh pass per weight with
-``mpmath.quad``'s per-k stopping rule); ``table_rows`` keeps them on the
-table, once per precision rung (the dps rounded up to a multiple of
-``RUNG_DIGITS``), and M is factored once per index and dps
-(``MomentTable.mp_lu``): type I, type II and the kernel of one index share
-one condition estimate, one dps and one LU.  The rest is shared with the
+pure Jacobi weights, for the rest one pass per weight of one of
+``mpmath.quad``'s rules with its per-k stopping rule: Gauss-Legendre for
+weights analytic near their support, tanh-sinh for end factors, touching
+generators and a Gauss-Legendre pass that leaves an order open), with a
+record of how each row was computed; ``table_rows`` keeps rows and
+records on the table, once per precision rung (the dps rounded up to a
+multiple of ``RUNG_DIGITS``), and M is factored once per index and dps
+(``MomentTable.mp_lu``, its integer pairs in ``mp_pairs``): type I, type II
+and the kernel of one index share one condition estimate, one dps and one
+LU.  The rest is shared with the
 float rung: ``mop._hankel_from``, ``ensemble.f_matrix``/``g_matrix`` on
 object arrays of mpf, and the one LU in ``linalg``, which runs on integer
 mantissas rounded half-even (libmp's path for a wide operand far above
-the product), bit for bit as mpf would.  The tanh-sinh columns run on raw
+the product), bit for bit as mpf would.  The quadrature columns run on raw
 ``_mpf_`` tuples through ``mpmath.libmp``.
 
 One ``MPForm``, f(t)^T B g(t), evaluates the kernel (B = M^-T) and the
@@ -185,23 +189,30 @@ class ChebyshevProxy:
         return out
 
 
-def _power_moments(fn, a, b, k_max: int, c, s):
+def _power_moments(fn, a, b, k_max: int, c, s, rule):
     """Integrals of t^k fn(x), t = (x - c)/s, over [a, b] for k <= k_max on
-    the nodes of ``mpmath.quad(lambda x: ((x - c) / s) ** k * fn(x), [a, b])``:
-    one pass over quad's tanh-sinh levels evaluates ``fn`` once per node,
-    each level advances one column w_i fn(x_i) (x_i - c)^k by a product per
-    node and power (rounded, like quad's terms, at 20 guard bits), whose sum
+    the nodes of ``mpmath.quad(lambda x: ((x - c) / s) ** k * fn(x), [a, b],
+    method=rule)``, ``rule`` ``mp._tanh_sinh`` or ``mp._gauss_legendre``:
+    one pass over the rule's levels evaluates ``fn`` once per node, each
+    level advances one column w_i fn(x_i) (x_i - c)^k by a product per node
+    and power (rounded, like quad's terms, at 20 guard bits), whose sum
     takes the factor s^-k, and each k stops at the level where quad's error
-    estimate stops it.  Columns are raw ``_mpf_`` tuples, and
-    ``mpf_mul``/``mpf_sum`` round them as mpf products and ``mp.fsum`` do."""
-    rule, prec, eps = mp._tanh_sinh, mp.prec, mp.eps / 8
-    m = rule.guess_degree(prec)
-    results = [[] for _ in range(k_max + 1)]
+    estimate stops it.  A tanh-sinh level adds its sum to half the previous
+    level's, h (S + sum), a Gauss-Legendre level is its own sum, as in each
+    rule's ``sum_next``.  Columns are raw ``_mpf_`` tuples, and
+    ``mpf_mul``/``mpf_sum`` round them as mpf products and ``mp.fsum`` do.
+
+    Returns (row, record): the record names the rule, the last level run,
+    the largest final error estimate and the orders still ``open``, whose
+    estimate is above quad's tolerance after the rule's last level (quad
+    returns those silently)."""
+    prec, eps, nested = mp.prec, mp.eps / 8, rule is mp._tanh_sinh
+    results, errors = [[] for _ in range(k_max + 1)], [mp.zero] * (k_max + 1)
     open_ks = list(range(k_max + 1))
     with mp.extraprec(20):
         wprec, rnd = mp._prec_rounding
         c, scale = mpmath.mpf(c)._mpf_, [mpmath.mpf(s) ** -k for k in range(k_max + 1)]
-        for degree in range(1, m + 1):
+        for degree in range(1, rule.guess_degree(prec) + 1):
             h = mpmath.mpf(2) ** (-degree)
             nodes = rule.get_nodes(a, b, degree, prec)
             ts = [mpf_sub(x._mpf_, c, wprec, rnd) for x, _ in nodes]
@@ -210,15 +221,21 @@ def _power_moments(fn, a, b, k_max: int, c, s):
                 if k > 0:
                     col = [mpf_mul(v, t, wprec, rnd) for v, t in zip(col, ts)]
                 if k in open_ks:
-                    S = results[k][-1] / (h * 2) if results[k] else mp.zero
-                    results[k].append(h * (S + mp.make_mpf(mpf_sum(col, wprec, rnd)) * scale[k]))
+                    total = mp.make_mpf(mpf_sum(col, wprec, rnd)) * scale[k]
+                    if nested:
+                        S = results[k][-1] / (h * 2) if results[k] else mp.zero
+                        total = h * (S + total)
+                    results[k].append(total)
             if degree > 1:
-                open_ks = [k for k in open_ks
-                           if rule.estimate_error(results[k], prec, eps) > eps]
+                for k in open_ks:
+                    errors[k] = rule.estimate_error(results[k], prec, eps)
+                open_ks = [k for k in open_ks if errors[k] > eps]
             if not open_ks:
                 break
         sums = [mp.zero + r[-1] for r in results]
-    return [+v for v in sums]
+    record = {"rule": "tanh-sinh" if nested else "gauss-legendre", "level": degree,
+              "error_max": float(max(errors)), "open": open_ks}
+    return [+v for v in sums], record
 
 
 def _jacobi_moments(w, k_max: int, c, s):
@@ -253,38 +270,65 @@ def _jacobi_moments(w, k_max: int, c, s):
     return [+v for v in row]
 
 
-def moment_rows(ws, k_max: int):
+def moment_rows(ws, k_max: int, records=None):
     """Moments integral t^k w_j dx of every weight in the hull coordinate
     t = (x - c)/s, [c - s, c + s] the convex hull of ``ws``'s supports, as
     mpf at the current precision: the rows of ``MomentTable.scaled``.
 
     A constant weight r on [a, b] gets r s (t_b^(k+1) - t_a^(k+1)) / (k + 1),
     a pure Jacobi weight (no Markov ratio) its Beta-function closed form.
-    Every other weight takes one tanh-sinh pass over its mpf evaluator, with
-    quad's per-k stopping rule, so each moment matches its own ``mpmath.quad``.
-    Returns a p x (k_max + 1) object array.
+    Every other weight takes one pass of ``mpmath.quad``'s rules over its mpf
+    evaluator, with quad's per-k stopping rule, so each moment matches its
+    own ``mpmath.quad`` with that rule: Gauss-Legendre for a weight analytic
+    near its support (``Weight.analytic``: no end factor, and no Markov
+    ratio or one whose generator lies apart), which converges there in
+    fewer nodes (93 against 277 at 48 digits), and tanh-sinh for end
+    factors and touching generators, and for a weight whose Gauss-Legendre
+    pass leaves an order open at its last level.  Returns a p x (k_max + 1)
+    object array; a list ``records`` gets one dict per weight: its ``rule``
+    ("closed form", "gauss-legendre" or "tanh-sinh"), the ``level``
+    reached, the largest final error estimate ``error_max`` and the
+    ``open`` orders, and, for a weight redone on tanh-sinh, the record of
+    the Gauss-Legendre pass it ``replaces``.
     """
     (c, s), rows = ws.hull_coordinate(), []
     for w in ws.weights:
         a, b = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)
+        record = {"rule": "closed form", "level": 0, "error_max": 0.0, "open": []}
         if w.spec.family == "constant" and w.ratio is None:
             r, ta, tb = mpmath.mpf(w.scale) * s, (a - c) / s, (b - c) / s
-            rows.append([r * (tb ** (k + 1) - ta ** (k + 1)) / (k + 1) for k in range(k_max + 1)])
+            row = [r * (tb ** (k + 1) - ta ** (k + 1)) / (k + 1) for k in range(k_max + 1)]
         elif w.spec.family == "jacobi" and w.ratio is None:
-            rows.append(_jacobi_moments(w, k_max, c, s))
+            row = _jacobi_moments(w, k_max, c, s)
         else:
-            rows.append(_power_moments(w.mp_evaluator(), a, b, k_max, c, s))
+            fn = w.mp_evaluator()
+            row, record = _power_moments(fn, a, b, k_max, c, s,
+                                         mp._gauss_legendre if w.analytic else mp._tanh_sinh)
+            if record["open"] and record["rule"] == "gauss-legendre":
+                row, redone = _power_moments(fn, a, b, k_max, c, s, mp._tanh_sinh)
+                record = dict(redone, replaces=record)
+        rows.append(row)
+        if records is not None:
+            records.append(record)
     return np.array(rows, dtype=object)
 
 
+def rung_of(dps: int) -> int:
+    """The precision rung of ``dps``: the smallest multiple of
+    ``RUNG_DIGITS`` not below it."""
+    return -(-dps // RUNG_DIGITS) * RUNG_DIGITS
+
+
 def table_rows(mt, dps: int):
-    """The rung for ``dps`` (the smallest multiple of ``RUNG_DIGITS`` not
-    below it) and the moment rows of ``mt``'s weights to ``mt.k_max`` at
-    that precision, computed on first use and kept in ``mt.mp_rows``."""
-    rung = -(-dps // RUNG_DIGITS) * RUNG_DIGITS
+    """The rung for ``dps`` (``rung_of``) and the moment rows of ``mt``'s
+    weights to ``mt.k_max`` at that precision, computed on first use and
+    kept in ``mt.mp_rows``, with ``moment_rows``' records of how each row
+    was computed in ``mt.mp_quad``."""
+    rung = rung_of(dps)
     if rung not in mt.mp_rows:
         with mp.workdps(rung):
-            mt.mp_rows[rung] = moment_rows(mt.system, mt.k_max)
+            mt.mp_quad[rung] = []
+            mt.mp_rows[rung] = moment_rows(mt.system, mt.k_max, mt.mp_quad[rung])
     return rung, mt.mp_rows[rung]
 
 
@@ -296,10 +340,11 @@ def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
 
     The rows come from ``table_rows(mt, dps)``; the solve rounds to ``dps``.
     M is factored once per (parts, dps): the last LU is kept in
-    ``mt.mp_lu``, so every solve at one index and precision shares it.  The
-    bound is |A|_1 max |x|_1 / |b|_1 over the columns b of ``rhs(rows)``
-    (one vector, or a matrix) and a fixed probe z = (1, -1, 1, ...) solved
-    in the same LU, for the system A actually solved: a monic type II
+    ``mt.mp_lu``, and its (m, e) rows in ``mt.mp_pairs``, so every solve
+    at one index and precision shares both.  The bound is |A|_1 max |x|_1
+    / |b|_1 over the columns b of ``rhs(rows)`` (one vector, or a matrix)
+    and a fixed probe z = (1, -1, 1, ...) solved in the same LU, for the
+    system A actually solved: a monic type II
     solution stays O(1) however ill-conditioned A is, and identity columns
     give |A|_1 |A^-1|_1.  |A|_1 comes from the float64 assembly of
     ``mt.scaled``; only its order of magnitude matters.  Returns ((rung, x),
@@ -312,12 +357,14 @@ def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
     with mp.workdps(dps):
         if key not in mt.mp_lu:
             mt.mp_lu.clear()
+            mt.mp_pairs.clear()
             mt.mp_lu[key] = linalg.lu_factor(_hankel_from(rows, nvec, nvec.n))
+            mt.mp_pairs[key] = linalg.pairs(mt.mp_lu[key][0])
         lu, piv, _ = mt.mp_lu[key]
         b = rhs(rows)
         cols = np.column_stack([b, [mpmath.mpf((-1) ** i) for i in range(len(b))]])
         try:
-            sol = linalg.lu_solve(lu, piv, cols, transpose)
+            sol = linalg.lu_solve(lu, piv, cols, transpose, mt.mp_pairs[key])
         except NumericError as exc:
             raise NumericError("singular moment system in high precision") from exc
         growth = max(np.abs(x).sum() / np.abs(r).sum() for x, r in zip(sol.T, cols.T) if any(r))

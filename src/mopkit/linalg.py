@@ -15,7 +15,8 @@ loops whose entries keep their type, so identities are built from the
 entries, never from integers (``int / int`` would make an exact solve a
 float one).  mpf arrays run the same loops on rows of (m, e) pairs, signed
 integer mantissas and exponents (value m 2^e, not normalized), converted
-once on the way in and once on the way out of each call.  One kernel,
+once on the way in and once on the way out of each call; a caller that
+solves with one LU many times converts it once (``pairs``).  One kernel,
 ``_fms``, computes every y - c x as ``mpmath.libmp`` rounds it: the exact
 product rounded half-even to ``mp.prec``, then the exact difference rounded
 half-even; where libmp does not round the exact sum (a y wider than
@@ -56,7 +57,7 @@ def _is_mpf(a):
     return a.dtype == object and any(hasattr(e, "_mpf_") for e in a.flat)
 
 
-def _pairs(a):
+def pairs(a):
     """Rows of (m, e) pairs, value m 2^e, of the object array ``a`` (its
     other entries, the int zeros of ``np.triu``, convert exactly); None if
     an entry is inf or nan, which only mpf arithmetic itself handles."""
@@ -200,7 +201,7 @@ def lu_factor(a):
     n = lu.shape[0]
     if lu.shape != (n, n):
         raise NumericError("lu_factor expects a square matrix")
-    rows = _pairs(lu) if _is_mpf(lu) else None
+    rows = pairs(lu) if _is_mpf(lu) else None
     if rows is not None:
         return _mpf_lu(rows)
     piv = np.arange(n)
@@ -224,9 +225,10 @@ def lu_det(lu, parity):
     return parity * np.prod(np.diagonal(lu))
 
 
-def lu_solve(lu, piv, b, transpose=False):
+def lu_solve(lu, piv, b, transpose=False, rows=None):
     """Solve A x = b, or A^T x = b when ``transpose`` (b may be a vector or
-    a matrix of columns), from the factors of P A = L U.
+    a matrix of columns), from the factors of P A = L U; ``rows``, the
+    ``pairs`` of an mpf ``lu``, spares converting it again.
 
     A^T = U^T L^T P, so the transposed solve is U^T y = b forward, L^T z = y
     backward and x[piv] = z: one factorization serves both systems.
@@ -239,8 +241,9 @@ def lu_solve(lu, piv, b, transpose=False):
         x = x[:, None]
     if not transpose:
         x = x[piv]
-    rows = _pairs(lu) if mpf else None
-    xs = None if rows is None else _pairs(x)
+    if mpf and rows is None:
+        rows = pairs(lu)
+    xs = None if rows is None else pairs(x)
     if xs is not None:
         x = _mpf_substitute(rows, xs, transpose)
     elif transpose:

@@ -54,6 +54,14 @@ class Weight:
         return (s.beta, s.alpha) if s.family == "jacobi" else (0.0, 0.0)
 
     @property
+    def analytic(self):
+        """Whether the weight is analytic on a neighbourhood of its support:
+        no end factor, and no Markov ratio or one whose generator lies at a
+        positive distance (the transform is analytic off the generator)."""
+        return self.endpoint_exponents == (0.0, 0.0) and (
+            self.ratio is None or self.ratio.v.support.gap_to(self.support) > 0)
+
+    @property
     def label(self):
         s = self.spec
         return (f"jacobi({s.alpha},{s.beta})" if s.family == "jacobi" else s.family) \
@@ -390,14 +398,16 @@ class MomentTable:
     ``panels[j, 0 | 1, k]`` and ``errors[j, 0 | 1, k]`` keep each row's
     accepted panels and error estimate.  ``mp_rows``
     maps a precision rung to the table's mpf rows of ``scaled`` up to
-    ``k_max``; ``highprec.table_rows`` fills it, one pass per rung.
+    ``k_max``; ``highprec.table_rows`` fills it, one pass per rung, and
+    keeps in ``mp_quad`` per rung how each weight's row was computed.
     ``float_lu`` holds one entry, the float rung of the last moment matrix M
     that ``mop._solve`` checked, keyed by parts: the 80-bit ``lu_factor`` of
     M, its inverse and cond1 of M, so type II, type I and the kernel of one
     index factor M once.  ``mp_lu`` holds one entry, the last mpmath LU of
     M, keyed by (parts, dps), which the three solves of one index share:
-    they start the ladder from one cond1 of M and so take one dps.  A copy
-    of the table (``dataclasses.replace``) starts with all three empty.
+    they start the ladder from one cond1 of M and so take one dps;
+    ``mp_pairs`` holds that LU's (m, e) rows, converted once for the solves.
+    A copy of the table (``dataclasses.replace``) starts with all five empty.
     """
 
     system: WeightSystem
@@ -408,8 +418,10 @@ class MomentTable:
     panels: np.ndarray
     errors: np.ndarray
     mp_rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    mp_quad: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     float_lu: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     mp_lu: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    mp_pairs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def k_max(self):

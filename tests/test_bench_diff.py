@@ -305,3 +305,31 @@ def test_same_outputs_record_each_kernels_rung_and_condition():
     ]
     again = same_outputs._kernel_fields(label, kernel(2.5e14, dps=45))
     assert same_outputs.differences(on_mp, again) == []
+
+
+def test_same_outputs_record_each_mp_row_with_its_rule():
+    from types import SimpleNamespace
+
+    import mpmath
+
+    third = mpmath.mpf(1) / 3
+    with mpmath.workdps(40):
+        finer = third + mpmath.mpf(2) ** -70  # the same float, more bits
+
+    def table(row, rule=None):
+        mt = SimpleNamespace(mp_rows={48: [[mpmath.mpf(2), third], row]})
+        if rule:  # a checkout that records how each row was computed
+            mt.mp_quad = {48: [{"rule": "closed form"}, {"rule": rule}]}
+        return same_outputs._row_outputs("zeros nikishin", mt)
+
+    parent = table([third, mpmath.mpf(-1)])
+    assert sorted(parent) == ["zeros nikishin mp rows 48 w1", "zeros nikishin mp rows 48 w2"]
+    assert parent["zeros nikishin mp rows 48 w2"][2] == {
+        "exact": same_outputs._exact([third, mpmath.mpf(-1)]), "rule": None}
+    # the same bits from another rule are the same output
+    assert same_outputs.differences(parent, table([third, mpmath.mpf(-1)], "gauss-legendre")) == []
+    [(key, reason)] = same_outputs.differences(parent, table([finer, mpmath.mpf(-1)], "tanh-sinh"))
+    assert key == "zeros nikishin mp rows 48 w2"
+    assert reason.startswith("differs, max |deviation| 0 of max |value| 1, relative deviation ")
+    assert reason.endswith(" (None -> tanh-sinh)")
+    assert float(reason.split()[-4]) == pytest.approx(2.0 ** -70)

@@ -425,6 +425,25 @@ def test_mop_manifest_records_rung(tmp_path, multi_index, rung):
 
 
 @pytest.mark.parametrize("command", ["mop", "typeI"])
+@pytest.mark.parametrize("multi_index", [[4, 4], [2, 1]])
+def test_solve_step_records_how_the_mp_rows_were_computed(tmp_path, command, multi_index):
+    # w_1 is constant, w_2 = w_1 times the ratio of a generator apart from it
+    cfg = dict(NIKISHIN_CFG, multi_index=multi_index)
+    code = cli.main([command, write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+    assert code == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    detail = {s["name"]: s for s in manifest["steps"]}["solve"]["detail"]
+    if detail["hp_dps"] == 0:
+        assert multi_index == [2, 1] and "mp_rows" not in detail
+        return
+    closed, gauss = detail["mp_rows"]
+    assert closed == {"rule": "closed form", "level": 0, "error_max": 0.0, "open": []}
+    assert gauss["rule"] == "gauss-legendre" and gauss["open"] == []
+    assert gauss["level"] >= 2 and gauss["error_max"] <= 10.0 ** -detail["hp_dps"]
+
+
+@pytest.mark.parametrize("command", ["mop", "typeI"])
 def test_moments_step_records_the_quadrature_work(tmp_path, command):
     cfg = dict(NIKISHIN_CFG, multi_index=[2, 1])
     code = cli.main([command, write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),

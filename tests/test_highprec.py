@@ -1,5 +1,6 @@
 """mpmath moment rows: Beta-function closed forms for pure Jacobi weights,
-one tanh-sinh pass per weight, bit-identical to quad, for the rest, and
+one Gauss-Legendre or tanh-sinh pass per weight, bit-identical to quad with
+that rule, for the rest, and
 one pass per moment table and precision rung for type I, type II and the
 kernel; one LU of the moment matrix per index and precision for all three."""
 
@@ -16,15 +17,21 @@ from mopkit import highprec, linalg
 from mopkit.ensemble import g_matrix
 from mopkit.linalg import LD
 from mopkit.mop import _affine_unscale, _hankel_from, _type2_system
-from mopkit.weights import Weight
+from mopkit.weights import MarkovRatio, Weight
 
 
-def _quad_in_x(w, k, c, s):
-    """quad of ((x - c)/s)^k w(x) over the support: the tanh-sinh pass's
-    integrand."""
+def _quad_in_x(w, k, c, s, method="tanh-sinh"):
+    """quad of ((x - c)/s)^k w(x) over the support with ``method``: the
+    integrand of the pass with that rule."""
     fn = w.mp_evaluator()
     a, b = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)
-    return mpmath.quad(lambda x: ((x - c) / s) ** k * fn(x), [a, b])
+    return mpmath.quad(lambda x: ((x - c) / s) ** k * fn(x), [a, b], method=method)
+
+
+def _gauss_in_x(w, k, c, s):
+    """``_quad_in_x`` with Gauss-Legendre, the rule of a weight analytic
+    near its support."""
+    return _quad_in_x(w, k, c, s, "gauss-legendre")
 
 
 def _quad_in_t_symmetric(w, k, c, s):
@@ -38,39 +45,84 @@ def _quad_in_t_symmetric(w, k, c, s):
     return s * mpmath.quad(lambda t: t ** k * r * ((1 - t) * (1 + t)) ** al, [-1, 1])
 
 
-#: weight, largest power k, working precisions, quad reference; the pure
-#: Jacobi weight takes the Beta closed form, the rest the tanh-sinh pass.
-#: The exp_poly Nikishin ratio nests a quadrature in every value, so it runs
-#: at small k and dps
+def _touching():
+    """w_2 of constant weights on [0, 1] and a generator on [-1, 0], which
+    touches it: the ratio log((x + 1)/x) is singular at 0.  ``MarkovRatio``
+    refuses to build it, so its fields are set unchecked."""
+    ratio = object.__new__(MarkovRatio)
+    ratio.v, ratio.sign = Weight.from_spec(mk.WeightSpec.constant(-1.0, 0.0)), 1.0
+    return Weight(mk.WeightSpec.constant(0.0, 1.0), 1.0, ratio)
+
+
+#: weight, largest power k, working precisions, quad reference, rule; the
+#: pure Jacobi weight takes the Beta closed form, weights analytic near
+#: their support the Gauss-Legendre pass, end factors and touching
+#: generators the tanh-sinh pass.  The exp_poly Nikishin ratio nests a
+#: quadrature in every value, so it runs at small k and dps
 CASES = {
     "jacobi_half_half": (lambda: Weight.from_spec(mk.WeightSpec.jacobi(0.0, 1.0, 0.5, 0.5)),
-                         12, (30, 45), _quad_in_t_symmetric),
+                         12, (30, 45), _quad_in_t_symmetric, "closed form"),
     "exp_poly": (lambda: Weight.from_spec(mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 1.0, 0.5])),
-                 12, (30, 45), _quad_in_x),
+                 12, (30, 45, 48, 64), _gauss_in_x, "gauss-legendre"),
     "nikishin_constant": (lambda: mk.build_nikishin(
         mk.WeightSpec.constant(1.0, 2.0), [mk.WeightSpec.constant(-1.0, 0.0)]).weights[1],
-        12, (30, 45), _quad_in_x),
+        12, (30, 45), _gauss_in_x, "gauss-legendre"),
     "nikishin_exp_poly": (lambda: mk.build_nikishin(
         mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 1.0]),
         [mk.WeightSpec.exp_poly(-1.0, 0.0, [0.0, 0.5])]).weights[1], 2, (15, 20),
-        _quad_in_x),
+        _gauss_in_x, "gauss-legendre"),
     "nikishin_jacobi": (lambda: mk.build_nikishin(
         mk.WeightSpec.jacobi(1.0, 2.0, 0.5, 0.5), [mk.WeightSpec.constant(-1.0, 0.0)]).weights[1],
-        22, (36, 48), _quad_in_x),
+        22, (36, 48), _quad_in_x, "tanh-sinh"),
+    "touching_generator": (_touching, 12, (30, 45), _quad_in_x, "tanh-sinh"),
 }
 
 
-@pytest.mark.parametrize("name,dps", [(name, dps) for name, (_, _, pair, _) in sorted(CASES.items())
-                                      for dps in pair])
+@pytest.mark.parametrize("name,dps", [(name, dps) for name, case in sorted(CASES.items())
+                                      for dps in case[2]])
 def test_moment_rows_match_quad_bit_for_bit(name, dps):
     # one weight's hull is its support: t = (x - c)/s maps it to [-1, 1]
-    make, k_max, _, quad_ref = CASES[name]
-    w = make()
+    make, k_max, _, quad_ref, rule = CASES[name]
+    w, records = make(), []
     c, s = w.support.mid, 0.5 * w.support.length
     with mpmath.mp.workdps(dps):
-        row = highprec.moment_rows(mk.WeightSystem.general([w]), k_max)[0]
+        row = highprec.moment_rows(mk.WeightSystem.general([w]), k_max, records)[0]
         ref = [quad_ref(w, k, c, s) for k in range(k_max + 1)]
     assert [v._mpf_ for v in row] == [v._mpf_ for v in ref]
+    [record] = records
+    assert record["rule"] == rule and record["open"] == [] and "replaces" not in record
+    assert record["error_max"] <= mpmath.mpf(10) ** -dps
+
+
+def test_gauss_legendre_pass_with_an_open_order_is_redone_on_tanh_sinh(monkeypatch):
+    # two Gauss-Legendre levels (3 and 6 nodes) leave every order open
+    monkeypatch.setattr(mpmath.mp._gauss_legendre, "guess_degree", lambda prec: 2)
+    w, records = CASES["exp_poly"][0](), []
+    c, s = w.support.mid, 0.5 * w.support.length
+    with mpmath.mp.workdps(30):
+        row = highprec.moment_rows(mk.WeightSystem.general([w]), 12, records)[0]
+        ref = [_quad_in_x(w, k, c, s) for k in range(13)]
+    assert [v._mpf_ for v in row] == [v._mpf_ for v in ref]
+    [record] = records
+    assert record["rule"] == "tanh-sinh" and record["open"] == []
+    first = record["replaces"]
+    assert first["rule"] == "gauss-legendre" and first["level"] == 2
+    assert first["open"] == list(range(13)) and first["error_max"] > 1e-30
+
+
+@pytest.mark.parametrize("gap", (1e-2, 1e-3))
+def test_near_touching_generator_rows_match_twice_the_dps(gap):
+    # log((x + 1)/(x + gap)) on [0, 1]: Gauss-Legendre needs 7 levels at
+    # gap 1e-2 and leaves orders open at 1e-3, which tanh-sinh then takes
+    w, dps = mk.build_nikishin(mk.WeightSpec.constant(0.0, 1.0),
+                               [mk.WeightSpec.constant(-1.0, -gap)]).weights[1], 30
+    with mpmath.mp.workdps(dps):
+        row = highprec.moment_rows(mk.WeightSystem.general([w]), 12)[0]
+    with mpmath.mp.workdps(2 * dps):  # panels graded geometrically toward the pole
+        fn, pts = w.mp_evaluator(), [0] + [gap * 4 ** i for i in range(8) if gap * 4 ** i < 1]
+        ref = [mpmath.quad(lambda x: (2 * x - 1) ** k * fn(x), pts + [1]) for k in range(13)]
+        dev = max(abs(v - r) for v, r in zip(row, ref)) / max(map(abs, ref))
+    assert dev < mpmath.mpf(10) ** (3 - dps)
 
 
 def test_evaluator_called_once_per_node(monkeypatch):
@@ -152,9 +204,9 @@ def row_calls(monkeypatch):
     calls = []
     plain = highprec.moment_rows
 
-    def counted(ws, k_max):
+    def counted(ws, k_max, *records):
         calls.append((mpmath.mp.dps, k_max))
-        return plain(ws, k_max)
+        return plain(ws, k_max, *records)
 
     monkeypatch.setattr(highprec, "moment_rows", counted)
     return calls
@@ -484,6 +536,19 @@ def test_copied_table_starts_without_an_lu():
     assert dataclasses.replace(mt).mp_lu == {}
     mk.type1_mop(mt, (5, 5), method="mp")  # one entry: the last factorization
     assert [parts for parts, _ in mt.mp_lu] == [(5, 5)]
+
+
+def test_solves_of_one_index_convert_its_lu_once(monkeypatch):
+    converted, plain = [], linalg.pairs
+    monkeypatch.setattr(linalg, "pairs", lambda a: converted.append(id(a)) or plain(a))
+    ws, parts = _constant_nikishin(), (4, 4)
+    mt = mk.moment_table(ws, _kmax(parts))
+    P, ts = mk.type2_mop(mt, parts), mk.type1_mop(mt, parts)
+    K = mk.biorthogonalize(mk.block_hankel(mt, parts), ws, parts)
+    assert P.hp_dps == ts.hp_dps == K.mp.dps
+    lu = mt.mp_lu[parts, P.hp_dps][0]
+    assert converted.count(id(lu)) == 1 and list(mt.mp_pairs) == [(parts, P.hp_dps)]
+    assert dataclasses.replace(mt).mp_pairs == {}
 
 
 def _legendre():

@@ -20,11 +20,18 @@ per kernel its ``rung`` and ``condition_estimate`` and on the mpmath rung
 its ``dps`` and ``psi`` (``_kernel_fields``), each its own output, so a
 change of rung, of precision or of an mpmath solve shows apart from a change
 of values.
+The mpmath moment rows that each ``zeros`` study reached are outputs too,
+one per rung and weight (``zeros NAME mp rows RUNG wJ``), kept exactly
+next to the rule that computed them (``MomentTable.mp_quad``, where the
+checkout has it).
 The digest of an mpf covers its ``_mpf_`` tuple, since a repr rounds it to
 the current precision; its value is kept as a float.  Prints every output
 whose digest differs or that only one side has, a differing output with its
-largest absolute deviation and its largest absolute value, and exits 1 on
-any difference.  The companion of ``tools/cli_bodies.py``.
+largest absolute deviation and its largest absolute value, a differing
+mpmath row with its largest deviation relative to the row's largest entry,
+and each side's deviation from a reference row computed at twice the rung's
+digits by the change's ``moment_rows``, and exits 1 on any difference.  The
+companion of ``tools/cli_bodies.py``.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -76,6 +84,23 @@ def _fields(label, obj, names) -> dict:
             for name in names if (v := getattr(obj, name, None)) is not None}
 
 
+def _exact(row) -> list:
+    """The mpf entries of ``row`` as exact [m, e] pairs, value m 2^e."""
+    return [[-m if sign else m, e] for sign, m, e, _ in (v._mpf_ for v in row)]
+
+
+def _row_outputs(label, mt) -> dict:
+    """One output per rung and weight of the table ``mt``'s mpmath rows:
+    ``_output`` plus {"exact": ``_exact``, "rule": how it was computed}."""
+    out = {}
+    for rung, rows in sorted(getattr(mt, "mp_rows", {}).items()):
+        records = getattr(mt, "mp_quad", {}).get(rung) or [{}] * len(rows)
+        for j, (row, record) in enumerate(zip(rows, records), 1):
+            out[f"{label} mp rows {rung} w{j}"] = _output(repr(_raw(row)), list(row)) + [
+                {"exact": _exact(row), "rule": record.get("rule")}]
+    return out
+
+
 def _kernel_fields(label, K) -> dict:
     """``_fields`` of how the kernel ``K`` was computed: its rung ("float" or
     "mp") and ``condition_estimate``, and on the mpmath rung its ``dps`` and
@@ -112,6 +137,7 @@ def digests(checkout: Path, seed: int) -> dict:
     for (name, _), mt in zip(wl_zeros.STUDIES, tables):
         out[f"zeros {name} moment table"] = _output(b"failed") if mt is None else _output(
             mt.raw.tobytes() + mt.scaled.tobytes(), mt.raw, mt.scaled)
+        out.update(_row_outputs(f"zeros {name}", mt))
     for (name, parts), sig in wl_zeros._signature(zeros.reference).items():
         P, roots, ts = zeros.reference[name, parts]
         out[f"zeros {name} {parts}"] = _output(sig, None if P is None else P.coeffs, roots,
@@ -143,14 +169,45 @@ def digests(checkout: Path, seed: int) -> dict:
     return out
 
 
-def snapshot(checkout: Path, seed: int) -> dict:
-    """``digests`` of ``checkout``, computed in a subprocess on its own ``src``."""
+def references(checkout: Path, seed: int, rows: list) -> dict:
+    """{key: exact row} for each [key, k_max] of ``rows`` (``zeros NAME mp
+    rows RUNG wJ``): row J of ``checkout``'s ``moment_rows`` of the study's
+    system at twice RUNG digits."""
+    sys.path.insert(0, str(checkout / "perfbench"))
+    import mpmath
+    import wl_zeros
+
+    from mopkit import highprec
+
+    systems, out = wl_zeros.Zeros(seed).systems, {}
+    for key, k_max in rows:
+        name, rung, j = key.split()[1], int(key.split()[-2]), int(key.split()[-1][1:])
+        with mpmath.mp.workdps(2 * rung):
+            out[key] = _exact(highprec.moment_rows(systems[name], k_max)[j - 1])
+    return out
+
+
+def _run(checkout: Path, *args) -> dict:
+    """The JSON that this script prints with ``args``, run in a subprocess
+    on ``checkout``'s own ``src``."""
     from cli_bodies import THREAD_VARS
 
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **{v: "1" for v in THREAD_VARS})
-    run = subprocess.run([sys.executable, __file__, "--digests", str(checkout), str(seed)],
-                         cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, __file__, *args], cwd=checkout, env=env,
+                         capture_output=True, text=True, check=True)
     return json.loads(run.stdout)
+
+
+def snapshot(checkout: Path, seed: int) -> dict:
+    """``digests`` of ``checkout``, computed in a subprocess on its own ``src``."""
+    return _run(checkout, "--digests", str(checkout), str(seed))
+
+
+def _relative(row, ref) -> float:
+    """max |row - ref| / max |ref| over two exact rows ([m, e] pairs)."""
+    row, ref = ([Fraction(m) * Fraction(2) ** e for m, e in r] for r in (row, ref))
+    scale = max(map(abs, ref), default=0)
+    return float(max(abs(a - b) for a, b in zip(row, ref)) / scale) if scale else 0.0
 
 
 def _deviation(parent, change) -> str:
@@ -161,7 +218,12 @@ def _deviation(parent, change) -> str:
     if not p:
         return ""
     dev = max((abs(a - b) for a, b in zip(p, c)), default=0.0)
-    return f", max |deviation| {dev:.3g} of max |value| {max(map(abs, p + c), default=0.0):.3g}"
+    out = f", max |deviation| {dev:.3g} of max |value| {max(map(abs, p + c), default=0.0):.3g}"
+    if len(parent) > 2 and len(change) > 2:  # an mpmath row
+        rules = " -> ".join(str(side[2]["rule"]) for side in (parent, change))
+        out += (f", relative deviation {_relative(change[2]['exact'], parent[2]['exact']):.3g}"
+                f" ({rules})")
+    return out
 
 
 def differences(parent: dict, change: dict) -> list:
@@ -176,7 +238,8 @@ def differences(parent: dict, change: dict) -> list:
         elif parent[key] != change[key]:
             p, c = parent[key], change[key]
             both = isinstance(p, list) and isinstance(c, list)
-            out.append((key, "differs" + (_deviation(p, c) if both else "")))
+            if not (both and p[:2] == c[:2]):  # an mpmath row's rule is no output
+                out.append((key, "differs" + (_deviation(p, c) if both else "")))
     return out
 
 
@@ -184,6 +247,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--digests"]:
         print(json.dumps(digests(Path(argv[1]), int(argv[2]))))
+        return 0
+    if argv[:1] == ["--references"]:
+        print(json.dumps(references(Path(argv[1]), int(argv[2]), json.loads(argv[3]))))
         return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -194,6 +260,15 @@ def main(argv=None) -> int:
     found = differences(*sides)
     for key, reason in found:
         print(f"{key}: {reason}")
+    rows = [[key, len(sides[1][key][2]["exact"]) - 1] for key, _ in found
+            if " mp rows " in key and all(key in side for side in sides)]
+    if rows:
+        refs = _run(args.change.resolve(), "--references", str(args.change.resolve()),
+                    str(args.seed), json.dumps(rows))
+        for key, _ in rows:
+            devs = (_relative(side[key][2]["exact"], refs[key]) for side in sides)
+            print("{}: relative deviation from twice the rung's digits: parent {:.3g}, "
+                  "change {:.3g}".format(key, *devs))
     print(f"{len(found)} of {len(set(sides[0]) | set(sides[1]))} outputs differ")
     return 1 if found else 0
 
