@@ -399,10 +399,11 @@ def cmd_typeI(cfg, diags, man, quiet):
     _moments_step(man, mt)
     ts = mop.type1_mop(mt, nvec)
     det = mop.normality_determinant(mop.block_hankel(mt, nvec))
-    res = mop.type1_condition_residuals(ts)
+    res, size = mop.type1_check_integrals(ts)
     detail = {"rung": "float" if ts.hp_coeffs is None else "mp",
               "hp_dps": ts.hp_dps, "rows_dps": ts.hp_rows_dps,
               "condition_estimate": ts.condition_estimate,
+              "residual_relative_max": float((abs(res) / size).max()),
               "evaluation": ts.mp and ts.mp.proxy and ts.mp.proxy.records}
     if ts.hp_rows_dps:
         detail["mp_rows"] = mt.mp_quad[ts.hp_rows_dps]

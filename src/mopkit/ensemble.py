@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .exceptions import DomainError, NonNormalIndexError, NumericError, ValidationError
 from .mop import HankelBlockMatrix, MultiIndex, TypeISystem, _hankel_from, _solve, as_multi_index
-from .quadrature import fixed_segment_nodes, gauss_legendre, quad_with_substitution
+from .quadrature import fixed_segment_nodes, gauss_legendre, quad_with_substitution, sorted_unique
 from .weights import WeightSystem
 
 
@@ -123,7 +123,7 @@ def g_determinant(ws: WeightSystem, nvec, X) -> float:
     X = np.asarray(X, dtype=float)
     if X.size != nvec.n:
         raise ValidationError(f"need {nvec.n} points, got {X.size}")
-    if np.unique(X).size < X.size:
+    if sorted_unique(X).size < X.size:
         return 0.0
     return float(np.linalg.det(g_matrix(ws, nvec, X).T))
 
@@ -483,7 +483,7 @@ class Kernel:
     of the kernel's rung: longdouble, or mpf on the mpmath rung, where ``mp``
     is the ``highprec.MPForm`` of B = psi that evaluates K at ``mp.dps``
     digits; ``factors`` is the ``linalg.lu_factor`` of M, on the mpmath rung
-    the moment table's ``mp_lu`` entry.  M psi^T is the identity up to
+    the moment table's ``mp_lu`` entry, in integer pairs.  M psi^T is the identity up to
     ``gram_defect``; ``condition_estimate`` is cond1 of M, as type I and
     type II of the index report it.
     """
@@ -557,8 +557,8 @@ def kernel_eval(K: Kernel, x, y):
 
 def kernel_eval_bordered(K: Kernel, x, y) -> float:
     """K(x, y) as the bordered determinant -det[[M, f(t_x)], [g(t_y), 0]] / det M,
-    in the entry type and precision of K's rung; det M comes from the LU
-    that K was built from.  Only the mpmath rung imports ``highprec``."""
+    in the entry type and precision of K's rung; det M comes from the
+    diagonal of the LU that K was built from.  Only the mpmath rung imports ``highprec``."""
     if K.mp is None:
         dtype, point, precision = linalg.LD, np.asarray, nullcontext()
     else:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericError, SingularEnergyError, ValidationError
+from .quadrature import sorted_unique
 from .specs import Interval, overlapping_pair
 
 
@@ -346,7 +347,7 @@ def kolmogorov_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         raise ValidationError(
             f"total masses differ: {mu.total_mass} vs {nu.total_mass}"
         )
-    pts = np.union1d(mu.grid, nu.grid)
+    pts = sorted_unique(np.concatenate([mu.grid, nu.grid], axis=None))
     right = np.abs(mu.cdf(pts, "right") - nu.cdf(pts, "right"))
     left = np.abs(mu.cdf(pts, "left") - nu.cdf(pts, "left"))
     return float(max(right.max(initial=0.0), left.max(initial=0.0)))

@@ -16,15 +16,16 @@ kernel (M X = I).  Each attempt reports an a-posteriori condition bound,
 and its answer counts only when ``SURVIVING_DIGITS`` digits survive it.
 ``moment_rows`` gives the rows in t as mpf (closed forms for constant and
 pure Jacobi weights, for the rest one pass per weight of one of
-``mpmath.quad``'s rules with its per-k stopping rule: Gauss-Legendre for
-weights analytic near their support, tanh-sinh for end factors, touching
-generators and a Gauss-Legendre pass that leaves an order open), with a
+``mpmath.quad``'s rules with its per-k stopping rule, decided in float:
+Gauss-Legendre for weights analytic near their support, tanh-sinh for end
+factors, touching and near-touching generators and a Gauss-Legendre pass
+that leaves an order open), with a
 record of how each row was computed; ``table_rows`` keeps rows and
 records on the table, once per precision rung (the dps rounded up to a
 multiple of ``RUNG_DIGITS``), and M is factored once per index and dps
-(``MomentTable.mp_lu``, its integer pairs in ``mp_pairs``): type I, type II
-and the kernel of one index share one condition estimate, one dps and one
-LU.  The rest is shared with the
+(``MomentTable.mp_lu``, an LU kept in integer pairs): type I, type II and
+the kernel of one index share one condition estimate, one dps and one LU,
+and only their solutions become mpf.  The rest is shared with the
 float rung: ``mop._hankel_from``, ``ensemble.f_matrix``/``g_matrix`` on
 object arrays of mpf, and the one LU in ``linalg``, which runs on integer
 mantissas rounded half-even (libmp's path for a wide operand far above
@@ -71,6 +72,10 @@ PROXY_TAIL = 1e-14
 
 #: y-grids of a proxy; first-kind Chebyshev points nest under tripling
 PROXY_GRIDS = (16, 48, 144, 432)
+
+#: nodes of mpmath's Gauss-Legendre level 6 (3 * 2^5): a Markov-ratio weight
+#: keeps that rule while this many nodes reach the working digits
+GAUSS_NODES = 96
 
 
 def working_dps(cond) -> int:
@@ -189,6 +194,47 @@ class ChebyshevProxy:
         return out
 
 
+#: 10^j as mpf, per (j, mp.prec): the error estimates of ``_estimate_error``
+_POW10 = {}
+
+
+def _log10(v):
+    """log10 |v| of a nonzero mpf in float, from its mantissa and exponent,
+    and a bound on that float's error."""
+    _, man, exp, _ = v._mpf_
+    a, b = math.log10(man), exp * math.log10(2)
+    return a + b, 1e-15 * (1 + abs(a) + abs(b))
+
+
+def _estimate_error(rule, results, prec, eps):
+    """``rule.estimate_error(results, prec, eps)``, bit for bit, with its two
+    logarithms taken in float.
+
+    quad's estimate is 10^j, j = min(0, max(ceil(D1^2/D2), ceil(2 D1),
+    -prec)) for D1 = log10 |I_k - I_(k-1)| and D2 = log10 |I_k - I_(k-2)|
+    (``int`` of a number <= 0 is its ceiling).  Both differences are the
+    mpf ones quad takes, and D1, D2 come from their mantissas and exponents
+    (``_log10``).  quad's own estimate answers when there are only two
+    results, when a difference is zero (this covers three equal results),
+    or when D1^2/D2 or 2 D1 lies within 1e-9 (plus the float error bound)
+    of an integer, where the float might round to another ceiling.
+    """
+    if len(results) > 2:
+        d1, d2 = results[-1] - results[-2], results[-1] - results[-3]
+        if d1 and d2:
+            (D1, e1), (D2, e2) = _log10(d1), _log10(d2)
+            if abs(D2) > e2:
+                r = D1 * D1 / D2
+                er = (2 * abs(D1) * e1 + abs(r) * e2) / abs(D2) + 1e-15 * abs(r) + 1e-9
+                if min(abs(r - round(r)) - er, abs(2 * D1 - round(2 * D1)) - 2 * e1 - 1e-9) > 0:
+                    j = min(0, max(math.ceil(r), math.ceil(2 * D1), -prec))
+                    key = (j, mp.prec)
+                    if key not in _POW10:
+                        _POW10[key] = mpmath.mpf(10) ** j
+                    return _POW10[key]
+    return rule.estimate_error(results, prec, eps)
+
+
 def _power_moments(fn, a, b, k_max: int, c, s, rule):
     """Integrals of t^k fn(x), t = (x - c)/s, over [a, b] for k <= k_max on
     the nodes of ``mpmath.quad(lambda x: ((x - c) / s) ** k * fn(x), [a, b],
@@ -197,9 +243,9 @@ def _power_moments(fn, a, b, k_max: int, c, s, rule):
     level advances one column w_i fn(x_i) (x_i - c)^k by a product per node
     and power (rounded, like quad's terms, at 20 guard bits), whose sum
     takes the factor s^-k, and each k stops at the level where quad's error
-    estimate stops it.  A tanh-sinh level adds its sum to half the previous
-    level's, h (S + sum), a Gauss-Legendre level is its own sum, as in each
-    rule's ``sum_next``.  Columns are raw ``_mpf_`` tuples, and
+    estimate stops it (``_estimate_error``).  A tanh-sinh level adds its sum
+    to half the previous level's, h (S + sum), a Gauss-Legendre level is its
+    own sum, as in each rule's ``sum_next``.  Columns are raw ``_mpf_`` tuples, and
     ``mpf_mul``/``mpf_sum`` round them as mpf products and ``mp.fsum`` do.
 
     Returns (row, record): the record names the rule, the last level run,
@@ -228,7 +274,7 @@ def _power_moments(fn, a, b, k_max: int, c, s, rule):
                     results[k].append(total)
             if degree > 1:
                 for k in open_ks:
-                    errors[k] = rule.estimate_error(results[k], prec, eps)
+                    errors[k] = _estimate_error(rule, results[k], prec, eps)
                 open_ks = [k for k in open_ks if errors[k] > eps]
             if not open_ks:
                 break
@@ -270,6 +316,24 @@ def _jacobi_moments(w, k_max: int, c, s):
     return [+v for v in row]
 
 
+def _rule(w):
+    """The rule of ``w``'s quadrature pass: Gauss-Legendre for a weight
+    analytic near its support (``Weight.analytic``), unless its Markov
+    ratio's generator lies so near that ``GAUSS_NODES`` nodes fall short of
+    the working digits, and tanh-sinh for the rest.  With N nodes
+    Gauss-Legendre converges as rho^(-2N), rho = u + sqrt(u^2 - 1) for the
+    Bernstein ellipse through the generator's nearest end, u = 1 + gap /
+    half-length of the support; mpmath's node table costs O(N^2) per level,
+    so a generator inside that ellipse pays far more than tanh-sinh."""
+    if not w.analytic:
+        return mp._tanh_sinh
+    if w.ratio is not None:
+        u = 1 + w.ratio.v.support.gap_to(w.support) / (0.5 * w.support.length)
+        if 2 * GAUSS_NODES * math.log10(u + math.sqrt(u * u - 1)) < mp.dps:
+            return mp._tanh_sinh
+    return mp._gauss_legendre
+
+
 def moment_rows(ws, k_max: int, records=None):
     """Moments integral t^k w_j dx of every weight in the hull coordinate
     t = (x - c)/s, [c - s, c + s] the convex hull of ``ws``'s supports, as
@@ -279,13 +343,14 @@ def moment_rows(ws, k_max: int, records=None):
     a pure Jacobi weight (no Markov ratio) its Beta-function closed form.
     Every other weight takes one pass of ``mpmath.quad``'s rules over its mpf
     evaluator, with quad's per-k stopping rule, so each moment matches its
-    own ``mpmath.quad`` with that rule: Gauss-Legendre for a weight analytic
-    near its support (``Weight.analytic``: no end factor, and no Markov
-    ratio or one whose generator lies apart), which converges there in
-    fewer nodes (93 against 277 at 48 digits), and tanh-sinh for end
-    factors and touching generators, and for a weight whose Gauss-Legendre
-    pass leaves an order open at its last level.  Returns a p x (k_max + 1)
-    object array; a list ``records`` gets one dict per weight: its ``rule``
+    own ``mpmath.quad`` with that rule (``_rule``): Gauss-Legendre for a
+    weight analytic near its support (``Weight.analytic``: no end factor,
+    and no Markov ratio or one whose generator lies apart), which converges
+    there in fewer nodes (93 against 277 at 48 digits), and tanh-sinh for
+    end factors, touching and near-touching generators, and for a weight
+    whose Gauss-Legendre pass leaves an order open at its last level.
+    Returns a p x (k_max + 1) object array; a list ``records`` gets one
+    dict per weight: its ``rule``
     ("closed form", "gauss-legendre" or "tanh-sinh"), the ``level``
     reached, the largest final error estimate ``error_max`` and the
     ``open`` orders, and, for a weight redone on tanh-sinh, the record of
@@ -302,8 +367,7 @@ def moment_rows(ws, k_max: int, records=None):
             row = _jacobi_moments(w, k_max, c, s)
         else:
             fn = w.mp_evaluator()
-            row, record = _power_moments(fn, a, b, k_max, c, s,
-                                         mp._gauss_legendre if w.analytic else mp._tanh_sinh)
+            row, record = _power_moments(fn, a, b, k_max, c, s, _rule(w))
             if record["open"] and record["rule"] == "gauss-legendre":
                 row, redone = _power_moments(fn, a, b, k_max, c, s, mp._tanh_sinh)
                 record = dict(redone, replaces=record)
@@ -339,9 +403,10 @@ def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
     ``mop._solve``.
 
     The rows come from ``table_rows(mt, dps)``; the solve rounds to ``dps``.
-    M is factored once per (parts, dps): the last LU is kept in
-    ``mt.mp_lu``, and its (m, e) rows in ``mt.mp_pairs``, so every solve
-    at one index and precision shares both.  The bound is |A|_1 max |x|_1
+    M is factored once per (parts, dps), from its (m, e) rows
+    (``linalg.Pairs``), and the last LU is kept in ``mt.mp_lu`` as it comes
+    out, in pairs, so every solve at one index and precision shares it and
+    only the solutions become mpf.  The bound is |A|_1 max |x|_1
     / |b|_1 over the columns b of ``rhs(rows)`` (one vector, or a matrix)
     and a fixed probe z = (1, -1, 1, ...) solved in the same LU, for the
     system A actually solved: a monic type II
@@ -357,14 +422,13 @@ def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
     with mp.workdps(dps):
         if key not in mt.mp_lu:
             mt.mp_lu.clear()
-            mt.mp_pairs.clear()
-            mt.mp_lu[key] = linalg.lu_factor(_hankel_from(rows, nvec, nvec.n))
-            mt.mp_pairs[key] = linalg.pairs(mt.mp_lu[key][0])
+            hankel = _hankel_from(rows, nvec, nvec.n)
+            mt.mp_lu[key] = linalg.lu_factor(linalg.pairs(hankel) or hankel)
         lu, piv, _ = mt.mp_lu[key]
         b = rhs(rows)
         cols = np.column_stack([b, [mpmath.mpf((-1) ** i) for i in range(len(b))]])
         try:
-            sol = linalg.lu_solve(lu, piv, cols, transpose, mt.mp_pairs[key])
+            sol = linalg.lu_solve(lu, piv, cols, transpose)
         except NumericError as exc:
             raise NumericError("singular moment system in high precision") from exc
         growth = max(np.abs(x).sum() / np.abs(r).sum() for x, r in zip(sol.T, cols.T) if any(r))

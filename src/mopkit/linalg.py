@@ -13,18 +13,21 @@ solves:
 The entry type selects the loop.  Longdouble and Fraction arrays run numpy
 loops whose entries keep their type, so identities are built from the
 entries, never from integers (``int / int`` would make an exact solve a
-float one).  mpf arrays run the same loops on rows of (m, e) pairs, signed
-integer mantissas and exponents (value m 2^e, not normalized), converted
-once on the way in and once on the way out of each call; a caller that
-solves with one LU many times converts it once (``pairs``).  One kernel,
-``_fms``, computes every y - c x as ``mpmath.libmp`` rounds it: the exact
-product rounded half-even to ``mp.prec``, then the exact difference rounded
-half-even; where libmp does not round the exact sum (a y wider than
-``mp.prec`` far above the product), it takes libmp's own path.  Same pivot
-order, same rounding per operation, so mpf arithmetic's results bit for
-bit, and untouched entries keep their own precision.  The substitutions run
-entry by entry, each entry's updates in one loop.  An inf or nan entry
-sends the call to the numpy loop on the mpf objects themselves.
+float one).  mpf arrays run the same loops on ``Pairs``, rows of (m, e)
+pairs, signed integer mantissas and exponents (value m 2^e, not
+normalized), converted once on the way in and once on the way out of each
+call.  ``Pairs`` are an entry type of their own: ``lu_factor`` of
+``Pairs`` keeps its LU in pairs, and ``lu_det`` and ``lu_solve`` take that
+LU as it is, so a caller that solves with one LU many times converts only
+the matrix and each solution.  One kernel, ``_fms``, computes every y - c x
+as ``mpmath.libmp`` rounds it: the exact product rounded half-even to
+``mp.prec``, then the exact difference rounded half-even; where libmp does
+not round the exact sum (a y wider than ``mp.prec`` far above the
+product), it takes libmp's own path.  Same pivot order, same rounding per
+operation, so mpf arithmetic's results bit for bit, and untouched entries
+keep their own precision.  The substitutions run entry by entry, each
+entry's updates in one loop.  An inf or nan entry sends the call to the
+numpy loop on the mpf objects themselves.
 
 Callers factor each matrix once, through this module's ``lu_factor``, and
 hand its (lu, piv, parity) to ``lu_det``, ``lu_solve`` (with A or,
@@ -57,17 +60,21 @@ def _is_mpf(a):
     return a.dtype == object and any(hasattr(e, "_mpf_") for e in a.flat)
 
 
+class Pairs(list):
+    """Rows of (m, e) pairs, value m 2^e: an mpf matrix as integers."""
+
+
 def pairs(a):
-    """Rows of (m, e) pairs, value m 2^e, of the object array ``a`` (its
-    other entries, the int zeros of ``np.triu``, convert exactly); None if
-    an entry is inf or nan, which only mpf arithmetic itself handles."""
+    """The ``Pairs`` of the object array ``a`` (its other entries, the int
+    zeros of ``np.triu``, convert exactly); None if an entry is inf or nan,
+    which only mpf arithmetic itself handles."""
     from mpmath import mp, mpf
 
     conv = mp.convert
     rows = [[(v if type(v) is mpf else conv(v))._mpf_ for v in row] for row in a]
     if any(not t[1] and t[2] for row in rows for t in row):
         return None
-    return [[(-m if s else m, e) for s, m, e, _ in row] for row in rows]
+    return Pairs([(-m if s else m, e) for s, m, e, _ in row] for row in rows)
 
 
 def _mpf_array(rows):
@@ -146,7 +153,8 @@ def _magnitude(x, prec):
 
 
 def _mpf_lu(rows):
-    """The numpy loop of ``lu_factor`` on rows of (m, e) pairs, op for op."""
+    """The numpy loop of ``lu_factor`` on rows of (m, e) pairs, op for op;
+    the LU stays in ``Pairs``."""
     from mpmath import mp
 
     prec, n = mp.prec, len(rows)
@@ -162,7 +170,7 @@ def _mpf_lu(rows):
         for r in rows[k + 1 :]:
             c = r[k] = _div(r[k], pivot, prec)
             r[k + 1 :] = [_fms(y, c, x, prec) for y, x in zip(r[k + 1 :], top)]
-    return _mpf_array(rows), np.array(piv), parity
+    return Pairs(rows), np.array(piv), parity
 
 
 def _mpf_substitute(lu, x, transpose=False):
@@ -197,13 +205,16 @@ def lu_factor(a):
     Returns (lu, piv, parity): compact LU, pivot rows, and the permutation
     sign (+1/-1).
     """
+    if isinstance(a, Pairs):
+        return _mpf_lu([list(row) for row in a])
     lu = _entries(a)
     n = lu.shape[0]
     if lu.shape != (n, n):
         raise NumericError("lu_factor expects a square matrix")
     rows = pairs(lu) if _is_mpf(lu) else None
     if rows is not None:
-        return _mpf_lu(rows)
+        lu, piv, parity = _mpf_lu(rows)
+        return _mpf_array(lu), piv, parity
     piv = np.arange(n)
     parity = 1
     for k in range(n - 1):
@@ -221,31 +232,35 @@ def lu_factor(a):
 
 
 def lu_det(lu, parity):
-    """Determinant from a compact LU, in the entry type."""
+    """Determinant from a compact LU, in the entry type; an LU in ``Pairs``
+    gives mpf from its diagonal."""
+    if isinstance(lu, Pairs):
+        return parity * np.prod(_mpf_array([[row[i] for i, row in enumerate(lu)]])[0])
     return parity * np.prod(np.diagonal(lu))
 
 
-def lu_solve(lu, piv, b, transpose=False, rows=None):
+def lu_solve(lu, piv, b, transpose=False):
     """Solve A x = b, or A^T x = b when ``transpose`` (b may be a vector or
-    a matrix of columns), from the factors of P A = L U; ``rows``, the
-    ``pairs`` of an mpf ``lu``, spares converting it again.
+    a matrix of columns), from the factors of P A = L U; an LU in ``Pairs``
+    gives mpf solutions.
 
     A^T = U^T L^T P, so the transposed solve is U^T y = b forward, L^T z = y
     backward and x[piv] = z: one factorization serves both systems.
     """
-    n = lu.shape[0]
-    mpf = _is_mpf(lu)
+    n, kept = len(lu), isinstance(lu, Pairs)
+    mpf = kept or _is_mpf(lu)
     x = np.array(b, dtype=object) if mpf else _entries(b)
     one_d = x.ndim == 1
     if one_d:
         x = x[:, None]
     if not transpose:
         x = x[piv]
-    if mpf and rows is None:
-        rows = pairs(lu)
+    rows = (lu if kept else pairs(lu)) if mpf else None
     xs = None if rows is None else pairs(x)
     if xs is not None:
         x = _mpf_substitute(rows, xs, transpose)
+    elif kept:
+        return lu_solve(_mpf_array(lu), piv, b, transpose)
     elif transpose:
         for k in range(n):  # forward, U^T
             if lu[k, k] == 0:

@@ -440,12 +440,20 @@ def type1_condition_residuals(ts: TypeISystem, *, levels=10, order=32) -> np.nda
     time, whose huge values cancel across j) on fixed graded panels over
     the union of supports.
     """
+    return type1_check_integrals(ts, levels=levels, order=order)[0]
+
+
+def type1_check_integrals(ts: TypeISystem, *, levels=10, order=32):
+    """(``type1_condition_residuals``, integral |x^k Q| dx for k < n) on the
+    same panels: the residuals and the scale they are measured against."""
     n = ts.nvec.n
     ws = ts.system
-    res = -np.eye(1, n, n - 1)[0]
+    res, size = -np.eye(1, n, n - 1)[0], np.zeros(n)
     for lo, hi in ws.support_segments():
         xs, wq = fixed_segment_nodes(lo, hi, ws.segment_exponents(lo, hi),
                                      levels=levels, order=order)
         qv = ts.q_values(xs)
-        res = res + np.asarray([np.sum(wq * xs ** k * qv) for k in range(n)])
-    return res
+        terms = [wq * xs ** k * qv for k in range(n)]
+        res = res + np.asarray([np.sum(t) for t in terms])
+        size = size + np.asarray([np.sum(np.abs(t)) for t in terms])
+    return res, size

@@ -239,10 +239,18 @@ def graded_nodes(lo, hi, exponents, breakpoints, order):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def sorted_unique(x):
+    """``np.unique(x)`` for finite x, bit for bit: a sort and an
+    adjacent-difference mask, without the ``numpy.ma`` import that
+    ``np.unique`` pays on first use."""
+    x, keep = np.sort(np.ravel(x)), np.ones(np.size(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def dyadic_breakpoints(levels, toward_one):
     """Panel breakpoints on [0, 1] refined dyadically toward one end."""
-    pts = [0.0] + [1.0 - 0.5 ** k for k in range(1, levels + 1)] + [1.0]
-    pts = np.unique(np.asarray(pts))
+    pts = sorted_unique([0.0] + [1.0 - 0.5 ** k for k in range(1, levels + 1)] + [1.0])
     if not toward_one:
         pts = np.sort(1.0 - pts)
     return pts
@@ -257,7 +265,7 @@ def fixed_segment_nodes(lo, hi, exponents=(0.0, 0.0), *, levels=10, order=32):
     repeat work.  Returns (nodes, weights) with the substitution jacobians
     folded into the weights.
     """
-    bps = np.unique(np.concatenate([dyadic_breakpoints(levels, True),
-                                    dyadic_breakpoints(levels, False)]))
+    bps = sorted_unique(np.concatenate([dyadic_breakpoints(levels, True),
+                                        dyadic_breakpoints(levels, False)]))
     return graded_nodes(lo, hi, exponents, lambda *piece: bps, order)
 

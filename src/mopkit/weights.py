@@ -404,10 +404,10 @@ class MomentTable:
     that ``mop._solve`` checked, keyed by parts: the 80-bit ``lu_factor`` of
     M, its inverse and cond1 of M, so type II, type I and the kernel of one
     index factor M once.  ``mp_lu`` holds one entry, the last mpmath LU of
-    M, keyed by (parts, dps), which the three solves of one index share:
-    they start the ladder from one cond1 of M and so take one dps;
-    ``mp_pairs`` holds that LU's (m, e) rows, converted once for the solves.
-    A copy of the table (``dataclasses.replace``) starts with all five empty.
+    M, keyed by (parts, dps), with its factors in integer (m, e) pairs
+    (``linalg.Pairs``), which the three solves of one index share: they
+    start the ladder from one cond1 of M and so take one dps.  A copy of
+    the table (``dataclasses.replace``) starts with all four empty.
     """
 
     system: WeightSystem
@@ -421,7 +421,6 @@ class MomentTable:
     mp_quad: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     float_lu: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     mp_lu: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    mp_pairs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def k_max(self):

@@ -323,7 +323,8 @@ def test_same_outputs_record_each_mp_row_with_its_rule():
         return same_outputs._row_outputs("zeros nikishin", mt)
 
     parent = table([third, mpmath.mpf(-1)])
-    assert sorted(parent) == ["zeros nikishin mp rows 48 w1", "zeros nikishin mp rows 48 w2"]
+    assert sorted(parent) == ["zeros nikishin mp rows 48 w1", "zeros nikishin mp rows 48 w1 record",
+                              "zeros nikishin mp rows 48 w2", "zeros nikishin mp rows 48 w2 record"]
     assert parent["zeros nikishin mp rows 48 w2"][2] == {
         "exact": same_outputs._exact([third, mpmath.mpf(-1)]), "rule": None}
     # the same bits from another rule are the same output
@@ -333,3 +334,32 @@ def test_same_outputs_record_each_mp_row_with_its_rule():
     assert reason.startswith("differs, max |deviation| 0 of max |value| 1, relative deviation ")
     assert reason.endswith(" (None -> tanh-sinh)")
     assert float(reason.split()[-4]) == pytest.approx(2.0 ** -70)
+
+
+def test_same_outputs_report_a_changed_level_and_bordered_value(monkeypatch):
+    from types import SimpleNamespace
+
+    import mpmath
+
+    import mopkit as mk
+
+    def table(level):
+        record = {"rule": "gauss-legendre", "level": level, "error_max": 1e-50, "open": []}
+        mt = SimpleNamespace(mp_rows={48: [[mpmath.mpf(1) / 3]]}, mp_quad={48: [record]})
+        return same_outputs._row_outputs("zeros nikishin", mt)
+
+    # the same row from a pass that stopped one level later
+    assert same_outputs.differences(table(5), table(6)) == [
+        ("zeros nikishin mp rows 48 w1 record", "differs, max |deviation| 1 of max |value| 6")]
+    C, parts = mk.WeightSpec.constant, (4, 4)
+    ws = mk.build_nikishin(C(1.0, 2.0), [C(-1.0, 0.0)])
+    K = mk.biorthogonalize(mk.block_hankel(mk.moment_table(ws, 16), parts), ws, parts)
+    assert K.mp is not None
+    label = "ensemble kernel nikishin (mp)"
+    parent = same_outputs._bordered_fields(label, K)
+    assert sorted(parent) == [f"{label} bordered", f"{label} det_m"]
+    assert same_outputs.differences(parent, same_outputs._bordered_fields(label, K)) == []
+    plain = mk.kernel_eval_bordered
+    monkeypatch.setattr(mk, "kernel_eval_bordered", lambda K, x, y: plain(K, x, y) + (x == 1.5))
+    [(key, reason)] = same_outputs.differences(parent, same_outputs._bordered_fields(label, K))
+    assert key == f"{label} bordered" and reason.startswith("differs, max |deviation| 1 of ")

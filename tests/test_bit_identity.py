@@ -5,8 +5,9 @@ step, the constant weight's support as a 0/-inf term), the weight values
 through ``np.atleast_1d`` and ``np.polynomial.polynomial.polyval``, the
 g-matrix blocks started from a row of ones, the float kernel on all points
 at once, the bordered kernel that factors M again, the mpmath form with an
-identity factor on its f-basis, and the transposed LU solve as numpy loops
-on object arrays of mpf.
+identity factor on its f-basis, the transposed LU solve as numpy loops
+on object arrays of mpf, and quad's error estimate with its logarithms in
+mpmath.
 """
 
 import math
@@ -557,3 +558,68 @@ def test_inf_or_nan_entry_matches_the_object_loop(bad, where):
             got = outcome(linalg.lu_solve, ref[0], ref[1], b)
             ref = outcome(ref_lu_solve, ref[0], ref[1], b)
             assert raw((got,)) == raw((ref,))
+
+
+@pytest.mark.parametrize("bad", [mpmath.inf, mpmath.nan])
+def test_lu_in_pairs_solves_an_inf_or_nan_rhs_as_the_object_loop(bad):
+    from helpers import ref_lu_solve
+
+    with mpmath.mp.workdps(30):
+        a = _mpf_matrix(np.random.default_rng(5), (5, 5))
+        b = a[:, 0].copy()
+        b[3] = bad
+        lu, piv, _ = linalg.lu_factor(linalg.pairs(a))
+        assert isinstance(lu, linalg.Pairs)
+        got = linalg.lu_solve(lu, piv, b)
+        ref = ref_lu_solve(linalg.lu_factor(a)[0], piv, b)
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in ref]
+
+
+# -- quad's error estimate, its logarithms taken in float ----------------------
+
+@st.composite
+def _quad_results(draw):
+    """(dps, results): the last two or three levels of a quad pass, at the
+    pass's 20 guard bits, with equal results, zero differences and
+    D1^2/D2 or 2 D1 within 1e-12 of an integer among them."""
+    dps = draw(st.sampled_from([15, 30, 48, 64, 100]))
+    kind = draw(st.sampled_from(["free", "free", "deep", "two", "equal", "zero", "ratio",
+                                 "double"]))
+    with mpmath.mp.workdps(4 * dps + 40):
+        S = -draw(st.integers(0, 2 * dps))  # log10 |I_k|, down to where -prec decides
+        last = mpmath.mpf(draw(st.floats(0.1, 10.0))) * mpmath.mpf(10) ** S
+        tiny = st.floats(-1e-12, 1e-12)
+        D2 = S - draw(st.floats(0.25, 1.2 * dps))
+        if kind == "deep":  # near the last bit of I_k at |I_k| ~ 10^(-2 dps): -prec decides
+            S, D2 = -2 * dps, -2 * dps - draw(st.floats(0.25, 2.0))
+            last = mpmath.mpf(draw(st.floats(0.1, 10.0))) * mpmath.mpf(10) ** S
+            D1 = S - draw(st.floats(0.5 * dps, dps + 5))
+        elif kind == "ratio":  # D1^2 / D2 = N + tiny
+            N = draw(st.integers(-int(3.4 * dps) - 5, -1))
+            D1 = -mpmath.sqrt((N + draw(tiny)) * D2)
+        elif kind == "double":  # 2 D1 = -m + tiny
+            D1 = (-draw(st.integers(1, 6 * dps + 10)) + draw(tiny)) / 2
+        else:
+            D1 = S - draw(st.floats(0.0, 1.2 * dps))
+        d1, d2 = (mpmath.mpf(10) ** D * draw(st.sampled_from([1, -1])) for D in (D1, D2))
+        if kind == "equal":
+            d1 = d2 = 0
+        elif kind == "zero":
+            d1, d2 = draw(st.sampled_from([(0, d2), (d1, 0)]))
+    with mpmath.mp.workdps(dps), mpmath.mp.extraprec(20):
+        last = +last * draw(st.sampled_from([1, -1]))
+        results = [+(last - d2), +(last - d1), last]
+    return dps, results[1:] if kind == "two" else results
+
+
+@settings(max_examples=400, deadline=None)
+@given(_quad_results(), st.sampled_from(["tanh-sinh", "gauss-legendre"]))
+def test_float_stopping_estimate_matches_quads(args, method):
+    dps, results = args
+    rule = {"tanh-sinh": mpmath.mp._tanh_sinh, "gauss-legendre": mpmath.mp._gauss_legendre}[method]
+    with mpmath.mp.workdps(dps):
+        prec, eps = mpmath.mp.prec, mpmath.mp.eps / 8
+        with mpmath.mp.extraprec(20):
+            got = highprec._estimate_error(rule, results, prec, eps)
+            ref = rule.estimate_error(results, prec, eps)
+    assert mpmath.mpf(got)._mpf_ == mpmath.mpf(ref)._mpf_

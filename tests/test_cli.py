@@ -160,6 +160,32 @@ class TestRunCommands:
             assert detail["hp_dps"] >= 30
 
     @pytest.mark.parametrize("config,multi_index", [
+        ("nikishin.json", None), ("nikishin.json", [6, 6]), ("legendre.json", None)])
+    def test_typeI_manifest_records_the_relative_residual(self, tmp_path, config, multi_index):
+        # max_k |integral x^k Q - delta| / integral |x^k Q| on the panels of
+        # the absolute residual, which the body keeps
+        import mopkit as mk
+        from mopkit import mop
+
+        cfg = json.loads((CONFIGS / config).read_text())
+        if multi_index is not None:
+            cfg["multi_index"] = multi_index
+        code = cli.main(["typeI", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        detail = {s["name"]: s for s in manifest["steps"]}["solve"]["detail"]
+        body = json.loads((tmp_path / "o" / "typeI.json").read_text())
+        C, parts = mk.WeightSpec.constant, cfg["multi_index"]
+        ws = (mk.build_nikishin(C(1.0, 2.0), [C(-1.0, 0.0)]) if cfg["kind"] == "nikishin"
+              else mk.build_angelesco([C(-1.0, 1.0)]))
+        mt = mk.moment_table(ws, sum(parts) + max(max(parts), sum(parts) - 1) + 1)
+        res, size = mop.type1_check_integrals(mk.type1_mop(mt, parts))
+        assert detail["residual_relative_max"] == float((abs(res) / size).max()) < 1e-13
+        assert body["residual_max"] == float(abs(res).max())
+        assert size.min() > 0
+
+    @pytest.mark.parametrize("config,multi_index", [
         ("nikishin.json", [4, 4]), ("legendre.json", None)])
     def test_typeI_manifest_records_rows_dps(self, tmp_path, config, multi_index):
         cfg = json.loads((CONFIGS / config).read_text())

@@ -54,10 +54,17 @@ def _touching():
     return Weight(mk.WeightSpec.constant(0.0, 1.0), 1.0, ratio)
 
 
+def _near_touching(gap):
+    """w_2 of a constant weight on [0, 1] with a constant generator on
+    [-1, -gap]: 96 Gauss-Legendre nodes fall short of 48 digits."""
+    return mk.build_nikishin(mk.WeightSpec.constant(0.0, 1.0),
+                             [mk.WeightSpec.constant(-1.0, -gap)]).weights[1]
+
+
 #: weight, largest power k, working precisions, quad reference, rule; the
 #: pure Jacobi weight takes the Beta closed form, weights analytic near
-#: their support the Gauss-Legendre pass, end factors and touching
-#: generators the tanh-sinh pass.  The exp_poly Nikishin ratio nests a
+#: their support the Gauss-Legendre pass, end factors, touching and
+#: near-touching generators the tanh-sinh pass.  The exp_poly Nikishin ratio nests a
 #: quadrature in every value, so it runs at small k and dps
 CASES = {
     "jacobi_half_half": (lambda: Weight.from_spec(mk.WeightSpec.jacobi(0.0, 1.0, 0.5, 0.5)),
@@ -75,6 +82,8 @@ CASES = {
         mk.WeightSpec.jacobi(1.0, 2.0, 0.5, 0.5), [mk.WeightSpec.constant(-1.0, 0.0)]).weights[1],
         22, (36, 48), _quad_in_x, "tanh-sinh"),
     "touching_generator": (_touching, 12, (30, 45), _quad_in_x, "tanh-sinh"),
+    "near_touching_1e-2": (lambda: _near_touching(1e-2), 12, (48,), _quad_in_x, "tanh-sinh"),
+    "near_touching_3e-2": (lambda: _near_touching(3e-2), 12, (48,), _quad_in_x, "tanh-sinh"),
 }
 
 
@@ -110,10 +119,36 @@ def test_gauss_legendre_pass_with_an_open_order_is_redone_on_tanh_sinh(monkeypat
     assert first["open"] == list(range(13)) and first["error_max"] > 1e-30
 
 
+@pytest.mark.parametrize("dps", (48, 64))
+def test_workload_nikishin_weights_keep_gauss_legendre(dps):
+    # a generator at distance 1 from [1, 2]: 96 nodes reach 147 digits
+    C, E = mk.WeightSpec.constant, mk.WeightSpec.exp_poly
+    for base in (C(1.0, 2.0), E(1.0, 2.0, [0.0, 0.3, 1.1])):
+        w = mk.build_nikishin(base, [C(-1.0, 0.0)]).weights[1]
+        with mpmath.mp.workdps(dps):
+            assert highprec._rule(w) is mpmath.mp._gauss_legendre
+    with mpmath.mp.workdps(dps):
+        assert highprec._rule(_near_touching(0.1)) is (
+            mpmath.mp._gauss_legendre if dps == 48 else mpmath.mp._tanh_sinh)
+
+
+def test_power_moments_decide_stopping_in_float(monkeypatch):
+    # every estimate from three or more results is the float one
+    from mpmath.calculus.quadrature import QuadratureRule
+
+    seen, plain = [], QuadratureRule.estimate_error
+    monkeypatch.setattr(QuadratureRule, "estimate_error", lambda self, results, prec, eps:
+                        seen.append(len(results)) or plain(self, results, prec, eps))
+    w = CASES["exp_poly"][0]()
+    with mpmath.mp.workdps(48):
+        highprec.moment_rows(mk.WeightSystem.general([w]), 12)
+    assert seen and set(seen) == {2}
+
+
 @pytest.mark.parametrize("gap", (1e-2, 1e-3))
 def test_near_touching_generator_rows_match_twice_the_dps(gap):
-    # log((x + 1)/(x + gap)) on [0, 1]: Gauss-Legendre needs 7 levels at
-    # gap 1e-2 and leaves orders open at 1e-3, which tanh-sinh then takes
+    # log((x + 1)/(x + gap)) on [0, 1]: the generator lies inside the
+    # Bernstein ellipse that 96 Gauss-Legendre nodes need, so tanh-sinh
     w, dps = mk.build_nikishin(mk.WeightSpec.constant(0.0, 1.0),
                                [mk.WeightSpec.constant(-1.0, -gap)]).weights[1], 30
     with mpmath.mp.workdps(dps):
@@ -538,17 +573,28 @@ def test_copied_table_starts_without_an_lu():
     assert [parts for parts, _ in mt.mp_lu] == [(5, 5)]
 
 
-def test_solves_of_one_index_convert_its_lu_once(monkeypatch):
-    converted, plain = [], linalg.pairs
-    monkeypatch.setattr(linalg, "pairs", lambda a: converted.append(id(a)) or plain(a))
+def test_mp_rung_converts_no_lu_to_mpf(monkeypatch):
+    # the LU stays in integer pairs: only solutions, and for det M the
+    # diagonal, become mpf, and bordered values are those of an mpf LU
+    converted, plain = [], linalg._mpf_array
+    monkeypatch.setattr(linalg, "_mpf_array",
+                        lambda rows: converted.append((len(rows), len(rows[0]))) or plain(rows))
     ws, parts = _constant_nikishin(), (4, 4)
     mt = mk.moment_table(ws, _kmax(parts))
     P, ts = mk.type2_mop(mt, parts), mk.type1_mop(mt, parts)
     K = mk.biorthogonalize(mk.block_hankel(mt, parts), ws, parts)
-    assert P.hp_dps == ts.hp_dps == K.mp.dps
-    lu = mt.mp_lu[parts, P.hp_dps][0]
-    assert converted.count(id(lu)) == 1 and list(mt.mp_pairs) == [(parts, P.hp_dps)]
-    assert dataclasses.replace(mt).mp_pairs == {}
+    n, factors = sum(parts), mt.mp_lu[parts, P.hp_dps]
+    assert P.hp_dps == ts.hp_dps == K.mp.dps and K.factors is factors
+    assert isinstance(factors[0], linalg.Pairs) and converted
+    assert (n, n) not in converted
+    points = [(1.2, 1.7), (1.05, 1.95), (1.5, 1.5)]
+    got = [mk.kernel_eval_bordered(K, x, y) for x, y in points]
+    with mpmath.mp.workdps(K.mp.dps):
+        mpf_lu = linalg.lu_factor(K.matrix)  # the same LU as an mpf array
+        assert linalg.lu_det(factors[0], factors[2])._mpf_ == linalg.lu_det(
+            mpf_lu[0], mpf_lu[2])._mpf_
+    assert [mk.kernel_eval_bordered(dataclasses.replace(K, factors=mpf_lu), x, y)
+            for x, y in points] == got
 
 
 def _legendre():

@@ -93,3 +93,25 @@ def test_float_kernel_bordered_value_leaves_mpmath_unloaded():
 def test_compare_on_the_mpmath_rung_loads_it(tmp_path):
     modules = ("numpy", "mpmath", "mopkit.highprec")
     assert loaded_after(tmp_path, "compare", "angelesco_compare", modules) == set(modules)
+
+
+def test_unique_points_leave_numpy_ma_unloaded():
+    # np.unique and np.union1d import numpy.ma (about 8 ms) on first use:
+    # the Markov panels' and the type I check's breakpoints, g_determinant's
+    # repeated points and kolmogorov_distance's merged grid sort instead
+    code = ("import sys; import mopkit as mk; C = mk.WeightSpec.constant; "
+            "ws = mk.build_nikishin(C(1.0, 2.0), [C(-1.0, 0.0)]); "
+            "ts = mk.type1_mop(mk.moment_table(ws, 8), (2, 2)); "
+            "mk.type1_condition_residuals(ts); "
+            "zero = mk.g_determinant(ws, (2, 2), [1.1, 1.2, 1.2, 1.4]); "
+            "mu = mk.DiscreteMeasure([1.2, 1.5], [0.5, 0.5]); "
+            "nu = mk.DiscreteMeasure([1.3, 1.5], [0.5, 0.5]); "
+            "print(zero, mk.kolmogorov_distance(mu, nu), 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.split() == ["0.0", "0.5", "False"], run.stdout
+
+
+def test_compare_leaves_numpy_ma_unloaded(tmp_path):
+    assert loaded_after(tmp_path, "compare", "angelesco_compare", ("numpy.ma",)) == set()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mopkit as mk
 from mopkit.exceptions import QuadratureError
@@ -7,7 +9,17 @@ from mopkit.quadrature import (
     adaptive_quad,
     fixed_segment_nodes,
     quad_with_substitution,
+    sorted_unique,
 )
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3.0, 0.1]) | st.floats(
+    allow_nan=False, allow_infinity=False), max_size=40))
+def test_sorted_unique_matches_np_unique(values):
+    x = np.array(values, dtype=float)
+    got, ref = sorted_unique(x), np.unique(x)
+    assert got.tobytes() == ref.tobytes()
+    assert sorted_unique(np.concatenate([x, x[::-1]])).tobytes() == np.union1d(x, x[::-1]).tobytes()
 
 
 def test_polynomial_exact():

@@ -23,7 +23,12 @@ of values.
 The mpmath moment rows that each ``zeros`` study reached are outputs too,
 one per rung and weight (``zeros NAME mp rows RUNG wJ``), kept exactly
 next to the rule that computed them (``MomentTable.mp_quad``, where the
-checkout has it).
+checkout has it), and the rest of each row's record (``level``,
+``error_max``, ``open`` and ``replaces``) is an output of its own
+(``... wJ record``), so a changed stopping level shows even where the
+row's bits do not move.  The mpmath kernel also gives its bordered
+determinant values at five fixed points and det M from ``K.factors``, at
+the kernel's dps (``_bordered_fields``).
 The digest of an mpf covers its ``_mpf_`` tuple, since a repr rounds it to
 the current precision; its value is kept as a float.  Prints every output
 whose digest differs or that only one side has, a differing output with its
@@ -90,15 +95,41 @@ def _exact(row) -> list:
 
 
 def _row_outputs(label, mt) -> dict:
-    """One output per rung and weight of the table ``mt``'s mpmath rows:
-    ``_output`` plus {"exact": ``_exact``, "rule": how it was computed}."""
+    """Two outputs per rung and weight of the table ``mt``'s mpmath rows:
+    the row, ``_output`` plus {"exact": ``_exact``, "rule": how it was
+    computed}, and its record's ``level``, ``error_max``, ``open`` and
+    ``replaces`` (``... record``)."""
     out = {}
     for rung, rows in sorted(getattr(mt, "mp_rows", {}).items()):
         records = getattr(mt, "mp_quad", {}).get(rung) or [{}] * len(rows)
         for j, (row, record) in enumerate(zip(rows, records), 1):
             out[f"{label} mp rows {rung} w{j}"] = _output(repr(_raw(row)), list(row)) + [
                 {"exact": _exact(row), "rule": record.get("rule")}]
+            how = {name: record.get(name) for name in ("level", "error_max", "open", "replaces")}
+            out[f"{label} mp rows {rung} w{j} record"] = _output(
+                repr(how), [how[name] for name in ("level", "error_max") if how[name] is not None])
     return out
+
+
+#: (x, y) of the mpmath kernel's bordered values, inside the ``ensemble``
+#: Nikishin hull [1, 2]
+BORDERED_POINTS = ((1.1, 1.3), (1.25, 1.9), (1.5, 1.5), (1.7, 1.2), (1.95, 1.05))
+
+
+def _bordered_fields(label, K) -> dict:
+    """``_fields`` of the mpmath kernel ``K``'s bordered determinant: its
+    ``kernel_eval_bordered`` values at ``BORDERED_POINTS`` and det M from
+    the LU in ``K.factors``, at K's dps."""
+    import mopkit
+    from mopkit import linalg
+    from mpmath import mp
+
+    with mp.workdps(K.mp.dps):
+        lu, _, parity = K.factors
+        det_m = linalg.lu_det(lu, parity)
+    how = SimpleNamespace(det_m=det_m, bordered=[mopkit.kernel_eval_bordered(K, x, y)
+                                                 for x, y in BORDERED_POINTS])
+    return _fields(label, how, ("bordered", "det_m"))
 
 
 def _kernel_fields(label, K) -> dict:
@@ -165,6 +196,8 @@ def digests(checkout: Path, seed: int) -> dict:
         out[f"ensemble kernel {name} ({tag})"] = _output(vals.tobytes() + repr(trace).encode(),
                                                          vals, trace)
         out.update(_kernel_fields(f"ensemble kernel {name} ({tag})", K))
+        if K.mp is not None:
+            out.update(_bordered_fields(f"ensemble kernel {name} ({tag})", K))
     out["failed operations"] = _sha(sess.failures)
     return out
 
