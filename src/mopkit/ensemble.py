@@ -483,9 +483,9 @@ class Kernel:
     of the kernel's rung: longdouble, or mpf on the mpmath rung, where ``mp``
     is the ``highprec.MPForm`` of B = psi that evaluates K at ``mp.dps``
     digits; ``factors`` is the ``linalg.lu_factor`` of M, on the mpmath rung
-    the moment table's ``mp_lu`` entry, in integer pairs.  M psi^T is the identity up to
-    ``gram_defect``; ``condition_estimate`` is cond1 of M, as type I and
-    type II of the index report it.
+    the moment table's ``mp_lu`` entry, in integer pairs.  M psi^T is the
+    identity up to ``gram_defect``; ``condition_estimate`` is cond1 of M, as
+    type I and type II of the index report it.
     """
 
     ws: WeightSystem
@@ -558,7 +558,8 @@ def kernel_eval(K: Kernel, x, y):
 def kernel_eval_bordered(K: Kernel, x, y) -> float:
     """K(x, y) as the bordered determinant -det[[M, f(t_x)], [g(t_y), 0]] / det M,
     in the entry type and precision of K's rung; det M comes from the
-    diagonal of the LU that K was built from.  Only the mpmath rung imports ``highprec``."""
+    diagonal of the LU that K was built from.  Only the mpmath rung imports
+    ``highprec``."""
     if K.mp is None:
         dtype, point, precision = linalg.LD, np.asarray, nullcontext()
     else:

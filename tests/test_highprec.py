@@ -64,8 +64,8 @@ def _near_touching(gap):
 #: weight, largest power k, working precisions, quad reference, rule; the
 #: pure Jacobi weight takes the Beta closed form, weights analytic near
 #: their support the Gauss-Legendre pass, end factors, touching and
-#: near-touching generators the tanh-sinh pass.  The exp_poly Nikishin ratio nests a
-#: quadrature in every value, so it runs at small k and dps
+#: near-touching generators the tanh-sinh pass.  The exp_poly Nikishin
+#: ratio nests a quadrature in every value, so it runs at small k and dps
 CASES = {
     "jacobi_half_half": (lambda: Weight.from_spec(mk.WeightSpec.jacobi(0.0, 1.0, 0.5, 0.5)),
                          12, (30, 45), _quad_in_t_symmetric, "closed form"),
@@ -148,7 +148,7 @@ def test_power_moments_decide_stopping_in_float(monkeypatch):
 @pytest.mark.parametrize("gap", (1e-2, 1e-3))
 def test_near_touching_generator_rows_match_twice_the_dps(gap):
     # log((x + 1)/(x + gap)) on [0, 1]: the generator lies inside the
-    # Bernstein ellipse that 96 Gauss-Legendre nodes need, so tanh-sinh
+    # Bernstein ellipse that 96 Gauss-Legendre nodes need: tanh-sinh takes it
     w, dps = mk.build_nikishin(mk.WeightSpec.constant(0.0, 1.0),
                                [mk.WeightSpec.constant(-1.0, -gap)]).weights[1], 30
     with mpmath.mp.workdps(dps):
