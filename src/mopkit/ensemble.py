@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -129,26 +128,66 @@ def g_determinant(ws: WeightSystem, nvec, X) -> float:
 
 
 def _log_det_form(ws, nvec, Xs):
-    """log |det f * det g| for a stack of configurations (C, n): det f as the
-    Vandermonde product, det g by batched slogdet in the (point, basis)
-    orientation of ``g_determinant``; -inf where either vanishes."""
-    lf = 0.0
+    """log |det f * det g| for a stack of configurations (C, n); -inf where
+    either vanishes (``_det_form``, divide by zero ignored)."""
     with np.errstate(divide="ignore"):
-        for s in range(1, Xs.shape[1]):  # the pairs s apart
-            lf = lf + np.log(np.abs(Xs[:, s:] - Xs[:, :-s])).sum(axis=1)
-    G = g_matrix(ws, nvec, Xs.ravel()).reshape(-1, *Xs.shape)  # (basis, config, point)
-    sg, lg = np.linalg.slogdet(G.transpose(1, 2, 0))
-    return np.where(sg == 0, -np.inf, lg + lf)
+        return _det_form(ws, nvec, np.ascontiguousarray(Xs))()
+
+
+def _det_form(ws, nvec, Xs):
+    """The log density of the general form, bound to the C-contiguous stack Xs
+    (C, n): the returned function evaluates log |det f * det g| at what Xs
+    holds when it is called.  det f is the Vandermonde product, det g a
+    batched slogdet in the (point, basis) orientation of ``g_determinant``;
+    -inf where either vanishes.  The views, the g-matrix buffer and the
+    weights of its blocks are bound here, once; the g rows are those of
+    ``g_matrix`` op for op, a constant weight's values taken as its scale on
+    the support and 0.0 off it, as ``Weight.values`` gives them.  It sets no
+    errstate: log 0 of coincident points divides by zero."""
+    C, n = Xs.shape
+    xs = Xs.reshape(-1)  # a view: Xs is contiguous
+    pairs = [(Xs[:, s:], Xs[:, :-s]) for s in range(1, n)]  # the pairs s apart
+    G = np.empty((n, xs.size))
+    inside = np.empty(xs.size, dtype=bool)
+    blocks, row = [], 0
+    for j, nj in enumerate(nvec.parts):
+        if nj:
+            w = ws.weights[j]
+            constant = w.ratio is None and w.spec.family == "constant"
+            support = (w.support.a, w.support.b, w.scale) if constant else None
+            blocks.append((w, support, G[row : row + nj]))
+            row += nj
+    point_basis = G.reshape(n, C, n).transpose(1, 2, 0)
+
+    def log_density():
+        lf = 0.0
+        for hi, lo in pairs:
+            lf = lf + np.log(np.abs(hi - lo)).sum(axis=1)
+        for w, support, rows in blocks:
+            vals, mono = rows[0], xs
+            if support is None:
+                vals[...] = w.values(xs)
+            else:
+                a, b, scale = support
+                np.less_equal(a, xs, out=inside)
+                np.logical_and(inside, xs <= b, out=inside)
+                np.multiply(inside, scale, out=vals)
+            for r in rows[1:]:
+                np.multiply(mono, vals, out=r)
+                mono = mono * xs
+        sg, lg = np.linalg.slogdet(point_basis)
+        return np.where(sg == 0, -np.inf, lg + lf)
+
+    return log_density
 
 
 class _Target:
-    """One density form as a batched log density: coordinate layout, the
-    full log density and the accept test of one Metropolis move.  Terms are
-    log-absolute values, which survive the hundreds of orders of magnitude
-    of squared Vandermonde factors.  A move (``accept``) writes into the
-    buffers of ``work_arrays``, tests a constant weight's support instead of
-    evaluating it, and sums the Vandermonde change in one matvec with the
-    coupling row."""
+    """One density form as a batched log density: the coordinate layout and
+    the full log density, plus what a Metropolis move of ``sampling`` binds
+    once per run: per coordinate its coupling row ``mult`` and its weight, or
+    the support of a constant weight, which a move tests instead of
+    evaluating.  Terms are log-absolute values, which survive the hundreds of
+    orders of magnitude of squared Vandermonde factors."""
 
     def __init__(self, ws: WeightSystem, nvec):
         nvec = as_multi_index(nvec)
@@ -189,8 +228,6 @@ class _Target:
             w.support if w is not None and w.ratio is None and w.spec.family == "constant"
             else None for w in self.coord_weight]
 
-    # -- full log density (init checks and the general path) ---------------
-
     def log_density(self, state):
         """log of the unnormalized density for a stack of states (C, ncoord)."""
         if self.kind == "general":
@@ -204,51 +241,6 @@ class _Target:
                 with np.errstate(divide="ignore"):
                     logp += self.mult[i, k] * np.log(d)
         return logp
-
-    # -- one Metropolis move -----------------------------------------------
-
-    def work_arrays(self, chains):
-        """The buffers of ``accept`` and of the sampler's proposal and log u,
-        for ``chains`` chains; allocated once per sampler run."""
-        C, nc = chains, self.ncoord
-        return SimpleNamespace(prop=np.empty(C), log_u=np.empty(C), change=np.empty(C),
-                               ok=np.empty(C, dtype=bool), inside=np.empty(C, dtype=bool),
-                               near=np.empty((C, nc)), far=np.empty((C, nc)),
-                               cand=np.empty((C, nc)))
-
-    def accept(self, state, idx, prop, log_u, logp, work):
-        """Accept mask (per chain, ``work.ok``) of moving coordinate idx to
-        prop: log u < the change in log density.  Every step writes into the
-        arrays of ``work``.  On the factored and Nikishin forms the change is
-        the matvec of the two log-distance rows' difference with the coupling
-        row, plus the change of the weight's log values; a constant weight's
-        support test is ANDed into the mask instead.  -inf and NaN changes
-        reject (u < NaN is false).  On the general form the change is the
-        candidate's full log density minus ``logp``, which takes the
-        candidate's value where the move is accepted."""
-        change, ok = work.change, work.ok
-        if self.kind == "general":
-            np.copyto(work.cand, state)
-            work.cand[:, idx] = prop
-            new = self.log_density(work.cand)
-            np.less(log_u, np.subtract(new, logp, out=change), out=ok)
-            np.copyto(logp, new, where=ok)
-            return ok
-        for row, col in ((work.near, prop[:, None]), (work.far, state[:, idx, None])):
-            np.subtract(col, state, out=row)
-            np.abs(row, out=row)
-            np.log(row, out=row)
-        np.subtract(work.near, work.far, out=work.near)
-        work.near[:, idx] = 0.0
-        np.matmul(work.near, self.mult[idx], out=change)
-        w, support = self.coord_weight[idx], self.constant_support[idx]
-        if support is None:
-            np.add(w.log_values(prop) - w.log_values(state[:, idx]), change, out=change)
-            return np.less(log_u, change, out=ok)
-        np.less(log_u, change, out=ok)
-        ok &= np.less_equal(support.a, prop, out=work.inside)
-        ok &= np.less_equal(prop, support.b, out=work.inside)
-        return ok
 
 
 @dataclass(frozen=True)

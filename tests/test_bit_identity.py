@@ -11,6 +11,7 @@ mpmath.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -77,7 +78,15 @@ SAMPLER_TARGETS = {
         lambda: mk.WeightSystem.general([mk.Weight.from_spec(C(-1.0, 1.0)),
                                          mk.Weight.from_spec(E(-1.0, 1.0, (0.0, 1.0)))]),
         (1, 1), "general"),
+    # support ends that are not binary fractions, so proposals test them closely
+    "factored_constant_inexact_ends": (
+        lambda: mk.build_angelesco([C(0.1, 0.7), C(0.7, 1.3)]), (2, 1), "factored"),
+    "nikishin_extended_exp_poly": (
+        lambda: mk.build_nikishin(E(1.0, 2.0, (0.3, -0.8)), [C(-1.0, 0.0)]), (2, 2), "nikishin"),
+    "p1_128_chains": (lambda: mk.build_angelesco([C(-1.0, 1.0)]), (3,), "factored"),
 }
+#: name -> sampler settings other than the common ones
+SAMPLER_KNOBS = {"p1_128_chains": {"chains": 128, "burn_in": 600}}  # two step retunings
 
 
 def _batch_bytes(batch):
@@ -92,12 +101,86 @@ def test_buffered_sweep_matches_unbuffered_sweep(name, monkeypatch):
     build, nvec, kind = SAMPLER_TARGETS[name]
     ws = build()
     # 300 burn-in sweeps cross one step retuning
-    cfg = SamplerConfig(samples=1000, chains=48, burn_in=300, thinning=3, seed=29)
+    knobs = {"chains": 48, "burn_in": 300, **SAMPLER_KNOBS.get(name, {})}
+    cfg = SamplerConfig(samples=1000, thinning=3, seed=29, **knobs)
     batch = sample_mcmc(ws, nvec, cfg)
     monkeypatch.setattr(sampling, "_sweep", ref_sweep)
     ref = sample_mcmc(ws, nvec, cfg)
     assert batch.kind == kind
     assert _batch_bytes(batch) == _batch_bytes(ref)
+
+
+# -- the general form's log density --------------------------------------------
+
+def ref_log_det_form(ws, nvec, Xs):
+    """log |det f * det g| with det g from ``g_matrix``, divide by zero
+    ignored in the Vandermonde sum only."""
+    lf = 0.0
+    with np.errstate(divide="ignore"):
+        for s in range(1, Xs.shape[1]):
+            lf = lf + np.log(np.abs(Xs[:, s:] - Xs[:, :-s])).sum(axis=1)
+    G = ensemble.g_matrix(ws, nvec, Xs.ravel()).reshape(-1, *Xs.shape)
+    sg, lg = np.linalg.slogdet(G.transpose(1, 2, 0))
+    return np.where(sg == 0, -np.inf, lg + lf)
+
+
+#: name -> (weight system builder, multi-index) of the general form
+DET_FORMS = {
+    "constant_exp_poly": (SAMPLER_TARGETS["general_constant_exp_poly"][0], (1, 1)),
+    # a scaled constant weight off part of the hull, and a Jacobi pole at x = 1
+    "scaled_constant_jacobi": (
+        lambda: mk.WeightSystem.general([mk.Weight.from_spec(C(-1.0, 0.5)).scaled(2.5),
+                                         mk.Weight.from_spec(J(-1.0, 1.0, -0.5, 0.5))]),
+        (2, 2)),
+    "angelesco_jacobi": (lambda: mk.build_angelesco([J(-1.0, 0.0, -0.5, 0.5), C(0.0, 1.0)]),
+                         (2, 1)),
+    "nikishin_p3": (lambda: mk.build_nikishin(C(3.0, 4.0), [C(1.0, 2.0), C(-1.0, 0.0)]),
+                    (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DET_FORMS))
+def test_det_form_matches_g_matrix_expression(name):
+    build, nvec = DET_FORMS[name]
+    ws, nvec = build(), as_multi_index(nvec)
+    hull = ws.support_hull()
+    rng = np.random.default_rng(13)
+    Xs = rng.uniform(hull.a, hull.b, (200, nvec.n))
+    Xs[:40] = rng.choice([hull.a, hull.b, 0.5, 0.0, hull.a - 0.25, hull.b + 0.25], (40, nvec.n))
+    Xs[40:60, 1] = Xs[40:60, 0]  # coincident points
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * inf at a pole
+        ref = ref_log_det_form(ws, nvec, Xs)
+        assert ensemble._log_det_form(ws, nvec, Xs).tobytes() == ref.tobytes()
+        assert ensemble._log_det_form(ws, nvec, Xs[::3]).tobytes() == ref[::3].tobytes()
+        assert ensemble._det_form(ws, nvec, Xs)().tobytes() == ref.tobytes()
+    assert np.all(ref[40:60] == -np.inf) and np.isfinite(ref).sum() >= 50
+
+
+def test_public_densities_keep_their_values_and_raise_no_warnings():
+    """The moves of ``sample_mcmc`` skip the errstate of these paths: they keep it."""
+    w = mk.Weight.from_spec(J(-1.0, 2.0, -0.5, 0.5))
+    ends = np.array([-1.0, 2.0])
+    angelesco = DET_FORMS["angelesco_jacobi"][0]()
+    general = DET_FORMS["scaled_constant_jacobi"][0]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _same(w.values(ends), np.array([0.0, np.inf]))
+        assert _same(w.log_values(ends), np.array([-np.inf, np.inf]))
+        assert [w.values(-1.0), w.values(2.0)] == [0.0, np.inf]
+        assert [w.log_values(-1.0), w.log_values(2.0)] == [-np.inf, np.inf]
+        for ws, nvec, X in ((SAMPLER_TARGETS["general_constant_exp_poly"][0](), (1, 1), [0.3, 0.3]),
+                            (angelesco, (2, 1), [-0.5, -0.5, 0.5]),
+                            (general, (2, 2), [0.25, -0.5, 0.25, 0.75])):
+            assert mk.joint_density(ws, nvec, X) == 0.0
+        # a coordinate on an end of its support (a Jacobi zero or pole, a
+        # constant weight's jump)
+        state = np.array([[-1.0, 0.5], [0.0, 0.5], [-0.5, 1.0], [-0.5, 0.0]])
+        got = ensemble._Target(angelesco, (1, 1)).log_density(state)
+        assert _same(got, np.array([-np.inf, np.inf, np.log(1.5), np.log(0.5)]))
+        state = np.array([[-1.0, 0.5], [1.0, 0.5], [-0.5, 1.0], [-0.5, -0.5]])
+        target = ensemble._Target(general, (1, 1))
+        assert target.kind == "general"
+        assert _same(target.log_density(state), ref_log_det_form(general, (1, 1), state))
 
 
 # -- the weight evaluators -------------------------------------------------------

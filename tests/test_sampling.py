@@ -3,6 +3,7 @@ import pytest
 
 import mopkit as mk
 from mopkit.exceptions import DomainError, ValidationError
+from mopkit import sampling
 from mopkit.ensemble import _Target
 from mopkit.sampling import SamplerConfig, sample_mcmc
 
@@ -160,18 +161,49 @@ def _move_target(name, chains, seed):
     return target, state, rng
 
 
+class _Draws:
+    """Stands in for the generator of one sweep: ``standard_normal`` and
+    ``random`` fill ``out`` with the next of the prepared arrays."""
+
+    def __init__(self, normals, uniforms):
+        self.normals, self.uniforms = iter(normals), iter(uniforms)
+
+    def standard_normal(self, out):
+        out[...] = next(self.normals)
+
+    def random(self, out):
+        out[...] = next(self.uniforms)
+
+
+def _move(target, state, idx, step, u):
+    """Accept mask of one sweep that moves coordinate idx by ``step`` with
+    uniforms u: every other coordinate proposes where it is (a zero change,
+    which its uniform of 1/2 accepts), so only idx can move."""
+    chains, nc = state.shape
+    zeros, half = np.zeros(chains), np.full(chains, 0.5)
+    draws = _Draws([step if i == idx else zeros for i in range(nc)],
+                   [u if i == idx else half for i in range(nc)])
+    moved, accepts = state.copy(), np.zeros(nc, dtype=np.int64)
+    sampling._sweep(target, moved, None, np.ones(nc), draws, accepts,
+                    sampling._work(target, moved))
+    ok = moved[:, idx] != state[:, idx]
+    assert accepts[idx] == ok.sum() and np.array_equal(np.delete(moved, idx, axis=1),
+                                                       np.delete(state, idx, axis=1))
+    return ok
+
+
 @pytest.mark.parametrize("name", sorted(MOVE_TARGETS))
 def test_move_matches_full_log_density(name):
     chains = 400
     target, state, rng = _move_target(name, chains, seed=17)
     assert target.kind in ("factored", "nikishin")
-    work = target.work_arrays(chains)
     with np.errstate(divide="ignore", invalid="ignore"):
         base = target.log_density(state)
         assert np.all(np.isfinite(base))
         for idx in range(target.ncoord):
             iv = target.intervals[idx]
-            prop = state[:, idx] + 0.6 * iv.length * rng.standard_normal(chains)
+            step = 0.6 * iv.length * rng.standard_normal(chains)
+            prop = state[:, idx] + step
             cand = state.copy()
             cand[:, idx] = prop
             ref = target.log_density(cand) - base
@@ -180,10 +212,13 @@ def test_move_matches_full_log_density(name):
             assert not np.any(ref == np.inf)
             # uniform u, then log u just below and just above a finite change
             # (the incremental change is within 1e-10 of the full one) and
-            # log u = -inf, 0 where the change is -inf or NaN: those reject
+            # log u = -inf, 0 where the change is -inf or NaN: those reject.
+            # The sweep takes log u = log(exp(log u)), within 1e-14 of it.
             for log_u in (np.log(rng.random(chains)), np.where(fin, ref - 1e-10, -np.inf),
                           np.where(fin, ref + 1e-10, 0.0)):
-                ok = target.accept(state, idx, prop, log_u, None, work)
+                u = np.exp(log_u)
+                log_u = np.log(u)
+                ok = _move(target, state, idx, step, u)
                 np.testing.assert_array_equal(ok, log_u < ref)
                 assert not np.any(ok & ~fin)
 
