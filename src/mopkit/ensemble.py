@@ -134,6 +134,12 @@ def _log_det_form(ws, nvec, Xs):
         return _det_form(ws, nvec, np.ascontiguousarray(Xs))()
 
 
+def _constant_support(w):
+    """The support of a constant weight without a Markov ratio, which the
+    densities test instead of evaluating the weight; None for other weights."""
+    return w.support if w.ratio is None and w.spec.family == "constant" else None
+
+
 def _det_form(ws, nvec, Xs):
     """The log density of the general form, bound to the C-contiguous stack Xs
     (C, n): the returned function evaluates log |det f * det g| at what Xs
@@ -153,9 +159,8 @@ def _det_form(ws, nvec, Xs):
     for j, nj in enumerate(nvec.parts):
         if nj:
             w = ws.weights[j]
-            constant = w.ratio is None and w.spec.family == "constant"
-            support = (w.support.a, w.support.b, w.scale) if constant else None
-            blocks.append((w, support, G[row : row + nj]))
+            iv = _constant_support(w)
+            blocks.append((w, None if iv is None else (iv.a, iv.b, w.scale), G[row : row + nj]))
             row += nj
     point_basis = G.reshape(n, C, n).transpose(1, 2, 0)
 
@@ -223,10 +228,8 @@ class _Target:
             self.mult = None
         if self.mult is not None:
             np.fill_diagonal(self.mult, 0.0)
-        # per coordinate, the support of a constant weight (tested, not evaluated)
-        self.constant_support = [
-            w.support if w is not None and w.ratio is None and w.spec.family == "constant"
-            else None for w in self.coord_weight]
+        self.constant_support = [None if w is None else _constant_support(w)
+                                 for w in self.coord_weight]
 
     def log_density(self, state):
         """log of the unnormalized density for a stack of states (C, ncoord)."""

@@ -195,7 +195,8 @@ def sample_mcmc(ws: WeightSystem, nvec, cfg: SamplerConfig) -> SampleBatch:
     update the log density incrementally (``_sweep``); the full log density
     serves the general target, the starting state and a probe of the kept
     draws.  Divide and invalid floating-point errors are ignored around every
-    sweep, so the moves set no errstate of their own.
+    sweep, so the general form's moves evaluate its log density without an
+    errstate of their own.
     """
     nvec = as_multi_index(nvec)
     target = _Target(ws, nvec)
