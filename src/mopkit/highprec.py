@@ -23,14 +23,15 @@ that leaves an order open), with a
 record of how each row was computed; ``table_rows`` keeps rows and
 records on the table, once per precision rung (the dps rounded up to a
 multiple of ``RUNG_DIGITS``), and M is factored once per index and dps
-(``MomentTable.mp_lu``, an LU kept in integer pairs): type I, type II and
-the kernel of one index share one condition estimate, one dps and one LU,
-and only their solutions become mpf.  The rest is shared with the
-float rung: ``mop._hankel_from``, ``ensemble.f_matrix``/``g_matrix`` on
-object arrays of mpf, and the one LU in ``linalg``, which runs on integer
-mantissas rounded half-even (libmp's path for a wide operand far above
-the product), bit for bit as mpf would.  The quadrature columns run on raw
-``_mpf_`` tuples through ``mpmath.libmp``.
+(``MomentTable.mp_lu``, a ``linalg.FixedLU`` in Python ints): type I,
+type II and the kernel of one index share one condition estimate, one dps
+and one LU, and only their solutions become mpf.  The rest is shared with
+the float rung: ``mop._hankel_from``, ``ensemble.f_matrix``/``g_matrix``
+on object arrays of mpf, and the one LU in ``linalg``, which factors mpf
+matrices in fixed point at ``linalg.GUARD`` bits beyond the working
+precision; its solutions lie within 2 n cond1 2^-prec of a solve at twice
+the bits.  The quadrature columns run on raw ``_mpf_`` tuples through
+``mpmath.libmp``.
 
 One ``MPForm``, f(t)^T B g(t), evaluates the kernel (B = M^-T) and the
 linear form Q, which is the kernel's x^(n-1) coefficient.  It answers from
@@ -403,17 +404,17 @@ def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
     ``mop._solve``.
 
     The rows come from ``table_rows(mt, dps)``; the solve rounds to ``dps``.
-    M is factored once per (parts, dps), from its (m, e) rows
-    (``linalg.Pairs``), and the last LU is kept in ``mt.mp_lu`` as it comes
-    out, in pairs, so every solve at one index and precision shares it and
-    only the solutions become mpf.  The bound is |A|_1 max |x|_1
-    / |b|_1 over the columns b of ``rhs(rows)`` (one vector, or a matrix)
-    and a fixed probe z = (1, -1, 1, ...) solved in the same LU, for the
-    system A actually solved: a monic type II
-    solution stays O(1) however ill-conditioned A is, and identity columns
-    give |A|_1 |A^-1|_1.  |A|_1 comes from the float64 assembly of
-    ``mt.scaled``; only its order of magnitude matters.  Returns ((rung, x),
-    bound), x a list of mpf, or the matrix of solutions for a matrix rhs.
+    M is factored once per (parts, dps), in fixed point
+    (``linalg.FixedLU``), and the last LU is kept in ``mt.mp_lu``, so every
+    solve at one index and precision shares it and only the solutions
+    become mpf.  The bound is |A|_1 max |x|_1 / |b|_1 over the columns b of
+    ``rhs(rows)`` (one vector, or a matrix) and a fixed probe z = (1, -1,
+    1, ...) solved in the same LU, for the system A actually solved: a
+    monic type II solution stays O(1) however ill-conditioned A is, and
+    identity columns give |A|_1 |A^-1|_1.  |A|_1 comes from the float64
+    assembly of ``mt.scaled``; only its order of magnitude matters.
+    Returns ((rung, x), bound), x a list of mpf, or the matrix of solutions
+    for a matrix rhs.
     """
     rung, rows = table_rows(mt, dps)
     m = _hankel_from(mt.scaled, nvec, nvec.n)
@@ -422,8 +423,7 @@ def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
     with mp.workdps(dps):
         if key not in mt.mp_lu:
             mt.mp_lu.clear()
-            hankel = _hankel_from(rows, nvec, nvec.n)
-            mt.mp_lu[key] = linalg.lu_factor(linalg.pairs(hankel) or hankel)
+            mt.mp_lu[key] = linalg.lu_factor(_hankel_from(rows, nvec, nvec.n))
         lu, piv, _ = mt.mp_lu[key]
         b = rhs(rows)
         cols = np.column_stack([b, [mpmath.mpf((-1) ** i) for i in range(len(b))]])

@@ -6,28 +6,23 @@ solves:
 
 * numeric input is promoted to 80-bit ``numpy.longdouble`` (tames Hankel
   conditioning at moderate n);
-* object arrays of ``mpmath.mpf`` compute at the current ``mp`` precision
-  (the checked mpmath ladder of type II, type I and the kernel);
+* object arrays of ``mpmath.mpf`` are factored in fixed point at the
+  current ``mp`` precision (the checked mpmath ladder of type II, type I
+  and the kernel);
 * object arrays of ``fractions.Fraction`` stay exact (exact references).
 
-The entry type selects the loop.  Longdouble and Fraction arrays run numpy
-loops whose entries keep their type, so identities are built from the
-entries, never from integers (``int / int`` would make an exact solve a
-float one).  mpf arrays run the same loops on ``Pairs``, rows of (m, e)
-pairs, signed integer mantissas and exponents (value m 2^e, not
-normalized), converted once on the way in and once on the way out of each
-call.  ``Pairs`` are an entry type of their own: ``lu_factor`` of
-``Pairs`` keeps its LU in pairs, and ``lu_det`` and ``lu_solve`` take that
-LU as it is, so a caller that solves with one LU many times converts only
-the matrix and each solution.  One kernel, ``_fms``, computes every y - c x
-as ``mpmath.libmp`` rounds it: the exact product rounded half-even to
-``mp.prec``, then the exact difference rounded half-even; where libmp does
-not round the exact sum (a y wider than ``mp.prec`` far above the
-product), it takes libmp's own path.  Same pivot order, same rounding per
-operation, so mpf arithmetic's results bit for bit, and untouched entries
-keep their own precision.  The substitutions run entry by entry, each
-entry's updates in one loop.  An inf or nan entry sends the call to the
-numpy loop on the mpf objects themselves.
+Longdouble and Fraction entries keep their type, so identities are built
+from the entries, never from integers (``int / int`` would make an exact
+solve a float one).  An mpf matrix runs the same elimination loop on
+Python ints, as a ``FixedLU``: each column is scaled by a power of two so
+that its largest entry has P = ``mp.prec`` + ``GUARD`` bits, multipliers
+are (a << P) // pivot and updates are shifted right by P.  Its
+substitutions scale each right-hand side column the same way and solve
+all columns at once, one object ``@`` per row; only the solutions are
+rounded to ``mp.prec``.  The contract is accuracy, not mpf's rounding: each
+solution column and det M lie within 2 n cond1(M) 2^-prec of the exact
+ones, relative to the column's largest entry and to |det M|.  An inf or
+nan entry takes the loops on the mpf objects.
 
 Callers factor each matrix once, through this module's ``lu_factor``, and
 hand its (lu, piv, parity) to ``lu_det``, ``lu_solve`` (with A or,
@@ -36,11 +31,26 @@ transposed, A^T), ``cond1`` and ``inverse_cond1``.
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
 from .exceptions import NumericError
 
 LD = np.longdouble
+
+#: bits beyond ``mp.prec`` in the columns and multipliers of a ``FixedLU``
+GUARD = 16
+
+
+class FixedLU(NamedTuple):
+    """P M 2^-shift = L U for an mpf matrix M, in Python ints: ``lu`` holds U,
+    column j in units of 2^shift[j], and below it L times 2^bits."""
+
+    lu: np.ndarray
+    shift: np.ndarray
+    bits: int
 
 
 def _entries(a):
@@ -50,9 +60,9 @@ def _entries(a):
 
 
 def _identity(lu):
-    """Identity matrix in the entry type of ``lu``."""
-    one = lu[0, 0] ** 0
-    return np.where(np.eye(lu.shape[0], dtype=bool), one, one - one)
+    """Identity matrix in the entry type of ``lu`` (int for a ``FixedLU``)."""
+    one = 1 if isinstance(lu, FixedLU) else lu[0, 0] ** 0
+    return np.where(np.eye(len(lu[0]), dtype=bool), one, one - one)
 
 
 def _is_mpf(a):
@@ -60,161 +70,41 @@ def _is_mpf(a):
     return a.dtype == object and any(hasattr(e, "_mpf_") for e in a.flat)
 
 
-class Pairs(list):
-    """Rows of (m, e) pairs, value m 2^e: an mpf matrix as integers."""
-
-
-def pairs(a):
-    """The ``Pairs`` of the object array ``a`` (its other entries, the int
-    zeros of ``np.triu``, convert exactly); None if an entry is inf or nan,
-    which only mpf arithmetic itself handles."""
+def _fixed(a, bits, rows=0):
+    """(F, s): Python ints F and column exponents s with a[i, j] 2^-(rows[i]
+    + s[j]) = F[i, j] + d, 0 <= d < 1, each nonzero column's largest |F|
+    ``bits`` bits long, for the 2-d object array ``a`` of mpf (and exact
+    ints, such as ``np.triu``'s zeros); None if an entry is inf or nan."""
     from mpmath import mp, mpf
 
     conv = mp.convert
-    rows = [[(v if type(v) is mpf else conv(v))._mpf_ for v in row] for row in a]
-    if any(not t[1] and t[2] for row in rows for t in row):
+    t = [[(v if type(v) is mpf else conv(v))._mpf_ for v in row] for row in a]
+    if any(not m and e for row in t for _, m, e, _ in row):
         return None
-    return Pairs([(-m if s else m, e) for s, m, e, _ in row] for row in rows)
+    rows = [rows] * len(t) if np.ndim(rows) == 0 else rows
+    tops = [max((e - r + bc for (_, m, e, bc), r in zip(col, rows) if m), default=bits)
+            for col in zip(*t)]
+    shift = np.array([top - bits for top in tops], dtype=object)
+    return np.array([[(-(m << d) if sg else m << d) if (d := e - r - s) >= 0
+                      else (-m if sg else m) >> -d for (sg, m, e, _), s in zip(row, shift)]
+                     for row, r in zip(t, rows)], dtype=object), shift
 
 
-def _mpf_array(rows):
-    """The object array of mpf of rows of (m, e) pairs."""
+def _mpf_array(ints, exps):
+    """The object array of mpf ints 2^exps (broadcast), each rounded
+    half-even to ``mp.prec``."""
     from mpmath import mp
     from mpmath.libmp import from_man_exp
 
-    return np.array([[mp.make_mpf(from_man_exp(m, e)) for m, e in r] for r in rows], dtype=object)
+    prec, exps = mp.prec, np.broadcast_to(np.asarray(exps, dtype=object), ints.shape)
+    return np.array([mp.make_mpf(from_man_exp(m, e, prec, "n"))
+                     for m, e in zip(ints.flat, exps.flat)], dtype=object).reshape(ints.shape)
 
 
-def _round(m, e, prec):
-    """m 2^e rounded half-even to ``prec`` bits: q = m >> (n - 1) keeps the
-    half bit, and the floor shift makes the rule hold for negative m too."""
-    n = m.bit_length() - prec
-    if n > 0:
-        q = m >> (n - 1)
-        return ((q + 1) >> 1 if q & 1 and (q & 2 or m & ((1 << (n - 1)) - 1)) else q >> 1), e + n
-    return m, e
-
-
-def _fms(y, c, x, prec):
-    """y - c x on (m, e) pairs as ``mpf_sub(y, mpf_mul(c, x))`` rounds it at
-    ``prec`` bits: the exact product rounded half-even, then the exact
-    difference rounded half-even (``_round``, inlined).  One case takes
-    libmp's own path: a y wider than ``prec`` bits whose top lies more than
-    prec + 4 bits above the product's, where ``mpf_add`` replaces the
-    product by a sticky bit instead of rounding the exact sum."""
-    m, e = y
-    p = c[0] * x[0]
-    if p:
-        pe = c[1] + x[1]
-        n = p.bit_length() - prec
-        if n > 0:
-            q = p >> (n - 1)
-            p = (q + 1) >> 1 if q & 1 and (q & 2 or p & ((1 << (n - 1)) - 1)) else q >> 1
-            pe += n
-        if not m:
-            return -p, pe
-        if m.bit_length() > prec and m.bit_length() + e - p.bit_length() - pe > prec + 4:
-            from mpmath.libmp import from_man_exp, mpf_sub, round_nearest
-
-            s, m, e, _ = mpf_sub(from_man_exp(m, e), from_man_exp(p, pe), prec, round_nearest)
-            return (-m if s else m), e
-        d = e - pe
-        if d > 0:
-            m, e = (m << d) - p, pe
-        elif d:
-            m -= p << -d
-        else:
-            m -= p
-    n = m.bit_length() - prec
-    if n > 0:
-        q = m >> (n - 1)
-        return ((q + 1) >> 1 if q & 1 and (q & 2 or m & ((1 << (n - 1)) - 1)) else q >> 1), e + n
-    return m, e
-
-
-def _div(x, d, prec):
-    """x / d on (m, e) pairs, d nonzero, rounded half-even as ``mpf_div``:
-    a quotient of at least prec + 3 bits and a sticky bit for the remainder."""
-    m, e = x
-    if not m:
-        return x
-    dm, de = d
-    shift = max(prec + 3 + dm.bit_length() - m.bit_length(), 0)
-    q, r = divmod(abs(m) << shift, abs(dm))
-    q, e = _round((q << 1) | (r != 0), e - de - shift - 1, prec)
-    return (-q if (m < 0) != (dm < 0) else q), e
-
-
-def _magnitude(x, prec):
-    """A key that orders the (m, e) pairs by |x| rounded to ``prec`` bits,
-    as ``mpf_abs`` rounds it; equal keys for equal values."""
-    m, e = _round(abs(x[0]), x[1], prec)
-    return (m.bit_length() + e, m << (prec + 1 - m.bit_length())) if m else (-np.inf, 0)
-
-
-def _mpf_lu(rows):
-    """The numpy loop of ``lu_factor`` on rows of (m, e) pairs, op for op;
-    the LU stays in ``Pairs``."""
-    from mpmath import mp
-
-    prec, n = mp.prec, len(rows)
-    piv, parity = list(range(n)), 1
-    for k in range(n - 1):
-        # the first maximal |entry|, as np.argmax picks it
-        p = max(range(k, n), key=lambda i: _magnitude(rows[i][k], prec))
-        if p != k:
-            rows[k], rows[p], piv[k], piv[p], parity = rows[p], rows[k], piv[p], piv[k], -parity
-        pivot, top = rows[k][k], rows[k][k + 1 :]
-        if not pivot[0]:
-            continue
-        for r in rows[k + 1 :]:
-            c = r[k] = _div(r[k], pivot, prec)
-            r[k + 1 :] = [_fms(y, c, x, prec) for y, x in zip(r[k + 1 :], top)]
-    return Pairs(rows), np.array(piv), parity
-
-
-def _mpf_substitute(lu, x, transpose=False):
-    """The numpy loops of ``lu_solve`` on rows of (m, e) pairs, entry by
-    entry: each entry takes its updates in one loop, in the order of the
-    column loops (ascending k forward, descending k backward), then its
-    division (forward with A^T, backward with A).  The coefficient of x_k
-    in row i is lu[k][i] with A^T, lu[i][k] with A.  A term whose x_k is an
-    exact zero is dropped while the entry fits in the working precision."""
-    from mpmath import mp
-
-    prec, n = mp.prec, len(lu)
-    if any(not lu[k][k][0] for k in range(n)):
-        raise NumericError("singular matrix in lu_solve")
-    a = list(zip(*lu)) if transpose else lu
-    passes = ([(i, range(i), transpose) for i in range(n)]
-              + [(i, range(n - 1, i, -1), not transpose) for i in range(n - 1, -1, -1)])
-    cols = [list(c) for c in zip(*x)]
-    for col in cols:
-        for i, ks, divide in passes:
-            acc, row = col[i], a[i]
-            for k in ks:  # y - c 0 rounds nothing while y fits in prec bits
-                if col[k][0] or acc[0].bit_length() > prec:
-                    acc = _fms(acc, row[k], col[k], prec)
-            col[i] = _div(acc, row[i], prec) if divide else acc
-    return _mpf_array(list(zip(*cols)))
-
-
-def lu_factor(a):
-    """LU with partial pivoting, in the entry type of ``a`` (see module doc).
-
-    Returns (lu, piv, parity): compact LU, pivot rows, and the permutation
-    sign (+1/-1).
-    """
-    if isinstance(a, Pairs):
-        return _mpf_lu([list(row) for row in a])
-    lu = _entries(a)
+def _eliminate(lu, divide=np.divide, product=np.outer):
+    """Partial pivoting on the first maximal |entry| of each column, in place:
+    multipliers divide(column, pivot, out=column), updates product(them, row)."""
     n = lu.shape[0]
-    if lu.shape != (n, n):
-        raise NumericError("lu_factor expects a square matrix")
-    rows = pairs(lu) if _is_mpf(lu) else None
-    if rows is not None:
-        lu, piv, parity = _mpf_lu(rows)
-        return _mpf_array(lu), piv, parity
     piv = np.arange(n)
     parity = 1
     for k in range(n - 1):
@@ -226,42 +116,64 @@ def lu_factor(a):
         pivot = lu[k, k]
         if pivot == 0:
             continue
-        lu[k + 1 :, k] /= pivot
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+        divide(lu[k + 1 :, k], pivot, out=lu[k + 1 :, k])
+        lu[k + 1 :, k + 1 :] -= product(lu[k + 1 :, k], lu[k, k + 1 :])
     return lu, piv, parity
 
 
+def lu_factor(a):
+    """LU with partial pivoting, in the entry type of ``a`` (see module doc);
+    an mpf matrix gives a ``FixedLU`` (``_fixed_lu``).
+
+    Returns (lu, piv, parity): compact LU, pivot rows, and the permutation
+    sign (+1/-1).
+    """
+    lu = _entries(a)
+    n = lu.shape[0]
+    if lu.shape != (n, n):
+        raise NumericError("lu_factor expects a square matrix")
+    return (_is_mpf(lu) and _fixed_lu(lu)) or _eliminate(lu)
+
+
+def _fixed_lu(a):
+    """The ``FixedLU`` factors of the mpf matrix ``a``; None if it holds inf or nan."""
+    from mpmath import mp
+
+    bits = mp.prec + GUARD
+    fixed = _fixed(a, bits)
+    if fixed is None:
+        return None
+    lu, piv, parity = _eliminate(fixed[0], lambda c, p, out: np.floor_divide(c << bits, p, out=out),
+                                 lambda mult, row: np.outer(mult, row) >> bits)
+    return FixedLU(lu, fixed[1], bits), piv, parity
+
+
 def lu_det(lu, parity):
-    """Determinant from a compact LU, in the entry type; an LU in ``Pairs``
-    gives mpf from its diagonal."""
-    if isinstance(lu, Pairs):
-        return parity * np.prod(_mpf_array([[row[i] for i, row in enumerate(lu)]])[0])
+    """Determinant from a compact LU, in the entry type; a ``FixedLU``
+    gives mpf, the product of its pivots times 2^sum(shift)."""
+    if isinstance(lu, FixedLU):
+        return _mpf_array(np.array([parity * math.prod(np.diagonal(lu.lu))]), sum(lu.shift))[0]
     return parity * np.prod(np.diagonal(lu))
 
 
 def lu_solve(lu, piv, b, transpose=False):
     """Solve A x = b, or A^T x = b when ``transpose`` (b may be a vector or
-    a matrix of columns), from the factors of P A = L U; an LU in ``Pairs``
-    gives mpf solutions.
+    a matrix of columns), from the factors of P A = L U; a ``FixedLU``
+    gives mpf solutions (``_fixed_solve``).
 
     A^T = U^T L^T P, so the transposed solve is U^T y = b forward, L^T z = y
     backward and x[piv] = z: one factorization serves both systems.
     """
-    n, kept = len(lu), isinstance(lu, Pairs)
-    mpf = kept or _is_mpf(lu)
-    x = np.array(b, dtype=object) if mpf else _entries(b)
+    if isinstance(lu, FixedLU):
+        return _fixed_solve(lu, piv, b, transpose)
+    n = len(lu)
+    x = np.array(b, dtype=object) if _is_mpf(lu) else _entries(b)
     one_d = x.ndim == 1
     if one_d:
         x = x[:, None]
     if not transpose:
         x = x[piv]
-    rows = (lu if kept else pairs(lu)) if mpf else None
-    xs = None if rows is None else pairs(x)
-    if xs is not None:
-        x = _mpf_substitute(rows, xs, transpose)
-    elif kept:
-        return lu_solve(_mpf_array(lu), piv, b, transpose)
-    elif transpose:
+    if transpose:
         for k in range(n):  # forward, U^T
             if lu[k, k] == 0:
                 raise NumericError("singular matrix in lu_solve")
@@ -280,6 +192,39 @@ def lu_solve(lu, piv, b, transpose=False):
     if transpose:
         x = x[np.argsort(piv)]
     return x[:, 0] if one_d else x
+
+
+def _fixed_solve(factors, piv, b, transpose):
+    """``lu_solve`` with a ``FixedLU``, on the columns of b in ints (``_fixed``;
+    for A^T, row i of b times 2^-shift[i]), one object ``@`` per row: L's
+    terms are shifted right by ``bits``, U's quotients floored after x is
+    widened by ``bits``.  An inf or nan in b takes the loops on the LU in
+    mpf."""
+    lu, shift, bits = factors
+    n = len(lu)
+    ints = _fixed(np.array(b, dtype=object).reshape(n, -1), bits, shift if transpose else 0)
+    if ints is None:
+        return lu_solve(_mpf_array(lu, np.where(np.tri(n, k=-1, dtype=bool), -bits, shift)),
+                        piv, b, transpose)
+    x, scale = ints
+    if not all(np.diagonal(lu)):
+        raise NumericError("singular matrix in lu_solve")
+    if transpose:  # M^T = 2^shift U^T L^T P
+        x <<= bits
+        for i in range(n):  # forward, U^T
+            x[i] = (x[i] - lu[:i, i] @ x[:i]) // lu[i, i]
+        for i in range(n - 2, -1, -1):  # backward, unit L^T
+            x[i] -= (lu[i + 1 :, i] @ x[i + 1 :]) >> bits
+        x, exps = x[np.argsort(piv)], scale - bits
+    else:  # M = P^T L U 2^shift
+        x = x[piv]
+        for i in range(1, n):  # forward, unit lower triangle
+            x[i] -= (lu[i, :i] @ x[:i]) >> bits
+        x <<= bits
+        for i in range(n - 1, -1, -1):  # backward
+            x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) // lu[i, i]
+        exps = scale - bits - shift[:, None]
+    return _mpf_array(x, exps).reshape(np.shape(b))
 
 
 def solve(a, b):

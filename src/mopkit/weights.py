@@ -404,8 +404,8 @@ class MomentTable:
     that ``mop._solve`` checked, keyed by parts: the 80-bit ``lu_factor`` of
     M, its inverse and cond1 of M, so type II, type I and the kernel of one
     index factor M once.  ``mp_lu`` holds one entry, the last mpmath LU of
-    M, keyed by (parts, dps), with its factors in integer (m, e) pairs
-    (``linalg.Pairs``), which the three solves of one index share: they
+    M, keyed by (parts, dps), with its factors in fixed point
+    (``linalg.FixedLU``), which the three solves of one index share: they
     start the ladder from one cond1 of M and so take one dps.  A copy of
     the table (``dataclasses.replace``) starts with all four empty.
     """

@@ -166,7 +166,9 @@ def cell_boundary_cdf_error(measure, cdf_fn):
 
 # ---------------------------------------------------------------------------
 # Reference elimination: numpy loops on object arrays, one mpf operation per
-# entry.  ``mopkit.linalg`` must match it bit for bit on mpf input.
+# entry.  ``mopkit.linalg`` factors mpf input in fixed point instead; run at
+# 2 prec + 40 bits, these loops are the reference that its det and solves
+# must lie within ``LU_ACCURACY`` n cond1 2^-prec of (``assert_lu_accuracy``).
 # ---------------------------------------------------------------------------
 
 def ref_lu_factor(a):
@@ -213,3 +215,57 @@ def ref_identity(lu):
 def ref_det(a):
     lu, _, parity = ref_lu_factor(a)
     return parity * np.prod(np.diagonal(lu))
+
+
+#: the stated accuracy of ``linalg`` on mpf input at ``prec`` bits: every
+#: solution column within LU_ACCURACY n cond 2^-prec of its largest entry,
+#: det within as much of |det|
+LU_ACCURACY = 2
+
+
+def ref_cond1(a):
+    """|A|_1 |A^-1|_1 of the object array ``a`` by the reference loops; inf
+    when ``a`` is singular."""
+    lu, piv, _ = ref_lu_factor(a)
+    try:
+        inv = ref_lu_solve(lu, piv, ref_identity(lu))
+    except NumericError:
+        return math.inf
+    return np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+
+
+def assert_lu_accuracy(a, bs):
+    """``linalg``'s det of the mpf matrix ``a`` and its solves of A x = b and
+    A^T x = b, for each b of ``bs`` (a vector or a matrix of columns), at the
+    current precision, against the reference loops at 2 prec + 40 bits: each
+    within ``LU_ACCURACY`` n cond 2^-prec, cond the larger of cond1(A) and
+    cond1(A^T).  A singular ``a`` gives det 0 and raises ``NumericError``
+    in every solve, as the reference does."""
+    from mpmath import mp
+
+    prec, n = mp.prec, len(a)
+    lu, piv, parity = linalg.lu_factor(a)
+    det = linalg.lu_det(lu, parity)
+    got = []
+    for b in bs:
+        for transpose in (False, True):
+            try:
+                got.append(linalg.lu_solve(lu, piv, b, transpose))
+            except NumericError:
+                got.append(NumericError)
+    with mp.workprec(2 * prec + 40):
+        a = np.vectorize(mp.mpf, otypes=[object])(a)  # ints too: int / int is a float
+        bs = [np.vectorize(mp.mpf, otypes=[object])(b) for b in bs]
+        cond = max(ref_cond1(a), ref_cond1(a.T))
+        if math.isinf(cond):
+            assert det == 0 and got == [NumericError] * len(got)
+            return
+        tol = LU_ACCURACY * n * cond * mp.mpf(2) ** -prec
+        assert abs(det - ref_det(a)) <= tol * abs(ref_det(a))
+        refs = [ref_lu_solve(*ref_lu_factor(m)[:2], b) for b in bs for m in (a, a.T)]
+        for x, ref in zip(got, refs):
+            if x is NumericError:  # an exact zero pivot: singular at prec bits
+                assert tol >= 1
+                continue
+            for col, ref_col in zip(np.reshape(x, (n, -1)).T, np.reshape(ref, (n, -1)).T):
+                assert np.max(np.abs(col - ref_col)) <= tol * np.max(np.abs(ref_col))

@@ -5,9 +5,11 @@ step, the constant weight's support as a 0/-inf term), the weight values
 through ``np.atleast_1d`` and ``np.polynomial.polynomial.polyval``, the
 g-matrix blocks started from a row of ones, the float kernel on all points
 at once, the bordered kernel that factors M again, the mpmath form with an
-identity factor on its f-basis, the transposed LU solve as numpy loops
-on object arrays of mpf, and quad's error estimate with its logarithms in
-mpmath.
+identity factor on its f-basis, the LU solves with an inf or nan entry
+as numpy loops on object arrays of mpf, and quad's error estimate with its
+logarithms in mpmath.  The fixed-point LU of finite mpf input is held to
+its accuracy instead: the transposed solve within ``helpers.LU_ACCURACY``
+n cond 2^-prec of the numpy loops at 2 prec + 40 bits.
 """
 
 import math
@@ -434,24 +436,33 @@ def _moment_matrix(ws, parts, rows_dps):
 
 @pytest.mark.parametrize("rows_dps,dps", [(20, 20), (64, 50)])
 def test_transposed_solve_matches_numpy_object_loop(rows_dps, dps):
+    # to the stated accuracy of the fixed-point LU, against the loops at
+    # 2 prec + 40 bits; a singular matrix raises in both
+    from helpers import LU_ACCURACY, ref_cond1, ref_lu_factor
+
     rng = np.random.default_rng(dps)
     mats = [_moment_matrix(mk.build_angelesco([C(-1.0, 0.0), C(0.0, 1.0)]), (4, 4), rows_dps),
             _moment_matrix(mk.build_nikishin(C(1.0, 2.0), [C(-1.0, 0.0)]), (6, 6), rows_dps),
             _mpf_matrix(rng, (7, 7), ints=True)]
     with mpmath.mp.workdps(dps):
+        prec = mpmath.mp.prec
         for a in mats:
             lu, piv, _ = linalg.lu_factor(a)
             for b in (a[0], a[::-1, :3], _mpf_matrix(rng, (len(a), 2))):
-                got = linalg.lu_solve(lu, piv, b, transpose=True)
-                ref = ref_lu_solve_transposed(lu, piv, b.reshape(len(a), -1))
-                assert [v._mpf_ for v in got.flat] == [v._mpf_ for v in ref.flat]
+                got = linalg.lu_solve(lu, piv, b, transpose=True).reshape(len(a), -1)
+                with mpmath.mp.workprec(2 * prec + 40):
+                    ref_lu, ref_piv, _ = ref_lu_factor(a)
+                    ref = ref_lu_solve_transposed(ref_lu, ref_piv, b.reshape(len(a), -1))
+                    tol = LU_ACCURACY * len(a) * ref_cond1(a.T) * mpmath.mpf(2) ** -prec
+                    for col, ref_col in zip(got.T, ref.T):
+                        assert np.max(np.abs(col - ref_col)) <= tol * np.max(np.abs(ref_col))
         singular = np.array([[mpmath.mpf(v) for v in row]
                              for row in ([0, 1, 2], [0, 3, 4], [0, 5, 7])], dtype=object)
         lu, piv, _ = linalg.lu_factor(singular)
         with pytest.raises(NumericError):
             linalg.lu_solve(lu, piv, singular[0], transpose=True)
         with pytest.raises(NumericError):
-            ref_lu_solve_transposed(lu, piv, singular[:, :1])
+            ref_lu_solve_transposed(*ref_lu_factor(singular)[:2], singular[:, :1])
 
 
 # -- one adaptive pass per weight ------------------------------------------------
@@ -543,75 +554,7 @@ def test_orthogonality_residuals_match_one_quadrature_per_order(name, nvec):
     assert [r.tobytes() for r in got] == [r.tobytes() for r in ref]
 
 
-# -- the integer-mantissa kernel of the mpf LU and solves ----------------------
-
-def _mantissas(prec):
-    """Signed mantissas: zeros, ones, prec-bit and wider ones, runs of ones
-    and of zeros (exact ties after rounding), and trailing zero bits."""
-    width = st.sampled_from([1, 2, prec - 1, prec, prec + 1, prec + 2, 2 * prec, 3 * prec])
-    plain = width.flatmap(lambda w: st.integers(1 << (w - 1), (1 << w) - 1))
-    runs = st.tuples(st.integers(1, 2 * prec), st.integers(0, 2 * prec)).map(
-        lambda t: ((1 << t[0]) - 1) << t[1] | 1 << (t[0] + t[1] + 1))
-    ties = st.tuples(st.integers(0, 1 << 8), st.integers(1, 2 * prec)).map(
-        lambda t: (2 * t[0] + 1) << t[1] | 1 << (t[1] - 1))
-    mag = st.one_of(plain, plain, plain, runs, ties, st.just(0))
-    return st.tuples(mag, st.booleans(), st.integers(0, 8)).map(
-        lambda t: (-t[0] if t[1] else t[0]) << t[2])
-
-
-@st.composite
-def _fms_operands(draw):
-    prec = draw(st.sampled_from([8, 53, 113, 170, 236]))
-    exps = st.integers(-3 * prec - 300, 3 * prec + 300)
-    y, c, x = (draw(st.tuples(_mantissas(prec), exps)) for _ in range(3))
-    # y's exponent: free, near the rounded product's (ties in the difference),
-    # or more than 100 bits from it
-    pe = c[1] + x[1] + max((c[0] * x[0]).bit_length() - prec, 0)
-    near = st.integers(-6, 6)
-    gap = draw(st.one_of(st.none(), near, near, st.integers(101, 3 * prec + 200),
-                         st.integers(-3 * prec - 200, -101)))
-    return prec, y if gap is None else (y[0], pe + gap), c, x
-
-
-@settings(max_examples=600, deadline=None)
-@given(_fms_operands())
-def test_fms_kernel_rounds_as_libmp_mul_then_sub(args):
-    from mpmath.libmp import from_man_exp, mpf_mul, mpf_sub, round_nearest
-
-    prec, y, c, x = args
-    ref = mpf_sub(from_man_exp(*y), mpf_mul(from_man_exp(*c), from_man_exp(*x), prec,
-                                            round_nearest), prec, round_nearest)
-    assert from_man_exp(*linalg._fms(y, c, x, prec)) == ref
-
-
-@settings(max_examples=300, deadline=None)
-@given(_fms_operands())
-def test_div_kernel_rounds_as_libmp_div(args):
-    from mpmath.libmp import from_man_exp, mpf_div, round_nearest
-
-    prec, y, c, _ = args
-    if c[0]:
-        ref = mpf_div(from_man_exp(*y), from_man_exp(*c), prec, round_nearest)
-        assert from_man_exp(*linalg._div(y, c, prec)) == ref
-
-
-def test_fms_kernel_keeps_libmps_sticky_bit_for_a_wide_operand():
-    """A 216-bit y at 50 digits (170 bits) whose bits below the rounding
-    point read 0111...1, plus a product whose lowest bit lies 120 bits below
-    y's: the exact sum rounds up, libmp's mpf_add perturbs y by a sticky bit
-    and rounds down."""
-    from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_sub, normalize, round_nearest
-
-    with mpmath.mp.workdps(50):
-        prec = mpmath.mp.prec
-    y = ((1 << 215) | (1 << (215 - prec)) - 1, 0)
-    c, x = (1, 0), (-((1 << 150) + 1), -120)
-    sub = mpf_sub(from_man_exp(*y), mpf_mul(from_man_exp(*c), from_man_exp(*x), prec,
-                                            round_nearest), prec, round_nearest)
-    exact = mpf_add(from_man_exp(*y), from_man_exp(-x[0], x[1]))  # unrounded
-    assert sub != normalize(*exact[:3], exact[3], prec, round_nearest)
-    assert from_man_exp(*linalg._fms(y, c, x, prec)) == sub
-
+# -- an inf or nan entry: the numpy loops on the mpf objects ------------------
 
 @pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
@@ -636,7 +579,7 @@ def test_inf_or_nan_entry_matches_the_object_loop(bad, where):
         else:
             b[3] = bad
         got, ref = outcome(linalg.lu_factor, a), outcome(ref_lu_factor, a)
-        assert raw(got) == raw(ref)
+        assert where == "rhs" or raw(got) == raw(ref)  # a finite a takes the fixed-point LU
         if not isinstance(ref, type):
             got = outcome(linalg.lu_solve, ref[0], ref[1], b)
             ref = outcome(ref_lu_solve, ref[0], ref[1], b)
@@ -644,17 +587,20 @@ def test_inf_or_nan_entry_matches_the_object_loop(bad, where):
 
 
 @pytest.mark.parametrize("bad", [mpmath.inf, mpmath.nan])
-def test_lu_in_pairs_solves_an_inf_or_nan_rhs_as_the_object_loop(bad):
+def test_fixed_lu_solves_an_inf_or_nan_rhs_as_the_object_loop(bad):
+    # on the LU in mpf: U's column j times 2^shift[j], L's multipliers 2^-bits
     from helpers import ref_lu_solve
 
     with mpmath.mp.workdps(30):
         a = _mpf_matrix(np.random.default_rng(5), (5, 5))
         b = a[:, 0].copy()
         b[3] = bad
-        lu, piv, _ = linalg.lu_factor(linalg.pairs(a))
-        assert isinstance(lu, linalg.Pairs)
+        lu, piv, _ = linalg.lu_factor(a)
+        assert isinstance(lu, linalg.FixedLU)
+        as_mpf = np.array([[mpmath.ldexp(v, -lu.bits if i > j else lu.shift[j])
+                            for j, v in enumerate(row)] for i, row in enumerate(lu.lu)])
         got = linalg.lu_solve(lu, piv, b)
-        ref = ref_lu_solve(linalg.lu_factor(a)[0], piv, b)
+        ref = ref_lu_solve(as_mpf, piv, b)
         assert [v._mpf_ for v in got] == [v._mpf_ for v in ref]
 
 

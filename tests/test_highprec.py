@@ -14,7 +14,7 @@ import pytest
 
 import mopkit as mk
 from mopkit import highprec, linalg
-from mopkit.ensemble import g_matrix
+from mopkit.ensemble import f_matrix, g_matrix
 from mopkit.linalg import LD
 from mopkit.mop import _affine_unscale, _hankel_from, _type2_system
 from mopkit.weights import MarkovRatio, Weight
@@ -531,8 +531,8 @@ def test_nested_quadrature_runs_once_per_proxy_node(monkeypatch):
 
 @pytest.fixture
 def lu_calls(monkeypatch):
-    calls, plain = [], linalg._mpf_lu
-    monkeypatch.setattr(linalg, "_mpf_lu", lambda rows: calls.append(len(rows)) or plain(rows))
+    calls, plain = [], linalg._fixed_lu
+    monkeypatch.setattr(linalg, "_fixed_lu", lambda a: calls.append(len(a)) or plain(a))
     return calls
 
 
@@ -573,28 +573,36 @@ def test_copied_table_starts_without_an_lu():
     assert [parts for parts, _ in mt.mp_lu] == [(5, 5)]
 
 
-def test_mp_rung_converts_no_lu_to_mpf(monkeypatch):
-    # the LU stays in integer pairs: only solutions, and for det M the
-    # diagonal, become mpf, and bordered values are those of an mpf LU
-    converted, plain = [], linalg._mpf_array
-    monkeypatch.setattr(linalg, "_mpf_array",
-                        lambda rows: converted.append((len(rows), len(rows[0]))) or plain(rows))
+def test_mp_rung_converts_no_lu_to_mpf(lu_calls):
+    # the LU of M stays in Python ints, factored once for type II, type I
+    # and the kernel; det M and the bordered values agree with an mpf LU at
+    # twice the dps to cond1 10^-dps, relative (the values are floats)
+    from helpers import ref_det
+
     ws, parts = _constant_nikishin(), (4, 4)
     mt = mk.moment_table(ws, _kmax(parts))
     P, ts = mk.type2_mop(mt, parts), mk.type1_mop(mt, parts)
     K = mk.biorthogonalize(mk.block_hankel(mt, parts), ws, parts)
-    n, factors = sum(parts), mt.mp_lu[parts, P.hp_dps]
-    assert P.hp_dps == ts.hp_dps == K.mp.dps and K.factors is factors
-    assert isinstance(factors[0], linalg.Pairs) and converted
-    assert (n, n) not in converted
-    points = [(1.2, 1.7), (1.05, 1.95), (1.5, 1.5)]
+    dps, factors = P.hp_dps, mt.mp_lu[parts, P.hp_dps]
+    assert ts.hp_dps == K.mp.dps == dps and list(mt.mp_lu) == [(parts, dps)]
+    assert len(lu_calls) == 1 and K.factors is factors
+    assert isinstance(factors[0], linalg.FixedLU)
+    assert all(type(v) is int for v in factors[0].lu.flat)
+    points = [(1.1, 1.3), (1.25, 1.9), (1.5, 1.5), (1.7, 1.2), (1.95, 1.05)]
     got = [mk.kernel_eval_bordered(K, x, y) for x, y in points]
-    with mpmath.mp.workdps(K.mp.dps):
-        mpf_lu = linalg.lu_factor(K.matrix)  # the same LU as an mpf array
-        assert linalg.lu_det(factors[0], factors[2])._mpf_ == linalg.lu_det(
-            mpf_lu[0], mpf_lu[2])._mpf_
-    assert [mk.kernel_eval_bordered(dataclasses.replace(K, factors=mpf_lu), x, y)
-            for x, y in points] == got
+    with mpmath.mp.workdps(dps):
+        det_m = linalg.lu_det(factors[0], factors[2])
+    n, at, rel = K.n, ws.hull_coordinate(), K.condition_estimate * 10.0 ** -dps
+    with mpmath.mp.workdps(2 * dps):
+        ref_m = ref_det(K.matrix)
+        assert abs(det_m - ref_m) <= rel * abs(ref_m)
+        for (x, y), value in zip(points, got):
+            big = np.zeros((n + 1, n + 1), dtype=object)
+            big[:n, :n] = K.matrix
+            big[:n, n] = f_matrix(n, highprec._mpf([x]), object, *at)[:, 0]
+            big[n, :n] = g_matrix(ws, K.nvec, highprec._mpf([y]), object, *at)[:, 0]
+            ref = float(-ref_det(big) / ref_m)
+            assert abs(value - ref) <= max(rel, 2.0 ** -52) * abs(ref)
 
 
 def _legendre():
