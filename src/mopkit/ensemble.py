@@ -295,16 +295,28 @@ def sign_constancy_check(ws: WeightSystem, nvec, trials: int, seed: int = 0) -> 
     return SignReport(majority, min(plus, minus), int(signs.size), trials)
 
 
+def _check_poles(pairs):
+    """:class:`DomainError` for the first (weight, point) of ``pairs`` with the
+    point on an end of the support where the weight's exponent is negative."""
+    for w, x in pairs:
+        (ea, eb), iv = w.endpoint_exponents, w.support
+        if (x == iv.a and ea < 0) or (x == iv.b and eb < 0):
+            raise DomainError(f"point {x} sits on a pole of the weight {w.label} "
+                              f"on [{iv.a}, {iv.b}]: the density is undefined there")
+
+
 def joint_density(ws: WeightSystem, nvec, X, normalization: float | None = None) -> float:
     """|det f * det g| at X, divided by |Z| when the constant is supplied.
 
     ``normalization`` is the partition function Z_n = D_n n!; passing None
-    gives the unnormalized value used by the samplers.
+    gives the unnormalized value used by the samplers.  A point on a pole of
+    a charged weight raises :class:`DomainError`, as in the other densities.
     """
     nvec = as_multi_index(nvec)
     X = np.asarray(X, dtype=float)
     if X.size != nvec.n:
         raise ValidationError(f"need {nvec.n} points, got {X.size}")
+    _check_poles((w, x) for w, nj in zip(ws.weights, nvec.parts) if nj for x in X.flat)
     value = float(np.exp(_log_det_form(ws, nvec, X[None])[0]))
     if normalization is None:
         return value
@@ -328,7 +340,9 @@ def angelesco_density(ws: WeightSystem, nvec, X) -> float:
     X = np.sort(np.asarray(X, dtype=float))
     if X.size != nvec.n:
         return 0.0
-    return float(np.exp(_Target(ws, nvec).log_density(X[None])[0]))
+    target = _Target(ws, nvec)
+    _check_poles(zip(target.coord_weight, X))
+    return float(np.exp(target.log_density(X[None])[0]))
 
 
 def nikishin_extended_density(ws: WeightSystem, nvec, X, Y) -> float:
@@ -352,7 +366,9 @@ def nikishin_extended_density(ws: WeightSystem, nvec, X, Y) -> float:
         raise ValidationError(f"need {nvec.n} x-points and {n2} y-points")
     if np.any(~((X >= g1.a) & (X <= g1.b))) or (Y.size and np.any(~((Y >= g2.a) & (Y <= g2.b)))):
         return 0.0
-    return float(np.exp(_Target(ws, nvec).log_density(np.concatenate([X, Y])[None])[0]))
+    target, state = _Target(ws, nvec), np.concatenate([X, Y])
+    _check_poles(zip(target.coord_weight, state))
+    return float(np.exp(target.log_density(state[None])[0]))
 
 
 def cauchy_vandermonde_det(X, Y, n1: int) -> float:
@@ -478,7 +494,7 @@ class Kernel:
     of the kernel's rung: longdouble, or mpf on the mpmath rung, where ``mp``
     is the ``highprec.MPForm`` of B = psi that evaluates K at ``mp.dps``
     digits; ``factors`` is the ``linalg.lu_factor`` of M, on the mpmath rung
-    the moment table's ``mp_lu`` entry, in integer pairs.  M psi^T is the
+    the moment table's ``mp_lu`` entry, a ``linalg.FixedLU``.  M psi^T is the
     identity up to ``gram_defect``; ``condition_estimate`` is cond1 of M, as
     type I and type II of the index report it.
     """

@@ -100,6 +100,25 @@ class TestJointDensity:
         with pytest.raises(mk.NonNormalIndexError):
             mk.joint_density(legendre_ws, (1,), [0.0], 0.0)
 
+    def test_point_on_a_jacobi_pole_raises(self):
+        # the weight is infinite there: DomainError names the point instead
+        # of a NaN and RuntimeWarnings (which the test settings make errors)
+        J, C = mk.WeightSpec.jacobi, mk.WeightSpec.constant
+        ws = mk.build_angelesco([J(-1.0, 0.0, -0.5, 0.5), C(0.0, 1.0)])
+        with pytest.raises(DomainError, match="point 0.0 "):
+            mk.joint_density(ws, (2, 1), [-0.5, 0.0, 0.5])
+        with pytest.raises(DomainError, match="point 0.0 "):
+            mk.angelesco_density(ws, (2, 1), [-0.5, 0.0, 0.5])
+        # the block of 0.0 is the constant weight's, which has no pole
+        assert mk.angelesco_density(ws, (1, 2), [-0.5, 0.0, 0.5]) > 0.0
+        assert mk.joint_density(ws, (2, 1), [-1.0, -0.5, 0.5]) == 0.0  # beta > 0 end
+        legendre_like = mk.build_angelesco([J(-1.0, 1.0, -0.5, 0.5)])
+        with pytest.raises(DomainError, match="point 1.0 "):
+            mk.joint_density(legendre_like, (2,), [0.0, 1.0])
+        nikishin = mk.build_nikishin(J(1.0, 2.0, 0.5, -0.5), [C(-1.0, 0.0)])
+        with pytest.raises(DomainError, match="point 1.0 "):
+            mk.nikishin_extended_density(nikishin, (1, 1), [1.0, 1.5], [-0.5])
+
 
 class TestAngelescoDensity:
     def test_example(self, angelesco_ws):
