@@ -363,3 +363,30 @@ def test_same_outputs_report_a_changed_level_and_bordered_value(monkeypatch):
     monkeypatch.setattr(mk, "kernel_eval_bordered", lambda K, x, y: plain(K, x, y) + (x == 1.5))
     [(key, reason)] = same_outputs.differences(parent, same_outputs._bordered_fields(label, K))
     assert key == f"{label} bordered" and reason.startswith("differs, max |deviation| 1 of ")
+
+
+def test_same_outputs_report_a_solve_against_a_re_solve_at_twice_the_dps(tmp_path, monkeypatch,
+                                                                         capsys):
+    # a planted deviation of 2^-100 in the change's type I coefficients,
+    # cond1 1e10 at 40 digits: 7.89e-31 relative, 0.789 units of cond1 10^-40
+    key = "zeros nikishin (5, 5) type I hp_coeffs"
+    record = ["type I", "nikishin", [5, 5], 18, 40, 1e10, "hp_coeffs"]
+    ref = [[1, 0], [3, -2]]  # 1 and 0.75
+    sides = {"parent": {key: ["a1", "", {"exact": ref, "solve": record}]},
+             "change": {key: ["a2", "", {"exact": [[2 ** 100 + 1, -100], [3, -2]],
+                                         "solve": record}]}}
+    runs = []
+
+    def run(checkout, *args):
+        runs.append(args[0])
+        return {key: ref}
+
+    monkeypatch.setattr(same_outputs, "snapshot", lambda root, seed: sides[root.name])
+    monkeypatch.setattr(same_outputs, "_run", run)
+    assert same_outputs.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
+    assert runs == ["--solves"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"{key}: differs",
+        f"{key}: deviation from a re-solve at 80 digits, relative parent 0 (0 cond1 10^-40), "
+        "change 7.89e-31 (0.789 cond1 10^-40)",
+        "1 of 1 outputs differ"]

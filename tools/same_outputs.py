@@ -28,15 +28,20 @@ checkout has it), and the rest of each row's record (``level``,
 (``... wJ record``), so a changed stopping level shows even where the
 row's bits do not move.  The mpmath kernel also gives its bordered
 determinant values at five fixed points and det M from ``K.factors``, at
-the kernel's dps (``_bordered_fields``).
+the kernel's dps (``_bordered_fields``).  These, its ``psi`` and each type
+I ``hp_coeffs`` are kept exactly with how to solve them again
+(``_with_solves``).
 The digest of an mpf covers its ``_mpf_`` tuple, since a repr rounds it to
 the current precision; its value is kept as a float.  Prints every output
 whose digest differs or that only one side has, a differing output with its
 largest absolute deviation and its largest absolute value, a differing
 mpmath row with its largest deviation relative to the row's largest entry,
 and each side's deviation from a reference row computed at twice the rung's
-digits by the change's ``moment_rows``, and exits 1 on any difference.  The
-companion of ``tools/cli_bodies.py``.
+digits by the change's ``moment_rows``; for a differing mpmath solve output
+each side's deviation from the change's re-solve at twice the dps on the
+same rows (``solves``), relative to the reference's largest entry and in
+units of cond1 10^-dps.  Exits 1 on any difference.  The companion of
+``tools/cli_bodies.py``.
 """
 
 from __future__ import annotations
@@ -90,8 +95,11 @@ def _fields(label, obj, names) -> dict:
 
 
 def _exact(row) -> list:
-    """The mpf entries of ``row`` as exact [m, e] pairs, value m 2^e."""
-    return [[-m if sign else m, e] for sign, m, e, _ in (v._mpf_ for v in row)]
+    """The mpf (or float) entries of ``row`` as exact [m, e] pairs, value m 2^e."""
+    from mpmath import mpf
+
+    return [[-m if sign else m, e]
+            for sign, m, e, _ in (getattr(v, "_mpf_", None) or mpf(v)._mpf_ for v in row)]
 
 
 def _row_outputs(label, mt) -> dict:
@@ -142,6 +150,33 @@ def _kernel_fields(label, K) -> dict:
             **_fields(label, K.mp, ("dps",)), **_fields(label, K.mp and K, ("psi",))}
 
 
+def _kernel_solves(out, label, name, K) -> None:
+    """``_with_solves`` for the mpmath kernel ``K``'s ``psi``, ``det_m`` and
+    ``bordered`` outputs in ``out``; ``name`` is its ``ensemble`` system,
+    whose table has k_max 2 |n| there."""
+    import mopkit
+    from mopkit import linalg
+    from mpmath import mp
+
+    with mp.workdps(K.mp.dps):
+        det_m = linalg.lu_det(K.factors[0], K.factors[2])
+    bordered = [mopkit.kernel_eval_bordered(K, x, y) for x, y in BORDERED_POINTS]
+    _with_solves(out, label, "kernel", name, K.nvec.parts, 2 * K.n, K.mp.dps,
+                 K.condition_estimate, {"psi": list(K.psi.flat), "det_m": [det_m],
+                                        "bordered": bordered})
+
+
+def _with_solves(out, label, kind, name, parts, k_max, dps, cond, values) -> None:
+    """Append to each mpmath-rung solve output ``{label} {what}`` of ``values``
+    ({what: its values}) its record for ``solves``: the values exactly
+    (``_exact``) and how to solve them again at twice the dps, ``kind`` "type
+    I" (a ``zeros`` study) or "kernel" (an ``ensemble`` system), the index,
+    the table's k_max, the dps and cond1 of the solve, and ``what``."""
+    for what, vals in values.items():
+        out[f"{label} {what}"].append({"exact": _exact(vals), "solve": [
+            kind, name, list(parts), k_max, dps, float(cond), what]})
+
+
 def digests(checkout: Path, seed: int) -> dict:
     """{output: [digest, values]} of this process's ``mopkit`` with
     ``checkout``'s perfbench (``_output``)."""
@@ -165,7 +200,8 @@ def digests(checkout: Path, seed: int) -> dict:
     zeros.round(sess)
     mopkit.moment_table = table
     out = {}
-    for (name, _), mt in zip(wl_zeros.STUDIES, tables):
+    studied = {name: mt for (name, _), mt in zip(wl_zeros.STUDIES, tables)}
+    for name, mt in studied.items():
         out[f"zeros {name} moment table"] = _output(b"failed") if mt is None else _output(
             mt.raw.tobytes() + mt.scaled.tobytes(), mt.raw, mt.scaled)
         out.update(_row_outputs(f"zeros {name}", mt))
@@ -176,6 +212,10 @@ def digests(checkout: Path, seed: int) -> dict:
         for kind, obj in (("type II", P), ("type I", ts)):
             out.update(_fields(f"zeros {name} {parts} {kind}", obj,
                                ("hp_dps", "hp_rows_dps", "condition_estimate", "hp_coeffs")))
+        if ts is not None and ts.hp_coeffs is not None:
+            _with_solves(out, f"zeros {name} {parts} type I", "type I", name, parts,
+                         studied[name].k_max, ts.hp_dps, ts.condition_estimate,
+                         {"hp_coeffs": [v for blk in ts.hp_coeffs for v in blk]})
     batches, sample = [], mopkit.sample_mcmc
 
     def recorded(*args):  # a failed call leaves None in its target's place
@@ -198,6 +238,7 @@ def digests(checkout: Path, seed: int) -> dict:
         out.update(_kernel_fields(f"ensemble kernel {name} ({tag})", K))
         if K.mp is not None:
             out.update(_bordered_fields(f"ensemble kernel {name} ({tag})", K))
+            _kernel_solves(out, f"ensemble kernel {name} ({tag})", name, K)
     out["failed operations"] = _sha(sess.failures)
     return out
 
@@ -217,6 +258,44 @@ def references(checkout: Path, seed: int, rows: list) -> dict:
         name, rung, j = key.split()[1], int(key.split()[-2]), int(key.split()[-1][1:])
         with mpmath.mp.workdps(2 * rung):
             out[key] = _exact(highprec.moment_rows(systems[name], k_max)[j - 1])
+    return out
+
+
+def solves(checkout: Path, seed: int, requests: list) -> dict:
+    """{key: exact values} for each [key, "solve" record (``_with_solves``)] of
+    ``requests``: the output solved again by ``checkout``'s ``linalg`` at
+    twice its dps, on the moment rows at its dps of a fresh table of the
+    study's (or the ``ensemble`` system's) weights."""
+    sys.path.insert(0, str(checkout / "perfbench"))
+    import mpmath
+    import numpy as np
+    import wl_ensemble
+    import wl_zeros
+
+    import mopkit
+    from mopkit import highprec, linalg
+    from mopkit.mop import _affine_unscale, _hankel_from
+
+    zeros, out = wl_zeros.Zeros(seed).systems, {}
+    for key, (kind, name, parts, k_max, dps, _, what) in requests:
+        ws = zeros[name] if kind == "type I" else wl_ensemble.systems()[name]
+        mt, nvec = mopkit.moment_table(ws, k_max), mopkit.MultiIndex(tuple(parts))
+        rows, n = highprec.table_rows(mt, dps)[1], nvec.n
+        with mpmath.mp.workdps(2 * dps):
+            lu, piv, parity = factors = linalg.lu_factor(_hankel_from(rows, nvec, n))
+            if what == "hp_coeffs":
+                sol = linalg.lu_solve(lu, piv, np.eye(1, n, n - 1, dtype=object)[0])
+                values = [v for nj, e in zip(parts, np.cumsum(parts))
+                          for v in _affine_unscale(sol[e - nj : e], mt, 1 - n, 2 * dps)]
+            elif what == "psi":
+                values = linalg.lu_solve(lu, piv, np.eye(n, dtype=object)).T.flat
+            elif what == "det_m":
+                values = [linalg.lu_det(lu, parity)]
+            else:  # the bordered values, as floats, from a kernel at twice the dps
+                K = mopkit.ensemble.Kernel(ws, nvec, _hankel_from(rows, nvec, n), factors, None,
+                                           0.0, 0.0, mp=highprec.MPForm(ws, parts, None, 2 * dps))
+                values = [mopkit.kernel_eval_bordered(K, x, y) for x, y in BORDERED_POINTS]
+        out[key] = _exact(values)
     return out
 
 
@@ -243,6 +322,14 @@ def _relative(row, ref) -> float:
     return float(max(abs(a - b) for a, b in zip(row, ref)) / scale) if scale else 0.0
 
 
+def _units(name, output, ref) -> str:
+    """``name``'s deviation of the exact values of ``output`` (a record of
+    ``_with_solves``) from ``ref``, relative and in units of cond1 10^-dps of
+    its own solve."""
+    rel, (*_, dps, cond, _) = _relative(output["exact"], ref), output["solve"]
+    return f"{name} {rel:.3g} ({rel / (cond * 10.0 ** -dps):.3g} cond1 10^-{dps})"
+
+
 def _deviation(parent, change) -> str:
     """How far two outputs' values ([digest, values] each) lie apart."""
     p, c = (array.array("d", base64.b64decode(side[1])) for side in (parent, change))
@@ -252,7 +339,7 @@ def _deviation(parent, change) -> str:
         return ""
     dev = max((abs(a - b) for a, b in zip(p, c)), default=0.0)
     out = f", max |deviation| {dev:.3g} of max |value| {max(map(abs, p + c), default=0.0):.3g}"
-    if len(parent) > 2 and len(change) > 2:  # an mpmath row
+    if len(parent) > 2 and len(change) > 2 and "rule" in change[2]:  # an mpmath row
         rules = " -> ".join(str(side[2]["rule"]) for side in (parent, change))
         out += (f", relative deviation {_relative(change[2]['exact'], parent[2]['exact']):.3g}"
                 f" ({rules})")
@@ -284,6 +371,9 @@ def main(argv=None) -> int:
     if argv[:1] == ["--references"]:
         print(json.dumps(references(Path(argv[1]), int(argv[2]), json.loads(argv[3]))))
         return 0
+    if argv[:1] == ["--solves"]:
+        print(json.dumps(solves(Path(argv[1]), int(argv[2]), json.loads(argv[3]))))
+        return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
@@ -302,6 +392,15 @@ def main(argv=None) -> int:
             devs = (_relative(side[key][2]["exact"], refs[key]) for side in sides)
             print("{}: relative deviation from twice the rung's digits: parent {:.3g}, "
                   "change {:.3g}".format(key, *devs))
+    solved = [[key, sides[1][key][2]["solve"]] for key, _ in found
+              if all(len(side.get(key, ())) > 2 and "solve" in side[key][2] for side in sides)]
+    if solved:
+        refs = _run(args.change.resolve(), "--solves", str(args.change.resolve()),
+                    str(args.seed), json.dumps(solved))
+        for key, (_, _, _, _, dps, _, _) in solved:
+            print(f"{key}: deviation from a re-solve at {2 * dps} digits, relative "
+                  + ", ".join(_units(name, side[key][2], refs[key])
+                              for name, side in zip(("parent", "change"), sides)))
     print(f"{len(found)} of {len(set(sides[0]) | set(sides[1]))} outputs differ")
     return 1 if found else 0
 
