@@ -15,23 +15,17 @@ solve of the hull-scaled moment matrix M, for ``mop._solve``: type I
 kernel (M X = I).  Each attempt reports an a-posteriori condition bound,
 and its answer counts only when ``SURVIVING_DIGITS`` digits survive it.
 ``moment_rows`` gives the rows in t as mpf (closed forms for constant and
-pure Jacobi weights, for the rest one pass per weight of one of
-``mpmath.quad``'s rules with its per-k stopping rule, decided in float:
-Gauss-Legendre for weights analytic near their support, tanh-sinh for end
-factors, touching and near-touching generators and a Gauss-Legendre pass
-that leaves an order open), with a
-record of how each row was computed; ``table_rows`` keeps rows and
-records on the table, once per precision rung (the dps rounded up to a
-multiple of ``RUNG_DIGITS``), and M is factored once per index and dps
-(``MomentTable.mp_lu``, a ``linalg.FixedLU`` in Python ints): type I,
-type II and the kernel of one index share one condition estimate, one dps
-and one LU, and only their solutions become mpf.  The rest is shared with
-the float rung: ``mop._hankel_from``, ``ensemble.f_matrix``/``g_matrix``
-on object arrays of mpf, and the one LU in ``linalg``, which factors mpf
-matrices in fixed point at ``linalg.GUARD`` bits beyond the working
-precision; its solutions lie within 2 n cond1 2^-prec of a solve at twice
-the bits.  The quadrature columns run on raw ``_mpf_`` tuples through
-``mpmath.libmp``.
+pure Jacobi weights, one Clenshaw-Curtis-Jacobi pass per weight for the
+rest), with a record of how each row was computed; ``table_rows`` keeps
+rows and records on the table, once per precision rung (the dps rounded up
+to a multiple of ``RUNG_DIGITS``), and M is factored once per index and dps
+(``MomentTable.mp_lu``): type I, type II and the kernel of one index share
+one condition estimate, one dps and one LU, and only their solutions
+become mpf.  The rest is shared with the float rung: ``mop._hankel_from``,
+``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the one LU
+in ``linalg``, which factors mpf matrices in fixed point (a
+``linalg.FixedLU``), within 2 n cond1 2^-prec of a solve at twice the bits;
+the quadrature rules, node columns and level sums are fixed point too.
 
 One ``MPForm``, f(t)^T B g(t), evaluates the kernel (B = M^-T) and the
 linear form Q, which is the kernel's x^(n-1) coefficient.  It answers from
@@ -43,11 +37,11 @@ longdouble; the per-point mpmath path stays as the fallback and the oracle.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import mpf_mul, mpf_sub, mpf_sum
 from numpy.polynomial.chebyshev import chebvander
 
 from . import linalg
@@ -74,9 +68,9 @@ PROXY_TAIL = 1e-14
 #: y-grids of a proxy; first-kind Chebyshev points nest under tripling
 PROXY_GRIDS = (16, 48, 144, 432)
 
-#: nodes of mpmath's Gauss-Legendre level 6 (3 * 2^5): a Markov-ratio weight
-#: keeps that rule while this many nodes reach the working digits
-GAUSS_NODES = 96
+#: Clenshaw-Curtis levels: N + 1 nodes cos(pi j / N), N = 16, 32, ... CC_NODES;
+#: rules, node columns and sums are fixed point, CC_GUARD bits beyond mp.prec
+CC_NODES, CC_GUARD = 512, 20
 
 
 def working_dps(cond) -> int:
@@ -195,94 +189,91 @@ class ChebyshevProxy:
         return out
 
 
-#: 10^j as mpf, per (j, mp.prec): the error estimates of ``_estimate_error``
-_POW10 = {}
+@lru_cache(maxsize=None)
+def _cc_rule(n, al, be, bits):
+    """(V, W, e): nodes cos(pi j / n), j <= n, times 2^bits and weights W_j 2^e
+    of the Clenshaw-Curtis rule for (1 - v)^al (1 + v)^be on [-1, 1], in ints,
+    cached per (n, al, be, bits): W_j = (2/n) c_j sum''_m mu_m cos(pi m j / n),
+    c and '' halving end terms, for the moments mu_m of T_m by the forward
+    recurrence of Piessens & Branders (BIT 1973), whose solutions grow alike."""
+    with mp.workprec(bits):
+        cos = np.array([int(mpmath.ldexp(mpmath.cospi(mpmath.mpf(i) / n), bits))
+                        for i in range(2 * n)], dtype=object)
+        A, B = mpmath.mpf(al), mpmath.mpf(be)
+        mu = [2 ** (A + B + 1) * mpmath.beta(A + 1, B + 1)]
+        mu.append(mu[0] * (B - A) / (A + B + 2))
+        for m in range(1, n):
+            mu.append((-2 * (A - B) * mu[m] - (A + B + 2 - m) * mu[m - 1]) / (A + B + m + 2))
+        e = mpmath.mag(mu[0]) - bits
+        j, halve = np.arange(n + 1), np.array([1] + [2] * (n - 1) + [1], dtype=object)
+        ms = halve * [int(mpmath.ldexp(v, -e)) for v in mu]
+        W = (halve * (cos[np.outer(j, j) % (2 * n)] @ ms)) >> (bits + n.bit_length())
+    return cos[: n + 1], W, e
 
 
-def _log10(v):
-    """log10 |v| of a nonzero mpf in float, from its mantissa and exponent,
-    and a bound on that float's error."""
-    _, man, exp, _ = v._mpf_
-    a, b = math.log10(man), exp * math.log10(2)
-    return a + b, 1e-15 * (1 + abs(a) + abs(b))
+def _log_error(d1, d2, r0):
+    """log10 of quad's estimate 10^max(D1^2/D2, 2 D1), at most 0, in float for
+    D = log10 |d / r0| of the ints d1 = I_N - I_(N/2) and d2 = I_N - I_(N/4)."""
+    D1, D2 = (math.log10(abs(d)) - math.log10(r0) if d else -math.inf for d in (d1, d2))
+    return min(0.0, 2 * D1 if D1 == -math.inf or D2 == 0 else max(D1 * D1 / D2, 2 * D1))
 
 
-def _estimate_error(rule, results, prec, eps):
-    """``rule.estimate_error(results, prec, eps)``, bit for bit, with its two
-    logarithms taken in float.
-
-    quad's estimate is 10^j, j = min(0, max(ceil(D1^2/D2), ceil(2 D1),
-    -prec)) for D1 = log10 |I_k - I_(k-1)| and D2 = log10 |I_k - I_(k-2)|
-    (``int`` of a number <= 0 is its ceiling).  Both differences are the
-    mpf ones quad takes, and D1, D2 come from their mantissas and exponents
-    (``_log10``).  quad's own estimate answers when there are only two
-    results, when a difference is zero (this covers three equal results),
-    or when D1^2/D2 or 2 D1 lies within 1e-9 (plus the float error bound)
-    of an integer, where the float might round to another ceiling.
-    """
-    if len(results) > 2:
-        d1, d2 = results[-1] - results[-2], results[-1] - results[-3]
-        if d1 and d2:
-            (D1, e1), (D2, e2) = _log10(d1), _log10(d2)
-            if abs(D2) > e2:
-                r = D1 * D1 / D2
-                er = (2 * abs(D1) * e1 + abs(r) * e2) / abs(D2) + 1e-15 * abs(r) + 1e-9
-                if min(abs(r - round(r)) - er, abs(2 * D1 - round(2 * D1)) - 2 * e1 - 1e-9) > 0:
-                    j = min(0, max(math.ceil(r), math.ceil(2 * D1), -prec))
-                    key = (j, mp.prec)
-                    if key not in _POW10:
-                        _POW10[key] = mpmath.mpf(10) ** j
-                    return _POW10[key]
-    return rule.estimate_error(results, prec, eps)
+def _panels(w):
+    """The ends of ``w``'s support and, if a generator lies so near that
+    ``CC_NODES`` / 2 nodes fall short of the digits (the rule converges as
+    rho^-N, log rho = acosh(u), u = 1 + gap / half-length), the points at
+    gap 4^i from the end nearest it: each graded panel has u >= 5/3."""
+    a, b = w.support.a, w.support.b
+    gap = w.ratio.v.support.gap_to(w.support) if w.ratio else math.inf
+    if CC_NODES / 2 * math.acosh(1 + 2 * gap / (b - a)) >= mp.dps * math.log(10):
+        return [a, b]
+    cuts, left = {a, b}, w.ratio.v.support.b <= a
+    while gap < b - a:
+        cuts.add(a + gap if left else b - gap)
+        gap *= 4
+    return sorted(cuts)
 
 
-def _power_moments(fn, a, b, k_max: int, c, s, rule):
-    """Integrals of t^k fn(x), t = (x - c)/s, over [a, b] for k <= k_max on
-    the nodes of ``mpmath.quad(lambda x: ((x - c) / s) ** k * fn(x), [a, b],
-    method=rule)``, ``rule`` ``mp._tanh_sinh`` or ``mp._gauss_legendre``:
-    one pass over the rule's levels evaluates ``fn`` once per node, each
-    level advances one column w_i fn(x_i) (x_i - c)^k by a product per node
-    and power (rounded, like quad's terms, at 20 guard bits), whose sum
-    takes the factor s^-k, and each k stops at the level where quad's error
-    estimate stops it (``_estimate_error``).  A tanh-sinh level adds its sum
-    to half the previous level's, h (S + sum), a Gauss-Legendre level is its
-    own sum, as in each rule's ``sum_next``.  Columns are raw ``_mpf_`` tuples, and
-    ``mpf_mul``/``mpf_sum`` round them as mpf products and ``mp.fsum`` do.
-
-    Returns (row, record): the record names the rule, the last level run,
-    the largest final error estimate and the orders still ``open``, whose
-    estimate is above quad's tolerance after the rule's last level (quad
-    returns those silently)."""
-    prec, eps, nested = mp.prec, mp.eps / 8, rule is mp._tanh_sinh
-    results, errors = [[] for _ in range(k_max + 1)], [mp.zero] * (k_max + 1)
-    open_ks = list(range(k_max + 1))
-    with mp.extraprec(20):
-        wprec, rnd = mp._prec_rounding
-        c, scale = mpmath.mpf(c)._mpf_, [mpmath.mpf(s) ** -k for k in range(k_max + 1)]
-        for degree in range(1, rule.guess_degree(prec) + 1):
-            h = mpmath.mpf(2) ** (-degree)
-            nodes = rule.get_nodes(a, b, degree, prec)
-            ts = [mpf_sub(x._mpf_, c, wprec, rnd) for x, _ in nodes]
-            col = [(w * fn(x))._mpf_ for x, w in nodes]
-            for k in range(open_ks[-1] + 1):
-                if k > 0:
-                    col = [mpf_mul(v, t, wprec, rnd) for v, t in zip(col, ts)]
-                if k in open_ks:
-                    total = mp.make_mpf(mpf_sum(col, wprec, rnd)) * scale[k]
-                    if nested:
-                        S = results[k][-1] / (h * 2) if results[k] else mp.zero
-                        total = h * (S + total)
-                    results[k].append(total)
-            if degree > 1:
-                for k in open_ks:
-                    errors[k] = _estimate_error(rule, results[k], prec, eps)
-                open_ks = [k for k in open_ks if errors[k] > eps]
-            if not open_ks:
-                break
-        sums = [mp.zero + r[-1] for r in results]
-    record = {"rule": "tanh-sinh" if nested else "gauss-legendre", "level": degree,
-              "error_max": float(max(errors)), "open": open_ks}
-    return [+v for v in sums], record
+def _cc_row(w, k_max, c, s):
+    """The moments of t^k w, t = (x - c)/s, and their record, by the
+    Clenshaw-Curtis-Jacobi rule on each panel [p, q] of ``_panels(w)``, x = m
+    + h v: the end factors that the panel holds, h^al (1 - v)^al and h^be (1
+    + v)^be, go into the rule, so no x - a is formed near a; the smooth factor
+    (``Weight.smooth``) and other end factors are evaluated once per node.  N
+    doubles from 16 until every order's ``_log_error`` is below -dps."""
+    a, b, (be, al) = w.support.a, w.support.b, w.endpoint_exponents
+    dps, bits, pts = mp.dps, mp.prec + CC_GUARD, _panels(w)
+    row, level, worst = [0] * (k_max + 1), 0, [-math.inf] * (k_max + 1)
+    with mp.workprec(bits):
+        smooth, A, B = w.smooth.mp_evaluator(), mpmath.mpf(a), mpmath.mpf(b)
+        for p, q in zip(pts, pts[1:]):
+            ra, rb = (al if q == b else 0.0), (be if p == a else 0.0)
+            fn = smooth if (ra, rb) == (al, be) else (
+                lambda x, ea=al - ra, eb=be - rb: smooth(x) * (B - x) ** ea * (x - A) ** eb)
+            m, h = (mpmath.mpf(p) + q) / 2, (mpmath.mpf(q) - p) / 2
+            T0, L = int(mpmath.ldexp((m - c) / s, bits)), int(mpmath.ldexp(h / s, bits))
+            sums = []
+            for n in (2 ** i for i in range(4, CC_NODES.bit_length())):
+                V, W, eW = _cc_rule(n, ra, rb, bits)
+                fresh = [fn(m + h * mpmath.mpf((v, -bits))) for v in (V[1::2] if sums else V)]
+                eF = eF if sums else mpmath.mag(max(fresh, key=abs)) - bits  # level 1 sets it
+                fresh = np.array([int(mpmath.ldexp(f, -eF)) for f in fresh], dtype=object)
+                F = np.insert(F, range(1, F.size), fresh) if sums else fresh
+                col, T, S = (W * F) >> bits, T0 + ((L * V) >> bits), []
+                for _ in range(k_max + 1):
+                    S.append(col.sum())
+                    col = (col * T) >> bits
+                sums.append(S)
+                est = ([_log_error(x - y, x - z, S[0]) for x, y, z in zip(*sums[-1:-4:-1])]
+                       if len(sums) > 2 else [0.0] * (k_max + 1))
+                if max(est) < -dps:
+                    break
+            unit = mpmath.ldexp(h ** (ra + rb + 1), eW + eF + bits)
+            row = [r + v * unit for r, v in zip(row, S)]
+            level, worst = max(level, n), [max(u, v) for u, v in zip(worst, est)]
+    open_ks = [k for k, v in enumerate(worst) if v >= -dps]
+    return [+v for v in row], {"rule": "clenshaw-curtis", "level": level,
+                               "error_max": 10.0 ** max(worst), "open": open_ks}
 
 
 def _jacobi_moments(w, k_max: int, c, s):
@@ -317,45 +308,17 @@ def _jacobi_moments(w, k_max: int, c, s):
     return [+v for v in row]
 
 
-def _rule(w):
-    """The rule of ``w``'s quadrature pass: Gauss-Legendre for a weight
-    analytic near its support (``Weight.analytic``), unless its Markov
-    ratio's generator lies so near that ``GAUSS_NODES`` nodes fall short of
-    the working digits, and tanh-sinh for the rest.  With N nodes
-    Gauss-Legendre converges as rho^(-2N), rho = u + sqrt(u^2 - 1) for the
-    Bernstein ellipse through the generator's nearest end, u = 1 + gap /
-    half-length of the support; mpmath's node table costs O(N^2) per level,
-    so a generator inside that ellipse pays far more than tanh-sinh."""
-    if not w.analytic:
-        return mp._tanh_sinh
-    if w.ratio is not None:
-        u = 1 + w.ratio.v.support.gap_to(w.support) / (0.5 * w.support.length)
-        if 2 * GAUSS_NODES * math.log10(u + math.sqrt(u * u - 1)) < mp.dps:
-            return mp._tanh_sinh
-    return mp._gauss_legendre
-
-
 def moment_rows(ws, k_max: int, records=None):
     """Moments integral t^k w_j dx of every weight in the hull coordinate
     t = (x - c)/s, [c - s, c + s] the convex hull of ``ws``'s supports, as
     mpf at the current precision: the rows of ``MomentTable.scaled``.
 
     A constant weight r on [a, b] gets r s (t_b^(k+1) - t_a^(k+1)) / (k + 1),
-    a pure Jacobi weight (no Markov ratio) its Beta-function closed form.
-    Every other weight takes one pass of ``mpmath.quad``'s rules over its mpf
-    evaluator, with quad's per-k stopping rule, so each moment matches its
-    own ``mpmath.quad`` with that rule (``_rule``): Gauss-Legendre for a
-    weight analytic near its support (``Weight.analytic``: no end factor,
-    and no Markov ratio or one whose generator lies apart), which converges
-    there in fewer nodes (93 against 277 at 48 digits), and tanh-sinh for
-    end factors, touching and near-touching generators, and for a weight
-    whose Gauss-Legendre pass leaves an order open at its last level.
-    Returns a p x (k_max + 1) object array; a list ``records`` gets one
-    dict per weight: its ``rule``
-    ("closed form", "gauss-legendre" or "tanh-sinh"), the ``level``
-    reached, the largest final error estimate ``error_max`` and the
-    ``open`` orders, and, for a weight redone on tanh-sinh, the record of
-    the Gauss-Legendre pass it ``replaces``.
+    a pure Jacobi weight (no Markov ratio) its Beta-function closed form, and
+    any other one Clenshaw-Curtis-Jacobi pass (``_cc_row``).  Returns a p x
+    (k_max + 1) object array; a list ``records`` gets per weight its ``rule``
+    ("closed form" or "clenshaw-curtis"), the ``level`` N reached, the largest
+    final estimate relative to row 0, ``error_max``, and the ``open`` orders.
     """
     (c, s), rows = ws.hull_coordinate(), []
     for w in ws.weights:
@@ -367,11 +330,7 @@ def moment_rows(ws, k_max: int, records=None):
         elif w.spec.family == "jacobi" and w.ratio is None:
             row = _jacobi_moments(w, k_max, c, s)
         else:
-            fn = w.mp_evaluator()
-            row, record = _power_moments(fn, a, b, k_max, c, s, _rule(w))
-            if record["open"] and record["rule"] == "gauss-legendre":
-                row, redone = _power_moments(fn, a, b, k_max, c, s, mp._tanh_sinh)
-                record = dict(redone, replaces=record)
+            row, record = _cc_row(w, k_max, c, s)
         rows.append(row)
         if records is not None:
             records.append(record)
@@ -431,7 +390,8 @@ def rung_solve(mt, nvec, rhs, dps: int, transpose=False):
             sol = linalg.lu_solve(lu, piv, cols, transpose)
         except NumericError as exc:
             raise NumericError("singular moment system in high precision") from exc
-        growth = max(np.abs(x).sum() / np.abs(r).sum() for x, r in zip(sol.T, cols.T) if any(r))
+        growth = max(mpmath.fsum(x, absolute=True) / mpmath.fsum(r, absolute=True)
+                     for x, r in zip(sol.T, cols.T) if any(r))
     return (rung, sol[:, :-1] if np.ndim(b) == 2 else list(sol[:, 0])), a_norm * float(growth)
 
 

@@ -54,12 +54,11 @@ class Weight:
         return (s.beta, s.alpha) if s.family == "jacobi" else (0.0, 0.0)
 
     @property
-    def analytic(self):
-        """Whether the weight is analytic on a neighbourhood of its support:
-        no end factor, and no Markov ratio or one whose generator lies at a
-        positive distance (the transform is analytic off the generator)."""
-        return self.endpoint_exponents == (0.0, 0.0) and (
-            self.ratio is None or self.ratio.v.support.gap_to(self.support) > 0)
+    def smooth(self):
+        """The weight without its Jacobi end factor, for ``highprec``'s rule."""
+        s = self.spec
+        return self if s.family != "jacobi" else Weight(
+            WeightSpec.constant(s.interval.a, s.interval.b), self.scale, self.ratio)
 
     @property
     def label(self):

@@ -463,10 +463,10 @@ def test_solve_step_records_how_the_mp_rows_were_computed(tmp_path, command, mul
     if detail["hp_dps"] == 0:
         assert multi_index == [2, 1] and "mp_rows" not in detail
         return
-    closed, gauss = detail["mp_rows"]
+    closed, markov = detail["mp_rows"]
     assert closed == {"rule": "closed form", "level": 0, "error_max": 0.0, "open": []}
-    assert gauss["rule"] == "gauss-legendre" and gauss["open"] == []
-    assert gauss["level"] >= 2 and gauss["error_max"] <= 10.0 ** -detail["hp_dps"]
+    assert markov["rule"] == "clenshaw-curtis" and markov["open"] == []
+    assert markov["level"] >= 2 and markov["error_max"] <= 10.0 ** -detail["hp_dps"]
 
 
 @pytest.mark.parametrize("command", ["mop", "typeI"])

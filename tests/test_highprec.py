@@ -1,11 +1,12 @@
 """mpmath moment rows: Beta-function closed forms for pure Jacobi weights,
-one Gauss-Legendre or tanh-sinh pass per weight, bit-identical to quad with
-that rule, for the rest, and
+one Clenshaw-Curtis-Jacobi pass per weight, within 10^-(dps - 5) of row 0
+of a reference at twice the dps, for the rest, and
 one pass per moment table and precision rung for type I, type II and the
 kernel; one LU of the moment matrix per index and precision for all three."""
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -17,20 +18,19 @@ from mopkit import highprec, linalg
 from mopkit.ensemble import f_matrix, g_matrix
 from mopkit.linalg import LD
 from mopkit.mop import _affine_unscale, _hankel_from, _type2_system
-from mopkit.weights import MarkovRatio, Weight
+from mopkit.weights import Weight
 
 
 def _quad_in_x(w, k, c, s, method="tanh-sinh"):
-    """quad of ((x - c)/s)^k w(x) over the support with ``method``: the
-    integrand of the pass with that rule."""
+    """quad of ((x - c)/s)^k w(x) over the support with ``method``."""
     fn = w.mp_evaluator()
     a, b = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)
     return mpmath.quad(lambda x: ((x - c) / s) ** k * fn(x), [a, b], method=method)
 
 
 def _gauss_in_x(w, k, c, s):
-    """``_quad_in_x`` with Gauss-Legendre, the rule of a weight analytic
-    near its support."""
+    """``_quad_in_x`` with Gauss-Legendre, for a weight analytic near its
+    support."""
     return _quad_in_x(w, k, c, s, "gauss-legendre")
 
 
@@ -45,110 +45,136 @@ def _quad_in_t_symmetric(w, k, c, s):
     return s * mpmath.quad(lambda t: t ** k * r * ((1 - t) * (1 + t)) ** al, [-1, 1])
 
 
-def _touching():
-    """w_2 of constant weights on [0, 1] and a generator on [-1, 0], which
-    touches it: the ratio log((x + 1)/x) is singular at 0.  ``MarkovRatio``
-    refuses to build it, so its fields are set unchecked."""
-    ratio = object.__new__(MarkovRatio)
-    ratio.v, ratio.sign = Weight.from_spec(mk.WeightSpec.constant(-1.0, 0.0)), 1.0
-    return Weight(mk.WeightSpec.constant(0.0, 1.0), 1.0, ratio)
+def _graded_in_x(w, k, c, s):
+    """quad of ((x - c)/s)^k w(x) over [0, 1] on panels graded geometrically
+    toward 0, for a generator on [-1, -gap]."""
+    gap = w.ratio.v.support.gap_to(w.support)
+    fn, pts = w.mp_evaluator(), [0] + [gap * 4 ** i for i in range(20) if gap * 4 ** i < 1]
+    return mpmath.quad(lambda x: ((x - c) / s) ** k * fn(x), pts + [1])
+
+
+def _substituted(w, k, c, s):
+    """``_jacobi_reference`` of a Jacobi weight times its Markov ratio, the
+    ratio from its own closed form."""
+    ratio, (be, al) = w.ratio.mp_evaluator(), w.endpoint_exponents
+    assert (w.support.mid, 0.5 * w.support.length) == (c, s) and w.scale == 1.0
+    return _jacobi_reference(w.support.a, w.support.b, al, be, k, mpmath.mp.dps - 20, ratio)[0]
 
 
 def _near_touching(gap):
     """w_2 of a constant weight on [0, 1] with a constant generator on
-    [-1, -gap]: 96 Gauss-Legendre nodes fall short of 48 digits."""
+    [-1, -gap]: 256 Clenshaw-Curtis nodes fall short of 48 digits."""
     return mk.build_nikishin(mk.WeightSpec.constant(0.0, 1.0),
                              [mk.WeightSpec.constant(-1.0, -gap)]).weights[1]
 
 
-#: weight, largest power k, working precisions, quad reference, rule; the
-#: pure Jacobi weight takes the Beta closed form, weights analytic near
-#: their support the Gauss-Legendre pass, end factors, touching and
-#: near-touching generators the tanh-sinh pass.  The exp_poly Nikishin
-#: ratio nests a quadrature in every value, so it runs at small k and dps
+#: weight, largest power k, working precisions, reference at twice the dps,
+#: rule; the pure Jacobi weight takes the Beta closed form, the rest the
+#: Clenshaw-Curtis-Jacobi pass, near-touching generators on graded panels.
+#: The exp_poly Nikishin ratio nests a quadrature in every value, so it runs
+#: at small k and dps
 CASES = {
     "jacobi_half_half": (lambda: Weight.from_spec(mk.WeightSpec.jacobi(0.0, 1.0, 0.5, 0.5)),
                          12, (30, 45), _quad_in_t_symmetric, "closed form"),
     "exp_poly": (lambda: Weight.from_spec(mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 1.0, 0.5])),
-                 12, (30, 45, 48, 64), _gauss_in_x, "gauss-legendre"),
+                 12, (30, 45, 48, 64), _gauss_in_x, "clenshaw-curtis"),
     "nikishin_constant": (lambda: mk.build_nikishin(
         mk.WeightSpec.constant(1.0, 2.0), [mk.WeightSpec.constant(-1.0, 0.0)]).weights[1],
-        12, (30, 45), _gauss_in_x, "gauss-legendre"),
+        12, (30, 45), _gauss_in_x, "clenshaw-curtis"),
     "nikishin_exp_poly": (lambda: mk.build_nikishin(
         mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 1.0]),
         [mk.WeightSpec.exp_poly(-1.0, 0.0, [0.0, 0.5])]).weights[1], 2, (15, 20),
-        _gauss_in_x, "gauss-legendre"),
+        _gauss_in_x, "clenshaw-curtis"),
     "nikishin_jacobi": (lambda: mk.build_nikishin(
         mk.WeightSpec.jacobi(1.0, 2.0, 0.5, 0.5), [mk.WeightSpec.constant(-1.0, 0.0)]).weights[1],
-        22, (36, 48), _quad_in_x, "tanh-sinh"),
-    "touching_generator": (_touching, 12, (30, 45), _quad_in_x, "tanh-sinh"),
-    "near_touching_1e-2": (lambda: _near_touching(1e-2), 12, (48,), _quad_in_x, "tanh-sinh"),
-    "near_touching_3e-2": (lambda: _near_touching(3e-2), 12, (48,), _quad_in_x, "tanh-sinh"),
+        22, (36, 48), _substituted, "clenshaw-curtis"),
+    "near_touching_1e-2": (lambda: _near_touching(1e-2), 12, (48,), _graded_in_x,
+                           "clenshaw-curtis"),
+    "near_touching_3e-2": (lambda: _near_touching(3e-2), 12, (48,), _graded_in_x,
+                           "clenshaw-curtis"),
 }
+
+
+def _deviation(row, ref):
+    """max_k |row_k - ref_k| relative to |ref_0|."""
+    return max(abs(v - r) for v, r in zip(row, ref)) / abs(ref[0])
 
 
 @pytest.mark.parametrize("name,dps", [(name, dps) for name, case in sorted(CASES.items())
                                       for dps in case[2]])
-def test_moment_rows_match_quad_bit_for_bit(name, dps):
+def test_moment_rows_match_twice_the_dps(name, dps):
     # one weight's hull is its support: t = (x - c)/s maps it to [-1, 1]
     make, k_max, _, quad_ref, rule = CASES[name]
     w, records = make(), []
     c, s = w.support.mid, 0.5 * w.support.length
     with mpmath.mp.workdps(dps):
         row = highprec.moment_rows(mk.WeightSystem.general([w]), k_max, records)[0]
-        ref = [quad_ref(w, k, c, s) for k in range(k_max + 1)]
-    assert [v._mpf_ for v in row] == [v._mpf_ for v in ref]
+    with mpmath.mp.workdps(2 * dps):
+        assert _deviation(row, [quad_ref(w, k, c, s) for k in range(k_max + 1)]) < \
+            mpmath.mpf(10) ** (5 - dps)
     [record] = records
-    assert record["rule"] == rule and record["open"] == [] and "replaces" not in record
-    assert record["error_max"] <= mpmath.mpf(10) ** -dps
+    assert record["rule"] == rule and record["open"] == [] and set(record) == {
+        "rule", "level", "error_max", "open"}
+    assert record["error_max"] <= 10.0 ** -dps
 
 
-def test_gauss_legendre_pass_with_an_open_order_is_redone_on_tanh_sinh(monkeypatch):
-    # two Gauss-Legendre levels (3 and 6 nodes) leave every order open
-    monkeypatch.setattr(mpmath.mp._gauss_legendre, "guess_degree", lambda prec: 2)
+@pytest.mark.parametrize("n", (16, 64, 512))
+@pytest.mark.parametrize("al,be", [(0.0, 0.0), (0.5, -0.5), (-0.6, 0.0), (1.5, 0.3)])
+def test_clenshaw_curtis_rule_integrates_its_interpolants_exactly(al, be, n):
+    # the (n + 1)-point rule is exact for v^k, k <= n, against (1 - v)^al (1 + v)^be
+    dps = 40
+    with mpmath.mp.workdps(dps):
+        bits = mpmath.mp.prec + highprec.CC_GUARD
+        V, W, e = highprec._cc_rule(n, al, be, bits)
+        v, w = [mpmath.mpf((x, -bits)) for x in V], [mpmath.ldexp(x, e) for x in W]
+        for k in (0, 1, 2, 7, n - 1, n):
+            ref, size = _jacobi_reference(-1.0, 1.0, al, be, k, dps)
+            got = mpmath.fsum(wj * vj ** k for wj, vj in zip(w, v))
+            assert abs(got - ref) <= mpmath.mpf(10) ** (2 - dps) * size, k
+
+
+def test_rows_open_at_the_last_level_are_recorded(monkeypatch):
+    # the exp_poly weight to k = 22 needs N = 128 for 48 digits: a last level of 64
+    # leaves orders open
+    monkeypatch.setattr(highprec, "CC_NODES", 64)
     w, records = CASES["exp_poly"][0](), []
-    c, s = w.support.mid, 0.5 * w.support.length
-    with mpmath.mp.workdps(30):
-        row = highprec.moment_rows(mk.WeightSystem.general([w]), 12, records)[0]
-        ref = [_quad_in_x(w, k, c, s) for k in range(13)]
-    assert [v._mpf_ for v in row] == [v._mpf_ for v in ref]
+    with mpmath.mp.workdps(48):
+        highprec.moment_rows(mk.WeightSystem.general([w]), 22, records)
     [record] = records
-    assert record["rule"] == "tanh-sinh" and record["open"] == []
-    first = record["replaces"]
-    assert first["rule"] == "gauss-legendre" and first["level"] == 2
-    assert first["open"] == list(range(13)) and first["error_max"] > 1e-30
+    assert record["rule"] == "clenshaw-curtis" and record["level"] == 64
+    assert record["open"] and 1e-48 < record["error_max"] <= 1.0
 
 
 @pytest.mark.parametrize("dps", (48, 64))
-def test_workload_nikishin_weights_keep_gauss_legendre(dps):
-    # a generator at distance 1 from [1, 2]: 96 nodes reach 147 digits
+def test_only_near_generators_split_the_support(dps):
+    # a generator at distance 1 from [1, 2]: 256 nodes reach 195 digits
     C, E = mk.WeightSpec.constant, mk.WeightSpec.exp_poly
-    for base in (C(1.0, 2.0), E(1.0, 2.0, [0.0, 0.3, 1.1])):
-        w = mk.build_nikishin(base, [C(-1.0, 0.0)]).weights[1]
-        with mpmath.mp.workdps(dps):
-            assert highprec._rule(w) is mpmath.mp._gauss_legendre
     with mpmath.mp.workdps(dps):
-        assert highprec._rule(_near_touching(0.1)) is (
-            mpmath.mp._gauss_legendre if dps == 48 else mpmath.mp._tanh_sinh)
+        for base in (C(1.0, 2.0), E(1.0, 2.0, [0.0, 0.3, 1.1])):
+            for gen in (C(-1.0, 0.0), C(3.0, 4.0)):
+                assert highprec._panels(mk.build_nikishin(base, [gen]).weights[1]) == [1.0, 2.0]
+        assert highprec._panels(_near_touching(0.1)) == [0.0, 1.0]
+        assert highprec._panels(_near_touching(1e-2)) == pytest.approx(
+            [0.0, 0.01, 0.04, 0.16, 0.64, 1.0])
+        right = mk.build_nikishin(C(-1.0, 0.0), [C(1e-2, 1.0)]).weights[1]
+        assert highprec._panels(right) == pytest.approx([-1.0, -0.64, -0.16, -0.04, -0.01, 0.0])
 
 
-def test_power_moments_decide_stopping_in_float(monkeypatch):
-    # every estimate from three or more results is the float one
-    from mpmath.calculus.quadrature import QuadratureRule
-
-    seen, plain = [], QuadratureRule.estimate_error
-    monkeypatch.setattr(QuadratureRule, "estimate_error", lambda self, results, prec, eps:
-                        seen.append(len(results)) or plain(self, results, prec, eps))
-    w = CASES["exp_poly"][0]()
-    with mpmath.mp.workdps(48):
-        highprec.moment_rows(mk.WeightSystem.general([w]), 12)
-    assert seen and set(seen) == {2}
+def test_stopping_estimate_is_quads_log_rule_in_float():
+    # 10^max(D1^2/D2, 2 D1), D = log10 |d / r0|, capped at 0, on ints past float range
+    r0 = 10 ** 400
+    assert highprec._log_error(10 ** 370, 10 ** 385, r0) == pytest.approx(-60.0)
+    assert highprec._log_error(10 ** 380, 10 ** 395, r0) == pytest.approx(-40.0)  # 2 D1
+    assert highprec._log_error(0, 10 ** 395, r0) == -math.inf
+    assert highprec._log_error(0, 0, r0) == -math.inf
+    assert highprec._log_error(10 ** 380, 0, r0) == 0.0  # an unchanged I_(N/4): go on
+    assert highprec._log_error(-10 ** 401, 10 ** 402, r0) == 0.0
 
 
 @pytest.mark.parametrize("gap", (1e-2, 1e-3))
 def test_near_touching_generator_rows_match_twice_the_dps(gap):
     # log((x + 1)/(x + gap)) on [0, 1]: the generator lies inside the
-    # Bernstein ellipse that 96 Gauss-Legendre nodes need: tanh-sinh takes it
+    # Bernstein ellipse that 256 Clenshaw-Curtis nodes need: graded panels take it
     w, dps = mk.build_nikishin(mk.WeightSpec.constant(0.0, 1.0),
                                [mk.WeightSpec.constant(-1.0, -gap)]).weights[1], 30
     with mpmath.mp.workdps(dps):
@@ -180,12 +206,13 @@ def test_evaluator_called_once_per_node(monkeypatch):
     assert seen and len(seen) == len(set(seen))
 
 
-def _jacobi_reference(a, b, al, be, k, dps):
-    """(integral of t^k w, integral of |t|^k w) for w = (b-x)^al (x-a)^be and
-    the hull coordinate t = (2x - a - b) / (b - a) of its support, by
-    mpmath.quad in u = (x - a) / (b - a) at dps + 20 digits.  [0, 1] is
-    split at 1/2 and each half substituted so that its singular factor,
-    t^be at 0 or (1-t)^al at 1, becomes a smooth integrand."""
+def _jacobi_reference(a, b, al, be, k, dps, factor=None):
+    """(integral of t^k w, integral of |t|^k w) for w = (b-x)^al (x-a)^be,
+    times the smooth ``factor``(x) if given, and the hull coordinate t =
+    (2x - a - b) / (b - a) of its support, by mpmath.quad in u = (x - a) /
+    (b - a) at dps + 20 digits.  [0, 1] is split at 1/2 and each half
+    substituted so that its singular factor, t^be at 0 or (1-t)^al at 1,
+    becomes a smooth integrand."""
     with mpmath.mp.workdps(dps + 20):
         A, L = mpmath.mpf(a), mpmath.mpf(b) - mpmath.mpf(a)
         al, be = mpmath.mpf(al), mpmath.mpf(be)
@@ -200,9 +227,10 @@ def _jacobi_reference(a, b, al, be, k, dps):
                                          [0, mpmath.mpf(0.5) ** (1 / p)])
             return L ** (al + be + 1) * total
 
-        value = integral(lambda x: ((2 * x - A - A - L) / L) ** k)
+        smooth = factor or (lambda x: 1)
+        value = integral(lambda x: ((2 * x - A - A - L) / L) ** k * smooth(x))
         with mpmath.mp.workdps(15):
-            size = integral(lambda x: abs((2 * x - A - A - L) / L) ** k)
+            size = integral(lambda x: abs((2 * x - A - A - L) / L) ** k * smooth(x))
         return value, size
 
 
@@ -223,6 +251,47 @@ def test_jacobi_moment_rows_match_shifted_quad(a, b, al, be, k_max, ks):
     for k in ks:
         value, size = _jacobi_reference(a, b, al, be, k, dps)
         assert abs(row[k] - value) <= mpmath.mpf(10) ** (2 - dps) * size, k
+
+
+#: Nikishin weights on Jacobi bases, whose end factors the rule takes into
+#: its weights (tanh-sinh on x lost 20 of 36 digits on the first), also with
+#: generators near the singular end, which split the support into graded
+#: panels, and an exp_poly weight at high orders: (make, k_max, ks, dps)
+ROW_CASES = {
+    "jacobi(0.5,-0.5)_base": (lambda: mk.build_nikishin(mk.WeightSpec.jacobi(
+        1.0, 2.0, 0.5, -0.5), [mk.WeightSpec.constant(-1.0, 0.0)]).weights[1], 12, range(13),
+        (36, 48)),
+    "jacobi(-0.6,0)_base": (lambda: mk.build_nikishin(mk.WeightSpec.jacobi(
+        1.0, 2.0, -0.6, 0.0), [mk.WeightSpec.constant(-1.0, 0.0)]).weights[1], 12, range(13),
+        (36, 48)),
+    "jacobi(0.5,-0.5)_base_near_a": (lambda: mk.build_nikishin(mk.WeightSpec.jacobi(
+        0.0, 1.0, 0.5, -0.5), [mk.WeightSpec.constant(-1.0, -1e-3)]).weights[1], 6, range(7),
+        (20,)),
+    "jacobi(-0.6,0)_base_near_b": (lambda: mk.build_nikishin(mk.WeightSpec.jacobi(
+        0.0, 1.0, -0.6, 0.0), [mk.WeightSpec.constant(1.001, 2.0)]).weights[1], 6, range(7),
+        (20,)),
+    "exp_poly_k40": (lambda: Weight.from_spec(mk.WeightSpec.exp_poly(
+        -1.0, 3.0, [0.0, -0.4, 1.2])), 40, (0, 1, 2, 20, 39, 40), (36, 48)),
+}
+
+
+@pytest.mark.parametrize("name,dps", [(name, dps) for name, case in sorted(ROW_CASES.items())
+                                      for dps in case[3]])
+def test_rows_match_a_substituted_reference(name, dps):
+    # the reference substitutes at each end factor, at 2 dps + 40 digits
+    make, k_max, ks, _ = ROW_CASES[name]
+    w, records = make(), []
+    with mpmath.mp.workdps(dps):
+        row = highprec.moment_rows(mk.WeightSystem.general([w]), k_max, records)[0]
+        assert (len(highprec._panels(w)) > 2) == name.endswith(("near_a", "near_b"))
+    be, al = w.endpoint_exponents
+    with mpmath.mp.workdps(2 * dps + 40):  # the Markov ratio on a Jacobi base, else w
+        factor = (w.ratio or w).mp_evaluator()
+        ref = {k: _jacobi_reference(w.support.a, w.support.b, al, be, k, 2 * dps + 20,
+                                    factor)[0] for k in (0, *ks)}
+    for k in ks:
+        assert abs(row[k] - ref[k]) <= mpmath.mpf(10) ** (5 - dps) * abs(ref[0]), k
+    assert records[0]["open"] == [] and records[0]["error_max"] <= 10.0 ** -dps
 
 
 def _exp_nikishin():

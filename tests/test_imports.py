@@ -115,3 +115,14 @@ def test_unique_points_leave_numpy_ma_unloaded():
 
 def test_compare_leaves_numpy_ma_unloaded(tmp_path):
     assert loaded_after(tmp_path, "compare", "angelesco_compare", ("numpy.ma",)) == set()
+
+
+#: private mpmath names whose meaning any mpmath release may change, while
+#: ``pyproject.toml`` accepts every ``mpmath>=1.3``
+PRIVATE_MPMATH = ("mp._", "guess_degree", "get_nodes", "estimate_error", "_prec_rounding")
+
+
+def test_source_names_no_private_mpmath_name():
+    found = {path.name: [name for name in PRIVATE_MPMATH if name in path.read_text()]
+             for path in (ROOT / "src" / "mopkit").glob("*.py")}
+    assert {name: hits for name, hits in found.items() if hits} == {}

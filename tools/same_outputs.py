@@ -24,7 +24,7 @@ The mpmath moment rows that each ``zeros`` study reached are outputs too,
 one per rung and weight (``zeros NAME mp rows RUNG wJ``), kept exactly
 next to the rule that computed them (``MomentTable.mp_quad``, where the
 checkout has it), and the rest of each row's record (``level``,
-``error_max``, ``open`` and ``replaces``) is an output of its own
+``error_max`` and ``open``) is an output of its own
 (``... wJ record``), so a changed stopping level shows even where the
 row's bits do not move.  The mpmath kernel also gives its bordered
 determinant values at five fixed points and det M from ``K.factors``, at
@@ -105,15 +105,15 @@ def _exact(row) -> list:
 def _row_outputs(label, mt) -> dict:
     """Two outputs per rung and weight of the table ``mt``'s mpmath rows:
     the row, ``_output`` plus {"exact": ``_exact``, "rule": how it was
-    computed}, and its record's ``level``, ``error_max``, ``open`` and
-    ``replaces`` (``... record``)."""
+    computed}, and its record's ``level``, ``error_max`` and ``open``
+    (``... record``)."""
     out = {}
     for rung, rows in sorted(getattr(mt, "mp_rows", {}).items()):
         records = getattr(mt, "mp_quad", {}).get(rung) or [{}] * len(rows)
         for j, (row, record) in enumerate(zip(rows, records), 1):
             out[f"{label} mp rows {rung} w{j}"] = _output(repr(_raw(row)), list(row)) + [
                 {"exact": _exact(row), "rule": record.get("rule")}]
-            how = {name: record.get(name) for name in ("level", "error_max", "open", "replaces")}
+            how = {name: record.get(name) for name in ("level", "error_max", "open")}
             out[f"{label} mp rows {rung} w{j} record"] = _output(
                 repr(how), [how[name] for name in ("level", "error_max") if how[name] is not None])
     return out
@@ -384,7 +384,8 @@ def main(argv=None) -> int:
     for key, reason in found:
         print(f"{key}: {reason}")
     rows = [[key, len(sides[1][key][2]["exact"]) - 1] for key, _ in found
-            if " mp rows " in key and all(key in side for side in sides)]
+            if " mp rows " in key and not key.endswith(" record")
+            and all(key in side for side in sides)]
     if rows:
         refs = _run(args.change.resolve(), "--references", str(args.change.resolve()),
                     str(args.seed), json.dumps(rows))
