@@ -8,7 +8,9 @@ at once, the bordered kernel that factors M again, the mpmath form with an
 identity factor on its f-basis, and the LU solves with an inf or nan
 entry as numpy loops on object arrays of mpf.  The fixed-point LU of finite mpf input is held to
 its accuracy instead: the transposed solve within ``helpers.LU_ACCURACY``
-n cond 2^-prec of the numpy loops at 2 prec + 40 bits.
+n cond 2^-prec of the numpy loops at 2 prec + 40 bits, and the float
+stopping estimate of the moment rows to quad's power of ten, except where
+its exponent lies within float error of an integer.
 """
 
 import math
@@ -17,6 +19,9 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 
 import mopkit as mk
 from mopkit import ensemble, highprec, linalg, sampling
@@ -599,3 +604,65 @@ def test_fixed_lu_solves_an_inf_or_nan_rhs_as_the_object_loop(bad):
         got = linalg.lu_solve(lu, piv, b)
         ref = ref_lu_solve(as_mpf, piv, b)
         assert [v._mpf_ for v in got] == [v._mpf_ for v in ref]
+
+
+# -- the float stopping estimate against quad's --------------------------------
+
+@st.composite
+def _level_differences(draw):
+    """(dps, prec, d1, d2, r0): ints as a Clenshaw-Curtis pass at ``dps`` holds
+    them, r0 = I_N ~ 10^R and d = r0 10^D for d1 = I_N - I_(N/2) and d2 =
+    I_N - I_(N/4), with zero differences, 2 D1 near -prec and D1^2/D2 or
+    2 D1 within 1e-12 of an integer among them."""
+    dps = draw(st.sampled_from([15, 30, 48, 64, 100]))
+    kind = draw(st.sampled_from(["free", "free", "deep", "equal", "zero", "ratio", "double"]))
+    tiny = st.floats(-1e-12, 1e-12)
+    with mpmath.mp.workdps(dps):
+        prec = mpmath.mp.prec
+    D2 = -draw(st.floats(0.25, 1.2 * dps))
+    if kind == "deep":  # 2 D1 about -prec, where quad's floor decides
+        D2, D1 = -draw(st.floats(0.25, prec / 4)), -draw(st.floats(0.4 * prec, 0.6 * prec))
+    elif kind == "ratio":  # D1^2 / D2 = N + tiny
+        N = draw(st.integers(-int(3.4 * dps) - 5, -1))
+        D1 = -math.sqrt((N + draw(tiny)) * D2)
+    elif kind == "double":  # 2 D1 = -m + tiny
+        D1 = (-draw(st.integers(1, 6 * dps + 10)) + draw(tiny)) / 2
+    else:
+        D1 = -draw(st.floats(0.0, 2.4 * dps))
+    R = draw(st.integers(4 * dps, 6 * dps))
+    with mpmath.mp.workdps(R + 40):
+        r0 = int(mpmath.mpf(draw(st.floats(1.0, 9.99))) * mpmath.mpf(10) ** R)
+        d1, d2 = (draw(st.sampled_from([1, -1])) * int(r0 * mpmath.mpf(10) ** D)
+                  for D in (D1, D2))
+    if kind == "equal":
+        d1 = d2 = 0
+    elif kind == "zero":
+        d1, d2 = draw(st.sampled_from([(0, d2), (d1, 0)]))
+    return dps, prec, d1, d2, r0
+
+
+@settings(max_examples=400, deadline=None)
+@given(_level_differences(), st.sampled_from([TanhSinh, GaussLegendre]))
+def test_float_stopping_estimate_matches_quads(args, rule):
+    # 10^int(max(L, -prec)), L = _log_error(d1, d2, r0), is quad's estimate
+    # on the results [-d2/r0, -d1/r0, 0]; where the decisive one of D1^2/D2
+    # and 2 D1 lies within its float error of an integer, int may differ by 1
+    dps, prec, d1, d2, r0 = args
+    L = highprec._log_error(d1, d2, r0)
+    with mpmath.mp.workdps(max(len(str(r0)), dps) + 40):
+        results = [-mpmath.mpf(d2) / r0, -mpmath.mpf(d1) / r0, mpmath.mpf(0)]
+        ref = rule(mpmath.mp).estimate_error(results, prec, mpmath.mp.eps)
+        if not (d1 or d2):
+            assert ref == 0 and L == -math.inf
+            return
+        j_ref, j = int(mpmath.nint(mpmath.log10(ref))), int(min(0, max(L, -prec)))
+        assert ref == mpmath.mpf(10) ** j_ref
+        if j == j_ref:
+            return
+        assert d1 and d2 and abs(j - j_ref) == 1
+        D1, D2 = (mpmath.log10(abs(mpmath.mpf(d) / r0)) for d in (d1, d2))
+        e1, e2 = (1e-15 * (math.log10(abs(d)) + math.log10(r0) + 1) for d in (d1, d2))
+        r = D1 ** 2 / D2
+        er = max((2 * abs(D1) * e1 + abs(r) * e2) / abs(D2) + 1e-15 * abs(r), 2 * e1)
+        v = max(r, 2 * D1, -prec)
+        assert abs(v - mpmath.nint(v)) <= er

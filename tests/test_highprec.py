@@ -171,6 +171,26 @@ def test_stopping_estimate_is_quads_log_rule_in_float():
     assert highprec._log_error(-10 ** 401, 10 ** 402, r0) == 0.0
 
 
+def test_power_moments_decide_stopping_in_float(monkeypatch):
+    # every stopping estimate of a row is a float from _log_error on the
+    # level sums as ints; quad's own estimate is never taken
+    from mpmath.calculus.quadrature import QuadratureRule
+
+    quads, seen, plain = [], [], highprec._log_error
+    monkeypatch.setattr(QuadratureRule, "estimate_error", lambda self, *a: quads.append(a))
+
+    def logged(d1, d2, r0):
+        est = plain(d1, d2, r0)
+        seen.append(tuple(map(type, (d1, d2, r0, est))))
+        return est
+
+    monkeypatch.setattr(highprec, "_log_error", logged)
+    w = CASES["exp_poly"][0]()
+    with mpmath.mp.workdps(48):
+        highprec.moment_rows(mk.WeightSystem.general([w]), 12)
+    assert not quads and seen and set(seen) == {(int, int, int, float)}
+
+
 @pytest.mark.parametrize("gap", (1e-2, 1e-3))
 def test_near_touching_generator_rows_match_twice_the_dps(gap):
     # log((x + 1)/(x + gap)) on [0, 1]: the generator lies inside the
