@@ -78,7 +78,7 @@ def _fixed(a, bits, rows=0):
     from mpmath import mp, mpf
 
     conv = mp.convert
-    t = [[(v if type(v) is mpf else conv(v))._mpf_ for v in row] for row in a]
+    t = [[(v if type(v) is mpf else conv(v))._mpf_ for v in row] for row in a.tolist()]
     if any(not m and e for row in t for _, m, e, _ in row):
         return None
     rows = [rows] * len(t) if np.ndim(rows) == 0 else rows
@@ -101,7 +101,7 @@ def _mpf_array(ints, exps):
                      for m, e in zip(ints.flat, exps.flat)], dtype=object).reshape(ints.shape)
 
 
-def _eliminate(lu, divide=np.divide, product=np.outer):
+def _eliminate(lu, divide=np.divide, product=np.multiply.outer):
     """Partial pivoting on the first maximal |entry| of each column, in place:
     multipliers divide(column, pivot, out=column), updates product(them, row)."""
     n = lu.shape[0]
@@ -144,7 +144,7 @@ def _fixed_lu(a):
     if fixed is None:
         return None
     lu, piv, parity = _eliminate(fixed[0], lambda c, p, out: np.floor_divide(c << bits, p, out=out),
-                                 lambda mult, row: np.outer(mult, row) >> bits)
+                                 lambda mult, row: np.multiply.outer(mult, row) >> bits)
     return FixedLU(lu, fixed[1], bits), piv, parity
 
 
@@ -178,17 +178,17 @@ def lu_solve(lu, piv, b, transpose=False):
             if lu[k, k] == 0:
                 raise NumericError("singular matrix in lu_solve")
             x[k] /= lu[k, k]
-            x[k + 1 :] -= np.outer(lu[k, k + 1 :], x[k])
+            x[k + 1 :] -= np.multiply.outer(lu[k, k + 1 :], x[k])
         for k in range(n - 1, 0, -1):  # backward, unit L^T
-            x[:k] -= np.outer(lu[k, :k], x[k])
+            x[:k] -= np.multiply.outer(lu[k, :k], x[k])
     else:
         for k in range(n):  # forward, unit lower triangle
-            x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
+            x[k + 1 :] -= np.multiply.outer(lu[k + 1 :, k], x[k])
         for k in range(n - 1, -1, -1):  # backward
             if lu[k, k] == 0:
                 raise NumericError("singular matrix in lu_solve")
             x[k] /= lu[k, k]
-            x[:k] -= np.outer(lu[:k, k], x[k])
+            x[:k] -= np.multiply.outer(lu[:k, k], x[k])
     if transpose:
         x = x[np.argsort(piv)]
     return x[:, 0] if one_d else x

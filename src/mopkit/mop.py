@@ -125,8 +125,8 @@ class Polynomial:
             return acc if xs.ndim else complex(acc)
         xl = xs.astype(linalg.LD)
         acc = np.zeros_like(xl)
-        for c in self._hi[::-1]:
-            acc = acc * xl + c
+        for c in self._hi[::-1]:  # acc = acc * xl + c, in place
+            np.add(np.multiply(acc, xl, out=acc), c, out=acc)
         out = acc.astype(float)
         return float(out) if xs.ndim == 0 else out
 
@@ -278,11 +278,12 @@ def _affine_unscale(coeffs_t, mt, power, dps):
         return acc * sl ** power
 
 
-def _type2_system(rows, nvec):
-    """Type II conditions sum_i a_i c^(j)_{k+i} = -c^(j)_{k+n}, k < n_j: the
-    transposed (n + 1)-row block Hankel matrix, split into system and rhs."""
-    aug = _hankel_from(rows, nvec, nvec.n + 1).T
-    return aug[:, :-1], -aug[:, -1]
+def _type2_rhs(rows, nvec):
+    """The right-hand side -c^(j)_{l+n}, l < n_j, of the type II conditions
+    sum_i a_i c^(j)_{l+i} = -c^(j)_{l+n}, read off the moment rows in the
+    entry type of the rows (float or mpf)."""
+    n = nvec.n
+    return -np.asarray([rows[j][l + n] for j, nj in enumerate(nvec.parts) for l in range(nj)])
 
 
 def _solve(mt: MomentTable, nvec, method, what, order, rhs, transpose=False,
@@ -337,7 +338,7 @@ def type2_mop(mt: MomentTable, nvec, method: str = "auto") -> Polynomial:
     nvec = as_multi_index(nvec)
     n = nvec.n
     cond, dps, _, _, a = _solve(mt, nvec, method, "type II MOP", n + max(nvec.parts) - 1,
-                                lambda rows: _type2_system(rows, nvec)[1], transpose=True)
+                                lambda rows: _type2_rhs(rows, nvec), transpose=True)
     coeffs = _affine_unscale(np.append(a, 1), mt, n, dps)
     coeffs[-1] = 1  # monic by construction; pin against rounding
     return Polynomial(coeffs, condition_estimate=cond, ill_conditioned=cond > CONDITION_WARN,
@@ -373,6 +374,14 @@ def type1_mop(mt: MomentTable, nvec, method: str = "auto") -> TypeISystem:
                        cond > CONDITION_WARN, **hp)
 
 
+def _coefficient_scale(P: Polynomial, x) -> np.ndarray:
+    """sum_i |c_i| |x|^i at the 1-d float array x, the scale of P's terms
+    there, from one product; the running sum adds the terms in order of
+    degree, as ``scale += |c_i| |x| ** i`` from zeros does (``sum(axis=0)``
+    would add one point's terms pairwise)."""
+    return np.cumsum(np.abs(P.coeffs)[:, None] * powers(np.abs(x), P.degree), axis=0)[-1]
+
+
 def poly_roots(P: Polynomial) -> np.ndarray:
     """Real roots via companion-matrix eigenvalues, polished and sorted.
 
@@ -405,12 +414,8 @@ def poly_roots(P: Polynomial) -> np.ndarray:
     roots = np.sort(roots)
 
     # residual screen against the polynomial's local coefficient scale
-    absr = np.abs(roots)
-    scale = np.zeros_like(roots)
-    for i, c in enumerate(np.abs(P.coeffs)):
-        scale += c * absr ** i
     resid = np.abs(np.asarray(P(roots), dtype=float))
-    bad = resid > 1e-7 * np.maximum(scale, 1e-300)
+    bad = resid > 1e-7 * np.maximum(_coefficient_scale(P, roots), 1e-300)
     if np.any(bad):
         raise NumericError(
             f"root refinement failed: residual {resid[bad].max():.3e} at {roots[bad]}"

@@ -393,9 +393,11 @@ class MomentTable:
     supports.  The rescaled entries are computed by direct quadrature (never
     by binomial transform, which cancels catastrophically); every solve,
     type I, type II and the kernel, on either rung, reads them.  Each weight
-    takes one adaptive pass over its 2 (k_max + 1) rows, raw then scaled;
-    ``panels[j, 0 | 1, k]`` and ``errors[j, 0 | 1, k]`` keep each row's
-    accepted panels and error estimate.  ``mp_rows``
+    takes one adaptive pass over its 2 (k_max + 1) rows, raw then scaled; on
+    the hull [-1, 1], where (x - 0.0)/1.0 is x, over its k_max + 1 raw rows,
+    which are the scaled rows too.  ``panels[j, 0 | 1, k]`` and
+    ``errors[j, 0 | 1, k]`` keep each row's accepted panels and error
+    estimate.  ``mp_rows``
     maps a precision rung to the table's mpf rows of ``scaled`` up to
     ``k_max``; ``highprec.table_rows`` fills it, one pass per rung, and
     keeps in ``mp_quad`` per rung how each weight's row was computed.
@@ -475,11 +477,17 @@ def moments(ws: WeightSystem, j: int, k_max: int, tol: float = 1e-12) -> np.ndar
 
 def moment_table(ws: WeightSystem, k_max: int, tol: float = 1e-12) -> MomentTable:
     """Raw and hull-rescaled moments of all weights up to order k_max: one
-    adaptive pass per weight over its raw and scaled rows together."""
+    adaptive pass per weight over its raw and scaled rows together, or, on
+    the hull [-1, 1], over its k_max + 1 raw rows, which are bit for bit
+    the scaled rows, with the same error estimates and panels."""
     c, s = ws.hull_coordinate()
     # |(x - c)/s| <= 1 on the hull, so no scaled moment outgrows raw[i, 0]
-    passes = [_moment_pass(ws, j, k_max, tol, (lambda x: x, lambda x: (x - c) / s))
-              for j in range(1, ws.p + 1)]
-    value, error, panels = (np.reshape(col, (ws.p, 2, -1)) for col in zip(*passes))
+    bases = (lambda x: x,)
+    if (c, s) != (0.0, 1.0):  # else t = (x - 0.0)/1.0 is x, and the raw rows are the scaled
+        bases += (lambda x: (x - c) / s,)
+    passes = [_moment_pass(ws, j, k_max, tol, bases) for j in range(1, ws.p + 1)]
+    # [:, [0, -1]]: the raw and the scaled rows, the raw ones twice for one base
+    value, error, panels = (np.reshape(col, (ws.p, len(bases), -1))[:, [0, -1]]
+                            for col in zip(*passes))
     return MomentTable(ws, value[:, 0].copy(), value[:, 1].copy(), ws.support_hull(), tol,
                        panels, error)

@@ -36,6 +36,13 @@ def bordered_type2_coeffs(mt, nvec):
     return coeffs
 
 
+def _type2_system(rows, nvec):
+    """Type II conditions sum_i a_i c^(j)_{k+i} = -c^(j)_{k+n}, k < n_j: the
+    transposed (n + 1)-row block Hankel matrix, split into system and rhs."""
+    aug = _hankel_from(rows, nvec, nvec.n + 1).T
+    return aug[:, :-1], -aug[:, -1]
+
+
 def ref_moment_table(ws, k_max, tol=1e-12):
     """(raw, scaled) moments by one ``weight_quad`` per weight and order:
     the loop that the one-pass moment table replaced."""
@@ -51,6 +58,22 @@ def ref_orthogonality_residuals(P, ws, nvec, tol=1e-12):
     """integral P(x) x^k w_j dx, k < n_j, by one ``weight_quad`` per weight and k."""
     return [np.array([weight_quad(lambda x, k=k: P(x) * x ** k, w, tol=tol) for k in range(nj)])
             for w, nj in zip(ws.weights, as_multi_index(nvec).parts)]
+
+
+def ref_cauchy_transform_type1(ts, z, dps=30):
+    """integral Q(x) / (z - x) dx by ``mpmath.quad`` at ``dps`` digits, weight
+    by weight, each support split at Re z when Re z lies inside it; A_j
+    from its float coefficients, w_j from its mpmath evaluator."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        zz, total = mpmath.mpc(z), mpmath.mpf(0)
+        for a, w in zip(ts.polys, ts.system.weights):
+            cs, wf = [mpmath.mpf(c) for c in a.coeffs[::-1]], w.mp_evaluator()
+            lo, hi = w.support.a, w.support.b
+            pts = [lo] + [complex(z).real] * (lo < complex(z).real < hi) + [hi]
+            total += mpmath.quad(lambda x: mpmath.polyval(cs, x) * wf(x) / (zz - x), pts)
+        return complex(total)
 
 
 def gram_schmidt_monic(ws, n, tol=1e-13):

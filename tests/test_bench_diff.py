@@ -390,3 +390,24 @@ def test_same_outputs_report_a_solve_against_a_re_solve_at_twice_the_dps(tmp_pat
         f"{key}: deviation from a re-solve at 80 digits, relative parent 0 (0 cond1 10^-40), "
         "change 7.89e-31 (0.789 cond1 10^-40)",
         "1 of 1 outputs differ"]
+
+
+def test_same_outputs_report_a_changed_moment_pass_record():
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    def table(panels):
+        return SimpleNamespace(raw=np.ones((1, 3)), scaled=np.zeros((1, 3)),
+                               errors=np.full((1, 2, 3), 1e-15), panels=panels)
+
+    label = "zeros legendre"
+    parent = same_outputs._table_outputs(label, table(np.ones((1, 2, 3), dtype=int)))
+    assert sorted(parent) == [f"{label} moment errors", f"{label} moment panels",
+                              f"{label} moment table"]
+    planted = np.ones((1, 2, 3), dtype=int)
+    planted[0, 1, 2] = 3  # one row of the scaled pass accepted two more panels
+    assert same_outputs.differences(parent, same_outputs._table_outputs(label, table(planted))) \
+        == [(f"{label} moment panels", "differs, max |deviation| 2 of max |value| 3")]
+    assert same_outputs._table_outputs(label, None) == {
+        f"{label} moment table": same_outputs._output(b"failed")}

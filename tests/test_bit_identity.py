@@ -6,7 +6,11 @@ through ``np.atleast_1d`` and ``np.polynomial.polynomial.polyval``, the
 g-matrix blocks started from a row of ones, the float kernel on all points
 at once, the bordered kernel that factors M again, the mpmath form with an
 identity factor on its f-basis, and the LU solves with an inf or nan
-entry as numpy loops on object arrays of mpf.  The fixed-point LU of finite mpf input is held to
+entry as numpy loops on object arrays of mpf; the moment table of a system
+on the hull [-1, 1] against the pass over raw and scaled rows, the type II
+right-hand side against the transposed (n + 1)-row system, and the in-place
+Horner steps and the root screen's scale against their loops.  The
+fixed-point LU of finite mpf input is held to
 its accuracy instead: the transposed solve within ``helpers.LU_ACCURACY``
 n cond 2^-prec of the numpy loops at 2 prec + 40 bits, and the float
 stopping estimate of the moment rows to quad's power of ten, except where
@@ -24,9 +28,9 @@ from hypothesis import strategies as st
 from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 
 import mopkit as mk
-from mopkit import ensemble, highprec, linalg, sampling
+from mopkit import ensemble, highprec, linalg, sampling, weights
 from mopkit.exceptions import NumericError, QuadratureError
-from mopkit.mop import _hankel_from, as_multi_index
+from mopkit.mop import _coefficient_scale, _hankel_from, _type2_rhs, as_multi_index
 from mopkit.quadrature import adaptive_quad
 from mopkit.weights import powers
 from mopkit.sampling import SamplerConfig, sample_mcmc
@@ -502,6 +506,83 @@ def test_moment_table_matches_one_quadrature_per_order(name, k_max):
                for j in range(1, ws.p + 1))
     assert mt.panels.shape == mt.errors.shape == (ws.p, 2, k_max + 1)
     assert mt.panels.min() >= 1 and np.all(mt.errors >= 0.0)
+
+
+UNIT_HULL_FAMILIES = {"constant": lambda a, b: C(a, b),
+                      "jacobi": lambda a, b: J(a, b, 0.5, -0.5),
+                      "exp_poly": lambda a, b: E(a, b, [0.3, -0.7, 0.2])}
+
+
+@pytest.mark.parametrize("pieces", [[(-1.0, 1.0)], [(-1.0, 0.0), (0.0, 1.0)]],
+                         ids=["legendre", "angelesco"])
+@pytest.mark.parametrize("family", sorted(UNIT_HULL_FAMILIES))
+def test_unit_hull_table_takes_one_pass_of_the_raw_rows(family, pieces, monkeypatch):
+    # on the hull [-1, 1], (x - 0.0)/1.0 is x: the raw rows are the scaled rows
+    ws = mk.build_angelesco([UNIT_HULL_FAMILIES[family](a, b) for a, b in pieces])
+    assert ws.hull_coordinate() == (0.0, 1.0)
+    two = [weights._moment_pass(ws, j, 13, 1e-12, (lambda x: x, lambda x: (x - 0.0) / 1.0))
+           for j in range(1, ws.p + 1)]
+    value, error, panels = (np.reshape(col, (ws.p, 2, -1)) for col in zip(*two))
+    bases, plain = [], weights._moment_pass
+    monkeypatch.setattr(weights, "_moment_pass",
+                        lambda *args: bases.append(len(args[-1])) or plain(*args))
+    mt = mk.moment_table(ws, 13)
+    assert bases == [1] * ws.p
+    assert mt.raw.tobytes() == value[:, 0].tobytes()
+    assert mt.scaled.tobytes() == value[:, 1].tobytes()
+    assert mt.errors.tobytes() == error.tobytes() and mt.errors.dtype == error.dtype
+    assert mt.panels.tobytes() == panels.tobytes() and mt.panels.dtype == panels.dtype
+
+
+def test_shifted_hull_table_integrates_both_bases(monkeypatch):
+    ws = mk.build_angelesco([C(1.0, 2.0)])
+    bases, plain = [], weights._moment_pass
+    monkeypatch.setattr(weights, "_moment_pass",
+                        lambda *args: bases.append(len(args[-1])) or plain(*args))
+    mt = mk.moment_table(ws, 6)
+    assert bases == [2]
+    assert mt.scaled[0, 1] == 0.0 and mt.raw[0, 1] == 1.5  # t = 2x - 3 on [1, 2]
+
+
+def test_type2_rhs_is_the_last_column_of_the_transposed_system():
+    from helpers import _type2_system
+
+    mt = mk.moment_table(mk.build_nikishin(C(1.0, 2.0), [C(-1.0, 0.0)]), 14)
+    for parts in ((1, 0), (3, 2), (4, 4)):
+        nvec = as_multi_index(parts)
+        ref = _type2_system(mt.scaled, nvec)[1]
+        got = _type2_rhs(mt.scaled, nvec)
+        assert got.dtype == ref.dtype == np.float64 and got.tobytes() == ref.tobytes()
+        rows = highprec.table_rows(mt, 40)[1]
+        with mpmath.mp.workdps(35):  # each entry negated, and rounded, at the solve's dps
+            ref, got = _type2_system(rows, nvec)[1], _type2_rhs(rows, nvec)
+        assert got.dtype == ref.dtype == object
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in ref]
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200)
+@given(st.lists(finite, min_size=1, max_size=31), st.lists(st.floats(-3.0, 3.0), max_size=9))
+def test_in_place_horner_matches_the_longdouble_expression(coeffs, xs):
+    P = mk.Polynomial(coeffs)
+    for x in (np.asarray(xs), np.asarray(xs[0] if xs else 0.5)):
+        acc = np.zeros_like(x.astype(linalg.LD))
+        for c in P._hi[::-1]:
+            acc = acc * x.astype(linalg.LD) + c
+        assert np.asarray(P(x)).tobytes() == acc.astype(float).tobytes()
+
+
+@settings(max_examples=200)
+@given(st.lists(finite, min_size=2, max_size=31), st.lists(st.floats(-3.0, 3.0), min_size=1,
+                                                            max_size=9))
+def test_root_screen_scale_matches_the_per_degree_loop(coeffs, xs):
+    P, x = mk.Polynomial(coeffs), np.asarray(xs)
+    scale = np.zeros_like(x)
+    for i, c in enumerate(np.abs(P.coeffs)):
+        scale += c * np.abs(x) ** i
+    assert _coefficient_scale(P, x).tobytes() == scale.tobytes()
 
 
 def test_powers_match_each_rows_own_expression():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mopkit as mk
-from helpers import tensor_cauchy_binet
+from helpers import ref_cauchy_transform_type1, tensor_cauchy_binet
 from mopkit.ensemble import _vandermonde_product
 from mopkit.exceptions import DomainError, NumericError, ValidationError
 
@@ -262,3 +262,32 @@ def test_cauchy_transform_type1_rejects_z_on_the_supports(angelesco_ws, angelesc
             mk.cauchy_transform_type1(ts, z)
     assert np.isfinite(mk.cauchy_transform_type1(ts, 2.0))
     assert np.isfinite(mk.cauchy_transform_type1(ts, 1.0 + 1.0j))
+
+
+def test_cauchy_transform_type1_refuses_z_nearer_than_its_rule_resolves(angelesco_mt):
+    ts = mk.type1_mop(angelesco_mt, (2, 2))
+    # imaginary part 0.042 for the limit 7.854, 69.46 for 90.95, off by 1.3e-8
+    for z in (0.5 + 1e-6j, 1 + 1e-9, 0.5 + 0.01j):
+        with pytest.raises(DomainError, match="nearer the support segment"):
+            mk.cauchy_transform_type1(ts, z)
+    for z in (1.001, 0.5 + 0.1j, 2.0, 1 + 1j):
+        ref = ref_cauchy_transform_type1(ts, z)
+        assert abs(mk.cauchy_transform_type1(ts, z) - ref) <= 1e-10 * abs(ref), z
+
+
+def test_cauchy_transform_type1_is_right_wherever_it_answers(angelesco_mt):
+    # z near both segments, at distances that straddle the refusal threshold
+    # (every third z real, beyond an end of the hull [-1, 1])
+    ts, rng = mk.type1_mop(angelesco_mt, (2, 2)), np.random.default_rng(3)
+    answered = refused = 0
+    for i, (x, d) in enumerate(zip(rng.uniform(-1.0, 1.0, 30), 10.0 ** rng.uniform(-5, -0.5, 30))):
+        z = complex(np.sign(x) * (1.0 + d), 0.0) if i % 3 == 0 else complex(x, d)
+        try:
+            got = mk.cauchy_transform_type1(ts, z)
+        except DomainError:
+            refused += 1
+            continue
+        answered += 1
+        ref = ref_cauchy_transform_type1(ts, z)
+        assert abs(got - ref) <= 1e-10 * abs(ref), z
+    assert (answered, refused) == (14, 16)

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import mopkit as mk
+from helpers import _type2_system
 from mopkit import highprec, linalg
 from mopkit.ensemble import f_matrix, g_matrix
 from mopkit.linalg import LD
-from mopkit.mop import _affine_unscale, _hankel_from, _type2_system
+from mopkit.mop import _affine_unscale, _hankel_from, _type2_rhs
 from mopkit.weights import Weight
 
 
@@ -372,7 +373,7 @@ def _type1_at(mt, nvec, dps):
 def _type2_at(mt, nvec, dps):
     """Type II coefficients in t (mpf, without the leading 1) of M^T a = -b
     and their condition bound, one ``rung_solve`` at ``dps``."""
-    (_, a), bound = highprec.rung_solve(mt, nvec, lambda rows: _type2_system(rows, nvec)[1],
+    (_, a), bound = highprec.rung_solve(mt, nvec, lambda rows: _type2_rhs(rows, nvec),
                                         dps, transpose=True)
     return a, bound
 

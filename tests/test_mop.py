@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import mopkit as mk
-from helpers import bordered_type2_coeffs, gram_schmidt_monic
+from helpers import _type2_system, bordered_type2_coeffs, gram_schmidt_monic
 from mopkit import linalg, mop
 from mopkit.exceptions import NonNormalIndexError, NumericError, ValidationError
-from mopkit.mop import MAX_TOTAL_DEGREE, MultiIndex, _type2_system
+from mopkit.mop import MAX_TOTAL_DEGREE, MultiIndex
 
 INV_SQRT3 = 0.5773502691896258
 SQRT_3_5 = 0.7745966692414834

@@ -7,7 +7,9 @@ with single-threaded BLAS: the warm-up round of ``perfbench/wl_zeros.py``,
 whose ``_signature`` holds the bytes of every type II polynomial, its roots
 and the type I polynomials, with each study's moment table (the ``raw`` and
 ``scaled`` bytes) as an output of its own, so that a change of the moment
-engine shows apart from a change of the solves, and the first round of
+engine shows apart from a change of the solves, and the record of its
+moment passes (``errors`` and ``panels``, which the ``mop`` and ``typeI``
+manifests report) as two more (``_table_outputs``), and the first round of
 ``perfbench/wl_ensemble.py``: per target the sampler batch at that round's
 seeds (``configurations``, ``extended``, ``acceptance_rate``, ``ess`` and
 ``step_sizes``), and the two kernels at the workload's evaluation points
@@ -100,6 +102,18 @@ def _exact(row) -> list:
 
     return [[-m if sign else m, e]
             for sign, m, e, _ in (getattr(v, "_mpf_", None) or mpf(v)._mpf_ for v in row)]
+
+
+def _table_outputs(label, mt) -> dict:
+    """Three outputs of the float moment table ``mt`` (None: its call
+    failed): ``raw`` and ``scaled`` (``{label} moment table``), and the
+    ``errors`` and the ``panels`` of its moment passes, each its own."""
+    if mt is None:
+        return {f"{label} moment table": _output(b"failed")}
+    return {f"{label} moment table": _output(mt.raw.tobytes() + mt.scaled.tobytes(),
+                                             mt.raw, mt.scaled),
+            **{f"{label} moment {name}": _output(getattr(mt, name).tobytes(), getattr(mt, name))
+               for name in ("errors", "panels")}}
 
 
 def _row_outputs(label, mt) -> dict:
@@ -202,8 +216,7 @@ def digests(checkout: Path, seed: int) -> dict:
     out = {}
     studied = {name: mt for (name, _), mt in zip(wl_zeros.STUDIES, tables)}
     for name, mt in studied.items():
-        out[f"zeros {name} moment table"] = _output(b"failed") if mt is None else _output(
-            mt.raw.tobytes() + mt.scaled.tobytes(), mt.raw, mt.scaled)
+        out.update(_table_outputs(f"zeros {name}", mt))
         out.update(_row_outputs(f"zeros {name}", mt))
     for (name, parts), sig in wl_zeros._signature(zeros.reference).items():
         P, roots, ts = zeros.reference[name, parts]
