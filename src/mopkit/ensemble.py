@@ -657,13 +657,13 @@ def mc_inverse_char_poly(batch, z) -> MCEstimate:
     return _estimate(vals, batch.ess)
 
 
-#: ``cauchy_transform_type1`` refuses a z nearer a support segment than this
-#: fraction of the node span of the fixed rule's panel nearest Re z.  Against
-#: 30-digit ``mpmath.quad`` references split at Re z (Angelesco, Legendre,
-#: Jacobi and Nikishin systems), a fraction of 0.2 left errors up to 6e-12
-#: relative and one of 0.14 up to 4e-8; the quadrature error falls like
-#: exp(-64 asinh(2 fraction)) for the 32-point rule.
-CAUCHY_NEAR = 0.25
+#: ``cauchy_transform_type1`` refuses a z inside the Bernstein ellipse
+#: rho = |u + sqrt(u^2 - 1)| = this of any panel, u being z in the panel's
+#: node span mapped to [-1, 1]: a pole 0.25 spans above the middle (u = 0.5i).
+#: Against 30-digit ``mpmath.quad`` references split at Re z (Angelesco,
+#: Legendre, Jacobi and Nikishin systems), rho = 1.48 (0.2 spans) left errors
+#: up to 6e-12 relative and rho = 1.32 (0.14 spans) up to 4e-8.
+CAUCHY_RHO = (1.0 + 5.0 ** 0.5) / 2.0
 
 
 def cauchy_transform_type1(ts: TypeISystem, z, *, levels=12, order=32):
@@ -672,10 +672,9 @@ def cauchy_transform_type1(ts: TypeISystem, z, *, levels=12, order=32):
 
     The linear form is evaluated as a whole (its A_j w_j terms cancel
     across j for ill-conditioned systems) on fixed graded panels, which
-    resolve the pole only at some distance from the supports.  A non-finite
-    z, or a z whose distance from a support segment is below ``CAUCHY_NEAR``
-    times the node span of that segment's panel nearest Re z (a real z on a
-    segment among them), raises :class:`DomainError`.
+    resolve the pole only outside each panel's Bernstein ellipse of
+    ``CAUCHY_RHO``.  A non-finite z, or a z inside such an ellipse (a real
+    z on a segment among them), raises :class:`DomainError`.
     """
     ws = ts.system
     zc = complex(z)
@@ -685,13 +684,14 @@ def cauchy_transform_type1(ts: TypeISystem, z, *, levels=12, order=32):
     for lo, hi in ws.support_segments():
         xs, wq = fixed_segment_nodes(lo, hi, ws.segment_exponents(lo, hi),
                                      levels=levels, order=order)
-        spans = np.sort(xs.reshape(-1, order)[:, [0, -1]], axis=1)  # each panel's nodes
-        near = spans[np.argmin(np.maximum(spans[:, 0] - zc.real, 0.0)
-                               + np.maximum(zc.real - spans[:, 1], 0.0))]
-        if abs(zc - min(max(zc.real, lo), hi)) < CAUCHY_NEAR * (near[1] - near[0]):
+        spans = xs.reshape(-1, order)[:, [0, -1]]  # each panel's nodes
+        u = (2.0 * zc - spans.sum(axis=1)) / np.abs(spans[:, 1] - spans[:, 0])
+        root = np.sqrt(u * u - 1.0)
+        rho = np.maximum(np.abs(u + root), np.abs(u - root)).min()
+        if rho < CAUCHY_RHO:
             raise DomainError(f"z={z} lies nearer the support segment [{lo}, {hi}] than "
-                              f"{CAUCHY_NEAR} times the node span {near[1] - near[0]:.3g} "
-                              "of the fixed rule's panel nearest Re z")
+                              f"its fixed rule resolves: a panel's Bernstein ellipse rho = "
+                              f"{rho:.3g} is below {CAUCHY_RHO:.4g}")
         qv = ts.q_values(xs)
         total = total + np.sum(wq * qv / (z - xs))
     return total

@@ -181,8 +181,8 @@ class TypeISystem:
 
 @dataclass(frozen=True)
 class HankelBlockMatrix:
-    """Dense moment matrix of a multi-index; ``table`` is the ``MomentTable``
-    it was assembled from, whose mpmath rows and LU the kernel shares."""
+    """Hull-scaled moment matrix M of a multi-index, which every solve factors;
+    ``table`` is the ``MomentTable`` it came from, whose mpmath rows and LU the kernel shares."""
 
     matrix: np.ndarray
     nvec: MultiIndex
@@ -195,7 +195,7 @@ class HankelBlockMatrix:
 
 @dataclass(frozen=True)
 class DetReport:
-    """Determinant value plus a 1-norm condition estimate."""
+    """The block moment determinant D_n and cond1 of the hull-scaled M."""
 
     det: float
     condition: float
@@ -217,7 +217,8 @@ def _hankel_from(table_rows, nvec, n_rows):
 
 
 def block_hankel(mt: MomentTable, nvec) -> HankelBlockMatrix:
-    """Assemble the n x n block Hankel moment matrix from raw moments."""
+    """Assemble the n x n block Hankel moment matrix M from the hull-scaled
+    moments: column l of block j holds integral t^(i + l) w_j dx, i < n."""
     nvec = as_multi_index(nvec)
     n = nvec.n
     if n < 1:
@@ -225,14 +226,20 @@ def block_hankel(mt: MomentTable, nvec) -> HankelBlockMatrix:
     if nvec.p != mt.p:
         raise ValidationError(f"multi-index has {nvec.p} parts, system has {mt.p}")
     _require_order(mt, n - 1 + max(nvec.parts) - 1)
-    return HankelBlockMatrix(_hankel_from(mt.raw, nvec, n), nvec, mt)
+    return HankelBlockMatrix(_hankel_from(mt.scaled, nvec, n), nvec, mt)
 
 
 def normality_determinant(M: HankelBlockMatrix) -> DetReport:
-    """det of the moment matrix with a condition estimate, from one 80-bit LU."""
+    """D_n, det of the block moment matrix in x, and cond1 of the hull-scaled
+    M, from one 80-bit LU of M.  x = c + s t changes the basis triangularly
+    on both sides, so D_n = s^e det M, e = n(n - 1)/2 + sum_j n_j(n_j - 1)/2,
+    multiplied in longdouble: on the hull [-1, 1] it is det M bit for bit."""
     factors = linalg.lu_factor(M.matrix)
-    return DetReport(float(linalg.lu_det(factors[0], factors[2])),
-                     linalg.cond1(M.matrix, factors))
+    s, n = M.table.system.hull_coordinate()[1], M.nvec.n
+    e = n * (n - 1) // 2 + sum(nj * (nj - 1) // 2 for nj in M.nvec.parts)
+    with np.errstate(over="ignore"):  # past longdouble, D_n is past float64: inf
+        det = float(linalg.LD(s) ** e * linalg.lu_det(factors[0], factors[2]))
+    return DetReport(det, linalg.cond1(M.matrix, factors))
 
 
 def _check_normal(mt, nvec):

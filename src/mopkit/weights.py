@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -386,33 +387,29 @@ def weight_quad(fn, w: Weight, *, tol=1e-12):
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Monomial moments of every weight, raw and hull-rescaled.
+    """Hull-rescaled monomial moments of every weight.
 
-    ``raw[j, k]`` is integral x^k w_j dx; ``scaled[j, k]`` is the same with
-    x replaced by (x - c)/s, where [c - s, c + s] is the convex hull of the
-    supports.  The rescaled entries are computed by direct quadrature (never
-    by binomial transform, which cancels catastrophically); every solve,
-    type I, type II and the kernel, on either rung, reads them.  Each weight
-    takes one adaptive pass over its 2 (k_max + 1) rows, raw then scaled; on
-    the hull [-1, 1], where (x - 0.0)/1.0 is x, over its k_max + 1 raw rows,
-    which are the scaled rows too.  ``panels[j, 0 | 1, k]`` and
-    ``errors[j, 0 | 1, k]`` keep each row's accepted panels and error
-    estimate.  ``mp_rows``
-    maps a precision rung to the table's mpf rows of ``scaled`` up to
-    ``k_max``; ``highprec.table_rows`` fills it, one pass per rung, and
-    keeps in ``mp_quad`` per rung how each weight's row was computed.
-    ``float_lu`` holds one entry, the float rung of the last moment matrix M
-    that ``mop._solve`` checked, keyed by parts: the 80-bit ``lu_factor`` of
-    M, its inverse and cond1 of M, so type II, type I and the kernel of one
-    index factor M once.  ``mp_lu`` holds one entry, the last mpmath LU of
-    M, keyed by (parts, dps), with its factors in fixed point
-    (``linalg.FixedLU``), which the three solves of one index share: they
-    start the ladder from one cond1 of M and so take one dps.  A copy of
-    the table (``dataclasses.replace``) starts with all four empty.
+    ``scaled[j, k]`` is integral t^k w_j dx, t = (x - c)/s with [c - s, c + s]
+    the convex hull of the supports, by direct quadrature (never by binomial
+    transform, which cancels catastrophically): one adaptive pass per weight
+    over its k_max + 1 rows, whose accepted panels and error estimates
+    ``panels[j, k]`` and ``errors[j, k]`` keep.  Every solve, on either rung,
+    reads these rows; ``raw[j, k]``, integral x^k w_j dx, which none reads, is
+    integrated by ``moments`` when first read.  ``mp_rows`` maps a precision
+    rung to the table's mpf rows of ``scaled`` up to ``k_max``;
+    ``highprec.table_rows`` fills it, one pass per rung, and keeps in
+    ``mp_quad`` per rung how each weight's row was computed.  ``float_lu``
+    holds one entry, the float rung of the last moment matrix M that
+    ``mop._solve`` checked, keyed by parts: the 80-bit ``lu_factor`` of M, its
+    inverse and cond1 of M, so type II, type I and the kernel of one index
+    factor M once.  ``mp_lu`` holds one entry, the last mpmath LU of M, keyed
+    by (parts, dps), with its factors in fixed point (``linalg.FixedLU``),
+    which the three solves of one index share: they start the ladder from one
+    cond1 of M and so take one dps.  A copy of the table
+    (``dataclasses.replace``) starts with all four empty and no ``raw``.
     """
 
     system: WeightSystem
-    raw: np.ndarray
     scaled: np.ndarray
     hull: Interval
     tol: float
@@ -425,11 +422,15 @@ class MomentTable:
 
     @property
     def k_max(self):
-        return self.raw.shape[1] - 1
+        return self.scaled.shape[1] - 1
 
     @property
     def p(self):
-        return self.raw.shape[0]
+        return self.scaled.shape[0]
+
+    @cached_property
+    def raw(self):
+        return np.array([moments(self.system, j + 1, self.k_max, self.tol) for j in range(self.p)])
 
 
 def powers(y, k_max):
@@ -442,27 +443,25 @@ def powers(y, k_max):
     return out
 
 
-def _moment_pass(ws: WeightSystem, j: int, k_max: int, tol, bases) -> Rows:
-    """The rows base(x)^k w_j dx, base by base, k = 0..k_max, of w_j
-    (1-based) in one adaptive pass; each row is bit for bit its own
-    ``weight_quad``.  An overflow anywhere stops the pass; the rows are then
-    integrated one at a time, in order, and the first to overflow on its own
-    raises :class:`NumericError` naming w_j and k, before numpy warns of it."""
+def _moment_pass(ws: WeightSystem, j: int, k_max: int, tol, base) -> Rows:
+    """The rows base(x)^k w_j dx, k = 0..k_max, of w_j (1-based) in one
+    adaptive pass; each row is bit for bit its own ``weight_quad``.  An
+    overflow anywhere stops the pass; the rows are then integrated one at a
+    time, in order, and the first to overflow on its own raises
+    :class:`NumericError` naming w_j and k, before numpy warns of it."""
     w = ws.weights[j - 1]
     with np.errstate(over="raise"):
         try:
-            return weight_quad(lambda x: np.concatenate([powers(base(x), k_max) for base in bases]),
-                               w, tol=tol)
+            return weight_quad(lambda x: powers(base(x), k_max), w, tol=tol)
         except FloatingPointError:
             pass
         out = []
-        for base in bases:
-            for k in range(k_max + 1):
-                try:
-                    out.append(weight_quad(lambda x: base(x)[None] ** k, w, tol=tol))
-                except FloatingPointError:
-                    raise NumericError(f"moment of order {k} of weight {j}, {w!r}, "
-                                       "does not fit in float64") from None
+        for k in range(k_max + 1):
+            try:
+                out.append(weight_quad(lambda x: base(x)[None] ** k, w, tol=tol))
+            except FloatingPointError:
+                raise NumericError(f"moment of order {k} of weight {j}, {w!r}, "
+                                   "does not fit in float64") from None
     return Rows(*map(np.concatenate, zip(*out)))
 
 
@@ -472,22 +471,14 @@ def moments(ws: WeightSystem, j: int, k_max: int, tol: float = 1e-12) -> np.ndar
     and k at the first float64 overflow, before numpy warns of it."""
     if not 1 <= j <= ws.p:
         raise ValidationError(f"weight index {j} out of range 1..{ws.p}")
-    return _moment_pass(ws, j, k_max, tol, (lambda x: x,)).value
+    return _moment_pass(ws, j, k_max, tol, lambda x: x).value
 
 
 def moment_table(ws: WeightSystem, k_max: int, tol: float = 1e-12) -> MomentTable:
-    """Raw and hull-rescaled moments of all weights up to order k_max: one
-    adaptive pass per weight over its raw and scaled rows together, or, on
-    the hull [-1, 1], over its k_max + 1 raw rows, which are bit for bit
-    the scaled rows, with the same error estimates and panels."""
+    """Hull-rescaled moments of all weights up to order k_max: one adaptive
+    pass per weight over its k_max + 1 rows t^k w_j, t = (x - c)/s.  On the
+    hull [-1, 1] t is x bit for bit (x - 0.0 and x / 1.0 are exact)."""
     c, s = ws.hull_coordinate()
-    # |(x - c)/s| <= 1 on the hull, so no scaled moment outgrows raw[i, 0]
-    bases = (lambda x: x,)
-    if (c, s) != (0.0, 1.0):  # else t = (x - 0.0)/1.0 is x, and the raw rows are the scaled
-        bases += (lambda x: (x - c) / s,)
-    passes = [_moment_pass(ws, j, k_max, tol, bases) for j in range(1, ws.p + 1)]
-    # [:, [0, -1]]: the raw and the scaled rows, the raw ones twice for one base
-    value, error, panels = (np.reshape(col, (ws.p, len(bases), -1))[:, [0, -1]]
-                            for col in zip(*passes))
-    return MomentTable(ws, value[:, 0].copy(), value[:, 1].copy(), ws.support_hull(), tol,
-                       panels, error)
+    passes = [_moment_pass(ws, j, k_max, tol, lambda x: (x - c) / s) for j in range(1, ws.p + 1)]
+    value, error, panels = map(np.array, zip(*passes))
+    return MomentTable(ws, value, ws.support_hull(), tol, panels, error)

@@ -54,6 +54,23 @@ def ref_moment_table(ws, k_max, tol=1e-12):
     return np.array(raw), np.array(scaled)
 
 
+def ref_raw_determinant(ws, nvec, dps=80):
+    """D_n, det of the block moment matrix of integral x^(i + l) w_j dx, by
+    ``mpmath.quad`` of each raw moment and ``mpmath.det`` at ``dps`` digits,
+    w_j from its mpmath evaluator."""
+    import mpmath
+
+    nvec = as_multi_index(nvec)
+    n = nvec.n
+    with mpmath.workdps(dps):
+        rows = []
+        for w, nj in zip(ws.weights, nvec.parts):
+            wf, ends = w.mp_evaluator(), [mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)]
+            rows.append([mpmath.quad(lambda x, k=k: x ** k * wf(x), ends)
+                         for k in range(n + nj - 1)] if nj else [])
+        return mpmath.det(mpmath.matrix(_hankel_from(rows, nvec, n).tolist()))
+
+
 def ref_orthogonality_residuals(P, ws, nvec, tol=1e-12):
     """integral P(x) x^k w_j dx, k < n_j, by one ``weight_quad`` per weight and k."""
     return [np.array([weight_quad(lambda x, k=k: P(x) * x ** k, w, tol=tol) for k in range(nj)])

@@ -411,3 +411,23 @@ def test_same_outputs_report_a_changed_moment_pass_record():
         == [(f"{label} moment panels", "differs, max |deviation| 2 of max |value| 3")]
     assert same_outputs._table_outputs(label, None) == {
         f"{label} moment table": same_outputs._output(b"failed")}
+
+
+def test_same_outputs_compare_the_hull_rows_records_across_record_shapes():
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    def table(errors, panels):
+        return SimpleNamespace(raw=np.ones((2, 3)), scaled=np.zeros((2, 3)),
+                               errors=errors, panels=panels)
+
+    # a (p, 2, k_max + 1) record of raw then hull rows against the hull rows alone
+    errors, panels = np.arange(12.0).reshape(2, 2, 3) * 1e-16, np.arange(12).reshape(2, 2, 3)
+    label = "zeros angelesco"
+    parent = same_outputs._table_outputs(label, table(errors, panels))
+    hull = same_outputs._table_outputs(label, table(errors[:, 1].copy(), panels[:, 1].copy()))
+    assert same_outputs.differences(parent, hull) == []
+    raw_only = same_outputs._table_outputs(label, table(errors[:, 0].copy(), panels[:, 0].copy()))
+    assert [name for name, _ in same_outputs.differences(parent, raw_only)] == [
+        f"{label} moment errors", f"{label} moment panels"]

@@ -7,7 +7,7 @@ g-matrix blocks started from a row of ones, the float kernel on all points
 at once, the bordered kernel that factors M again, the mpmath form with an
 identity factor on its f-basis, and the LU solves with an inf or nan
 entry as numpy loops on object arrays of mpf; the moment table of a system
-on the hull [-1, 1] against the pass over raw and scaled rows, the type II
+on the hull [-1, 1] against the pass over its raw rows, the type II
 right-hand side against the transposed (n + 1)-row system, and the in-place
 Horner steps and the root screen's scale against their loops.  The
 fixed-point LU of finite mpf input is held to
@@ -504,7 +504,7 @@ def test_moment_table_matches_one_quadrature_per_order(name, k_max):
     assert mt.scaled.tobytes() == scaled.tobytes()
     assert all(mk.moments(ws, j, k_max).tobytes() == raw[j - 1].tobytes()
                for j in range(1, ws.p + 1))
-    assert mt.panels.shape == mt.errors.shape == (ws.p, 2, k_max + 1)
+    assert mt.panels.shape == mt.errors.shape == (ws.p, k_max + 1)
     assert mt.panels.min() >= 1 and np.all(mt.errors >= 0.0)
 
 
@@ -516,32 +516,49 @@ UNIT_HULL_FAMILIES = {"constant": lambda a, b: C(a, b),
 @pytest.mark.parametrize("pieces", [[(-1.0, 1.0)], [(-1.0, 0.0), (0.0, 1.0)]],
                          ids=["legendre", "angelesco"])
 @pytest.mark.parametrize("family", sorted(UNIT_HULL_FAMILIES))
-def test_unit_hull_table_takes_one_pass_of_the_raw_rows(family, pieces, monkeypatch):
-    # on the hull [-1, 1], (x - 0.0)/1.0 is x: the raw rows are the scaled rows
+def test_unit_hull_table_takes_one_pass_of_the_raw_rows(family, pieces):
+    # on the hull [-1, 1], (x - 0.0)/1.0 is x: the hull rows are the raw rows,
+    # with the same error estimates and panels
     ws = mk.build_angelesco([UNIT_HULL_FAMILIES[family](a, b) for a, b in pieces])
     assert ws.hull_coordinate() == (0.0, 1.0)
-    two = [weights._moment_pass(ws, j, 13, 1e-12, (lambda x: x, lambda x: (x - 0.0) / 1.0))
-           for j in range(1, ws.p + 1)]
-    value, error, panels = (np.reshape(col, (ws.p, 2, -1)) for col in zip(*two))
-    bases, plain = [], weights._moment_pass
-    monkeypatch.setattr(weights, "_moment_pass",
-                        lambda *args: bases.append(len(args[-1])) or plain(*args))
+    value, error, panels = map(np.array, zip(*[weights._moment_pass(ws, j, 13, 1e-12, lambda x: x)
+                                               for j in range(1, ws.p + 1)]))
     mt = mk.moment_table(ws, 13)
-    assert bases == [1] * ws.p
-    assert mt.raw.tobytes() == value[:, 0].tobytes()
-    assert mt.scaled.tobytes() == value[:, 1].tobytes()
+    assert mt.scaled.tobytes() == value.tobytes()
     assert mt.errors.tobytes() == error.tobytes() and mt.errors.dtype == error.dtype
     assert mt.panels.tobytes() == panels.tobytes() and mt.panels.dtype == panels.dtype
+    assert mt.raw.tobytes() == value.tobytes()
 
 
-def test_shifted_hull_table_integrates_both_bases(monkeypatch):
-    ws = mk.build_angelesco([C(1.0, 2.0)])
-    bases, plain = [], weights._moment_pass
+def test_every_hull_table_takes_one_pass_per_weight_of_its_hull_rows(monkeypatch):
+    ends, plain = [], weights._moment_pass
     monkeypatch.setattr(weights, "_moment_pass",
-                        lambda *args: bases.append(len(args[-1])) or plain(*args))
-    mt = mk.moment_table(ws, 6)
-    assert bases == [2]
-    assert mt.scaled[0, 1] == 0.0 and mt.raw[0, 1] == 1.5  # t = 2x - 3 on [1, 2]
+                        lambda *args: ends.append(args[-1](np.array([-3.0, 3.0]))) or plain(*args))
+    for name in sorted(PASS_SYSTEMS):
+        ws = PASS_SYSTEMS[name]()
+        c, s = ws.hull_coordinate()
+        ends.clear()
+        mk.moment_table(ws, 6)
+        # one pass per weight, over t = (x - c)/s
+        assert len(ends) == ws.p, name
+        assert all(e.tobytes() == ((np.array([-3.0, 3.0]) - c) / s).tobytes() for e in ends), name
+    mt = mk.moment_table(mk.build_angelesco([C(1.0, 2.0)]), 6)
+    assert mt.scaled[0, 1] == 0.0  # t = 2x - 3 on [1, 2]
+
+
+@pytest.mark.parametrize("name", sorted(PASS_SYSTEMS))
+def test_raw_moments_are_integrated_when_first_read(name, monkeypatch):
+    from helpers import ref_moment_table
+
+    calls, plain = [], weights.moments
+    monkeypatch.setattr(weights, "moments", lambda *args: calls.append(args[1]) or plain(*args))
+    ws = PASS_SYSTEMS[name]()
+    mt = mk.moment_table(ws, 9)
+    assert calls == []
+    raw = mt.raw
+    assert calls == list(range(1, ws.p + 1)) and mt.raw is raw
+    assert raw.tobytes() == ref_moment_table(ws, 9)[0].tobytes()
+    assert raw.tobytes() == np.array([plain(ws, j, 9) for j in range(1, ws.p + 1)]).tobytes()
 
 
 def test_type2_rhs_is_the_last_column_of_the_transposed_system():

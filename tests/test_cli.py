@@ -561,7 +561,8 @@ def test_moments_past_float64_exit_2(tmp_path, capsys, command, interval):
                      "--quiet"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "does not fit in float64" in err and "Traceback" not in err
+    # the hull rows of a weight of mass 1e160 or more stall on the absolute tolerance
+    assert "numeric failure" in err and "quadrature stalled" in err and "Traceback" not in err
 
 
 def test_unsettled_equilibrium_exit_2(tmp_path, capsys):

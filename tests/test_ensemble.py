@@ -275,6 +275,17 @@ def test_cauchy_transform_type1_refuses_z_nearer_than_its_rule_resolves(angelesc
         assert abs(mk.cauchy_transform_type1(ts, z) - ref) <= 1e-10 * abs(ref), z
 
 
+def test_cauchy_transform_type1_answers_beyond_a_segment_end_outside_each_ellipse(angelesco_mt):
+    # the end panel of [0, 1] spans 2.4e-4: 1 + 4.55e-5 lies at rho 2.3 of it,
+    # 1 + 1e-5 at rho 1.5 and 1 + 2e-6 at 1.2, inside the golden-ratio ellipse
+    ts = mk.type1_mop(angelesco_mt, (2, 2))
+    ref = ref_cauchy_transform_type1(ts, 1 + 4.55e-5)
+    assert abs(mk.cauchy_transform_type1(ts, 1 + 4.55e-5) - ref) <= 1e-12 * abs(ref)
+    for z in (1 + 1e-5, 1 + 2e-6):
+        with pytest.raises(DomainError, match="nearer the support segment"):
+            mk.cauchy_transform_type1(ts, z)
+
+
 def test_cauchy_transform_type1_is_right_wherever_it_answers(angelesco_mt):
     # z near both segments, at distances that straddle the refusal threshold
     # (every third z real, beyond an end of the hull [-1, 1])
@@ -290,4 +301,4 @@ def test_cauchy_transform_type1_is_right_wherever_it_answers(angelesco_mt):
         answered += 1
         ref = ref_cauchy_transform_type1(ts, z)
         assert abs(got - ref) <= 1e-10 * abs(ref), z
-    assert (answered, refused) == (14, 16)
+    assert (answered, refused) == (16, 14)

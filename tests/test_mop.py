@@ -67,6 +67,51 @@ class TestNormalityDeterminant:
         assert mk.normality_determinant(M).det == 0.0
 
 
+#: D_n against an 80-digit determinant of the raw moment matrix: (system,
+#: multi-index, relative bound).  Nikishin (4,4) loses digits in the float
+#: table, where its det M is 1e-36 of its entries.
+RAW_DETERMINANTS = {
+    "nikishin_44": (lambda: mk.build_nikishin(mk.WeightSpec.constant(1.0, 2.0),
+                                              [mk.WeightSpec.constant(-1.0, 0.0)]), (4, 4), 1e-3),
+    "nikishin_21": (lambda: mk.build_nikishin(mk.WeightSpec.constant(1.0, 2.0),
+                                              [mk.WeightSpec.constant(-1.0, 0.0)]), (2, 1), 1e-10),
+    "angelesco_44": (lambda: mk.build_angelesco([mk.WeightSpec.constant(9.0, 10.0),
+                                                 mk.WeightSpec.constant(10.0, 12.0)]), (4, 4), 1e-10),
+    "angelesco_23": (lambda: mk.build_angelesco([mk.WeightSpec.constant(9.0, 10.0),
+                                                 mk.WeightSpec.constant(10.0, 12.0)]), (2, 3), 1e-10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_DETERMINANTS))
+def test_determinant_is_the_raw_moment_determinant(name):
+    from helpers import ref_raw_determinant
+
+    build, nvec, rtol = RAW_DETERMINANTS[name]
+    ws = build()
+    mt = mk.moment_table(ws, 2 * sum(nvec))
+    got = mk.normality_determinant(mk.block_hankel(mt, nvec))
+    ref = float(ref_raw_determinant(ws, nvec))
+    assert abs(got.det - ref) <= rtol * abs(ref)
+    # the condition is cond1 of the hull-scaled M that the solves report
+    assert got.condition == mk.type2_mop(mt, nvec).condition_estimate
+
+
+def test_determinant_past_longdouble_is_infinite_without_a_warning():
+    # s^e = 1e8^645 overflows longdouble, and D_n is past float64 with it
+    ws = mk.build_angelesco([mk.WeightSpec.constant(0.0, 1e8), mk.WeightSpec.constant(1e8, 2e8)])
+    assert np.isinf(mk.normality_determinant(mk.block_hankel(mk.moment_table(ws, 43), (15, 15))).det)
+
+
+@pytest.mark.parametrize("nvec", [(2,), (7,), (1, 1), (3, 2), (5, 5)])
+def test_unit_hull_determinant_is_the_lu_of_the_raw_matrix(nvec, legendre_mt, angelesco_mt):
+    # on the hull [-1, 1], s^e is 1 and M is the raw matrix, bit for bit
+    mt = legendre_mt if len(nvec) == 1 else angelesco_mt
+    raw = mop._hankel_from(mt.raw, mop.as_multi_index(nvec), sum(nvec))
+    lu, _, parity = linalg.lu_factor(raw)
+    assert mk.normality_determinant(mk.block_hankel(mt, nvec)).det == \
+        float(linalg.lu_det(lu, parity))
+
+
 class TestTypeII:
     def test_legendre_2(self, legendre_mt):
         P = mk.type2_mop(legendre_mt, (2,))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -247,7 +248,31 @@ def test_moments_past_float64_raise_before_any_warning(interval):
     ws = mk.build_angelesco([mk.WeightSpec.constant(*interval)])
     with pytest.raises(NumericError, match="moment of order 1 of weight 1, "
                                            r"Weight\(constant on .*float64"):
-        mk.moment_table(ws, 4)
+        mk.moments(ws, 1, 4)
+    # at unit mass the hull rows fit, and the raw rows, read on access,
+    # overflow from x^2 on
+    w = Weight.from_spec(mk.WeightSpec.constant(*interval)).scaled(1.0 / interval[1])
+    mt = mk.moment_table(mk.WeightSystem.general([w]), 4)
+    assert np.all(np.isfinite(mt.scaled))
+    with pytest.raises(NumericError, match="moment of order 2 of weight 1, "
+                                           r"Weight\(constant\*scaled on .*float64"):
+        mt.raw
+
+
+#: weights far from 0 whose raw rows x^k w raise `QuadratureError` at k_max 40,
+#: where their hull rows hold
+FAR_JACOBI = [(946.26, 946.60, 1.5, 0.0), (638.56, 638.63, 0.5, 1.5), (-3.0, -2.0, 0.3, 1.5)]
+
+
+@pytest.mark.parametrize("a, b, alpha, beta", FAR_JACOBI)
+def test_far_jacobi_table_builds_from_its_hull_rows(a, b, alpha, beta):
+    ws = mk.build_angelesco([mk.WeightSpec.jacobi(a, b, alpha, beta)])
+    start = time.perf_counter()
+    mt = mk.moment_table(ws, 40)
+    assert time.perf_counter() - start < 1.0
+    with mpmath.workdps(40):
+        ref = np.array(highprec.moment_rows(ws, 40)[0], dtype=float)
+    assert np.max(np.abs(mt.scaled[0] - ref)) <= 1e-12 * abs(ref[0])
 
 
 @pytest.mark.parametrize("k_max", [10, 22])
