@@ -359,11 +359,9 @@ def _solve_setup(cfg, diags):
 
 
 def _moments_step(man, mt):
-    """The moments step, with each weight's quadrature work: the most panels
-    any of its rows accepted and its largest error estimate."""
-    man.step("moments", detail={"weights": [
-        {"panels_max": int(panels.max()), "error_max": float(errors.max())}
-        for panels, errors in zip(mt.panels, mt.errors)]})
+    """The moments step, with each weight's quadrature work: its rule, the
+    level N reached and the final disagreement of two levels."""
+    man.step("moments", detail={"weights": [dict(r) for r in mt.records]})
 
 
 def cmd_mop(cfg, diags, man, quiet):

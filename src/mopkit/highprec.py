@@ -15,17 +15,17 @@ solve of the hull-scaled moment matrix M, for ``mop._solve``: type I
 kernel (M X = I).  Each attempt reports an a-posteriori condition bound,
 and its answer counts only when ``SURVIVING_DIGITS`` digits survive it.
 ``moment_rows`` gives the rows in t as mpf (closed forms for constant and
-pure Jacobi weights, one Clenshaw-Curtis-Jacobi pass per weight for the
-rest), with a record of how each row was computed; ``table_rows`` keeps
-rows and records on the table, once per precision rung (the dps rounded up
-to a multiple of ``RUNG_DIGITS``), and M is factored once per index and dps
-(``MomentTable.mp_lu``): type I, type II and the kernel of one index share
-one condition estimate, one dps and one LU, and only their solutions
-become mpf.  The rest is shared with the float rung: ``mop._hankel_from``,
-``ensemble.f_matrix``/``g_matrix`` on object arrays of mpf, and the one LU
-in ``linalg``, which factors mpf matrices in fixed point (a
-``linalg.FixedLU``), within 2 n cond1 2^-prec of a solve at twice the bits;
-the quadrature rules, node columns and level sums are fixed point too.
+pure Jacobi weights, one pass of the Clenshaw-Curtis-Jacobi rule for the
+rest, whose Markov ratios sum their generators' rule, ``mp_rule``), with a
+record of each; ``table_rows`` keeps them on the table once per precision
+rung (the dps rounded up to a multiple of ``RUNG_DIGITS``), and M is
+factored once per index and dps (``MomentTable.mp_lu``), which type I,
+type II and the kernel of one index share.  The rest is shared with the
+float rung: ``mop._hankel_from``, ``ensemble.f_matrix``/``g_matrix`` on
+object arrays of mpf, and the one LU in ``linalg``, which factors mpf
+matrices in fixed point (``linalg.FixedLU``), within 2 n cond1 2^-prec of
+a solve at twice the bits; the rules, node columns and sums are fixed
+point too.
 
 One ``MPForm``, f(t)^T B g(t), evaluates the kernel (B = M^-T) and the
 linear form Q, which is the kernel's x^(n-1) coefficient.  It answers from
@@ -49,6 +49,7 @@ from .ensemble import f_matrix, g_matrix
 from .exceptions import NumericError, PrecisionExhausted
 from .linalg import LD
 from .mop import _hankel_from
+from .quadrature import CC_NODES, cc_moments, graded_panels
 
 #: an mpmath answer counts when log10(bound) + SURVIVING_DIGITS <= dps for
 #: its a-posteriori condition bound
@@ -68,9 +69,9 @@ PROXY_TAIL = 1e-14
 #: y-grids of a proxy; first-kind Chebyshev points nest under tripling
 PROXY_GRIDS = (16, 48, 144, 432)
 
-#: Clenshaw-Curtis levels: N + 1 nodes cos(pi j / N), N = 16, 32, ... CC_NODES;
-#: rules, node columns and sums are fixed point, CC_GUARD bits beyond mp.prec
-CC_NODES, CC_GUARD = 512, 20
+#: the Clenshaw-Curtis rules, node columns and sums are fixed point, CC_GUARD
+#: bits beyond mp.prec; N runs 16, 32, ... ``quadrature.CC_NODES``
+CC_GUARD = 20
 
 
 def working_dps(cond) -> int:
@@ -191,19 +192,14 @@ class ChebyshevProxy:
 
 @lru_cache(maxsize=None)
 def _cc_rule(n, al, be, bits):
-    """(V, W, e): nodes cos(pi j / n), j <= n, times 2^bits and weights W_j 2^e
-    of the Clenshaw-Curtis rule for (1 - v)^al (1 + v)^be on [-1, 1], in ints,
-    cached per (n, al, be, bits): W_j = (2/n) c_j sum''_m mu_m cos(pi m j / n),
-    c and '' halving end terms, for the moments mu_m of T_m by the forward
-    recurrence of Piessens & Branders (BIT 1973), whose solutions grow alike."""
+    """(V, W, e): ``quadrature.cc_rule``'s nodes times 2^bits and weights
+    W_j 2^e, in ints, its moments from ``quadrature.cc_moments`` in mpf;
+    cached per (n, al, be, bits)."""
     with mp.workprec(bits):
         cos = np.array([int(mpmath.ldexp(mpmath.cospi(mpmath.mpf(i) / n), bits))
                         for i in range(2 * n)], dtype=object)
         A, B = mpmath.mpf(al), mpmath.mpf(be)
-        mu = [2 ** (A + B + 1) * mpmath.beta(A + 1, B + 1)]
-        mu.append(mu[0] * (B - A) / (A + B + 2))
-        for m in range(1, n):
-            mu.append((-2 * (A - B) * mu[m] - (A + B + 2 - m) * mu[m - 1]) / (A + B + m + 2))
+        mu = cc_moments(n, A, B, 2 ** (A + B + 1) * mpmath.beta(A + 1, B + 1))
         e = mpmath.mag(mu[0]) - bits
         j, halve = np.arange(n + 1), np.array([1] + [2] * (n - 1) + [1], dtype=object)
         ms = halve * [int(mpmath.ldexp(v, -e)) for v in mu]
@@ -218,31 +214,16 @@ def _log_error(d1, d2, r0):
     return min(0.0, 2 * D1 if D1 == -math.inf or D2 == 0 else max(D1 * D1 / D2, 2 * D1))
 
 
-def _panels(w):
-    """The ends of ``w``'s support and, if a generator lies so near that
-    ``CC_NODES`` / 2 nodes fall short of the digits (the rule converges as
-    rho^-N, log rho = acosh(u), u = 1 + gap / half-length), the points at
-    gap 4^i from the end nearest it: each graded panel has u >= 5/3."""
-    a, b = w.support.a, w.support.b
-    gap = w.ratio.v.support.gap_to(w.support) if w.ratio else math.inf
-    if CC_NODES / 2 * math.acosh(1 + 2 * gap / (b - a)) >= mp.dps * math.log(10):
-        return [a, b]
-    cuts, left = {a, b}, w.ratio.v.support.b <= a
-    while gap < b - a:
-        cuts.add(a + gap if left else b - gap)
-        gap *= 4
-    return sorted(cuts)
-
-
 def _cc_row(w, k_max, c, s):
-    """The moments of t^k w, t = (x - c)/s, and their record, by the
-    Clenshaw-Curtis-Jacobi rule on each panel [p, q] of ``_panels(w)``, x = m
-    + h v: the end factors that the panel holds, h^al (1 - v)^al and h^be (1
-    + v)^be, go into the rule, so no x - a is formed near a; the smooth factor
-    (``Weight.smooth``) and other end factors are evaluated once per node.  N
-    doubles from 16 until every order's ``_log_error`` is below -dps."""
+    """The moments of t^k w, t = (x - c)/s, and their record, by the rule on
+    each panel [p, q] of ``graded_panels`` toward w's generator, x = m + h v:
+    the end factors that the panel holds go into the rule, and the smooth
+    factor (``Weight.smooth``) and other end factors are evaluated once per
+    node.  N doubles from 16 until every order's ``_log_error`` is below
+    -dps."""
     a, b, (be, al) = w.support.a, w.support.b, w.endpoint_exponents
-    dps, bits, pts = mp.dps, mp.prec + CC_GUARD, _panels(w)
+    dps, bits = mp.dps, mp.prec + CC_GUARD
+    pts = graded_panels(w.support, w.ratio.v.support if w.ratio else None, dps)
     row, level, worst = [0] * (k_max + 1), 0, [-math.inf] * (k_max + 1)
     with mp.workprec(bits):
         smooth, A, B = w.smooth.mp_evaluator(), mpmath.mpf(a), mpmath.mpf(b)
@@ -276,21 +257,22 @@ def _cc_row(w, k_max, c, s):
                                "error_max": 10.0 ** max(worst), "open": open_ks}
 
 
+def mp_rule(n, al, be):
+    """``quadrature.cc_rule`` at the current precision, from ``_cc_rule``."""
+    V, W, e = _cc_rule(n, al, be, mp.prec)
+    return (np.array([mpmath.mpf((v, -mp.prec)) for v in V], dtype=object),
+            np.array([mpmath.ldexp(w, e) for w in W], dtype=object))
+
+
 def _jacobi_moments(w, k_max: int, c, s):
     """Moments in t = (x - c)/s of r (b - x)^alpha (x - a)^beta on [a, b] in
-    closed form.
-
-    With x = (a + b)/2 + h v, h = (b - a)/2, t = t_m + l v for the weight's
-    centre t_m = (t_a + t_b)/2 and l = h/s, and m_k = r h^(alpha + beta + 1)
-    sum_i C(k, i) t_m^(k - i) l^i mu_i, mu_i = integral v^i (1 - v)^alpha
-    (1 + v)^beta over [-1, 1].  mu_0 = 2^(alpha + beta + 1) B(alpha + 1,
-    beta + 1) and (i + alpha + beta + 2) mu_(i+1) = i mu_(i-1) + (beta -
-    alpha) mu_i, so a symmetric weight (alpha = beta) centred on the hull has
-    exact zeros for its odd moments.  Every term is bounded by mu_0 times
-    max(|t_a|, |t_b|)^k = (|t_m| + l)^k, the bound of |t|^k on the support,
-    so the sum needs no guard bits for cancellation, only 20 + log2(k) for
-    the recurrence.
-    """
+    closed form: with x = (a + b)/2 + h v, t = t_m + l v, l = h/s, m_k = r
+    h^(alpha + beta + 1) sum_i C(k, i) t_m^(k - i) l^i mu_i for the moments
+    mu_i of v^i (1 - v)^alpha (1 + v)^beta, mu_0 = 2^(alpha + beta + 1)
+    B(alpha + 1, beta + 1), (i + alpha + beta + 2) mu_(i+1) = i mu_(i-1) +
+    (beta - alpha) mu_i (so a symmetric weight centred on the hull has exact
+    zero odd moments).  No term outgrows mu_0 (|t_m| + l)^k, the bound of
+    |t|^k, so the sum needs guard bits only for the recurrence."""
     guard = 20 + k_max.bit_length()
     with mp.extraprec(guard):
         al, be = mpmath.mpf(w.spec.alpha), mpmath.mpf(w.spec.beta)
@@ -309,17 +291,14 @@ def _jacobi_moments(w, k_max: int, c, s):
 
 
 def moment_rows(ws, k_max: int, records=None):
-    """Moments integral t^k w_j dx of every weight in the hull coordinate
-    t = (x - c)/s, [c - s, c + s] the convex hull of ``ws``'s supports, as
-    mpf at the current precision: the rows of ``MomentTable.scaled``.
-
-    A constant weight r on [a, b] gets r s (t_b^(k+1) - t_a^(k+1)) / (k + 1),
-    a pure Jacobi weight (no Markov ratio) its Beta-function closed form, and
-    any other one Clenshaw-Curtis-Jacobi pass (``_cc_row``).  Returns a p x
-    (k_max + 1) object array; a list ``records`` gets per weight its ``rule``
-    ("closed form" or "clenshaw-curtis"), the ``level`` N reached, the largest
-    final estimate relative to row 0, ``error_max``, and the ``open`` orders.
-    """
+    """The rows of ``MomentTable.scaled``, integral t^k w_j dx in the hull
+    coordinate t = (x - c)/s, as a p x (k_max + 1) object array of mpf at
+    the current precision: r s (t_b^(k+1) - t_a^(k+1)) / (k + 1) for a
+    constant weight r on [a, b], the Beta-function closed form for a pure
+    Jacobi weight, and one ``_cc_row`` pass for any other.  A list
+    ``records`` gets per weight its ``rule`` ("closed form" or
+    "clenshaw-curtis"), the ``level`` N, the largest final estimate relative
+    to row 0, ``error_max``, and the ``open`` orders."""
     (c, s), rows = ws.hull_coordinate(), []
     for w in ws.weights:
         a, b = mpmath.mpf(w.support.a), mpmath.mpf(w.support.b)

@@ -94,13 +94,13 @@ class Polynomial:
     coefficient scale.  A solved polynomial records its rung in ``method``
     (``"float"`` or ``"mp"``) and the working precision in ``hp_dps`` (0 on
     the float rung).  A coefficient that does not fit in float64 (a solve's
-    unscaling can overflow it) raises :class:`NumericError`.
+    unscaling can overflow it or underflow it to 0) raises :class:`NumericError`.
     """
 
     def __init__(self, coeffs, condition_estimate=None, ill_conditioned=False,
                  method=None, hp_dps=0):
         hi = np.atleast_1d(np.asarray(coeffs)).astype(linalg.LD)
-        if not np.all(np.abs(hi) <= np.finfo(float).max):
+        if not np.all(np.abs(hi) <= np.finfo(float).max) or np.any(hi.astype(float)[hi != 0] == 0):
             raise NumericError("polynomial coefficient does not fit in float64")
         # trim trailing zeros but keep the zero polynomial as [0.0]
         nz = np.nonzero(hi)[0]
@@ -250,15 +250,16 @@ def _check_normal(mt, nvec):
     the product of row norms would reject almost every moderate index.
     Instead any LU pivot of the hull-rescaled matrix (whose normality is
     equivalent: the rescaling is a triangular change of basis on both sides)
-    at the extended-precision roundoff floor marks the index as non-normal;
-    a bitwise-repeated column gives an exact zero pivot and is always caught.
+    at the extended-precision roundoff floor marks the index as non-normal
+    (a bitwise-repeated column gives an exact zero); in Angelesco and Nikishin
+    systems, normal by theorem, only an exact zero does, and the ladder judges.
     """
-    n = nvec.n
+    n, ws = nvec.n, mt.system
     scaled = _hankel_from(mt.scaled, nvec, n)
     factors = linalg.lu_factor(scaled)
     scale = float(np.abs(scaled).max())
     pivots = np.abs(np.diagonal(factors[0])).astype(float)
-    if scale == 0.0 or pivots.min() <= SINGULAR_PIVOT_RTOL * scale:
+    if scale == 0.0 or pivots.min() <= SINGULAR_PIVOT_RTOL * scale * (ws.kind == "general"):
         raise NonNormalIndexError(
             f"multi-index {nvec.parts} is not normal "
             f"(pivot {pivots.min():.3e} vs scale {scale:.3e})"

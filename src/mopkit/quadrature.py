@@ -1,23 +1,26 @@
-"""Adaptive composite Gauss-Legendre quadrature.
+"""Quadrature: one Clenshaw-Curtis-Jacobi rule, and adaptive Gauss-Legendre.
 
-Each panel is estimated with a 12-point and a 24-point rule; a panel is
-accepted when the two agree within its share of the global tolerance and is
-bisected otherwise.  An integrand may return K rows at once: every row keeps
-its own bisection tree, panel budget and order of accumulation, so each row
-is bit for bit its own scalar integral, while a panel that several rows
-share is evaluated once.  The moment tables take one such pass per weight.
+The rule integrates (1 - v)^al (1 + v)^be f(v) on [-1, 1] at the nested
+nodes cos(pi j / N), N = 16, 32, ... ``CC_NODES``, with weights from the
+modified Chebyshev moments of the end factor (``cc_moments``: Piessens &
+Branders, BIT 1973, in floats and in mpf).  It converges like rho^-N in the
+Bernstein ellipse of f's nearest singularity (Trefethen, SIAM Review 2008);
+``graded_panels`` splits a support toward a nearer pole.
 
-This module is the only one that knows the endpoint substitution.  An
-endpoint power (x - a)^e needs it when e is negative (a singularity) or not
-an integer (a kink); one rule, ``_nonsmooth``, decides that for the
-adaptive rule (``quad_with_substitution``), the graded fixed rule
-(``fixed_segment_nodes``) and the Markov-transform panels (``graded_nodes``).
-The substitution x = a + (b - a) t^2 turns the factor into t^(2e + 1), and
-it is iterated while that power is negative.
+The adaptive rule bisects a panel until a 12-point and a 24-point
+Gauss-Legendre rule agree within its share of the tolerance.  An integrand
+may return K rows: each row keeps its own bisection tree, panel budget and
+order of accumulation, so it is bit for bit its own scalar integral, while
+a panel that several rows share is evaluated once.  It answers
+``stieltjes_transform``, ``kernel_trace`` and ``weight_quad``.  An end power
+(x - a)^e that it or the graded fixed rule (``fixed_segment_nodes``) meets
+takes the substitution x = a + (b - a) t^2, iterated while the power 2e + 1
+is negative, when e is negative or not an integer (``_nonsmooth``).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -28,6 +31,65 @@ from .exceptions import QuadratureError
 _LO = 12
 _HI = 24
 _EPS = float(np.finfo(np.float64).eps)
+
+#: Clenshaw-Curtis levels: N + 1 nodes cos(pi j / N), N = 16, 32, ... CC_NODES
+CC_NODES = 512
+_LD, _PI = np.longdouble, np.longdouble("3.14159265358979323846264338327950288")
+
+
+def cc_moments(n, al, be, mu0):
+    """The moments mu_0 .. mu_n of T_m against (1 - v)^al (1 + v)^be on
+    [-1, 1] from mu0 = 2^(al + be + 1) B(al + 1, be + 1) by the forward
+    recurrence of Piessens & Branders, in the arithmetic of its arguments."""
+    mu = [mu0, mu0 * (be - al) / (al + be + 2)]
+    for m in range(1, n):
+        mu.append((-2 * (al - be) * mu[m] - (al + be + 2 - m) * mu[m - 1]) / (al + be + m + 2))
+    return mu
+
+
+@lru_cache(maxsize=None)
+def cc_rule(n, al, be):
+    """Nodes cos(pi j / n), j <= n, and weights W_j = (2/n) c_j sum''_m mu_m
+    cos(pi m j / n), c and '' halving end terms, of the Clenshaw-Curtis rule
+    for (1 - v)^al (1 + v)^be on [-1, 1], in longdouble rounded once, so that
+    levels agree to float rounding even for al or be near -1; cached."""
+    j, A, B = np.arange(n + 1), al + 1.0, be + 1.0
+    beta = (math.gamma(A) * math.gamma(B) / math.gamma(A + B) if A + B < 170 else
+            math.exp(math.lgamma(A) + math.lgamma(B) - math.lgamma(A + B)))
+    ends, cos = np.where(j % n, _LD(2), _LD(1)), np.cos(_PI * np.arange(2 * n, dtype=_LD) / n)
+    mu = np.array(cc_moments(n, _LD(al), _LD(be), _LD(2.0) ** (A + B - 1) * _LD(beta)))
+    W = ends * (cos[np.outer(j, j) % (2 * n)] @ (ends * mu)) / (2 * n)
+    return cos[: n + 1].astype(float), W.astype(float)
+
+
+def cc_levels(p, q, ends, fn, origin, rule=cc_rule):
+    """Per level N of ``rule`` (``cc_rule``, or ``highprec``'s in mpf) on [p, q]
+    for the end powers ``ends`` of (x - p) and (q - x): the node offsets d =
+    x - origin, from p - origin and q - origin so that they keep their
+    digits near origin, and coefficients h^(e_p + e_q + 1) W_j fn(x_j), fn
+    evaluated once per node."""
+    p, q, (ep, eq), F = p - origin, q - origin, ends, None
+    h, mid = (q - p) / 2, (p + q) / 2
+    for n in (2 ** i for i in range(4, CC_NODES.bit_length())):
+        v, W = rule(n, eq, ep)
+        d = mid + h * v
+        new = fn(origin + (d if F is None else d[1::2]))
+        F = new if F is None else np.insert(F, np.arange(1, F.size), new)
+        yield n, d, h ** (ep + eq + 1) * W * F
+
+
+def graded_panels(iv, pole, digits):
+    """The ends of ``iv`` and, if the interval ``pole`` (or None) is so near
+    that ``CC_NODES`` / 2 nodes fall short of ``digits`` (log rho = acosh(1 +
+    gap / half-length)), the points at gap 4^i from its nearest end."""
+    a, b, gap = iv.a, iv.b, pole.gap_to(iv) if pole else math.inf
+    if CC_NODES / 2 * math.acosh(1 + 2 * gap / (b - a)) >= digits * math.log(10):
+        return [a, b]
+    cuts, left = {a, b}, pole.b <= a
+    while gap < b - a:
+        cuts.add(a + gap if left else b - gap)
+        gap *= 4
+    return sorted(cuts)
 
 
 @lru_cache(maxsize=None)
@@ -44,8 +106,7 @@ def panel_nodes(a: float, b: float, m: int):
 
 
 class Rows(NamedTuple):
-    """The integrals of K rows: per row the value, the error estimate and
-    the number of accepted panels."""
+    """The integrals of K rows: per row the value, error estimate and panels."""
 
     value: np.ndarray
     error: np.ndarray
@@ -53,22 +114,14 @@ class Rows(NamedTuple):
 
 
 def adaptive_quad(f, a, b, *, tol=1e-12, max_panels=20000, max_depth=52):
-    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
+    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``, with a
+    relative floor of a few ulps.
 
-    ``f`` must accept a 1-D array of m points and return values of the same
-    shape (real or complex), or K rows of them, shape (K, m).  A relative
-    accuracy floor of a few ulps applies for integrands whose magnitude
-    makes the absolute target unattainable.  Raises :class:`QuadratureError`
-    when the panel budget is exhausted before the tolerance is met, or when
-    the estimate or its error estimate is not finite; the exception carries
-    the best estimate.
-
-    With rows, every row keeps its own bisection tree, panel budget, depth
-    cap, error sum and order of accumulation, so each row is bit for bit the
-    integral of that row alone; a panel that several rows share is evaluated
-    once.  The answer is then ``Rows`` of (value, error, panels) per row, and
-    a failure raises for the lowest failing row, named by the exception's
-    ``row``.
+    ``f`` maps a 1-D array of m points to values of the same shape (real or
+    complex), or to K rows of them, shape (K, m); the answer is then
+    ``Rows`` per row (module docstring).  Raises :class:`QuadratureError`,
+    carrying the best estimate and, for rows, the lowest failing ``row``,
+    when the panel budget runs out or a sum is not finite.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise QuadratureError("integration endpoints must be finite")
@@ -162,9 +215,7 @@ def _pieces(lo, hi, exponents):
 
 def _piece_map(lo, hi, side, exponent):
     """(x_of_u, jac_of_u) on [0, 1]: x = lo + (hi - lo) t^2 (mirrored for the
-    right side), then t = u^2 again while the carried power 2e + 1 is
-    negative, so any integrable power becomes nonnegative in finitely many
-    steps."""
+    right side), then t = u^2 again while the carried power is negative."""
     if side is None:
         return (lambda u: lo + (hi - lo) * u, lambda u: np.full_like(u, hi - lo))
     width = hi - lo
@@ -183,16 +234,11 @@ def _piece_map(lo, hi, side, exponent):
 
 
 def quad_with_substitution(f, a, b, exponents=(0.0, 0.0), *, tol=1e-12):
-    """Integrate ``f`` over [a, b], substituting at non-smooth endpoints.
-
-    ``exponents`` are the powers of (x - a) and (b - x) carried by the
-    integrand.  A power that is negative or not an integer triggers the
-    square-root substitution on that side (split at the midpoint when both
-    ends need it), iterated until the carried power is nonnegative; with
-    two integer powers ``f`` is integrated directly.  Rows of ``f`` pass
-    through as in ``adaptive_quad``: the pieces add from 0.0, piece by
-    piece, and a failure raises for the lowest row that fails on any piece,
-    with the error of its first failing piece.
+    """Integrate ``f``, whose end powers of (x - a) and (b - x) are
+    ``exponents``, over [a, b]: substituting at each non-smooth end (split
+    at the midpoint when both are), else directly.  Rows pass through as in
+    ``adaptive_quad``: the pieces add from 0.0, and a failure raises for the
+    lowest row that fails on any piece, with its first failing piece's error.
     """
     pieces = _pieces(a, b, exponents)
     if pieces[0][2] is None:
@@ -220,18 +266,14 @@ def quad_with_substitution(f, a, b, exponents=(0.0, 0.0), *, tol=1e-12):
 
 
 def graded_nodes(lo, hi, exponents, breakpoints, order):
-    """Gauss-Legendre nodes and weights on [lo, hi] after the substitution.
-
-    ``breakpoints(lo, hi, side)`` returns the panel breakpoints on [0, 1] of
-    each substituted piece; every panel gets an ``order``-point rule.  The
-    jacobians are folded into the weights.
-    """
+    """Gauss-Legendre nodes and weights on [lo, hi] after the substitution:
+    an ``order``-point rule on each panel of the array ``breakpoints`` on [0,
+    1] of each substituted piece, the jacobians folded into the weights."""
     glx, glw = gauss_legendre(order)
     xs, ws = [], []
     for plo, phi, side, e in _pieces(lo, hi, exponents):
         x_of, jac_of = _piece_map(plo, phi, side, e)
-        bps = breakpoints(plo, phi, side)
-        for u0, u1 in zip(bps[:-1], bps[1:]):
+        for u0, u1 in zip(breakpoints[:-1], breakpoints[1:]):
             h = 0.5 * (u1 - u0)
             u = 0.5 * (u0 + u1) + h * glx
             xs.append(x_of(u))
@@ -248,24 +290,11 @@ def sorted_unique(x):
     return x[keep]
 
 
-def dyadic_breakpoints(levels, toward_one):
-    """Panel breakpoints on [0, 1] refined dyadically toward one end."""
-    pts = sorted_unique([0.0] + [1.0 - 0.5 ** k for k in range(1, levels + 1)] + [1.0])
-    if not toward_one:
-        pts = np.sort(1.0 - pts)
-    return pts
-
-
 def fixed_segment_nodes(lo, hi, exponents=(0.0, 0.0), *, levels=10, order=32):
-    """Fixed quadrature nodes and weights on [lo, hi] for analytic integrands.
-
-    Non-smooth endpoint powers are removed by the square-root substitution;
-    panels are graded dyadically toward both ends.  Useful when many
-    integrals share one smooth integrand family and adaptivity would just
-    repeat work.  Returns (nodes, weights) with the substitution jacobians
-    folded into the weights.
-    """
-    bps = sorted_unique(np.concatenate([dyadic_breakpoints(levels, True),
-                                        dyadic_breakpoints(levels, False)]))
-    return graded_nodes(lo, hi, exponents, lambda *piece: bps, order)
+    """Fixed quadrature nodes and weights on [lo, hi] for analytic integrands,
+    after the substitution, on panels graded dyadically toward both ends:
+    many integrals of one smooth integrand family share them."""
+    halves = 0.5 ** np.arange(1, levels + 1)
+    bps = sorted_unique(np.concatenate([[0.0, 1.0], halves, 1.0 - halves]))
+    return graded_nodes(lo, hi, exponents, bps, order)
 

@@ -12,8 +12,10 @@ alternating gaps; the transform sign is chosen from the interval order so
 that every ratio w_j / w_1 is positive on the common support.
 
 Weights are data (family spec, scale, optional Markov ratio); the float
-values and the mpmath evaluator are both read off that one description.  mpmath is imported only when an mpf evaluator
-is asked for.
+values and the mpmath evaluator are both read off that one description.
+mpmath is imported only when an mpf evaluator is asked for.  The moment
+tables and the Markov ratios integrate against a weight with one
+Clenshaw-Curtis-Jacobi rule (``_cc_nodes``).
 """
 
 from __future__ import annotations
@@ -24,21 +26,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ConstructionError, DomainError, NumericError, ValidationError
-from .quadrature import Rows, _nonsmooth, dyadic_breakpoints, graded_nodes, quad_with_substitution
+from .exceptions import (ConstructionError, DomainError, NumericError, QuadratureError,
+                         ValidationError)
+from .quadrature import (_EPS, CC_NODES, _nonsmooth, cc_levels, cc_rule, graded_panels,
+                         quad_with_substitution)
 from .specs import FAMILIES, Interval, WeightSpec, overlapping_pair  # noqa: F401 (re-exported)
 
 
 class Weight:
-    """Nonnegative weight on a finite interval, zero off its support.
-
-    A weight is plain data: a family ``spec``, a positive ``scale`` and, for
-    Nikishin weights, an optional Markov ``ratio`` multiplying the family
-    weight.  Support, endpoint exponents (the powers of (x - a) and (b - x)
-    that quadrature regularizes), float values and the mpmath evaluator are
-    all derived from those fields, so every precision rung reads one
-    description.
-    """
+    """Nonnegative weight on a finite interval, zero off its support: a
+    family ``spec``, a positive ``scale`` and an optional Markov ``ratio``
+    (Nikishin weights).  Support, endpoint exponents (the powers of (x - a)
+    and (b - x)), float values and the mpmath evaluator all derive from
+    those fields, so every precision rung reads one description."""
 
     def __init__(self, spec: WeightSpec, scale: float = 1.0, ratio=None):
         self.spec = spec
@@ -56,7 +56,7 @@ class Weight:
 
     @property
     def smooth(self):
-        """The weight without its Jacobi end factor, for ``highprec``'s rule."""
+        """The weight without its Jacobi end factor, evaluated at the rule's nodes."""
         s = self.spec
         return self if s.family != "jacobi" else Weight(
             WeightSpec.constant(s.interval.a, s.interval.b), self.scale, self.ratio)
@@ -170,11 +170,8 @@ def _sign_value(sign):
 
 
 def stieltjes_transform(v: Weight, x: float, sign="plus", *, tol=1e-12) -> float:
-    """Evaluate +/- integral of v(y) / (x - y) dy for x off the support of v.
-
-    Principal-value evaluation on the support is not provided: x inside or
-    on the boundary raises :class:`DomainError`.
-    """
+    """+/- integral of v(y) / (x - y) dy for x off the support of v, by the
+    adaptive rule; x inside or on the boundary raises :class:`DomainError`."""
     a, b = v.support.a, v.support.b
     if a <= x <= b:
         raise DomainError(f"x={x} lies inside or on the boundary of supp(v)=[{a}, {b}]")
@@ -187,70 +184,45 @@ def stieltjes_transform(v: Weight, x: float, sign="plus", *, tol=1e-12) -> float
 
 
 class MarkovRatio:
-    """Markov transform x -> sgn * integral v(y)/(x - y) dy on fixed panels.
+    """Markov transform x -> sgn * integral v(y)/(x - y) dy, one sum over the
+    nodes of the generator v's rule (``_cc_nodes``), N doubled until two
+    levels agree at the target's point nearest v.  The nodes are offsets
+    from v's end nearest the target, so x - y is a sum of two terms of one
+    sign; the ratio must be positive at the target's ends and midpoint."""
 
-    The panel/node layout is chosen once so that evaluation anywhere on the
-    (separated) target interval is a single dot product, accurate to
-    ~1e-13 relative.  Construction cross-checks the result against direct
-    adaptive quadrature at three probe points.
-    """
+    def __init__(self, v: Weight, eval_interval: Interval, sign: int):
+        self.v, self.eval_interval, self.sign = v, eval_interval, float(sign)
+        sup, iv = v.support, eval_interval
+        if sup.gap_to(iv) <= 0.0:
+            raise ConstructionError("generator support and evaluation interval must be separated")
+        # the target's point nearest supp(v), and the end of supp(v) nearest it
+        self.near, self.end = (iv.a, sup.b) if iv.a >= sup.b else (iv.b, sup.a)
+        self.offsets, coeffs = self._rule(self.end, v.smooth._raw)
+        self.coeffs = coeffs * self.sign
+        if not np.all(self(np.array([iv.a, iv.mid, iv.b])) > 0.0):
+            raise NumericError("Markov ratio is not positive on the target interval; "
+                               "interval ordering is inconsistent with the sign rule")
 
-    ORDER = 24
+    def _rule(self, end, smooth, *rung):
+        """Node offsets from ``end`` and coefficients of v's rule (``_cc_nodes``)."""
+        def at_near(d, c):
+            terms = c / ((self.near - end) - d)
+            return np.array([terms.sum()]), np.array([np.abs(terms).sum()])
 
-    def __init__(self, v: Weight, eval_interval: Interval, sign: int, *, inner_tol=1e-13):
-        self.v = v
-        self.eval_interval = eval_interval
-        self.sign = float(sign)
-        sup = v.support
-        gap = sup.gap_to(eval_interval)
-        if gap <= 0.0:
-            raise ConstructionError(
-                "generator support and evaluation interval must be separated"
-            )
-        eval_right = eval_interval.a >= sup.b  # target sits to the right of supp(v)
-
-        def breakpoints(lo, hi, side):
-            # grade toward the pole: the near x-end is the image of u=1 unless
-            # the right-side substitution maps u=1 to lo
-            piece_gap = gap + (sup.b - hi if eval_right else lo - sup.a)
-            levels = int(np.clip(np.ceil(np.log2(max((hi - lo) / piece_gap, 1.0))), 0, 48)) + 10
-            return dyadic_breakpoints(levels, eval_right != (side == "right"))
-
-        self.nodes, wq = graded_nodes(sup.a, sup.b, v.endpoint_exponents, breakpoints,
-                                      self.ORDER)
-        self.coeffs = wq * v.values(self.nodes) * self.sign
-        self._verify(inner_tol)
-
-    def _verify(self, inner_tol):
-        iv = self.eval_interval
-        for x in (iv.a, iv.mid, iv.b):
-            direct = stieltjes_transform(self.v, x, "plus", tol=inner_tol) * self.sign
-            got = self(np.asarray([x]))[0]
-            if abs(got - direct) > max(1e-11, 1e-11 * abs(direct)):
-                raise NumericError(
-                    f"Markov transform panels inaccurate at x={x}: {got} vs {direct}"
-                )
-            if got <= 0.0:
-                raise NumericError(
-                    "Markov ratio is not positive on the target interval; "
-                    "interval ordering is inconsistent with the sign rule"
-                )
+        return _cc_nodes(self.v, self.eval_interval, end, at_near, smooth, *rung)[:2]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(x).ravel()
-        out = np.empty_like(flat)
-        step = 4096
-        for i in range(0, flat.size, step):
-            chunk = flat[i : i + step]
-            out[i : i + step] = (self.coeffs / (chunk[:, None] - self.nodes)).sum(axis=1)
-        return out.reshape(np.atleast_1d(x).shape) if x.ndim else float(out[0])
+        flat = np.ravel(x).astype(float)
+        out = np.concatenate([(self.coeffs / ((part - self.end) - self.offsets)).sum(axis=1)
+                              for part in np.split(flat[:, None], range(4096, flat.size, 4096))])
+        return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
     def mp_evaluator(self):
-        """mpf-valued transform at the current mpmath precision: closed form
-        for a constant generator, tanh-sinh quadrature of the generator's own
-        evaluator otherwise."""
+        """mpf-valued transform at the current mpmath precision: closed form for
+        a constant generator, else the sum over its rule (``highprec.mp_rule``)."""
         import mpmath
+
+        from .highprec import CC_GUARD, mp_rule
 
         v, sign = self.v, mpmath.mpf(self.sign)
         c, d = mpmath.mpf(v.support.a), mpmath.mpf(v.support.b)
@@ -258,8 +230,11 @@ class MarkovRatio:
             s = mpmath.mpf(v.scale)
             # integral of s/(x - y) over [c, d]
             return lambda x: sign * s * (mpmath.log(abs(x - c)) - mpmath.log(abs(x - d)))
-        inner = v.mp_evaluator()
-        return lambda x: sign * mpmath.quad(lambda y: inner(y) / (x - y), [c, d])
+        dps = mpmath.mp.dps
+        with mpmath.workprec(mpmath.mp.prec + CC_GUARD):
+            end, smooth = mpmath.mpf(self.end), np.frompyfunc(v.smooth.mp_evaluator(), 1, 1)
+            offsets, coeffs = self._rule(end, smooth, mp_rule, dps, mpmath.mpf(10) ** -dps)
+        return lambda x: sign * mpmath.fsum(c / ((x - end) - d) for c, d in zip(coeffs, offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -335,24 +310,18 @@ class WeightSystem:
 
 
 def build_angelesco(specs) -> WeightSystem:
-    """Weight system on pairwise (interior-)disjoint intervals.
-
-    The intervals are relabeled in increasing order; interiors must be
-    disjoint (touching endpoints are allowed).
-    """
+    """Weight system on intervals with disjoint interiors (touching ends are
+    allowed), relabeled in increasing order."""
     specs = sorted(specs, key=lambda s: s.interval.a)
     weights = tuple(Weight.from_spec(s) for s in specs)
     return WeightSystem("angelesco", weights, tuple(s.interval for s in specs))
 
 
 def build_nikishin(w1_spec: WeightSpec, generator_specs) -> WeightSystem:
-    """Nikishin system from a base weight and a chain of generators.
-
-    ``generator_specs`` live on the intervals Gamma_2, ..., Gamma_p; for
-    p >= 3 they are themselves combined into a Nikishin system on Gamma_2
-    and lifted.  The transform sign comes from the interval order, so all
-    ratios w_j / w_1 are positive on Gamma_1.
-    """
+    """Nikishin system from a base weight and generators on Gamma_2, ...,
+    Gamma_p, which for p >= 3 form a Nikishin system on Gamma_2 themselves.
+    The transform sign comes from the interval order, so all ratios w_j /
+    w_1 are positive on Gamma_1."""
     gens = list(generator_specs)
     if not gens:
         raise ValidationError("a Nikishin system needs at least one generator")
@@ -390,31 +359,25 @@ class MomentTable:
     """Hull-rescaled monomial moments of every weight.
 
     ``scaled[j, k]`` is integral t^k w_j dx, t = (x - c)/s with [c - s, c + s]
-    the convex hull of the supports, by direct quadrature (never by binomial
-    transform, which cancels catastrophically): one adaptive pass per weight
-    over its k_max + 1 rows, whose accepted panels and error estimates
-    ``panels[j, k]`` and ``errors[j, k]`` keep.  Every solve, on either rung,
-    reads these rows; ``raw[j, k]``, integral x^k w_j dx, which none reads, is
-    integrated by ``moments`` when first read.  ``mp_rows`` maps a precision
-    rung to the table's mpf rows of ``scaled`` up to ``k_max``;
-    ``highprec.table_rows`` fills it, one pass per rung, and keeps in
-    ``mp_quad`` per rung how each weight's row was computed.  ``float_lu``
-    holds one entry, the float rung of the last moment matrix M that
-    ``mop._solve`` checked, keyed by parts: the 80-bit ``lu_factor`` of M, its
-    inverse and cond1 of M, so type II, type I and the kernel of one index
-    factor M once.  ``mp_lu`` holds one entry, the last mpmath LU of M, keyed
-    by (parts, dps), with its factors in fixed point (``linalg.FixedLU``),
-    which the three solves of one index share: they start the ladder from one
-    cond1 of M and so take one dps.  A copy of the table
-    (``dataclasses.replace``) starts with all four empty and no ``raw``.
+    the convex hull of the supports, from one pass of w_j's rule over its
+    k_max + 1 rows (``_cc_pass``; never by binomial transform, which cancels
+    catastrophically); ``records`` keeps each pass's ``rule``, ``level`` N
+    and final disagreement ``error_max``.  Every solve reads these rows;
+    ``raw[j, k]``, integral x^k w_j dx, is integrated by ``moments`` when
+    first read.  ``mp_rows`` maps a precision rung to the mpf rows of
+    ``scaled`` (``highprec.table_rows``), and ``mp_quad`` keeps how each was
+    computed.  ``float_lu`` holds the 80-bit ``lu_factor`` of the last M that
+    ``mop._solve`` checked, keyed by parts, with its inverse and cond1, and
+    ``mp_lu`` the last mpmath LU of M, keyed by (parts, dps), in fixed point
+    (``linalg.FixedLU``): type II, type I and the kernel of one index share
+    them.  A copy (``dataclasses.replace``) starts with all four empty and
+    no ``raw``.
     """
 
     system: WeightSystem
     scaled: np.ndarray
     hull: Interval
-    tol: float
-    panels: np.ndarray
-    errors: np.ndarray
+    records: tuple
     mp_rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     mp_quad: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     float_lu: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -430,7 +393,7 @@ class MomentTable:
 
     @cached_property
     def raw(self):
-        return np.array([moments(self.system, j + 1, self.k_max, self.tol) for j in range(self.p)])
+        return np.array([moments(self.system, j + 1, self.k_max) for j in range(self.p)])
 
 
 def powers(y, k_max):
@@ -443,42 +406,70 @@ def powers(y, k_max):
     return out
 
 
-def _moment_pass(ws: WeightSystem, j: int, k_max: int, tol, base) -> Rows:
-    """The rows base(x)^k w_j dx, k = 0..k_max, of w_j (1-based) in one
-    adaptive pass; each row is bit for bit its own ``weight_quad``.  An
-    overflow anywhere stops the pass; the rows are then integrated one at a
-    time, in order, and the first to overflow on its own raises
-    :class:`NumericError` naming w_j and k, before numpy warns of it."""
+def _cc_nodes(w: Weight, pole, origin, probe, smooth, rule=cc_rule, digits=16, tol=4 * _EPS):
+    """w's Clenshaw-Curtis-Jacobi rule (``quadrature.cc_levels``) on each
+    panel of its support graded toward ``pole``: the end factors a panel
+    holds go into ``rule``'s weights, ``smooth`` (``Weight.smooth``'s values)
+    and the others are evaluated at the nodes.  N doubles until two levels
+    of ``probe(d, c)`` agree within ``tol`` of its rounding scale.  Returns
+    the last node offsets d from ``origin`` and coefficients c of every
+    panel, the largest N and the largest final disagreement; raises
+    :class:`QuadratureError` naming w when ``CC_NODES`` are not enough."""
+    a, b, (be, al) = w.support.a, w.support.b, w.endpoint_exponents
+    pts, rules, level, error = graded_panels(w.support, pole, digits), [], 0, 0.0
+    for p, q in zip(pts, pts[1:]):
+        ends = (be if p == a else 0.0, al if q == b else 0.0)
+        fn = smooth if ends == (be, al) else (
+            lambda x, ea=al - ends[1], eb=be - ends[0]: smooth(x) * (b - x) ** ea * (x - a) ** eb)
+        last = None
+        for n, d, c in cc_levels(p, q, ends, fn, origin, rule):
+            value, size = probe(d, c)
+            if last is not None and (agree := np.max(np.abs(value - last) / size)) <= tol:
+                break
+            last = value
+        else:
+            raise QuadratureError(f"{CC_NODES} Clenshaw-Curtis nodes do not resolve {w!r}: "
+                                  f"the last two levels differ by {float(agree):.3e}")
+        rules.append((d, c))
+        level, error = max(level, n), max(error, agree)
+    return (*map(np.concatenate, zip(*rules)), level, float(error))
+
+
+def _cc_pass(ws: WeightSystem, j: int, k_max: int, c, s):
+    """The rows t^k w_j dx, t = (x - c)/s, k <= k_max, of w_j (1-based) and
+    their record, in one pass of its rule (``_cc_nodes``), row k's rounding
+    scale the larger of row 0's absolute sum and k + 1 times its own; raises
+    :class:`NumericError` at the first order past float64, before numpy warns."""
     w = ws.weights[j - 1]
-    with np.errstate(over="raise"):
-        try:
-            return weight_quad(lambda x: powers(base(x), k_max), w, tol=tol)
-        except FloatingPointError:
-            pass
-        out = []
-        for k in range(k_max + 1):
-            try:
-                out.append(weight_quad(lambda x: base(x)[None] ** k, w, tol=tol))
-            except FloatingPointError:
-                raise NumericError(f"moment of order {k} of weight {j}, {w!r}, "
-                                   "does not fit in float64") from None
-    return Rows(*map(np.concatenate, zip(*out)))
+
+    def rows(d, cw):
+        V = np.vander(d / s, k_max + 1, increasing=True)
+        value = cw @ V
+        bad = np.flatnonzero(~np.isfinite(value))
+        if bad.size:
+            raise NumericError(f"moment of order {bad[0]} of weight {j}, {w!r}, "
+                               "does not fit in float64")
+        size = np.abs(cw) @ np.abs(V)
+        return value, np.maximum(size * np.arange(1, k_max + 2), size[0])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, cw, level, error = _cc_nodes(w, w.ratio and w.ratio.v.support, c, rows, w.smooth._raw)
+        value = rows(d, cw)[0]
+    return value, {"rule": "clenshaw-curtis", "level": level, "error_max": error}
 
 
-def moments(ws: WeightSystem, j: int, k_max: int, tol: float = 1e-12) -> np.ndarray:
+def moments(ws: WeightSystem, j: int, k_max: int) -> np.ndarray:
     """Raw moments c_k = integral x^k w_j dx for k = 0..k_max (j is 1-based),
-    in one adaptive pass over w_j.  Raises :class:`NumericError` naming w_j
-    and k at the first float64 overflow, before numpy warns of it."""
+    in one pass of w_j's rule (``_cc_pass``)."""
     if not 1 <= j <= ws.p:
         raise ValidationError(f"weight index {j} out of range 1..{ws.p}")
-    return _moment_pass(ws, j, k_max, tol, lambda x: x).value
+    return _cc_pass(ws, j, k_max, 0.0, 1.0)[0]
 
 
-def moment_table(ws: WeightSystem, k_max: int, tol: float = 1e-12) -> MomentTable:
-    """Hull-rescaled moments of all weights up to order k_max: one adaptive
-    pass per weight over its k_max + 1 rows t^k w_j, t = (x - c)/s.  On the
-    hull [-1, 1] t is x bit for bit (x - 0.0 and x / 1.0 are exact)."""
+def moment_table(ws: WeightSystem, k_max: int) -> MomentTable:
+    """Hull-rescaled moments t^k w_j, t = (x - c)/s, of all weights up to
+    order k_max, one pass of each weight's rule; on the hull [-1, 1] they
+    are the raw rows bit for bit (offsets from 0.0 are the nodes)."""
     c, s = ws.hull_coordinate()
-    passes = [_moment_pass(ws, j, k_max, tol, lambda x: (x - c) / s) for j in range(1, ws.p + 1)]
-    value, error, panels = map(np.array, zip(*passes))
-    return MomentTable(ws, value, ws.support_hull(), tol, panels, error)
+    value, records = zip(*[_cc_pass(ws, j, k_max, c, s) for j in range(1, ws.p + 1)])
+    return MomentTable(ws, np.array(value), ws.support_hull(), records)

@@ -413,6 +413,28 @@ def test_same_outputs_report_a_changed_moment_pass_record():
         f"{label} moment table": same_outputs._output(b"failed")}
 
 
+def test_same_outputs_report_a_changed_rule_record():
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    def table(level):
+        return SimpleNamespace(raw=np.ones((1, 3)), scaled=np.zeros((1, 3)), records=(
+            {"rule": "clenshaw-curtis", "level": level, "error_max": 2e-16},))
+
+    label = "zeros legendre"
+    parent = same_outputs._table_outputs(label, table(32))
+    assert sorted(parent) == [f"{label} moment records", f"{label} moment table"]
+    assert same_outputs.differences(parent, same_outputs._table_outputs(label, table(64))) \
+        == [(f"{label} moment records", "differs, max |deviation| 32 of max |value| 64")]
+    # against a parent's adaptive-pass record, each side's record is its own output
+    old = SimpleNamespace(raw=np.ones((1, 3)), scaled=np.zeros((1, 3)),
+                          errors=np.full((1, 3), 1e-15), panels=np.ones((1, 3), dtype=int))
+    assert [name for name, _ in same_outputs.differences(
+        same_outputs._table_outputs(label, old), parent)] == [
+        f"{label} moment errors", f"{label} moment panels", f"{label} moment records"]
+
+
 def test_same_outputs_compare_the_hull_rows_records_across_record_shapes():
     from types import SimpleNamespace
 

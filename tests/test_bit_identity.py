@@ -7,7 +7,7 @@ g-matrix blocks started from a row of ones, the float kernel on all points
 at once, the bordered kernel that factors M again, the mpmath form with an
 identity factor on its f-basis, and the LU solves with an inf or nan
 entry as numpy loops on object arrays of mpf; the moment table of a system
-on the hull [-1, 1] against the pass over its raw rows, the type II
+on the hull [-1, 1] against the rule's pass over its raw rows, the type II
 right-hand side against the transposed (n + 1)-row system, and the in-place
 Horner steps and the root screen's scale against their loops.  The
 fixed-point LU of finite mpf input is held to
@@ -471,7 +471,7 @@ def test_transposed_solve_matches_numpy_object_loop(rows_dps, dps):
             ref_lu_solve_transposed(*ref_lu_factor(singular)[:2], singular[:, :1])
 
 
-# -- one adaptive pass per weight ------------------------------------------------
+# -- one Clenshaw-Curtis-Jacobi pass per weight ---------------------------------
 
 PASS_SYSTEMS = {
     "constant": lambda: mk.build_angelesco([C(-1.0, 1.0)]),
@@ -495,17 +495,23 @@ PASS_SYSTEMS = {
 @pytest.mark.parametrize("k_max", [2, 13])
 @pytest.mark.parametrize("name", sorted(PASS_SYSTEMS))
 def test_moment_table_matches_one_quadrature_per_order(name, k_max):
+    # within the per-order adaptive reference's tolerance and within 2e-15 of
+    # row 0 of 40-digit rows; moments gives the raw rows bit for bit
     from helpers import ref_moment_table
 
     ws = PASS_SYSTEMS[name]()
     mt = mk.moment_table(ws, k_max)
     raw, scaled = ref_moment_table(ws, k_max)
-    assert mt.raw.tobytes() == raw.tobytes()
-    assert mt.scaled.tobytes() == scaled.tobytes()
-    assert all(mk.moments(ws, j, k_max).tobytes() == raw[j - 1].tobytes()
+    with mpmath.workdps(40):
+        exact = highprec.moment_rows(ws, k_max).astype(float)
+    assert np.all(np.abs(mt.scaled - exact) <= 2e-15 * exact[:, :1])
+    assert np.allclose(mt.scaled, scaled, rtol=1e-12, atol=1e-12)
+    assert np.allclose(mt.raw, raw, rtol=1e-12, atol=1e-12)
+    assert all(mk.moments(ws, j, k_max).tobytes() == mt.raw[j - 1].tobytes()
                for j in range(1, ws.p + 1))
-    assert mt.panels.shape == mt.errors.shape == (ws.p, k_max + 1)
-    assert mt.panels.min() >= 1 and np.all(mt.errors >= 0.0)
+    assert [r["rule"] for r in mt.records] == ["clenshaw-curtis"] * ws.p
+    assert all(16 <= r["level"] <= 512 and 0.0 <= r["error_max"] <= 4 * 2.0 ** -52
+               for r in mt.records)
 
 
 UNIT_HULL_FAMILIES = {"constant": lambda a, b: C(a, b),
@@ -517,39 +523,33 @@ UNIT_HULL_FAMILIES = {"constant": lambda a, b: C(a, b),
                          ids=["legendre", "angelesco"])
 @pytest.mark.parametrize("family", sorted(UNIT_HULL_FAMILIES))
 def test_unit_hull_table_takes_one_pass_of_the_raw_rows(family, pieces):
-    # on the hull [-1, 1], (x - 0.0)/1.0 is x: the hull rows are the raw rows,
-    # with the same error estimates and panels
+    # on the hull [-1, 1] the node offsets from c = 0.0 are the nodes and
+    # d / 1.0 is d: the hull rows are the raw rows, with the same records
     ws = mk.build_angelesco([UNIT_HULL_FAMILIES[family](a, b) for a, b in pieces])
     assert ws.hull_coordinate() == (0.0, 1.0)
-    value, error, panels = map(np.array, zip(*[weights._moment_pass(ws, j, 13, 1e-12, lambda x: x)
-                                               for j in range(1, ws.p + 1)]))
+    value, records = zip(*[weights._cc_pass(ws, j, 13, 0.0, 1.0) for j in range(1, ws.p + 1)])
     mt = mk.moment_table(ws, 13)
-    assert mt.scaled.tobytes() == value.tobytes()
-    assert mt.errors.tobytes() == error.tobytes() and mt.errors.dtype == error.dtype
-    assert mt.panels.tobytes() == panels.tobytes() and mt.panels.dtype == panels.dtype
-    assert mt.raw.tobytes() == value.tobytes()
+    assert mt.scaled.tobytes() == np.array(value).tobytes() and mt.records == records
+    assert mt.raw.tobytes() == mt.scaled.tobytes()
 
 
 def test_every_hull_table_takes_one_pass_per_weight_of_its_hull_rows(monkeypatch):
-    ends, plain = [], weights._moment_pass
-    monkeypatch.setattr(weights, "_moment_pass",
-                        lambda *args: ends.append(args[-1](np.array([-3.0, 3.0]))) or plain(*args))
+    coords, plain = [], weights._cc_pass
+    monkeypatch.setattr(weights, "_cc_pass",
+                        lambda ws, j, k_max, c, s: coords.append((j, c, s))
+                        or plain(ws, j, k_max, c, s))
     for name in sorted(PASS_SYSTEMS):
         ws = PASS_SYSTEMS[name]()
-        c, s = ws.hull_coordinate()
-        ends.clear()
+        coords.clear()
         mk.moment_table(ws, 6)
         # one pass per weight, over t = (x - c)/s
-        assert len(ends) == ws.p, name
-        assert all(e.tobytes() == ((np.array([-3.0, 3.0]) - c) / s).tobytes() for e in ends), name
+        assert coords == [(j, *ws.hull_coordinate()) for j in range(1, ws.p + 1)], name
     mt = mk.moment_table(mk.build_angelesco([C(1.0, 2.0)]), 6)
-    assert mt.scaled[0, 1] == 0.0  # t = 2x - 3 on [1, 2]
+    assert abs(mt.scaled[0, 1]) <= 2.0 ** -52  # t = 2x - 3 on [1, 2]
 
 
 @pytest.mark.parametrize("name", sorted(PASS_SYSTEMS))
 def test_raw_moments_are_integrated_when_first_read(name, monkeypatch):
-    from helpers import ref_moment_table
-
     calls, plain = [], weights.moments
     monkeypatch.setattr(weights, "moments", lambda *args: calls.append(args[1]) or plain(*args))
     ws = PASS_SYSTEMS[name]()
@@ -557,7 +557,6 @@ def test_raw_moments_are_integrated_when_first_read(name, monkeypatch):
     assert calls == []
     raw = mt.raw
     assert calls == list(range(1, ws.p + 1)) and mt.raw is raw
-    assert raw.tobytes() == ref_moment_table(ws, 9)[0].tobytes()
     assert raw.tobytes() == np.array([plain(ws, j, 9) for j in range(1, ws.p + 1)]).tobytes()
 
 

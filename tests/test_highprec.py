@@ -19,7 +19,8 @@ from mopkit import highprec, linalg
 from mopkit.ensemble import f_matrix, g_matrix
 from mopkit.linalg import LD
 from mopkit.mop import _affine_unscale, _hankel_from, _type2_rhs
-from mopkit.weights import Weight
+from mopkit.quadrature import graded_panels
+from mopkit.weights import MarkovRatio, Weight
 
 
 def _quad_in_x(w, k, c, s, method="tanh-sinh"):
@@ -60,6 +61,11 @@ def _substituted(w, k, c, s):
     ratio, (be, al) = w.ratio.mp_evaluator(), w.endpoint_exponents
     assert (w.support.mid, 0.5 * w.support.length) == (c, s) and w.scale == 1.0
     return _jacobi_reference(w.support.a, w.support.b, al, be, k, mpmath.mp.dps - 20, ratio)[0]
+
+
+def _panels(w):
+    """The panels of w's mpmath rows at the current precision."""
+    return graded_panels(w.support, w.ratio.v.support if w.ratio else None, mpmath.mp.dps)
 
 
 def _near_touching(gap):
@@ -153,12 +159,12 @@ def test_only_near_generators_split_the_support(dps):
     with mpmath.mp.workdps(dps):
         for base in (C(1.0, 2.0), E(1.0, 2.0, [0.0, 0.3, 1.1])):
             for gen in (C(-1.0, 0.0), C(3.0, 4.0)):
-                assert highprec._panels(mk.build_nikishin(base, [gen]).weights[1]) == [1.0, 2.0]
-        assert highprec._panels(_near_touching(0.1)) == [0.0, 1.0]
-        assert highprec._panels(_near_touching(1e-2)) == pytest.approx(
+                assert _panels(mk.build_nikishin(base, [gen]).weights[1]) == [1.0, 2.0]
+        assert _panels(_near_touching(0.1)) == [0.0, 1.0]
+        assert _panels(_near_touching(1e-2)) == pytest.approx(
             [0.0, 0.01, 0.04, 0.16, 0.64, 1.0])
         right = mk.build_nikishin(C(-1.0, 0.0), [C(1e-2, 1.0)]).weights[1]
-        assert highprec._panels(right) == pytest.approx([-1.0, -0.64, -0.16, -0.04, -0.01, 0.0])
+        assert _panels(right) == pytest.approx([-1.0, -0.64, -0.16, -0.04, -0.01, 0.0])
 
 
 def test_stopping_estimate_is_quads_log_rule_in_float():
@@ -304,7 +310,7 @@ def test_rows_match_a_substituted_reference(name, dps):
     w, records = make(), []
     with mpmath.mp.workdps(dps):
         row = highprec.moment_rows(mk.WeightSystem.general([w]), k_max, records)[0]
-        assert (len(highprec._panels(w)) > 2) == name.endswith(("near_a", "near_b"))
+        assert (len(_panels(w)) > 2) == name.endswith(("near_a", "near_b"))
     be, al = w.endpoint_exponents
     with mpmath.mp.workdps(2 * dps + 40):  # the Markov ratio on a Jacobi base, else w
         factor = (w.ratio or w).mp_evaluator()
@@ -481,11 +487,15 @@ def test_legendre_type2_equals_rational_recurrence():
 
 
 def test_precision_exhausted():
-    # generator [-2, -1]: condition bound ~1e65 at (14, 14), past the retry's 83 digits
+    # generator [-2, -1]: condition bound ~1e70 at (15, 15), past the retry's 86 digits
     ws = mk.build_nikishin(mk.WeightSpec.constant(1.0, 2.0), [mk.WeightSpec.constant(-2.0, -1.0)])
-    mt = mk.moment_table(ws, 41)
-    with pytest.raises(mk.PrecisionExhausted):
-        mk.type2_mop(mt, (14, 14))
+    mt = mk.moment_table(ws, 44)
+    with pytest.raises(mk.PrecisionExhausted, match="leaves fewer than 20 of 86 digits"):
+        mk.type2_mop(mt, (15, 15))
+    # (14, 14), bound ~1e65: its float pivots sit at the roundoff floor, which
+    # marks no Nikishin index non-normal, and the retry at 85 digits holds 20
+    P = mk.type2_mop(mt, (14, 14))
+    assert P.method == "mp" and P.hp_dps == 85
 
 
 def _kernel(ws, parts):
@@ -597,16 +607,35 @@ def test_points_off_the_proxy_go_direct():
     assert np.allclose(vals[[0, 5]], K.mp.eval_direct(x[[0, 5]], y[[0, 5]]), rtol=1e-14)
 
 
+@pytest.mark.parametrize("dps", (36, 64))
+@pytest.mark.parametrize("gen", [mk.WeightSpec.exp_poly(-1.0, 0.0, [0.0, 0.5, 0.3]),
+                                 mk.WeightSpec.jacobi(-1.0, 0.0, 0.5, 0.5)],
+                         ids=["exp_poly", "jacobi"])
+def test_mp_markov_ratio_matches_quad_at_twice_the_digits(gen, dps):
+    # the generator's own rule, summed at the current precision
+    ratio = mk.build_nikishin(mk.WeightSpec.constant(1.0, 2.0), [gen]).weights[1].ratio
+    xs = (1.0, 1.25, 1.5, 2.0)
+    with mpmath.mp.workdps(dps):
+        fn = ratio.mp_evaluator()
+        got = [fn(mpmath.mpf(x)) for x in xs]
+    with mpmath.mp.workdps(2 * dps):
+        inner = Weight.from_spec(gen).mp_evaluator()
+        for x, value in zip(xs, got):
+            ref = mpmath.quad(lambda y: inner(y) / (x - y), [-1, 0])
+            assert abs(value - ref) <= mpmath.mpf(10) ** (5 - dps) * abs(ref), x
+
+
 def test_nested_quadrature_runs_once_per_proxy_node(monkeypatch):
-    # an exp_poly generator puts one inner mpmath.quad into every value of w_2
+    # an exp_poly generator puts one sum over its rule into every value of w_2
     ws = mk.build_nikishin(mk.WeightSpec.exp_poly(1.0, 2.0, [0.0, 1.0]),
                            [mk.WeightSpec.exp_poly(-1.0, 0.0, [0.0, 0.5])])
     mt = mk.moment_table(ws, 12)
     ts = mk.type1_mop(mt, (3, 3), method="mp")
     K = mk.biorthogonalize(mk.block_hankel(mt, (3, 3)), ws, (3, 3))
     assert K.mp is not None
-    calls, plain = [], mpmath.quad
-    monkeypatch.setattr(mpmath, "quad", lambda *a, **k: calls.append(1) or plain(*a, **k))
+    calls, plain = [], MarkovRatio.mp_evaluator
+    monkeypatch.setattr(MarkovRatio, "mp_evaluator", lambda self: (
+        lambda ratio: lambda x: calls.append(1) or ratio(x))(plain(self)))
     x, y = _random_points(ws, 400, 15)
     for evaluate, owner in ((lambda: mk.kernel_eval(K, x, y), K.mp),
                             (lambda: ts.q_values(y), ts.mp)):

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,7 +98,7 @@ def test_compare_on_the_mpmath_rung_loads_it(tmp_path):
 
 def test_unique_points_leave_numpy_ma_unloaded():
     # np.unique and np.union1d import numpy.ma (about 8 ms) on first use:
-    # the Markov panels' and the type I check's breakpoints, g_determinant's
+    # the type I check's breakpoints, g_determinant's
     # repeated points and kolmogorov_distance's merged grid sort instead
     code = ("import sys; import mopkit as mk; C = mk.WeightSpec.constant; "
             "ws = mk.build_nikishin(C(1.0, 2.0), [C(-1.0, 0.0)]); "
@@ -126,3 +127,10 @@ def test_source_names_no_private_mpmath_name():
     found = {path.name: [name for name in PRIVATE_MPMATH if name in path.read_text()]
              for path in (ROOT / "src" / "mopkit").glob("*.py")}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_source_calls_no_mpmath_quad():
+    # every moment row and Markov ratio takes the Clenshaw-Curtis-Jacobi rule
+    found = [path.name for path in (ROOT / "src" / "mopkit").glob("*.py")
+             if re.search(r"\b(mpmath|mp)\.quad\b(?!``)", path.read_text())]
+    assert found == []

@@ -221,6 +221,13 @@ class TestTypeI:
             with pytest.raises(NumericError, match="float64"):
                 mk.type1_mop(mt, (2,), method=method)
 
+    def test_coefficients_below_float64_raise(self):
+        # mass 1e160: the type I coefficients, about 1/mass^3, fit in longdouble
+        # but fall below float64's normal range, where they would read 0
+        mt = mk.moment_table(mk.build_angelesco([mk.WeightSpec.constant(1e160, 2e160)]), 4)
+        with pytest.raises(NumericError, match="polynomial coefficient does not fit in float64"):
+            mk.type1_mop(mt, (2,))
+
     def test_condition_residuals_keep_kink_of_shared_segment(self):
         # a sqrt-kinked weight sharing [-1, 1] with a smooth one: the check's
         # fixed rule must still substitute at both ends

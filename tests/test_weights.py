@@ -18,7 +18,6 @@ from mopkit.exceptions import (
     ConstructionError,
     DomainError,
     NumericError,
-    QuadratureError,
     ValidationError,
 )
 from mopkit.weights import MarkovRatio, Weight
@@ -160,6 +159,52 @@ class TestBuildNikishin:
         assert np.all(ws.weights[1].values(xs) > 0.0)
 
 
+def _markov_reference(v, x, sign):
+    """sign * integral v(y) / (x - y) dy by ``mpmath.quad`` at 30 digits, on
+    panels graded geometrically toward the end of supp(v) nearest x."""
+    a, b = v.support.a, v.support.b
+    with mpmath.workdps(30):
+        fn, gap = v.mp_evaluator(), min(abs(x - a), abs(x - b))
+        grade = [b - gap * 4 ** i if x > b else a + gap * 4 ** i for i in range(30)]
+        pts = sorted({a, b, *(y for y in grade if a < y < b)})
+        return float(sign * mpmath.quad(lambda y: fn(y) / (x - y), pts))
+
+
+@pytest.mark.parametrize("base, gen", [
+    ((1.0, 2.0), mk.WeightSpec.jacobi(-1.0, 0.0, -0.3, 0.0)),
+    ((1.5, 2.5), mk.WeightSpec.jacobi(0.0, 1.0, -0.5, 0.3)),
+    ((1.0, 2.0), mk.WeightSpec.constant(-1.0, 0.999)),
+], ids=["singular_near_end", "singular_far_end", "gap_1e-3"])
+def test_markov_ratios_of_hard_generators_match_quad(base, gen):
+    # the generator's end factors are in its rule's weights, and a generator at
+    # gap 1e-3 grades its support toward the target
+    ws = mk.build_nikishin(mk.WeightSpec.constant(*base), [gen])
+    ratio, v = ws.weights[1].ratio, ws.generators[0]
+    for x in np.linspace(*base, 7):
+        ref = _markov_reference(v, x, ratio.sign)
+        assert abs(ratio(x) - ref) <= 1e-14 * abs(ref), x
+
+
+def test_markov_ratio_of_a_constant_generator_takes_33_nodes(nikishin_ws):
+    ratio = nikishin_ws.weights[1].ratio
+    assert ratio.offsets.size == ratio.coeffs.size == 33
+    for x in (1.0, 1.5, 2.0):
+        assert ratio(x) == pytest.approx(math.log((x + 1) / x), rel=4e-16, abs=0)
+
+
+def test_tables_and_ratios_make_no_adaptive_quadrature_call(monkeypatch):
+    from mopkit import quadrature
+
+    calls = []
+    monkeypatch.setattr(quadrature, "adaptive_quad", lambda *a, **k: calls.append(a))
+    J, E = mk.WeightSpec.jacobi, mk.WeightSpec.exp_poly
+    ws = mk.build_nikishin(J(1.0, 2.0, 0.5, -0.5),
+                           [E(-1.0, 0.0, [0.0, 0.5]), J(-3.0, -2.0, 0.3, 0.0)])
+    mt = mk.moment_table(ws, 12)
+    mk.moments(ws, 3, 12)
+    assert calls == [] and np.all(np.isfinite(mt.scaled)) and np.all(np.isfinite(mt.raw))
+
+
 def test_markov_ratio_matches_direct():
     v = Weight.from_spec(mk.WeightSpec.jacobi(-1.0, 0.0, 0.5, 0.0))
     ratio = MarkovRatio(v, mk.Interval(1.0, 2.0), 1)
@@ -187,9 +232,17 @@ class TestMoments:
         assert np.all(np.abs(row[1::2]) < 1e-12)
 
     def test_tolerance_consistency(self, nikishin_ws):
-        loose = mk.moments(nikishin_ws, 2, 6, tol=1e-8)
-        tight = mk.moments(nikishin_ws, 2, 6, tol=1e-9)
-        assert np.all(np.abs(loose - tight) <= 1e-8)
+        # the rule stops where two levels agree to a few ulps of row 0: the
+        # hull rows, and the raw rows x^k = (c + s t)^k, hold that against 40 digits
+        c, s = nikishin_ws.hull_coordinate()
+        with mpmath.workdps(40):
+            ref = highprec.moment_rows(nikishin_ws, 6)[1]
+            raw = [mpmath.fsum(math.comb(k, i) * mpmath.mpf(c) ** (k - i) * mpmath.mpf(s) ** i
+                               * ref[i] for i in range(k + 1)) for k in range(7)]
+        ref, raw = np.array(ref, dtype=float), np.array(raw, dtype=float)
+        hull = mk.moment_table(nikishin_ws, 6).scaled[1]
+        assert np.max(np.abs(hull - ref)) <= 1e-15 * ref[0]
+        assert np.max(np.abs(mk.moments(nikishin_ws, 2, 6) - raw) / raw) <= 1e-15
 
     def test_index_range(self, legendre_ws):
         with pytest.raises(ValidationError):
@@ -232,13 +285,42 @@ def test_jacobi_moments_match_beta_functions(a, b, alpha, beta, rtol):
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= rtol
 
 
-@pytest.mark.parametrize("alpha, beta", [(-0.8, 0.0), (0.0, -0.8)])
-def test_infinite_moments_raise(alpha, beta):
-    # (b - x) or (x - a) recomputed from a rounded node reads 0 at a nonzero
-    # endpoint; the integrand overflows there and must not be returned
-    ws = mk.WeightSystem.general([Weight.from_spec(mk.WeightSpec.jacobi(-1.0, 1.0, alpha, beta))])
-    with pytest.raises(QuadratureError):
-        mk.moments(ws, 1, 2)
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.5, 1.9])
+@pytest.mark.parametrize("beta", [-0.9, -0.5, 0.0, 0.5, 1.5, 1.9])
+def test_jacobi_rows_match_closed_forms_across_exponents(alpha, beta):
+    # raw rows on [1, 2] relative to each entry, hull rows within a few ulps of row 0
+    ws = mk.build_angelesco([mk.WeightSpec.jacobi(1.0, 2.0, alpha, beta)])
+    (c, s), w = ws.hull_coordinate(), ws.weights[0]
+    with mpmath.workdps(30):
+        raw = np.array(highprec._jacobi_moments(w, 22, 0, 1), dtype=float)
+        hull = np.array(highprec._jacobi_moments(w, 22, c, s), dtype=float)
+    assert np.max(np.abs(mk.moments(ws, 1, 22) - raw) / raw) <= 1e-14
+    assert np.max(np.abs(mk.moment_table(ws, 22).scaled[0] - hull)) <= 2e-15 * hull[0]
+
+
+@pytest.mark.parametrize("a, b, alpha, beta", [(-1.0, 1.0, -0.8, 0.0), (-1.0, 1.0, 0.0, -0.8),
+                                                (-1.0, 1.0, -0.6, 0.0), (1.0, 2.0, -0.5, -0.5)])
+def test_negative_end_powers_match_closed_forms(a, b, alpha, beta):
+    # the end factors are in the rule's weights, so no b - x or x - a is
+    # recomputed from a rounded node, where it could read 0 at a singular end
+    ws = mk.build_angelesco([mk.WeightSpec.jacobi(a, b, alpha, beta)])
+    (c, s), w = ws.hull_coordinate(), ws.weights[0]
+    with mpmath.workdps(30):
+        raw = np.array(highprec._jacobi_moments(w, 41, 0, 1), dtype=float)
+        hull = np.array(highprec._jacobi_moments(w, 41, c, s), dtype=float)
+    assert np.max(np.abs(mk.moments(ws, 1, 41) - raw) / np.abs(raw)) <= 1e-14
+    assert np.max(np.abs(mk.moment_table(ws, 41).scaled[0] - hull)) <= 1e-14 * hull[0]
+
+
+@pytest.mark.parametrize("interval", [(1e160, 2e160), (1e154, 2e154), (1e150, 1e151), (1, 1e200)])
+def test_huge_mass_tables_build(interval):
+    # agreement is judged relative to row 0, so odd rows that cancel to about
+    # 0 against a mass of 1e150 or more do not stall the pass
+    ws = mk.build_angelesco([mk.WeightSpec.constant(*interval)])
+    mt = mk.moment_table(ws, 8)
+    with mpmath.workdps(30):
+        ref = np.array(highprec.moment_rows(ws, 8)[0], dtype=float)
+    assert np.max(np.abs(mt.scaled[0] - ref)) <= 1e-15 * ref[0]
 
 
 @pytest.mark.parametrize("interval", [(1e160, 2e160), (0.0, 1e300)])
@@ -259,7 +341,7 @@ def test_moments_past_float64_raise_before_any_warning(interval):
         mt.raw
 
 
-#: weights far from 0 whose raw rows x^k w raise `QuadratureError` at k_max 40,
+#: weights far from 0 whose raw rows x^k w raised `QuadratureError` at k_max 40,
 #: where their hull rows hold
 FAR_JACOBI = [(946.26, 946.60, 1.5, 0.0), (638.56, 638.63, 0.5, 1.5), (-3.0, -2.0, 0.3, 1.5)]
 

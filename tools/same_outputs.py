@@ -8,8 +8,9 @@ whose ``_signature`` holds the bytes of every type II polynomial, its roots
 and the type I polynomials, with each study's moment table (the ``raw`` and
 ``scaled`` bytes) as an output of its own, so that a change of the moment
 engine shows apart from a change of the solves, and the record of its
-hull rows' passes (``errors`` and ``panels``, which the ``mop`` and ``typeI``
-manifests report) as two more (``_table_outputs``), and the first round of
+rows' passes (``records``, which the ``mop`` and ``typeI`` manifests
+report, or a parent's ``errors`` and ``panels``) as more
+(``_table_outputs``), and the first round of
 ``perfbench/wl_ensemble.py``: per target the sampler batch at that round's
 seeds (``configurations``, ``extended``, ``acceptance_rate``, ``ess`` and
 ``step_sizes``), and the two kernels at the workload's evaluation points
@@ -105,18 +106,25 @@ def _exact(row) -> list:
 
 
 def _table_outputs(label, mt) -> dict:
-    """Three outputs of the float moment table ``mt`` (None: its call
-    failed): ``raw`` and ``scaled`` (``{label} moment table``), and the
-    ``errors`` and the ``panels`` of its hull rows, each its own.  Records
-    of shape (p, bases, k_max + 1), from a checkout whose pass also took the
-    raw rows, give their last base, the hull rows' (p, k_max + 1)."""
+    """The outputs of the float moment table ``mt`` (None: its call failed):
+    ``raw`` and ``scaled`` (``{label} moment table``), and the record of how
+    its rows were computed: per weight the ``rule``, ``level`` and
+    ``error_max`` of ``records`` (``{label} moment records``), or, from a
+    checkout whose tables keep the adaptive pass's ``errors`` and
+    ``panels`` instead, those two, each its own.  Records of shape (p,
+    bases, k_max + 1), from a checkout whose pass also took the raw rows,
+    give their last base, the hull rows' (p, k_max + 1)."""
     if mt is None:
         return {f"{label} moment table": _output(b"failed")}
+    out = {f"{label} moment table": _output(mt.raw.tobytes() + mt.scaled.tobytes(),
+                                            mt.raw, mt.scaled)}
+    if getattr(mt, "records", None) is not None:
+        numbers = [[r["level"], r["error_max"]] for r in mt.records]
+        return {**out, f"{label} moment records": _output(repr(mt.records), numbers)}
     records = {name: getattr(mt, name) for name in ("errors", "panels")}
     records = {name: r[:, -1] if r.ndim == 3 else r for name, r in records.items()}
-    return {f"{label} moment table": _output(mt.raw.tobytes() + mt.scaled.tobytes(),
-                                             mt.raw, mt.scaled),
-            **{f"{label} moment {name}": _output(r.tobytes(), r) for name, r in records.items()}}
+    return {**out, **{f"{label} moment {name}": _output(r.tobytes(), r)
+                      for name, r in records.items()}}
 
 
 def _row_outputs(label, mt) -> dict:
